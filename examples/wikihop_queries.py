@@ -76,7 +76,7 @@ def main() -> None:
             hop2_vec = query_vec / (np.linalg.norm(query_vec) or 1.0) + (
                 clue_vec / (np.linalg.norm(clue_vec) or 1.0)
             )
-            for result in retriever.retrieve_by_vector(hop2_vec, k=2):
+            for result in retriever.retrieve_batch(hop2_vec[None], k=2)[0]:
                 if result.doc_id != top.doc_id:
                     pooled.setdefault(result.doc_id, result)
         # rank pooled hop-2 candidates by their match to the relation words

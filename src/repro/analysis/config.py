@@ -8,7 +8,7 @@ Recognized keys::
     ignore = []                             # never run these rule ids
 
     [tool.repro.lint.allow]                 # per-rule path exemptions
-    legacy-path-call = ["tests/test_retriever_vectorized.py"]
+    wall-clock-timing = ["benchmarks/legacy_*.py"]
 
     [tool.repro.lint.layers]                # import layering DAG
     order = ["foundation", "serving"]       # lowest layer first

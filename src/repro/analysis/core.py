@@ -36,7 +36,7 @@ PARSE_ERROR = "parse-error"
 #: Version of the rule set + per-file summary format. Bump whenever a
 #: rule's behavior or the ModuleSummary wire format changes, so stale
 #: ``.repro-lint-cache`` entries computed under old semantics miss.
-RULESET_VERSION = 5
+RULESET_VERSION = 6
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([^\]]*)\])?")
 

@@ -313,49 +313,6 @@ class MissingPerfCounter(Rule):
 
 
 # ---------------------------------------------------------------------------
-# legacy-path-call
-# ---------------------------------------------------------------------------
-
-_LEGACY_NAME = "retrieve_by_vector_legacy"
-
-
-@register
-class LegacyPathCall(Rule):
-    """Production code must use the vectorized retrieval path.
-
-    The per-document reference loop exists only so parity tests can pin
-    the single-matmul scorer to the original semantics; the files allowed
-    to call it are listed under ``[tool.repro.lint.allow]``.
-    """
-
-    id = "legacy-path-call"
-    description = (
-        "call to the O(corpus) legacy scorer outside the parity tests"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr
-                if isinstance(func, ast.Attribute)
-                else ""
-            )
-            if name == _LEGACY_NAME:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{_LEGACY_NAME}() is the per-document reference loop "
-                    "kept for parity tests; production code must use "
-                    "retrieve_by_vector / retrieve_batch",
-                )
-
-
-# ---------------------------------------------------------------------------
 # unnormalized-matmul
 # ---------------------------------------------------------------------------
 

@@ -127,10 +127,7 @@ class DenseRetriever:
         with time_block() as elapsed:
             score_matrix = queries @ self._doc_normed.T
         COUNTERS.record_scoring(
-            queries.shape[0],
-            self._doc_normed.shape[0],
-            self._doc_normed.shape[0],
-            elapsed(),
+            queries.shape[0], score_matrix.size, score_matrix.size, elapsed()
         )
         return [
             self._top_k(

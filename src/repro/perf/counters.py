@@ -95,12 +95,16 @@ class PerfCounters:
     def record_scoring(
         self, n_queries: int, n_docs: int, n_triples: int, seconds: float
     ) -> None:
+        """One scoring call: ``n_docs`` / ``n_triples`` are the (query,
+        document) / (query, triple) pairs it produced, summed over its
+        queries — pruned queries score different shard subsets, so a
+        per-query figure times ``n_queries`` would over-count."""
         with self._lock:
             self.matmul_calls += 1
             self.matmul_seconds += seconds
             self.queries += n_queries
-            self.docs_scored += n_queries * n_docs
-            self.triples_scored += n_queries * n_triples
+            self.docs_scored += n_docs
+            self.triples_scored += n_triples
 
     def reset(self) -> None:
         with self._lock:

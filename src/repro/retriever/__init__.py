@@ -16,7 +16,6 @@ from repro.retriever.strategies import (
     MEAN,
     ScoreStrategy,
     aggregate_segments,
-    score_documents,
 )
 from repro.retriever.single import SingleRetriever, RetrievedDocument
 from repro.retriever.negatives import TrainingExample, mine_training_examples
@@ -30,7 +29,6 @@ __all__ = [
     "MEAN",
     "ScoreStrategy",
     "aggregate_segments",
-    "score_documents",
     "SingleRetriever",
     "RetrievedDocument",
     "TrainingExample",

@@ -6,14 +6,15 @@ against all triple facts, aggregate per document with a score strategy,
 return the top-k documents *with the matching triple* — the concrete,
 explainable evidence the paper emphasizes.
 
-Scoring is vectorized: :meth:`SingleRetriever.refresh_embeddings` stacks
-all triples into one L2-normalized ``(total_triples, dim)`` matrix with
-per-document offsets, so a query (or a whole batch of queries) is scored
-with a single matmul and the per-document aggregation runs as
-``reduceat`` segment reductions (:func:`repro.retriever.strategies.
-aggregate_segments`). The original document-by-document loop survives as
-:meth:`retrieve_by_vector_legacy` — the reference implementation the
-parity tests compare against.
+The retriever encodes and delegates: :meth:`SingleRetriever.
+refresh_embeddings` stacks all triples into one L2-normalized
+``(total_triples, dim)`` matrix with per-document offsets, and every
+request is scored by the :class:`~repro.shard.plan.ShardPlan` built over
+that matrix — by default one shard that is a zero-copy view of it,
+probed in full (exact retrieval); :meth:`SingleRetriever.build_shards`
+swaps in an N-shard plan with centroid pruning and an int8 coarse stage.
+:meth:`SingleRetriever.retrieve_batch` is the one entry point that
+scores; ``retrieve`` and ``retrieve_many`` encode and call it.
 
 Embedding maintenance is **incremental**: every refresh remembers a
 per-document row hash (the flattened triple texts) plus the encoder
@@ -36,18 +37,11 @@ from repro.ingest.embedding_store import EmbeddingStore
 from repro.ingest.fingerprint import encoder_fingerprint, triples_fingerprint
 from repro.oie.triple import Triple
 from repro.perf import COUNTERS, time_block
-from repro.precision import (
-    Precision,
-    PrecisionLike,
-    cast_matrix,
-    resolve,
-)
+from repro.precision import PrecisionLike, cast_matrix, resolve
 from repro.retriever.store import TripleStore
 from repro.retriever.strategies import (
     ONE_FACT,
     ScoreStrategy,
-    aggregate_segments,
-    cosine_matrix,
     l2_normalize_rows,
 )
 from repro.shard.merge import topk_doc_order
@@ -103,13 +97,12 @@ class SingleRetriever:
         self._doc_order: List[int] = []
         self._doc_pos: Dict[int, int] = {}
         self._offsets: List[int] = []
-        self._offsets_arr: Optional[np.ndarray] = None
         # dirty-row tracking: what each cached segment was computed from
         self._row_hashes: Dict[int, str] = {}
         self._encoder_fp: Optional[str] = None
         self._attached: Optional[EmbeddingStore] = None
-        # sharded scoring: (n_shards, mode) spec + the built plan; the
-        # plan is rebuilt lazily whenever the scoring matrices refresh
+        # the scoring plan: (n_shards, mode, quantize) spec, None for the
+        # default one-shard exact plan; rebuilt whenever the matrices are
         self._shard_spec: Optional[tuple] = None
         self._shard_assignment: Optional[Dict[int, int]] = None
         self._shard_plan: Optional[ShardPlan] = None
@@ -122,8 +115,8 @@ class SingleRetriever:
 
         Call after training the encoder or editing the store; retrieval
         uses these cached embeddings. Besides the per-document views this
-        builds the flat normalized matrix + offsets that the single-matmul
-        path scores.
+        builds the flat normalized matrix + offsets and the scoring plan
+        over them.
 
         Incremental: a document's cached rows are reused verbatim when its
         triples hash (:func:`~repro.ingest.fingerprint.triples_fingerprint`)
@@ -203,10 +196,8 @@ class SingleRetriever:
             self._stacked = matrix
             self._normed = l2_normalize_rows(matrix)
             self._doc_pos = {d: i for i, d in enumerate(self._doc_order)}
-            self._offsets_arr = np.asarray(self._offsets, dtype=np.int64)
             self._encoder_fp = current_fp
-            if self._shard_spec is not None:
-                self._rebuild_shard_plan()
+            self._rebuild_shard_plan()
         COUNTERS.record_embed_refresh(
             n_encoded=len(dirty_texts),
             n_reused=start - len(dirty_texts),
@@ -275,7 +266,6 @@ class SingleRetriever:
         self._doc_order = []
         self._doc_pos = {}
         self._offsets = []
-        self._offsets_arr = None
         self._row_hashes = {}
         self._encoder_fp = None
         self._attached = None
@@ -300,17 +290,22 @@ class SingleRetriever:
         )
 
     def ensure_ready(self) -> None:
-        """Build (or finish warm-starting) the scoring matrices if needed."""
+        """Build (or finish warm-starting) the matrices and scoring plan."""
         self._ensure_fresh()
 
     def _ensure_fresh(self) -> None:
         if self._stacked is None:
             self.refresh_embeddings()
+        elif self._shard_plan is None:
+            self._rebuild_shard_plan()
 
-    # -- sharded scoring ------------------------------------------------------
+    # -- the scoring plan -----------------------------------------------------
     @property
     def shard_plan(self) -> Optional[ShardPlan]:
-        """The active :class:`ShardPlan`, or None when unsharded."""
+        """The :class:`ShardPlan` requests are scored through.
+
+        None only until the matrices exist (:meth:`ensure_ready`).
+        """
         return self._shard_plan
 
     def build_shards(
@@ -318,8 +313,9 @@ class SingleRetriever:
     ) -> ShardPlan:
         """Split the scoring matrix into ``n_shards`` with centroid pruning.
 
-        Subsequent :meth:`retrieve_batch` calls route through the plan
-        (per-shard matmuls + exact global merge) and accept ``nprobe``.
+        Replaces the default one-shard plan: subsequent
+        :meth:`retrieve_batch` calls score per shard (with an exact
+        global merge) and accept ``nprobe`` and ``int8-rescore``.
         The plan is rebuilt automatically on every embedding refresh.
         ``quantize`` (implied when the retriever's precision policy is
         int8-rescore) derives the int8 shard copies that quantized
@@ -332,8 +328,6 @@ class SingleRetriever:
         self._shard_assignment = None
         self._shard_plan = None
         self._ensure_fresh()
-        if self._shard_plan is None:  # matrices were already fresh
-            self._rebuild_shard_plan()
         return self._shard_plan
 
     def attach_sharded(self, sharded: ShardedEmbeddingStore) -> int:
@@ -357,13 +351,13 @@ class SingleRetriever:
         return total
 
     def detach_shards(self) -> None:
-        """Return to unsharded scoring (embedding cache is untouched)."""
+        """Return to the default one-shard exact plan (cache untouched)."""
         self._shard_spec = None
         self._shard_assignment = None
         self._shard_plan = None
 
     def _rebuild_shard_plan(self) -> None:
-        n_shards, mode, quantize = self._shard_spec
+        n_shards, mode, quantize = self._shard_spec or (1, "range", False)
         self._shard_plan = ShardPlan.build(
             self._normed,
             self._doc_order,
@@ -427,49 +421,19 @@ class SingleRetriever:
         question: str,
         k: int = 10,
         strategy: Optional[ScoreStrategy] = None,
-        candidate_ids: Optional[Sequence[int]] = None,
         keep_triple_scores: bool = False,
         nprobe: Optional[int] = None,
         precision: PrecisionLike = None,
     ) -> List[RetrievedDocument]:
         """Top-k documents for ``question`` with matched-triple explanations.
 
-        ``candidate_ids`` restricts scoring to a subset (used by rerankers
-        and by the multi-hop pipeline's second hop). ``nprobe`` limits
-        sharded scoring to that many closest shards (requires
-        :meth:`build_shards` / :meth:`attach_sharded`; None = no pruning).
-        ``precision`` overrides the retriever's policy per request — see
-        :meth:`retrieve_batch`.
+        :meth:`retrieve_many` for one question; see :meth:`retrieve_batch`
+        for ``nprobe`` and ``precision``.
         """
-        self._ensure_fresh()
-        strategy = strategy or self.strategy
-        query_vec = self.encode_question(question)
-        return self.retrieve_by_vector(
-            query_vec,
+        return self.retrieve_many(
+            [question],
             k=k,
             strategy=strategy,
-            candidate_ids=candidate_ids,
-            keep_triple_scores=keep_triple_scores,
-            nprobe=nprobe,
-            precision=precision,
-        )
-
-    def retrieve_by_vector(
-        self,
-        query_vec: np.ndarray,
-        k: int = 10,
-        strategy: Optional[ScoreStrategy] = None,
-        candidate_ids: Optional[Sequence[int]] = None,
-        keep_triple_scores: bool = False,
-        nprobe: Optional[int] = None,
-        precision: PrecisionLike = None,
-    ) -> List[RetrievedDocument]:
-        """Same as :meth:`retrieve` for an already-encoded question."""
-        return self.retrieve_batch(
-            np.asarray(query_vec)[None, :],
-            k=k,
-            strategy=strategy,
-            candidate_ids=candidate_ids,
             keep_triple_scores=keep_triple_scores,
             nprobe=nprobe,
             precision=precision,
@@ -480,7 +444,6 @@ class SingleRetriever:
         questions: Sequence[str],
         k: int = 10,
         strategy: Optional[ScoreStrategy] = None,
-        candidate_ids: Optional[Sequence[int]] = None,
         keep_triple_scores: bool = False,
         nprobe: Optional[int] = None,
         precision: PrecisionLike = None,
@@ -490,15 +453,12 @@ class SingleRetriever:
         The bulk text entry point shared by ``repro query --batch`` and
         the serving layer's micro-batcher: one encoder pass over all
         questions (:meth:`encode_questions`), then one
-        :meth:`retrieve_batch` matmul.
+        :meth:`retrieve_batch` call.
         """
-        if not questions:
-            return []
         return self.retrieve_batch(
             self.encode_questions(questions),
             k=k,
             strategy=strategy,
-            candidate_ids=candidate_ids,
             keep_triple_scores=keep_triple_scores,
             nprobe=nprobe,
             precision=precision,
@@ -509,31 +469,28 @@ class SingleRetriever:
         query_matrix: np.ndarray,
         k: int = 10,
         strategy: Optional[ScoreStrategy] = None,
-        candidate_ids: Optional[Sequence[int]] = None,
         keep_triple_scores: bool = False,
         nprobe: Optional[int] = None,
         precision: PrecisionLike = None,
     ) -> List[List[RetrievedDocument]]:
         """Top-k documents for every row of ``query_matrix`` at once.
 
-        All queries are scored against all triples with one ``Q×T`` matmul;
-        per-document aggregation runs as segment reductions. Returns one
-        result list per query row, each identical to what
-        :meth:`retrieve_by_vector` returns for that row.
+        Validates the request, normalizes the queries and hands them to
+        the scoring plan: one matmul per probed shard (one in all for
+        the default plan), per-document aggregation as segment
+        reductions, one ``(score desc, doc id asc)`` merge. Returns one
+        result list per query row.
 
-        With an active shard plan and no ``candidate_ids``, scoring runs
-        per shard: ``nprobe`` prunes to that many centroid-closest shards
-        (None or ``>= n_shards`` probes everything, which is provably
-        identical to the unsharded path). ``candidate_ids`` always scores
-        exactly, so ``nprobe`` is ignored there.
+        ``nprobe`` prunes to that many centroid-closest shards and needs
+        a plan from :meth:`build_shards` / :meth:`attach_sharded` (None
+        or ``>= n_shards`` probes everything, which is exact at any
+        shard count).
 
         ``precision`` overrides the retriever policy per request. A float
         request must match the dtype the matrices are held in — a
         mixed-precision retriever never silently serves an exact-mode
-        request. ``int8-rescore`` requests need an active shard plan
-        (whose int8 copy is derived on first use); with ``candidate_ids``
-        they fall back to exact scoring of the (already tiny) candidate
-        set.
+        request. ``int8-rescore`` requests need a built plan too (whose
+        int8 copy is derived on first use).
         """
         self._ensure_fresh()
         strategy = strategy or self.strategy
@@ -547,82 +504,40 @@ class SingleRetriever:
                 f"retriever holds {self.precision.dtype.name} matrices; "
                 f"cannot serve a {requested.mode} request exactly"
             )
-        queries = np.atleast_2d(
-            cast_matrix(query_matrix, self.precision.dtype)
-        )
-        if nprobe is not None and self._shard_plan is None:
+        if nprobe is not None and nprobe < 1:
+            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
+        if self._shard_spec is None and (
+            nprobe is not None or requested.quantized
+        ):
+            feature = "nprobe" if nprobe is not None else "int8-rescore"
             raise ValueError(
-                "nprobe requires an active shard plan; call "
+                f"{feature} requires an active shard plan; call "
                 "build_shards() or attach_sharded() first"
             )
-        if requested.quantized and candidate_ids is None:
-            if self._shard_plan is None:
-                raise ValueError(
-                    "int8-rescore requires an active shard plan; call "
-                    "build_shards() or attach_sharded() first"
-                )
-        if self._shard_plan is not None and candidate_ids is None:
-            return self._retrieve_batch_sharded(
-                queries, k, strategy, nprobe, keep_triple_scores, requested
-            )
-        doc_ids, offsets, gather = self._candidate_layout(candidate_ids)
-        if queries.shape[0] == 0 or doc_ids.size == 0 or k <= 0:
-            return [[] for _ in range(queries.shape[0])]
-        queries_normed = l2_normalize_rows(queries)
-        with time_block() as elapsed:
-            triple_matrix = (
-                self._normed if gather is None else self._normed[gather]
-            )
-            # the single matmul: every query against every candidate triple
-            score_matrix = queries_normed @ triple_matrix.T
-        COUNTERS.record_scoring(
-            n_queries=queries.shape[0],
-            n_docs=doc_ids.size,
-            n_triples=triple_matrix.shape[0],
-            seconds=elapsed(),
+        queries = l2_normalize_rows(
+            np.atleast_2d(cast_matrix(query_matrix, self.precision.dtype))
         )
-        return [
-            self._rank_documents(
-                row, doc_ids, offsets, strategy, k, keep_triple_scores
-            )
-            for row in score_matrix
-        ]
-
-    def _retrieve_batch_sharded(
-        self,
-        queries: np.ndarray,
-        k: int,
-        strategy: ScoreStrategy,
-        nprobe: Optional[int],
-        keep_triple_scores: bool,
-        precision: Precision,
-    ) -> List[List[RetrievedDocument]]:
-        """Shard-routed scoring: probe, per-shard matmuls, global merge."""
         plan = self._shard_plan
-        n_queries = queries.shape[0]
-        if n_queries == 0 or plan.total_docs == 0 or k <= 0:
-            return [[] for _ in range(n_queries)]
-        queries_normed = l2_normalize_rows(queries)
+        if queries.shape[0] == 0 or plan.total_docs == 0 or k <= 0:
+            return [[] for _ in range(queries.shape[0])]
         with time_block() as elapsed:
-            if precision.quantized:
+            if requested.quantized:
                 if not plan.quantized:
                     # deterministic and cheap relative to plan builds, so
                     # a first quantized request may derive the int8 copy
                     plan.quantize()
                 scored = plan.search_quantized(
-                    queries_normed,
+                    queries,
                     strategy,
-                    max(int(precision.rescore_width), int(k)),
+                    max(int(requested.rescore_width), int(k)),
                     nprobe,
                 )
             else:
-                scored = plan.search(queries_normed, strategy, nprobe)
+                scored = plan.search(queries, strategy, nprobe)
         COUNTERS.record_scoring(
-            n_queries=n_queries,
-            n_docs=max(
-                (int(q.doc_ids.shape[0]) for q in scored), default=0
-            ),
-            n_triples=max((q.n_triples for q in scored), default=0),
+            n_queries=queries.shape[0],
+            n_docs=sum(int(q.doc_ids.shape[0]) for q in scored),
+            n_triples=sum(q.n_triples for q in scored),
             seconds=elapsed(),
         )
         out: List[List[RetrievedDocument]] = []
@@ -654,157 +569,3 @@ class SingleRetriever:
                 )
             out.append(results)
         return out
-
-    # -- vectorized internals ------------------------------------------------
-    def _candidate_layout(self, candidate_ids: Optional[Sequence[int]]):
-        """(doc_ids, offsets, gather) describing the scored triple layout.
-
-        Without candidates this is the full stacked matrix (``gather`` is
-        None). With candidates, ids are de-duplicated order-preserving and
-        validated against the corpus; ``gather`` indexes the stacked matrix
-        rows belonging to the candidates, ``offsets`` are segment starts in
-        that gathered layout. Candidates without triples become empty
-        segments (score ``EMPTY_SCORE``, no explanation), matching the
-        legacy loop.
-        """
-        if candidate_ids is None:
-            return (
-                np.asarray(self._doc_order, dtype=np.int64),
-                self._offsets_arr,
-                None,
-            )
-        n_corpus = len(self.store.corpus)
-        unique: List[int] = []
-        seen = set()
-        for doc_id in candidate_ids:
-            doc_id = int(doc_id)
-            if doc_id in seen:
-                continue
-            if not 0 <= doc_id < n_corpus:
-                raise KeyError(
-                    f"candidate doc_id {doc_id} not in corpus "
-                    f"(valid range 0..{n_corpus - 1})"
-                )
-            seen.add(doc_id)
-            unique.append(doc_id)
-        total = self._normed.shape[0]
-        pieces: List[np.ndarray] = []
-        offsets = np.zeros(len(unique), dtype=np.int64)
-        cursor = 0
-        for i, doc_id in enumerate(unique):
-            offsets[i] = cursor
-            position = self._doc_pos.get(doc_id)
-            if position is None:
-                continue  # corpus doc without triples: empty segment
-            start = self._offsets[position]
-            stop = (
-                self._offsets[position + 1]
-                if position + 1 < len(self._offsets)
-                else total
-            )
-            pieces.append(np.arange(start, stop, dtype=np.int64))
-            cursor += stop - start
-        gather = (
-            np.concatenate(pieces)
-            if pieces
-            else np.zeros(0, dtype=np.int64)
-        )
-        return np.asarray(unique, dtype=np.int64), offsets, gather
-
-    def _rank_documents(
-        self,
-        flat_scores: np.ndarray,
-        doc_ids: np.ndarray,
-        offsets: np.ndarray,
-        strategy: ScoreStrategy,
-        k: int,
-        keep_triple_scores: bool,
-    ) -> List[RetrievedDocument]:
-        """Aggregate one query's flat triple scores and pick top-k docs."""
-        aggregated, matched = aggregate_segments(
-            flat_scores, offsets, strategy
-        )
-        # deterministic (score desc, doc id asc) top-k; shared with the
-        # sharded merge so both paths rank byte-identically
-        order = topk_doc_order(aggregated, doc_ids, k)
-        total = flat_scores.shape[0]
-        results: List[RetrievedDocument] = []
-        for position in order:
-            position = int(position)
-            doc_id = int(doc_ids[position])
-            local = int(matched[position])
-            triples = self.store.triples(doc_id)
-            matched_triple = (
-                triples[local] if 0 <= local < len(triples) else None
-            )
-            triple_scores = None
-            if keep_triple_scores:
-                start = int(offsets[position])
-                stop = (
-                    int(offsets[position + 1])
-                    if position + 1 < offsets.shape[0]
-                    else total
-                )
-                triple_scores = flat_scores[start:stop].copy()
-            results.append(
-                RetrievedDocument(
-                    doc_id=doc_id,
-                    title=self.store.corpus[doc_id].title,
-                    score=float(aggregated[position]),
-                    matched_triple=matched_triple,
-                    triple_scores=triple_scores,
-                )
-            )
-        return results
-
-    # -- reference implementation -------------------------------------------
-    def retrieve_by_vector_legacy(
-        self,
-        query_vec: np.ndarray,
-        k: int = 10,
-        strategy: Optional[ScoreStrategy] = None,
-        candidate_ids: Optional[Sequence[int]] = None,
-        keep_triple_scores: bool = False,
-    ) -> List[RetrievedDocument]:
-        """Document-by-document reference scorer.
-
-        Kept for the parity tests that pin the vectorized path to the
-        original semantics; O(corpus) Python-level iterations — do not use
-        on hot paths.
-        """
-        self._ensure_fresh()
-        strategy = strategy or self.strategy
-        if candidate_ids is not None:
-            doc_ids = list(dict.fromkeys(int(d) for d in candidate_ids))
-            n_corpus = len(self.store.corpus)
-            for doc_id in doc_ids:
-                if not 0 <= doc_id < n_corpus:
-                    raise KeyError(
-                        f"candidate doc_id {doc_id} not in corpus "
-                        f"(valid range 0..{n_corpus - 1})"
-                    )
-        else:
-            doc_ids = self._doc_order
-        results: List[RetrievedDocument] = []
-        for doc_id in doc_ids:
-            matrix = self.doc_embeddings(doc_id)
-            scores = cosine_matrix(query_vec, matrix)
-            aggregated = strategy.aggregate(scores)
-            matched_index = strategy.matched_index(scores)
-            triples = self.store.triples(doc_id)
-            matched = (
-                triples[matched_index]
-                if 0 <= matched_index < len(triples)
-                else None
-            )
-            results.append(
-                RetrievedDocument(
-                    doc_id=doc_id,
-                    title=self.store.corpus[doc_id].title,
-                    score=aggregated,
-                    matched_triple=matched,
-                    triple_scores=scores if keep_triple_scores else None,
-                )
-            )
-        results.sort(key=lambda r: (-r.score, r.doc_id))
-        return results[: max(k, 0)]

@@ -10,7 +10,6 @@ Given the cosine scores of a question against one document's triple facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
 
 import numpy as np
 
@@ -28,27 +27,6 @@ class ScoreStrategy:
     name: str = ONE_FACT
     k: int = 2
 
-    def aggregate(self, scores: np.ndarray) -> float:
-        """Collapse per-triple scores into one document score."""
-        if scores.size == 0:
-            return -1.0  # cosine lower bound: a document with no triples
-        if self.name == ONE_FACT:
-            return float(scores.max())
-        if self.name == TOP_K:
-            k = min(self.k, scores.size)
-            top = np.partition(scores, -k)[-k:]
-            return float(top.mean())
-        if self.name == MEAN:
-            return float(scores.mean())
-        raise ValueError(f"unknown strategy {self.name!r}")
-
-    def matched_index(self, scores: np.ndarray) -> int:
-        """Index of the explaining triple (argmax) — the paper's
-        explainability hook; -1 when the document has no triples."""
-        if scores.size == 0:
-            return -1
-        return int(scores.argmax())
-
 
 EMPTY_SCORE = -1.0  # cosine lower bound assigned to triple-less documents
 
@@ -63,15 +41,16 @@ def segment_lengths(offsets: np.ndarray, total: int) -> np.ndarray:
 def aggregate_segments(
     scores: np.ndarray, offsets: np.ndarray, strategy: "ScoreStrategy"
 ) -> tuple:
-    """Vectorized :meth:`ScoreStrategy.aggregate` over contiguous segments.
+    """Apply ``strategy`` to every contiguous segment of ``scores`` at once.
 
     ``scores`` is the flat per-triple score vector of *all* documents and
     ``offsets`` the start index of each document's segment (non-decreasing;
     equal consecutive starts denote an empty document). Returns
-    ``(aggregated, matched)`` where ``aggregated[d]`` equals
-    ``strategy.aggregate(scores[start_d:stop_d])`` and ``matched[d]`` is the
+    ``(aggregated, matched)`` where ``aggregated[d]`` is the strategy's
+    score of ``scores[start_d:stop_d]`` and ``matched[d]`` the
     segment-local argmax (the explaining triple), with ``EMPTY_SCORE`` / -1
-    for empty segments — bitwise the same contract as the scalar methods.
+    for empty segments — bitwise the contract of the scalar reference in
+    ``tests/reference.py``.
 
     Built on ``np.maximum.reduceat`` / ``np.add.reduceat``: one ufunc pass
     per corpus instead of one Python iteration per document.
@@ -150,25 +129,3 @@ def l2_normalize_vec(vec: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         return vec.copy()
     return vec / norm
-
-
-def cosine_matrix(query_vec: np.ndarray, triple_matrix: np.ndarray,
-                  eps: float = 1e-8) -> np.ndarray:
-    """Cosine of one query vector against rows of ``triple_matrix``."""
-    if triple_matrix.size == 0:
-        return np.zeros(0)
-    q_norm = np.linalg.norm(query_vec) + eps
-    t_norms = np.linalg.norm(triple_matrix, axis=1) + eps
-    return (triple_matrix @ query_vec) / (t_norms * q_norm)
-
-
-def score_documents(
-    query_vec: np.ndarray,
-    doc_triple_matrices: Dict[int, np.ndarray],
-    strategy: ScoreStrategy,
-) -> Dict[int, float]:
-    """Score every document by its aggregated triple-fact similarity."""
-    return {
-        doc_id: strategy.aggregate(cosine_matrix(query_vec, matrix))
-        for doc_id, matrix in doc_triple_matrices.items()
-    }

@@ -1,37 +1,41 @@
-"""The sharded scoring plan: per-shard top-k with an exact global merge.
+"""The scoring plan: per-shard top-k with an exact global merge.
 
-A :class:`ShardPlan` splits one stacked, L2-normalized triple matrix
-into N shards (each document's triples live wholly in one shard) plus a
-coarse-quantization layer: one unit centroid per shard. A query scores
-the centroids first and prunes to the ``nprobe`` closest shards before
-any triple matmul runs — the IVF structure that decouples query cost
-from total corpus size.
+A :class:`ShardPlan` is the one search implementation. It splits one
+stacked, L2-normalized triple matrix into N shards (each document's
+triples live wholly in one shard) plus a coarse-quantization layer: one
+unit centroid per shard. A query scores the centroids first and prunes
+to the ``nprobe`` closest shards before any triple matmul runs — the IVF
+structure that decouples query cost from total corpus size. Exact
+retrieval is the degenerate plan: one ``range`` shard that is a
+zero-copy view of the whole matrix, probed in full, so no centroid is
+ever scored.
 
 Exactness contract: per-document scores are plain dot products against
-the same normalized rows, so they are bitwise identical to the
-unsharded path, and the global merge orders by ``(score desc, doc id
-asc)`` — a total order. With ``nprobe = n_shards`` (no pruning) sharded
-retrieval is therefore *provably byte-identical* to exact top-k; with
-``nprobe < n_shards`` it trades recall for a proportional cut in matmul
-work. The 1/2/4-shard parity tests pin the first property, the
-recall-monotonicity property tests the second.
+the same normalized rows whichever shard holds them, and the global
+merge orders by ``(score desc, doc id asc)`` — a total order. With
+``nprobe = n_shards`` (no pruning) retrieval is therefore
+*byte-identical* at every shard count; with ``nprobe < n_shards`` it
+trades recall for a proportional cut in matmul work. The parity matrix
+in ``tests/test_shard.py`` pins the first property against a
+brute-force oracle, the recall-monotonicity property tests the second.
 
 A plan built with ``quantize=True`` additionally carries a symmetric
 per-row int8 copy of every shard matrix (one float32 scale per row —
 8x smaller than float64, what makes millions of docs fit in RAM).
-:meth:`ShardPlan.search_quantized` scores the int8 copy *coarsely*,
-keeps the top ``rescore_width`` documents per query under the same
-``(score desc, doc id asc)`` total order, then rescores exactly those
-documents' float rows. Because the survivor set is a prefix of the
-coarse total order, widening ``rescore_width`` can only add documents —
-recall@k is monotone in the rescore width, and equals exact recall once
-every true top-k document survives the coarse cut.
+:meth:`ShardPlan.search_quantized` is the same plan with a coarse
+stage: the same probe-and-scan loop scores the int8 copy, the top
+``rescore_width`` documents per query under the same ``(score desc,
+doc id asc)`` total order are gathered into one ad-hoc shard, and that
+shard's float rows are scored exactly. Because the survivor set is a
+prefix of the coarse total order, widening ``rescore_width`` can only
+add documents — recall@k is monotone in the rescore width, and equals
+exact recall once every true top-k document survives the coarse cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,106 +84,72 @@ class Shard:
 class QueryShardScores:
     """One query's scored shards, mergeable into a global ranking.
 
-    Concatenates the per-shard per-document aggregates in probe order;
+    Built from ``(shard, flat per-triple scores)`` parts in probe order:
+    aggregates each part per document and lays the parts end to end.
     :meth:`triple_scores` recovers the flat per-triple scores of one
-    ranked document (the explanation path) without re-scoring.
+    ranked document (the explanation path) without re-scoring. A
+    quantized search returns the one-part case: the rescored survivors.
     """
 
-    __slots__ = (
-        "doc_ids",
-        "scores",
-        "matched",
-        "n_triples",
-        "_bounds",
-        "_flats",
-        "_offsets",
-    )
-
-    def __init__(self) -> None:
-        self.doc_ids = np.zeros(0, dtype=np.int64)
-        self.scores = np.zeros(0, dtype=ACCUM_DTYPE)
-        self.matched = np.zeros(0, dtype=np.int64)
-        self.n_triples = 0
-        self._bounds: List[int] = [0]
-        self._flats: List[np.ndarray] = []
-        self._offsets: List[np.ndarray] = []
-
-    def add_shard(
-        self,
-        shard: Shard,
-        flat_scores: np.ndarray,
-        aggregated: np.ndarray,
-        matched: np.ndarray,
-    ) -> None:
-        self.doc_ids = np.concatenate([self.doc_ids, shard.doc_ids])
-        self.scores = np.concatenate([self.scores, aggregated])
-        self.matched = np.concatenate([self.matched, matched])
-        self.n_triples += int(flat_scores.shape[0])
-        self._bounds.append(int(self.doc_ids.shape[0]))
-        self._flats.append(flat_scores)
-        self._offsets.append(shard.offsets)
-
-    def triple_scores(self, position: int) -> np.ndarray:
-        """Flat triple scores of the document at merged ``position``."""
-        bounds = self._bounds
-        shard_index = (
-            int(np.searchsorted(bounds, position, side="right")) - 1
-        )
-        local = position - bounds[shard_index]
-        offsets = self._offsets[shard_index]
-        flat = self._flats[shard_index]
-        start = int(offsets[local])
-        stop = (
-            int(offsets[local + 1])
-            if local + 1 < offsets.shape[0]
-            else flat.shape[0]
-        )
-        return flat[start:stop].copy()
-
-
-class QueryDocScores:
-    """One query's quantized-search result, merge-compatible with
-    :class:`QueryShardScores`.
-
-    Holds only the documents that survived the coarse int8 cut, with
-    their *exact* rescored aggregates; :meth:`triple_scores` recovers
-    the exact flat per-triple scores of one surviving document.
-    """
-
-    __slots__ = (
-        "doc_ids",
-        "scores",
-        "matched",
-        "n_triples",
-        "_flat",
-        "_offsets",
-    )
+    __slots__ = ("doc_ids", "scores", "matched", "_bounds", "_parts")
 
     def __init__(
         self,
-        doc_ids: np.ndarray,
-        scores: np.ndarray,
-        matched: np.ndarray,
-        flat: np.ndarray,
-        offsets: np.ndarray,
+        parts: Sequence[Tuple[Shard, np.ndarray]],
+        strategy: ScoreStrategy,
     ) -> None:
-        self.doc_ids = doc_ids
-        self.scores = scores
-        self.matched = matched
-        self.n_triples = int(flat.shape[0])
-        self._flat = flat
-        self._offsets = offsets
+        aggregates = [
+            aggregate_segments(flat, shard.offsets, strategy)
+            for shard, flat in parts
+        ]
+        self.doc_ids = _join([shard.doc_ids for shard, _ in parts], np.int64)
+        self.scores = _join([agg for agg, _ in aggregates], ACCUM_DTYPE)
+        self.matched = _join([hit for _, hit in aggregates], np.int64)
+        self._bounds = np.cumsum([0] + [len(shard) for shard, _ in parts])
+        self._parts = parts
+
+    @property
+    def n_triples(self) -> int:
+        """Triple rows this query was scored against."""
+        return sum(int(flat.shape[0]) for _, flat in self._parts)
+
+    def _segments(
+        self, positions: Sequence[int]
+    ) -> Iterator[Tuple[Shard, np.ndarray, int, int]]:
+        """(shard, flat scores, row start, row stop) per merged position."""
+        positions = np.asarray(positions, dtype=np.int64)
+        parts = np.searchsorted(self._bounds, positions, side="right") - 1
+        local_positions = positions - self._bounds[parts]
+        for part, local in zip(parts.tolist(), local_positions.tolist()):
+            shard, flat = self._parts[part]
+            offsets = shard.offsets
+            stop = (
+                offsets[local + 1]
+                if local + 1 < offsets.shape[0]
+                else flat.shape[0]
+            )
+            yield shard, flat, offsets[local], stop
 
     def triple_scores(self, position: int) -> np.ndarray:
-        """Exact flat triple scores of the document at ``position``."""
-        offsets = self._offsets
-        start = int(offsets[position])
-        stop = (
-            int(offsets[position + 1])
-            if position + 1 < offsets.shape[0]
-            else self._flat.shape[0]
-        )
-        return self._flat[start:stop].copy()
+        """Flat triple scores of the document at merged ``position``."""
+        ((_, flat, start, stop),) = self._segments([position])
+        return flat[start:stop].copy()
+
+    def rows(self, positions: Sequence[int]) -> List[np.ndarray]:
+        """Float matrix rows of the documents at merged ``positions``."""
+        return [
+            shard.matrix[start:stop]
+            for shard, _, start, stop in self._segments(positions)
+        ]
+
+
+def _join(arrays: List[np.ndarray], dtype) -> np.ndarray:
+    """Concatenation that is zero-copy for the one-shard plan."""
+    if len(arrays) == 1:
+        return arrays[0]
+    if not arrays:
+        return np.zeros(0, dtype=dtype)
+    return np.concatenate(arrays)
 
 
 class ShardPlan:
@@ -353,14 +323,15 @@ class ShardPlan:
         """Per-query shard ids to score, closest centroid first.
 
         ``nprobe`` of None (or >= ``n_shards``) probes everything — the
-        no-pruning, provably exact configuration. Centroid ties break
-        toward the lower shard id so probing is deterministic.
+        no-pruning, provably exact configuration, which scores no
+        centroid. Centroid ties break toward the lower shard id so
+        probing is deterministic.
         """
         n_shards = self.n_shards
-        nprobe = n_shards if nprobe is None else max(1, int(nprobe))
-        nprobe = min(nprobe, n_shards)
+        if nprobe is not None and nprobe < 1:
+            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         queries_normed = np.atleast_2d(queries_normed)
-        if nprobe >= n_shards:
+        if nprobe is None or nprobe >= n_shards:
             every = np.arange(n_shards, dtype=np.int64)
             return [every for _ in range(queries_normed.shape[0])]
         centroid_scores = queries_normed @ self.centroids.T
@@ -368,24 +339,25 @@ class ShardPlan:
         out: List[np.ndarray] = []
         for row in centroid_scores:
             order = np.lexsort((shard_ids, -row))
-            out.append(order[:nprobe].astype(np.int64))
+            out.append(order[: int(nprobe)].astype(np.int64))
         return out
 
-    def search(
+    def _scan(
         self,
         queries_normed: np.ndarray,
         strategy: ScoreStrategy,
-        nprobe: Optional[int] = None,
+        nprobe: Optional[int],
+        coarse: bool,
     ) -> List[QueryShardScores]:
-        """Score every query against its probed shards (shard-major).
+        """Probe, group queries by shard, score each group (shard-major).
 
-        Executes one matmul per (shard, queries-probing-it) group so a
-        batch pays each shard's matrix at most once, then aggregates per
-        document with the same segment reductions as the unsharded path.
+        One product per (shard, queries-probing-it) group, so a batch
+        pays each shard's matrix at most once: the float rows, or with
+        ``coarse`` the int8 copy chunk-wise (~1 byte of DRAM traffic per
+        matrix element).
         """
-        queries_normed = np.atleast_2d(ensure_float(queries_normed))
         probed = self.probe(queries_normed, nprobe)
-        results = [QueryShardScores() for _ in range(len(probed))]
+        parts: List[List[Tuple[Shard, np.ndarray]]] = [[] for _ in probed]
         by_shard: Dict[int, List[int]] = {}
         for query_index, shard_ids in enumerate(probed):
             for shard_id in shard_ids:
@@ -395,16 +367,25 @@ class ShardPlan:
             if len(shard) == 0:
                 continue
             query_indices = by_shard[shard_id]
-            flat_block = queries_normed[query_indices] @ shard.matrix.T
+            block = queries_normed[query_indices]
+            flat_block = (
+                coarse_scores(shard.q_matrix, shard.q_scales, block).T
+                if coarse
+                else block @ shard.matrix.T
+            )
             for row, query_index in enumerate(query_indices):
-                flat = flat_block[row]
-                aggregated, matched = aggregate_segments(
-                    flat, shard.offsets, strategy
-                )
-                results[query_index].add_shard(
-                    shard, flat, aggregated, matched
-                )
-        return results
+                parts[query_index].append((shard, flat_block[row]))
+        return [QueryShardScores(scored, strategy) for scored in parts]
+
+    def search(
+        self,
+        queries_normed: np.ndarray,
+        strategy: ScoreStrategy,
+        nprobe: Optional[int] = None,
+    ) -> List[QueryShardScores]:
+        """Score every query exactly against its probed shards."""
+        queries_normed = np.atleast_2d(ensure_float(queries_normed))
+        return self._scan(queries_normed, strategy, nprobe, coarse=False)
 
     def search_quantized(
         self,
@@ -412,16 +393,16 @@ class ShardPlan:
         strategy: ScoreStrategy,
         rescore_width: int,
         nprobe: Optional[int] = None,
-    ) -> List[QueryDocScores]:
+    ) -> List[QueryShardScores]:
         """Coarse int8 scoring, then an exact rescore of the survivors.
 
-        Per probed shard the int8 copy is scored chunk-wise (~1 byte of
-        DRAM traffic per matrix element) and aggregated per document;
+        The coarse stage is :meth:`search`'s loop over the int8 copy;
         the global top-``rescore_width`` documents per query — under the
         same ``(score desc, doc id asc)`` total order as every other
-        ranking site — then have their *float* rows re-scored with one
-        exact matmul. Survivors form a prefix of the coarse total order,
-        so recall@k is monotone in ``rescore_width``.
+        ranking site — are gathered into one ad-hoc shard whose *float*
+        rows are re-scored with one exact matmul. Survivors form a
+        prefix of the coarse total order, so recall@k is monotone in
+        ``rescore_width``.
         """
         if not self.quantized:
             raise ValueError(
@@ -430,86 +411,29 @@ class ShardPlan:
             )
         queries_normed = np.atleast_2d(ensure_float(queries_normed))
         rescore_width = max(1, int(rescore_width))
-        n_queries = queries_normed.shape[0]
         dim = queries_normed.shape[1]
-        probed = self.probe(queries_normed, nprobe)
-        by_shard: Dict[int, List[int]] = {}
-        for query_index, shard_ids in enumerate(probed):
-            for shard_id in shard_ids:
-                by_shard.setdefault(int(shard_id), []).append(query_index)
-        # per-query parallel accumulators over every probed shard's docs:
-        # coarse aggregate + enough layout to find the float rows again
-        acc_docs: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_scores: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_shards: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_starts: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_stops: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        for shard_id in sorted(by_shard):
-            shard = self.shards[shard_id]
-            if len(shard) == 0:
-                continue
-            query_indices = by_shard[shard_id]
-            coarse = coarse_scores(
-                shard.q_matrix,
-                shard.q_scales,
-                queries_normed[query_indices],
-            )
-            stops = np.concatenate(
-                [shard.offsets[1:], [shard.n_rows]]
-            ).astype(np.int64)
-            marks = np.full(len(shard), shard_id, dtype=np.int64)
-            for column, query_index in enumerate(query_indices):
-                aggregated, _ = aggregate_segments(
-                    coarse[:, column], shard.offsets, strategy
-                )
-                acc_docs[query_index].append(shard.doc_ids)
-                acc_scores[query_index].append(aggregated)
-                acc_shards[query_index].append(marks)
-                acc_starts[query_index].append(shard.offsets)
-                acc_stops[query_index].append(stops)
-        results: List[QueryDocScores] = []
-        for query_index in range(n_queries):
-            if acc_docs[query_index]:
-                doc_ids = np.concatenate(acc_docs[query_index])
-                coarse_agg = np.concatenate(acc_scores[query_index])
-                shard_ids = np.concatenate(acc_shards[query_index])
-                starts = np.concatenate(acc_starts[query_index])
-                stops = np.concatenate(acc_stops[query_index])
-            else:
-                doc_ids = np.zeros(0, dtype=np.int64)
-                coarse_agg = np.zeros(0, dtype=ACCUM_DTYPE)
-                shard_ids = np.zeros(0, dtype=np.int64)
-                starts = np.zeros(0, dtype=np.int64)
-                stops = np.zeros(0, dtype=np.int64)
-            survivors = topk_doc_order(coarse_agg, doc_ids, rescore_width)
-            pieces = [
-                self.shards[int(shard_ids[pos])].matrix[
-                    int(starts[pos]) : int(stops[pos])
-                ]
-                for pos in survivors
-            ]
-            rescore_matrix = (
-                np.concatenate(pieces)
-                if pieces
-                else np.zeros((0, dim), dtype=queries_normed.dtype)
-            )
-            lengths = np.asarray(
-                [piece.shape[0] for piece in pieces], dtype=np.int64
-            )
-            offsets = np.concatenate(
-                [[0], np.cumsum(lengths)[:-1]]
-            ).astype(np.int64) if pieces else np.zeros(0, dtype=np.int64)
-            flat = rescore_matrix @ queries_normed[query_index]
-            aggregated, matched = aggregate_segments(
-                flat, offsets, strategy
+        results: List[QueryShardScores] = []
+        for query, coarse in zip(
+            queries_normed,
+            self._scan(queries_normed, strategy, nprobe, coarse=True),
+        ):
+            keep = topk_doc_order(coarse.scores, coarse.doc_ids, rescore_width)
+            pieces = coarse.rows(keep)
+            lengths = [piece.shape[0] for piece in pieces]
+            survivors = Shard(
+                shard_id=-1,
+                doc_ids=coarse.doc_ids[keep],
+                offsets=np.cumsum([0] + lengths, dtype=np.int64)[:-1],
+                matrix=(
+                    np.concatenate(pieces)
+                    if pieces
+                    else np.zeros((0, dim), dtype=queries_normed.dtype)
+                ),
+                centroid=np.zeros(0, dtype=queries_normed.dtype),
             )
             results.append(
-                QueryDocScores(
-                    doc_ids=doc_ids[survivors],
-                    scores=aggregated,
-                    matched=matched,
-                    flat=flat,
-                    offsets=offsets,
+                QueryShardScores(
+                    [(survivors, survivors.matrix @ query)], strategy
                 )
             )
         return results

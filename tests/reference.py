@@ -1,0 +1,112 @@
+"""Test-side reference implementations the retrieval suites compare against.
+
+Nothing here is imported by ``src/``: these are the slow, obviously
+correct forms of the paper's ranking (max-cosine over a document's triple
+facts, Eqs. 2-4) kept so the one search core has independent oracles —
+the scalar per-document loop the vectorized scorer replaced, and a
+brute-force numpy ranking that never touches a ``ShardPlan``.
+"""
+
+import numpy as np
+
+from repro.retriever.single import RetrievedDocument
+from repro.retriever.strategies import (
+    MEAN,
+    ONE_FACT,
+    TOP_K,
+    aggregate_segments,
+    l2_normalize_rows,
+)
+
+
+def aggregate(strategy, scores):
+    """Collapse one document's per-triple scores into its score."""
+    if scores.size == 0:
+        return -1.0  # cosine lower bound: a document with no triples
+    if strategy.name == ONE_FACT:
+        return float(scores.max())
+    if strategy.name == TOP_K:
+        k = min(strategy.k, scores.size)
+        top = np.partition(scores, -k)[-k:]
+        return float(top.mean())
+    if strategy.name == MEAN:
+        return float(scores.mean())
+    raise ValueError(f"unknown strategy {strategy.name!r}")
+
+
+def matched_index(scores):
+    """Index of the explaining triple (argmax); -1 without triples."""
+    if scores.size == 0:
+        return -1
+    return int(scores.argmax())
+
+
+def cosine_matrix(query_vec, triple_matrix, eps=1e-8):
+    """Cosine of one query vector against rows of ``triple_matrix``."""
+    if triple_matrix.size == 0:
+        return np.zeros(0)
+    q_norm = np.linalg.norm(query_vec) + eps
+    t_norms = np.linalg.norm(triple_matrix, axis=1) + eps
+    return (triple_matrix @ query_vec) / (t_norms * q_norm)
+
+
+def score_documents(query_vec, doc_triple_matrices, strategy):
+    """Score every document by its aggregated triple-fact similarity."""
+    return {
+        doc_id: aggregate(strategy, cosine_matrix(query_vec, matrix))
+        for doc_id, matrix in doc_triple_matrices.items()
+    }
+
+
+def retrieve_by_vector_legacy(
+    retriever, query_vec, k=10, strategy=None, keep_triple_scores=False
+):
+    """Document-by-document reference scorer (the pre-vectorization loop)."""
+    strategy = strategy or retriever.strategy
+    store = retriever.store
+    results = []
+    for doc_id in store.doc_ids():
+        scores = cosine_matrix(query_vec, retriever.doc_embeddings(doc_id))
+        hit = matched_index(scores)
+        results.append(
+            RetrievedDocument(
+                doc_id=doc_id,
+                title=store.corpus[doc_id].title,
+                score=aggregate(strategy, scores),
+                matched_triple=store.triples(doc_id)[hit] if hit >= 0 else None,
+                triple_scores=scores if keep_triple_scores else None,
+            )
+        )
+    results.sort(key=lambda r: (-r.score, r.doc_id))
+    return results[: max(k, 0)]
+
+
+def brute_force_rank(retriever, query_matrix, k, strategy):
+    """Per query ``[(doc_id, score, matched_local, triple_scores)]``:
+    ``Q @ T.T`` over the whole exported matrix, segment aggregation, then
+    a full ``(-score, doc_id)`` sort — no shards, no partial selection."""
+    exported = retriever.export_embeddings()
+    doc_ids = exported.doc_ids
+    offsets = np.asarray(exported.offsets, dtype=np.int64)
+    stops = np.append(offsets[1:], exported.matrix.shape[0])
+    flat = l2_normalize_rows(np.atleast_2d(query_matrix)) @ l2_normalize_rows(
+        np.asarray(exported.matrix)
+    ).T
+    ranked = []
+    for row in flat:
+        scores, matched = aggregate_segments(row, offsets, strategy)
+        order = sorted(
+            range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i])
+        )[: max(k, 0)]
+        ranked.append(
+            [
+                (
+                    doc_ids[i],
+                    float(scores[i]),
+                    int(matched[i]),
+                    row[offsets[i] : stops[i]],
+                )
+                for i in order
+            ]
+        )
+    return ranked

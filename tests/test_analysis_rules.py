@@ -75,13 +75,6 @@ VIOLATIONS = {
             return matrix
         """,
     ),
-    "legacy-path-call": (
-        "mod.py",
-        """
-        def lookup(retriever, vec):
-            return retriever.retrieve_by_vector_legacy(vec, k=3)  ##HERE##
-        """,
-    ),
     "unnormalized-matmul": (
         "retriever/scoring.py",
         """
@@ -296,13 +289,6 @@ COMPLIANT = {
             COUNTERS.record_encode(len(texts))
             matrix = encoder.encode_numpy(texts)
             return matrix
-        """,
-    ),
-    "legacy-path-call": (
-        "mod.py",
-        """
-        def lookup(retriever, vec):
-            return retriever.retrieve_by_vector(vec, k=3)
         """,
     ),
     "unnormalized-matmul": (
@@ -530,7 +516,7 @@ class TestEachRule:
         assert report.findings == []
 
     def test_catalog_has_at_least_eight_rules(self):
-        assert len(all_rule_ids()) >= 8
+        assert len(all_rule_ids()) == 18
         assert set(VIOLATIONS) == set(all_rule_ids())
 
 
@@ -1143,21 +1129,21 @@ class TestScoping:
 
 class TestFramework:
     def test_allow_list_exempts_matching_paths(self, tmp_path):
-        rel, raw = VIOLATIONS["legacy-path-call"]
+        rel, raw = VIOLATIONS["bare-except"]
         source, _ = _render(raw, "")
         allowing = LintConfig(
-            allow={"legacy-path-call": ("parity/*.py",)}, root=tmp_path
+            allow={"bare-except": ("parity/*.py",)}, root=tmp_path
         )
         allowed = _lint(
             tmp_path, "parity/check.py", source,
-            select=["legacy-path-call"], config=allowing,
+            select=["bare-except"], config=allowing,
         )
         assert allowed.findings == []
         elsewhere = _lint(
             tmp_path, "prod/check.py", source,
-            select=["legacy-path-call"], config=allowing,
+            select=["bare-except"], config=allowing,
         )
-        assert [f.rule_id for f in elsewhere.findings] == ["legacy-path-call"]
+        assert [f.rule_id for f in elsewhere.findings] == ["bare-except"]
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="unknown rule id"):
@@ -1231,9 +1217,9 @@ class TestConfig:
         ignore = ["bare-except"]
 
         [tool.repro.lint.allow]
-        legacy-path-call = [
-            "tests/test_retriever_vectorized.py",
-            "benchmarks/test_retrieval_throughput.py",
+        wall-clock-timing = [
+            "benchmarks/legacy_a.py",
+            "benchmarks/legacy_b.py",
         ]
         """
     ).strip("\n")
@@ -1242,9 +1228,9 @@ class TestConfig:
         config = parse_config(self.SAMPLE, root=tmp_path)
         assert config.paths == ("src", "tests")
         assert config.ignore == ("bare-except",)
-        assert config.allow["legacy-path-call"] == (
-            "tests/test_retriever_vectorized.py",
-            "benchmarks/test_retrieval_throughput.py",
+        assert config.allow["wall-clock-timing"] == (
+            "benchmarks/legacy_a.py",
+            "benchmarks/legacy_b.py",
         )
         assert config.root == tmp_path
 
@@ -1255,8 +1241,8 @@ class TestConfig:
         lint_table = data["tool"]["repro"]["lint"]
         assert tables["tool.repro.lint"]["paths"] == tuple(lint_table["paths"])
         assert tables["tool.repro.lint"]["ignore"] == tuple(lint_table["ignore"])
-        assert tables["tool.repro.lint.allow"]["legacy-path-call"] == tuple(
-            lint_table["allow"]["legacy-path-call"]
+        assert tables["tool.repro.lint.allow"]["wall-clock-timing"] == tuple(
+            lint_table["allow"]["wall-clock-timing"]
         )
 
     def test_repo_pyproject_parses_with_fallback(self):
@@ -1264,7 +1250,7 @@ class TestConfig:
         text = (repo_root / "pyproject.toml").read_text(encoding="utf-8")
         tables = _fallback_parse(text)
         assert "tool.repro.lint" in tables
-        assert "legacy-path-call" in tables["tool.repro.lint.allow"]
+        assert "tool.repro.lint.layers" in tables
 
     def test_fixture_sources_parse(self):
         # guard the fixtures themselves: a typo here would silently test

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rule_ids, load_config, render_text, run_lint
+from repro.analysis import (
+    RULESET_VERSION,
+    all_rule_ids,
+    load_config,
+    render_text,
+    run_lint,
+)
 
 pytestmark = pytest.mark.lint
 
@@ -29,7 +35,8 @@ def test_project_passes_are_registered():
     """The gate below is only meaningful if phase 2 actually runs."""
     registered = set(all_rule_ids())
     assert PROJECT_RULES <= registered
-    assert len(registered) >= 16
+    assert len(registered) == 18
+    assert RULESET_VERSION == 6
 
 
 def test_layer_dag_is_configured():

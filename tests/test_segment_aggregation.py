@@ -1,7 +1,7 @@
 """Property tests for reduceat-based segment aggregation.
 
-`aggregate_segments` must equal the scalar `ScoreStrategy.aggregate` /
-`matched_index` applied segment-by-segment, for arbitrary segment layouts
+`aggregate_segments` must equal the scalar reference (`reference.aggregate`
+/ `matched_index`) applied segment-by-segment, for arbitrary segment layouts
 — including empty segments (documents without triples) anywhere in the
 corpus, score ties, and single-segment corpora.
 """
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import aggregate, matched_index
 
 from repro.retriever.strategies import (
     EMPTY_SCORE,
@@ -39,8 +40,8 @@ def _naive(scores, offsets, strategy):
     aggregated, matched = [], []
     for start, stop in zip(bounds, bounds[1:]):
         segment = scores[start:stop]
-        aggregated.append(strategy.aggregate(segment))
-        matched.append(strategy.matched_index(segment))
+        aggregated.append(aggregate(strategy, segment))
+        matched.append(matched_index(segment))
     return np.asarray(aggregated), np.asarray(matched)
 
 

@@ -365,6 +365,18 @@ class TestServeNprobe:
             overridden = service.retrieve("q ?", k=3, nprobe=1, timeout=10)
             assert overridden == [("q ?", 3, 1)]
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_nprobe_below_one_is_a_typed_error(self, serve_retriever, bad):
+        """A bad wire value is rejected, not answered as if it were 1."""
+        serve_retriever.build_shards(2)
+        try:
+            with RetrievalService(serve_retriever) as service:
+                request = service.submit("obj1 tail2 ?", k=3, nprobe=bad)
+                with pytest.raises(ValueError, match="nprobe must be >= 1"):
+                    request.result(timeout=10)
+        finally:
+            serve_retriever.detach_shards()
+
     def test_pruned_and_exact_requests_never_share_cache(self):
         stub = self.RecordingStub()
         config = ServiceConfig(cache_size=16)

@@ -2,10 +2,11 @@
 
 The load-bearing claims:
 
-* sharded retrieval with no pruning is **byte-identical** to the
-  unsharded single-matmul path at 1/2/4 shards in both assignment modes
-  (same doc ids, same float scores, same matched triples, same
-  per-triple score vectors);
+* retrieval with no pruning is **byte-identical** to a brute-force
+  oracle (``reference.brute_force_rank``) through the default plan and at
+  1/2/4 shards in both assignment modes, for every score strategy, on a
+  plain and an adversarial corpus (same doc ids, same float scores, same
+  matched triples, same per-triple score vectors);
 * recall@k against exact retrieval is monotone non-decreasing in
   ``nprobe`` and exactly 1.0 at ``nprobe = n_shards``;
 * a split store round-trips through save/open and warm-starts the
@@ -14,9 +15,18 @@ The load-bearing claims:
 
 import numpy as np
 import pytest
+from reference import brute_force_rank
 
+from repro.perf import COUNTERS
 from repro.retriever.single import SingleRetriever
-from repro.retriever.strategies import ONE_FACT, TOP_K, ScoreStrategy
+from repro.retriever.store import TripleStore
+from repro.retriever.strategies import (
+    MEAN,
+    ONE_FACT,
+    TOP_K,
+    ScoreStrategy,
+    l2_normalize_rows,
+)
 from repro.shard import (
     ShardedEmbeddingStore,
     ShardedStoreError,
@@ -41,6 +51,49 @@ def sharder(encoder, store):
     retriever = SingleRetriever(encoder, store)
     retriever.refresh_embeddings()
     return retriever
+
+
+@pytest.fixture(scope="module")
+def worlds(sharder, encoder, store):
+    """name -> (retriever, k) for the parity matrix.
+
+    ``adversarial`` makes every document a copy of one of five, so exact
+    score ties straddle every range shard and only the ``(score desc,
+    doc id asc)`` order separates them; one document has no triples; and
+    ``k`` exceeds the corpus, so the whole ranking is compared.
+    """
+    doc_ids = store.doc_ids()
+    twisted = TripleStore(store.corpus)
+    for position, doc_id in enumerate(doc_ids):
+        twisted.put(doc_id, store.triples(doc_ids[position % 5]))
+    twisted.put(doc_ids[len(doc_ids) // 2], [])
+    adversarial = SingleRetriever(encoder, twisted)
+    adversarial.refresh_embeddings()
+    return {
+        "plain": (sharder, 5),
+        "adversarial": (adversarial, len(doc_ids) + 3),
+    }
+
+
+STRATEGIES = {
+    "one_fact": ScoreStrategy(ONE_FACT),
+    "top2": ScoreStrategy(TOP_K, k=2),
+    "top5": ScoreStrategy(TOP_K, k=5),
+    "mean": ScoreStrategy(MEAN),
+}
+PLANS = [None] + [(n, mode) for n in (1, 2, 4) for mode in ("range", "centroid")]
+
+
+def _parity_cells():
+    for kind in ("plain", "adversarial"):
+        for strategy in STRATEGIES:
+            for plan in PLANS:
+                # the plain one-fact cells keep the bare ``n-mode`` ids
+                # they had when they were the whole matrix
+                parts = ["default" if plan is None else f"{plan[0]}-{plan[1]}"]
+                parts += [strategy] if strategy != "one_fact" else []
+                parts += [kind] if kind != "plain" else []
+                yield pytest.param(kind, strategy, plan, id="-".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -130,38 +183,41 @@ class TestAssignment:
 
 
 # ---------------------------------------------------------------------------
-# parity: sharded == unsharded, byte for byte
+# parity: every plan == brute force, byte for byte
 # ---------------------------------------------------------------------------
 
 
 class TestShardParity:
-    @pytest.mark.parametrize("mode", ["range", "centroid"])
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_no_pruning_is_byte_identical(self, sharder, mode, n_shards):
-        sharder.detach_shards()
-        exact = sharder.retrieve_many(
-            QUESTIONS, k=5, keep_triple_scores=True
-        )
-        sharder.build_shards(n_shards, mode=mode)
+    @pytest.mark.parametrize("kind,strategy,plan", list(_parity_cells()))
+    def test_no_pruning_is_byte_identical(
+        self, worlds, kind, strategy, plan
+    ):
+        retriever, k = worlds[kind]
+        strategy = STRATEGIES[strategy]
+        queries = retriever.encode_questions(QUESTIONS)
+        expected = brute_force_rank(retriever, queries, k, strategy)
+        if plan is not None:
+            retriever.build_shards(*plan)
         try:
-            sharded = sharder.retrieve_many(
-                QUESTIONS, k=5, keep_triple_scores=True
+            got = retriever.retrieve_batch(
+                queries, k=k, strategy=strategy, keep_triple_scores=True
             )
         finally:
-            sharder.detach_shards()
-        for exact_docs, sharded_docs in zip(exact, sharded):
-            assert [d.doc_id for d in exact_docs] == [
-                d.doc_id for d in sharded_docs
+            retriever.detach_shards()
+        for expected_docs, got_docs in zip(expected, got):
+            assert [d.doc_id for d in got_docs] == [
+                doc_id for doc_id, _, _, _ in expected_docs
             ]
             # float equality, not approx: same dot products, same order
-            assert [d.score for d in exact_docs] == [
-                d.score for d in sharded_docs
+            assert [d.score for d in got_docs] == [
+                score for _, score, _, _ in expected_docs
             ]
-            assert [str(d.matched_triple) for d in exact_docs] == [
-                str(d.matched_triple) for d in sharded_docs
-            ]
-            for a, b in zip(exact_docs, sharded_docs):
-                assert np.array_equal(a.triple_scores, b.triple_scores)
+            for doc, (doc_id, _, local, scores) in zip(got_docs, expected_docs):
+                triples = retriever.store.triples(doc_id)
+                assert doc.matched_triple == (
+                    triples[local] if local >= 0 else None
+                )
+                assert np.array_equal(doc.triple_scores, scores)
 
     def test_nprobe_all_shards_is_exact(self, sharder):
         sharder.detach_shards()
@@ -195,28 +251,45 @@ class TestShardParity:
                 (d.doc_id, d.score) for d in sharded_docs
             ]
 
-    def test_candidate_ids_bypass_the_plan(self, sharder):
-        sharder.detach_shards()
-        candidates = [0, 3, 5, 8]
-        exact = sharder.retrieve_many(
-            QUESTIONS, k=3, candidate_ids=candidates
-        )
-        sharder.build_shards(4, mode="range")
-        try:
-            got = sharder.retrieve_many(
-                QUESTIONS, k=3, candidate_ids=candidates
-            )
-        finally:
-            sharder.detach_shards()
-        for exact_docs, got_docs in zip(exact, got):
-            assert [(d.doc_id, d.score) for d in exact_docs] == [
-                (d.doc_id, d.score) for d in got_docs
-            ]
-
     def test_nprobe_without_shards_raises(self, sharder):
         sharder.detach_shards()
-        with pytest.raises(ValueError, match="nprobe"):
+        with pytest.raises(ValueError, match="nprobe requires an active"):
             sharder.retrieve_many(QUESTIONS, k=3, nprobe=1)
+
+    def test_nprobe_below_one_raises(self, sharder):
+        plan = sharder.build_shards(2)
+        try:
+            queries = sharder.encode_questions(QUESTIONS)
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match="nprobe must be >= 1"):
+                    sharder.retrieve_batch(queries, k=3, nprobe=bad)
+                with pytest.raises(ValueError, match="nprobe must be >= 1"):
+                    plan.probe(queries, bad)
+        finally:
+            sharder.detach_shards()
+
+    def test_counters_record_what_each_query_probed(self, sharder):
+        """Unequal shards, nprobe=1: the scored totals are per-query sums."""
+        plan = sharder.build_shards(4, mode="centroid")
+        try:
+            queries = plan.centroids  # one query aimed at each shard
+            probed = [
+                plan.shards[int(shard_ids[0])]
+                for shard_ids in plan.probe(l2_normalize_rows(queries), 1)
+            ]
+            # the case a (largest shard x n_queries) figure over-counts
+            assert len({shard.n_rows for shard in probed}) > 1
+            before = COUNTERS.snapshot()
+            sharder.retrieve_batch(queries, k=3, nprobe=1)
+            after = COUNTERS.snapshot()
+        finally:
+            sharder.detach_shards()
+        assert after["triples_scored"] - before["triples_scored"] == sum(
+            shard.n_rows for shard in probed
+        )
+        assert after["docs_scored"] - before["docs_scored"] == sum(
+            len(shard) for shard in probed
+        )
 
 
 # ---------------------------------------------------------------------------
