@@ -122,34 +122,11 @@ def cmd_ingest(args) -> int:
             ),
             precision=args.precision,
         )
-    if args.quantize and not args.shards:
-        print("error: --quantize requires --shards", file=sys.stderr)
-        return 2
     result = pipeline.run(Path(args.out), encoder=encoder)
     print(
         f"ingested {result.stats.docs_total} docs "
         f"({result.stats.triples_total} triples) into {args.out}"
     )
-    if args.shards:
-        if result.embeddings is None:
-            print(
-                "error: --shards requires --encode (no embedding store "
-                "to split)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.shard import ShardedEmbeddingStore
-
-        sharded = ShardedEmbeddingStore.split(
-            result.embeddings, args.shards, mode=args.shard_mode
-        )
-        shards_dir = Path(args.out) / "shards"
-        sharded.save(shards_dir, quantize=args.quantize)
-        print(
-            f"sharded {sharded.total_docs} docs into {sharded.n_shards} "
-            f"{sharded.mode} shard(s) under {shards_dir}"
-            + (" with int8 sidecars" if args.quantize else "")
-        )
     if args.stats:
         print(result.stats.summary())
     return 0
@@ -673,20 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision", choices=("float32", "float64"), default=None,
         help="embedding store dtype when --encode is given "
         "(default: the float32 policy default)",
-    )
-    ingest.add_argument(
-        "--quantize", action="store_true",
-        help="also write per-shard int8 sidecars (requires --shards)",
-    )
-    ingest.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="also split the embedding store into N shard stores under "
-        "OUT/shards (requires --encode)",
-    )
-    ingest.add_argument(
-        "--shard-mode", choices=("range", "centroid"), default="range",
-        help="document-to-shard assignment: contiguous doc-id ranges or "
-        "coarse k-means centroids (better pruned-recall)",
     )
     ingest.add_argument(
         "--stats", action="store_true",

@@ -1,9 +1,11 @@
 """Parallel, incremental corpus ingestion with persistent embeddings."""
 
 from repro.ingest.embedding_store import (
+    EMBEDDINGS_DIR,
+    STORE_NAME,
+    STORE_VERSION,
     EmbeddingStore,
     EmbeddingStoreError,
-    STORE_VERSION,
     store_generation,
 )
 from repro.ingest.fingerprint import (
@@ -14,10 +16,8 @@ from repro.ingest.fingerprint import (
     triples_fingerprint,
 )
 from repro.ingest.pipeline import (
-    EMBEDDINGS_DIR,
     MANIFEST_NAME,
     MANIFEST_VERSION,
-    STORE_NAME,
     IngestPipeline,
     IngestResult,
     IngestStats,

@@ -42,7 +42,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +57,12 @@ from repro.precision import (
 from repro.storage.atomic import atomic_write_bytes, atomic_write_json
 
 MANIFEST_NAME = "manifest.json"
+#: Published-artifact layout (``repro ingest``, ``publish_store``, a saved
+#: model): the triple sets in ``STORE_NAME`` next to the embedding store
+#: in ``EMBEDDINGS_DIR``. :func:`locate_store` is the one place that
+#: resolves it.
+STORE_NAME = "store.json"
+EMBEDDINGS_DIR = "embeddings"
 STORE_VERSION = 2
 #: Pre-dtype manifests: no ``dtype`` field, data always float64 ``.f64``.
 LEGACY_STORE_VERSION = 1
@@ -112,14 +118,18 @@ class EmbeddingStore:
     def dim(self) -> int:
         return int(self.matrix.shape[1]) if self.matrix.ndim == 2 else 0
 
-    def segment(self, index: int) -> np.ndarray:
-        """The embedding rows of the ``index``-th document segment."""
-        start = self.offsets[index]
+    def bounds(self, index: int) -> Tuple[int, int]:
+        """``(start, stop)`` rows of the ``index``-th document segment."""
         stop = (
             self.offsets[index + 1]
             if index + 1 < len(self.offsets)
             else self.matrix.shape[0]
         )
+        return self.offsets[index], stop
+
+    def segment(self, index: int) -> np.ndarray:
+        """The embedding rows of the ``index``-th document segment."""
+        start, stop = self.bounds(index)
         return self.matrix[start:stop]
 
     # -- persistence -----------------------------------------------------
@@ -291,21 +301,35 @@ class EmbeddingStore:
         )
 
 
+def locate_store(directory: Union[str, Path]) -> Optional[Path]:
+    """The embedding-store directory under ``directory`` (None: no manifest).
+
+    A published artifact directory keeps its store under
+    ``EMBEDDINGS_DIR`` (the ingest layout), and that nested store wins
+    over a manifest in ``directory`` itself (a bare store directory) —
+    the supervisor's publish poll and the workers' attach both resolve
+    through here, so they can never watch one store and serve the other.
+    """
+    directory = Path(directory)
+    for candidate in (directory / EMBEDDINGS_DIR, directory):
+        if (candidate / MANIFEST_NAME).exists():
+            return candidate
+    return None
+
+
 def store_generation(directory: Union[str, Path]) -> Optional[int]:
     """Peek the published generation without attaching the matrix.
 
     One manifest read — cheap enough for the supervisor to poll while
     watching for a new ``repro ingest`` publish. Returns ``None`` when no
-    (readable) store exists at ``directory`` yet. Accepts both a bare
-    store directory and a published artifact directory whose manifest
-    lives under the ``embeddings/`` subdirectory (the ingest layout).
+    (readable) store exists under ``directory`` (:func:`locate_store`)
+    yet.
     """
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        manifest_path = directory / "embeddings" / MANIFEST_NAME
+    located = locate_store(directory)
+    if located is None:
+        return None
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads((located / MANIFEST_NAME).read_text())
     except (OSError, json.JSONDecodeError):
         return None
     try:

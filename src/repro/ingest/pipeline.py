@@ -31,7 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.corpus import Corpus
 from repro.index.entity_index import EntityIndex
-from repro.ingest.embedding_store import EmbeddingStore, EmbeddingStoreError
+from repro.ingest.embedding_store import (
+    EMBEDDINGS_DIR,
+    STORE_NAME,
+    EmbeddingStore,
+    EmbeddingStoreError,
+)
 from repro.ingest.fingerprint import (
     construction_fingerprint,
     document_fingerprint,
@@ -44,8 +49,6 @@ from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "ingest_manifest.json"
-STORE_NAME = "store.json"
-EMBEDDINGS_DIR = "embeddings"
 
 # -- worker-pool plumbing ---------------------------------------------------
 # One constructor per worker process, built once by the initializer; the

@@ -34,6 +34,7 @@ from repro.data.documents import build_corpus
 from repro.data.hotpot import build_hotpot_dataset
 from repro.data.world import Entity, World, WorldConfig
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
+from repro.ingest.embedding_store import EMBEDDINGS_DIR, STORE_NAME
 from repro.oie.triple import Triple
 from repro.pipeline.multihop import MultiHopConfig, MultiHopRetriever
 from repro.precision import PrecisionLike
@@ -260,8 +261,6 @@ def publish_store(
     generation bumps the counter — this is the hot-reload publish event
     the supervisor watches for.
     """
-    from repro.ingest.pipeline import EMBEDDINGS_DIR, STORE_NAME
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     active = store or bundle.store

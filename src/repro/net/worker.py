@@ -30,8 +30,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.ingest.embedding_store import (
+    STORE_NAME,
     EmbeddingStore,
-    MANIFEST_NAME as STORE_MANIFEST_NAME,
+    locate_store,
 )
 from repro.net.bootstrap import ServingBundle, resolve_target
 from repro.net.protocol import (
@@ -43,11 +44,6 @@ from repro.net.protocol import (
 from repro.perf import COUNTERS
 from repro.retriever.store import TripleStore
 from repro.serve import RetrievalService, ServiceConfig
-
-#: ingest cache-dir layout (mirrors repro.ingest.pipeline without
-#: importing the full pipeline into every worker)
-STORE_NAME = "store.json"
-EMBEDDINGS_DIR = "embeddings"
 
 
 @dataclass
@@ -72,16 +68,6 @@ class WorkerSpec:
     shard_mode: str = "range"
     #: ServiceConfig field overrides (e.g. {"max_wait_ms": 1.0})
     service: Dict[str, Any] = field(default_factory=dict)
-
-
-def _embeddings_dir(store_dir: Path) -> Optional[Path]:
-    """Locate the embedding-store manifest under a published artifact dir."""
-    nested = store_dir / EMBEDDINGS_DIR
-    if (nested / STORE_MANIFEST_NAME).exists():
-        return nested
-    if (store_dir / STORE_MANIFEST_NAME).exists():
-        return store_dir
-    return None
 
 
 class WorkerRuntime:
@@ -120,11 +106,10 @@ class WorkerRuntime:
         generation = 0
         embeddings: Optional[EmbeddingStore] = None
         if store_dir is not None:
-            directory = Path(store_dir)
-            store_path = directory / STORE_NAME
+            store_path = Path(store_dir) / STORE_NAME
             if store_path.exists():
                 triples = TripleStore.load(store_path, self.bundle.corpus)
-            emb_dir = _embeddings_dir(directory)
+            emb_dir = locate_store(store_dir)
             if emb_dir is not None:
                 embeddings = EmbeddingStore.open(emb_dir, mmap=True)
         retriever = self.bundle.make_retriever(triples)

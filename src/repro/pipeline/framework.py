@@ -19,7 +19,12 @@ from repro.data.corpus import Corpus
 from repro.data.hotpot import HotpotDataset, HotpotQuestion
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.encoder.pretrain import MLMPretrainer, PretrainConfig
-from repro.ingest.embedding_store import EmbeddingStore, EmbeddingStoreError
+from repro.ingest.embedding_store import (
+    EMBEDDINGS_DIR,
+    STORE_NAME,
+    EmbeddingStore,
+    EmbeddingStoreError,
+)
 from repro.ingest.fingerprint import construction_fingerprint
 from repro.pipeline.multihop import DocumentPath, MultiHopConfig, MultiHopRetriever
 from repro.pipeline.path_ranker import PathRanker, PathRankerConfig, PathRankerTrainer
@@ -184,12 +189,12 @@ class TripleFactRetrieval:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.encoder.save(directory / "encoder")
-        self.store.save(directory / "store.json")
+        self.store.save(directory / STORE_NAME)
         self.retriever.export_embeddings(
             construction_fingerprint=construction_fingerprint(
                 self.config.construction, self.store.corpus.titles()
             )
-        ).save(directory / "embeddings")
+        ).save(directory / EMBEDDINGS_DIR)
         atomic_write_npz(
             directory / "heads.npz",
             {
@@ -227,11 +232,11 @@ class TripleFactRetrieval:
         system.encoder = MiniBertEncoder.load(
             directory / "encoder", config=cfg.encoder
         )
-        system.store = TripleStore.load(directory / "store.json", corpus)
+        system.store = TripleStore.load(directory / STORE_NAME, corpus)
         system.retriever = SingleRetriever(system.encoder, system.store)
         try:
             system.retriever.attach_embeddings(
-                EmbeddingStore.open(directory / "embeddings")
+                EmbeddingStore.open(directory / EMBEDDINGS_DIR)
             )
         except EmbeddingStoreError:
             system.retriever.detach_embeddings()

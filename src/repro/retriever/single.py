@@ -16,13 +16,13 @@ swaps in an N-shard plan with centroid pruning and an int8 coarse stage.
 :meth:`SingleRetriever.retrieve_batch` is the one entry point that
 scores; ``retrieve`` and ``retrieve_many`` encode and call it.
 
-Embedding maintenance is **incremental**: every refresh remembers a
-per-document row hash (the flattened triple texts) plus the encoder
-fingerprint, and the next :meth:`SingleRetriever.refresh_embeddings`
-re-encodes only documents whose rows or encoder changed — everything
-else is reused verbatim. :meth:`SingleRetriever.attach_embeddings` seeds
-that cache from a persisted :class:`repro.ingest.embedding_store.
-EmbeddingStore`, so a warm start re-encodes nothing at all.
+Embedding maintenance is **incremental**, and its whole state is one
+:class:`repro.ingest.embedding_store.EmbeddingStore` (matrix, segment
+layout, per-document row hashes, encoder fingerprint): the next
+:meth:`SingleRetriever.refresh_embeddings` re-encodes only documents
+whose rows or encoder changed and reuses every other segment verbatim.
+:meth:`SingleRetriever.attach_embeddings` holds a persisted store
+instead of a built one, so a warm start re-encodes nothing at all.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.retriever.strategies import (
 )
 from repro.shard.merge import topk_doc_order
 from repro.shard.plan import ShardPlan
-from repro.shard.store import ShardedEmbeddingStore
 
 
 @dataclass
@@ -91,20 +90,15 @@ class SingleRetriever:
             if precision is None
             else resolve(precision)
         )
-        self._embeddings: Dict[int, np.ndarray] = {}
-        self._stacked: Optional[np.ndarray] = None
+        # the embedding state: ONE store (attached or built by refresh);
+        # _normed/_doc_pos are derived from it, _normed is None until the
+        # store has been checked against the triple store by a refresh
+        self._held: Optional[EmbeddingStore] = None
         self._normed: Optional[np.ndarray] = None
-        self._doc_order: List[int] = []
         self._doc_pos: Dict[int, int] = {}
-        self._offsets: List[int] = []
-        # dirty-row tracking: what each cached segment was computed from
-        self._row_hashes: Dict[int, str] = {}
-        self._encoder_fp: Optional[str] = None
-        self._attached: Optional[EmbeddingStore] = None
         # the scoring plan: (n_shards, mode, quantize) spec, None for the
         # default one-shard exact plan; rebuilt whenever the matrices are
         self._shard_spec: Optional[tuple] = None
-        self._shard_assignment: Optional[Dict[int, int]] = None
         self._shard_plan: Optional[ShardPlan] = None
 
     # -- embedding maintenance ------------------------------------------------
@@ -114,106 +108,108 @@ class SingleRetriever:
         """(Re-)encode the flattened triples of documents whose rows changed.
 
         Call after training the encoder or editing the store; retrieval
-        uses these cached embeddings. Besides the per-document views this
-        builds the flat normalized matrix + offsets and the scoring plan
-        over them.
+        scores the held :class:`EmbeddingStore`. Besides the store this
+        builds the flat normalized matrix and the scoring plan over it.
 
-        Incremental: a document's cached rows are reused verbatim when its
+        Incremental: a document's held rows are reused verbatim when its
         triples hash (:func:`~repro.ingest.fingerprint.triples_fingerprint`)
         and the encoder fingerprint both match what the rows were computed
-        under — whether cached by a previous refresh or seeded from a
-        persisted store via :meth:`attach_embeddings`. All dirty documents
-        are re-encoded in one encoder pass, so a full refresh stays
+        under — whether held from a previous refresh or from a persisted
+        store via :meth:`attach_embeddings`. When nothing is dirty the
+        held store is kept as is (memmap and generation included);
+        otherwise all dirty documents are re-encoded in one encoder pass
+        into a new, never-published store, so a full refresh stays
         bitwise-identical to the original always-recompute implementation.
         Returns the number of rows that were (re-)encoded; ``force=True``
         recomputes everything.
         """
         with time_block() as elapsed:
             current_fp = encoder_fingerprint(self.encoder)
-            reuse_ok = not force and current_fp == self._encoder_fp
-            dim = self.encoder.config.dim
-            # (doc_id, n_rows, row_hash, cached-segment-or-None) per doc
-            plan: List[tuple] = []
+            held = self._held
+            if force or (
+                held is not None and held.encoder_fingerprint != current_fp
+            ):
+                held = None
+            dtype = self.precision.dtype
+            doc_ids: List[int] = []
+            offsets: List[int] = []
+            row_hashes: Dict[int, str] = {}
+            reused: List[Optional[int]] = []  # held segment index per doc
             dirty_texts: List[str] = []
+            total = 0
             for doc_id in self.store.doc_ids():
                 flattened = self.store.flattened(doc_id)
                 row_hash = triples_fingerprint(flattened)
-                cached = self._embeddings.get(doc_id) if reuse_ok else None
-                if (
-                    cached is not None
-                    and self._row_hashes.get(doc_id) == row_hash
-                    and cached.shape[0] == len(flattened)
-                ):
-                    plan.append((doc_id, len(flattened), row_hash, cached))
-                else:
-                    plan.append((doc_id, len(flattened), row_hash, None))
+                index = self._doc_pos.get(doc_id) if held is not None else None
+                if index is not None:
+                    start, stop = held.bounds(index)
+                    if (
+                        held.row_hashes.get(doc_id) != row_hash
+                        or stop - start != len(flattened)
+                    ):
+                        index = None
+                if index is None:
                     dirty_texts.extend(flattened)
-            if dirty_texts:
-                encoded = cast_matrix(
-                    self.encoder.encode_numpy(
-                        dirty_texts, batch_size=batch_size
-                    ),
-                    self.precision.dtype,
-                )
-                COUNTERS.record_encode(len(dirty_texts))
-            else:
-                encoded = np.zeros((0, dim), dtype=self.precision.dtype)
-            attached = self._attached
+                doc_ids.append(doc_id)
+                offsets.append(total)
+                row_hashes[doc_id] = row_hash
+                reused.append(index)
+                total += len(flattened)
             if (
-                not dirty_texts
-                and attached is not None
-                and [int(d) for d in attached.doc_ids] == [p[0] for p in plan]
-                and attached.matrix.shape[0] == sum(p[1] for p in plan)
+                held is None
+                or dirty_texts
+                or held.doc_ids != doc_ids
+                or held.matrix.shape[0] != total
             ):
-                # clean warm start: score straight off the attached
-                # (possibly memmapped) matrix, no per-segment reassembly
-                matrix = np.asarray(attached.matrix)
-            else:
+                dim = self.encoder.config.dim
+                encoded = np.zeros((0, dim), dtype=dtype)
+                if dirty_texts:
+                    encoded = cast_matrix(
+                        self.encoder.encode_numpy(
+                            dirty_texts, batch_size=batch_size
+                        ),
+                        dtype,
+                    )
+                    COUNTERS.record_encode(len(dirty_texts))
                 pieces: List[np.ndarray] = []
                 cursor = 0
-                for _, n_rows, _, cached in plan:
-                    if cached is None:
-                        pieces.append(encoded[cursor : cursor + n_rows])
-                        cursor += n_rows
+                for start, stop, index in zip(
+                    offsets, offsets[1:] + [total], reused
+                ):
+                    if index is None:
+                        pieces.append(encoded[cursor : cursor + stop - start])
+                        cursor += stop - start
                     else:
-                        pieces.append(np.asarray(cached))
-                matrix = (
-                    np.concatenate(pieces)
-                    if pieces
-                    else np.zeros((0, dim), dtype=self.precision.dtype)
+                        pieces.append(held.segment(index))
+                held = EmbeddingStore(
+                    matrix=np.concatenate(pieces) if pieces else encoded,
+                    doc_ids=doc_ids,
+                    offsets=offsets,
+                    row_hashes=row_hashes,
+                    encoder_fingerprint=current_fp,
                 )
-            self._embeddings = {}
-            self._doc_order = []
-            self._offsets = []
-            self._row_hashes = {}
-            start = 0
-            for doc_id, n_rows, row_hash, _ in plan:
-                self._embeddings[doc_id] = matrix[start : start + n_rows]
-                self._doc_order.append(doc_id)
-                self._offsets.append(start)
-                self._row_hashes[doc_id] = row_hash
-                start += n_rows
-            self._stacked = matrix
-            self._normed = l2_normalize_rows(matrix)
-            self._doc_pos = {d: i for i, d in enumerate(self._doc_order)}
-            self._encoder_fp = current_fp
+                self._held = held
+                self._doc_pos = {d: i for i, d in enumerate(doc_ids)}
+            # else: clean warm start — score straight off the held
+            # (possibly memmapped) matrix, no per-segment reassembly
+            self._normed = l2_normalize_rows(np.asarray(held.matrix))
             self._rebuild_shard_plan()
         COUNTERS.record_embed_refresh(
             n_encoded=len(dirty_texts),
-            n_reused=start - len(dirty_texts),
+            n_reused=total - len(dirty_texts),
             seconds=elapsed(),
         )
         return len(dirty_texts)
 
     def attach_embeddings(self, embeddings: EmbeddingStore) -> int:
-        """Seed the embedding cache from a persisted :class:`EmbeddingStore`.
+        """Hold a persisted :class:`EmbeddingStore` as the embedding state.
 
-        Adopts the store's per-document segments, row hashes and encoder
-        fingerprint so the next :meth:`refresh_embeddings` re-encodes only
-        documents whose rows (or the encoder) changed since the store was
-        written — zero on a clean warm start. Returns the number of rows
-        adopted; a store with the wrong embedding dimension or an
-        inconsistent layout is rejected (returns 0, cache left empty).
+        The next :meth:`refresh_embeddings` re-encodes only documents
+        whose rows (or the encoder) changed since the store was written —
+        zero on a clean warm start, which keeps this very store. Returns
+        the number of rows adopted; a store with the wrong embedding
+        dimension or dtype or an inconsistent layout is rejected
+        (returns 0, nothing held).
         """
         self.detach_embeddings()
         matrix = embeddings.matrix
@@ -224,77 +220,52 @@ class SingleRetriever:
             # legacy float64 store on a float32 retriever) must not leak
             # its dtype into scoring — reject and let refresh re-encode
             return 0
-        if len(embeddings.doc_ids) != len(embeddings.offsets):
-            return 0
         total = int(matrix.shape[0])
-        for index, doc_id in enumerate(embeddings.doc_ids):
-            segment_start = embeddings.offsets[index]
-            segment_stop = (
-                embeddings.offsets[index + 1]
-                if index + 1 < len(embeddings.offsets)
-                else total
-            )
-            if not 0 <= segment_start <= segment_stop <= total:
-                self.detach_embeddings()
-                return 0
-            self._embeddings[int(doc_id)] = matrix[segment_start:segment_stop]
-        self._row_hashes = {
-            int(d): str(h) for d, h in embeddings.row_hashes.items()
-        }
-        self._encoder_fp = embeddings.encoder_fingerprint
-        self._attached = embeddings
+        starts = list(embeddings.offsets)
+        if len(embeddings.doc_ids) != len(starts) or any(
+            not 0 <= start <= stop <= total
+            for start, stop in zip(starts, starts[1:] + [total])
+        ):
+            return 0
+        self._held = embeddings
+        self._doc_pos = {int(d): i for i, d in enumerate(embeddings.doc_ids)}
         return total
 
     @property
     def store_generation(self) -> Optional[int]:
-        """Publish generation of the attached store (None when cold-built).
+        """Publish generation of the held store (None when nothing is held).
 
-        Networked serving tags every response with the generation its
-        worker scored against, so clients can prove a single answer never
-        mixes store generations across a hot swap.
+        The attached generation on a clean warm start, 0 (never
+        published) once a refresh had to build a new store, the new
+        number after ``export_embeddings().save()``. Networked serving
+        tags every response with the generation its worker scored
+        against, so clients can prove a single answer never mixes store
+        generations across a hot swap.
         """
-        attached = self._attached
-        if attached is None:
-            return None
-        return int(getattr(attached, "generation", 0))
+        return None if self._held is None else self._held.generation
 
     def detach_embeddings(self) -> None:
-        """Drop every cached embedding and all dirty-tracking state."""
-        self._embeddings = {}
-        self._stacked = None
+        """Drop the held store and everything derived from it."""
+        self._held = None
         self._normed = None
-        self._doc_order = []
         self._doc_pos = {}
-        self._offsets = []
-        self._row_hashes = {}
-        self._encoder_fp = None
-        self._attached = None
         self._shard_plan = None
 
     def export_embeddings(
         self, construction_fingerprint: str = ""
     ) -> EmbeddingStore:
-        """Snapshot the current stacked matrix as a persistable store."""
+        """The held (fresh) store itself, ready to ``save``."""
         self._ensure_fresh()
-        return EmbeddingStore(
-            matrix=np.ascontiguousarray(
-                self._stacked, dtype=self.precision.dtype
-            ),
-            doc_ids=[int(d) for d in self._doc_order],
-            offsets=[int(o) for o in self._offsets],
-            row_hashes=dict(self._row_hashes),
-            encoder_fingerprint=(
-                self._encoder_fp or encoder_fingerprint(self.encoder)
-            ),
-            construction_fingerprint=construction_fingerprint,
-        )
+        if construction_fingerprint:
+            self._held.construction_fingerprint = construction_fingerprint
+        return self._held
 
     def ensure_ready(self) -> None:
         """Build (or finish warm-starting) the matrices and scoring plan."""
         self._ensure_fresh()
 
     def _ensure_fresh(self) -> None:
-        if self._stacked is None:
+        if self._normed is None:
             self.refresh_embeddings()
         elif self._shard_plan is None:
             self._rebuild_shard_plan()
@@ -325,59 +296,35 @@ class SingleRetriever:
             raise ValueError("n_shards must be positive")
         quantize = bool(quantize) or self.precision.quantized
         self._shard_spec = (int(n_shards), mode, quantize)
-        self._shard_assignment = None
         self._shard_plan = None
         self._ensure_fresh()
         return self._shard_plan
 
-    def attach_sharded(self, sharded: ShardedEmbeddingStore) -> int:
-        """Warm-start from a persisted :class:`ShardedEmbeddingStore`.
-
-        Attaches the combined (ascending-doc-id) view for the incremental
-        cache, then pins the persisted document-to-shard assignment so the
-        rebuilt plan groups documents exactly as the saved shards do.
-        Returns the number of rows adopted (0 on rejection, like
-        :meth:`attach_embeddings`).
-        """
-        total = self.attach_embeddings(sharded.combined())
-        if total or sharded.total_rows == 0:
-            self._shard_spec = (
-                sharded.n_shards,
-                sharded.mode,
-                sharded.quantized or self.precision.quantized,
-            )
-            self._shard_assignment = sharded.assignment()
-            self._shard_plan = None
-        return total
-
     def detach_shards(self) -> None:
         """Return to the default one-shard exact plan (cache untouched)."""
         self._shard_spec = None
-        self._shard_assignment = None
         self._shard_plan = None
 
     def _rebuild_shard_plan(self) -> None:
         n_shards, mode, quantize = self._shard_spec or (1, "range", False)
         self._shard_plan = ShardPlan.build(
             self._normed,
-            self._doc_order,
-            self._offsets,
+            self._held.doc_ids,
+            self._held.offsets,
             n_shards,
             mode=mode,
-            assignment=self._shard_assignment,
             quantize=quantize,
         )
-        self._shard_assignment = self._shard_plan.assignment
 
     def doc_embeddings(self, doc_id: int) -> np.ndarray:
-        """The cached triple embedding matrix of one document."""
+        """The held triple embedding matrix of one document."""
         self._ensure_fresh()
-        return self._embeddings.get(
-            doc_id,
-            np.zeros(
+        position = self._doc_pos.get(doc_id)
+        if position is None:
+            return np.zeros(
                 (0, self.encoder.config.dim), dtype=self.precision.dtype
-            ),
-        )
+            )
+        return self._held.segment(position)
 
     # -- retrieval ----------------------------------------------------------
     def encode_question(self, question: str) -> np.ndarray:
@@ -403,13 +350,8 @@ class SingleRetriever:
         self._ensure_fresh()
         position = self._doc_pos.get(doc_id)
         if position is None:
-            return np.zeros(0)
-        start = self._offsets[position]
-        stop = (
-            self._offsets[position + 1]
-            if position + 1 < len(self._offsets)
-            else self._normed.shape[0]
-        )
+            return np.zeros(0, dtype=self.precision.dtype)
+        start, stop = self._held.bounds(position)
         query_vec = cast_matrix(query_vec, self.precision.dtype)
         norm = np.linalg.norm(query_vec)
         if norm:
@@ -482,9 +424,8 @@ class SingleRetriever:
         result list per query row.
 
         ``nprobe`` prunes to that many centroid-closest shards and needs
-        a plan from :meth:`build_shards` / :meth:`attach_sharded` (None
-        or ``>= n_shards`` probes everything, which is exact at any
-        shard count).
+        a plan from :meth:`build_shards` (None or ``>= n_shards`` probes
+        everything, which is exact at any shard count).
 
         ``precision`` overrides the retriever policy per request. A float
         request must match the dtype the matrices are held in — a
@@ -512,7 +453,7 @@ class SingleRetriever:
             feature = "nprobe" if nprobe is not None else "int8-rescore"
             raise ValueError(
                 f"{feature} requires an active shard plan; call "
-                "build_shards() or attach_sharded() first"
+                "build_shards() first"
             )
         queries = l2_normalize_rows(
             np.atleast_2d(cast_matrix(query_matrix, self.precision.dtype))

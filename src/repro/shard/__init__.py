@@ -10,9 +10,11 @@ index *structure*, not total corpus size.
   IVF-style centroid pruning (``nprobe``) and an exact global merge.
 * :mod:`repro.shard.merge` — the deterministic ``(score desc, id asc)``
   top-k every ranking site routes through.
-* :mod:`repro.shard.store` — :class:`ShardedEmbeddingStore`: shards
-  persisted as sibling :class:`~repro.ingest.embedding_store.
-  EmbeddingStore` directories under one sharded manifest.
+
+Shards are never persisted: a plan is derived in memory from the one
+:class:`~repro.ingest.embedding_store.EmbeddingStore` the retriever
+holds (:meth:`~repro.retriever.single.SingleRetriever.build_shards`),
+and the assignment is deterministic, so every process derives the same.
 """
 
 from repro.shard.assignment import (
@@ -24,20 +26,12 @@ from repro.shard.assignment import (
 )
 from repro.shard.merge import recall_at_k, topk_doc_order
 from repro.shard.plan import QueryShardScores, Shard, ShardPlan
-from repro.shard.store import (
-    SHARDED_MANIFEST_NAME,
-    ShardedEmbeddingStore,
-    ShardedStoreError,
-)
 
 __all__ = [
     "MODES",
     "QueryShardScores",
-    "SHARDED_MANIFEST_NAME",
     "Shard",
     "ShardPlan",
-    "ShardedEmbeddingStore",
-    "ShardedStoreError",
     "assign_centroid",
     "assign_documents",
     "assign_range",

@@ -193,17 +193,17 @@ class ShardPlan:
         offsets: Sequence[int],
         n_shards: int,
         mode: str = "range",
-        assignment: Optional[Dict[int, int]] = None,
         quantize: bool = False,
     ) -> "ShardPlan":
         """Split a stacked normalized matrix into a scoring plan.
 
         ``doc_ids``/``offsets`` describe the segment layout exactly as
-        :class:`~repro.ingest.embedding_store.EmbeddingStore` does. An
-        explicit ``assignment`` (doc_id -> shard_id, e.g. from a persisted
-        sharded manifest) wins over recomputing one; it must cover every
-        document. ``quantize`` additionally derives the per-shard int8
-        copies that :meth:`search_quantized` scores.
+        :class:`~repro.ingest.embedding_store.EmbeddingStore` does. The
+        document-to-shard assignment is a pure function of the matrix
+        (doc-id ranges, or seeded k-means), so every process that holds
+        the same store derives the same plan. ``quantize`` additionally
+        derives the per-shard int8 copies that :meth:`search_quantized`
+        scores.
         """
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
@@ -223,13 +223,7 @@ class ShardPlan:
             if n_docs
             else np.zeros(0, dtype=np.int64)
         )
-        if assignment is not None and all(
-            int(d) in assignment for d in doc_id_arr
-        ):
-            labels = np.asarray(
-                [assignment[int(d)] for d in doc_id_arr], dtype=np.int64
-            )
-        elif mode == "centroid":
+        if mode == "centroid":
             labels = assign_documents(
                 mode,
                 n_docs,
@@ -306,9 +300,8 @@ class ShardPlan:
         """Derive the int8 copy of every shard matrix (idempotent).
 
         Quantization is deterministic — re-quantizing the same float rows
-        yields byte-identical int8/scale arrays — so a plan rebuilt from
-        a persisted store and one carrying the store's persisted sidecar
-        score identically.
+        yields byte-identical int8/scale arrays — so every plan built
+        over the same store scores identically.
         """
         for shard in self.shards:
             if shard.q_matrix is None:

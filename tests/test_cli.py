@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +32,42 @@ class TestParser:
     def test_build_defaults(self):
         args = build_parser().parse_args(["build", "--out", "x"])
         assert args.persons == 70 and args.dim == 96
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+_DOC_COMMAND = re.compile(r"^\s*(?:\w+=\S+\s+)*python3? -m repro\.cli\s+(.*)$")
+
+
+def _documented_commands(relative_path):
+    """argv lists of every ``python -m repro.cli …`` line in a doc file."""
+    text = (REPO_ROOT / relative_path).read_text(encoding="utf-8")
+    # a trailing backslash continues the command on the next line
+    joined = re.sub(r"\\\n\s*", " ", text)
+    commands = []
+    for line in joined.splitlines():
+        match = _DOC_COMMAND.match(line)
+        if match:
+            commands.append(shlex.split(match.group(1), comments=True))
+    return commands
+
+
+class TestDocumentedCommands:
+    """Every CLI line the docs show must still parse (nothing is run), so
+    removing a flag can never leave a documented command that exits 2."""
+
+    @pytest.mark.parametrize(
+        "doc", ["README.md", ".claude/skills/verify/SKILL.md"]
+    )
+    def test_documented_commands_parse(self, doc):
+        commands = _documented_commands(doc)
+        assert commands, f"no repro.cli command found in {doc}"
+        parser = build_parser()
+        for argv in commands:
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{doc}: `repro.cli {' '.join(argv)}` no longer parses")
+            assert callable(args.func)
 
 
 class TestDemo:

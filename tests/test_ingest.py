@@ -399,7 +399,9 @@ class TestRetrieverIncrementalRefresh:
         retriever = SingleRetriever(encoder, store)
         encoded = retriever.refresh_embeddings()
         assert encoded == len(texts)
-        assert retriever._stacked.tobytes() == expected.tobytes()
+        assert retriever.export_embeddings().matrix.tobytes() == (
+            expected.tobytes()
+        )
 
     def test_second_refresh_encodes_nothing(self):
         corpus = _mini_corpus()
@@ -450,4 +452,4 @@ class TestRetrieverIncrementalRefresh:
             encoder_fingerprint="fp",
         )
         assert retriever.attach_embeddings(wrong) == 0
-        assert retriever._embeddings == {}
+        assert retriever.store_generation is None  # nothing held

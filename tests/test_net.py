@@ -17,12 +17,14 @@ Worlds are deliberately tiny (24 docs, dim 24) — this file runs in
 tier-1.
 """
 
+import json
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.ingest import EMBEDDINGS_DIR, STORE_NAME
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
 from repro.net import (
     Fleet,
@@ -39,7 +41,7 @@ from repro.net.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.net.worker import EMBEDDINGS_DIR, STORE_NAME
+from repro.net.worker import WorkerRuntime
 from repro.oie.triple import Triple
 from repro.retriever.store import TripleStore
 from repro.serve import RetrievalService, ServiceConfig, merge_snapshots
@@ -181,6 +183,27 @@ def test_publish_store_bumps_generation(tmp_path):
     # identical content republished is still a new publish event
     assert publish_store(bundle, out) == 2
     assert store_generation(out) == 2
+
+
+def test_poll_and_worker_agree_when_both_manifests_exist(tmp_path):
+    """The supervisor's poll and a worker's attach resolve one store.
+
+    With a stray bare-store manifest next to the published
+    ``embeddings/`` one, the poll used to read the bare generation while
+    workers attached the nested store — a publish never rolled out.
+    """
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    out = tmp_path / "store"
+    publish_store(bundle, out)
+    assert publish_store(bundle, out) == 2  # nested (ingest layout): gen 2
+    EmbeddingStore.open(out / EMBEDDINGS_DIR, mmap=False).save(out)
+    assert store_generation(out / EMBEDDINGS_DIR) == 2
+    assert json.loads((out / "manifest.json").read_text())["generation"] == 1
+    runtime = WorkerRuntime(bundle, _spec(out))
+    try:
+        assert store_generation(out) == runtime.generation == 2
+    finally:
+        runtime.close()
 
 
 def test_merge_snapshots_sums_counters():

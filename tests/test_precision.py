@@ -42,7 +42,6 @@ from repro.precision import (
 from repro.retriever.single import SingleRetriever
 from repro.retriever.strategies import ScoreStrategy, l2_normalize_rows
 from repro.shard import (
-    ShardedEmbeddingStore,
     ShardPlan,
     recall_at_k,
     topk_doc_order,
@@ -386,56 +385,6 @@ class TestStoreDtypes:
         # a float64 generation cannot warm-start a float32 retriever;
         # attach reports zero reusable rows so the caller re-encodes
         assert fast.attach_embeddings(EmbeddingStore.open(tmp_path)) == 0
-
-
-class TestQuantizedSidecars:
-    @pytest.fixture(scope="class")
-    def sharded(self):
-        rng = np.random.RandomState(7)
-        matrix = rng.randn(40, 6).astype(F32)
-        return ShardedEmbeddingStore.split(_store_of(matrix), 3)
-
-    def test_sidecar_round_trip(self, tmp_path, sharded):
-        sharded.save(tmp_path, quantize=True)
-        manifest = json.loads(
-            (tmp_path / "sharded_manifest.json").read_text()
-        )
-        assert manifest["quantized"] is True
-        reopened = ShardedEmbeddingStore.open(tmp_path)
-        assert reopened.quantized
-        for sidecar, shard in zip(reopened.quant, reopened.shards):
-            expected_q, expected_scales = quantize_rows(
-                l2_normalize_rows(np.asarray(shard.matrix))
-            )
-            assert np.array_equal(sidecar["q"], expected_q)
-            assert np.array_equal(sidecar["scales"], expected_scales)
-
-    def test_sidecar_matches_plan_quantization(self, tmp_path, sharded):
-        sharded.save(tmp_path, quantize=True)
-        reopened = ShardedEmbeddingStore.open(tmp_path)
-        combined = reopened.combined()
-        normed = l2_normalize_rows(np.asarray(combined.matrix))
-        offsets = np.asarray(combined.offsets, dtype=np.int64)
-        doc_ids = np.asarray(combined.doc_ids, dtype=np.int64)
-        plan = ShardPlan.build(
-            normed, doc_ids, offsets, reopened.n_shards, quantize=True
-        )
-        # quantization is deterministic, so the persisted sidecars and a
-        # plan rebuilt in memory agree byte for byte
-        sidecar_q = np.concatenate([s["q"] for s in reopened.quant])
-        sidecar_scales = np.concatenate(
-            [s["scales"] for s in reopened.quant]
-        )
-        plan_q = np.concatenate([s.q_matrix for s in plan.shards])
-        plan_scales = np.concatenate([s.q_scales for s in plan.shards])
-        assert np.array_equal(sidecar_q, plan_q)
-        assert np.array_equal(sidecar_scales, plan_scales)
-
-    def test_unquantized_save_has_no_sidecars(self, tmp_path, sharded):
-        sharded.save(tmp_path)
-        reopened = ShardedEmbeddingStore.open(tmp_path)
-        assert not reopened.quantized
-        assert not list(tmp_path.glob("*/quant.npz"))
 
 
 # ---------------------------------------------------------------------------

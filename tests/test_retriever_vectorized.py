@@ -116,4 +116,6 @@ class TestTripleScores:
 
     def test_unknown_doc_gives_empty(self, retriever):
         vec = retriever.encode_question(QUESTIONS[0])
-        assert retriever.triple_scores(vec, 10_000).shape == (0,)
+        scores = retriever.triple_scores(vec, 10_000)
+        assert scores.shape == (0,)
+        assert scores.dtype == retriever.doc_embeddings(10_000).dtype

@@ -9,14 +9,15 @@ The load-bearing claims:
   matched triples, same per-triple score vectors);
 * recall@k against exact retrieval is monotone non-decreasing in
   ``nprobe`` and exactly 1.0 at ``nprobe = n_shards``;
-* a split store round-trips through save/open and warm-starts the
-  retriever with zero re-encoding.
+* a memmap-attached store warm-starts the retriever with zero
+  re-encoding and shards exactly as a cold-built retriever does.
 """
 
 import numpy as np
 import pytest
 from reference import brute_force_rank
 
+from repro.ingest import EmbeddingStore
 from repro.perf import COUNTERS
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore
@@ -28,8 +29,6 @@ from repro.retriever.strategies import (
     l2_normalize_rows,
 )
 from repro.shard import (
-    ShardedEmbeddingStore,
-    ShardedStoreError,
     ShardPlan,
     assign_centroid,
     assign_range,
@@ -367,77 +366,34 @@ class TestPrunedRecall:
 
 
 # ---------------------------------------------------------------------------
-# sharded persistence
+# warm attach, then shard: the one persistence story
 # ---------------------------------------------------------------------------
 
 
-class TestShardedStore:
-    @pytest.mark.parametrize("mode", ["range", "centroid"])
-    def test_split_save_open_combined_roundtrip(
-        self, sharder, tmp_path, mode
-    ):
-        sharder.detach_shards()
-        exported = sharder.export_embeddings()
-        sharded = ShardedEmbeddingStore.split(exported, 3, mode=mode)
-        assert sharded.total_rows == exported.matrix.shape[0]
-        assert sharded.total_docs == len(exported.doc_ids)
-        sharded.save(tmp_path)
-        loaded = ShardedEmbeddingStore.open(tmp_path)
-        assert loaded.n_shards == 3
-        assert loaded.mode == mode
-        combined = loaded.combined()
-        assert np.array_equal(
-            np.asarray(combined.matrix), np.asarray(exported.matrix)
-        )
-        assert combined.doc_ids == exported.doc_ids
-        assert combined.offsets == exported.offsets
-        assert combined.row_hashes == exported.row_hashes
-
-    def test_attach_sharded_zero_reencode_and_parity(
+class TestWarmAttachThenShard:
+    def test_mmap_attach_build_shards_zero_reencode_and_parity(
         self, sharder, encoder, store, tmp_path
     ):
         sharder.detach_shards()
         exact = sharder.retrieve_many(QUESTIONS, k=5)
-        sharded = ShardedEmbeddingStore.split(
-            sharder.export_embeddings(), 4, mode="centroid"
-        )
-        sharded.save(tmp_path)
+        sharder.export_embeddings().save(tmp_path)
+        cold_plan = sharder.build_shards(4, "centroid")
         warm = SingleRetriever(encoder, store)
-        adopted = warm.attach_sharded(ShardedEmbeddingStore.open(tmp_path))
-        assert adopted == sharded.total_rows
+        adopted = warm.attach_embeddings(
+            EmbeddingStore.open(tmp_path, mmap=True)
+        )
+        assert adopted == store.total_triples()
+        encoded_before = COUNTERS.snapshot()["rows_encoded"]
+        warm_plan = warm.build_shards(4, "centroid")
+        assert COUNTERS.snapshot()["rows_encoded"] == encoded_before
         assert warm.refresh_embeddings() == 0  # zero re-encoding
-        assert warm.shard_plan is not None
         assert warm.shard_plan.n_shards == 4
-        # the persisted assignment is honored verbatim
-        assert warm.shard_plan.assignment == sharded.assignment()
+        # seeded k-means over the same store: every process derives the
+        # same document-to-shard assignment, nothing needs persisting
+        assert warm_plan.assignment == cold_plan.assignment
+        assert warm.shard_plan.assignment == cold_plan.assignment
         got = warm.retrieve_many(QUESTIONS, k=5)
         for exact_docs, got_docs in zip(exact, got):
             assert [(d.doc_id, d.score) for d in exact_docs] == [
                 (d.doc_id, d.score) for d in got_docs
             ]
-
-    def test_open_missing_raises(self, tmp_path):
-        with pytest.raises(ShardedStoreError, match="no sharded"):
-            ShardedEmbeddingStore.open(tmp_path / "nope")
-
-    def test_open_rejects_bad_version(self, sharder, tmp_path):
-        import json
-
-        sharder.detach_shards()
-        ShardedEmbeddingStore.split(
-            sharder.export_embeddings(), 2
-        ).save(tmp_path)
-        manifest_path = tmp_path / "sharded_manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 999
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ShardedStoreError, match="version"):
-            ShardedEmbeddingStore.open(tmp_path)
-
-    def test_split_rejects_bad_inputs(self, sharder):
-        sharder.detach_shards()
-        exported = sharder.export_embeddings()
-        with pytest.raises(ValueError, match="positive"):
-            ShardedEmbeddingStore.split(exported, 0)
-        with pytest.raises(ValueError, match="mode"):
-            ShardedEmbeddingStore.split(exported, 2, mode="bogus")

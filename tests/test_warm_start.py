@@ -13,6 +13,7 @@ from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.pipeline.multihop import MultiHopConfig
 from repro.pipeline.path_ranker import PathRankerConfig
 from repro.retriever.single import SingleRetriever
+from repro.retriever.store import TripleStore
 from repro.retriever.trainer import TrainerConfig
 from repro.serve.service import RetrievalService, ServiceConfig
 from repro.updater.updater import UpdaterConfig
@@ -73,6 +74,28 @@ class TestRetrieverWarmStart:
         encode_calls.clear()
         assert warm.refresh_embeddings() == store.total_triples()
         assert sum(encode_calls) == store.total_triples()
+
+    def test_generation_follows_the_held_store(
+        self, encoder, corpus, store, retriever, tmp_path
+    ):
+        retriever.export_embeddings().save(tmp_path)
+        retriever.export_embeddings().save(tmp_path)  # generation 2
+        edited = TripleStore(corpus)
+        for doc_id in store.doc_ids():
+            edited.put(doc_id, store.triples(doc_id))
+        warm = SingleRetriever(encoder, edited)
+        assert warm.store_generation is None  # nothing held yet
+        warm.attach_embeddings(EmbeddingStore.open(tmp_path))
+        assert warm.refresh_embeddings() == 0
+        assert warm.store_generation == 2  # clean warm start: as published
+        # a dirty refresh re-encodes rows: the matrices no longer equal
+        # any published generation, and the retriever must not claim one
+        assert len(edited.triples(0)) >= 2
+        edited.put(0, edited.triples(0)[:1])
+        assert warm.refresh_embeddings() == 1
+        assert warm.store_generation == 0
+        warm.export_embeddings().save(tmp_path)
+        assert warm.store_generation == 3  # published again
 
 
 class TestFrameworkWarmStart:
@@ -144,9 +167,9 @@ class TestServeWarmStart:
     def test_start_builds_matrices(self, encoder, store):
         retriever = SingleRetriever(encoder, store)
         service = RetrievalService(retriever, config=ServiceConfig())
-        assert retriever._stacked is None
+        assert retriever.shard_plan is None
         with service:
-            assert retriever._stacked is not None
+            assert retriever.shard_plan is not None
 
     def test_cold_start_defers_build(self, encoder, store):
         retriever = SingleRetriever(encoder, store)
@@ -154,9 +177,9 @@ class TestServeWarmStart:
             retriever, config=ServiceConfig(warm_start=False)
         )
         with service:
-            assert retriever._stacked is None
+            assert retriever.shard_plan is None
             service.retrieve("Which club was founded first?", k=3)
-            assert retriever._stacked is not None
+            assert retriever.shard_plan is not None
 
     def test_attached_retriever_serves_without_encoding(
         self, encoder, store, retriever, tmp_path, encode_calls
