@@ -25,7 +25,6 @@ from repro.analysis.core import (
     LintReport,
     Rule,
     all_rule_ids,
-    lint_file,
     register,
 )
 from repro.analysis.engine import run_lint
@@ -47,7 +46,6 @@ __all__ = [
     "RULESET_VERSION",
     "Rule",
     "all_rule_ids",
-    "lint_file",
     "load_config",
     "register",
     "render_json",

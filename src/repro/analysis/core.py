@@ -182,45 +182,6 @@ def _relativize(path: Path, root: Optional[Path]) -> str:
     return path.as_posix()
 
 
-def lint_file(
-    path: Path, rules: Sequence[Rule], config: Optional[LintConfig] = None
-) -> List[Finding]:
-    """All (unsuppressed, unallowed) findings for one file."""
-    config = config if config is not None else LintConfig()
-    path = Path(path)
-    rel_path = _relativize(path, config.root)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        return [Finding(PARSE_ERROR, rel_path, 1, 0, f"unreadable file: {error}")]
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as error:
-        return [
-            Finding(
-                PARSE_ERROR,
-                rel_path,
-                error.lineno or 1,
-                (error.offset or 1) - 1,
-                f"syntax error: {error.msg}",
-            )
-        ]
-    ctx = FileContext(path=path, rel_path=rel_path, source=source, tree=tree)
-    suppressions = suppressed_lines(source)
-    findings: List[Finding] = []
-    for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            if _is_suppressed(finding, suppressions):
-                continue
-            if _is_allowed(finding, config):
-                continue
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
-
-
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Yield every ``.py`` file under ``paths`` (files pass through)."""
     for path in paths:

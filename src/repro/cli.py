@@ -9,9 +9,7 @@ Subcommands::
     python -m repro.cli eval   --model model_dir [--n 100]
     python -m repro.cli demo   "a sentence or two of text"   # OIE + Alg.1
     python -m repro.cli lint   [paths ...] [--jobs N] [--output report.json]
-    python -m repro.cli serve-bench --model model_dir [--threads 8 ...]
     python -m repro.cli serve  --listen HOST:PORT --workers N [--store DIR]
-    python -m repro.cli net-bench --synthetic [--workers 4 --threads 8 ...]
 
 ``build`` trains the full system on a freshly generated world and saves it
 (plus the world seed, so ``query``/``eval`` can rebuild the same corpus).
@@ -19,19 +17,17 @@ Subcommands::
 extraction (optionally + encoding) into an on-disk artifact cache that
 later runs refresh instead of rebuild. ``lint`` runs the repo's own
 static analyzer (``repro.analysis``) and exits non-zero when any rule
-fires. ``serve-bench`` stands up the in-process :mod:`repro.serve`
-service and replays a query file from many client threads, reporting
-throughput / latency / batching / cache stats. ``serve`` stands up the
-*networked* fleet instead — an asyncio front door over N worker
-processes (:mod:`repro.net`) with crash recovery and hot store reload —
-and ``net-bench`` replays a query stream through that fleet over TCP.
+fires. ``serve`` is the serving surface: an asyncio front door over N
+worker processes (:mod:`repro.net`), each running the in-process
+micro-batching :mod:`repro.serve` service, with crash recovery and hot
+store reload; clients speak to it through :class:`repro.net.NetClient`.
+Load is generated and measured in one place only,
+``benchmarks/e2e/run.py`` — the CLI has no benchmark commands.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import threading
 from pathlib import Path
@@ -41,6 +37,8 @@ from repro.data.hotpot import build_hotpot_dataset
 from repro.data.world import World, WorldConfig
 from repro.encoder.minibert import EncoderConfig
 from repro.eval.metrics import RetrievalScorecard, path_exact_match
+from repro.net import Fleet, WorkerSpec
+from repro.net.bootstrap import load_model_dir
 from repro.perf import COUNTERS
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.retriever.trainer import TrainerConfig
@@ -55,18 +53,6 @@ def _world_config(args) -> WorldConfig:
         n_cities=args.cities,
         seed=args.seed,
     )
-
-
-def _rebuild(model_dir: Path):
-    meta = json.loads((model_dir / "meta.json").read_text())
-    world = World(WorldConfig(**meta["world"]))
-    corpus = build_corpus(world)
-    dataset = build_hotpot_dataset(world, corpus, **meta["dataset"])
-    config = FrameworkConfig(
-        encoder=EncoderConfig(**meta["encoder"]),
-    )
-    system = TripleFactRetrieval.load(model_dir, corpus, config=config)
-    return system, world, corpus, dataset
 
 
 def cmd_build(args) -> int:
@@ -145,7 +131,7 @@ def cmd_query(args) -> int:
             file=sys.stderr,
         )
         return 2
-    system, _world, _corpus, _dataset = _rebuild(Path(args.model))
+    system, _world, _corpus, _dataset = load_model_dir(args.model)
     COUNTERS.reset()
     if args.batch is not None:
         questions = _read_query_file(Path(args.batch))
@@ -170,7 +156,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    system, _world, _corpus, dataset = _rebuild(Path(args.model))
+    system, _world, _corpus, dataset = load_model_dir(args.model)
     card = RetrievalScorecard()
     questions = dataset.test[: args.n]
     COUNTERS.reset()
@@ -258,112 +244,6 @@ def cmd_lint(args) -> int:
     return 1 if report.findings else 0
 
 
-def cmd_serve_bench(args) -> int:
-    from repro.serve import RetrievalService, ServiceConfig
-
-    system, _world, _corpus, dataset = _rebuild(Path(args.model))
-    if args.queries is not None:
-        questions = _read_query_file(Path(args.queries))
-    else:
-        questions = [q.text for q in dataset.test[: args.n]]
-    if not questions:
-        print("error: no queries to replay", file=sys.stderr)
-        return 2
-    precision = None
-    if args.precision is not None:
-        from repro.precision import Precision
-
-        precision = Precision(
-            mode=args.precision, rescore_width=args.rescore_width
-        )
-        if precision.quantized and not args.shards:
-            print(
-                "error: --precision int8-rescore requires --shards",
-                file=sys.stderr,
-            )
-            return 2
-    if args.shards:
-        system.retriever.build_shards(
-            args.shards,
-            mode=args.shard_mode,
-            quantize=precision is not None and precision.quantized,
-        )
-    elif args.nprobe is not None:
-        print(
-            "error: --nprobe requires --shards", file=sys.stderr
-        )
-        return 2
-    config = ServiceConfig(
-        max_batch_size=args.batch_size,
-        max_wait_ms=args.wait_ms,
-        max_pending=max(64, args.threads * len(questions)),
-        workers=args.workers,
-        cache_size=args.cache_size,
-        default_k=args.k,
-        default_nprobe=args.nprobe,
-        default_precision=precision.key() if precision else None,
-    )
-    service = RetrievalService(
-        system.retriever, multihop=system.multihop, config=config
-    )
-    errors = []
-
-    def client(seed: int) -> None:
-        order = list(questions)
-        random.Random(seed).shuffle(order)
-        for question in order:
-            try:
-                if args.mode == "paths":
-                    service.retrieve_paths(question, k=args.k, timeout=300)
-                else:
-                    service.retrieve(question, k=args.k, timeout=300)
-            except Exception as error:  # bench keeps replaying; reported below
-                errors.append(repr(error))
-
-    with service:
-        clients = [
-            threading.Thread(target=client, args=(seed,))
-            for seed in range(args.threads)
-        ]
-        for thread in clients:
-            thread.start()
-        for thread in clients:
-            thread.join()
-        snapshot = service.stats_snapshot()
-        summary = service.stats_summary()
-    if args.format == "json":
-        # record the run parameters alongside the stats so the BENCH
-        # artifact is reproducible without out-of-band context
-        snapshot["run"] = {
-            "mode": args.mode,
-            "k": args.k,
-            "threads": args.threads,
-            "queries": len(questions),
-            "precision": precision.key() if precision else None,
-            "nprobe": args.nprobe,
-            "shards": args.shards,
-            "shard_mode": args.shard_mode if args.shards else None,
-            "store_generation": getattr(
-                system.retriever, "store_generation", None
-            ),
-            "encoder": COUNTERS.encoder_throughput(),
-        }
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-    else:
-        print(
-            f"replayed {len(questions)} queries x {args.threads} client "
-            f"thread(s), mode={args.mode}, k={args.k}"
-        )
-        print(summary)
-    if errors:
-        print(
-            f"{len(errors)} request error(s); first: {errors[0]}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _parse_listen(value: str):
     host, _, port = value.rpartition(":")
     if not host or not port.isdigit():
@@ -373,10 +253,12 @@ def _parse_listen(value: str):
     return host, int(port)
 
 
-def _worker_spec(args):
-    """Build the :class:`repro.net.WorkerSpec` shared by serve/net-bench."""
-    from repro.net import WorkerSpec
-
+def cmd_serve(args) -> int:
+    if args.model is None and not args.synthetic:
+        print(
+            "error: provide --model DIR or --synthetic", file=sys.stderr
+        )
+        return 2
     if args.model is not None:
         target = "repro.net.bootstrap:model_dir_bundle"
         kwargs = {"model_dir": str(args.model)}
@@ -388,32 +270,20 @@ def _worker_spec(args):
             "encoder": args.synthetic_encoder,
             "multihop": not args.no_multihop,
         }
-    service = {
-        "max_batch_size": args.batch_size,
-        "max_wait_ms": args.wait_ms,
-        "cache_size": args.cache_size,
-    }
-    return WorkerSpec(
+    spec = WorkerSpec(
         target=target,
         kwargs=kwargs,
         store_dir=str(args.store) if args.store else None,
         multihop=not args.no_multihop,
         shards=args.shards,
         shard_mode=args.shard_mode,
-        service=service,
+        service={
+            "max_batch_size": args.batch_size,
+            "max_wait_ms": args.wait_ms,
+            "cache_size": args.cache_size,
+        },
     )
-
-
-def cmd_serve(args) -> int:
-    from repro.net import Fleet
-
-    if args.model is None and not args.synthetic:
-        print(
-            "error: provide --model DIR or --synthetic", file=sys.stderr
-        )
-        return 2
     host, port = args.listen
-    spec = _worker_spec(args)
     fleet = Fleet(
         spec,
         workers=args.workers,
@@ -437,170 +307,6 @@ def cmd_serve(args) -> int:
         except KeyboardInterrupt:
             print("shutting down")
     return 0
-
-
-def cmd_net_bench(args) -> int:
-    import random as random_module
-
-    from repro.net import Fleet, NetClient
-
-    if args.model is None and not args.synthetic:
-        print(
-            "error: provide --model DIR or --synthetic", file=sys.stderr
-        )
-        return 2
-    spec = _worker_spec(args)
-    fleet = Fleet(spec, workers=args.workers)
-    errors = []
-    with fleet:
-        with NetClient(fleet.address) as probe:
-            pong = probe.ping()
-            if not pong.get("ok"):
-                print("error: fleet did not answer ping", file=sys.stderr)
-                return 1
-        if args.queries is not None:
-            questions = _read_query_file(Path(args.queries))
-        else:
-            from repro.net import resolve_target
-
-            bundle = resolve_target(spec.target)(**spec.kwargs)
-            questions = bundle.questions[: args.n] or [
-                f"synthetic query {i} ?" for i in range(args.n)
-            ]
-
-        def client_thread(seed: int) -> None:
-            order = list(questions)
-            random_module.Random(seed).shuffle(order)
-            with NetClient(fleet.address) as client:
-                for index, question in enumerate(order):
-                    mode = args.mode
-                    if mode == "mixed":
-                        mode = "paths" if index % 4 == 0 else "single"
-                    try:
-                        client.query_raw(
-                            question, mode=mode, k=args.k,
-                            nprobe=args.nprobe, precision=args.precision,
-                        )
-                    except Exception as error:
-                        errors.append(repr(error))
-
-        threads = [
-            threading.Thread(target=client_thread, args=(seed,))
-            for seed in range(args.threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        with NetClient(fleet.address) as client:
-            stats = client.stats()
-    generations = sorted(
-        {w.get("generation") for w in stats.get("workers", [])}
-    )
-    # fleet-wide encoder token throughput: sum tokens and encode time
-    # across the worker processes' own counters
-    encoder_tokens = 0
-    encoder_seconds = 0.0
-    for worker in stats.get("workers", []):
-        encoder = worker.get("encoder") or {}
-        encoder_tokens += int(encoder.get("tokens", 0))
-        encoder_seconds += float(encoder.get("seconds", 0.0))
-    payload = {
-        "run": {
-            "mode": args.mode,
-            "k": args.k,
-            "threads": args.threads,
-            "workers": args.workers,
-            "queries": len(questions),
-            "precision": args.precision,
-            "nprobe": args.nprobe,
-            "store_generations": generations,
-            "encoder": {
-                "tokens": encoder_tokens,
-                "seconds": encoder_seconds,
-                "tokens_per_sec": (
-                    encoder_tokens / encoder_seconds
-                    if encoder_seconds > 0
-                    else 0.0
-                ),
-            },
-        },
-        "frontdoor": stats.get("frontdoor"),
-        "aggregate": stats.get("aggregate"),
-        "workers": stats.get("workers"),
-        "errors": len(errors),
-    }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        front = payload["frontdoor"] or {}
-        latency = front.get("latency_ms") or {}
-        print(
-            f"replayed {len(questions)} queries x {args.threads} client "
-            f"thread(s) over {args.workers} worker(s), mode={args.mode}"
-        )
-        print(
-            f"  frontdoor: {front.get('completed', 0)} completed, "
-            f"{front.get('failed', 0)} failed, "
-            f"{front.get('retried', 0)} retried"
-        )
-        if latency:
-            print(
-                f"  latency ms: p50 {latency.get('p50', 0):.2f}  "
-                f"p95 {latency.get('p95', 0):.2f}  "
-                f"p99 {latency.get('p99', 0):.2f}"
-            )
-        print(f"  store generation(s): {generations}")
-    if errors:
-        print(
-            f"{len(errors)} request error(s); first: {errors[0]}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _add_fleet_arguments(parser) -> None:
-    """Worker-fleet options shared by ``serve`` and ``net-bench``."""
-    parser.add_argument(
-        "--model", default=None,
-        help="trained model dir (repro build); omit for --synthetic",
-    )
-    parser.add_argument(
-        "--synthetic", action="store_true",
-        help="serve a deterministic synthetic bundle (no model needed)",
-    )
-    parser.add_argument("--synthetic-seed", type=int, default=29)
-    parser.add_argument("--synthetic-docs", type=int, default=48)
-    parser.add_argument(
-        "--synthetic-encoder", choices=("dyadic", "minibert"),
-        default="minibert",
-        help="synthetic bundle encoder (dyadic = exact/cheap)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="published artifact dir (store.json + embeddings/) to "
-        "memmap-attach; workers warm-start with zero encoder calls",
-    )
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes")
-    parser.add_argument(
-        "--no-multihop", action="store_true",
-        help="serve single-hop only (skip the updater/multihop stack)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="build an N-shard plan inside each worker",
-    )
-    parser.add_argument(
-        "--shard-mode", choices=("range", "centroid"), default="range",
-    )
-    parser.add_argument("--batch-size", type=int, default=16,
-                        help="per-worker micro-batch flush size")
-    parser.add_argument("--wait-ms", type=float, default=2.0,
-                        help="per-worker micro-batch window (ms)")
-    parser.add_argument("--cache-size", type=int, default=1024,
-                        help="per-worker result cache capacity (0 disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -726,64 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(func=cmd_lint)
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="replay queries through repro.serve from N client threads",
-    )
-    serve_bench.add_argument("--model", required=True)
-    serve_bench.add_argument(
-        "--queries", default=None, metavar="FILE",
-        help="query file, one question per line "
-        "(default: the model's own test questions)",
-    )
-    serve_bench.add_argument(
-        "--n", type=int, default=32,
-        help="test questions to use when --queries is not given",
-    )
-    serve_bench.add_argument("--threads", type=int, default=8,
-                             help="client threads replaying the queries")
-    serve_bench.add_argument("--k", type=int, default=3)
-    serve_bench.add_argument(
-        "--mode", choices=("single", "paths"), default="single",
-        help="single-hop document retrieval or multi-hop path retrieval",
-    )
-    serve_bench.add_argument("--batch-size", type=int, default=16,
-                             help="micro-batch flush size")
-    serve_bench.add_argument("--wait-ms", type=float, default=2.0,
-                             help="micro-batch window in milliseconds")
-    serve_bench.add_argument("--workers", type=int, default=1,
-                             help="service worker threads")
-    serve_bench.add_argument("--cache-size", type=int, default=1024,
-                             help="result cache capacity (0 disables)")
-    serve_bench.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="shard the scoring matrix into N shards before serving",
-    )
-    serve_bench.add_argument(
-        "--shard-mode", choices=("range", "centroid"), default="range",
-        help="document-to-shard assignment when --shards is given",
-    )
-    serve_bench.add_argument(
-        "--nprobe", type=int, default=None,
-        help="shards probed per request (default: all = exact)",
-    )
-    serve_bench.add_argument(
-        "--precision",
-        choices=("float64", "float32", "int8-rescore"),
-        default=None,
-        help="precision policy of every replayed request (default: the "
-        "retriever's own; int8-rescore requires --shards)",
-    )
-    serve_bench.add_argument(
-        "--rescore-width", type=int, default=64,
-        help="documents exactly rescored per query under int8-rescore",
-    )
-    serve_bench.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stats output format",
-    )
-    serve_bench.set_defaults(func=cmd_serve_bench)
-
     serve = sub.add_parser(
         "serve",
         help="serve retrieval over TCP: asyncio front door + N worker "
@@ -794,7 +442,45 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="front-door bind address (port 0 picks a free port)",
     )
-    _add_fleet_arguments(serve)
+    serve.add_argument(
+        "--model", default=None,
+        help="trained model dir (repro build); omit for --synthetic",
+    )
+    serve.add_argument(
+        "--synthetic", action="store_true",
+        help="serve a deterministic synthetic bundle (no model needed)",
+    )
+    serve.add_argument("--synthetic-seed", type=int, default=29)
+    serve.add_argument("--synthetic-docs", type=int, default=48)
+    serve.add_argument(
+        "--synthetic-encoder", choices=("dyadic", "minibert"),
+        default="minibert",
+        help="synthetic bundle encoder (dyadic = exact/cheap)",
+    )
+    serve.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="published artifact dir (store.json + embeddings/) to "
+        "memmap-attach; workers warm-start with zero encoder calls",
+    )
+    serve.add_argument("--workers", type=int, default=2,
+                       help="worker processes")
+    serve.add_argument(
+        "--no-multihop", action="store_true",
+        help="serve single-hop only (skip the updater/multihop stack)",
+    )
+    serve.add_argument(
+        "--shards", type=int, default=0, metavar="N",
+        help="build an N-shard plan inside each worker",
+    )
+    serve.add_argument(
+        "--shard-mode", choices=("range", "centroid"), default="range",
+    )
+    serve.add_argument("--batch-size", type=int, default=16,
+                       help="per-worker micro-batch flush size")
+    serve.add_argument("--wait-ms", type=float, default=2.0,
+                       help="per-worker micro-batch window (ms)")
+    serve.add_argument("--cache-size", type=int, default=1024,
+                       help="per-worker result cache capacity (0 disables)")
     serve.add_argument(
         "--watch-store", action="store_true",
         help="poll --store for new generations and hot-roll the fleet "
@@ -806,38 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(func=cmd_serve)
 
-    net_bench = sub.add_parser(
-        "net-bench",
-        help="replay queries through a local worker fleet over TCP",
-    )
-    _add_fleet_arguments(net_bench)
-    net_bench.add_argument(
-        "--queries", default=None, metavar="FILE",
-        help="query file, one question per line (default: the bundle's "
-        "own deterministic questions)",
-    )
-    net_bench.add_argument("--n", type=int, default=32,
-                           help="bundle questions to replay")
-    net_bench.add_argument("--threads", type=int, default=8,
-                           help="client threads")
-    net_bench.add_argument("--k", type=int, default=3)
-    net_bench.add_argument(
-        "--mode", choices=("single", "paths", "mixed"), default="mixed",
-        help="mixed interleaves multi-hop paths into the stream",
-    )
-    net_bench.add_argument(
-        "--nprobe", type=int, default=None,
-        help="shards probed per request (requires --shards)",
-    )
-    net_bench.add_argument(
-        "--precision",
-        choices=("float64", "float32", "int8-rescore"), default=None,
-        help="precision policy of every replayed request",
-    )
-    net_bench.add_argument(
-        "--format", choices=("text", "json"), default="text",
-    )
-    net_bench.set_defaults(func=cmd_net_bench)
     return parser
 
 

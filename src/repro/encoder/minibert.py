@@ -17,7 +17,7 @@ import numpy as np
 from repro.nn.infer import InferenceSession
 from repro.nn.serialize import load_weights, save_weights
 from repro.perf import COUNTERS, time_block
-from repro.precision import TRAINING_DTYPE, PrecisionLike, cast_matrix, resolve
+from repro.precision import TRAINING_DTYPE, PrecisionLike, resolve
 from repro.storage.atomic import atomic_write_bytes
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerEncoder
@@ -228,35 +228,6 @@ class MiniBertEncoder:
         pooled = np.einsum("bsd,bs->bd", hidden, weights)
         pooled /= totals
         return pooled
-
-    def encode_numpy_graph(
-        self, texts: Sequence[str], batch_size: int = 64
-    ) -> np.ndarray:
-        """The autograd-graph reference path for :meth:`encode_numpy`.
-
-        Kept for parity suites and the encoder throughput benchmark:
-        computes in ``TRAINING_DTYPE`` through :meth:`encode` and casts
-        to the precision dtype at the boundary — exactly what
-        ``encode_numpy`` did before the fused engine.
-        """
-        was_training = self.model.training
-        self.model.eval()
-        dtype = self.precision.dtype
-        try:
-            chunks = []
-            with time_block() as elapsed:
-                for start in range(0, len(texts), batch_size):
-                    chunk = texts[start : start + batch_size]
-                    chunks.append(cast_matrix(self.encode(chunk).numpy(), dtype))
-            COUNTERS.record_encode_tokens(
-                sum(len(self.text_to_ids(t)) for t in texts), elapsed()
-            )
-            return np.concatenate(chunks, axis=0) if chunks else np.zeros(
-                (0, self.config.dim), dtype=dtype
-            )
-        finally:
-            if was_training:
-                self.model.train()
 
     # -- persistence ---------------------------------------------------------
     def save(self, directory: Union[str, Path]) -> None:

@@ -220,13 +220,14 @@ def synthetic_bundle(
     )
 
 
-def model_dir_bundle(model_dir: str) -> ServingBundle:
-    """Bundle a trained ``repro build`` model directory for serving.
+def load_model_dir(model_dir: str):
+    """Load a ``repro build`` model directory: the one ``meta.json`` reader.
 
-    Mirrors the CLI's rebuild path: the world/corpus regenerate from the
-    persisted seed, then the trained system loads on top — so every
-    worker process converges on the same encoder weights and triple
-    store as the process that saved the model.
+    The world/corpus/dataset regenerate from the persisted seed, then
+    the trained system loads on top — so the CLI and every worker
+    process converge on the same encoder weights and triple store as the
+    process that saved the model. Returns ``(system, world, corpus,
+    dataset)``.
     """
     from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 
@@ -237,6 +238,12 @@ def model_dir_bundle(model_dir: str) -> ServingBundle:
     dataset = build_hotpot_dataset(world, corpus, **meta["dataset"])
     config = FrameworkConfig(encoder=EncoderConfig(**meta["encoder"]))
     system = TripleFactRetrieval.load(directory, corpus, config=config)
+    return system, world, corpus, dataset
+
+
+def model_dir_bundle(model_dir: str) -> ServingBundle:
+    """Bundle a trained ``repro build`` model directory for serving."""
+    system, _world, _corpus, dataset = load_model_dir(model_dir)
     return ServingBundle(
         encoder=system.retriever.encoder,
         store=system.retriever.store,

@@ -40,14 +40,42 @@ from repro.serve import merge_snapshots
 
 
 class _Inflight:
-    """One client request travelling through (possibly several) links."""
+    """One client request travelling through (possibly several) links.
 
-    __slots__ = ("payload", "future", "attempts")
+    ``deadline`` is the client's ``deadline_s`` stamped once, on arrival,
+    as an absolute loop time: time spent waiting for a live link or
+    being re-dispatched after a crash comes out of the request's budget
+    instead of restarting it at every hop.
+    """
 
-    def __init__(self, payload: Dict[str, Any], future: "asyncio.Future"):
+    __slots__ = ("payload", "future", "attempts", "deadline")
+
+    def __init__(
+        self,
+        payload: Dict[str, Any],
+        future: "asyncio.Future",
+        deadline: Optional[float] = None,
+    ):
         self.payload = payload
         self.future = future
         self.attempts = 0
+        self.deadline = deadline
+
+    def expired(self, now: float) -> bool:
+        """True once the budget is spent; settles the request as a
+        ``DeadlineExceeded`` error instead of letting it be sent late."""
+        if self.deadline is None or now < self.deadline:
+            return False
+        if not self.future.done():
+            self.future.set_result(
+                _error_payload(
+                    None,
+                    "DeadlineExceeded",
+                    "deadline passed in the front door before a worker "
+                    "could take the request",
+                )
+            )
+        return True
 
 
 def _error_payload(request_id: Any, kind: str, message: str) -> Dict[str, Any]:
@@ -80,12 +108,18 @@ class _WorkerLink:
 
     async def send(self, inflight: _Inflight) -> None:
         """Register then transmit; registration first, so a connection
-        that dies mid-write still re-dispatches this request."""
+        that dies mid-write still re-dispatches this request. A request
+        with a deadline carries only its *remaining* budget to the worker
+        and is not sent at all once that is gone."""
+        payload = inflight.payload
+        if inflight.deadline is not None:
+            now = asyncio.get_running_loop().time()
+            if inflight.expired(now):
+                return
+            payload = {**payload, "deadline_s": inflight.deadline - now}
         wire_id = next(self._ids)
         self.pending[wire_id] = inflight
-        await write_frame_async(
-            self._writer, {**inflight.payload, "id": wire_id}
-        )
+        await write_frame_async(self._writer, {**payload, "id": wire_id})
 
     async def _read_loop(self) -> None:
         try:
@@ -294,7 +328,7 @@ class FrontDoor:
                 )
             )
             return
-        deadline = self._loop.time() + self.dispatch_timeout_s
+        window_ends = self._loop.time() + self.dispatch_timeout_s
         while not inflight.future.done():
             link = self._pick_link()
             if link is not None:
@@ -305,7 +339,12 @@ class FrontDoor:
                     # retry; just take the link out of rotation
                     await self._link_lost(link)
                 return
-            remaining = deadline - self._loop.time()
+            now = self._loop.time()
+            if inflight.expired(now):
+                return
+            remaining = window_ends - now
+            if inflight.deadline is not None:
+                remaining = min(remaining, inflight.deadline - now)
             if remaining <= 0:
                 inflight.future.set_result(
                     _error_payload(
@@ -387,15 +426,24 @@ class FrontDoor:
             key: frame[key]
             for key in (
                 "op", "question", "mode", "k", "nprobe", "precision",
-                "deadline_s", "timeout_s",
+                "timeout_s",
             )
             if key in frame
         }
         payload.setdefault("op", "query")
         started = self._loop.time()
+        deadline = None
+        if frame.get("deadline_s") is not None:
+            try:
+                deadline = started + float(frame["deadline_s"])
+            except (TypeError, ValueError):
+                return _error_payload(
+                    None, "ValueError",
+                    f"deadline_s must be a number, got {frame['deadline_s']!r}",
+                )
         with self._counter_lock:
             self._submitted += 1
-        inflight = _Inflight(payload, self._loop.create_future())
+        inflight = _Inflight(payload, self._loop.create_future(), deadline)
         await self._dispatch(inflight)
         try:
             response = await asyncio.wait_for(

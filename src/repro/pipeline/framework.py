@@ -143,13 +143,7 @@ class TripleFactRetrieval:
         self, question: str, k: int = 8, rerank: bool = True
     ) -> List[DocumentPath]:
         """Multi-hop path retrieval; reranked when a ranker was trained."""
-        self._require_fit()
-        # over-generate candidates when a reranking stage follows
-        n_candidates = k * 4 if (rerank and self.ranker is not None) else k
-        paths = self.multihop.retrieve_paths(question, k_paths=n_candidates)
-        if rerank and self.ranker is not None:
-            return self.ranker.rerank(question, paths, k=k)
-        return paths[:k]
+        return self.retrieve_paths_many([question], k=k, rerank=rerank)[0]
 
     def retrieve_paths_many(
         self, questions: Sequence[str], k: int = 8, rerank: bool = True
@@ -164,6 +158,7 @@ class TripleFactRetrieval:
         questions = list(questions)
         if not questions:
             return []
+        # over-generate candidates when a reranking stage follows
         n_candidates = k * 4 if (rerank and self.ranker is not None) else k
         path_lists = self.multihop.retrieve_paths_batch(
             questions, k_paths=n_candidates

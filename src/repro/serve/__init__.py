@@ -9,8 +9,10 @@ The production-facing layer over the vectorized retrievers::
         paths = service.retrieve_paths("where was the founder born ?")
         print(service.stats_summary())
 
-See ``repro serve-bench`` for a CLI harness that replays a query file
-from many client threads and reports throughput/latency/cache stats.
+``repro serve`` puts this service behind a TCP front door
+(:mod:`repro.net`); ``benchmarks/e2e/run.py`` is the one load generator
+that measures it (``serve.*`` metrics on ``search_large`` and
+``paths_inproc``).
 """
 
 from repro.serve.batching import BatchQueue, PendingRequest

@@ -89,9 +89,6 @@ class PendingRequest:
         self._error = error
         self._done.set()
 
-    def done(self) -> bool:
-        return self._done.is_set()
-
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block until settled; raise the stored error on failure."""
         if not self._done.wait(timeout):

@@ -173,10 +173,6 @@ class ResultCache:
                 else:
                     self.stats.evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
 
 #: Public alias of the miss sentinel (``cache.get(k) is MISS``).
 MISS = _MISS

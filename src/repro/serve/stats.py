@@ -8,8 +8,8 @@ request latency percentiles over a bounded recent window
 ``time.perf_counter`` — the ``wall-clock-timing`` lint rule bans
 ``time.time`` for measurement in this package.
 
-``snapshot()`` is the machine-readable form (CLI ``--json``, benchmark
-payloads); ``summary()`` is the human block ``repro serve-bench`` prints.
+``snapshot()`` is the machine-readable form (the ``stats`` wire op,
+``benchmarks/e2e`` layer metrics); ``summary()`` is the human block.
 """
 
 from __future__ import annotations
@@ -72,17 +72,6 @@ class ServiceStats:
         self.latencies.record(latency_s)
 
     # -- reading ---------------------------------------------------------
-    @property
-    def rejected(self) -> int:
-        with self._lock:
-            return self.rejected_overload + self.rejected_deadline
-
-    def mean_batch_size(self) -> float:
-        with self._lock:
-            return (
-                self.batched_requests / self.batches if self.batches else 0.0
-            )
-
     def qps(self, now: Optional[float] = None) -> float:
         """Completed requests per second since the service started."""
         elapsed = (
@@ -121,7 +110,7 @@ class ServiceStats:
         return out
 
     def summary(self, cache_stats: Optional[dict] = None) -> str:
-        """Human-readable block (``repro serve-bench`` output)."""
+        """Human-readable block."""
         snap = self.snapshot(cache_stats)
         latency = snap["latency_ms"]
         lines = [

@@ -3,8 +3,9 @@
 Nothing here is imported by ``src/``: these are the slow, obviously
 correct forms of the paper's ranking (max-cosine over a document's triple
 facts, Eqs. 2-4) kept so the one search core has independent oracles —
-the scalar per-document loop the vectorized scorer replaced, and a
-brute-force numpy ranking that never touches a ``ShardPlan``.
+the scalar per-document loop the vectorized scorer replaced, a
+brute-force numpy ranking that never touches a ``ShardPlan``, and the
+autograd-graph encoder path the fused inference kernels replaced.
 """
 
 import numpy as np
@@ -110,3 +111,30 @@ def brute_force_rank(retriever, query_matrix, k, strategy):
             ]
         )
     return ranked
+
+
+def encode_numpy_graph(encoder, texts, batch_size=64):
+    """The autograd-graph reference for ``MiniBertEncoder.encode_numpy``.
+
+    Computes in the training dtype through the public ``encoder.encode``
+    (eval mode, fixed-order chunks, no length bucketing) and casts to the
+    precision dtype at the boundary — what ``encode_numpy`` did before
+    the fused engine.
+    """
+    dtype = encoder.precision.dtype
+    was_training = encoder.model.training
+    encoder.model.eval()
+    try:
+        chunks = [
+            np.asarray(
+                encoder.encode(texts[start : start + batch_size]).numpy(),
+                dtype=dtype,
+            )
+            for start in range(0, len(texts), batch_size)
+        ]
+    finally:
+        if was_training:
+            encoder.model.train()
+    if not chunks:
+        return np.zeros((0, encoder.config.dim), dtype=dtype)
+    return np.concatenate(chunks, axis=0)

@@ -17,7 +17,6 @@ import pytest
 from repro.analysis import (
     LintConfig,
     all_rule_ids,
-    lint_file,
     render_json,
     render_text,
     run_lint,
@@ -1160,9 +1159,8 @@ class TestFramework:
     def test_syntax_error_becomes_parse_error_finding(self, tmp_path):
         path = tmp_path / "broken.py"
         path.write_text("def broken(:\n", encoding="utf-8")
-        rules = _resolve_rules(None, None)
-        findings = lint_file(path, rules, LintConfig(root=tmp_path))
-        assert [f.rule_id for f in findings] == [PARSE_ERROR]
+        report = run_lint([path], config=LintConfig(root=tmp_path))
+        assert [f.rule_id for f in report.findings] == [PARSE_ERROR]
 
     def test_registry_descriptions_populated(self):
         for rule_id, rule_cls in REGISTRY.items():

@@ -1,26 +1,37 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import re
 import shlex
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import repro.cli
-from repro.cli import build_parser, cmd_demo, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
+        (subparsers,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        # the whole command set: adding or removing one must edit this
+        assert list(subparsers.choices) == [
+            "build", "ingest", "query", "eval", "demo", "lint", "serve"
+        ]
         for argv in (
             ["build", "--out", "x"],
+            ["ingest", "--out", "x"],
             ["query", "--model", "m", "question?"],
             ["eval", "--model", "m"],
             ["demo", "some text"],
             ["lint", "src"],
+            ["serve", "--synthetic"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
@@ -160,23 +171,11 @@ class _FakePath:
         return f"path[{self.text}]"
 
 
-class _StubRetriever:
-    def retrieve_many(self, questions, k=10, **kwargs):
-        return [[(question, k)] for question in questions]
-
-
-class _StubMultihop:
-    def retrieve_paths_batch(self, questions, k_paths=None):
-        return [[_FakePath(question)] for question in questions]
-
-
 class _StubSystem:
     """Duck-typed TripleFactRetrieval standing in for a trained model."""
 
     def __init__(self):
         self.batch_calls = []
-        self.retriever = _StubRetriever()
-        self.multihop = _StubMultihop()
 
     def retrieve_paths(self, question, k=8, rerank=True):
         return [_FakePath(question)]
@@ -189,11 +188,10 @@ class _StubSystem:
 @pytest.fixture()
 def stub_system(monkeypatch):
     system = _StubSystem()
-    dataset = SimpleNamespace(
-        test=[SimpleNamespace(text=f"dataset question {i} ?") for i in range(4)]
-    )
     monkeypatch.setattr(
-        repro.cli, "_rebuild", lambda model_dir: (system, None, None, dataset)
+        repro.cli,
+        "load_model_dir",
+        lambda model_dir: (system, None, None, None),
     )
     return system
 
@@ -249,101 +247,6 @@ class TestQueryBatch:
         assert "no queries" in capsys.readouterr().err
 
 
-class TestServeBench:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["serve-bench", "--model", "m"])
-        assert args.threads == 8
-        assert args.mode == "single"
-        assert args.batch_size == 16
-        assert args.wait_ms == 2.0
-        assert args.format == "text"
-
-    def test_replays_query_file(self, tmp_path, capsys, stub_system):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("q one ?\nq two ?\nq three ?\n", encoding="utf-8")
-        exit_code = main(
-            [
-                "serve-bench", "--model", "m", "--queries", str(queries),
-                "--threads", "3", "--cache-size", "0",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "replayed 3 queries x 3 client thread(s)" in out
-        assert "service stats:" in out
-        assert "qps" in out
-
-    def test_json_format_reports_full_snapshot(
-        self, tmp_path, capsys, stub_system
-    ):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("q one ?\nq two ?\n", encoding="utf-8")
-        exit_code = main(
-            [
-                "serve-bench", "--model", "m", "--queries", str(queries),
-                "--threads", "2", "--format", "json",
-            ]
-        )
-        assert exit_code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["submitted"] == 4
-        assert payload["completed"] == 4
-        assert payload["failed"] == 0
-        assert "latency_ms" in payload and "cache" in payload
-
-    def test_paths_mode_uses_multihop(self, tmp_path, capsys, stub_system):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("q one ?\n", encoding="utf-8")
-        exit_code = main(
-            [
-                "serve-bench", "--model", "m", "--queries", str(queries),
-                "--threads", "1", "--mode", "paths",
-            ]
-        )
-        assert exit_code == 0
-        assert "mode=paths" in capsys.readouterr().out
-
-    def test_falls_back_to_dataset_questions(self, capsys, stub_system):
-        exit_code = main(
-            ["serve-bench", "--model", "m", "--threads", "2", "--n", "3"]
-        )
-        assert exit_code == 0
-        assert "replayed 3 queries" in capsys.readouterr().out
-
-    def test_empty_query_file_rejected(self, tmp_path, capsys, stub_system):
-        queries = tmp_path / "empty.txt"
-        queries.write_text("", encoding="utf-8")
-        exit_code = main(
-            ["serve-bench", "--model", "m", "--queries", str(queries)]
-        )
-        assert exit_code == 2
-        assert "no queries" in capsys.readouterr().err
-
-    def test_json_records_run_metadata(self, tmp_path, capsys, stub_system):
-        """BENCH artifacts must be reproducible without side context."""
-        queries = tmp_path / "queries.txt"
-        queries.write_text("q one ?\nq two ?\n", encoding="utf-8")
-        exit_code = main(
-            [
-                "serve-bench", "--model", "m", "--queries", str(queries),
-                "--threads", "2", "--format", "json",
-            ]
-        )
-        assert exit_code == 0
-        payload = json.loads(capsys.readouterr().out)
-        run = payload["run"]
-        assert run["mode"] == "single"
-        assert run["queries"] == 2
-        assert run["threads"] == 2
-        # defaults are recorded as explicit nulls, not absent keys —
-        # consumers can rely on the schema being stable
-        assert run["precision"] is None
-        assert run["nprobe"] is None
-        assert run["shards"] == 0
-        assert run["shard_mode"] is None
-        assert "store_generation" in run
-
-
 class TestNetCommands:
     def test_parse_listen(self):
         from repro.cli import _parse_listen
@@ -360,17 +263,6 @@ class TestNetCommands:
         assert args.workers == 2
         assert args.synthetic
 
-    def test_net_bench_parser_defaults(self):
-        args = build_parser().parse_args(["net-bench", "--synthetic"])
-        assert args.threads == 8
-        assert args.n == 32
-        assert args.mode == "mixed"  # paths every 4th query
-        assert args.format == "text"
-
     def test_serve_requires_a_bundle_source(self, capsys):
         assert main(["serve"]) == 2
-        assert "--model DIR or --synthetic" in capsys.readouterr().err
-
-    def test_net_bench_requires_a_bundle_source(self, capsys):
-        assert main(["net-bench"]) == 2
         assert "--model DIR or --synthetic" in capsys.readouterr().err

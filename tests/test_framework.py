@@ -46,6 +46,24 @@ class TestFramework:
         scores = [p.score for p in paths]
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("rerank", [True, False])
+    def test_batch_matches_single_calls(self, system, hotpot, rerank):
+        questions = [q.text for q in hotpot.test[:2]]
+        batch = system.retrieve_paths_many(questions, k=4, rerank=rerank)
+        singles = [
+            system.retrieve_paths(q, k=4, rerank=rerank) for q in questions
+        ]
+        assert len(batch) == 2
+        for batch_paths, single_paths in zip(batch, singles):
+            assert [p.doc_ids for p in batch_paths] == [
+                p.doc_ids for p in single_paths
+            ]
+            # the default policy scores in float32: batch padding moves
+            # a summed two-hop score by a few float32 ulps (~1e-7)
+            assert [p.score for p in batch_paths] == pytest.approx(
+                [p.score for p in single_paths], abs=1e-5
+            )
+
     def test_unfit_raises(self):
         with pytest.raises(RuntimeError):
             TripleFactRetrieval().retrieve_documents("question")

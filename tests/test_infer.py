@@ -17,10 +17,13 @@ The load-bearing claims:
   1/2/4 shards.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import encode_numpy_graph
 
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.nn import SGD, InferenceSession, Module, TransformerEncoder
@@ -271,7 +274,7 @@ class TestLengthBucketing:
             precision=mode,
         )
         fused = encoder.encode_numpy(SENTENCES, batch_size=3)
-        graph = encoder.encode_numpy_graph(SENTENCES, batch_size=3)
+        graph = encode_numpy_graph(encoder, SENTENCES, batch_size=3)
         assert fused.dtype == graph.dtype
         if mode == "float64":
             np.testing.assert_allclose(fused, graph, atol=1e-6)
@@ -288,7 +291,7 @@ class TestLengthBucketing:
             precision="float64",
         )
         fused = encoder.encode_numpy(SENTENCES, batch_size=2)
-        graph = encoder.encode_numpy_graph(SENTENCES, batch_size=2)
+        graph = encode_numpy_graph(encoder, SENTENCES, batch_size=2)
         np.testing.assert_allclose(fused, graph, atol=1e-6)
 
     def test_session_rebakes_after_fit_idf_weight_change(
@@ -352,7 +355,7 @@ class TestDownstreamTopkParity:
     ):
         graph_encoder, fused_encoder = _twin_encoders(vocab, store, corpus)
         # force the reference path on one retriever's encoder
-        graph_encoder.encode_numpy = graph_encoder.encode_numpy_graph
+        graph_encoder.encode_numpy = partial(encode_numpy_graph, graph_encoder)
         graph_retriever = SingleRetriever(graph_encoder, store)
         graph_retriever.refresh_embeddings()
         fused_retriever = SingleRetriever(fused_encoder, store)

@@ -28,6 +28,7 @@ from repro.ingest import EMBEDDINGS_DIR, STORE_NAME
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
 from repro.net import (
     Fleet,
+    NetRequestError,
     WorkerSpec,
     canonical_json,
     publish_store,
@@ -411,3 +412,63 @@ def test_worker_kill_mid_traffic_recovers_byte_identically(tmp_path):
     for mode, question, generation, payload in stream.responses:
         assert generation == 1
         assert payload == expected[(mode, question)]
+
+
+def test_front_door_wait_is_charged_to_the_request_deadline(tmp_path):
+    """``deadline_s`` is one budget from arrival at the front door.
+
+    With the only worker dead, a request waits in ``_dispatch`` for the
+    respawn; that wait used to be handed back (the worker restarted the
+    relative clock on arrival), so a 0.2 s request succeeded a whole
+    health tick late.
+    """
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    question = bundle.questions[0]
+    health_interval_s = 1.0
+    with Fleet(
+        _spec(store_dir), workers=1, health_interval_s=health_interval_s
+    ) as fleet:
+        with fleet.client() as client:
+            malformed = client.request(
+                {"op": "query", "question": question, "deadline_s": "soon"}
+            )
+            assert malformed["error"]["type"] == "ValueError"
+            # killed right after start(): the first health tick (and so
+            # the respawn) is a full interval away, well past the budget
+            fleet.supervisor.handles()[0].process.kill()
+            started = time.monotonic()
+            with pytest.raises(NetRequestError) as failure:
+                client.retrieve(question, k=3, deadline_s=0.2)
+            elapsed = time.monotonic() - started
+            assert failure.value.kind == "DeadlineExceeded"
+            assert elapsed < 0.2 + health_interval_s
+            # the fleet itself recovers: no deadline, so this one waits
+            # out the respawn and is answered
+            assert client.retrieve(question, k=3)
+        assert fleet.supervisor.restarts == 1
+
+
+def test_watch_store_rolls_the_fleet_without_a_reload_op(tmp_path):
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    with Fleet(
+        _spec(store_dir), workers=2, watch_store=True,
+        health_interval_s=0.05,
+    ) as fleet:
+        # same content republished: a poll landing between the matrix
+        # and store.json writes still reads one consistent store
+        assert publish_store(bundle, store_dir) == 2
+        generations = []
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and generations != [2, 2]:
+            time.sleep(0.02)
+            with fleet.client() as client:
+                generations = [
+                    w["generation"] for w in client.stats()["workers"]
+                ]
+        assert generations == [2, 2]
+        time.sleep(0.2)  # further polls see nothing newer: no second roll
+        assert fleet.supervisor.rollouts == 1

@@ -11,14 +11,13 @@ micro-batch coalescing instead of hiding behind a tolerance.
 
 import threading
 import time
-import zlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity
+from repro.net.bootstrap import DyadicEncoder
 from repro.oie.triple import Triple
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore
@@ -36,30 +35,6 @@ from repro.serve import (
 N_DOCS = 60
 TRIPLES_PER_DOC = 4
 DIM = 32
-
-
-class DyadicEncoder:
-    """Deterministic encoder whose cosines are exact dyadic rationals."""
-
-    def __init__(self, dim: int = DIM, nonzeros: int = 16):
-        self.config = SimpleNamespace(dim=dim)
-        self.nonzeros = nonzeros
-
-    def encode_numpy(self, texts, batch_size: int = 64) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.config.dim))
-        rows = []
-        for text in texts:
-            rng = np.random.RandomState(
-                zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
-            )
-            vec = np.zeros(self.config.dim)
-            index = rng.choice(
-                self.config.dim, size=self.nonzeros, replace=False
-            )
-            vec[index] = rng.choice([-1.0, 1.0], size=self.nonzeros)
-            rows.append(vec)
-        return np.stack(rows)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +64,7 @@ def serve_retriever():
     store = TripleStore(Corpus(documents))
     for doc_id, triples in rows.items():
         store.put(doc_id, triples)
-    retriever = SingleRetriever(DyadicEncoder(), store)
+    retriever = SingleRetriever(DyadicEncoder(dim=DIM), store)
     retriever.refresh_embeddings()
     return retriever
 

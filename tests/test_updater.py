@@ -4,6 +4,7 @@ composition and the learned clue selector."""
 import numpy as np
 import pytest
 
+from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.oie.triple import Triple
 from repro.updater.golden import (
     golden_expansion_terms,
@@ -114,6 +115,38 @@ class TestUpdaterTraining:
         examples = trainer.build_examples(hotpot.train[:15], corpus, store)
         losses = trainer.train(examples)
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("train_encoder", [False, True])
+    def test_embedding_block_formulation_trains(
+        self, vocab, hotpot, corpus, store, train_encoder
+    ):
+        """``scalars_only=False`` is the paper's own ``enc(q ⊕ t_i)`` input
+        (Sec. III-C); ``train_encoder`` backpropagates through it."""
+        # a private encoder: train_encoder=True updates its weights
+        encoder = MiniBertEncoder(
+            vocab, EncoderConfig(dim=16, n_layers=1, n_heads=2, max_len=32)
+        )
+        updater = QuestionUpdater(
+            encoder,
+            UpdaterConfig(
+                epochs=1, scalars_only=False, train_encoder=train_encoder
+            ),
+        )
+        assert updater.head.weight.data.shape[0] == 2 * 16 + 4
+        trainer = UpdaterTrainer(updater)
+        examples = trainer.build_examples(hotpot.train[:30], corpus, store)[:3]
+        assert len(examples) == 3
+        before = [p.data.copy() for p in encoder.model.parameters()]
+        losses = trainer.train(examples)
+        assert len(losses) == 1 and np.isfinite(losses[0])
+        moved = any(
+            not np.array_equal(old, p.data)
+            for old, p in zip(before, encoder.model.parameters())
+        )
+        assert moved == train_encoder
+        question, triples, _gold = examples[0]
+        index, clue = updater.select_clue(question, triples)
+        assert 0 <= index < len(triples) and triples[index] is clue
 
     def test_trained_selector_beats_chance(self, encoder, hotpot, corpus, store):
         updater = QuestionUpdater(encoder, UpdaterConfig(epochs=4, lr=5e-3))
