@@ -262,11 +262,14 @@ def publish_store(
 ) -> int:
     """Publish a store generation the way ``repro ingest`` lays it out.
 
-    Writes ``store.json`` (the triple sets) and ``embeddings/`` (the
-    versioned matrix manifest) under ``out_dir`` and returns the new
-    generation number. Saving into a directory that already holds a
-    generation bumps the counter — this is the hot-reload publish event
-    the supervisor watches for.
+    Writes ``store.json`` (the triple sets) and then ``embeddings/`` (the
+    versioned matrix manifest) under ``out_dir`` — the order of
+    ``IngestPipeline.run``, so the manifest's atomic rename, the write a
+    ``--watch-store`` poll reads the generation from, is the last one:
+    whoever sees the new generation finds the triples that go with it.
+    Returns the new generation number. Saving into a directory that
+    already holds a generation bumps the counter — this is the
+    hot-reload publish event the supervisor watches for.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -274,6 +277,6 @@ def publish_store(
     retriever = bundle.make_retriever(active)
     retriever.refresh_embeddings()
     embeddings = retriever.export_embeddings()
-    embeddings.save(out / EMBEDDINGS_DIR)
     active.save(out / STORE_NAME)
+    embeddings.save(out / EMBEDDINGS_DIR)
     return embeddings.generation

@@ -6,6 +6,13 @@ candidate the question updater selects an updater-clue triple and composes
 sum of its per-hop scores (paper Eq. 8) — the "Triple-fact Retrieval-base"
 configuration. Rescoring the resulting candidate paths with the path
 ranking model gives the full "Triple-fact Retrieval".
+
+The encoder runs twice per call, whatever the batch and beam sizes: once
+over the questions, once over the clue texts. Clue selection needs
+cos(question, triple) for every triple of every beam document, and hop 1's
+matmul already computed exactly those against the stored rows (the paper
+encodes each triple fact once, offline), so hop 1 keeps its flat triple
+scores and the updater reads them instead of encoding anything.
 """
 
 from __future__ import annotations
@@ -78,6 +85,12 @@ class MultiHopRetriever:
         updater: QuestionUpdater,
         config: Optional[MultiHopConfig] = None,
     ):
+        if updater.encoder is not retriever.encoder:
+            # hop 1's triple cosines stand in for the updater's own, and
+            # v(q) + clue_weight * v(clue) mixes the two: one space only
+            raise ValueError(
+                "updater and retriever must share one encoder object"
+            )
         self.retriever = retriever
         self.updater = updater
         self.config = config or MultiHopConfig()
@@ -133,12 +146,15 @@ class MultiHopRetriever:
         """Path retrieval for many questions with batch-amortized stages.
 
         The serving layer's substrate: all questions encode in one pass,
-        hop 1 runs as one :meth:`SingleRetriever.retrieve_batch` matmul,
-        every clue text across every question encodes as one batch, and
-        the hop-2 queries of *all* questions run as one further
-        ``retrieve_batch`` call. Per-question results are identical to
-        :meth:`retrieve_paths` up to encoder batch-padding float jitter
-        (~1e-16); with a batch-invariant encoder they are exact.
+        hop 1 runs as one :meth:`SingleRetriever.retrieve_batch` matmul
+        whose flat triple scores are the ``cosines`` of every beam
+        document's ``select_clue`` call, every clue text across every
+        question encodes as one batch, and the hop-2 queries of *all*
+        questions run as one further ``retrieve_batch`` call — two
+        encoder calls and two scoring calls in all. Per-question results
+        are identical to :meth:`retrieve_paths` up to encoder
+        batch-padding float jitter (~1e-16); with a batch-invariant
+        encoder they are exact.
 
         ``nprobe`` and ``precision`` are forwarded to both hops'
         ``retrieve_batch`` calls, so a quantized policy prunes *both*
@@ -154,7 +170,11 @@ class MultiHopRetriever:
             return [[] for _ in questions]
         question_matrix = self.retriever.encode_questions(questions)
         hop1_lists = self.retriever.retrieve_batch(
-            question_matrix, k=cfg.k_hop1, nprobe=nprobe, precision=precision
+            question_matrix,
+            k=cfg.k_hop1,
+            keep_triple_scores=True,
+            nprobe=nprobe,
+            precision=precision,
         )
         # select every (question, hop-1 candidate) clue first so all clue
         # texts across the whole batch encode as one encoder pass
@@ -163,19 +183,17 @@ class MultiHopRetriever:
         clue_texts: List[str] = []
         clue_rows: List[int] = []  # global hop-2 row indices
         clue_sources: List[int] = []  # question index per clue row
-        blocks: List[np.ndarray] = []
         cursor = 0
         for qi, (question, hop1_results) in enumerate(
             zip(questions, hop1_lists)
         ):
-            blocks.append(
-                np.tile(question_matrix[qi], (len(hop1_results), 1))
-            )
             clues: List[Optional[Triple]] = []
             updated_questions: List[str] = []
             for row, hop1 in enumerate(hop1_results):
                 triples = self.retriever.store.triples(hop1.doc_id)
-                selected = self.updater.select_clue(question, triples)
+                selected = self.updater.select_clue(
+                    question, triples, cosines=hop1.triple_scores
+                )
                 clue = selected[1] if selected else None
                 clues.append(clue)
                 if clue is None:
@@ -190,10 +208,9 @@ class MultiHopRetriever:
             clues_per_q.append(clues)
             updated_per_q.append(updated_questions)
             cursor += len(hop1_results)
-        hop2_matrix = (
-            np.concatenate(blocks)
-            if cursor
-            else np.zeros((0, question_matrix.shape[1]))
+        # one hop-2 row per beam document, starting as its question
+        hop2_matrix = np.repeat(
+            question_matrix, [len(results) for results in hop1_lists], axis=0
         )
         if clue_texts:
             clue_matrix = self.retriever.encode_questions(clue_texts)

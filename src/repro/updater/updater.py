@@ -8,7 +8,10 @@ encoder's representation of ``q ⊕ t_i`` produces the clue score, trained
 listwise so the gold clue (the triple whose concatenation is most similar
 to the ground ``q'`` — exactly the paper's training-time criterion)
 outranks its siblings. At inference no ``q'`` is needed: the head alone
-scores the candidates in O(|T_d|).
+scores the candidates in O(|T_d|) — and, inside the multi-hop pipeline,
+without an encoder call: the one feature that needs embeddings,
+cos(enc(t_i), enc(q)), is what hop 1 already scored, so
+:meth:`QuestionUpdater.select_clue` takes it as ``cosines``.
 """
 
 from __future__ import annotations
@@ -75,20 +78,37 @@ class QuestionUpdater:
     def _concat_texts(self, question: str, triples: Sequence[Triple]) -> List[str]:
         return [f"{question} {t.flatten()}" for t in triples]
 
+    def _question_cosines(
+        self, question: str, triple_vecs: np.ndarray
+    ) -> np.ndarray:
+        """cos(enc(t), enc(q)) per row of ``triple_vecs``: the reference
+        form of the third novelty scalar, for callers without hop-1 scores."""
+        question_vec = l2_normalize_vec(self.encoder.encode_numpy([question])[0])
+        return l2_normalize_rows(triple_vecs) @ question_vec
+
     def _scalar_features(
-        self, question: str, triples: Sequence[Triple]
+        self,
+        question: str,
+        triples: Sequence[Triple],
+        cosines: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """(n, 4) novelty statistics per candidate triple.
 
         [idf-weighted novelty fraction, novel capitalized tokens,
         cos(enc(t), enc(q)), normalized triple length]
+
+        ``cosines`` is the third column when the caller already holds it
+        (see :meth:`select_clue`); without it the question and the
+        triples are encoded here.
         """
         vocab = self.encoder.vocab
         weights = self.encoder._token_weights
         question_tokens = set(tokenize(question))
-        question_vec = l2_normalize_vec(self.encoder.encode_numpy([question])[0])
-        triple_vecs = self.encoder.encode_numpy([t.flatten() for t in triples])
-        cosines = l2_normalize_rows(triple_vecs) @ question_vec
+        if cosines is None:
+            cosines = self._question_cosines(
+                question,
+                self.encoder.encode_numpy([t.flatten() for t in triples]),
+            )
         rows = []
         for i, triple in enumerate(triples):
             tokens = tokenize(triple.flatten())
@@ -113,31 +133,66 @@ class QuestionUpdater:
             )
         return np.asarray(rows)
 
-    def _features(self, question: str, triples: Sequence[Triple]) -> np.ndarray:
+    def _features(
+        self,
+        question: str,
+        triples: Sequence[Triple],
+        cosines: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Feature matrix for the candidate triples (see ``scalars_only``)."""
-        scalars = self._scalar_features(question, triples)
         if self.config.scalars_only:
-            return scalars
-        concat = self.encoder.encode_numpy(self._concat_texts(question, triples))
+            return self._scalar_features(question, triples, cosines)
+        # the enc(t) block and the cosine scalar share one encoding
         triple_vecs = self.encoder.encode_numpy([t.flatten() for t in triples])
+        if cosines is None:
+            cosines = self._question_cosines(question, triple_vecs)
+        scalars = self._scalar_features(question, triples, cosines)
+        concat = self.encoder.encode_numpy(self._concat_texts(question, triples))
         return np.concatenate([concat, triple_vecs, scalars], axis=1)
 
     def score_triples(
-        self, question: str, triples: Sequence[Triple]
+        self,
+        question: str,
+        triples: Sequence[Triple],
+        *,
+        cosines: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Clue scores for every candidate triple (no gradients)."""
+        """Clue scores for every candidate triple (no gradients).
+
+        ``cosines`` — shape ``(len(triples),)``, cos(enc(t_i), enc(q)) in
+        ``triples`` order — is the one feature that needs the encoder. A
+        caller that already scored the question against these triples
+        (hop 1 did: ``RetrievedDocument.triple_scores``) hands it in and
+        no text is encoded; without it the question and the triples are
+        encoded here, which is the reference the handed-in form is
+        tested against.
+        """
+        if cosines is not None:
+            cosines = np.asarray(cosines)
+            if cosines.shape != (len(triples),):
+                raise ValueError(
+                    f"cosines has shape {cosines.shape}, expected "
+                    f"({len(triples)},): one per candidate triple"
+                )
         if not triples:
             return np.zeros(0)
-        features = self._features(question, triples)
+        features = self._features(question, triples, cosines)
         return (features @ self.head.weight.data).reshape(-1) + float(
             self.head.bias.data[0]
         )
 
     def select_clue(
-        self, question: str, triples: Sequence[Triple]
+        self,
+        question: str,
+        triples: Sequence[Triple],
+        *,
+        cosines: Optional[np.ndarray] = None,
     ) -> Optional[Tuple[int, Triple]]:
-        """The best clue triple (index, triple), or None without candidates."""
-        scores = self.score_triples(question, triples)
+        """The best clue triple (index, triple), or None without candidates.
+
+        ``cosines`` as in :meth:`score_triples`.
+        """
+        scores = self.score_triples(question, triples, cosines=cosines)
         if scores.size == 0:
             return None
         index = int(scores.argmax())

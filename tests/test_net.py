@@ -28,6 +28,7 @@ from repro.ingest import EMBEDDINGS_DIR, STORE_NAME
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
 from repro.net import (
     Fleet,
+    NetClient,
     NetRequestError,
     WorkerSpec,
     canonical_json,
@@ -184,6 +185,27 @@ def test_publish_store_bumps_generation(tmp_path):
     # identical content republished is still a new publish event
     assert publish_store(bundle, out) == 2
     assert store_generation(out) == 2
+
+
+def test_publish_store_writes_the_embeddings_manifest_last(
+    tmp_path, monkeypatch
+):
+    """Whoever reads the new generation finds its triples in store.json."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    out = tmp_path / "store"
+    publish_store(bundle, out)
+    alt = _alternate_store(bundle)
+    triples_already_new = []
+    save_embeddings = EmbeddingStore.save
+
+    def checked_save(self, directory):
+        on_disk = TripleStore.load(out / STORE_NAME, bundle.corpus)
+        triples_already_new.append(on_disk.triples(0) == alt.triples(0))
+        return save_embeddings(self, directory)
+
+    monkeypatch.setattr(EmbeddingStore, "save", checked_save)
+    assert publish_store(bundle, out, store=alt) == 2
+    assert triples_already_new == [True]
 
 
 def test_poll_and_worker_agree_when_both_manifests_exist(tmp_path):
@@ -454,13 +476,16 @@ def test_watch_store_rolls_the_fleet_without_a_reload_op(tmp_path):
     bundle = synthetic_bundle(**BUNDLE_KWARGS)
     store_dir = tmp_path / "store"
     publish_store(bundle, store_dir)
+    question = bundle.questions[0]
     with Fleet(
         _spec(store_dir), workers=2, watch_store=True,
         health_interval_s=0.05,
     ) as fleet:
-        # same content republished: a poll landing between the matrix
-        # and store.json writes still reads one consistent store
-        assert publish_store(bundle, store_dir) == 2
+        # changed content: the embeddings manifest is publish_store's last
+        # write, so a poll that reads generation 2 from it finds
+        # generation 2's triples already in store.json
+        alt = _alternate_store(bundle)
+        assert publish_store(bundle, store_dir, store=alt) == 2
         generations = []
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline and generations != [2, 2]:
@@ -472,3 +497,16 @@ def test_watch_store_rolls_the_fleet_without_a_reload_op(tmp_path):
         assert generations == [2, 2]
         time.sleep(0.2)  # further polls see nothing newer: no second roll
         assert fleet.supervisor.rollouts == 1
+        answers = []
+        for handle in fleet.supervisor.handles():  # each worker, directly
+            with NetClient(handle.address) as client:
+                answers.append(client.query_raw(question, mode="single", k=3))
+    assert len(answers) == 2
+    expected = _expected_wire(bundle, store_dir, [question])
+    for answer in answers:
+        # new rows scored against new triples, never against old ones
+        assert answer["generation"] == 2
+        assert (
+            canonical_json(answer["results"])
+            == expected[("single", question)]
+        )
