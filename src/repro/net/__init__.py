@@ -44,7 +44,6 @@ from repro.net.protocol import (
     results_to_wire,
     send_frame,
     wire_to_results,
-    write_frame_async,
 )
 from repro.net.supervisor import (
     Supervisor,
@@ -132,5 +131,4 @@ __all__ = [
     "wire_to_results",
     "worker_control",
     "worker_main",
-    "write_frame_async",
 ]

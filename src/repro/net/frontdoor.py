@@ -2,15 +2,31 @@
 
 Clients speak the same length-prefixed JSON protocol the workers do; the
 front door multiplexes every client request onto per-worker links
-(least-pending routing), matches responses by wire id, and measures true
-end-to-end latency in its own reservoir — the authoritative p50/p95/p99
-for the fleet, since per-worker percentiles cannot be merged exactly.
+(least-pending routing) and measures true end-to-end latency in its own
+reservoir — the authoritative p50/p95/p99 for the fleet, since
+per-worker percentiles cannot be merged exactly.
+
+**A query reply is relayed, not re-encoded.** A worker answers one
+connection strictly in the order its requests arrived (its writer thread
+settles deferred replies first-in first-out — a guarantee of
+:mod:`repro.net.worker`, pinned by a test), so a link matches replies to
+requests with a FIFO and never reads them: the client's own ``id``
+travels to the worker, comes back inside the reply body, and the body is
+written to the client as the bytes the worker sent. The single loop
+thread therefore does no ``json.loads`` / ``json.dumps`` of a 2.4 KiB
+result per request; the ``completed`` / ``failed`` counters read the
+canonical body's first key (:func:`~repro.net.protocol.is_error_body`).
+A reply that arrives with nothing outstanding means the two sides have
+lost count, and the link is closed like any broken one. Only the control
+ops (``stats``, ``reload``, ``ping``) are decoded and built here.
 
 **Crash recovery.** A lost worker link re-dispatches that link's
 in-flight requests onto surviving workers (bounded attempts). Queries
 are idempotent reads — the dead worker never answered them, so a retry
 can change nothing but latency; a retried request therefore returns the
-byte-identical response the dead worker would have produced. Requests
+byte-identical response the dead worker would have produced (the reply
+is a function of the request, id included, and the store generation —
+nothing the front door adds). Requests
 that exhaust their attempts (or find no live worker within the dispatch
 window) fail with an explicit ``worker-unavailable`` error rather than
 hanging.
@@ -25,14 +41,19 @@ processes) runs in the default executor.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.protocol import (
     ProtocolError,
+    canonical_json,
+    decode_body,
+    encode_frame,
+    frame_body,
+    is_error_body,
+    read_body_async,
     read_frame_async,
-    write_frame_async,
 )
 from repro.net.supervisor import Supervisor, WorkerHandle
 from repro.perf import LatencyReservoir
@@ -40,12 +61,15 @@ from repro.serve import merge_snapshots
 
 
 class _Inflight:
-    """One client request travelling through (possibly several) links.
+    """One request travelling through (possibly several) links.
 
-    ``deadline`` is the client's ``deadline_s`` stamped once, on arrival,
-    as an absolute loop time: time spent waiting for a live link or
-    being re-dispatched after a crash comes out of the request's budget
-    instead of restarting it at every hop.
+    ``payload`` is the frame sent to a worker, the client's ``id``
+    included; ``future`` resolves to the reply *body* — a worker's bytes,
+    or an error reply the front door made itself. ``deadline`` is the
+    client's ``deadline_s`` stamped once, on arrival, as an absolute loop
+    time: time spent waiting for a live link or being re-dispatched after
+    a crash comes out of the request's budget instead of restarting it at
+    every hop.
     """
 
     __slots__ = ("payload", "future", "attempts", "deadline")
@@ -53,7 +77,7 @@ class _Inflight:
     def __init__(
         self,
         payload: Dict[str, Any],
-        future: "asyncio.Future",
+        future: "asyncio.Future[bytes]",
         deadline: Optional[float] = None,
     ):
         self.payload = payload
@@ -61,20 +85,23 @@ class _Inflight:
         self.attempts = 0
         self.deadline = deadline
 
+    def fail(self, kind: str, message: str) -> None:
+        """Settle with a front-door-made error reply, unless settled."""
+        if not self.future.done():
+            self.future.set_result(
+                _error_body(self.payload.get("id"), kind, message)
+            )
+
     def expired(self, now: float) -> bool:
         """True once the budget is spent; settles the request as a
         ``DeadlineExceeded`` error instead of letting it be sent late."""
         if self.deadline is None or now < self.deadline:
             return False
-        if not self.future.done():
-            self.future.set_result(
-                _error_payload(
-                    None,
-                    "DeadlineExceeded",
-                    "deadline passed in the front door before a worker "
-                    "could take the request",
-                )
-            )
+        self.fail(
+            "DeadlineExceeded",
+            "deadline passed in the front door before a worker could take "
+            "the request",
+        )
         return True
 
 
@@ -86,6 +113,10 @@ def _error_payload(request_id: Any, kind: str, message: str) -> Dict[str, Any]:
     }
 
 
+def _error_body(request_id: Any, kind: str, message: str) -> bytes:
+    return canonical_json(_error_payload(request_id, kind, message))
+
+
 class _WorkerLink:
     """One multiplexed connection to one worker incarnation."""
 
@@ -93,8 +124,9 @@ class _WorkerLink:
         self.frontdoor = frontdoor
         self.handle = handle
         self.key = (handle.slot, handle.incarnation)
-        self.pending: Dict[int, _Inflight] = {}
-        self._ids = itertools.count(1)
+        #: requests written to the worker and not yet answered, oldest
+        #: first — the worker replies in exactly this order
+        self.pending: Deque[_Inflight] = deque()
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._task: Optional[asyncio.Task] = None
@@ -117,19 +149,21 @@ class _WorkerLink:
             if inflight.expired(now):
                 return
             payload = {**payload, "deadline_s": inflight.deadline - now}
-        wire_id = next(self._ids)
-        self.pending[wire_id] = inflight
-        await write_frame_async(self._writer, {**payload, "id": wire_id})
+        frame = encode_frame(payload)
+        # no await between these two: the FIFO's order is the wire's order
+        self.pending.append(inflight)
+        self._writer.write(frame)
+        await self._writer.drain()
 
     async def _read_loop(self) -> None:
         try:
             while True:
-                frame = await read_frame_async(self._reader)
-                if frame is None:
-                    break
-                inflight = self.pending.pop(frame.get("id"), None)
-                if inflight is not None and not inflight.future.done():
-                    inflight.future.set_result(frame)
+                body = await read_body_async(self._reader)
+                if body is None or not self.pending:
+                    break  # EOF, or a reply nobody is waiting for
+                inflight = self.pending.popleft()
+                if not inflight.future.done():
+                    inflight.future.set_result(body)
         except (ProtocolError, ConnectionError, OSError):
             pass  # lint: ignore[except-pass] -- link loss IS the signal; finally redispatches
         finally:
@@ -183,6 +217,8 @@ class FrontDoor:
         self._failed = 0
         self._retried = 0
         self._links: Dict[Tuple[int, int], _WorkerLink] = {}
+        #: open client connections and the task serving each (loop thread)
+        self._clients: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._links_changed: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -267,6 +303,14 @@ class FrontDoor:
         finally:
             self._server.close()
             await self._server.wait_closed()
+            # end client handlers on EOF rather than leave them for
+            # asyncio.run's teardown to cancel, which 3.11 logs as an
+            # error once per connection
+            handlers = list(self._clients.values())
+            for writer in list(self._clients):
+                writer.close()
+            if handlers:
+                await asyncio.wait(handlers, timeout=5.0)
             for link in list(self._links.values()):
                 await link.close()
             self._links.clear()
@@ -299,7 +343,7 @@ class FrontDoor:
         await self._redispatch_orphans(link)
 
     async def _redispatch_orphans(self, link: _WorkerLink) -> None:
-        orphans = list(link.pending.values())
+        orphans = list(link.pending)
         link.pending.clear()
         for inflight in orphans:
             if inflight.future.done():
@@ -320,12 +364,9 @@ class FrontDoor:
             return
         inflight.attempts += 1
         if inflight.attempts > self.max_attempts:
-            inflight.future.set_result(
-                _error_payload(
-                    None,
-                    "worker-unavailable",
-                    f"request failed on {self.max_attempts} workers",
-                )
+            inflight.fail(
+                "worker-unavailable",
+                f"request failed on {self.max_attempts} workers",
             )
             return
         window_ends = self._loop.time() + self.dispatch_timeout_s
@@ -346,12 +387,9 @@ class FrontDoor:
             if inflight.deadline is not None:
                 remaining = min(remaining, inflight.deadline - now)
             if remaining <= 0:
-                inflight.future.set_result(
-                    _error_payload(
-                        None,
-                        "worker-unavailable",
-                        "no live worker within the dispatch window",
-                    )
+                inflight.fail(
+                    "worker-unavailable",
+                    "no live worker within the dispatch window",
                 )
                 return
             self._links_changed.clear()
@@ -366,6 +404,7 @@ class FrontDoor:
     async def _client_connected(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._clients[writer] = asyncio.current_task()
         write_lock = asyncio.Lock()
         tasks: set = set()
         try:
@@ -381,6 +420,7 @@ class FrontDoor:
         except (ProtocolError, ConnectionError, OSError):
             pass  # lint: ignore[except-pass] -- client disconnect ends the loop; finally cancels
         finally:
+            del self._clients[writer]
             for task in list(tasks):
                 task.cancel()
             writer.close()
@@ -392,16 +432,16 @@ class FrontDoor:
         write_lock: asyncio.Lock,
     ) -> None:
         if not isinstance(frame, dict):
-            response: Dict[str, Any] = _error_payload(
+            body = _error_body(
                 None, "ProtocolError", "request frame must be a JSON object"
             )
+        elif frame.get("op", "query") == "query":
+            body = await self._serve_query(frame)
         else:
-            op = frame.get("op", "query")
+            op = frame["op"]
             client_id = frame.get("id")
-            if op == "query":
-                response = await self._serve_query(frame)
-            elif op == "ping":
-                response = {
+            if op == "ping":
+                response: Dict[str, Any] = {
                     "ok": True,
                     "op": "ping",
                     "workers": len(self._links),
@@ -415,13 +455,17 @@ class FrontDoor:
                     client_id, "ProtocolError", f"unknown op {op!r}"
                 )
             response["id"] = client_id
+            body = canonical_json(response)
         try:
             async with write_lock:
-                await write_frame_async(writer, response)
+                writer.write(frame_body(body))
+                await writer.drain()
         except (ConnectionError, OSError):
             pass  # lint: ignore[except-pass] -- client went away; nothing to deliver to
 
-    async def _serve_query(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    async def _serve_query(self, frame: Dict[str, Any]) -> bytes:
+        """The reply body for one query: a worker's bytes, or an error
+        reply made here when no worker could be asked in time."""
         payload = {
             key: frame[key]
             for key in (
@@ -431,14 +475,15 @@ class FrontDoor:
             if key in frame
         }
         payload.setdefault("op", "query")
+        payload["id"] = frame.get("id")
         started = self._loop.time()
         deadline = None
         if frame.get("deadline_s") is not None:
             try:
                 deadline = started + float(frame["deadline_s"])
             except (TypeError, ValueError):
-                return _error_payload(
-                    None, "ValueError",
+                return _error_body(
+                    payload["id"], "ValueError",
                     f"deadline_s must be a number, got {frame['deadline_s']!r}",
                 )
         with self._counter_lock:
@@ -446,21 +491,21 @@ class FrontDoor:
         inflight = _Inflight(payload, self._loop.create_future(), deadline)
         await self._dispatch(inflight)
         try:
-            response = await asyncio.wait_for(
+            body = await asyncio.wait_for(
                 inflight.future, timeout=self.request_timeout_s
             )
         except asyncio.TimeoutError:
-            response = _error_payload(
-                None, "TimeoutError",
+            body = _error_body(
+                payload["id"], "TimeoutError",
                 f"no worker response within {self.request_timeout_s}s",
             )
         self.latencies.record(self._loop.time() - started)
         with self._counter_lock:
-            if response.get("ok"):
-                self._completed += 1
-            else:
+            if is_error_body(body):
                 self._failed += 1
-        return dict(response)
+            else:
+                self._completed += 1
+        return body
 
     async def _serve_stats(self) -> Dict[str, Any]:
         workers = []
@@ -469,8 +514,12 @@ class FrontDoor:
             inflight = _Inflight({"op": "stats"}, self._loop.create_future())
             try:
                 await link.send(inflight)
-                answer = await asyncio.wait_for(inflight.future, timeout=30.0)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
+                answer = decode_body(
+                    await asyncio.wait_for(inflight.future, timeout=30.0)
+                )
+            except (
+                ConnectionError, OSError, asyncio.TimeoutError, ProtocolError
+            ):
                 continue
             if not answer.get("ok"):
                 continue
@@ -482,6 +531,7 @@ class FrontDoor:
                 "pending": answer.get("pending"),
                 "stats": answer.get("stats"),
                 "encoder": answer.get("encoder"),
+                "blas_threads": answer.get("blas_threads"),
             })
             snapshots.append(answer.get("stats") or {})
         return {

@@ -17,6 +17,14 @@ serving path) is deliberately not carried.
 
 Both sync (worker/supervisor/client threads) and asyncio (front door)
 frame helpers live here so every component speaks from one definition.
+
+**Error replies start with the ``error`` key.** An error reply is
+exactly ``{"error": {"type", "message"}, "id", "ok": false}`` and no
+success reply has an ``error`` key, so in canonical (sorted-key) form a
+reply body is an error exactly when it begins ``{"error":``. The front
+door relays worker replies as bytes and counts failures with
+:func:`is_error_body` instead of decoding 2.4 KiB of JSON to read
+``ok``; a test pins it over every reply shape a worker produces.
 """
 
 from __future__ import annotations
@@ -48,12 +56,21 @@ def canonical_json(obj: Any) -> bytes:
     ).encode("utf-8")
 
 
-def encode_frame(obj: Any) -> bytes:
-    """Length-prefixed canonical-JSON frame for ``obj``."""
-    body = canonical_json(obj)
+def frame_body(body: bytes) -> bytes:
+    """Length-prefix an already-encoded body (what a relay sends on)."""
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame body {len(body)} bytes exceeds cap")
     return _LENGTH.pack(len(body)) + body
+
+
+def encode_frame(obj: Any) -> bytes:
+    """Length-prefixed canonical-JSON frame for ``obj``."""
+    return frame_body(canonical_json(obj))
+
+
+def is_error_body(body: bytes) -> bool:
+    """Whether a canonical reply body is an error reply (module docstring)."""
+    return body.startswith(b'{"error":')
 
 
 def decode_body(body: bytes) -> Any:
@@ -100,8 +117,9 @@ def recv_frame(sock: socket.socket) -> Optional[Any]:
 # -- asyncio framing (front door) ----------------------------------------
 
 
-async def read_frame_async(reader: asyncio.StreamReader) -> Optional[Any]:
-    """Next decoded frame from an asyncio stream; None on clean EOF."""
+async def read_body_async(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """Next frame's body, undecoded, from an asyncio stream; None on clean
+    EOF."""
     try:
         header = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as error:
@@ -117,12 +135,13 @@ async def read_frame_async(reader: asyncio.StreamReader) -> Optional[Any]:
         raise ProtocolError(
             "connection closed between header and body"
         ) from error
-    return decode_body(body)
+    return body
 
 
-async def write_frame_async(writer: asyncio.StreamWriter, obj: Any) -> None:
-    writer.write(encode_frame(obj))
-    await writer.drain()
+async def read_frame_async(reader: asyncio.StreamReader) -> Optional[Any]:
+    """Next decoded frame from an asyncio stream; None on clean EOF."""
+    body = await read_body_async(reader)
+    return None if body is None else decode_body(body)
 
 
 # -- result codec --------------------------------------------------------

@@ -8,6 +8,13 @@ slot against the *current* store directory, and ``on_change`` tells the
 front door the fleet membership moved so it can rebuild links and retry
 that worker's in-flight requests elsewhere.
 
+``start`` launches every worker before it waits for any, so the fleet
+comes up in the time of its slowest worker rather than the sum (and a
+worker's post-ready housekeeping — retiring its BLAS pool — overlaps the
+others' construction instead of delaying them). If any slot fails to
+come up, every process launched is terminated and joined before the
+error propagates: a failed ``start`` leaves nothing running.
+
 ``rollout`` is the hot-reload half: workers are told to ``reload`` one
 at a time, so at every instant at most one worker is draining its old
 service and the rest keep absorbing traffic — the fleet-level swap is
@@ -61,6 +68,17 @@ class WorkerHandle:
         return self.process.is_alive()
 
 
+@dataclass
+class _Launch:
+    """A worker process started but not yet heard from."""
+
+    slot: int
+    incarnation: int
+    host: str
+    process: Any
+    ready_conn: Any
+
+
 def worker_control(
     handle: WorkerHandle, message: Dict[str, Any], timeout: float = 60.0
 ) -> Dict[str, Any]:
@@ -106,8 +124,21 @@ class Supervisor:
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> "Supervisor":
-        for slot in range(self.n_workers):
-            self._spawn(slot)
+        launched: List[_Launch] = []
+        try:
+            for slot in range(self.n_workers):
+                launched.append(self._launch(slot))
+            for launch in launched:
+                self._await_ready(launch)
+        except BaseException:  # whatever stopped it, leave nothing running
+            with self._lock:
+                self._slots.clear()
+            for launch in launched:
+                launch.ready_conn.close()  # not every one was awaited
+                launch.process.terminate()
+            for launch in launched:
+                launch.process.join(timeout=10.0)
+            raise
         self._notify()
         self._health_thread = threading.Thread(
             target=self._health_loop, name="repro-net-health", daemon=True
@@ -163,7 +194,8 @@ class Supervisor:
             return self._store_dir
 
     # -- spawning ---------------------------------------------------------
-    def _spawn(self, slot: int) -> WorkerHandle:
+    def _launch(self, slot: int) -> _Launch:
+        """Start one worker process; :meth:`_await_ready` collects it."""
         with self._lock:
             store_dir = self._store_dir
             self._incarnations += 1
@@ -183,14 +215,25 @@ class Supervisor:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.spawn_timeout_s):
-            process.terminate()
+        return _Launch(slot, incarnation, spec.host, process, parent_conn)
+
+    def _await_ready(self, launch: _Launch) -> WorkerHandle:
+        """Wait for a launched worker's ready message and register it."""
+        slot, process = launch.slot, launch.process
+        try:
+            if not launch.ready_conn.poll(self.spawn_timeout_s):
+                process.terminate()
+                raise SupervisorError(
+                    f"worker {slot} did not report ready within "
+                    f"{self.spawn_timeout_s}s"
+                )
+            ready = launch.ready_conn.recv()
+        except EOFError:  # killed before worker_main could report anything
             raise SupervisorError(
-                f"worker {slot} did not report ready within "
-                f"{self.spawn_timeout_s}s"
-            )
-        ready = parent_conn.recv()
-        parent_conn.close()
+                f"worker {slot} died before reporting ready"
+            ) from None
+        finally:
+            launch.ready_conn.close()
         if "error" in ready:
             process.join(timeout=5.0)
             raise SupervisorError(
@@ -198,9 +241,9 @@ class Supervisor:
             )
         handle = WorkerHandle(
             slot=slot,
-            incarnation=incarnation,
+            incarnation=launch.incarnation,
             process=process,
-            host=spec.host,
+            host=launch.host,
             port=int(ready["port"]),
             generation=int(ready["generation"]),
             pid=int(ready["pid"]),
@@ -208,6 +251,10 @@ class Supervisor:
         with self._lock:
             self._slots[slot] = handle
         return handle
+
+    def _spawn(self, slot: int) -> WorkerHandle:
+        """(Re)spawn one slot and wait for it: the respawn path."""
+        return self._await_ready(self._launch(slot))
 
     def _notify(self) -> None:
         if self.on_change is not None:

@@ -17,6 +17,24 @@ properties the fleet guarantees: no request is ever submitted to a
 stopped service (zero drops), and every response is tagged with exactly
 the generation that scored it (no mixed-generation answers — a request
 is answered wholly by the service it was submitted to).
+
+**Replies leave a connection in the order its requests arrived.** One
+reader thread per connection queues a deferred reply per frame and one
+writer thread settles them first-in first-out, so a cache hit behind a
+request still waiting in the batch window is held until that request is
+answered. The front door relies on it: it matches replies to requests by
+position, not by id, and relays the reply bytes untouched.
+
+**One BLAS thread per worker.** The fleet scales by worker processes, so
+:func:`worker_main` retires OpenBLAS's pool in its own process
+(:mod:`repro.net.blas`): a pool thread spin-waits about 0.1 s after
+every small GEMM, which under steady traffic is half a CPU per worker
+taken from the processes that answer requests. It does so *after* the
+ready message is sent — in a forked child ``set_num_threads`` first
+re-creates the pool, and the thread it then retires spins its 0.1 s
+beside whichever worker is still building its service — and before the
+accept loop, so every reply is computed with the pool already gone.
+``ping`` / ``stats`` report the count read back as ``blas_threads``.
 """
 
 from __future__ import annotations
@@ -34,6 +52,7 @@ from repro.ingest.embedding_store import (
     EmbeddingStore,
     locate_store,
 )
+from repro.net.blas import blas_threads, retire_blas_pool
 from repro.net.bootstrap import ServingBundle, resolve_target
 from repro.net.protocol import (
     ProtocolError,
@@ -164,16 +183,18 @@ class WorkerRuntime:
         request_id = message.get("id")
         question = message.get("question", "")
         mode = message.get("mode", "single")
-        kwargs: Dict[str, Any] = {}
-        for key in ("k", "nprobe"):
-            if message.get(key) is not None:
-                kwargs[key] = int(message[key])
-        if message.get("precision") is not None:
-            kwargs["precision"] = str(message["precision"])
-        if message.get("deadline_s") is not None:
-            kwargs["deadline_s"] = float(message["deadline_s"])
-        timeout = float(message.get("timeout_s") or 300.0)
         try:
+            # coercion inside the try: a malformed field is this request's
+            # typed error, not the end of the connection's reader thread
+            kwargs: Dict[str, Any] = {}
+            for key in ("k", "nprobe"):
+                if message.get(key) is not None:
+                    kwargs[key] = int(message[key])
+            if message.get("precision") is not None:
+                kwargs["precision"] = str(message["precision"])
+            if message.get("deadline_s") is not None:
+                kwargs["deadline_s"] = float(message["deadline_s"])
+            timeout = float(message.get("timeout_s") or 300.0)
             with self._swap_lock:
                 generation = self._generation
                 pending = self._service.submit(question, mode=mode, **kwargs)
@@ -217,6 +238,7 @@ class WorkerRuntime:
                 "op": "ping",
                 "pid": os.getpid(),
                 "generation": self.generation,
+                "blas_threads": blas_threads(),
             }
             return lambda: response
         if op == "stats":
@@ -234,6 +256,7 @@ class WorkerRuntime:
                     # this process's encoder token throughput (warm paths
                     # only encode the query; cold paths the whole corpus)
                     "encoder": COUNTERS.encoder_throughput(),
+                    "blas_threads": blas_threads(),
                 }
             return stats
         if op == "reload":
@@ -359,4 +382,5 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
         })
     finally:
         ready_conn.close()
+    retire_blas_pool()  # after ready, before the first accept: module docstring
     runtime.serve_forever()

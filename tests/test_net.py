@@ -11,16 +11,23 @@ The acceptance properties under test:
   response's bytes match the expected output of exactly the generation
   it is tagged with;
 * killing a worker mid-traffic loses nothing: the supervisor restarts
-  it and every request still returns byte-identical results.
+  it and every request still returns byte-identical results;
+* the front door relays a worker's reply bytes untouched, which rests on
+  a worker answering a connection in submission order and on error
+  replies being recognisable by their first key — both pinned here.
 
 Worlds are deliberately tiny (24 docs, dim 24) — this file runs in
 tier-1.
 """
 
 import json
+import logging
+import multiprocessing
+import os
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,8 +35,11 @@ from repro.ingest import EMBEDDINGS_DIR, STORE_NAME
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
 from repro.net import (
     Fleet,
+    FrontDoor,
     NetClient,
     NetRequestError,
+    SupervisorError,
+    WorkerHandle,
     WorkerSpec,
     canonical_json,
     publish_store,
@@ -37,9 +47,13 @@ from repro.net import (
     synthetic_bundle,
     wire_to_results,
 )
+from repro.net.blas import blas_threads, retire_blas_pool
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
+    decode_body,
+    encode_frame,
+    is_error_body,
     recv_frame,
     send_frame,
 )
@@ -510,3 +524,287 @@ def test_watch_store_rolls_the_fleet_without_a_reload_op(tmp_path):
             canonical_json(answer["results"])
             == expected[("single", question)]
         )
+
+
+# -- what the byte relay rests on -------------------------------------------
+
+
+def _read_body(sock) -> bytes:
+    """One frame's body exactly as it came off the wire."""
+    def exactly(n: int) -> bytes:
+        data = b""
+        while len(data) < n:
+            chunk = sock.recv(n - len(data))
+            assert chunk, "connection closed mid-frame"
+            data += chunk
+        return data
+
+    return exactly(int.from_bytes(exactly(4), "big"))
+
+
+def _raw_reply(address, payload) -> bytes:
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(encode_frame(payload))
+        return _read_body(sock)
+
+
+def test_error_replies_are_the_ones_that_start_with_the_error_key(tmp_path):
+    """``is_error_body`` agrees with ``ok`` on every reply a worker makes."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    question = bundle.questions[0]
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / STORE_NAME).write_text("{")
+    runtime = WorkerRuntime(bundle, _spec(store_dir))
+    frames = [
+        {"op": "query", "id": 1, "question": question, "k": 3},
+        {"op": "query", "id": "p", "question": question, "mode": "paths"},
+        {"op": "query", "id": 2, "question": question, "precision": "bogus"},
+        {"op": "query", "id": 3, "question": question, "k": "many"},
+        {"op": "query", "id": 4, "question": question, "deadline_s": -1.0},
+        {"op": "ping", "id": 5},
+        {"op": "stats", "id": 6},
+        {"op": "reload", "id": 7},
+        {"op": "reload", "id": 8, "store_dir": str(broken)},
+        {"op": "frobnicate", "id": 9},
+        ["not", "an", "object"],
+        {"op": "shutdown", "id": 10},
+    ]
+    try:
+        replies = [runtime._handle(frame)() for frame in frames]
+    finally:
+        runtime.close()
+    assert [reply["ok"] for reply in replies] == [
+        True, True, False, False, False, True, True, True, False, False,
+        False, True,
+    ]
+    for reply in replies:
+        assert is_error_body(canonical_json(reply)) == (not reply["ok"])
+
+
+def test_worker_answers_a_connection_in_submission_order(tmp_path):
+    """A cache hit waits behind an earlier request still in the batch
+    window — the front door matches replies to requests by position."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    cached, fresh = bundle.questions[:2]
+    runtime = WorkerRuntime(
+        bundle, _spec(store_dir, service={"max_wait_ms": 150.0})
+    )
+    ours, theirs = socket.socketpair()
+    server = threading.Thread(
+        target=runtime._serve_connection, args=(theirs,), daemon=True
+    )
+    server.start()
+    try:
+        ours.settimeout(30.0)
+        send_frame(ours, {"op": "query", "id": "warm", "question": cached})
+        assert recv_frame(ours)["id"] == "warm"
+        # `fresh` sits out the 150 ms window; `cached` is settled at submit
+        send_frame(ours, {"op": "query", "id": "slow", "question": fresh})
+        send_frame(ours, {"op": "query", "id": "hit", "question": cached})
+        send_frame(ours, {"op": "stats", "id": "stats"})
+        order = [recv_frame(ours) for _ in range(3)]
+    finally:
+        ours.close()
+        server.join(timeout=30.0)
+        runtime.close()
+    assert not server.is_alive()
+    assert [reply["id"] for reply in order] == ["slow", "hit", "stats"]
+    assert order[2]["stats"]["cache_hits"] == 1
+
+
+def test_pipelined_frames_each_get_their_own_id_back(tmp_path):
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    questions = bundle.questions[:8]
+    expected = _expected_wire(bundle, store_dir, questions)
+    ids = [7, 7, "seven", "seven", None, None, 0, "", 1.5, "id with spaces"]
+    frames = [
+        (ids[i % len(ids)], questions[(i * 3) % len(questions)])
+        for i in range(32)
+    ]
+    with Fleet(_spec(store_dir), workers=2) as fleet:
+        with socket.create_connection(fleet.address, timeout=30.0) as sock:
+            sock.sendall(
+                b"".join(
+                    encode_frame(
+                        {"op": "query", "id": i, "question": q, "k": 3}
+                    )
+                    for i, q in frames
+                )
+            )
+            replies = [decode_body(_read_body(sock)) for _ in frames]
+    assert all(reply["ok"] for reply in replies)
+    # an id (duplicates included) comes back on the results of the
+    # question it was sent with, whichever worker and order answered
+    assert Counter(
+        (canonical_json(r["id"]), canonical_json(r["results"]))
+        for r in replies
+    ) == Counter(
+        (canonical_json(i), expected[("single", q)]) for i, q in frames
+    )
+
+
+def test_front_door_relays_the_workers_bytes(tmp_path):
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    question = bundle.questions[0]
+    requests = [
+        {"op": "query", "id": "s", "question": question, "k": 3},
+        {"op": "query", "id": 2, "question": question, "mode": "paths",
+         "k": 3},
+        {"op": "query", "id": None, "question": question,
+         "precision": "bogus"},
+    ]
+    with Fleet(_spec(store_dir), workers=1) as fleet:
+        worker = fleet.supervisor.handles()[0].address
+        direct = [_raw_reply(worker, request) for request in requests]
+        relayed = [_raw_reply(fleet.address, request) for request in requests]
+        front = fleet.frontdoor.stats_snapshot()
+    assert relayed == direct
+    assert [is_error_body(body) for body in relayed] == [False, False, True]
+    assert decode_body(relayed[2])["error"]["type"] == "PrecisionError"
+    assert (front["submitted"], front["completed"], front["failed"]) == (
+        3, 2, 1,
+    )
+
+
+class _StaticSupervisor:
+    """What a front door needs of a supervisor, over fixed handles."""
+
+    def __init__(self, handles=()):
+        self._handles = list(handles)
+        self.on_change = None
+
+    def handles(self):
+        return list(self._handles)
+
+
+def test_unsolicited_reply_closes_the_link(tmp_path):
+    """A worker that answers more than it was asked has lost the FIFO's
+    count: the link goes, and requests fail typed instead of hanging."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answers_twice():
+        conn, _ = listener.accept()
+        with conn:
+            request = recv_frame(conn)
+            reply = encode_frame({"id": request["id"], "ok": True})
+            conn.sendall(reply + reply)
+            recv_frame(conn)  # until the front door hangs up
+
+    worker = threading.Thread(target=answers_twice, daemon=True)
+    worker.start()
+    host, port = listener.getsockname()
+    handle = WorkerHandle(
+        slot=0, incarnation=1, process=None, host=host, port=port,
+        generation=1, pid=0,
+    )
+    try:
+        with FrontDoor(_StaticSupervisor([handle])) as frontdoor:
+            with NetClient(frontdoor.address, timeout_s=30.0) as client:
+                assert client.request({"op": "query", "question": "q"})["ok"]
+                deadline = time.monotonic() + 30.0
+                while (
+                    frontdoor.stats_snapshot()["workers_linked"]
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                assert frontdoor.stats_snapshot()["workers_linked"] == 0
+                with pytest.raises(NetRequestError) as failure:
+                    client.retrieve("q", deadline_s=0.1)
+                assert failure.value.kind == "DeadlineExceeded"
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+    finally:
+        listener.close()
+
+
+# -- lifecycle ---------------------------------------------------------------
+
+
+def _second_process_fails(marker, how, **kwargs):
+    """Bundle factory: the first process to get here builds, the next
+    one raises (``how="raise"``) or dies outright (``how="exit"``)."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        if how == "exit":
+            os._exit(3)
+        raise RuntimeError("this one does not come up") from None
+    return synthetic_bundle(**kwargs)
+
+
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_failed_start_leaves_no_worker_behind(tmp_path, how):
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    spec = WorkerSpec(
+        target=f"{__name__}:{_second_process_fails.__name__}",
+        kwargs=dict(
+            BUNDLE_KWARGS, marker=str(tmp_path / "first-one-in"), how=how
+        ),
+        store_dir=str(store_dir),
+    )
+    fleet = Fleet(spec, workers=2)
+    with pytest.raises(SupervisorError):
+        fleet.start()
+    assert fleet.supervisor.handles() == []
+    assert multiprocessing.active_children() == []
+
+
+def test_stop_with_a_client_still_connected_logs_no_error(caplog):
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    frontdoor = FrontDoor(_StaticSupervisor()).start()
+    with NetClient(frontdoor.address, timeout_s=30.0) as client:
+        assert client.ping()["ok"]
+        frontdoor.stop()
+    assert [r.getMessage() for r in caplog.records] == []
+
+
+def test_blas_helper_is_a_silent_no_op_without_a_library(monkeypatch):
+    import ctypes
+
+    def refuse(path):
+        raise OSError(f"cannot load {path}")
+
+    before = blas_threads()
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    assert blas_threads() is None
+    retire_blas_pool()
+    monkeypatch.undo()
+    assert blas_threads() == before  # nothing was set on the way
+
+
+def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(tmp_path):
+    before = blas_threads()
+    if before is None:
+        pytest.skip("no controllable BLAS loaded in this process")
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    question = bundle.questions[0]
+    with Fleet(
+        _spec(store_dir), workers=1, health_interval_s=0.05
+    ) as fleet:
+        with fleet.client() as client:
+            first = fleet.supervisor.handles()[0]
+            assert client.retrieve(question, k=3)
+            (worker,) = client.stats()["workers"]
+            assert (worker["pid"], worker["blas_threads"]) == (first.pid, 1)
+            with NetClient(first.address) as direct:
+                assert direct.ping()["blas_threads"] == 1
+            first.process.kill()
+            assert client.retrieve(question, k=3)  # waits out the respawn
+            (worker,) = client.stats()["workers"]
+            assert worker["pid"] != first.pid
+            assert worker["blas_threads"] == 1
+        assert blas_threads() == before
+    assert blas_threads() == before
