@@ -1,17 +1,16 @@
 """Project-specific static analysis (``repro lint``).
 
 A two-phase analysis pass over Python ``ast`` that encodes the bug
-classes this repo has actually been bitten by. Phase 1 runs file-local
-rules (falsy-zero ``or`` defaults, uncounted encoder calls,
-un-normalized cosine matmuls, …) and summarizes each module; phase 2
-runs project-wide rules (lock discipline, lock-order cycles, import
-layering, dead symbols) over the assembled project model. Phase 1 is
-incremental (per-file result cache under ``.repro-lint-cache/``) and
-parallel (``repro lint --jobs N``), with reports byte-identical to a
-sequential cold run. The tier-1 gate (``tests/test_lint_clean.py``)
-keeps the tree clean on every PR; the rule catalog lives in
-:mod:`repro.analysis.rules`, :mod:`repro.analysis.project_rules` and
-``DESIGN.md``.
+classes this repo has actually been bitten by, run sequentially in the
+calling process. Phase 1 runs file-local rules (falsy-zero ``or``
+defaults, hardcoded dtypes, wall-clock timing, …) and summarizes each
+module; phase 2 runs project-wide rules (lock discipline, import
+layering, dead symbols) over the assembled project model. The tier-1
+gate (``tests/test_lint_clean.py``) keeps the tree clean on every PR;
+the rule catalog lives in :mod:`repro.analysis.rules`,
+:mod:`repro.analysis.project_rules` and ``DESIGN.md``. A rule earns its
+place by evidence: a fix on record, or a line in the tree whose revert
+only it catches (``DESIGN.md`` §8).
 
 No third-party linters are available in this environment, so the pass is
 built on the stdlib ``ast`` / ``tokenize`` modules only.
@@ -19,7 +18,6 @@ built on the stdlib ``ast`` / ``tokenize`` modules only.
 
 from repro.analysis.config import LintConfig, load_config
 from repro.analysis.core import (
-    RULESET_VERSION,
     FileContext,
     Finding,
     LintReport,
@@ -43,7 +41,6 @@ __all__ = [
     "ModuleSummary",
     "ProjectModel",
     "ProjectRule",
-    "RULESET_VERSION",
     "Rule",
     "all_rule_ids",
     "load_config",

@@ -4,25 +4,16 @@ Recognized keys::
 
     [tool.repro.lint]
     paths = ["src", "tests", "benchmarks"]  # default lint targets
-    select = []                             # run only these rule ids
-    ignore = []                             # never run these rule ids
-
-    [tool.repro.lint.allow]                 # per-rule path exemptions
-    wall-clock-timing = ["benchmarks/legacy_*.py"]
 
     [tool.repro.lint.layers]                # import layering DAG
     order = ["foundation", "serving"]       # lowest layer first
     foundation = ["repro.storage", "repro.nn"]
     serving = ["repro.serve", "repro.cli"]
 
-    dead-symbol-allow = ["repro.cli.main"]  # in [tool.repro.lint]
-
 The ``layers`` table declares the architecture: ``order`` lists layer
 names from lowest to highest, and each layer name maps to the dotted
 module prefixes it contains. A module in a lower layer importing one in
-a higher layer is a ``layering-violation``. ``dead-symbol-allow``
-exempts symbols (``name`` or ``module.name`` fnmatch patterns) from the
-``dead-symbol`` rule — entry points, public API kept for callers, etc.
+a higher layer is a ``layering-violation``.
 
 ``tomllib`` ships with Python 3.11+; on older interpreters a minimal
 fallback parser handles exactly the shape above (string lists inside the
@@ -49,16 +40,11 @@ class LintConfig:
     """Resolved analyzer configuration."""
 
     paths: Tuple[str, ...] = DEFAULT_PATHS
-    select: Tuple[str, ...] = ()
-    ignore: Tuple[str, ...] = ()
-    allow: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     root: Optional[Path] = None  # directory the config was loaded from
     #: layer names, lowest first; empty = layering rule disabled
     layers_order: Tuple[str, ...] = ()
     #: layer name -> dotted module prefixes it contains
     layers: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: ``name`` / ``module.name`` fnmatch patterns dead-symbol skips
-    dead_symbol_allow: Tuple[str, ...] = ()
 
 
 _SECTION_RE = re.compile(r"^\s*\[(?P<name>[^\]]+)\]\s*$")
@@ -112,22 +98,14 @@ def parse_config(text: str, root: Optional[Path] = None) -> LintConfig:
     if tomllib is not None:
         data = tomllib.loads(text)
         table = data.get("tool", {}).get("repro", {}).get("lint", {})
-        allow_table = table.get("allow", {})
         layers_table = table.get("layers", {})
     else:
         tables = _fallback_parse(text)
         table = dict(tables.get("tool.repro.lint", {}))
-        allow_table = tables.get("tool.repro.lint.allow", {})
         layers_table = tables.get("tool.repro.lint.layers", {})
     layers_order = _string_tuple(layers_table.get("order"))
     return LintConfig(
         paths=_string_tuple(table.get("paths")) or DEFAULT_PATHS,
-        select=_string_tuple(table.get("select")),
-        ignore=_string_tuple(table.get("ignore")),
-        allow={
-            rule_id: _string_tuple(patterns)
-            for rule_id, patterns in allow_table.items()
-        },
         root=root,
         layers_order=layers_order,
         layers={
@@ -135,7 +113,6 @@ def parse_config(text: str, root: Optional[Path] = None) -> LintConfig:
             for layer, prefixes in layers_table.items()
             if layer != "order"
         },
-        dead_symbol_allow=_string_tuple(table.get("dead-symbol-allow")),
     )
 
 

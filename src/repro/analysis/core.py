@@ -11,8 +11,8 @@ The moving parts:
 
 The driver itself — :func:`repro.analysis.engine.run_lint` — lives in
 :mod:`repro.analysis.engine`: it runs phase 1 (per-file parsing,
-file-local rules, module summaries, optionally cached and parallel) and
-phase 2 (project rules over the assembled model).
+file-local rules, module summaries) and phase 2 (project rules over the
+assembled model) in one in-process pass.
 
 A file that fails to parse produces a single ``parse-error`` finding
 instead of crashing the run, so the gate also catches syntax rot.
@@ -25,18 +25,10 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
 
-from repro.analysis.config import LintConfig
-
 PARSE_ERROR = "parse-error"
-
-#: Version of the rule set + per-file summary format. Bump whenever a
-#: rule's behavior or the ModuleSummary wire format changes, so stale
-#: ``.repro-lint-cache`` entries computed under old semantics miss.
-RULESET_VERSION = 6
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([^\]]*)\])?")
 
@@ -161,15 +153,6 @@ def _is_suppressed(finding: Finding, suppressions: Dict[int, Set[str]]) -> bool:
     return bool(ids) and ("*" in ids or finding.rule_id in ids)
 
 
-def _is_allowed(finding: Finding, config: LintConfig) -> bool:
-    """Per-rule ``allow`` path patterns from the config exempt a file."""
-    patterns = config.allow.get(finding.rule_id, ())
-    return any(
-        fnmatch(finding.path, pattern) or fnmatch(Path(finding.path).name, pattern)
-        for pattern in patterns
-    )
-
-
 def _relativize(path: Path, root: Optional[Path]) -> str:
     resolved = path.resolve()
     for base in (root, Path.cwd()):
@@ -201,7 +184,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    files_cached: int = 0  # phase-1 results served from the result cache
 
     @property
     def counts(self) -> Dict[str, int]:

@@ -1,21 +1,14 @@
-"""The two-phase lint driver: incremental, parallel, deterministic.
+"""The two-phase lint driver: one sequential, in-process pass.
 
-**Phase 1** visits every requested Python file once: read, hash, parse,
-run the file-local rules, record the suppression map, and summarize the
+**Phase 1** visits every requested Python file once: read, parse, run
+the file-local rules, record the suppression map, and summarize the
 module for the project model (:func:`repro.analysis.project.
-summarize_module`). Each file's phase-1 output is pure in (content,
-ruleset, config), so it caches per file (:mod:`repro.analysis.cache`)
-and fans out over a process pool (``jobs > 1``) — ``Executor.map``
-returns results in submission order, so the merged findings list is
-byte-identical to a sequential run regardless of worker scheduling.
+summarize_module`).
 
-**Phase 2** always runs in the parent process: it assembles the
-:class:`~repro.analysis.project.ProjectModel` from the phase-1 summaries
-(cached or fresh — a warm run never re-parses, yet project rules still
-see the whole project) and runs every selected
+**Phase 2** assembles the :class:`~repro.analysis.project.ProjectModel`
+from the phase-1 summaries and runs every selected
 :class:`~repro.analysis.project_rules.ProjectRule`. Project findings
-pass through the same per-line suppressions and per-rule ``allow``
-filters as file-local ones.
+pass through the same per-line suppressions as file-local ones.
 
 Rules that must reason about the *whole* project (``dead-symbol``) are
 told whether this run actually covers every configured lint path; on a
@@ -26,13 +19,10 @@ partial run (one file, one subtree) they stay silent rather than report
 from __future__ import annotations
 
 import ast
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from repro.analysis.cache import LintCache, run_fingerprint
 from repro.analysis.config import LintConfig
 from repro.analysis.core import (
     PARSE_ERROR,
@@ -40,7 +30,6 @@ from repro.analysis.core import (
     Finding,
     LintReport,
     Rule,
-    _is_allowed,
     _is_suppressed,
     _relativize,
     _resolve_rules,
@@ -65,7 +54,6 @@ class FileResult:
     findings: List[Finding] = field(default_factory=list)
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     summary: Optional[ModuleSummary] = None
-    cached: bool = False
 
 
 def _error_result(rel_path: str, line: int, col: int, message: str) -> FileResult:
@@ -76,32 +64,13 @@ def _error_result(rel_path: str, line: int, col: int, message: str) -> FileResul
 
 
 def _analyze_file(
-    path: Path,
-    rules: Sequence[Rule],
-    config: LintConfig,
-    cache: Optional[LintCache],
+    path: Path, rules: Sequence[Rule], config: LintConfig
 ) -> FileResult:
-    """Phase 1 for one file: cache lookup, else parse + rules + summary."""
+    """Phase 1 for one file: parse + file-local rules + summary."""
     rel_path = _relativize(path, config.root)
     try:
-        raw = path.read_bytes()
-    except OSError as error:
-        return _error_result(rel_path, 1, 0, f"unreadable file: {error}")
-    content_sha = hashlib.sha256(raw).hexdigest()
-    if cache is not None:
-        hit = cache.load(rel_path, content_sha)
-        if hit is not None:
-            findings, suppressions, summary = hit
-            return FileResult(
-                rel_path=rel_path,
-                findings=findings,
-                suppressions=suppressions,
-                summary=summary,
-                cached=True,
-            )
-    try:
-        source = raw.decode("utf-8")
-    except UnicodeDecodeError as error:
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
         return _error_result(rel_path, 1, 0, f"unreadable file: {error}")
     try:
         tree = ast.parse(source, filename=str(path))
@@ -121,55 +90,12 @@ def _analyze_file(
         for finding in rule.check(ctx):
             if _is_suppressed(finding, suppressions):
                 continue
-            if _is_allowed(finding, config):
-                continue
             findings.append(finding)
-    findings.sort(key=_FINDING_ORDER)
-    summary = summarize_module(ctx)
-    if cache is not None:
-        # parse errors never reach this point, so only complete results
-        # are ever persisted
-        cache.store(rel_path, content_sha, findings, suppressions, summary)
     return FileResult(
         rel_path=rel_path,
         findings=findings,
         suppressions=suppressions,
-        summary=summary,
-    )
-
-
-# -- process-pool plumbing -------------------------------------------------
-# Workers rebuild their rule instances from the (picklable) id lists via
-# an initializer, so rule objects never cross the process boundary.
-
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_worker(
-    select: Optional[Sequence[str]],
-    ignore: Optional[Sequence[str]],
-    config: LintConfig,
-    cache_dir: Optional[str],
-    fingerprint: str,
-) -> None:
-    rules = [
-        rule
-        for rule in _resolve_rules(select, ignore)
-        if not isinstance(rule, ProjectRule)
-    ]
-    _WORKER_STATE["rules"] = rules
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["cache"] = (
-        LintCache(cache_dir, fingerprint) if cache_dir else None
-    )
-
-
-def _analyze_in_worker(path_str: str) -> FileResult:
-    return _analyze_file(
-        Path(path_str),
-        _WORKER_STATE["rules"],  # type: ignore[arg-type]
-        _WORKER_STATE["config"],  # type: ignore[arg-type]
-        _WORKER_STATE["cache"],  # type: ignore[arg-type]
+        summary=summarize_module(ctx),
     )
 
 
@@ -210,59 +136,20 @@ def run_lint(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     config: Optional[LintConfig] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` with the selected rules.
 
-    ``select``/``ignore`` override the config's own lists when given;
-    unknown rule ids raise ``ValueError`` so typos fail loudly.
-    ``jobs > 1`` fans phase 1 over a process pool; ``cache_dir`` enables
-    the per-file result cache there. Both are pure accelerations: the
-    report is byte-identical to a sequential, uncached run.
+    ``select`` narrows the run to the named rule ids and ``ignore``
+    drops rule ids from it (default: every registered rule); unknown
+    rule ids raise ``ValueError`` so typos fail loudly.
     """
     config = config if config is not None else LintConfig()
-    select = select if select is not None else (config.select or None)
-    ignore = ignore if ignore is not None else (config.ignore or None)
     rules = _resolve_rules(select, ignore)
     local_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     requested = [Path(path) for path in paths]
     files = list(iter_python_files(requested))
-
-    fingerprint = run_fingerprint(config, [rule.id for rule in rules])
-    cache = LintCache(cache_dir, fingerprint) if cache_dir else None
-
-    jobs = max(1, int(jobs))
-    results: List[FileResult]
-    if jobs == 1 or len(files) < 2:
-        results = [
-            _analyze_file(path, local_rules, config, cache) for path in files
-        ]
-    else:
-        select_ids = list(select) if select is not None else None
-        ignore_ids = list(ignore) if ignore is not None else None
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(
-                select_ids,
-                ignore_ids,
-                config,
-                str(cache_dir) if cache_dir else None,
-                fingerprint,
-            ),
-        ) as pool:
-            # map() yields in submission order: the merge is ordered and
-            # deterministic no matter which worker finished first
-            chunksize = max(1, len(files) // (jobs * 4))
-            results = list(
-                pool.map(
-                    _analyze_in_worker,
-                    [str(path) for path in files],
-                    chunksize=chunksize,
-                )
-            )
+    results = [_analyze_file(path, local_rules, config) for path in files]
 
     findings: List[Finding] = []
     for result in results:
@@ -280,13 +167,7 @@ def run_lint(
                     finding, suppressions_by_path.get(finding.path, {})
                 ):
                     continue
-                if _is_allowed(finding, config):
-                    continue
                 findings.append(finding)
 
     findings.sort(key=_FINDING_ORDER)
-    return LintReport(
-        findings=findings,
-        files_scanned=len(files),
-        files_cached=sum(1 for result in results if result.cached),
-    )
+    return LintReport(findings=findings, files_scanned=len(files))

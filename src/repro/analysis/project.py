@@ -7,11 +7,8 @@ symbol is ever referenced. This module extracts exactly those facts from
 one parsed file into a :class:`ModuleSummary`, and assembles the
 summaries of a whole run into a :class:`ProjectModel`.
 
-Summaries are deliberately plain data (nested dataclasses of strings and
-ints) for two reasons: they cross process boundaries when ``--jobs N``
-fans phase 1 over a pool, and they persist as JSON in the per-file result
-cache (:mod:`repro.analysis.cache`) so a warm run never re-parses an
-unchanged file. ``to_dict``/``from_dict`` are the stable wire format.
+Summaries are plain data (nested dataclasses of strings and ints): once
+a file is summarized its AST is dropped, and phase 2 reads nothing else.
 
 What gets extracted:
 
@@ -30,12 +27,10 @@ What gets extracted:
   decoration status.
 * **class concurrency facts** — lock-attribute inventory
   (``self._x = threading.Lock()/RLock()/Condition()``), the attributes
-  ``__init__`` establishes, which of them are mutated outside init, the
-  attribute → class map for receivers (``self._queue = BatchQueue(...)``)
-  and, per method, every lock acquisition, every access to an
-  init-established attribute (with the locks held at that point) and
-  every resolvable call made while holding a lock. ``unlocked-shared-
-  state`` and ``lock-order-cycle`` run entirely off these facts.
+  ``__init__`` establishes, which of them are mutated outside init
+  and, per method, every access to an init-established attribute (with
+  the locks held at that point). ``unlocked-shared-state`` runs
+  entirely off these facts.
 """
 
 from __future__ import annotations
@@ -76,74 +71,6 @@ class AttrAccess:
     is_write: bool  # rebind, subscript/member store, or mutating call
     held: Tuple[str, ...]  # lock attrs held at this point (lexical)
 
-    def to_dict(self) -> dict:
-        return {
-            "attr": self.attr, "line": self.line, "col": self.col,
-            "is_write": self.is_write, "held": list(self.held),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttrAccess":
-        return cls(
-            attr=data["attr"], line=data["line"], col=data["col"],
-            is_write=data["is_write"], held=tuple(data["held"]),
-        )
-
-
-@dataclass
-class LockAcquire:
-    """One ``with self.<lock>:`` acquisition site inside a method."""
-
-    attr: str
-    line: int
-    col: int
-    held: Tuple[str, ...]  # locks already held when this one is taken
-
-    def to_dict(self) -> dict:
-        return {
-            "attr": self.attr, "line": self.line, "col": self.col,
-            "held": list(self.held),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LockAcquire":
-        return cls(
-            attr=data["attr"], line=data["line"], col=data["col"],
-            held=tuple(data["held"]),
-        )
-
-
-@dataclass
-class MethodCall:
-    """A call with a resolvable receiver, recorded with held locks.
-
-    ``receiver`` is ``""`` for ``self.method()`` (same class) or the
-    attribute name for ``self.<attr>.method()`` (the attribute → class
-    map resolves the target class in phase 2). Calls on locals, globals
-    or deeper chains are not recorded: an unresolvable receiver would
-    force name-only matching, and name-only matching invents deadlock
-    edges that do not exist.
-    """
-
-    receiver: str  # "" = self, else the attribute name
-    method: str
-    line: int
-    col: int
-    held: Tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "receiver": self.receiver, "method": self.method,
-            "line": self.line, "col": self.col, "held": list(self.held),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MethodCall":
-        return cls(
-            receiver=data["receiver"], method=data["method"],
-            line=data["line"], col=data["col"], held=tuple(data["held"]),
-        )
-
 
 @dataclass
 class MethodSummary:
@@ -154,27 +81,6 @@ class MethodSummary:
     is_public: bool
     is_init: bool
     accesses: List[AttrAccess] = field(default_factory=list)
-    acquires: List[LockAcquire] = field(default_factory=list)
-    calls: List[MethodCall] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "line": self.line,
-            "is_public": self.is_public, "is_init": self.is_init,
-            "accesses": [a.to_dict() for a in self.accesses],
-            "acquires": [a.to_dict() for a in self.acquires],
-            "calls": [c.to_dict() for c in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MethodSummary":
-        return cls(
-            name=data["name"], line=data["line"],
-            is_public=data["is_public"], is_init=data["is_init"],
-            accesses=[AttrAccess.from_dict(a) for a in data["accesses"]],
-            acquires=[LockAcquire.from_dict(a) for a in data["acquires"]],
-            calls=[MethodCall.from_dict(c) for c in data["calls"]],
-        )
 
 
 @dataclass
@@ -186,29 +92,7 @@ class ClassSummary:
     lock_attrs: List[str] = field(default_factory=list)
     init_attrs: Dict[str, int] = field(default_factory=dict)  # attr -> line
     mutated_attrs: List[str] = field(default_factory=list)
-    attr_types: Dict[str, str] = field(default_factory=dict)  # attr -> class
     methods: List[MethodSummary] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "line": self.line,
-            "lock_attrs": list(self.lock_attrs),
-            "init_attrs": dict(self.init_attrs),
-            "mutated_attrs": list(self.mutated_attrs),
-            "attr_types": dict(self.attr_types),
-            "methods": [m.to_dict() for m in self.methods],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassSummary":
-        return cls(
-            name=data["name"], line=data["line"],
-            lock_attrs=list(data["lock_attrs"]),
-            init_attrs={k: int(v) for k, v in data["init_attrs"].items()},
-            mutated_attrs=list(data["mutated_attrs"]),
-            attr_types=dict(data["attr_types"]),
-            methods=[MethodSummary.from_dict(m) for m in data["methods"]],
-        )
 
 
 @dataclass
@@ -220,19 +104,6 @@ class ImportEdge:
     col: int
     deferred: bool  # inside a function body (lazy import)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target, "line": self.line, "col": self.col,
-            "deferred": self.deferred,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ImportEdge":
-        return cls(
-            target=data["target"], line=data["line"], col=data["col"],
-            deferred=data["deferred"],
-        )
-
 
 @dataclass
 class SymbolDef:
@@ -243,19 +114,6 @@ class SymbolDef:
     col: int
     kind: str  # "def" | "class"
     decorated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "line": self.line, "col": self.col,
-            "kind": self.kind, "decorated": self.decorated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SymbolDef":
-        return cls(
-            name=data["name"], line=data["line"], col=data["col"],
-            kind=data["kind"], decorated=data["decorated"],
-        )
 
 
 @dataclass
@@ -273,27 +131,6 @@ class ModuleSummary:
     @property
     def dir_parts(self) -> Set[str]:
         return set(Path(self.rel_path).parts[:-1])
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module, "rel_path": self.rel_path,
-            "is_test": self.is_test,
-            "imports": [i.to_dict() for i in self.imports],
-            "defs": [d.to_dict() for d in self.defs],
-            "references": list(self.references),
-            "classes": [c.to_dict() for c in self.classes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        return cls(
-            module=data["module"], rel_path=data["rel_path"],
-            is_test=data["is_test"],
-            imports=[ImportEdge.from_dict(i) for i in data["imports"]],
-            defs=[SymbolDef.from_dict(d) for d in data["defs"]],
-            references=list(data["references"]),
-            classes=[ClassSummary.from_dict(c) for c in data["classes"]],
-        )
 
 
 def module_name_of(rel_path: str) -> str:
@@ -471,38 +308,6 @@ def _lock_constructor(value: ast.expr) -> bool:
     return name in LOCK_CONSTRUCTORS
 
 
-def _constructed_class(value: ast.expr) -> Optional[str]:
-    """Class name when ``value`` is ``ClassName(...)`` (capitalized)."""
-    if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    name = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr
-        if isinstance(func, ast.Attribute)
-        else ""
-    )
-    return name if name[:1].isupper() else None
-
-
-def _annotated_class(annotation: Optional[ast.expr]) -> Optional[str]:
-    """Class name from a ``self.x: ClassName`` / ``"ClassName"`` annotation."""
-    if annotation is None:
-        return None
-    if isinstance(annotation, ast.Name):
-        name = annotation.id
-    elif isinstance(annotation, ast.Attribute):
-        name = annotation.attr
-    elif isinstance(annotation, ast.Constant) and isinstance(
-        annotation.value, str
-    ):
-        name = annotation.value.rsplit(".", 1)[-1]
-    else:
-        return None
-    return name if name[:1].isupper() else None
-
-
 class _MethodWalker:
     """Walk one method body tracking the lexically held lock set."""
 
@@ -510,8 +315,6 @@ class _MethodWalker:
         self.lock_attrs = lock_attrs
         self.tracked = tracked  # init-established attrs worth recording
         self.accesses: List[AttrAccess] = []
-        self.acquires: List[LockAcquire] = []
-        self.calls: List[MethodCall] = []
         self._held: List[str] = []
 
     def held(self) -> Tuple[str, ...]:
@@ -539,14 +342,6 @@ class _MethodWalker:
             for item in node.items:
                 attr = _self_attr(item.context_expr)
                 if attr is not None and attr in self.lock_attrs:
-                    self.acquires.append(
-                        LockAcquire(
-                            attr=attr,
-                            line=item.context_expr.lineno,
-                            col=item.context_expr.col_offset,
-                            held=self.held(),
-                        )
-                    )
                     self._held.append(attr)
                     acquired.append(attr)
                 else:
@@ -563,11 +358,6 @@ class _MethodWalker:
             )
             for target in targets:
                 self._walk_target(target)
-            if isinstance(node, ast.AugAssign):
-                # augmented writes also read the previous value
-                attr = _self_attr(node.target)
-                if attr is not None:
-                    pass  # already recorded as a write by _walk_target
             if node.value is not None:
                 self._walk_expr(node.value)
             return
@@ -616,29 +406,11 @@ class _MethodWalker:
                         self._record_access(attr, func, write=True)
                     else:
                         self._record_access(attr, func, write=False)
-                    self.calls.append(
-                        MethodCall(
-                            receiver=attr,
-                            method=func.attr,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            held=self.held(),
-                        )
-                    )
                     recorded = True
                 elif (
                     isinstance(receiver, ast.Name) and receiver.id == "self"
                 ):
-                    # self.method(...)
-                    self.calls.append(
-                        MethodCall(
-                            receiver="",
-                            method=func.attr,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            held=self.held(),
-                        )
-                    )
+                    # self.method(...): a call, not an attribute access
                     recorded = True
             if not recorded:
                 self._walk_expr_children(func)
@@ -692,9 +464,6 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
                     if _lock_constructor(value):
                         if attr not in summary.lock_attrs:
                             summary.lock_attrs.append(attr)
-                    constructed = _constructed_class(value)
-                    if constructed and constructed not in LOCK_CONSTRUCTORS:
-                        summary.attr_types.setdefault(attr, constructed)
             elif isinstance(sub, ast.AnnAssign) and sub.value is not None:
                 attr = _self_attr(sub.target)
                 if attr is not None:
@@ -702,11 +471,6 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
                     if _lock_constructor(sub.value):
                         if attr not in summary.lock_attrs:
                             summary.lock_attrs.append(attr)
-                    declared = _annotated_class(sub.annotation) or (
-                        _constructed_class(sub.value)
-                    )
-                    if declared and declared not in LOCK_CONSTRUCTORS:
-                        summary.attr_types.setdefault(attr, declared)
     lock_attrs = set(summary.lock_attrs)
     tracked = set(summary.init_attrs)
     # pass 2: per-method facts
@@ -726,8 +490,6 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
                 is_public=is_public,
                 is_init=is_init,
                 accesses=walker.accesses,
-                acquires=walker.acquires,
-                calls=walker.calls,
             )
         )
         if not is_init:
@@ -762,11 +524,6 @@ class ProjectModel:
     """Phase 2's input: every module summary plus derived indexes."""
 
     modules: Dict[str, ModuleSummary] = field(default_factory=dict)
-    #: class name -> [(module name, summary)]; names can collide across
-    #: modules, so consumers must handle multiple candidates explicitly
-    class_index: Dict[str, List[Tuple[str, ClassSummary]]] = field(
-        default_factory=dict
-    )
     #: whether the run covered every configured lint path (rules that
     #: reason about "the whole project", e.g. dead-symbol, stay silent
     #: on partial runs — a reference could live in an unscanned file)
@@ -791,8 +548,4 @@ def build_project_model(
     model = ProjectModel(full_project=full_project)
     for summary in summaries:
         model.modules[summary.module] = summary
-        for cls in summary.classes:
-            model.class_index.setdefault(cls.name, []).append(
-                (summary.module, cls)
-            )
     return model

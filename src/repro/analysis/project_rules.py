@@ -3,14 +3,11 @@
 File-local rules (:mod:`repro.analysis.rules`) see one AST at a time;
 the rules here consume the :class:`~repro.analysis.project.ProjectModel`
 that phase 1 of the engine assembles from every scanned file. Each one
-encodes a cross-file bug class this repo has actually hit or is about to
-grow into (ROADMAP: multiprocess shard workers, hot index swap):
+encodes a cross-file bug class this repo has actually hit:
 
 * ``unlocked-shared-state`` — the ResultCache/EmbeddingStore bug class:
   a class owns a lock, establishes mutable state in ``__init__``, then a
   public method touches that state without holding any lock.
-* ``lock-order-cycle`` — the acquired-while-held graph has a cycle, the
-  static signature of a potential AB/BA deadlock.
 * ``layering-violation`` — an import contradicts the layer DAG declared
   in ``[tool.repro.lint.layers]``, or a module-level import cycle exists.
 * ``dead-symbol`` — a module-level def/class no file in the project ever
@@ -19,21 +16,19 @@ grow into (ROADMAP: multiprocess shard workers, hot index swap):
 Project rules subclass :class:`ProjectRule`: they opt out of the
 per-file phase (``applies_to`` is ``False``) and implement
 :meth:`ProjectRule.check_project` instead. The engine still applies
-per-line ``# lint: ignore[...]`` suppressions and per-rule ``allow``
-path patterns to their findings, so the escape hatches are uniform
-across both phases.
+per-line ``# lint: ignore[...]`` suppressions to their findings, so the
+escape hatch is uniform across both phases.
 """
 
 from __future__ import annotations
 
-from fnmatch import fnmatch
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.config import LintConfig
 from repro.analysis.core import FileContext, Finding, Rule, register
 from repro.analysis.project import ClassSummary, ModuleSummary, ProjectModel
 
-#: Directories whose shared-state discipline the lock rules police. The
+#: Directories whose shared-state discipline the lock rule polices. The
 #: concurrency lives in serving, ingestion, sharding and storage; hot
 #: math paths (retriever/nn) are lock-free by design and stay exempt.
 SHARED_STATE_DIRS = frozenset({"serve", "ingest", "shard", "storage"})
@@ -169,138 +164,6 @@ class UnlockedSharedState(ProjectRule):
 
 
 @register
-class LockOrderCycle(ProjectRule):
-    id = "lock-order-cycle"
-    description = (
-        "locks are acquired in conflicting orders across methods "
-        "(potential deadlock)"
-    )
-
-    def check_project(
-        self, model: ProjectModel, config: LintConfig
-    ) -> Iterator[Finding]:
-        # method key -> locks that method acquires, transitively through
-        # calls with resolvable receivers
-        acquired: Dict[Tuple[str, str, str], Set[str]] = {}
-        methods: Dict[
-            Tuple[str, str, str], Tuple[ModuleSummary, ClassSummary, object]
-        ] = {}
-        for module in sorted(model.modules):
-            summary = model.modules[module]
-            if summary.is_test:
-                continue
-            for cls in summary.classes:
-                for method in cls.methods:
-                    key = (module, cls.name, method.name)
-                    methods[key] = (summary, cls, method)
-                    acquired[key] = {
-                        self._lock_id(module, cls.name, acq.attr)
-                        for acq in method.acquires
-                    }
-
-        def resolve_callee(
-            module: str, cls: ClassSummary, receiver: str, name: str
-        ) -> Optional[Tuple[str, str, str]]:
-            if receiver == "":
-                key = (module, cls.name, name)
-                return key if key in methods else None
-            target_class = cls.attr_types.get(receiver)
-            if target_class is None:
-                return None
-            candidates = model.class_index.get(target_class, ())
-            if len(candidates) != 1:
-                return None  # ambiguous class name: refuse to guess
-            target_module, target_summary = candidates[0]
-            key = (target_module, target_summary.name, name)
-            return key if key in methods else None
-
-        # fixpoint: propagate acquired-lock sets through resolved calls
-        changed = True
-        while changed:
-            changed = False
-            for key, (summary, cls, method) in methods.items():
-                module = key[0]
-                for call in method.calls:
-                    callee = resolve_callee(
-                        module, cls, call.receiver, call.method
-                    )
-                    if callee is None:
-                        continue
-                    extra = acquired[callee] - acquired[key]
-                    if extra:
-                        acquired[key] |= extra
-                        changed = True
-
-        # the acquired-while-held graph, each edge with its best anchor
-        edges: Dict[Tuple[str, str], Tuple[str, int, int]] = {}
-
-        def add_edge(
-            held_id: str, taken_id: str, anchor: Tuple[str, int, int]
-        ) -> None:
-            if held_id == taken_id:
-                # re-entrant self-acquire: legal for RLock/Condition and
-                # a different bug class for Lock; not an order cycle
-                return
-            key = (held_id, taken_id)
-            if key not in edges or anchor < edges[key]:
-                edges[key] = anchor
-
-        for key, (summary, cls, method) in methods.items():
-            module = key[0]
-            for acq in method.acquires:
-                taken = self._lock_id(module, cls.name, acq.attr)
-                for held_attr in acq.held:
-                    add_edge(
-                        self._lock_id(module, cls.name, held_attr),
-                        taken,
-                        (summary.rel_path, acq.line, acq.col),
-                    )
-            for call in method.calls:
-                if not call.held:
-                    continue
-                callee = resolve_callee(module, cls, call.receiver, call.method)
-                if callee is None:
-                    continue
-                for taken in acquired[callee]:
-                    for held_attr in call.held:
-                        add_edge(
-                            self._lock_id(module, cls.name, held_attr),
-                            taken,
-                            (summary.rel_path, call.line, call.col),
-                        )
-
-        graph: Dict[str, Set[str]] = {}
-        for (src, dst) in edges:
-            graph.setdefault(src, set()).add(dst)
-            graph.setdefault(dst, set())
-        for component in _tarjan_sccs(graph):
-            if len(component) < 2:
-                continue
-            members = sorted(component)
-            member_set = set(members)
-            anchor = min(
-                anchor
-                for (src, dst), anchor in edges.items()
-                if src in member_set and dst in member_set
-            )
-            yield Finding(
-                rule_id=self.id,
-                path=anchor[0],
-                line=anchor[1],
-                col=anchor[2],
-                message=(
-                    "lock-order cycle (potential deadlock): "
-                    + " <-> ".join(members)
-                    + "; impose one global acquisition order"
-                ),
-            )
-
-    @staticmethod
-    def _lock_id(module: str, class_name: str, attr: str) -> str:
-        return f"{class_name}.{attr}" if module else attr
-
-
-@register
 class LayeringViolation(ProjectRule):
     id = "layering-violation"
     description = (
@@ -418,7 +281,6 @@ class DeadSymbol(ProjectRule):
         referenced: Set[str] = set()
         for summary in model.modules.values():
             referenced.update(summary.references)
-        allow = config.dead_symbol_allow
         for module in sorted(model.modules):
             summary = model.modules[module]
             if summary.is_test:
@@ -431,12 +293,6 @@ class DeadSymbol(ProjectRule):
                     continue
                 if name in referenced:
                     continue
-                qualified = f"{module}.{name}"
-                if any(
-                    fnmatch(name, pattern) or fnmatch(qualified, pattern)
-                    for pattern in allow
-                ):
-                    continue
                 yield Finding(
                     rule_id=self.id,
                     path=summary.rel_path,
@@ -444,7 +300,6 @@ class DeadSymbol(ProjectRule):
                     col=symbol.col,
                     message=(
                         f"{symbol.kind} '{name}' is never referenced "
-                        f"anywhere in the project; delete it or add it "
-                        f"to dead-symbol-allow"
+                        f"anywhere in the project; delete it"
                     ),
                 )

@@ -16,21 +16,17 @@ def render_text(report: LintReport) -> str:
         f"{finding.location()}: {finding.rule_id}: {finding.message}"
         for finding in report.findings
     ]
-    cached = (
-        f", {report.files_cached} cached" if report.files_cached else ""
-    )
     if report.findings:
         by_rule = ", ".join(
             f"{rule_id}={count}" for rule_id, count in sorted(report.counts.items())
         )
         lines.append(
             f"{len(report.findings)} finding(s) in "
-            f"{report.files_scanned} file(s) scanned{cached} ({by_rule})"
+            f"{report.files_scanned} file(s) scanned ({by_rule})"
         )
     else:
         lines.append(
-            f"clean: 0 findings in {report.files_scanned} "
-            f"file(s) scanned{cached}"
+            f"clean: 0 findings in {report.files_scanned} file(s) scanned"
         )
     return "\n".join(lines)
 
@@ -40,7 +36,6 @@ def render_json(report: LintReport) -> str:
     payload = {
         "version": JSON_SCHEMA_VERSION,
         "files_scanned": report.files_scanned,
-        "files_cached": report.files_cached,
         "counts": report.counts,
         "findings": [
             {

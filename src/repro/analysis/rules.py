@@ -16,12 +16,6 @@ from pathlib import Path
 
 from repro.analysis.core import FileContext, Finding, Rule, register
 
-# directories that hold retrieval hot paths (scoped rules below)
-HOT_PATH_DIRS = frozenset({"retriever", "pipeline", "baselines"})
-COSINE_DIRS = HOT_PATH_DIRS | {"updater"}
-# directories where durations/deadlines are measured (wall-clock-timing)
-TIMING_DIRS = frozenset({"serve", "perf", "benchmarks"})
-
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -35,25 +29,6 @@ def _walk_shallow(node: ast.AST) -> Iterator[ast.AST]:
             if isinstance(child, _SCOPE_NODES):
                 continue
             stack.append(child)
-
-
-def _scopes(tree: ast.AST) -> Iterator[Tuple[ast.AST, List[ast.stmt]]]:
-    """(scope node, body) for the module and every function definition."""
-    yield tree, getattr(tree, "body", [])
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
-
-
-def _identifiers(node: ast.AST) -> Iterator[str]:
-    """Every Name/Attribute/keyword identifier appearing inside ``node``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.keyword) and sub.arg:
-            yield sub.arg
 
 
 def _all_args(args: ast.arguments) -> List[ast.arg]:
@@ -258,352 +233,6 @@ class ExceptPass(Rule):
 
 
 # ---------------------------------------------------------------------------
-# missing-perf-counter
-# ---------------------------------------------------------------------------
-
-_ENCODE_ATTRS = frozenset({"encode_numpy"})
-_PERF_MARKERS = frozenset(
-    {"COUNTERS", "record_encode", "record_scoring", "time_block"}
-)
-
-
-@register
-class MissingPerfCounter(Rule):
-    """Hot-path encoder calls must increment ``repro.perf`` counters.
-
-    The vectorized retrieval work made encoder invocations the observable
-    cost driver; a hot-path function that encodes without counting makes
-    ``--stats`` and the throughput benchmarks silently undercount.
-    """
-
-    id = "missing-perf-counter"
-    description = (
-        "hot-path function calls the encoder without touching repro.perf "
-        "counters"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return bool(ctx.dir_parts & HOT_PATH_DIRS) and not ctx.is_test_file
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            encode_calls = [
-                sub
-                for sub in _walk_shallow(node)
-                if isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in _ENCODE_ATTRS
-            ]
-            if not encode_calls:
-                continue
-            references = set()
-            for stmt in node.body:
-                references.update(_identifiers(stmt))
-            if references & _PERF_MARKERS:
-                continue
-            first = min(encode_calls, key=lambda call: call.lineno)
-            yield self.finding(
-                ctx,
-                first,
-                f"{node.name}() calls the encoder but never records "
-                "repro.perf counters (COUNTERS.record_encode/record_scoring)",
-            )
-
-
-# ---------------------------------------------------------------------------
-# unnormalized-matmul
-# ---------------------------------------------------------------------------
-
-_SCOREY_TARGET = re.compile(r"(score|cos|sim)", re.IGNORECASE)
-_NORM_IDENT = re.compile(r"norm", re.IGNORECASE)
-
-
-def _has_norm_evidence(node: ast.AST) -> bool:
-    return any(_NORM_IDENT.search(ident) for ident in _identifiers(node))
-
-
-@register
-class UnnormalizedMatmul(Rule):
-    """Cosine-score matmuls must run on L2-normalized operands.
-
-    A ``scores = A @ B`` where neither side went through the normalize
-    helper computes inner products, not cosines — retrieval then ranks by
-    vector length. Operands are accepted when the statement (or the
-    operand's own defining assignment / parameter name) mentions a
-    ``*norm*`` identifier, e.g. ``l2_normalize_rows(...)`` or
-    ``self._normed``.
-    """
-
-    id = "unnormalized-matmul"
-    description = (
-        "cosine-score matmul on operands with no visible L2 normalization"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return bool(ctx.dir_parts & COSINE_DIRS) and not ctx.is_test_file
-
-    def _operand_ok(
-        self,
-        operand: ast.expr,
-        assignments: Dict[str, List[Tuple[int, ast.expr]]],
-        norm_params: Set[str],
-        before_line: int,
-    ) -> bool:
-        if _has_norm_evidence(operand):
-            return True
-        base = operand
-        while isinstance(base, (ast.Attribute, ast.Subscript, ast.Starred)):
-            base = base.value
-        if not isinstance(base, ast.Name):
-            return False
-        if base.id in norm_params:
-            return True
-        prior = [
-            value
-            for lineno, value in assignments.get(base.id, [])
-            if lineno <= before_line
-        ]
-        return bool(prior) and _has_norm_evidence(prior[-1])
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for scope, _body in _scopes(ctx.tree):
-            norm_params: Set[str] = set()
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                norm_params = {
-                    arg.arg
-                    for arg in _all_args(scope.args)
-                    if _NORM_IDENT.search(arg.arg)
-                }
-            assignments: Dict[str, List[Tuple[int, ast.expr]]] = {}
-            statements = [
-                sub
-                for sub in _walk_shallow(scope)
-                if isinstance(sub, ast.Assign)
-            ]
-            statements.sort(key=lambda s: s.lineno)
-            for statement in statements:
-                for target in statement.targets:
-                    if isinstance(target, ast.Name):
-                        assignments.setdefault(target.id, []).append(
-                            (statement.lineno, statement.value)
-                        )
-            for statement in statements:
-                if len(statement.targets) != 1:
-                    continue
-                target = statement.targets[0]
-                if not (
-                    isinstance(target, ast.Name)
-                    and _SCOREY_TARGET.search(target.id)
-                ):
-                    continue
-                matmuls = [
-                    sub
-                    for sub in ast.walk(statement.value)
-                    if isinstance(sub, ast.BinOp)
-                    and isinstance(sub.op, ast.MatMult)
-                ]
-                if not matmuls or _has_norm_evidence(statement.value):
-                    continue
-                for matmul in matmuls:
-                    bad = [
-                        operand
-                        for operand in (matmul.left, matmul.right)
-                        if not self._operand_ok(
-                            operand, assignments, norm_params, statement.lineno
-                        )
-                    ]
-                    if bad:
-                        yield self.finding(
-                            ctx,
-                            statement,
-                            f"cosine-score matmul assigned to "
-                            f"{target.id!r} has operand(s) with no visible "
-                            "L2 normalization; route them through "
-                            "l2_normalize_rows / l2_normalize_vec",
-                        )
-                        break
-
-
-# ---------------------------------------------------------------------------
-# unordered-topk
-# ---------------------------------------------------------------------------
-
-# retrieval code that ranks: the hot paths plus the sharded merge layer
-TOPK_DIRS = HOT_PATH_DIRS | {"shard"}
-_TIEBREAK_MARKERS = frozenset({"lexsort", "topk_doc_order"})
-
-
-@register
-class UnorderedTopk(Rule):
-    """Bare ``argpartition`` top-k has no deterministic tie order.
-
-    ``np.argpartition`` returns the top-k *set* in an arbitrary,
-    platform-dependent order, and tied scores at the k boundary make even
-    the set ambiguous. The PR-6 sharding work depends on every ranking
-    site using the (score desc, doc id asc) total order — otherwise
-    sharded and unsharded results diverge on ties and the byte-identical
-    parity guarantee breaks. Retrieval code must rank through
-    ``repro.shard.merge.topk_doc_order`` (or apply an explicit
-    ``np.lexsort`` tie-break in the same function).
-    """
-
-    id = "unordered-topk"
-    description = (
-        "argpartition top-k without a deterministic tie-break; rank "
-        "through topk_doc_order (score desc, doc id asc)"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return bool(ctx.dir_parts & TOPK_DIRS) and not ctx.is_test_file
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            partition_calls = [
-                sub
-                for sub in _walk_shallow(node)
-                if isinstance(sub, ast.Call)
-                and isinstance(sub.func, (ast.Attribute, ast.Name))
-                and (
-                    sub.func.attr
-                    if isinstance(sub.func, ast.Attribute)
-                    else sub.func.id
-                )
-                == "argpartition"
-            ]
-            if not partition_calls:
-                continue
-            references = set()
-            for stmt in node.body:
-                references.update(_identifiers(stmt))
-            if references & _TIEBREAK_MARKERS:
-                continue
-            first = min(partition_calls, key=lambda call: call.lineno)
-            yield self.finding(
-                ctx,
-                first,
-                f"{node.name}() selects top-k with argpartition but never "
-                "orders ties; rank through topk_doc_order (score desc, "
-                "doc id asc) or add an explicit lexsort tie-break",
-            )
-
-
-# ---------------------------------------------------------------------------
-# shadowed-builtin-id
-# ---------------------------------------------------------------------------
-
-_SHADOWED_BUILTINS = frozenset(
-    {
-        "id", "type", "list", "dict", "set", "tuple", "str", "int", "float",
-        "bool", "bytes", "sum", "max", "min", "map", "filter", "zip",
-        "range", "len", "input", "next", "iter", "vars", "hash", "object",
-        "print", "open", "all", "any", "format", "dir",
-    }
-)
-
-
-def _target_names(target: ast.expr) -> Iterator[ast.Name]:
-    if isinstance(target, ast.Name):
-        yield target
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _target_names(element)
-    elif isinstance(target, ast.Starred):
-        yield from _target_names(target.value)
-
-
-@register
-class ShadowedBuiltin(Rule):
-    """Binding ``id``/``type``/``sum``/... hides the builtin for the scope.
-
-    Class-body annotations (dataclass fields like ``object: str``) are
-    attribute names, not scope bindings, and are exempt.
-    """
-
-    id = "shadowed-builtin-id"
-    description = "local binding shadows a commonly used builtin"
-
-    def _flag(self, ctx: FileContext, node: ast.AST, name: str) -> Finding:
-        return self.finding(
-            ctx,
-            node,
-            f"binding {name!r} shadows the builtin; rename "
-            f"(e.g. {name}_ or a descriptive name)",
-        )
-
-    def _check_args(self, ctx, node) -> Iterator[Finding]:
-        for arg in [
-            *_all_args(node.args),
-            *([node.args.vararg] if node.args.vararg else []),
-            *([node.args.kwarg] if node.args.kwarg else []),
-        ]:
-            if arg.arg in _SHADOWED_BUILTINS:
-                yield self._flag(ctx, arg, arg.arg)
-
-    def _bindings(self, node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                for name in _target_names(target):
-                    yield name, name.id
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            for name in _target_names(node.target):
-                yield name, name.id
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for name in _target_names(node.target):
-                yield name, name.id
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for generator in node.generators:
-                for name in _target_names(generator.target):
-                    yield name, name.id
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    for name in _target_names(item.optional_vars):
-                        yield name, name.id
-        elif isinstance(node, ast.NamedExpr):
-            yield node.target, node.target.id
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            yield node, node.name
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                yield node, bound
-
-    def _visit(
-        self, ctx: FileContext, node: ast.AST, skip_binding: bool
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not skip_binding and node.name in _SHADOWED_BUILTINS:
-                yield self._flag(ctx, node, node.name)
-            yield from self._check_args(ctx, node)
-            for child in node.body:
-                yield from self._visit(ctx, child, False)
-            return
-        if isinstance(node, ast.Lambda):
-            yield from self._check_args(ctx, node)
-            yield from self._visit(ctx, node.body, False)
-            return
-        if isinstance(node, ast.ClassDef):
-            for child in node.body:
-                yield from self._visit(ctx, child, True)
-            return
-        if not skip_binding:
-            for bound_node, name in self._bindings(node):
-                if name in _SHADOWED_BUILTINS:
-                    yield self._flag(ctx, bound_node, name)
-        for child in ast.iter_child_nodes(node):
-            yield from self._visit(ctx, child, False)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in getattr(ctx.tree, "body", []):
-            yield from self._visit(ctx, node, False)
-
-
-# ---------------------------------------------------------------------------
 # wall-clock-timing
 # ---------------------------------------------------------------------------
 
@@ -614,27 +243,20 @@ class WallClockTiming(Rule):
 
     ``time.time()`` jumps with NTP slews and DST; a duration measured
     across a step can come out negative, and a deadline computed from it
-    can fire early or never. The serving layer and every benchmark
-    measure with ``time.perf_counter()`` (durations) or
-    ``time.monotonic()`` (deadlines, injectable clocks). This rule
-    covers *all* files in the timing directories — including benchmark
-    test files, which are exactly where sloppy timing sneaks in.
+    can fire early or never. Everything here measures with
+    ``time.perf_counter()`` (durations) or ``time.monotonic()``
+    (deadlines, injectable clocks). Every file is in scope, and any
+    *reference* to ``time.time`` fires, called or not — a
+    ``clock=time.time`` default is how the wall clock gets injected.
     """
 
     id = "wall-clock-timing"
-    description = (
-        "time.time() in timing-sensitive code; use perf_counter/monotonic"
-    )
+    description = "time.time is wall-clock; use perf_counter/monotonic"
     _MESSAGE = (
-        "time.time() is wall-clock (jumps with NTP/DST); measure "
+        "time.time is wall-clock (jumps with NTP/DST); measure "
         "durations with time.perf_counter() and deadlines with "
         "time.monotonic()"
     )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        # deliberately no test-file exemption: benchmarks/test_*.py are
-        # the heaviest timing users
-        return bool(ctx.dir_parts & TIMING_DIRS)
 
     def _aliases(self, tree: ast.AST) -> Tuple[Set[str], Set[str]]:
         """(names bound to the time module, names bound to time.time)."""
@@ -656,98 +278,15 @@ class WallClockTiming(Rule):
         if not modules and not functions:
             return
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
             if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "time"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in modules
+                isinstance(node, ast.Attribute)
+                and node.attr == "time"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
             ):
                 yield self.finding(ctx, node, self._MESSAGE)
-            elif isinstance(func, ast.Name) and func.id in functions:
+            elif isinstance(node, ast.Name) and node.id in functions:
                 yield self.finding(ctx, node, self._MESSAGE)
-
-
-# ---------------------------------------------------------------------------
-# dict-iteration-mutation
-# ---------------------------------------------------------------------------
-
-_DICT_VIEWS = frozenset({"keys", "items", "values"})
-_MUTATING_METHODS = frozenset({"pop", "popitem", "clear", "update", "setdefault"})
-
-
-@register
-class DictIterationMutation(Rule):
-    """Mutating a dict while iterating it raises RuntimeError (or worse).
-
-    Adding or removing keys during ``for k in d`` / ``d.items()`` blows up
-    at runtime only when the branch actually executes; iterate over
-    ``list(d)`` (a snapshot) instead when mutation is intended.
-    """
-
-    id = "dict-iteration-mutation"
-    description = "container mutated while being iterated"
-
-    def _iterated_expr(self, node: ast.For) -> Optional[str]:
-        iterator = node.iter
-        if (
-            isinstance(iterator, ast.Call)
-            and isinstance(iterator.func, ast.Attribute)
-            and iterator.func.attr in _DICT_VIEWS
-            and not iterator.args
-        ):
-            return ast.unparse(iterator.func.value)
-        if isinstance(iterator, (ast.Name, ast.Attribute)):
-            return ast.unparse(iterator)
-        return None
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            iterated = self._iterated_expr(node)
-            if iterated is None:
-                continue
-            for stmt in node.body:
-                for sub in _walk_shallow(stmt):
-                    yield from self._check_mutation(ctx, sub, iterated)
-
-    def _check_mutation(
-        self, ctx: FileContext, node: ast.AST, iterated: str
-    ) -> Iterator[Finding]:
-        message = (
-            f"'{iterated}' is mutated while being iterated; iterate over "
-            f"list({iterated}) (a snapshot) or collect changes first"
-        )
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and ast.unparse(target.value) == iterated
-                ):
-                    yield self.finding(ctx, node, message)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-                and ast.unparse(func.value) == iterated
-            ):
-                yield self.finding(ctx, node, message)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and ast.unparse(target.value) == iterated
-                ):
-                    yield self.finding(ctx, node, message)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,91 +687,3 @@ class BlockingInAsync(Rule):
                     yield from self._flag_call(
                         ctx, node, time_modules, socket_modules, functions
                     )
-
-
-# ---------------------------------------------------------------------------
-# graph-in-inference
-# ---------------------------------------------------------------------------
-
-#: modules whose ``Tensor`` is the autograd engine
-_TENSOR_MODULES = frozenset({"repro.nn.tensor", "repro.nn"})
-
-
-@register
-class GraphInInference(Rule):
-    """The fused inference module must never touch the autograd engine.
-
-    ``repro/nn/infer.py`` exists to skip the graph: one ``Tensor``
-    construction inside it silently re-introduces per-op grad closures
-    and float64 temporaries on the hot encode path — and the parity
-    tests would still pass, because the graph computes the same numbers,
-    just slowly. So the boundary is enforced statically: any use of a
-    ``Tensor`` alias (construction, isinstance, annotation), any
-    ``module.Tensor`` attribute on an aliased autograd module, and any
-    ``.backward()`` call inside the inference module is a finding.
-    """
-
-    id = "graph-in-inference"
-    description = (
-        "autograd Tensor use inside the fused inference module; "
-        "repro/nn/infer.py must stay graph-free numpy"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return (
-            "nn" in ctx.dir_parts
-            and Path(ctx.rel_path).name == "infer.py"
-        )
-
-    def _aliases(self, tree: ast.AST) -> Tuple[Set[str], Set[str]]:
-        """(names bound to Tensor, names bound to an autograd module)."""
-        names: Set[str] = set()
-        modules: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in _TENSOR_MODULES:
-                        modules.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                if node.module in _TENSOR_MODULES:
-                    for alias in node.names:
-                        if alias.name == "Tensor":
-                            names.add(alias.asname or "Tensor")
-                        elif alias.name == "tensor":
-                            modules.add(alias.asname or "tensor")
-        return names, modules
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        names, modules = self._aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in names
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{node.id} is the autograd engine; the fused "
-                    "inference path must compute in plain numpy",
-                )
-            elif isinstance(node, ast.Attribute) and node.attr == "Tensor":
-                owner = node.value
-                if isinstance(owner, ast.Name) and owner.id in modules:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{owner.id}.Tensor is the autograd engine; the "
-                        "fused inference path must compute in plain numpy",
-                    )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "backward"
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    ".backward() builds gradients; inference code has "
-                    "no business backpropagating",
-                )

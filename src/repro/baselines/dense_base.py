@@ -84,7 +84,8 @@ class DenseRetriever:
     def encode_queries(self, queries: Sequence[str]) -> np.ndarray:
         """Row-normalized query embeddings, one encoder pass."""
         if not queries:
-            return np.zeros((0, self.encoder.config.dim))
+            # the encoder's own empty result: (0, dim) in its policy dtype
+            return self.encoder.encode_numpy([])
         COUNTERS.record_encode(len(queries))
         return l2_normalize_rows(self.encoder.encode_numpy(list(queries)))
 

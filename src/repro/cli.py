@@ -8,7 +8,7 @@ Subcommands::
     python -m repro.cli query  --model model_dir --batch queries.txt
     python -m repro.cli eval   --model model_dir [--n 100]
     python -m repro.cli demo   "a sentence or two of text"   # OIE + Alg.1
-    python -m repro.cli lint   [paths ...] [--jobs N] [--output report.json]
+    python -m repro.cli lint   [paths ...] [--format json] [--select IDS]
     python -m repro.cli serve  --listen HOST:PORT --workers N [--store DIR]
 
 ``build`` trains the full system on a freshly generated world and saves it
@@ -203,9 +203,7 @@ def cmd_lint(args) -> int:
         render_text,
         run_lint,
     )
-    from repro.analysis.cache import DEFAULT_CACHE_DIR
     from repro.analysis.core import REGISTRY
-    from repro.storage.atomic import atomic_write_text
 
     if args.list_rules:
         for rule_id in all_rule_ids():
@@ -217,29 +215,17 @@ def cmd_lint(args) -> int:
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = Path(args.cache_dir)
-    else:
-        cache_dir = (config.root or Path.cwd()) / DEFAULT_CACHE_DIR
     try:
         report = run_lint(
             paths,
             select=_split_rule_ids(args.select) if args.select else None,
             ignore=_split_rule_ids(args.ignore) if args.ignore else None,
             config=config,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     renderer = render_json if args.format == "json" else render_text
-    if args.output:
-        # the report is itself an artifact: write it through the same
-        # atomic path the nonatomic-artifact-write rule enforces
-        atomic_write_text(Path(args.output), render_json(report) + "\n")
     print(renderer(report))
     return 1 if report.findings else 0
 
@@ -413,22 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan per-file analysis over N worker processes",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the per-file result cache",
-    )
-    lint.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache location (default: <root>/.repro-lint-cache)",
-    )
-    lint.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also write the JSON report to FILE (atomic replace)",
     )
     lint.set_defaults(func=cmd_lint)
 

@@ -194,7 +194,11 @@ class WorkerRuntime:
                 kwargs["precision"] = str(message["precision"])
             if message.get("deadline_s") is not None:
                 kwargs["deadline_s"] = float(message["deadline_s"])
-            timeout = float(message.get("timeout_s") or 300.0)
+            timeout = (
+                300.0
+                if message.get("timeout_s") is None
+                else float(message["timeout_s"])
+            )
             with self._swap_lock:
                 generation = self._generation
                 pending = self._service.submit(question, mode=mode, **kwargs)

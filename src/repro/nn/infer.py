@@ -34,8 +34,9 @@ Sessions are immutable snapshots: :meth:`InferenceSession.stale` reports
 when any source parameter's array has been replaced (optimizer steps and
 ``load_weights`` both *reassign* ``.data``), and the owner builds a
 fresh session. Training, autograd, and gradcheck stay on the graph path
-untouched — this module must not touch the autograd engine at all,
-which the ``graph-in-inference`` lint rule enforces.
+untouched — this module must not touch the autograd engine at all: a
+``Tensor`` on this path promotes to float64, which the float32 parity
+test in ``tests/test_infer.py`` catches.
 
 Parity: in float64 mode fused [CLS] states match the graph path to
 <= 1e-6 (in practice ~1e-12; the only reordered math is the layer-norm

@@ -104,9 +104,9 @@ def aggregate_segments(
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-L2-normalized copy; zero rows stay zero.
 
-    The one normalization helper cosine-score matmuls must route through
-    (enforced by the ``unnormalized-matmul`` lint rule): dividing by
-    ``max(norm, tiny)`` keeps zero rows at exactly zero without branching.
+    The one normalization helper cosine-score matmuls must route
+    through: dividing by ``max(norm, tiny)`` keeps zero rows at exactly
+    zero without branching.
 
     Dtype-preserving: a float32 matrix normalizes in float32 (the
     precision policy decides the dtype upstream, at the encoder/store

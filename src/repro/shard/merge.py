@@ -6,10 +6,7 @@ byte-identical parity between sharded and unsharded retrieval: the same
 documents come back in different orders depending on how many shards the
 scores travelled through. Every top-k in retrieval code therefore routes
 through :func:`topk_doc_order`, which pins the total order to
-``(score desc, id asc)`` regardless of input layout. The
-``unordered-topk`` lint rule enforces the discipline: a bare
-``argpartition`` in retrieval code without a ``lexsort`` tie-break in
-the same scope is a finding.
+``(score desc, id asc)`` regardless of input layout.
 """
 
 from __future__ import annotations

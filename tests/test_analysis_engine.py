@@ -1,21 +1,14 @@
-"""Engine-level tests: two-phase pipeline, parallelism, result cache.
+"""Engine-level tests: the two-phase pipeline, run in process.
 
-The contract under test: ``--jobs N`` and the per-file result cache are
-*pure accelerations* — any combination of (jobs, cache temperature)
-produces a byte-identical report — and the cache invalidates on exactly
-the right events: file content change, config change, ruleset version
-bump. Cache-invalidation tests carry the ``lint_cache`` marker
-(``pytest -m lint_cache``).
+``run_lint`` is one sequential pass in the calling process: phase 1
+(file-local rules + module summaries) then phase 2 (project rules over
+the assembled model). It reads the tree and writes nothing.
 """
 
-import json
+import os
 import textwrap
 
-import pytest
-
-import repro.analysis.cache as cache_mod
-from repro.analysis import LintConfig, render_json, run_lint
-from repro.analysis.cache import LintCache, run_fingerprint
+from repro.analysis import LintConfig, run_lint
 from repro.cli import main
 
 CLEAN = 'GREETING = "hello"\n\nUSED = len(GREETING)\n'
@@ -49,6 +42,9 @@ UNLOCKED_TRACKER = textwrap.dedent(
 
         def snapshot(self):
             return self._hits
+
+
+    TRACKER = Tracker()
     """
 ).strip("\n") + "\n"
 
@@ -67,23 +63,8 @@ def _mini_project(tmp_path):
     serve.mkdir()
     (serve / "svc.py").write_text(UNLOCKED_TRACKER, encoding="utf-8")
     (serve / "other.py").write_text(CLEAN, encoding="utf-8")
-    config = LintConfig(
-        paths=("pkg", "serve"),
-        root=tmp_path,
-        dead_symbol_allow=("guard", "Tracker"),
-    )
+    config = LintConfig(paths=("pkg", "serve"), root=tmp_path)
     return [pkg, serve], config
-
-
-def _signature(report):
-    """Byte-exact representation of a report's findings.
-
-    ``files_cached`` is excluded: it is telemetry about *how* the result
-    was produced, not part of the result itself.
-    """
-    payload = json.loads(render_json(report))
-    del payload["files_cached"]
-    return json.dumps(payload, sort_keys=True)
 
 
 class TestDeterminism:
@@ -94,156 +75,17 @@ class TestDeterminism:
         assert "bare-except" in rules  # phase 1 (file-local)
         assert "unlocked-shared-state" in rules  # phase 2 (project)
 
-    def test_jobs_1_vs_4_byte_identical(self, tmp_path):
-        paths, config = _mini_project(tmp_path)
-        sequential = run_lint(paths, config=config, jobs=1)
-        parallel = run_lint(paths, config=config, jobs=4)
-        assert sequential.findings == parallel.findings
-        assert _signature(sequential) == _signature(parallel)
-        assert sequential.files_scanned == parallel.files_scanned
-
-    def test_cold_vs_warm_cache_byte_identical(self, tmp_path):
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        cold = run_lint(paths, config=config, cache_dir=cache_dir)
-        warm = run_lint(paths, config=config, cache_dir=cache_dir)
-        uncached = run_lint(paths, config=config)
-        assert cold.files_cached == 0
-        assert warm.files_cached == warm.files_scanned == 5
-        assert cold.findings == warm.findings == uncached.findings
-        assert _signature(cold) == _signature(warm) == _signature(uncached)
-
-    def test_parallel_warm_cache_byte_identical(self, tmp_path):
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        run_lint(paths, config=config, cache_dir=cache_dir)
-        warm_parallel = run_lint(
-            paths, config=config, cache_dir=cache_dir, jobs=4
-        )
-        uncached = run_lint(paths, config=config)
-        assert warm_parallel.files_cached == warm_parallel.files_scanned
-        assert warm_parallel.findings == uncached.findings
-
-    def test_project_findings_survive_warm_cache(self, tmp_path):
-        # phase 2 rebuilds its model from *cached* summaries: the
-        # unlocked-shared-state finding must not vanish on warm runs
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        run_lint(paths, config=config, cache_dir=cache_dir)
-        warm = run_lint(paths, config=config, cache_dir=cache_dir)
-        assert "unlocked-shared-state" in {
-            f.rule_id for f in warm.findings
-        }
-
-
-@pytest.mark.lint_cache
-class TestCacheInvalidation:
-    def test_file_edit_invalidates_only_that_file(self, tmp_path):
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        run_lint(paths, config=config, cache_dir=cache_dir)
-        edited = tmp_path / "pkg" / "alpha.py"
-        edited.write_text(
-            CLEAN + "\n\ndef pick(k=None):\n    k = k or 10\n    return k\n"
-            "\n\nPICKED = pick()\n",
-            encoding="utf-8",
-        )
-        after = run_lint(paths, config=config, cache_dir=cache_dir)
-        assert after.files_cached == after.files_scanned - 1
-        assert "falsy-zero-default" in {f.rule_id for f in after.findings}
-
-    def test_config_change_invalidates_everything(self, tmp_path):
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        run_lint(paths, config=config, cache_dir=cache_dir)
-        changed = LintConfig(
-            paths=config.paths,
-            root=config.root,
-            dead_symbol_allow=config.dead_symbol_allow,
-            allow={"bare-except": ("pkg/*.py",)},
-        )
-        after = run_lint(paths, config=changed, cache_dir=cache_dir)
-        assert after.files_cached == 0
-        assert "bare-except" not in {f.rule_id for f in after.findings}
-
-    def test_ruleset_version_bump_invalidates_everything(
-        self, tmp_path, monkeypatch
-    ):
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        before = run_lint(paths, config=config, cache_dir=cache_dir)
-        monkeypatch.setattr(
-            cache_mod, "RULESET_VERSION", cache_mod.RULESET_VERSION + 1
-        )
-        after = run_lint(paths, config=config, cache_dir=cache_dir)
-        assert after.files_cached == 0
-        assert after.findings == before.findings
-
-    def test_select_change_invalidates(self, tmp_path):
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        run_lint(paths, config=config, cache_dir=cache_dir)
-        narrowed = run_lint(
-            paths, select=["bare-except"], config=config, cache_dir=cache_dir
-        )
-        assert narrowed.files_cached == 0
-        assert {f.rule_id for f in narrowed.findings} == {"bare-except"}
-
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        paths, config = _mini_project(tmp_path)
-        cache_dir = tmp_path / ".repro-lint-cache"
-        clean = run_lint(paths, config=config, cache_dir=cache_dir)
-        for entry in cache_dir.glob("*.json"):
-            entry.write_text("{not json", encoding="utf-8")
-        recovered = run_lint(paths, config=config, cache_dir=cache_dir)
-        assert recovered.files_cached == 0
-        assert recovered.findings == clean.findings
-
-    def test_fingerprint_stable_across_processes(self, tmp_path):
-        # the key derivation must not depend on dict iteration order or
-        # interpreter state: same inputs -> same fingerprint
-        config = LintConfig(root=tmp_path)
-        first = run_fingerprint(config, ["a", "b"])
-        second = run_fingerprint(config, ["b", "a"])  # order-insensitive
-        assert first == second
-        assert first != run_fingerprint(config, ["a"])
-
-    def test_cache_store_load_roundtrip(self, tmp_path):
-        cache = LintCache(tmp_path / "c", "fp")
-        cache.store("mod.py", "sha", [], {3: {"bare-except"}}, None)
-        loaded = cache.load("mod.py", "sha")
-        assert loaded == ([], {3: {"bare-except"}}, None)
-        assert cache.load("mod.py", "other-sha") is None
-
 
 class TestCliIntegration:
-    def test_output_writes_json_report(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text(
-            "def pick(k=None):\n    k = k or 10\n    return k\n",
-            encoding="utf-8",
+    def test_lint_leaves_the_project_directory_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro.lint]\npaths = ["."]\n', encoding="utf-8"
         )
-        out = tmp_path / "report" / "lint.json"
-        out.parent.mkdir()
-        code = main(
-            ["lint", str(target), "--output", str(out), "--no-cache"]
-        )
-        assert code == 1
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["counts"] == {"falsy-zero-default": 1}
-        assert payload["version"] == 1
-
-    def test_jobs_and_cache_flags(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text(CLEAN, encoding="utf-8")
-        cache_dir = tmp_path / "cache"
-        assert main(
-            ["lint", str(target), "--jobs", "2", "--cache-dir", str(cache_dir)]
-        ) == 0
-        assert cache_dir.exists()
-        # warm: the summary line reports the cache hit
-        assert main(
-            ["lint", str(target), "--cache-dir", str(cache_dir)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "1 cached" in out
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["lint", str(target)]) == 0
+        assert sorted(os.listdir(tmp_path)) == before

@@ -3,8 +3,8 @@
 Every rule is exercised three ways: a seeded violation fires, a
 ``# lint: ignore[rule-id]`` comment on the offending line suppresses it,
 and a compliant rewrite produces no finding at all. Framework behaviour
-(suppression semantics, allow-lists, config parsing, reporters, parse
-errors) gets its own targeted tests below.
+(suppression semantics, config parsing, reporters, parse errors) gets
+its own targeted tests below.
 """
 
 import ast
@@ -27,8 +27,8 @@ from repro.analysis.core import PARSE_ERROR, REGISTRY, _resolve_rules
 MARKER = "##HERE##"
 
 # rule id -> (relative path, source with MARKER on the offending line).
-# Scoped rules (missing-perf-counter, unnormalized-matmul) need a hot-path
-# directory in the fixture path and a non-test filename.
+# Scoped rules (hardcoded-dtype, blocking-in-async, unlocked-shared-state)
+# need their directory in the fixture path and a non-test filename.
 VIOLATIONS = {
     "falsy-zero-default": (
         "mod.py",
@@ -64,51 +64,6 @@ VIOLATIONS = {
                 return fn()
             except ValueError:
                 pass  ##HERE##
-        """,
-    ),
-    "missing-perf-counter": (
-        "retriever/hot.py",
-        """
-        def refresh(encoder, texts):
-            matrix = encoder.encode_numpy(texts)  ##HERE##
-            return matrix
-        """,
-    ),
-    "unnormalized-matmul": (
-        "retriever/scoring.py",
-        """
-        def rank(queries, docs):
-            scores = queries @ docs.T  ##HERE##
-            return scores
-        """,
-    ),
-    "unordered-topk": (
-        "retriever/merge.py",
-        """
-        import numpy as np
-
-
-        def top_k(scores, k):
-            part = np.argpartition(-scores, k - 1)  ##HERE##
-            return part[:k]
-        """,
-    ),
-    "shadowed-builtin-id": (
-        "mod.py",
-        """
-        def first(values):
-            id = values[0]  ##HERE##
-            return id
-        """,
-    ),
-    "dict-iteration-mutation": (
-        "mod.py",
-        """
-        def prune(table):
-            for key in table:
-                if key < 0:
-                    table.pop(key)  ##HERE##
-            return table
         """,
     ),
     "wall-clock-timing": (
@@ -150,36 +105,6 @@ VIOLATIONS = {
                 return self._hits  ##HERE##
         """,
     ),
-    "lock-order-cycle": (
-        "serve/locks.py",
-        """
-        import threading
-
-
-        class Source:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.sink = Sink(self)
-
-            def push(self):
-                with self._lock:
-                    self.sink.accept()  ##HERE##
-
-
-        class Sink:
-            def __init__(self, source):
-                self._lock = threading.Lock()
-                self.source: Source = source
-
-            def accept(self):
-                with self._lock:
-                    return True
-
-            def flush(self):
-                with self._lock:
-                    self.source.push()
-        """,
-    ),
     "layering-violation": (
         "src/repro/nn/hotpath.py",
         """
@@ -215,16 +140,6 @@ VIOLATIONS = {
 
         async def pause():
             time.sleep(0.1)  ##HERE##
-        """,
-    ),
-    "graph-in-inference": (
-        "nn/infer.py",
-        """
-        from repro.nn.tensor import Tensor
-
-
-        def forward(ids):
-            return Tensor(ids)  ##HERE##
         """,
     ),
 }
@@ -278,61 +193,6 @@ COMPLIANT = {
                 return None
         """,
     ),
-    "missing-perf-counter": (
-        "retriever/hot.py",
-        """
-        from repro.perf import COUNTERS
-
-
-        def refresh(encoder, texts):
-            COUNTERS.record_encode(len(texts))
-            matrix = encoder.encode_numpy(texts)
-            return matrix
-        """,
-    ),
-    "unnormalized-matmul": (
-        "retriever/scoring.py",
-        """
-        from repro.retriever.strategies import l2_normalize_rows
-
-
-        def rank(queries, docs):
-            queries_normed = l2_normalize_rows(queries)
-            docs_normed = l2_normalize_rows(docs)
-            scores = queries_normed @ docs_normed.T
-            return scores
-        """,
-    ),
-    "unordered-topk": (
-        "retriever/merge.py",
-        """
-        import numpy as np
-
-
-        def top_k(scores, k):
-            part = np.argpartition(-scores, k - 1)[:k]
-            order = np.lexsort((part, -scores[part]))
-            return part[order]
-        """,
-    ),
-    "shadowed-builtin-id": (
-        "mod.py",
-        """
-        def first(values):
-            first_value = values[0]
-            return first_value
-        """,
-    ),
-    "dict-iteration-mutation": (
-        "mod.py",
-        """
-        def prune(table):
-            for key in list(table):
-                if key < 0:
-                    table.pop(key)
-            return table
-        """,
-    ),
     "wall-clock-timing": (
         "serve/timing.py",
         """
@@ -373,37 +233,6 @@ COMPLIANT = {
                     return self._hits
         """,
     ),
-    "lock-order-cycle": (
-        "serve/locks.py",
-        """
-        import threading
-
-
-        class Source:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.sink = Sink(self)
-
-            def push(self):
-                with self._lock:
-                    self.sink.accept()
-
-
-        class Sink:
-            def __init__(self, source):
-                self._lock = threading.Lock()
-                self.source: Source = source
-
-            def accept(self):
-                with self._lock:
-                    return True
-
-            def flush(self):
-                # calls back into Source *without* holding own lock, so
-                # both paths acquire in the same global order
-                self.source.push()
-        """,
-    ),
     "layering-violation": (
         "src/repro/serve/front.py",
         """
@@ -442,16 +271,6 @@ COMPLIANT = {
 
         async def pause():
             await asyncio.sleep(0.1)
-        """,
-    ),
-    "graph-in-inference": (
-        "nn/infer.py",
-        """
-        import numpy as np
-
-
-        def forward(ids, table):
-            return table[np.asarray(ids)]
         """,
     ),
 }
@@ -515,8 +334,7 @@ class TestEachRule:
         assert report.findings == []
 
     def test_catalog_has_at_least_eight_rules(self):
-        assert len(all_rule_ids()) == 18
-        assert set(VIOLATIONS) == set(all_rule_ids())
+        assert set(VIOLATIONS) == set(COMPLIANT) == set(all_rule_ids())
 
 
 class TestExceptPassVariants:
@@ -635,19 +453,6 @@ class TestProjectRuleSemantics:
         )
         assert [f.rule_id for f in full.findings] == ["dead-symbol"]
 
-    def test_dead_symbol_allow_list(self, tmp_path):
-        (tmp_path / "pkg").mkdir()
-        (tmp_path / "pkg" / "lib.py").write_text(
-            "def entry_point():\n    return 1\n", encoding="utf-8"
-        )
-        config = LintConfig(
-            root=tmp_path, dead_symbol_allow=("pkg.lib.entry_*",)
-        )
-        report = run_lint(
-            [tmp_path / "pkg"], select=["dead-symbol"], config=config
-        )
-        assert report.findings == []
-
     def test_dead_symbol_keeps_decorated_and_dunder_defs(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "lib.py").write_text(
@@ -763,161 +568,78 @@ class TestProjectRuleSemantics:
         )
         assert report.findings == []
 
-    def test_lock_order_consistent_ordering_is_clean(self, tmp_path):
-        # both methods take the locks in the same order: no cycle
-        source = textwrap.dedent(
-            """
-            import threading
-
-
-            class Pair:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            return 1
-
-                def two(self):
-                    with self._a:
-                        with self._b:
-                            return 2
-            """
-        ).strip("\n") + "\n"
-        report = _lint(
-            tmp_path, "serve/pair.py", source, select=["lock-order-cycle"]
-        )
-        assert report.findings == []
-
-    def test_lock_order_nested_inversion_fires(self, tmp_path):
-        source = textwrap.dedent(
-            """
-            import threading
-
-
-            class Pair:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            return 1
-
-                def two(self):
-                    with self._b:
-                        with self._a:
-                            return 2
-            """
-        ).strip("\n") + "\n"
-        report = _lint(
-            tmp_path, "serve/pair.py", source, select=["lock-order-cycle"]
-        )
-        assert [f.rule_id for f in report.findings] == ["lock-order-cycle"]
-
 
 class TestSuppressionSemantics:
     def test_bare_ignore_suppresses_every_rule(self, tmp_path):
-        rel, raw = VIOLATIONS["shadowed-builtin-id"]
+        rel, raw = VIOLATIONS["mutable-default-arg"]
         source, _ = _render(raw, "# lint: ignore")
         # reference the fixture's def so the (unsuppressed, line-1)
         # dead-symbol pass has nothing to say either
-        source += "\nUSE = first\n"
+        source += "\nUSE = add\n"
         report = _lint(tmp_path, rel, source)
         assert report.findings == []
 
     def test_ignoring_a_different_rule_does_not_suppress(self, tmp_path):
-        rel, raw = VIOLATIONS["shadowed-builtin-id"]
+        rel, raw = VIOLATIONS["mutable-default-arg"]
         source, _ = _render(raw, "# lint: ignore[bare-except]")
-        report = _lint(tmp_path, rel, source, select=["shadowed-builtin-id"])
-        assert [f.rule_id for f in report.findings] == ["shadowed-builtin-id"]
+        report = _lint(tmp_path, rel, source, select=["mutable-default-arg"])
+        assert [f.rule_id for f in report.findings] == ["mutable-default-arg"]
 
     def test_suppression_on_other_line_does_not_suppress(self, tmp_path):
         source = (
-            "# lint: ignore[shadowed-builtin-id]\n"
-            "def first(values):\n"
-            "    id = values[0]\n"
-            "    return id\n"
+            "# lint: ignore[mutable-default-arg]\n"
+            "def add(item, bucket=[]):\n"
+            "    bucket.append(item)\n"
+            "    return bucket\n"
         )
-        report = _lint(tmp_path, "mod.py", source, select=["shadowed-builtin-id"])
+        report = _lint(tmp_path, "mod.py", source, select=["mutable-default-arg"])
         assert len(report.findings) == 1
 
 
 class TestScoping:
-    def test_missing_perf_counter_only_in_hot_dirs(self, tmp_path):
-        _, raw = VIOLATIONS["missing-perf-counter"]
-        source, _ = _render(raw, "")
-        report = _lint(tmp_path, "mod.py", source, select=["missing-perf-counter"])
-        assert report.findings == []
-
     @pytest.mark.parametrize("name", ["test_hot.py", "conftest.py"])
     def test_scoped_rules_exempt_test_files(self, tmp_path, name):
-        _, raw = VIOLATIONS["missing-perf-counter"]
+        _, raw = VIOLATIONS["hardcoded-dtype"]
         source, _ = _render(raw, "")
         report = _lint(
-            tmp_path, f"retriever/{name}", source,
-            select=["missing-perf-counter"],
+            tmp_path, f"shard/{name}", source, select=["hardcoded-dtype"]
         )
         assert report.findings == []
 
-    def test_unnormalized_matmul_traces_assignments(self, tmp_path):
+    def test_wall_clock_timing_covers_every_directory(self, tmp_path):
+        # the deadline code lives in net/ and ingest/, not only serve/
         source = textwrap.dedent(
             """
-            from repro.retriever.strategies import l2_normalize_rows
+            import time
 
 
-            def rank(queries, docs):
-                q = l2_normalize_rows(queries)
-                d = l2_normalize_rows(docs)
-                scores = q @ d.T
-                return scores
+            def deadline():
+                return time.time() + 1
             """
         ).strip("\n") + "\n"
         report = _lint(
-            tmp_path, "retriever/scoring.py", source,
-            select=["unnormalized-matmul"],
+            tmp_path, "net/mod.py", source, select=["wall-clock-timing"]
         )
-        assert report.findings == []
+        assert [f.rule_id for f in report.findings] == ["wall-clock-timing"]
 
-    def test_unordered_topk_covers_the_shard_dir(self, tmp_path):
-        _, raw = VIOLATIONS["unordered-topk"]
-        source, _ = _render(raw, "")
-        report = _lint(
-            tmp_path, "shard/merge.py", source, select=["unordered-topk"]
-        )
-        assert [f.rule_id for f in report.findings] == ["unordered-topk"]
-        elsewhere = _lint(tmp_path, "mod.py", source, select=["unordered-topk"])
-        assert elsewhere.findings == []
-
-    def test_unordered_topk_accepts_the_shared_helper(self, tmp_path):
+    def test_wall_clock_timing_flags_an_uncalled_reference(self, tmp_path):
+        # an injectable clock's default is where the wall clock gets in
         source = textwrap.dedent(
             """
-            import numpy as np
-
-            from repro.shard.merge import topk_doc_order
+            import time
 
 
-            def rank(scores, doc_ids, k):
-                part = np.argpartition(-scores, k - 1)[:k]
-                return topk_doc_order(scores, doc_ids, k), part
+            def f(clock=time.time):
+                return clock()
             """
         ).strip("\n") + "\n"
         report = _lint(
-            tmp_path, "retriever/rank.py", source, select=["unordered-topk"]
+            tmp_path, "serve/mod.py", source, select=["wall-clock-timing"]
         )
-        assert report.findings == []
-
-    def test_wall_clock_timing_only_in_timing_dirs(self, tmp_path):
-        _, raw = VIOLATIONS["wall-clock-timing"]
-        source, _ = _render(raw, "")
-        report = _lint(tmp_path, "mod.py", source, select=["wall-clock-timing"])
-        assert report.findings == []
+        assert [f.rule_id for f in report.findings] == ["wall-clock-timing"]
 
     def test_wall_clock_timing_covers_benchmark_test_files(self, tmp_path):
-        # unlike the hot-path rules, no test-file exemption: the
+        # unlike the scoped rules, no test-file exemption: the
         # benchmark test modules are the heaviest timing users
         _, raw = VIOLATIONS["wall-clock-timing"]
         source, _ = _render(raw, "")
@@ -1110,40 +832,8 @@ class TestScoping:
         report = _lint(tmp_path, "mod.py", source, select=["falsy-zero-default"])
         assert report.findings == []
 
-    def test_shadowed_builtin_exempts_class_body_fields(self, tmp_path):
-        source = textwrap.dedent(
-            """
-            from dataclasses import dataclass
-
-
-            @dataclass
-            class Edge:
-                object: str
-                type: str = "related"
-            """
-        ).strip("\n") + "\n"
-        report = _lint(tmp_path, "mod.py", source, select=["shadowed-builtin-id"])
-        assert report.findings == []
-
 
 class TestFramework:
-    def test_allow_list_exempts_matching_paths(self, tmp_path):
-        rel, raw = VIOLATIONS["bare-except"]
-        source, _ = _render(raw, "")
-        allowing = LintConfig(
-            allow={"bare-except": ("parity/*.py",)}, root=tmp_path
-        )
-        allowed = _lint(
-            tmp_path, "parity/check.py", source,
-            select=["bare-except"], config=allowing,
-        )
-        assert allowed.findings == []
-        elsewhere = _lint(
-            tmp_path, "prod/check.py", source,
-            select=["bare-except"], config=allowing,
-        )
-        assert [f.rule_id for f in elsewhere.findings] == ["bare-except"]
-
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="unknown rule id"):
             _resolve_rules(["no-such-rule"], None)
@@ -1151,9 +841,12 @@ class TestFramework:
     def test_ignore_removes_rule(self, tmp_path):
         rel, raw = VIOLATIONS["bare-except"]
         source, _ = _render(raw, "")
-        report = _lint(tmp_path, rel, source, select=None, config=LintConfig(
-            ignore=("bare-except",), root=tmp_path,
-        ))
+        path = tmp_path / rel
+        path.write_text(source, encoding="utf-8")
+        config = LintConfig(root=tmp_path)
+        everything = run_lint([path], config=config)
+        assert "bare-except" in {f.rule_id for f in everything.findings}
+        report = run_lint([path], ignore=["bare-except"], config=config)
         assert "bare-except" not in {f.rule_id for f in report.findings}
 
     def test_syntax_error_becomes_parse_error_finding(self, tmp_path):
@@ -1177,9 +870,9 @@ class TestFramework:
 
 class TestReporters:
     def _report(self, tmp_path):
-        rel, raw = VIOLATIONS["shadowed-builtin-id"]
+        rel, raw = VIOLATIONS["falsy-zero-default"]
         source, _ = _render(raw, "")
-        return _lint(tmp_path, rel, source, select=["shadowed-builtin-id"])
+        return _lint(tmp_path, rel, source, select=["falsy-zero-default"])
 
     def test_text_lists_location_and_summary(self, tmp_path):
         report = self._report(tmp_path)
@@ -1199,7 +892,7 @@ class TestReporters:
         payload = json.loads(render_json(report))
         assert payload["version"] == 1
         assert payload["files_scanned"] == 1
-        assert payload["counts"] == {"shadowed-builtin-id": 1}
+        assert payload["counts"] == {"falsy-zero-default": 1}
         entry = payload["findings"][0]
         assert set(entry) == {"rule", "path", "line", "col", "message"}
 
@@ -1212,24 +905,25 @@ class TestConfig:
 
         [tool.repro.lint]
         paths = ["src", "tests"]
-        ignore = ["bare-except"]
 
-        [tool.repro.lint.allow]
-        wall-clock-timing = [
-            "benchmarks/legacy_a.py",
-            "benchmarks/legacy_b.py",
+        [tool.repro.lint.layers]
+        order = ["foundation", "serving"]
+        foundation = [
+            "repro.storage",
+            "repro.nn",
         ]
+        serving = ["repro.serve"]
         """
     ).strip("\n")
 
     def test_parse_config(self, tmp_path):
         config = parse_config(self.SAMPLE, root=tmp_path)
         assert config.paths == ("src", "tests")
-        assert config.ignore == ("bare-except",)
-        assert config.allow["wall-clock-timing"] == (
-            "benchmarks/legacy_a.py",
-            "benchmarks/legacy_b.py",
-        )
+        assert config.layers_order == ("foundation", "serving")
+        assert config.layers == {
+            "foundation": ("repro.storage", "repro.nn"),
+            "serving": ("repro.serve",),
+        }
         assert config.root == tmp_path
 
     def test_fallback_parser_matches_tomllib(self):
@@ -1238,10 +932,9 @@ class TestConfig:
         tables = _fallback_parse(self.SAMPLE)
         lint_table = data["tool"]["repro"]["lint"]
         assert tables["tool.repro.lint"]["paths"] == tuple(lint_table["paths"])
-        assert tables["tool.repro.lint"]["ignore"] == tuple(lint_table["ignore"])
-        assert tables["tool.repro.lint.allow"]["wall-clock-timing"] == tuple(
-            lint_table["allow"]["wall-clock-timing"]
-        )
+        assert tables["tool.repro.lint.layers"] == {
+            key: tuple(value) for key, value in lint_table["layers"].items()
+        }
 
     def test_repo_pyproject_parses_with_fallback(self):
         repo_root = Path(__file__).resolve().parents[1]

@@ -93,6 +93,10 @@ class TestDenseBase:
         vec = dense.encode_query("some question")
         hits = dense.retrieve_by_vector(vec, k=3)
         assert len(hits) == 3
+        # an empty batch stays in the encoder's policy dtype
+        assert (
+            dense.encode_queries([]).dtype == dense.encode_queries(["q"]).dtype
+        )
 
 
 class TestTPRRandMDR:

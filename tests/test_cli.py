@@ -161,6 +161,10 @@ class TestLint:
     def test_lint_parser_defaults(self):
         args = build_parser().parse_args(["lint"])
         assert args.paths == [] and args.format == "text"
+        # the whole option set: adding or removing one must edit this
+        assert set(vars(args)) - {"command", "func"} == {
+            "paths", "format", "select", "ignore", "list_rules"
+        }
 
 
 class _FakePath:

@@ -617,6 +617,33 @@ def test_worker_answers_a_connection_in_submission_order(tmp_path):
     assert order[2]["stats"]["cache_hits"] == 1
 
 
+def test_timeout_zero_means_do_not_wait(tmp_path):
+    """An explicit ``timeout_s: 0`` is a zero wait, not the 300 s default."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    impatient, patient = bundle.questions[:2]
+    expected = _expected_wire(bundle, store_dir, [patient])
+    runtime = WorkerRuntime(
+        bundle, _spec(store_dir, service={"max_wait_ms": 150.0})
+    )
+    try:
+        # a first-time question sits out the 150 ms window: not done yet
+        refused = runtime._handle(
+            {"op": "query", "id": 1, "question": impatient, "k": 3,
+             "timeout_s": 0}
+        )()
+        default = runtime._handle(
+            {"op": "query", "id": 2, "question": patient, "k": 3}
+        )()
+    finally:
+        runtime.close()
+    assert refused["ok"] is False
+    assert refused["error"]["type"] == "TimeoutError"
+    assert default["ok"] is True
+    assert canonical_json(default["results"]) == expected[("single", patient)]
+
+
 def test_pipelined_frames_each_get_their_own_id_back(tmp_path):
     bundle = synthetic_bundle(**BUNDLE_KWARGS)
     store_dir = tmp_path / "store"

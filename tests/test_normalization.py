@@ -56,7 +56,7 @@ class TestL2Helpers:
 
 
 class TestPerfCounterCoverage:
-    """The missing-perf-counter rule's targets really do count."""
+    """Every encoder call site outside the retriever records its encode."""
 
     def test_dense_refresh_records_encode(self, encoder, corpus):
         dense = DenseRetriever(encoder, corpus)
@@ -71,6 +71,14 @@ class TestPerfCounterCoverage:
         assert np.all(
             (np.isclose(norms, 1.0)) | (norms == 0.0)
         )
+
+    def test_dense_query_encoding_records_encode(self, encoder, corpus):
+        dense = DenseRetriever(encoder, corpus)
+        before = COUNTERS.snapshot()
+        dense.encode_query("Who founded the club?")
+        dense.encode_queries(["Who founded the club?", "Where is it?"])
+        assert COUNTERS.encode_calls == before["encode_calls"] + 2
+        assert COUNTERS.texts_encoded == before["texts_encoded"] + 3
 
     def test_path_ranker_features_record_encode(self, retriever, corpus):
         ranker = PathRanker(retriever)
