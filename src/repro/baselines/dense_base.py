@@ -18,7 +18,7 @@ import numpy as np
 from repro.data.corpus import Corpus
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.nn.losses import cosine_similarity
-from repro.nn.optim import Adam
+from repro.nn.optim import CLIP_NORM, Adam
 from repro.nn.tensor import Tensor
 from repro.perf import COUNTERS, time_block
 from repro.retriever.negatives import TrainingExample
@@ -33,9 +33,7 @@ class DenseConfig:
     lr: float = 3e-4
     logit_scale: float = 4.0
     max_doc_tokens: int = 46  # document text truncation before encoding
-    clip_norm: float = 5.0
     seed: int = 31
-    freeze_embeddings: bool = True
 
 
 class DenseRetriever:
@@ -209,14 +207,7 @@ class DenseRetriever:
         cfg = self.config
         model = self.encoder.model
         model.train()
-        parameters = model.parameters()
-        if cfg.freeze_embeddings:
-            frozen = {
-                id(model.token_embedding.weight),
-                id(model.position_embedding.weight),
-            }
-            parameters = [p for p in parameters if id(p) not in frozen]
-        optimizer = Adam(parameters, lr=cfg.lr)
+        optimizer = Adam(self.encoder.trainable_parameters(), lr=cfg.lr)
         losses: List[float] = []
         examples = list(examples)
         for epoch in range(cfg.epochs):
@@ -234,7 +225,7 @@ class DenseRetriever:
                 loss = -logits.softmax(axis=-1).log()[0]
                 model.zero_grad()
                 loss.backward()
-                optimizer.clip_grad_norm(cfg.clip_norm)
+                optimizer.clip_grad_norm(CLIP_NORM)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

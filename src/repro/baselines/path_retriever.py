@@ -21,7 +21,7 @@ from repro.baselines.lexical import LexicalRetriever
 from repro.data.corpus import Corpus
 from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.layers import Linear
-from repro.nn.optim import Adam
+from repro.nn.optim import CLIP_NORM, Adam
 from repro.nn.tensor import Tensor
 
 
@@ -33,7 +33,6 @@ class PathRetrieverConfig:
     beam: int = 4
     epochs: int = 2
     lr: float = 1e-3
-    clip_norm: float = 5.0
     seed: int = 37
 
 
@@ -160,7 +159,7 @@ class PathRetrieverBaseline:
                 for parameter in optimizer.parameters:
                     parameter.zero_grad()
                 loss.backward()
-                optimizer.clip_grad_norm(cfg.clip_norm)
+                optimizer.clip_grad_norm(CLIP_NORM)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

@@ -88,6 +88,20 @@ class MiniBertEncoder:
         # whenever the weights are replaced or the precision changes
         self._infer_session: Optional[InferenceSession] = None
 
+    def trainable_parameters(self) -> list:
+        """What fine-tuning updates: the blocks, in ``parameters()`` order.
+
+        The token/position embeddings carry the lexical matching signal
+        the strong init provides; training only the blocks adds contextual
+        corrections without being able to destroy it (L2-SP-style
+        stabilization, taken to its frozen limit).
+        """
+        frozen = {
+            id(self.model.token_embedding.weight),
+            id(self.model.position_embedding.weight),
+        }
+        return [p for p in self.model.parameters() if id(p) not in frozen]
+
     def fit_idf(self, texts: Sequence[str]) -> None:
         """Fit IDF pooling weights from a text collection.
 

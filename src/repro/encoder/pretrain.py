@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.losses import cross_entropy
-from repro.nn.optim import Adam
+from repro.nn.optim import CLIP_NORM, Adam
 from repro.nn.tensor import Tensor
 
 
@@ -98,7 +98,7 @@ class MLMPretrainer:
                     ignore_index=self.encoder.vocab.pad_id,
                 )
                 loss.backward()
-                optimizer.clip_grad_norm(5.0)
+                optimizer.clip_grad_norm(CLIP_NORM)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

@@ -2,7 +2,8 @@
 
 The single-matmul retrieval path (:class:`repro.retriever.single.
 SingleRetriever`) scores queries against one L2-normalizable
-``(total_triples, dim)`` float64 matrix plus a segment layout
+``(total_triples, dim)`` matrix (float32 or float64, the precision
+policy's dtype) plus a segment layout
 (doc-id-ordered document ids and per-document row offsets). Re-deriving
 that matrix means re-encoding every flattened triple — by far the most
 expensive step of a cold start. This module persists it:
@@ -16,9 +17,10 @@ expensive step of a cold start. This module persists it:
   the store's dtype (float32 under the default precision policy,
   float64 in exact parity mode), content-addressed by digest so a new
   generation never overwrites the file an existing manifest points at.
-  The manifest's ``dtype`` field (format version 2) is authoritative;
-  version-1 manifests predate the field and always load as float64 via
-  an explicit legacy path.
+  The manifest's ``dtype`` field names it and the data file's suffix
+  must agree. Any other format version — the pre-dtype version 1
+  included — is an :class:`EmbeddingStoreError`, which every caller
+  already answers by re-encoding (or, in a worker, by failing to start).
 
 Writes are crash-safe: the data file lands first under its new
 content-addressed name, then the manifest is atomically replaced to
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -48,11 +50,10 @@ import numpy as np
 
 from repro.precision import (
     F64,
-    PrecisionError,
     STORE_DTYPES,
+    SUFFIX_DTYPES,
     dtype_named,
     file_suffix,
-    suffix_dtype,
 )
 from repro.storage.atomic import atomic_write_bytes, atomic_write_json
 
@@ -64,8 +65,18 @@ MANIFEST_NAME = "manifest.json"
 STORE_NAME = "store.json"
 EMBEDDINGS_DIR = "embeddings"
 STORE_VERSION = 2
-#: Pre-dtype manifests: no ``dtype`` field, data always float64 ``.f64``.
-LEGACY_STORE_VERSION = 1
+
+
+def read_manifest(path: Path) -> dict:
+    """The JSON object in ``path``; ``OSError`` / ``ValueError`` otherwise.
+
+    Valid JSON that is not an object (``[]``, ``null``: a truncated or
+    foreign write) is as corrupt as invalid JSON, itself a ``ValueError``.
+    """
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest holds a {type(manifest).__name__}")
+    return manifest
 
 
 def _attach_matrix(
@@ -73,11 +84,11 @@ def _attach_matrix(
 ) -> np.ndarray:
     """Map or read the raw matrix file (module-level so tests can hook it).
 
-    The dtype travels in the file suffix (``.f32``/``.f64``; anything
-    else is a legacy float64 file), which keeps this hook's signature
-    stable across the dtype-policy refactor.
+    The dtype travels in the file suffix (``.f32``/``.f64``, checked
+    against the manifest by the caller), which keeps this hook's
+    signature stable across the dtype-policy refactor.
     """
-    dtype = suffix_dtype(data_path.suffix.lstrip("."))
+    dtype = SUFFIX_DTYPES[data_path.suffix.lstrip(".")]
     if mmap:
         return np.memmap(data_path, dtype=dtype, mode="r", shape=(rows, dim))
     return np.fromfile(data_path, dtype=dtype).reshape(rows, dim)
@@ -106,7 +117,6 @@ class EmbeddingStore:
     row_hashes: Dict[int, str]  # doc_id -> triples_fingerprint
     encoder_fingerprint: str
     construction_fingerprint: str = ""
-    extra: Dict[str, object] = field(default_factory=dict)
     #: Monotonic publish counter: ``save`` writes previous + 1 into the
     #: manifest; a freshly built (never-persisted) store is generation 0.
     #: Two saves of identical content share a data file but still get
@@ -148,8 +158,8 @@ class EmbeddingStore:
         previous = {}
         if manifest_path.exists():
             try:
-                previous = json.loads(manifest_path.read_text())
-            except (OSError, json.JSONDecodeError):
+                previous = read_manifest(manifest_path)
+            except (OSError, ValueError):
                 previous = {}  # corrupt previous manifest: nothing to grace
         previous_data = previous.get("data_file")
         previous_grace = previous.get("grace_file")
@@ -187,7 +197,6 @@ class EmbeddingStore:
             "row_hashes": {str(d): h for d, h in self.row_hashes.items()},
             "encoder_fingerprint": self.encoder_fingerprint,
             "construction_fingerprint": self.construction_fingerprint,
-            "extra": self.extra,
         }
         atomic_write_json(directory / MANIFEST_NAME, manifest)
         self.generation = generation
@@ -231,28 +240,23 @@ class EmbeddingStore:
         if not manifest_path.exists():
             raise EmbeddingStoreError(f"no embedding store at {directory}")
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
+            manifest = read_manifest(manifest_path)
+        except (OSError, ValueError) as error:
             raise EmbeddingStoreError(f"unreadable manifest: {error}") from error
         version = manifest.get("version")
-        if version == LEGACY_STORE_VERSION:
-            # pre-PR-8 stores: no dtype field, data is always float64
-            dtype = F64
-        elif version == STORE_VERSION:
-            try:
-                dtype = dtype_named(str(manifest.get("dtype")))
-            except PrecisionError as error:
-                raise EmbeddingStoreError(
-                    f"malformed manifest: {error}"
-                ) from error
-        else:
+        if version != STORE_VERSION:
             raise EmbeddingStoreError(
                 f"embedding store version {version!r} != {STORE_VERSION}"
             )
         try:
+            dtype = dtype_named(str(manifest.get("dtype")))
             rows = int(manifest["rows"])
             dim = int(manifest["dim"])
             data_file = manifest["data_file"]
+            if Path(data_file).suffix != "." + file_suffix(dtype):
+                raise ValueError(
+                    f"data file {data_file} is not a {dtype.name} file"
+                )
             doc_ids = [int(d) for d in manifest["doc_ids"]]
             offsets = [int(o) for o in manifest["offsets"]]
             row_hashes = {
@@ -295,8 +299,6 @@ class EmbeddingStore:
             row_hashes=row_hashes,
             encoder_fingerprint=encoder_fp,
             construction_fingerprint=construction_fp,
-            extra=dict(manifest.get("extra") or {}),
-            # legacy (v1) manifests predate the counter and read as 0
             generation=int(manifest.get("generation", 0) or 0),
         )
 
@@ -329,8 +331,8 @@ def store_generation(directory: Union[str, Path]) -> Optional[int]:
     if located is None:
         return None
     try:
-        manifest = json.loads((located / MANIFEST_NAME).read_text())
-    except (OSError, json.JSONDecodeError):
+        manifest = read_manifest(located / MANIFEST_NAME)
+    except (OSError, ValueError):
         return None
     try:
         return int(manifest.get("generation", 0))

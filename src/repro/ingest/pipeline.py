@@ -25,7 +25,7 @@ both properties without changing a single output byte:
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,13 +36,13 @@ from repro.ingest.embedding_store import (
     STORE_NAME,
     EmbeddingStore,
     EmbeddingStoreError,
+    read_manifest,
 )
 from repro.ingest.fingerprint import (
     construction_fingerprint,
     document_fingerprint,
 )
 from repro.oie.triple import Triple
-from repro.oie.union import UnionExtractor
 from repro.perf import COUNTERS, time_block
 from repro.storage.atomic import atomic_write_json
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
@@ -58,30 +58,30 @@ _WORKER: Dict[str, TripleSetConstructor] = {}
 
 
 def _init_worker(
-    config: Optional[ConstructionConfig],
-    linker: Optional[EntityIndex],
-    extractor: Optional[UnionExtractor],
+    config: Optional[ConstructionConfig], linker: Optional[EntityIndex]
 ) -> None:
-    _WORKER["constructor"] = TripleSetConstructor(
-        config=config, linker=linker, extractor=extractor
-    )
+    _WORKER["constructor"] = TripleSetConstructor(config=config, linker=linker)
 
 
-def _extract_one(
-    payload: Tuple[int, str, str, Optional[str], List[str]]
+def _construct(
+    constructor: TripleSetConstructor,
+    payload: Tuple[int, str, str, Optional[str], List[str]],
 ) -> Tuple[int, List[Triple]]:
     doc_id, text, title, entity_kind, doc_entities = payload
-    result = _WORKER["constructor"].construct_from_text(
+    result = constructor.construct_from_text(
         text, title=title, entity_kind=entity_kind, doc_entities=doc_entities
     )
     return doc_id, result.triples
+
+
+def _extract_one(payload) -> Tuple[int, List[Triple]]:
+    return _construct(_WORKER["constructor"], payload)
 
 
 def extract_corpus_triples(
     corpus: Corpus,
     linker: Optional[EntityIndex] = None,
     config: Optional[ConstructionConfig] = None,
-    extractor: Optional[UnionExtractor] = None,
     workers: int = 1,
     doc_ids: Optional[Sequence[int]] = None,
 ) -> Dict[int, List[Triple]]:
@@ -107,27 +107,13 @@ def extract_corpus_triples(
             )
         )
     if workers <= 1 or len(payloads) <= 1:
-        constructor = TripleSetConstructor(
-            config=config, linker=linker, extractor=extractor
-        )
-        results = [
-            (
-                doc_id,
-                constructor.construct_from_text(
-                    text,
-                    title=title,
-                    entity_kind=entity_kind,
-                    doc_entities=doc_entities,
-                ).triples,
-            )
-            for doc_id, text, title, entity_kind, doc_entities in payloads
-        ]
-        return dict(results)
+        constructor = TripleSetConstructor(config=config, linker=linker)
+        return dict(_construct(constructor, payload) for payload in payloads)
     chunksize = max(1, len(payloads) // (workers * 4))
     with multiprocessing.get_context().Pool(
         processes=workers,
         initializer=_init_worker,
-        initargs=(config, linker, extractor),
+        initargs=(config, linker),
     ) as pool:
         results = pool.map(_extract_one, payloads, chunksize=chunksize)
     return dict(results)
@@ -154,9 +140,6 @@ class IngestStats:
     extract_seconds: float = 0.0
     encode_seconds: float = 0.0
     save_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
 
     def summary(self) -> str:
         """Human-readable block (CLI ``repro ingest --stats``)."""
@@ -212,19 +195,15 @@ class IngestPipeline:
         self,
         corpus: Corpus,
         construction: Optional[ConstructionConfig] = None,
-        extractor: Optional[UnionExtractor] = None,
-        linker: Optional[EntityIndex] = None,
         workers: int = 1,
         incremental: bool = True,
-        batch_size: int = 128,
     ):
         self.corpus = corpus
         self.construction = construction or ConstructionConfig()
-        self.extractor = extractor
-        self.linker = linker
+        #: the corpus's entity linker, built by the first run and kept
+        self.linker: Optional[EntityIndex] = None
         self.workers = max(1, int(workers))
         self.incremental = incremental
-        self.batch_size = batch_size
 
     # -- stage 0: entity linking ----------------------------------------
     def _ensure_linker(self, stats: IngestStats) -> EntityIndex:
@@ -242,8 +221,6 @@ class IngestPipeline:
         self, cache_dir: Path, expected_fp: str
     ) -> Tuple[Dict[str, str], Optional["TripleStore"]]:
         """(prior doc hashes, prior store) when reusable, else empty."""
-        import json
-
         from repro.retriever.store import TripleStore
 
         manifest_path = cache_dir / MANIFEST_NAME
@@ -251,8 +228,8 @@ class IngestPipeline:
         if not (manifest_path.exists() and store_path.exists()):
             return {}, None
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError):
+            manifest = read_manifest(manifest_path)
+        except (OSError, ValueError):
             return {}, None
         if manifest.get("version") != MANIFEST_VERSION:
             return {}, None
@@ -300,7 +277,6 @@ class IngestPipeline:
                 self.corpus,
                 linker=linker,
                 config=self.construction,
-                extractor=self.extractor,
                 workers=self.workers,
                 doc_ids=dirty,
             )
@@ -359,9 +335,7 @@ class IngestPipeline:
                 retriever.detach_embeddings()
         tokens_before = COUNTERS.encoder_throughput()["tokens"]
         with time_block() as elapsed:
-            stats.rows_encoded = retriever.refresh_embeddings(
-                batch_size=self.batch_size
-            )
+            stats.rows_encoded = retriever.refresh_embeddings()
         stats.encode_seconds = elapsed()
         stats.tokens_encoded = (
             COUNTERS.encoder_throughput()["tokens"] - tokens_before

@@ -97,8 +97,8 @@ class Fleet:
     def address(self) -> Tuple[str, int]:
         return self.frontdoor.address
 
-    def client(self, timeout_s: float = 300.0) -> NetClient:
-        return NetClient(self.address, timeout_s=timeout_s)
+    def client(self) -> NetClient:
+        return NetClient(self.address)
 
     def rollout(self, store_dir: Optional[str] = None):
         return self.supervisor.rollout(store_dir)

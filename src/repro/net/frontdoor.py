@@ -59,6 +59,15 @@ from repro.net.supervisor import Supervisor, WorkerHandle
 from repro.perf import LatencyReservoir
 from repro.serve import merge_snapshots
 
+#: Links a request may be dispatched onto before it fails as
+#: ``worker-unavailable``: a poison request cannot ping-pong forever.
+MAX_ATTEMPTS = 3
+#: How long a request waits for a live link (a respawn is a health tick
+#: plus a bundle build); its own ``deadline_s`` may end the wait sooner.
+DISPATCH_TIMEOUT_S = 30.0
+#: A request's longest stay here; the worker's default ``timeout_s``.
+REQUEST_TIMEOUT_S = 300.0
+
 
 class _Inflight:
     """One request travelling through (possibly several) links.
@@ -134,7 +143,7 @@ class _WorkerLink:
 
     async def open(self) -> None:
         self._reader, self._writer = await asyncio.open_connection(
-            self.handle.host, self.handle.port
+            *self.handle.address
         )
         self._task = asyncio.create_task(self._read_loop())
 
@@ -198,16 +207,10 @@ class FrontDoor:
         supervisor: Supervisor,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_attempts: int = 3,
-        dispatch_timeout_s: float = 30.0,
-        request_timeout_s: float = 300.0,
     ):
         self.supervisor = supervisor
         self.host = host
         self._requested_port = port
-        self.max_attempts = max_attempts
-        self.dispatch_timeout_s = dispatch_timeout_s
-        self.request_timeout_s = request_timeout_s
         self.latencies = LatencyReservoir()
         # counters are only touched on the loop thread; the lock guards
         # cross-thread snapshot reads
@@ -363,13 +366,13 @@ class FrontDoor:
         if inflight.future.done():
             return
         inflight.attempts += 1
-        if inflight.attempts > self.max_attempts:
+        if inflight.attempts > MAX_ATTEMPTS:
             inflight.fail(
                 "worker-unavailable",
-                f"request failed on {self.max_attempts} workers",
+                f"request failed on {MAX_ATTEMPTS} workers",
             )
             return
-        window_ends = self._loop.time() + self.dispatch_timeout_s
+        window_ends = self._loop.time() + DISPATCH_TIMEOUT_S
         while not inflight.future.done():
             link = self._pick_link()
             if link is not None:
@@ -492,12 +495,12 @@ class FrontDoor:
         await self._dispatch(inflight)
         try:
             body = await asyncio.wait_for(
-                inflight.future, timeout=self.request_timeout_s
+                inflight.future, timeout=REQUEST_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             body = _error_body(
                 payload["id"], "TimeoutError",
-                f"no worker response within {self.request_timeout_s}s",
+                f"no worker response within {REQUEST_TIMEOUT_S}s",
             )
         self.latencies.record(self._loop.time() - started)
         with self._counter_lock:

@@ -20,9 +20,11 @@ at a time, so at every instant at most one worker is draining its old
 service and the rest keep absorbing traffic — the fleet-level swap is
 eventually complete with zero dropped requests, while per-request
 atomicity (no mixed-generation answer) is the worker's own guarantee.
+A worker that answers the reload with a rejection keeps serving what it
+has; only an unreachable one is replaced.
 The health thread can also *watch* the store directory (one manifest
 read per poll) and trigger the rollout itself when ``repro ingest``
-publishes a new generation.
+publishes a new generation (one the fleet refused is offered once).
 
 Everything here runs in plain threads with blocking sockets — the
 ``blocking-in-async`` lint rule only polices ``async def`` bodies, and
@@ -39,7 +41,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.ingest.embedding_store import store_generation
 from repro.net.protocol import ProtocolError, recv_frame, send_frame
-from repro.net.worker import WorkerSpec, worker_main
+from repro.net.worker import WORKER_HOST, WorkerSpec, worker_main
+
+#: How long a launched worker has to report ready (it builds its bundle,
+#: attaches the store and builds shards first) before it is terminated.
+SPAWN_TIMEOUT_S = 120.0
 
 
 class SupervisorError(RuntimeError):
@@ -55,14 +61,13 @@ class WorkerHandle:
     #: a restarted worker from the one whose link it just lost
     incarnation: int
     process: Any
-    host: str
     port: int
     generation: int
     pid: int
 
     @property
     def address(self) -> tuple:
-        return (self.host, self.port)
+        return (WORKER_HOST, self.port)
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -74,7 +79,6 @@ class _Launch:
 
     slot: int
     incarnation: int
-    host: str
     process: Any
     ready_conn: Any
 
@@ -101,7 +105,6 @@ class Supervisor:
         spec: WorkerSpec,
         workers: int = 2,
         health_interval_s: float = 0.25,
-        spawn_timeout_s: float = 120.0,
         watch_store: bool = False,
         on_change: Optional[Callable[[List[WorkerHandle]], None]] = None,
     ):
@@ -110,7 +113,6 @@ class Supervisor:
         self.spec = spec
         self.n_workers = workers
         self.health_interval_s = health_interval_s
-        self.spawn_timeout_s = spawn_timeout_s
         self.watch_store = watch_store
         self.on_change = on_change
         self._lock = threading.Lock()
@@ -119,6 +121,8 @@ class Supervisor:
         self._incarnations = 0
         self._restarts = 0
         self._rollouts = 0
+        #: newest generation the watcher offered and saw refused (its own)
+        self._refused_generation = 0
         self._stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
 
@@ -215,17 +219,17 @@ class Supervisor:
         )
         process.start()
         child_conn.close()
-        return _Launch(slot, incarnation, spec.host, process, parent_conn)
+        return _Launch(slot, incarnation, process, parent_conn)
 
     def _await_ready(self, launch: _Launch) -> WorkerHandle:
         """Wait for a launched worker's ready message and register it."""
         slot, process = launch.slot, launch.process
         try:
-            if not launch.ready_conn.poll(self.spawn_timeout_s):
+            if not launch.ready_conn.poll(SPAWN_TIMEOUT_S):
                 process.terminate()
                 raise SupervisorError(
                     f"worker {slot} did not report ready within "
-                    f"{self.spawn_timeout_s}s"
+                    f"{SPAWN_TIMEOUT_S}s"
                 )
             ready = launch.ready_conn.recv()
         except EOFError:  # killed before worker_main could report anything
@@ -243,7 +247,6 @@ class Supervisor:
             slot=slot,
             incarnation=launch.incarnation,
             process=process,
-            host=launch.host,
             port=int(ready["port"]),
             generation=int(ready["generation"]),
             pid=int(ready["pid"]),
@@ -295,21 +298,32 @@ class Supervisor:
         if store_dir is None or current is None:
             return
         published = store_generation(store_dir)
-        if published is not None and published > current:
+        if published is None or published <= max(
+            current, self._refused_generation
+        ):
+            return
+        try:
             self.rollout(store_dir)
+        except SupervisorError:
+            # uncaught, this would end the health thread; re-offered
+            # every tick, the generation could only be refused again
+            self._refused_generation = published
 
     # -- hot reload -------------------------------------------------------
     def rollout(self, store_dir: Optional[str] = None) -> List[int]:
         """Roll every worker onto ``store_dir``'s generation, one at a time.
 
-        A worker that fails its reload (or died mid-rollout) is respawned
-        directly against the new store. Returns the per-slot generations
-        after the roll.
+        A worker that *answers* with a rejection is healthy and keeps
+        serving its generation; the rejections are raised as one
+        :class:`SupervisorError` once every slot has been asked. Only an
+        unreachable worker is replaced, by a spawn against the directory
+        the fleet is on — ``store_dir`` once a worker has accepted it,
+        not before. Returns the per-slot generations after the roll.
         """
         with self._lock:
             target = store_dir or self._store_dir
-            self._store_dir = target
         generations: List[int] = []
+        refused: Dict[int, Any] = {}  # slot -> the error it answered
         for slot in sorted(self._slots_snapshot()):
             if self._stop.is_set():
                 break
@@ -320,23 +334,25 @@ class Supervisor:
                 response = worker_control(
                     handle, {"op": "reload", "store_dir": target}
                 )
-                if not response.get("ok"):
-                    raise SupervisorError(
-                        f"reload rejected: {response.get('error')}"
-                    )
-                generation = int(response["generation"])
-                with self._lock:
-                    handle.generation = generation
+                if response.get("ok"):
+                    with self._lock:
+                        handle.generation = int(response["generation"])
+                        self._store_dir = target
+                else:
+                    refused[slot] = response.get("error")
             except (OSError, ProtocolError, SupervisorError, KeyError,
                     ValueError):
-                # the worker is wedged or gone: replace it outright —
-                # the fresh spawn attaches the new store by construction
+                # the worker is wedged or gone: replace it outright
                 handle.process.terminate()
                 handle.process.join(timeout=10.0)
-                replacement = self._spawn(slot)
-                generation = replacement.generation
+                handle = self._spawn(slot)
                 self._notify()
-            generations.append(generation)
+            generations.append(handle.generation)
+        if refused:
+            raise SupervisorError(
+                f"reload of {target} rejected by slot(s) {sorted(refused)}; "
+                f"first error: {refused[min(refused)]}"
+            )
         with self._lock:
             self._rollouts += 1
         return generations

@@ -63,6 +63,11 @@ from repro.net.protocol import (
 from repro.perf import COUNTERS
 from repro.retriever.store import TripleStore
 from repro.serve import RetrievalService, ServiceConfig
+from repro.shard import MODES as SHARD_MODES
+
+#: Workers listen on loopback only: nothing but their own supervisor and
+#: front door (same machine by construction) ever connects to them.
+WORKER_HOST = "127.0.0.1"
 
 
 @dataclass
@@ -80,13 +85,24 @@ class WorkerSpec:
     #: published artifact dir (``store.json`` + ``embeddings/``) to
     #: warm-attach; None serves the bundle's own in-memory store cold
     store_dir: Optional[str] = None
-    host: str = "127.0.0.1"
     multihop: bool = True
     #: build an in-worker shard plan over the attached matrix
     shards: int = 0
     shard_mode: str = "range"
     #: ServiceConfig field overrides (e.g. {"max_wait_ms": 1.0})
     service: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # fail here, in the parent, before any process is spawned — not
+        # as N "worker failed to start" errors after N bundle builds
+        ServiceConfig(**self.service)
+        if self.shards < 0:
+            raise ValueError(f"shards must be >= 0, got {self.shards}")
+        if self.shard_mode not in SHARD_MODES:
+            raise ValueError(
+                f"unknown shard mode {self.shard_mode!r} "
+                f"(expected {SHARD_MODES})"
+            )
 
 
 class WorkerRuntime:
@@ -99,7 +115,7 @@ class WorkerRuntime:
         self._service, self._generation = self._build_service(spec.store_dir)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((spec.host, 0))
+        self._listener.bind((WORKER_HOST, 0))
         self._listener.listen(64)
         self._shutdown = threading.Event()
 

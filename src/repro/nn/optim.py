@@ -8,6 +8,10 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
+#: Global gradient-norm clip of every training loop in the repo (MLM
+#: pre-training, retriever, updater, path ranker, joint, baselines).
+CLIP_NORM = 5.0
+
 
 class Optimizer:
     """Base optimizer over a parameter list."""

@@ -206,13 +206,11 @@ class LatencyReservoir:
         with self._lock:
             return self._count
 
-    def percentiles(
-        self, qs: Sequence[float] = (50.0, 95.0, 99.0)
-    ) -> Dict[str, float]:
-        """``{"p50": ..., ...}`` plus mean/max over the current window."""
+    def percentiles(self) -> Dict[str, float]:
+        """``{"p50", "p95", "p99", "mean", "max"}`` over the current window."""
         with self._lock:
             window = sorted(self._samples)
-        out = {f"p{q:g}": percentile(window, q) for q in qs}
+        out = {f"p{q:g}": percentile(window, q) for q in (50.0, 95.0, 99.0)}
         out["mean"] = sum(window) / len(window) if window else 0.0
         out["max"] = window[-1] if window else 0.0
         return out

@@ -27,7 +27,7 @@ import numpy as np
 from repro.data.corpus import Corpus
 from repro.data.hotpot import HotpotQuestion
 from repro.nn.losses import cosine_similarity
-from repro.nn.optim import Adam
+from repro.nn.optim import CLIP_NORM, Adam
 from repro.nn.tensor import Tensor
 from repro.retriever.negatives import TrainingExample, mine_training_examples
 from repro.retriever.single import SingleRetriever
@@ -45,7 +45,6 @@ class JointConfig:
     logit_scale: float = 4.0
     hop2_weight: float = 0.5  # weight of the hop-2 consistency loss
     max_triples_per_doc: int = 6
-    clip_norm: float = 5.0
     seed: int = 47
 
 
@@ -166,12 +165,9 @@ class JointTrainer:
         cfg = self.config
         model = self.retriever.encoder.model
         model.train()
-        frozen = {
-            id(model.token_embedding.weight),
-            id(model.position_embedding.weight),
-        }
-        parameters = [p for p in model.parameters() if id(p) not in frozen]
-        optimizer = Adam(parameters, lr=cfg.lr)
+        optimizer = Adam(
+            self.retriever.encoder.trainable_parameters(), lr=cfg.lr
+        )
         losses: List[float] = []
         examples = list(examples)
         for epoch in range(cfg.epochs):
@@ -191,7 +187,7 @@ class JointTrainer:
                     total = loss + hop2_loss * cfg.hop2_weight
                 model.zero_grad()
                 total.backward()
-                optimizer.clip_grad_norm(cfg.clip_norm)
+                optimizer.clip_grad_norm(CLIP_NORM)
                 optimizer.step()
                 epoch_losses.append(total.item())
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

@@ -24,7 +24,7 @@ import numpy as np
 from repro.data.corpus import Corpus
 from repro.data.hotpot import HotpotQuestion
 from repro.nn.layers import Linear
-from repro.nn.optim import Adam
+from repro.nn.optim import CLIP_NORM, Adam
 from repro.nn.tensor import Tensor
 from repro.perf import COUNTERS
 from repro.pipeline.multihop import DocumentPath, MultiHopRetriever
@@ -38,7 +38,6 @@ class PathRankerConfig:
 
     epochs: int = 2
     lr: float = 3e-3
-    clip_norm: float = 5.0
     seed: int = 29
     blend: float = 0.8  # rerank score = blend*ranker + (1-blend)*base score
 
@@ -287,7 +286,7 @@ class PathRankerTrainer:
                 for parameter in ranker.head.parameters():
                     parameter.zero_grad()
                 loss.backward()
-                optimizer.clip_grad_norm(cfg.clip_norm)
+                optimizer.clip_grad_norm(CLIP_NORM)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

@@ -59,6 +59,7 @@ STORE_DTYPES = {FLOAT64: F64, FLOAT32: F32}
 
 #: Data-file suffix per store dtype (``embeddings-<digest>.<suffix>``).
 FILE_SUFFIXES = {FLOAT64: "f64", FLOAT32: "f32"}
+SUFFIX_DTYPES = {s: STORE_DTYPES[n] for n, s in FILE_SUFFIXES.items()}
 
 #: The autograd engine's dtype. Training math stays float64: the
 #: finite-difference gradient property tests need ~1e-7 agreement that
@@ -157,7 +158,7 @@ def resolve(precision: PrecisionLike) -> Precision:
 
     Strings may be a bare mode (``"float32"``) or a full cache key
     (``"int8-rescore:64"``) — the round-trip form the serving layer
-    stores in ``ServiceConfig.default_precision``.
+    keeps in its batch and cache keys.
     """
     if precision is None:
         return Precision()
@@ -205,14 +206,6 @@ def dtype_name(dtype) -> str:
 def file_suffix(dtype) -> str:
     """Data-file suffix (``f32``/``f64``) of a store dtype."""
     return FILE_SUFFIXES[dtype_name(dtype)]
-
-
-def suffix_dtype(suffix: str) -> np.dtype:
-    """The dtype a data-file suffix denotes (default float64 for legacy)."""
-    for name, known in FILE_SUFFIXES.items():
-        if known == suffix:
-            return STORE_DTYPES[name]
-    return F64
 
 
 def cast_matrix(matrix: np.ndarray, dtype) -> np.ndarray:

@@ -47,6 +47,10 @@ from repro.retriever.strategies import (
 from repro.shard.merge import topk_doc_order
 from repro.shard.plan import ShardPlan
 
+#: Texts per encoder forward when (re-)encoding store rows: bounds the
+#: padded rectangle a bulk encode holds at once.
+ENCODE_BATCH_SIZE = 128
+
 
 @dataclass
 class RetrievedDocument:
@@ -102,9 +106,7 @@ class SingleRetriever:
         self._shard_plan: Optional[ShardPlan] = None
 
     # -- embedding maintenance ------------------------------------------------
-    def refresh_embeddings(
-        self, batch_size: int = 128, force: bool = False
-    ) -> int:
+    def refresh_embeddings(self) -> int:
         """(Re-)encode the flattened triples of documents whose rows changed.
 
         Call after training the encoder or editing the store; retrieval
@@ -120,15 +122,13 @@ class SingleRetriever:
         otherwise all dirty documents are re-encoded in one encoder pass
         into a new, never-published store, so a full refresh stays
         bitwise-identical to the original always-recompute implementation.
-        Returns the number of rows that were (re-)encoded; ``force=True``
-        recomputes everything.
+        Returns the number of rows that were (re-)encoded; to recompute
+        everything, :meth:`detach_embeddings` first.
         """
         with time_block() as elapsed:
             current_fp = encoder_fingerprint(self.encoder)
             held = self._held
-            if force or (
-                held is not None and held.encoder_fingerprint != current_fp
-            ):
+            if held is not None and held.encoder_fingerprint != current_fp:
                 held = None
             dtype = self.precision.dtype
             doc_ids: List[int] = []
@@ -166,7 +166,7 @@ class SingleRetriever:
                 if dirty_texts:
                     encoded = cast_matrix(
                         self.encoder.encode_numpy(
-                            dirty_texts, batch_size=batch_size
+                            dirty_texts, batch_size=ENCODE_BATCH_SIZE
                         ),
                         dtype,
                     )

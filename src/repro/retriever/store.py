@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.data.corpus import Corpus, Document
 from repro.index.entity_index import EntityIndex
 from repro.oie.triple import Triple
-from repro.oie.union import UnionExtractor
 from repro.storage.atomic import atomic_write_text
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 
@@ -104,7 +103,6 @@ def build_triple_store(
     corpus: Corpus,
     linker: Optional[EntityIndex] = None,
     config: Optional[ConstructionConfig] = None,
-    extractor: Optional[UnionExtractor] = None,
     workers: int = 1,
 ) -> TripleStore:
     """Run extraction + Algorithm 1 over the whole corpus.
@@ -125,7 +123,6 @@ def build_triple_store(
         corpus,
         linker=linker,
         config=config,
-        extractor=extractor,
         workers=workers,
     )
     store = TripleStore(corpus)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.nn.losses import binary_cross_entropy_with_logits, cosine_similarity
-from repro.nn.optim import Adam
+from repro.nn.optim import CLIP_NORM, Adam
 from repro.nn.tensor import Tensor
 from repro.retriever.negatives import TrainingExample
 from repro.retriever.single import SingleRetriever
@@ -35,10 +35,8 @@ class TrainerConfig:
     balance_positives: bool = True  # BCE only: pos_weight = #negatives
     max_triples_per_doc: int = 6
     max_negatives: int = 9
-    clip_norm: float = 5.0
     seed: int = 17
     refresh_after: bool = True  # re-embed the store when done
-    freeze_embeddings: bool = True  # train blocks only, keep the lexical base
 
 
 def _content_tokens(text: str) -> set:
@@ -125,19 +123,9 @@ class RetrieverTrainer:
         cfg = self.config
         model = self.retriever.encoder.model
         model.train()
-        parameters = model.parameters()
-        if cfg.freeze_embeddings:
-            # the token/position embeddings carry the lexical matching
-            # signal the strong init provides; fine-tuning only the
-            # transformer blocks adds contextual corrections on top of it
-            # without being able to destroy it (standard L2-SP-style
-            # stabilization, taken to its frozen limit).
-            frozen = {
-                id(model.token_embedding.weight),
-                id(model.position_embedding.weight),
-            }
-            parameters = [p for p in parameters if id(p) not in frozen]
-        optimizer = Adam(parameters, lr=cfg.lr)
+        optimizer = Adam(
+            self.retriever.encoder.trainable_parameters(), lr=cfg.lr
+        )
         losses: List[float] = []
         examples = list(examples)
         for epoch in range(cfg.epochs):
@@ -149,7 +137,7 @@ class RetrieverTrainer:
                     continue
                 model.zero_grad()
                 loss.backward()
-                optimizer.clip_grad_norm(cfg.clip_norm)
+                optimizer.clip_grad_norm(CLIP_NORM)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

@@ -7,7 +7,7 @@ The production-facing layer over the vectorized retrievers::
     with RetrievalService(retriever, multihop=multihop) as service:
         docs = service.retrieve("who founded Millwall ?", k=5)
         paths = service.retrieve_paths("where was the founder born ?")
-        print(service.stats_summary())
+        print(service.stats_snapshot())
 
 ``repro serve`` puts this service behind a TCP front door
 (:mod:`repro.net`); ``benchmarks/e2e/run.py`` is the one load generator

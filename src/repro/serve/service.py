@@ -1,9 +1,10 @@
-"""The in-process retrieval service: front door, workers, lifecycle.
+"""The in-process retrieval service: front door, worker, lifecycle.
 
 :class:`RetrievalService` turns the vectorized retriever into a
 traffic-handling layer: many client threads call :meth:`retrieve` /
-:meth:`retrieve_paths` concurrently; worker threads drain the bounded
-request queue in dynamically coalesced micro-batches and answer each
+:meth:`retrieve_paths` concurrently; one worker thread drains the
+bounded request queue in dynamically coalesced micro-batches (more
+CPUs are more worker *processes*, :mod:`repro.net`) and answers each
 batch with one :meth:`~repro.retriever.single.SingleRetriever.
 retrieve_many` (single-hop) or :meth:`~repro.pipeline.multihop.
 MultiHopRetriever.retrieve_paths_batch` (multi-hop) call.
@@ -12,18 +13,20 @@ Guarantees:
 
 * **Bounded latency, explicit rejection** — a full queue raises
   :class:`Overloaded` at submit time; a request whose deadline lapses
-  before a worker reaches it fails with :class:`DeadlineExceeded`.
+  before the worker reaches it fails with :class:`DeadlineExceeded`.
 * **Determinism** — coalescing never changes answers: a batch is scored
   by the same single-matmul path as a sequential ``retrieve_batch``
   call, so results are identical to serving each request alone (exactly
   so under a batch-invariant encoder; see ``retrieve_paths_batch``).
 * **Graceful shutdown** — ``stop()`` (or leaving the context manager)
   refuses new work, flushes every in-flight and queued request, then
-  joins the workers. ``stop(drain=False)`` fails queued requests with
+  joins the worker. ``stop(drain=False)`` fails queued requests with
   :class:`ServiceStopped` instead.
 
 Results returned for identical (normalized) queries may be shared
-objects served from the LRU+TTL cache — treat them as read-only.
+objects served from the LRU cache — treat them as read-only. The cache
+has no expiry: a service (and so its cache) is built per store
+generation, which is the only thing that changes an answer.
 """
 
 from __future__ import annotations
@@ -55,30 +58,15 @@ class ServiceConfig:
     max_batch_size: int = 16  # flush when this many compatible requests wait
     max_wait_ms: float = 2.0  # ... or when the oldest has waited this long
     max_pending: int = 256  # admission limit (Overloaded beyond this)
-    workers: int = 1  # worker threads draining the queue
     cache_size: int = 1024  # LRU capacity; <= 0 disables caching
-    cache_ttl_s: Optional[float] = None  # entry lifetime; None = no expiry
     default_k: int = 8  # results per request unless overridden
-    default_deadline_s: Optional[float] = None  # per-request deadline
-    # shards probed per request when the retriever has an active shard
-    # plan; None = no pruning (provably exact). Overridable per request.
-    default_nprobe: Optional[int] = None
-    # precision policy applied to requests that don't name one; None
-    # defers to the retriever's own policy. Part of the cache AND batch
-    # keys, so quantized answers never serve an exact-mode request.
-    default_precision: Optional[str] = None
-    latency_reservoir: int = 65536  # latency samples kept for percentiles
-    # build the retriever's scoring matrices inside start() instead of on
-    # the first request's worker thread — a warm-started (attached)
-    # retriever finishes this without any encoder call
-    warm_start: bool = True
 
 
 class RetrievalService:
     """Concurrent micro-batching front door over the trained retrievers.
 
-    ``clock`` must be monotonic and drives deadlines, the batch window
-    and cache TTLs; it is injectable so tests control time. Latency
+    ``clock`` must be monotonic and drives deadlines and the batch
+    window; it is injectable so tests control time. Latency
     *measurement* always uses ``time.perf_counter``.
     """
 
@@ -94,56 +82,38 @@ class RetrievalService:
         self.config = config or ServiceConfig()
         if self.config.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if self.config.workers <= 0:
-            raise ValueError("workers must be positive")
         self._clock = clock
         self._queue = BatchQueue(self.config.max_pending, clock=clock)
-        self._cache = ResultCache(
-            capacity=self.config.cache_size,
-            ttl_s=self.config.cache_ttl_s,
-            clock=clock,
-        )
-        self.stats = ServiceStats(self.config.latency_reservoir)
-        self._threads: List[threading.Thread] = []
+        self._cache = ResultCache(self.config.cache_size)
+        self.stats = ServiceStats()
+        self._thread: Optional[threading.Thread] = None
         self._state_lock = threading.Lock()
         self._running = False
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "RetrievalService":
-        """Spawn the worker threads (idempotent).
+        """Spawn the worker thread (idempotent).
 
-        With ``warm_start`` (the default) the retriever's scoring
-        matrices are built here, so the first request never pays the
-        build — and never pays encoding at all when the retriever was
-        attached to a persisted embedding store.
+        The retriever's scoring matrices are built here, so the first
+        request never pays the build — and never pays encoding at all
+        when the retriever was attached to a persisted embedding store.
         """
         with self._state_lock:
             if self._running:
                 return self
-            if self.config.warm_start:
-                # duck-typed: test stubs and minimal retrievers without
-                # an ensure_ready() simply start cold
-                ensure_ready = getattr(self.retriever, "ensure_ready", None)
-                if ensure_ready is not None:
-                    ensure_ready()
+            self.retriever.ensure_ready()
             self._running = True
-            self._threads = [
-                threading.Thread(
-                    target=self._worker_loop,
-                    name=f"repro-serve-{index}",
-                    daemon=True,
-                )
-                for index in range(self.config.workers)
-            ]
-            for thread in self._threads:
-                thread.start()
+            self._thread = threading.Thread(
+                target=self._worker_loop, name="repro-serve-0", daemon=True
+            )
+            self._thread.start()
         return self
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Refuse new work, settle everything pending, join the workers.
+        """Refuse new work, settle everything pending, join the worker.
 
         ``drain=True`` (default) flushes every queued request through the
-        normal batch path before the workers exit; ``drain=False`` fails
+        normal batch path before the worker exits; ``drain=False`` fails
         queued requests with :class:`ServiceStopped` immediately.
         """
         with self._state_lock:
@@ -157,9 +127,8 @@ class RetrievalService:
                         ServiceStopped("service stopped before serving")
                     )
                     self.stats.record_failed()
-            threads, self._threads = self._threads, []
-        for thread in threads:
-            thread.join(timeout)
+            thread, self._thread = self._thread, None
+        thread.join(timeout)
 
     def __enter__(self) -> "RetrievalService":
         return self.start()
@@ -191,13 +160,12 @@ class RetrievalService:
         Raises :class:`Overloaded` when admission control rejects it and
         :class:`ServiceStopped` when the service is not running. A cache
         hit completes the returned request synchronously. ``nprobe``
-        (default :attr:`ServiceConfig.default_nprobe`) prunes sharded
-        scoring to that many shards; it is part of both the cache key and
-        the batch key, so pruned and exact requests never mix — and so is
-        ``precision`` (default :attr:`ServiceConfig.default_precision`),
-        so quantized answers never serve exact-mode callers.
+        prunes sharded scoring to that many shards (None: no pruning,
+        provably exact); it is part of both the cache key and the batch
+        key, so pruned and exact requests never mix — and so is
+        ``precision`` (None: the retriever's own policy), so quantized
+        answers never serve exact-mode callers.
         """
-        cfg = self.config
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r} (expected {MODES})")
         if mode == "paths" and self.multihop is None:
@@ -208,14 +176,7 @@ class RetrievalService:
         with self._state_lock:
             if not self._running:
                 raise ServiceStopped("service is not running; call start()")
-        k = k if k is not None else cfg.default_k
-        deadline_s = (
-            deadline_s if deadline_s is not None else cfg.default_deadline_s
-        )
-        nprobe = nprobe if nprobe is not None else cfg.default_nprobe
-        precision = (
-            precision if precision is not None else cfg.default_precision
-        )
+        k = k if k is not None else self.config.default_k
         # the canonical key string (mode[:rescore_width]) — validated here
         # at the front door so malformed precisions fail at submit time
         precision_key = (
@@ -284,10 +245,6 @@ class RetrievalService:
         """Service + cache counters as one JSON-ready dict."""
         return self.stats.snapshot(self._cache.stats.snapshot())
 
-    def stats_summary(self) -> str:
-        """Human-readable stats block."""
-        return self.stats.summary(self._cache.stats.snapshot())
-
     # -- worker internals ------------------------------------------------
     def _worker_loop(self) -> None:
         max_wait = self.config.max_wait_ms / 1e3
@@ -326,21 +283,17 @@ class RetrievalService:
                 row_of[request.cache_key] = len(questions)
                 questions.append(request.question)
         mode, k, nprobe, precision_key = live[0].batch_key
-        # pass nprobe/precision only when set so duck-typed retrievers
-        # that predate those options keep working unchanged
-        extra: Dict[str, Any] = {}
-        if nprobe is not None:
-            extra["nprobe"] = nprobe
-        if precision_key is not None:
-            extra["precision"] = parse_key(precision_key)
+        precision = (
+            None if precision_key is None else parse_key(precision_key)
+        )
         try:
             if mode == "single":
                 results = self.retriever.retrieve_many(
-                    questions, k=k, **extra
+                    questions, k=k, nprobe=nprobe, precision=precision
                 )
             else:
                 results = self.multihop.retrieve_paths_batch(
-                    questions, k_paths=k, **extra
+                    questions, k_paths=k, nprobe=nprobe, precision=precision
                 )
         except Exception as error:  # surface to every waiting client
             for request in live:

@@ -8,8 +8,8 @@ request latency percentiles over a bounded recent window
 ``time.perf_counter`` — the ``wall-clock-timing`` lint rule bans
 ``time.time`` for measurement in this package.
 
-``snapshot()`` is the machine-readable form (the ``stats`` wire op,
-``benchmarks/e2e`` layer metrics); ``summary()`` is the human block.
+``snapshot()`` is the one view (the ``stats`` wire op, ``benchmarks/e2e``
+layer metrics): a JSON-ready dict.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.perf import LatencyReservoir
 class ServiceStats:
     """Thread-safe counters + histograms for one service instance."""
 
-    def __init__(self, reservoir_size: int = 65536):
+    def __init__(self):
         self._lock = threading.Lock()
         self.submitted = 0
         self.completed = 0
@@ -35,7 +35,7 @@ class ServiceStats:
         self.batches = 0
         self.batched_requests = 0  # requests served through batches
         self.batch_sizes: Dict[int, int] = {}
-        self.latencies = LatencyReservoir(reservoir_size)
+        self.latencies = LatencyReservoir()
         self._started_at = time.perf_counter()
 
     # -- recording (called by the service / workers) ---------------------
@@ -72,11 +72,9 @@ class ServiceStats:
         self.latencies.record(latency_s)
 
     # -- reading ---------------------------------------------------------
-    def qps(self, now: Optional[float] = None) -> float:
+    def qps(self) -> float:
         """Completed requests per second since the service started."""
-        elapsed = (
-            now if now is not None else time.perf_counter()
-        ) - self._started_at
+        elapsed = time.perf_counter() - self._started_at
         with self._lock:
             completed = self.completed
         return completed / elapsed if elapsed > 0 else 0.0
@@ -108,36 +106,6 @@ class ServiceStats:
         if cache_stats is not None:
             out["cache"] = cache_stats
         return out
-
-    def summary(self, cache_stats: Optional[dict] = None) -> str:
-        """Human-readable block."""
-        snap = self.snapshot(cache_stats)
-        latency = snap["latency_ms"]
-        lines = [
-            "service stats:",
-            f"  submitted:   {snap['submitted']}"
-            f" (completed {snap['completed']},"
-            f" cache hits {snap['cache_hits']},"
-            f" rejected {snap['rejected_overload'] + snap['rejected_deadline']},"
-            f" failed {snap['failed']})",
-            f"  throughput:  {snap['qps']:.1f} qps",
-            f"  batches:     {snap['batches']}"
-            f" (mean size {snap['mean_batch_size']:.2f},"
-            f" histogram {snap['batch_size_histogram']})",
-            f"  latency ms:  p50 {latency['p50']:.2f}"
-            f"  p95 {latency['p95']:.2f}  p99 {latency['p99']:.2f}"
-            f"  max {latency['max']:.2f}",
-        ]
-        if "cache" in snap:
-            cache = snap["cache"]
-            lines.append(
-                f"  cache:       {cache['hits']} hits /"
-                f" {cache['misses']} misses"
-                f" (ratio {cache['hit_ratio']:.2f},"
-                f" evictions {cache['evictions']},"
-                f" expirations {cache['expirations']})"
-            )
-        return "\n".join(lines)
 
 
 #: snapshot() keys that aggregate across workers by plain summation.

@@ -52,11 +52,9 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     _atomic_write(path, lambda handle: handle.write(data))
 
 
-def atomic_write_text(
-    path: PathLike, text: str, encoding: str = "utf-8"
-) -> None:
-    """Atomically replace ``path`` with ``text``."""
-    atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: PathLike, text: str) -> None:
+    """Atomically replace ``path`` with ``text`` (UTF-8)."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: PathLike, payload: Any, **dumps_kwargs: Any) -> None:
@@ -64,17 +62,10 @@ def atomic_write_json(path: PathLike, payload: Any, **dumps_kwargs: Any) -> None
     atomic_write_text(path, json.dumps(payload, **dumps_kwargs))
 
 
-def atomic_write_npz(
-    path: PathLike, arrays: Dict[str, np.ndarray], compressed: bool = True
-) -> None:
-    """Atomically replace ``path`` with an ``.npz`` archive of ``arrays``.
+def atomic_write_npz(path: PathLike, arrays: Dict[str, np.ndarray]) -> None:
+    """Atomically replace ``path`` with a compressed ``.npz`` of ``arrays``.
 
     ``np.savez*`` appends ``.npz`` to bare file names but writes file
     *handles* verbatim, so the archive goes through the temp-file handle.
     """
-    saver = np.savez_compressed if compressed else np.savez
-
-    def write(handle: Any) -> None:
-        saver(handle, **arrays)
-
-    _atomic_write(path, write)
+    _atomic_write(path, lambda handle: np.savez_compressed(handle, **arrays))

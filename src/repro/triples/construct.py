@@ -54,20 +54,18 @@ class TripleSetConstructor:
         Optional :class:`EntityIndex` used for the Eq. 1 relatedness score.
         Without a linker, noise pruning is skipped (every triple scores
         equally) but redundancy removal still runs.
-    extractor:
-        OIE extractor producing the union set; defaults to
-        pattern ∪ MinIE as in the paper.
+
+    The union set comes from pattern ∪ MinIE, as in the paper.
     """
 
     def __init__(
         self,
         config: Optional[ConstructionConfig] = None,
         linker: Optional[EntityIndex] = None,
-        extractor: Optional[UnionExtractor] = None,
     ):
         self.config = config or ConstructionConfig()
         self.linker = linker
-        self.extractor = extractor or UnionExtractor()
+        self.extractor = UnionExtractor()
 
     # -- public API ---------------------------------------------------------
     def construct_from_text(

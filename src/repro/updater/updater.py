@@ -25,7 +25,7 @@ from repro.data.corpus import Corpus, Document
 from repro.data.hotpot import HotpotQuestion
 from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.layers import Linear
-from repro.nn.optim import Adam
+from repro.nn.optim import CLIP_NORM, Adam
 from repro.nn.tensor import Tensor
 from repro.oie.triple import Triple
 from repro.retriever.store import TripleStore
@@ -43,7 +43,6 @@ class UpdaterConfig:
     lr: float = 1e-2
     logit_scale: float = 1.0
     max_candidates: int = 12
-    clip_norm: float = 5.0
     seed: int = 23
     train_encoder: bool = False  # head-only by default (encoder is shared)
     # Use only the scalar novelty statistics as head input. Empirically
@@ -280,7 +279,7 @@ class UpdaterTrainer:
                 for parameter in parameters:
                     parameter.zero_grad()
                 loss.backward()
-                optimizer.clip_grad_norm(cfg.clip_norm)
+                optimizer.clip_grad_norm(CLIP_NORM)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

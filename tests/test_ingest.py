@@ -25,6 +25,7 @@ from repro.ingest import (
     EmbeddingStoreError,
     IngestPipeline,
     extract_corpus_triples,
+    store_generation,
 )
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import build_triple_store
@@ -387,6 +388,30 @@ class TestEmbeddingStore:
         assert loaded.doc_ids == []
 
 
+@pytest.mark.parametrize(
+    "reader", ["store_generation", "open", "save", "load_prior"]
+)
+def test_non_object_manifest_is_a_corrupt_manifest(tmp_path, reader):
+    """Valid JSON that is not an object (a truncated or foreign write)
+    reads like any other corrupt manifest, in all four readers."""
+    corpus = _mini_corpus()
+    first = IngestPipeline(corpus).run(tmp_path, encoder=_mini_encoder(corpus))
+    emb_dir = tmp_path / EMBEDDINGS_DIR
+    (tmp_path / "ingest_manifest.json").write_text("[]")
+    (emb_dir / "manifest.json").write_text("null")
+    if reader == "load_prior":
+        again = IngestPipeline(corpus).extract(tmp_path)
+        assert again.stats.docs_extracted == len(corpus)  # cold rebuild
+    elif reader == "store_generation":
+        assert store_generation(tmp_path) is None
+    elif reader == "open":
+        with pytest.raises(EmbeddingStoreError, match="unreadable manifest"):
+            EmbeddingStore.open(emb_dir)
+    else:  # the directory can be republished: no previous to grace
+        first.embeddings.save(emb_dir)
+        assert EmbeddingStore.open(emb_dir).generation == 1
+
+
 class TestRetrieverIncrementalRefresh:
     def test_full_refresh_matches_legacy_bitwise(self):
         corpus = _mini_corpus()
@@ -417,7 +442,8 @@ class TestRetrieverIncrementalRefresh:
             _mini_encoder(corpus), build_triple_store(corpus)
         )
         total = retriever.refresh_embeddings()
-        assert retriever.refresh_embeddings(force=True) == total
+        retriever.detach_embeddings()  # nothing held: nothing to reuse
+        assert retriever.refresh_embeddings() == total
 
     def test_store_edit_reencodes_only_that_doc(self):
         corpus = _mini_corpus()

@@ -526,6 +526,53 @@ def test_watch_store_rolls_the_fleet_without_a_reload_op(tmp_path):
         )
 
 
+def test_rejected_publish_costs_no_worker_and_no_health_thread(tmp_path):
+    """Workers that *answer* a reload with a rejection keep serving; the
+    watcher survives it, offers it once, and rolls the next good publish."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    question = bundle.questions[0]
+    expected = _expected_wire(bundle, store_dir, [question])["single", question]
+    foreign = synthetic_bundle(**{**BUNDLE_KWARGS, "dim": 16})
+    with Fleet(
+        _spec(store_dir), workers=2, watch_store=True,
+        health_interval_s=0.05,
+    ) as fleet:
+        supervisor = fleet.supervisor
+        pids = [handle.pid for handle in supervisor.handles()]
+        assert publish_store(foreign, store_dir) == 2  # dim 16 != 24
+        with pytest.raises(SupervisorError) as refusal:
+            fleet.rollout()
+        assert [handle.pid for handle in supervisor.handles()] == pids
+        assert "slot(s) [0, 1]" in str(refusal.value)
+        time.sleep(0.15)  # three ticks of the watcher reading generation 2
+        assert supervisor._health_thread.is_alive()
+        assert (supervisor.restarts, supervisor.rollouts) == (0, 0)
+        for handle in supervisor.handles():
+            with NetClient(handle.address) as client:
+                answer = client.query_raw(question, mode="single", k=3)
+            assert answer["generation"] == 1
+            assert canonical_json(answer["results"]) == expected
+        assert publish_store(bundle, store_dir) == 3
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and supervisor.rollouts == 0:
+            time.sleep(0.02)
+        handles = supervisor.handles()
+    assert [(h.pid, h.generation) for h in handles] == [(p, 3) for p in pids]
+    assert supervisor.restarts == 0
+
+
+def test_worker_spec_is_checked_where_it_is_built(tmp_path):
+    """In the parent, before ``Fleet.start()`` has spawned anything."""
+    with pytest.raises(TypeError, match="max_wait"):
+        _spec(tmp_path, service={"max_wait": 1.0})  # misspelt max_wait_ms
+    with pytest.raises(ValueError, match="shard mode"):
+        _spec(tmp_path, shard_mode="hash")
+    with pytest.raises(ValueError, match="shards"):
+        _spec(tmp_path, shards=-1)
+
+
 # -- what the byte relay rests on -------------------------------------------
 
 
@@ -728,10 +775,9 @@ def test_unsolicited_reply_closes_the_link(tmp_path):
 
     worker = threading.Thread(target=answers_twice, daemon=True)
     worker.start()
-    host, port = listener.getsockname()
     handle = WorkerHandle(
-        slot=0, incarnation=1, process=None, host=host, port=port,
-        generation=1, pid=0,
+        slot=0, incarnation=1, process=None,
+        port=listener.getsockname()[1], generation=1, pid=0,
     )
     try:
         with FrontDoor(_StaticSupervisor([handle])) as frontdoor:

@@ -23,10 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ingest.embedding_store import (
-    EmbeddingStore,
-    LEGACY_STORE_VERSION,
-)
+from repro.ingest.embedding_store import EmbeddingStore
 from repro.precision import (
     ACCUM_DTYPE,
     F32,
@@ -80,8 +77,8 @@ class TestPrecisionPolicy:
         assert resolve(policy) is policy
 
     def test_resolve_accepts_key_strings(self):
-        # the round-trip the serving layer depends on: a stored
-        # default_precision key ("mode:width") resolves back to policy
+        # the round-trip the serving layer depends on: a batch/cache
+        # key ("mode:width") resolves back to policy
         assert resolve("int8-rescore:64") == Precision(
             mode="int8-rescore", rescore_width=64
         )
@@ -351,28 +348,6 @@ class TestStoreDtypes:
         assert manifest["dtype"] == dtype.name
         reopened = EmbeddingStore.open(tmp_path, mmap=False)
         assert reopened.matrix.dtype == dtype
-        np.testing.assert_array_equal(reopened.matrix, matrix)
-
-    def test_legacy_v1_store_loads_as_float64(self, tmp_path):
-        # hand-craft a pre-dtype generation: version-1 manifest, no
-        # "dtype" field, raw float64 rows in an .f64 data file
-        matrix = np.arange(6, dtype=F64).reshape(2, 3)
-        data_name = "embeddings-deadbeef.f64"
-        (tmp_path / data_name).write_bytes(matrix.tobytes())
-        manifest = {
-            "version": LEGACY_STORE_VERSION,
-            "rows": 2,
-            "dim": 3,
-            "data_file": data_name,
-            "grace_file": None,
-            "doc_ids": [0, 1],
-            "offsets": [0, 1],
-            "row_hashes": {"0": "a", "1": "b"},
-            "encoder_fingerprint": "legacy-fp",
-        }
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        reopened = EmbeddingStore.open(tmp_path, mmap=False)
-        assert reopened.matrix.dtype == F64
         np.testing.assert_array_equal(reopened.matrix, matrix)
 
     def test_attach_rejects_dtype_mismatched_store(

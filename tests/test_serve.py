@@ -10,7 +10,6 @@ micro-batch coalescing instead of hiding behind a tolerance.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -77,6 +76,9 @@ class BlockingStubRetriever:
         self.started = threading.Event()
         self.calls = []
 
+    def ensure_ready(self):
+        pass
+
     def retrieve_many(self, questions, k=10, **kwargs):
         self.started.set()
         assert self.release.wait(5.0), "stub never released"
@@ -87,17 +89,6 @@ class BlockingStubRetriever:
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestQueryCacheKey:
@@ -171,74 +162,11 @@ class TestResultCache:
         assert cache.get("b") is MISS
         assert cache.get("a") == 10
 
-    def test_ttl_expiry_with_fake_clock(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=8, ttl_s=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.0)
-        assert cache.get("a") == 1
-        clock.advance(1.0)  # age == ttl -> expired
-        assert cache.get("a") is MISS
-        assert cache.stats.expirations == 1
-        assert len(cache) == 0
-
-    def test_put_refreshes_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=8, ttl_s=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(8.0)
-        cache.put("a", 2)  # re-stamped
-        clock.advance(8.0)
-        assert cache.get("a") == 2
-
     def test_capacity_zero_disables(self):
         cache = ResultCache(capacity=0)
         cache.put("a", 1)
         assert cache.get("a") is MISS
         assert len(cache) == 0
-
-    def test_insert_sweeps_expired_dead_weight(self):
-        """Expired entries are reclaimed by inserts, not only by lookups.
-
-        Regression: entries that expired but were never looked up again
-        used to squat in the cache until capacity pressure evicted them.
-        """
-        clock = FakeClock()
-        cache = ResultCache(capacity=64, ttl_s=10.0, clock=clock)
-        for i in range(6):
-            cache.put(f"old{i}", i)
-        clock.advance(11.0)  # all six are now dead weight
-        cache.put("fresh", 99)  # never looked the old ones up
-        assert len(cache) == 1
-        assert cache.stats.expirations == 6
-        assert cache.stats.evictions == 0
-        assert cache.get("fresh") == 99
-
-    def test_sweep_work_per_insert_is_bounded(self):
-        from repro.serve.cache import _SWEEP_LIMIT
-
-        clock = FakeClock()
-        cache = ResultCache(capacity=128, ttl_s=10.0, clock=clock)
-        n_old = _SWEEP_LIMIT * 3
-        for i in range(n_old):
-            cache.put(f"old{i}", i)
-        clock.advance(11.0)
-        cache.put("fresh", 99)
-        # one insert reclaims at most _SWEEP_LIMIT expired entries
-        assert len(cache) == n_old - _SWEEP_LIMIT + 1
-        assert cache.stats.expirations == _SWEEP_LIMIT
-
-    def test_expired_entry_leaving_under_pressure_counts_expiration(self):
-        """Capacity pops of already-dead entries are not LRU evictions."""
-        clock = FakeClock()
-        cache = ResultCache(capacity=2, ttl_s=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(11.0)  # "a" is expired but still resident
-        cache.put("b", 2)  # sweep reclaims "a" -> expiration
-        cache.put("c", 3)
-        cache.put("d", 4)  # "b" is live -> genuine eviction
-        assert cache.stats.expirations == 1
-        assert cache.stats.evictions == 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +224,9 @@ class TestServiceBasics:
 
     def test_worker_exception_propagates_to_client(self):
         class ExplodingStub:
+            def ensure_ready(self):
+                pass
+
             def retrieve_many(self, questions, k=10, **kwargs):
                 raise RuntimeError("index corrupted")
 
@@ -313,6 +244,9 @@ class TestServeNprobe:
         def __init__(self):
             self.calls = []
 
+        def ensure_ready(self):
+            pass
+
         def retrieve_many(self, questions, k=10, **kwargs):
             self.calls.append((list(questions), k, kwargs))
             return [[(q, k, kwargs.get("nprobe"))] for q in questions]
@@ -322,23 +256,7 @@ class TestServeNprobe:
         with RetrievalService(stub) as service:
             got = service.retrieve("q ?", k=3, nprobe=2, timeout=10)
         assert got == [("q ?", 3, 2)]
-        assert stub.calls[-1][2] == {"nprobe": 2}
-
-    def test_no_nprobe_means_no_kwarg(self):
-        """Exact requests pass no nprobe kwarg (pre-sharding stubs work)."""
-        stub = self.RecordingStub()
-        with RetrievalService(stub) as service:
-            service.retrieve("q ?", k=3, timeout=10)
-        assert stub.calls[-1][2] == {}
-
-    def test_default_nprobe_from_config(self):
-        stub = self.RecordingStub()
-        config = ServiceConfig(default_nprobe=3, cache_size=0)
-        with RetrievalService(stub, config=config) as service:
-            got = service.retrieve("q ?", k=3, timeout=10)
-            assert got == [("q ?", 3, 3)]
-            overridden = service.retrieve("q ?", k=3, nprobe=1, timeout=10)
-            assert overridden == [("q ?", 3, 1)]
+        assert stub.calls[-1][2] == {"nprobe": 2, "precision": None}
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_nprobe_below_one_is_a_typed_error(self, serve_retriever, bad):
@@ -420,12 +338,14 @@ class TestAdmissionControl:
 
     def test_deadline_exceeded_while_queued(self):
         stub = BlockingStubRetriever()
+        now = [0.0]  # the service's clock, moved by hand
         config = ServiceConfig(max_batch_size=1, max_wait_ms=0)
-        with RetrievalService(stub, config=config) as service:
+        service = RetrievalService(stub, config=config, clock=lambda: now[0])
+        with service:
             blocked = service.submit("q0 ?")
             assert stub.started.wait(5.0)
             doomed = service.submit("q1 ?", deadline_s=0.01)
-            time.sleep(0.05)  # let the deadline lapse while queued
+            now[0] += 0.05  # the deadline lapses while queued
             stub.release.set()
             assert blocked.result(timeout=10)
             with pytest.raises(DeadlineExceeded):
@@ -482,14 +402,6 @@ class TestServiceStats:
         for name in ("p50", "p95", "p99", "mean", "max"):
             assert snap["latency_ms"][name] >= 0
 
-    def test_summary_mentions_key_figures(self, serve_retriever):
-        with RetrievalService(serve_retriever) as service:
-            service.retrieve("summary question ?", k=3, timeout=10)
-            text = service.stats_summary()
-        assert "qps" in text
-        assert "p95" in text
-        assert "cache" in text
-
 
 # ---------------------------------------------------------------------------
 # concurrency: determinism under coalescing + caching
@@ -525,7 +437,6 @@ class TestConcurrentDeterminism:
             max_wait_ms=2.0,
             max_pending=self.N_THREADS * self.N_QUESTIONS,
             cache_size=cache_size,
-            workers=2,
         )
         service = RetrievalService(serve_retriever, config=config)
         mismatches = []

@@ -171,16 +171,6 @@ class TestServeWarmStart:
         with service:
             assert retriever.shard_plan is not None
 
-    def test_cold_start_defers_build(self, encoder, store):
-        retriever = SingleRetriever(encoder, store)
-        service = RetrievalService(
-            retriever, config=ServiceConfig(warm_start=False)
-        )
-        with service:
-            assert retriever.shard_plan is None
-            service.retrieve("Which club was founded first?", k=3)
-            assert retriever.shard_plan is not None
-
     def test_attached_retriever_serves_without_encoding(
         self, encoder, store, retriever, tmp_path, encode_calls
     ):
