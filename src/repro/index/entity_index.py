@@ -1,37 +1,41 @@
 """Entity index: surface-form entity linking over a corpus.
 
-Provides the two entity facilities the paper relies on:
-
-* per-document linked-entity sets (``E_d`` in Eq. 1, the relatedness score),
-* entity -> documents postings (used by the HopRetriever baseline and by
-  the world's hyperlink graph construction).
-
 Linking is longest-match-first exact phrase matching over a dictionary of
-known entity names — the standard "mention dictionary" linker.
+known entity names — the standard "mention dictionary" linker. The
+dictionary is all :meth:`EntityIndex.link` needs: ``link(text)`` of a
+document's text is its linked-entity set (``E_d`` in Eq. 1, the
+relatedness score), and ingestion links each document where it extracts
+it (:mod:`repro.ingest.pipeline`). Registering documents
+(:meth:`~EntityIndex.add_document` / :meth:`~EntityIndex.entities_of`)
+only remembers ``link(text)`` per doc id, for the callers that look
+entities up by document: the GoldEn and HopRetriever baselines.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.text.tokenize import tokenize
 
 
 class EntityIndex:
-    """Dictionary-based entity linker + entity->document postings."""
+    """Dictionary-based entity linker + per-document linked entities."""
 
     def __init__(self, entity_names: Iterable[str]):
+        entity_names = list(entity_names)
         self._names: Set[str] = set(entity_names)
-        # token-tuple -> canonical name, longest matches first at query time
+        # token-tuple -> canonical name, longest matches first at query time.
+        # Input order, first name wins: iterating the set would let
+        # PYTHONHASHSEED pick the canonical name of two titles that
+        # tokenise alike, so two processes could link the same bytes apart.
         self._by_tokens: Dict[tuple, str] = {}
         self._max_len = 1
-        for name in self._names:
+        for name in entity_names:
             key = tuple(tokenize(name))
-            if key:
+            if key and key not in self._by_tokens:
                 self._by_tokens[key] = name
                 self._max_len = max(self._max_len, len(key))
         self._doc_entities: Dict[int, List[str]] = {}
-        self._entity_docs: Dict[str, List[int]] = {}
 
     # -- linking ----------------------------------------------------------
     def link(self, text: str) -> List[str]:
@@ -63,20 +67,15 @@ class EntityIndex:
 
     # -- corpus registration ----------------------------------------------
     def add_document(self, doc_id: int, text: str) -> List[str]:
-        """Link ``text`` and record the result for ``doc_id``."""
+        """Link ``text`` and record the result for ``doc_id`` (replacing
+        whatever an earlier registration of ``doc_id`` recorded)."""
         entities = self.link(text)
         self._doc_entities[doc_id] = entities
-        for name in entities:
-            self._entity_docs.setdefault(name, []).append(doc_id)
         return entities
 
     def entities_of(self, doc_id: int) -> List[str]:
         """Linked entities of ``doc_id`` (``E_d``)."""
         return list(self._doc_entities.get(doc_id, ()))
-
-    def documents_with(self, entity: str) -> List[int]:
-        """Documents mentioning ``entity``."""
-        return list(self._entity_docs.get(entity, ()))
 
     def __contains__(self, name: str) -> bool:
         return name in self._names

@@ -11,12 +11,18 @@ both properties without changing a single output byte:
   ascending-doc-id order and results are merged back in that same order
   (``Pool.map`` preserves input order), and per-document construction is
   deterministic and independent, so the parallel triple store is
-  **byte-identical** to the sequential one.
+  **byte-identical** to the sequential one. The process that constructs
+  a document's triples also links it (``E_d`` of Eq. 1 is
+  ``linker.link(text)``): the linker handed around is the alias
+  dictionary over the corpus titles, the only corpus-wide linking state,
+  so a text is read where, and only when, it is extracted.
 * :class:`IngestPipeline` adds the incremental layer: a JSON manifest of
   per-document content hashes plus the construction fingerprint
   (:mod:`repro.ingest.fingerprint`). On rebuild, only documents whose
-  hash changed re-extract; only documents whose flattened triples or
-  encoder changed re-encode (dirty-row tracking inside
+  hash changed re-extract (a clean document is not even linked: its
+  triples depend on other documents only through their titles, which
+  the construction fingerprint covers); only documents whose flattened
+  triples or encoder changed re-encode (dirty-row tracking inside
   :meth:`~repro.retriever.single.SingleRetriever.refresh_embeddings`).
   Artifacts (triple store, manifest, embedding store) are written
   atomically, so an interrupted ingest never corrupts the previous one.
@@ -65,9 +71,12 @@ def _init_worker(
 
 def _construct(
     constructor: TripleSetConstructor,
-    payload: Tuple[int, str, str, Optional[str], List[str]],
+    payload: Tuple[int, str, str, Optional[str]],
 ) -> Tuple[int, List[Triple]]:
-    doc_id, text, title, entity_kind, doc_entities = payload
+    """Link one document (``E_d``, Eq. 1) and construct its triples."""
+    doc_id, text, title, entity_kind = payload
+    linker = constructor.linker
+    doc_entities = linker.link(text) if linker is not None else None
     result = constructor.construct_from_text(
         text, title=title, entity_kind=entity_kind, doc_entities=doc_entities
     )
@@ -91,21 +100,15 @@ def extract_corpus_triples(
     worker count — the deterministic-merge guarantee the parity suite
     pins. ``workers <= 1`` runs sequentially in-process (the reference
     path); more workers fan documents out over a process pool.
+
+    The ``linker`` is the alias dictionary; documents need not be
+    registered with it. Whichever process constructs a document's triples
+    links that document's text, so only ``doc_ids`` are ever read.
+    Without a linker, Eq. 1 noise pruning is skipped.
     """
     chosen = sorted(doc_ids) if doc_ids is not None else range(len(corpus))
-    payloads = []
-    for doc_id in chosen:
-        document = corpus[doc_id]
-        entities = linker.entities_of(doc_id) if linker is not None else []
-        payloads.append(
-            (
-                document.doc_id,
-                document.text,
-                document.title,
-                document.entity.kind,
-                entities,
-            )
-        )
+    documents = (corpus[doc_id] for doc_id in chosen)
+    payloads = [(d.doc_id, d.text, d.title, d.entity.kind) for d in documents]
     if workers <= 1 or len(payloads) <= 1:
         constructor = TripleSetConstructor(config=config, linker=linker)
         return dict(_construct(constructor, payload) for payload in payloads)
@@ -200,20 +203,22 @@ class IngestPipeline:
     ):
         self.corpus = corpus
         self.construction = construction or ConstructionConfig()
-        #: the corpus's entity linker, built by the first run and kept
+        #: the corpus's alias dictionary, built by the first run and kept
         self.linker: Optional[EntityIndex] = None
         self.workers = max(1, int(workers))
         self.incremental = incremental
 
-    # -- stage 0: entity linking ----------------------------------------
+    # -- stage 0: the alias dictionary ----------------------------------
     def _ensure_linker(self, stats: IngestStats) -> EntityIndex:
+        """The title dictionary — the only corpus-wide linking state.
+
+        Documents are linked where they are extracted (:func:`_construct`),
+        so ``link_seconds`` times the dictionary build alone.
+        """
         if self.linker is None:
             with time_block() as elapsed:
-                linker = EntityIndex(self.corpus.titles())
-                for document in self.corpus:
-                    linker.add_document(document.doc_id, document.text)
+                self.linker = EntityIndex(self.corpus.titles())
             stats.link_seconds = elapsed()
-            self.linker = linker
         return self.linker
 
     # -- stage 1: extraction --------------------------------------------

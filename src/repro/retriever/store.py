@@ -107,8 +107,10 @@ def build_triple_store(
 ) -> TripleStore:
     """Run extraction + Algorithm 1 over the whole corpus.
 
-    When no ``linker`` is given, one is built from the corpus titles (the
-    title dictionary is exactly the entity universe of a Wikipedia dump).
+    When no ``linker`` is given, the alias dictionary is built from the
+    corpus titles (the title dictionary is exactly the entity universe of
+    a Wikipedia dump); each document is linked as it is extracted, so a
+    ``linker`` passed in need not have the documents registered.
     ``workers > 1`` fans extraction out over a process pool; the result
     is byte-identical to the sequential build (deterministic merge in
     ascending doc-id order — see :mod:`repro.ingest.pipeline`).
@@ -117,8 +119,6 @@ def build_triple_store(
 
     if linker is None:
         linker = EntityIndex(corpus.titles())
-        for document in corpus:
-            linker.add_document(document.doc_id, document.text)
     triples_by_doc = extract_corpus_triples(
         corpus,
         linker=linker,

@@ -4,13 +4,24 @@ A compact implementation of the first steps of the Porter algorithm — the
 ones that matter for retrieval recall (plurals, -ing, -ed, -ly, common
 nominalizations). Deterministic and dependency-free; used by the TF-IDF /
 BM25 index and by the relatedness scorer.
+
+:func:`stem` is computed once per distinct word: Algorithm 1 alone stems
+the same few strings some 200 times per document, so the pure function
+carries a bounded ``lru_cache`` (``stem.__wrapped__`` is the plain one).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List
 
 _VOWELS = set("aeiou")
+
+# Bound of the :func:`stem` memo. Vocabulary-sized: Algorithm 1, the
+# index and the updater stem the same few thousand distinct words over and
+# over, and all of them fit. A bound at all, so adversarial text cannot
+# grow the memo without limit (~170 bytes an entry, ~5 MiB when full).
+_STEM_CACHE_SIZE = 1 << 15
 
 
 def _has_vowel(word: str) -> bool:
@@ -57,8 +68,9 @@ _STEP3 = [
 ]
 
 
+@lru_cache(maxsize=_STEM_CACHE_SIZE)
 def stem(word: str) -> str:
-    """Stem one lower-case word.
+    """Stem one lower-case word (memoised; pure, so a hit is exact).
 
     >>> stem("foundations")
     'foundat'

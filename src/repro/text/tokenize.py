@@ -5,6 +5,12 @@ separates punctuation, keeps numbers and hyphenated years intact, and is the
 single tokenization used by every component (BM25 index, OIE extractors and
 the neural encoder), so that lexical and semantic retrieval operate over the
 same token universe.
+
+Because everything sits on it — vocabulary building, row encoding,
+Algorithm 1's token keys, the question updater — :func:`tokenize` is one
+``findall`` pass; clitic splitting looks only at tokens holding an
+apostrophe. ``tests/reference.py::tokenize_reference`` is the
+match-by-match form it must equal.
 """
 
 from __future__ import annotations
@@ -36,20 +42,24 @@ def normalize(text: str) -> str:
 def tokenize(text: str, lower: bool = True) -> List[str]:
     """Split ``text`` into word / number / punctuation tokens.
 
+    One regex pass; only a token that holds an apostrophe can carry a
+    clitic, so a text without one is returned as matched.
+
     >>> tokenize("Millwall F.C. was founded in 1885.")
     ['millwall', 'f', '.', 'c', '.', 'was', 'founded', 'in', '1885', '.']
     """
     if lower:
         text = text.lower()
+    matched = _TOKEN_RE.findall(text)
+    if "'" not in text:
+        return matched
     tokens: List[str] = []
-    for match in _TOKEN_RE.finditer(text):
-        token = match.group(0)
+    for token in matched:
         # split clitics off: "club's" -> "club", "'s"
-        for suffix in _APOSTROPHE_SUFFIXES:
-            if token.endswith(suffix) and len(token) > len(suffix):
-                tokens.append(token[: -len(suffix)])
-                tokens.append(suffix)
-                break
+        cut = token.find("'")
+        if cut > 0 and token[cut:] in _APOSTROPHE_SUFFIXES:
+            tokens.append(token[:cut])
+            tokens.append(token[cut:])
         else:
             tokens.append(token)
     return tokens

@@ -5,7 +5,8 @@ correct forms of the paper's ranking (max-cosine over a document's triple
 facts, Eqs. 2-4) kept so the one search core has independent oracles —
 the scalar per-document loop the vectorized scorer replaced, a
 brute-force numpy ranking that never touches a ``ShardPlan``, and the
-autograd-graph encoder path the fused inference kernels replaced.
+autograd-graph encoder path the fused inference kernels replaced — plus
+the match-by-match tokeniser the one-regex-pass ``tokenize`` replaced.
 """
 
 import numpy as np
@@ -18,6 +19,24 @@ from repro.retriever.strategies import (
     aggregate_segments,
     l2_normalize_rows,
 )
+from repro.text.tokenize import _APOSTROPHE_SUFFIXES, _TOKEN_RE
+
+
+def tokenize_reference(text, lower=True):
+    """``tokenize`` match by match, trying every clitic on every token."""
+    if lower:
+        text = text.lower()
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group(0)
+        for suffix in _APOSTROPHE_SUFFIXES:
+            if token.endswith(suffix) and len(token) > len(suffix):
+                tokens.append(token[: -len(suffix)])
+                tokens.append(suffix)
+                break
+        else:
+            tokens.append(token)
+    return tokens
 
 
 def aggregate(strategy, scores):

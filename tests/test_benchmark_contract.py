@@ -2,11 +2,12 @@
 
 ``benchmarks/e2e`` may not change with the code it measures, and its own
 smoke test is ``-m perf``, outside tier-1 — so this imports its modules
-(an ``ImportError`` is a removed name) and replays the keywords every
-workload hands to ``ServiceConfig``, ``WorkerSpec`` and ``Fleet``. No
-process is started.
+(an ``ImportError`` is a removed name), replays the keywords every
+workload hands to ``ServiceConfig``, ``WorkerSpec`` and ``Fleet``, and
+pins the ingest result fields it reads. No process is started.
 """
 
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.ingest import IngestResult, IngestStats
 from repro.net import Fleet, WorkerSpec
 from repro.serve import ServiceConfig
 
@@ -45,3 +47,20 @@ def test_every_workload_builds_its_service_config_and_fleet_spec(
         )
         inspect.signature(Fleet).bind(*args, **kwargs)
         assert isinstance(args[0], WorkerSpec)  # built, so it was checked
+
+
+@pytest.mark.parametrize(
+    "record, read",
+    [
+        (
+            IngestStats,
+            "link_seconds extract_seconds encode_seconds save_seconds "
+            "docs_extracted rows_encoded rows_reused rows_total",
+        ),
+        (IngestResult, "store stats embeddings"),
+    ],
+)
+def test_ingest_fields_the_benchmark_reads_exist(record, read):
+    # IngestRunner and layers.ingest_metrics read these by attribute
+    fields = {f.name for f in dataclasses.fields(record)}
+    assert set(read.split()) <= fields

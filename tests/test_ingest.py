@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
+from repro.index.entity_index import EntityIndex
 from repro.ingest import (
     EMBEDDINGS_DIR,
     EmbeddingStore,
@@ -95,6 +96,25 @@ class TestParallelParity:
             _store_bytes(store, tmp_path, "seq.json")
         )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dictionary_only_linker_equals_a_registered_one(
+        self, corpus, tmp_path, workers
+    ):
+        # the linker is the alias dictionary: the extracting process links
+        # each document, so registering documents up front changes nothing
+        # (it used to be what switched Eq. 1 noise pruning on)
+        registered = EntityIndex(corpus.titles())
+        for document in corpus:
+            registered.add_document(document.doc_id, document.text)
+        dictionary = EntityIndex(corpus.titles())
+        built = {
+            name: build_triple_store(corpus, linker=linker, workers=workers)
+            for name, linker in [("reg", registered), ("dict", dictionary)]
+        }
+        assert _store_bytes(built["dict"], tmp_path, "dict.json") == (
+            _store_bytes(built["reg"], tmp_path, "reg.json")
+        )
+
     def test_extract_subset_respects_doc_ids(self, corpus):
         wanted = [3, 1]
         result = extract_corpus_triples(corpus, doc_ids=wanted)
@@ -136,7 +156,7 @@ class TestIncrementalInvalidation:
         assert second.stats.rows_encoded == 0
         assert second.stats.rows_reused == second.stats.rows_total
 
-    def test_doc_edit_dirties_exactly_that_doc(self, tmp_path):
+    def test_doc_edit_dirties_exactly_that_doc(self, tmp_path, monkeypatch):
         corpus = _mini_corpus()
         encoder = _mini_encoder(corpus)
         cache = tmp_path / "cache"
@@ -145,9 +165,18 @@ class TestIncrementalInvalidation:
         edited = _mini_corpus(
             texts={1: "Beta Band is a band. Beta Band split up in 1999."}
         )
+        # patched on the class: the pipeline builds its own linker
+        linked = []
+        link = EntityIndex.link
+        monkeypatch.setattr(
+            EntityIndex, "link",
+            lambda self, text: linked.append(text) or link(self, text),
+        )
         result = self._ingest(edited, encoder, cache)
         assert result.stats.docs_extracted == 1
         assert result.stats.docs_reused == len(corpus) - 1
+        # a refresh reads (links) the body it re-extracts and no other
+        assert {d.text for d in edited} & set(linked) == {edited[1].text}
         after = _segments(cache)
         for doc_id in (0, 2, 3, 4):
             assert after[doc_id] == before[doc_id]  # reused bitwise
@@ -222,6 +251,12 @@ class TestIncrementalInvalidation:
         after = _segments(cache)
         for doc_id in set(range(len(corpus))) - edits:
             assert after[doc_id] == before[doc_id]
+        # reuse is invisible: the refreshed store is the cold one
+        cold = tmp_path / f"{cache.name}-cold"
+        self._ingest(edited, encoder, cold)
+        assert (cache / "store.json").read_bytes() == (
+            cold / "store.json"
+        ).read_bytes()
 
 
 class TestEmbeddingStore:

@@ -4,6 +4,7 @@ import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import tokenize_reference
 
 from repro.text.sentences import split_sentences
 from repro.text.stem import stem
@@ -18,6 +19,21 @@ words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
 token_lists = st.lists(words, max_size=15)
 texts = st.text(
     alphabet=string.ascii_letters + string.digits + " .,!?'-", max_size=200
+)
+#: arbitrary text seeded with what the tokeniser special-cases: clitics
+#: (real, upper-case, dangling), bare apostrophes, digits, upper case
+fragments = st.one_of(
+    st.sampled_from(
+        ["'s", "'re", "'ve", "'ll", "'d", "'m", "'", "''", "'S", "'t", "it's",
+         "O'Neil", "rock'n'roll", "they'll", "3.14", "1885", "F.C."]
+    ),
+    st.text(max_size=12),
+    texts,
+)
+clitic_texts = st.builds(
+    lambda sep, parts: sep.join(parts),
+    st.sampled_from(["", " "]),
+    st.lists(fragments, max_size=8),
 )
 
 
@@ -37,6 +53,12 @@ class TestTokenizeProperties:
         text = " ".join(tokens)
         assert tokenize(text) == tokens
 
+    @given(clitic_texts, st.booleans())
+    def test_one_regex_pass_equals_the_match_by_match_reference(
+        self, text, lower
+    ):
+        assert tokenize(text, lower=lower) == tokenize_reference(text, lower)
+
 
 class TestStemProperties:
     @given(words)
@@ -51,6 +73,14 @@ class TestStemProperties:
     @given(words)
     def test_stem_nonempty(self, word):
         assert stem(word)
+
+    @given(st.one_of(words, clitic_texts))
+    def test_memoised_stem_equals_the_plain_function(self, word):
+        assert stem(word) == stem.__wrapped__(word)
+        assert stem(word) == stem.__wrapped__(word)  # now a cache hit
+
+    def test_stem_memo_is_bounded(self):
+        assert isinstance(stem.cache_info().maxsize, int)
 
 
 class TestSentenceProperties:
