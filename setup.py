@@ -1,16 +1,5 @@
 """Legacy setup shim (the environment has no `wheel` for PEP 517 editables)."""
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "Triple-Fact Retriever: an explainable reasoning retrieval model "
-        "for multi-hop QA (ICDE 2022 reproduction)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-    install_requires=["numpy>=1.21", "scipy>=1.7", "networkx>=2.6"],
-)
+setup()

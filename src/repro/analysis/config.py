@@ -3,7 +3,7 @@
 Recognized keys::
 
     [tool.repro.lint]
-    paths = ["src", "tests", "benchmarks"]  # default lint targets
+    paths = ["src", "tests", "benchmarks", "examples"]  # lint targets
 
     [tool.repro.lint.layers]                # import layering DAG
     order = ["foundation", "serving"]       # lowest layer first
@@ -32,7 +32,7 @@ try:  # pragma: no cover - exercised on 3.11+, fallback below covers 3.9/3.10
 except ImportError:  # pragma: no cover
     tomllib = None
 
-DEFAULT_PATHS = ("src", "tests", "benchmarks")
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
 
 @dataclass

@@ -20,11 +20,12 @@ What gets extracted:
   module-level or deferred into a function body. Deferred imports are
   the sanctioned cycle-breaking idiom, so the cycle check ignores them
   while the layering check does not.
-* **references** — the set of identifiers the file uses anywhere (names,
-  attribute accessors, keyword names, ``__all__`` strings), feeding
-  ``dead-symbol``.
-* **top-level definitions** — module-level ``def``/``class`` with their
-  decoration status.
+* **references** — the set of identifiers the file *uses* (names,
+  attribute accessors, keyword names, names it imports), feeding
+  ``dead-symbol``. A package ``__init__``'s import aliases and any
+  ``__all__`` strings are re-exports, not uses, and are left out.
+* **definitions** — module-level ``def``/``class`` and the methods of
+  module-level classes, with their decoration status.
 * **class concurrency facts** — lock-attribute inventory
   (``self._x = threading.Lock()/RLock()/Condition()``), the attributes
   ``__init__`` establishes, which of them are mutated outside init
@@ -59,6 +60,13 @@ MUTATING_METHODS = frozenset(
 #: Methods treated as establishing state like ``__init__`` does
 #: (dataclasses assign their lock in ``__post_init__``).
 INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
+
+#: Decorators that only change how a name binds: they register the def
+#: nowhere, so it still needs a caller (a property is read by name).
+BINDING_DECORATORS = frozenset({"property", "staticmethod", "classmethod"})
+
+#: Base classes whose ``visit_*`` methods are called by name dispatch.
+AST_VISITOR_BASES = frozenset({"NodeVisitor", "NodeTransformer"})
 
 
 @dataclass
@@ -107,13 +115,14 @@ class ImportEdge:
 
 @dataclass
 class SymbolDef:
-    """One module-level ``def``/``class``."""
+    """One module-level ``def``/``class``, or a method of such a class."""
 
     name: str
     line: int
     col: int
-    kind: str  # "def" | "class"
-    decorated: bool
+    kind: str  # "def" | "class" | "method"
+    decorated: bool  # by something that may register or dispatch it
+    owner: str = ""  # the class a method belongs to
 
 
 @dataclass
@@ -131,6 +140,12 @@ class ModuleSummary:
     @property
     def dir_parts(self) -> Set[str]:
         return set(Path(self.rel_path).parts[:-1])
+
+    @property
+    def in_tests_dir(self) -> bool:
+        """Under ``tests/`` — by directory, not by file name: the
+        ``benchmarks/test_table*.py`` modules are real callers."""
+        return "tests" in self.dir_parts
 
 
 def module_name_of(rel_path: str) -> str:
@@ -171,8 +186,9 @@ def _resolve_relative(module: str, level: int, target: Optional[str]) -> str:
 class _ModuleVisitor(ast.NodeVisitor):
     """Single pass collecting imports, defs, references and classes."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, is_package: bool):
         self.module = module
+        self.is_package = is_package  # an __init__.py: imports re-export
         self.imports: Dict[Tuple[str, bool], ImportEdge] = {}
         self.defs: List[SymbolDef] = []
         self.references: Set[str] = set()
@@ -196,7 +212,8 @@ class _ModuleVisitor(ast.NodeVisitor):
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._add_import(alias.name, node)
-            self.references.add((alias.asname or alias.name).split(".")[0])
+            if not self.is_package:
+                self.references.add((alias.asname or alias.name).split(".")[0])
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         base = (
@@ -213,7 +230,8 @@ class _ModuleVisitor(ast.NodeVisitor):
             self._add_import(
                 f"{base}.{alias.name}" if base else alias.name, node
             )
-            self.references.add(alias.asname or alias.name)
+            if not self.is_package:
+                self.references.add(alias.asname or alias.name)
 
     # -- references ------------------------------------------------------
     def visit_Name(self, node: ast.Name) -> None:
@@ -228,58 +246,54 @@ class _ModuleVisitor(ast.NodeVisitor):
             self.references.add(node.arg)
         self.generic_visit(node)
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        # names listed in __all__ are deliberate exports: count the
-        # strings as references so re-exported symbols are never "dead"
-        targets = [
-            t for t in node.targets
-            if isinstance(t, ast.Name) and t.id == "__all__"
-        ]
-        if targets:
-            for sub in ast.walk(node.value):
-                if isinstance(sub, ast.Constant) and isinstance(
-                    sub.value, str
-                ):
-                    self.references.add(sub.value)
-        self.generic_visit(node)
-
     # -- definitions and classes -----------------------------------------
-    def _visit_def(self, node, kind: str) -> None:
-        if self._depth == 0:
-            self.defs.append(
-                SymbolDef(
-                    name=node.name,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    kind=kind,
-                    decorated=bool(node.decorator_list),
-                )
+    def _define(self, node, kind: str, owner: str = "") -> None:
+        self.defs.append(
+            SymbolDef(
+                name=node.name,
+                line=node.lineno,
+                col=node.col_offset,
+                kind=kind,
+                decorated=any(
+                    _dotted_leaf(decorator) not in BINDING_DECORATORS
+                    for decorator in node.decorator_list
+                ),
+                owner=owner,
             )
+        )
+
+    def _visit_def(self, node) -> None:
+        if self._depth == 0:
+            self._define(node, "def")
         self._depth += 1
         self.generic_visit(node)
         self._depth -= 1
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_def(node, "def")
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_def(node, "def")
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_def
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if self._depth == 0:
-            self.defs.append(
-                SymbolDef(
-                    name=node.name,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    kind="class",
-                    decorated=bool(node.decorator_list),
-                )
+            self._define(node, "class")
+            # ast.NodeVisitor dispatches visit_<NodeType> by name
+            is_visitor = any(
+                _dotted_leaf(base) in AST_VISITOR_BASES for base in node.bases
             )
+            for child in node.body:
+                if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not (is_visitor and child.name.startswith("visit_")):
+                    self._define(child, "method", owner=node.name)
             self.classes.append(_summarize_class(node))
         self._depth += 1
         self.generic_visit(node)
         self._depth -= 1
+
+
+def _dotted_leaf(node: ast.expr) -> str:
+    """``b`` of ``a.b`` / ``b``; empty for any other expression."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
 
 
 def _self_attr(node: ast.AST) -> Optional[str]:
@@ -295,17 +309,10 @@ def _self_attr(node: ast.AST) -> Optional[str]:
 
 def _lock_constructor(value: ast.expr) -> bool:
     """Whether ``value`` is a ``Lock()``/``RLock()``/``Condition()`` call."""
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    name = (
-        func.attr
-        if isinstance(func, ast.Attribute)
-        else func.id
-        if isinstance(func, ast.Name)
-        else ""
+    return (
+        isinstance(value, ast.Call)
+        and _dotted_leaf(value.func) in LOCK_CONSTRUCTORS
     )
-    return name in LOCK_CONSTRUCTORS
 
 
 class _MethodWalker:
@@ -503,7 +510,9 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
 def summarize_module(ctx: FileContext) -> ModuleSummary:
     """Phase-1 extraction: one :class:`ModuleSummary` per parsed file."""
     module = module_name_of(ctx.rel_path)
-    visitor = _ModuleVisitor(module)
+    visitor = _ModuleVisitor(
+        module, is_package=Path(ctx.rel_path).name == "__init__.py"
+    )
     visitor.visit(ctx.tree)
     return ModuleSummary(
         module=module,

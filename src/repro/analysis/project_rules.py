@@ -10,8 +10,8 @@ encodes a cross-file bug class this repo has actually hit:
   public method touches that state without holding any lock.
 * ``layering-violation`` — an import contradicts the layer DAG declared
   in ``[tool.repro.lint.layers]``, or a module-level import cycle exists.
-* ``dead-symbol`` — a module-level def/class no file in the project ever
-  references.
+* ``dead-symbol`` — a def, class or method that nothing outside
+  ``tests/`` uses; a package ``__init__`` re-export is not a use.
 
 Project rules subclass :class:`ProjectRule`: they opt out of the
 per-file phase (``applies_to`` is ``False``) and implement
@@ -267,8 +267,8 @@ class LayeringViolation(ProjectRule):
 class DeadSymbol(ProjectRule):
     id = "dead-symbol"
     description = (
-        "module-level def/class is never referenced anywhere in the "
-        "project"
+        "def/class/method is used by no file outside tests/ (a package "
+        "__init__ import or __all__ entry is a re-export, not a use)"
     )
 
     def check_project(
@@ -278,13 +278,16 @@ class DeadSymbol(ProjectRule):
             # a partial run cannot prove absence of references: the use
             # could live in any unscanned configured path
             return
+        # a unit test keeps nothing alive: only src/, benchmarks/ and
+        # examples/ are callers
         referenced: Set[str] = set()
         for summary in model.modules.values():
-            referenced.update(summary.references)
+            if not summary.in_tests_dir:
+                referenced.update(summary.references)
         for module in sorted(model.modules):
             summary = model.modules[module]
-            if summary.is_test:
-                continue  # test helpers answer to pytest, not to us
+            if summary.is_test or summary.in_tests_dir:
+                continue  # test code answers to pytest, not to us
             for symbol in summary.defs:
                 name = symbol.name
                 if symbol.decorated:
@@ -293,13 +296,14 @@ class DeadSymbol(ProjectRule):
                     continue
                 if name in referenced:
                     continue
+                shown = f"{symbol.owner}.{name}" if symbol.owner else name
                 yield Finding(
                     rule_id=self.id,
                     path=summary.rel_path,
                     line=symbol.line,
                     col=symbol.col,
                     message=(
-                        f"{symbol.kind} '{name}' is never referenced "
-                        f"anywhere in the project; delete it"
+                        f"{symbol.kind} '{shown}' is used by no file "
+                        f"outside tests/; delete it"
                     ),
                 )

@@ -38,7 +38,11 @@ from repro.data.world import World, WorldConfig
 from repro.encoder.minibert import EncoderConfig
 from repro.eval.metrics import RetrievalScorecard, path_exact_match
 from repro.net import Fleet, WorkerSpec
-from repro.net.bootstrap import load_model_dir
+from repro.net.bootstrap import (
+    load_model_dir,
+    model_dir_bundle,
+    synthetic_bundle,
+)
 from repro.perf import COUNTERS
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.retriever.trainer import TrainerConfig
@@ -246,10 +250,10 @@ def cmd_serve(args) -> int:
         )
         return 2
     if args.model is not None:
-        target = "repro.net.bootstrap:model_dir_bundle"
+        factory = model_dir_bundle
         kwargs = {"model_dir": str(args.model)}
     else:
-        target = "repro.net.bootstrap:synthetic_bundle"
+        factory = synthetic_bundle
         kwargs = {
             "seed": args.synthetic_seed,
             "n_docs": args.synthetic_docs,
@@ -257,7 +261,7 @@ def cmd_serve(args) -> int:
             "multihop": not args.no_multihop,
         }
     spec = WorkerSpec(
-        target=target,
+        target=f"{factory.__module__}:{factory.__name__}",
         kwargs=kwargs,
         store_dir=str(args.store) if args.store else None,
         multihop=not args.no_multihop,
@@ -295,6 +299,25 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)  # argparse turns a ValueError into a usage error
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value!r}"
+        )
+    return number
+
+
+def _add_world_flags(parser, dim_help=None) -> None:
+    """The synthetic-world flags ``build`` and ``ingest`` share."""
+    parser.add_argument("--persons", type=int, default=70)
+    parser.add_argument("--clubs", type=int, default=20)
+    parser.add_argument("--bands", type=int, default=20)
+    parser.add_argument("--cities", type=int, default=25)
+    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--dim", type=int, default=96, help=dim_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Triple-Fact Retriever CLI"
@@ -303,13 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="train and save a system")
     build.add_argument("--out", required=True)
-    build.add_argument("--persons", type=int, default=70)
-    build.add_argument("--clubs", type=int, default=20)
-    build.add_argument("--bands", type=int, default=20)
-    build.add_argument("--cities", type=int, default=25)
+    _add_world_flags(build)
     build.add_argument("--comparisons", type=int, default=15)
-    build.add_argument("--seed", type=int, default=13)
-    build.add_argument("--dim", type=int, default=96)
     build.add_argument("--epochs", type=int, default=2)
     build.set_defaults(func=cmd_build)
 
@@ -318,11 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the offline stage (parallel, incremental) into a cache",
     )
     ingest.add_argument("--out", required=True, help="artifact cache dir")
-    ingest.add_argument("--persons", type=int, default=70)
-    ingest.add_argument("--clubs", type=int, default=20)
-    ingest.add_argument("--bands", type=int, default=20)
-    ingest.add_argument("--cities", type=int, default=25)
-    ingest.add_argument("--seed", type=int, default=13)
+    _add_world_flags(
+        ingest, dim_help="encoder dimension when --encode is given"
+    )
     ingest.add_argument(
         "--workers", type=int, default=1,
         help="extraction worker processes (output is byte-identical "
@@ -336,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--encode", action="store_true",
         help="also encode triples into a persistent embedding store",
     )
-    ingest.add_argument("--dim", type=int, default=96,
-                        help="encoder dimension when --encode is given")
     ingest.add_argument(
         "--precision", choices=("float32", "float64"), default=None,
         help="embedding store dtype when --encode is given "
@@ -351,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="ask a trained system a question")
     query.add_argument("--model", required=True)
-    query.add_argument("--k", type=int, default=3)
+    query.add_argument("--k", type=_positive_int, default=3)
     query.add_argument(
         "--stats", action="store_true",
         help="print retrieval perf counters (encodes, matmul time)",
@@ -366,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("eval", help="evaluate path PEM@8 on the test set")
     evaluate.add_argument("--model", required=True)
-    evaluate.add_argument("--n", type=int, default=100)
+    evaluate.add_argument("--n", type=_positive_int, default=100)
     evaluate.add_argument(
         "--stats", action="store_true",
         help="print retrieval perf counters (encodes, matmul time)",

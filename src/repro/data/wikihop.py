@@ -43,10 +43,6 @@ class WikihopDataset:
     train: List[WikihopQuery] = field(default_factory=list)
     validation: List[WikihopQuery] = field(default_factory=list)
 
-    @property
-    def all_queries(self) -> List[WikihopQuery]:
-        return self.train + self.validation
-
 
 def build_wikihop_dataset(
     world: World,

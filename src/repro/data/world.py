@@ -200,10 +200,6 @@ class World:
         """All entities of ``kind``."""
         return list(self._by_kind.get(kind, ()))
 
-    def entity_by_name(self, name: str) -> Optional[Entity]:
-        """Exact-name entity lookup."""
-        return self._by_name.get(name)
-
     def facts_of(self, entity: Entity) -> List[Fact]:
         """Facts whose subject is ``entity``."""
         return list(self._facts_by_subject.get(entity.uid, ()))

@@ -60,9 +60,3 @@ class RetrievalScorecard:
 
     def count(self, qtype: str) -> int:
         return len(self.hits.get(qtype, []))
-
-    def as_row(self) -> Dict[str, float]:
-        """{'bridge': ..., 'comparison': ..., 'total': ...} percentages."""
-        row = {qtype: self.rate(qtype) for qtype in sorted(self.hits)}
-        row["total"] = self.total
-        return row

@@ -63,10 +63,6 @@ class InvertedIndex:
     def doc_count(self) -> int:
         return len(self._doc_ids)
 
-    def field_names(self) -> List[str]:
-        """Names of all indexed fields."""
-        return list(self._fields)
-
     # -- searching ------------------------------------------------------------
     def search(
         self,

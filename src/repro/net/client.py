@@ -118,9 +118,6 @@ class NetClient:
         response = self.query_raw(question, mode="paths", **kwargs)
         return wire_to_results("paths", response["results"])
 
-    def ping(self) -> Dict[str, Any]:
-        return self.request({"op": "ping"})
-
     def stats(self) -> Dict[str, Any]:
         return self.request({"op": "stats"})
 

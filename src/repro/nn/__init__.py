@@ -8,13 +8,13 @@ HuggingFace nor a GPU, so the PLM is rebuilt from first principles:
 * :mod:`repro.nn.attention` — multi-head self-attention,
 * :mod:`repro.nn.transformer` — the BERT-style encoder stack,
 * :mod:`repro.nn.infer` — graph-free fused inference over baked weights,
-* :mod:`repro.nn.optim` — SGD and Adam,
+* :mod:`repro.nn.optim` — Adam,
 * :mod:`repro.nn.losses` — BCE, cross-entropy, cosine similarity,
 * :mod:`repro.nn.serialize` — weight (de)serialization.
 """
 
 from repro.nn.tensor import Tensor
-from repro.nn.layers import Module, Linear, Embedding, LayerNorm, Dropout, Sequential
+from repro.nn.layers import Module, Linear, Embedding, LayerNorm, Dropout
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.transformer import TransformerEncoderLayer, TransformerEncoder
 from repro.nn.infer import (
@@ -23,7 +23,7 @@ from repro.nn.infer import (
     fused_layer_norm,
     fused_softmax,
 )
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.losses import (
     binary_cross_entropy_with_logits,
     cross_entropy,
@@ -38,7 +38,6 @@ __all__ = [
     "Embedding",
     "LayerNorm",
     "Dropout",
-    "Sequential",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
     "TransformerEncoder",
@@ -46,7 +45,6 @@ __all__ = [
     "fused_gelu",
     "fused_layer_norm",
     "fused_softmax",
-    "SGD",
     "Adam",
     "binary_cross_entropy_with_logits",
     "cross_entropy",

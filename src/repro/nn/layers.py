@@ -166,17 +166,3 @@ class Dropout(Module):
         mask = (self.rng.rand(*x.shape) < keep).astype(TRAINING_DTYPE) / keep
         return x * Tensor(mask)
 
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.steps = list(modules)
-        for i, module in enumerate(modules):
-            self.register_module(str(i), module)
-
-    def forward(self, x):
-        for module in self.steps:
-            x = module(x)
-        return x

@@ -1,4 +1,4 @@
-"""Optimizers: SGD with momentum, and Adam (the PLM fine-tuning default)."""
+"""The optimizer: Adam (the PLM fine-tuning default)."""
 
 from __future__ import annotations
 
@@ -42,28 +42,6 @@ class Optimizer:
                 if parameter.grad is not None:
                     parameter.grad = parameter.grad * scale
         return norm
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Sequence[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for i, parameter in enumerate(self.parameters):
-            if parameter.grad is None:
-                continue
-            update = parameter.grad
-            if self.momentum > 0:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(parameter.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + update
-                update = self._velocity[i]
-            parameter.data = parameter.data - self.lr * update
 
 
 class Adam(Optimizer):

@@ -255,14 +255,6 @@ class Tensor:
             out_data, parents=(self,), grad_fns=(lambda g: g * (cdf + x * pdf),)
         )
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor(
-            out_data,
-            parents=(self,),
-            grad_fns=(lambda g: g * out_data * (1.0 - out_data),),
-        )
-
     # -- reductions -------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)

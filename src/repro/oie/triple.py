@@ -63,23 +63,6 @@ class Triple:
             tuple(o.lower() for o in objects),
         )
 
-    @property
-    def is_fusion(self) -> bool:
-        """True if this triple was created by sibling fusion."""
-        return bool(self.extra_objects)
-
-    def with_extra(self, objects: Tuple[str, ...]) -> "Triple":
-        """Return a fusion copy with ``objects`` appended."""
-        return Triple(
-            subject=self.subject,
-            predicate=self.predicate,
-            object=self.object,
-            extra_objects=self.extra_objects + tuple(objects),
-            source="fusion",
-            sentence_index=self.sentence_index,
-            confidence=self.confidence,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         objects = ", ".join((self.object,) + self.extra_objects)
         return f"<{self.subject}, {self.predicate}, {objects}>"

@@ -185,12 +185,10 @@ class LatencyReservoir:
         self.capacity = capacity
         self._samples: List[float] = []
         self._cursor = 0  # ring write position once full
-        self._count = 0  # total ever recorded
         self._lock = threading.Lock()
 
     def record(self, seconds: float) -> None:
         with self._lock:
-            self._count += 1
             if len(self._samples) < self.capacity:
                 self._samples.append(seconds)
             else:
@@ -200,11 +198,6 @@ class LatencyReservoir:
     def __len__(self) -> int:
         with self._lock:
             return len(self._samples)
-
-    @property
-    def total_recorded(self) -> int:
-        with self._lock:
-            return self._count
 
     def percentiles(self) -> Dict[str, float]:
         """``{"p50", "p95", "p99", "mean", "max"}`` over the current window."""

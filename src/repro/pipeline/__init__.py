@@ -12,7 +12,6 @@
 from repro.pipeline.multihop import DocumentPath, MultiHopRetriever, MultiHopConfig
 from repro.pipeline.path_ranker import PathRanker, PathRankerConfig, PathRankerTrainer
 from repro.pipeline.framework import TripleFactRetrieval, FrameworkConfig
-from repro.pipeline.joint import JointTrainer, JointConfig, JointExample
 
 __all__ = [
     "DocumentPath",
@@ -23,7 +22,4 @@ __all__ = [
     "PathRankerTrainer",
     "TripleFactRetrieval",
     "FrameworkConfig",
-    "JointTrainer",
-    "JointConfig",
-    "JointExample",
 ]

@@ -79,17 +79,6 @@ class PathRanker:
         )
         return hit / total
 
-    def path_features(
-        self, question: str, path: DocumentPath
-    ) -> Tuple[np.ndarray, str]:
-        """(feature vector, path text) for one candidate path."""
-        scalars, path_text = self._scalar_features(
-            question, self.retriever.encode_question(question), path
-        )
-        COUNTERS.record_encode(1)
-        embedding = self.retriever.encoder.encode_numpy([path_text])[0]
-        return np.concatenate([embedding, scalars]), path_text
-
     def _scalar_features(
         self, question: str, query_vec: np.ndarray, path: DocumentPath
     ) -> Tuple[np.ndarray, str]:

@@ -247,7 +247,9 @@ def quantize_rows(matrix: np.ndarray):
     return q, scales
 
 
-def dequantize_rows(q: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def dequantize_rows(  # lint: ignore[dead-symbol] -- tests' reference inverse
+    q: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
     """Float32 reconstruction of :func:`quantize_rows` output."""
     q = np.atleast_2d(np.asarray(q))
     factors = (np.asarray(scales, dtype=F32) / _Q_LEVELS).astype(F32)

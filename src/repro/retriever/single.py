@@ -300,7 +300,7 @@ class SingleRetriever:
         self._ensure_fresh()
         return self._shard_plan
 
-    def detach_shards(self) -> None:
+    def detach_shards(self) -> None:  # lint: ignore[dead-symbol] -- the parity tests' unsharded reference
         """Return to the default one-shard exact plan (cache untouched)."""
         self._shard_spec = None
         self._shard_plan = None

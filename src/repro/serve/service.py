@@ -136,11 +136,6 @@ class RetrievalService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    @property
-    def running(self) -> bool:
-        with self._state_lock:
-            return self._running
-
     def pending(self) -> int:
         """Requests currently queued (excludes the batch being served)."""
         return len(self._queue)

@@ -47,7 +47,7 @@ def topk_doc_order(
     return order[:k].astype(np.int64, copy=False)
 
 
-def recall_at_k(
+def recall_at_k(  # lint: ignore[dead-symbol] -- tests' recall reference
     approx_ids: np.ndarray, exact_ids: np.ndarray
 ) -> float:
     """Fraction of the exact top-k ids the approximate top-k recovered."""

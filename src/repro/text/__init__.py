@@ -7,22 +7,19 @@ a stopword list, a vocabulary for the neural encoder, and a rule-based
 pronoun coreference resolver.
 """
 
-from repro.text.tokenize import normalize, tokenize, word_shingles
+from repro.text.tokenize import normalize, tokenize
 from repro.text.sentences import split_sentences
-from repro.text.stem import stem, stem_tokens
-from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
+from repro.text.stem import stem
+from repro.text.stopwords import STOPWORDS, remove_stopwords
 from repro.text.vocab import Vocab
 from repro.text.coref import resolve_coreferences
 
 __all__ = [
     "normalize",
     "tokenize",
-    "word_shingles",
     "split_sentences",
     "stem",
-    "stem_tokens",
     "STOPWORDS",
-    "is_stopword",
     "remove_stopwords",
     "Vocab",
     "resolve_coreferences",

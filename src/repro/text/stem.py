@@ -13,7 +13,6 @@ carries a bounded ``lru_cache`` (``stem.__wrapped__`` is the plain one).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List
 
 _VOWELS = set("aeiou")
 
@@ -138,8 +137,3 @@ def _fixup(word: str) -> str:
     ):
         return word[:-1]
     return word
-
-
-def stem_tokens(tokens: Iterable[str]) -> List[str]:
-    """Stem every token in a sequence."""
-    return [stem(t) for t in tokens]

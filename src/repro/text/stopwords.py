@@ -24,11 +24,6 @@ STOPWORDS = frozenset(
 )
 
 
-def is_stopword(token: str) -> bool:
-    """True if ``token`` (already lower-case) is a stopword."""
-    return token in STOPWORDS
-
-
 def remove_stopwords(tokens: Iterable[str]) -> List[str]:
     """Filter stopwords (and bare punctuation) out of a token sequence."""
     return [t for t in tokens if t not in STOPWORDS and t[:1].isalnum()]

@@ -16,7 +16,7 @@ match-by-match form it must equal.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Set, Tuple
+from typing import List
 
 _TOKEN_RE = re.compile(
     r"""
@@ -63,34 +63,6 @@ def tokenize(text: str, lower: bool = True) -> List[str]:
         else:
             tokens.append(token)
     return tokens
-
-
-def content_tokens(text: str) -> List[str]:
-    """Tokenize and keep only alphanumeric tokens (drop punctuation)."""
-    return [t for t in tokenize(text) if t[0].isalnum()]
-
-
-def word_shingles(tokens: Iterable[str], n: int = 2) -> Set[Tuple[str, ...]]:
-    """Return the set of ``n``-gram shingles over ``tokens``.
-
-    Used by the sibling-triple similarity measure and by the GoldEn-style
-    longest-common-subsequence heuristics.
-    """
-    seq = list(tokens)
-    if len(seq) < n:
-        return {tuple(seq)} if seq else set()
-    return {tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)}
-
-
-def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
-    """Jaccard similarity between two token collections (as sets)."""
-    sa, sb = set(a), set(b)
-    if not sa and not sb:
-        return 1.0
-    union = sa | sb
-    if not union:
-        return 0.0
-    return len(sa & sb) / len(union)
 
 
 def longest_common_subsequence(a: List[str], b: List[str]) -> List[str]:

@@ -15,7 +15,7 @@ Turns the noisy, redundant union extraction ``T_o`` into a
 
 from repro.triples.relatedness import relatedness, prune_noise
 from repro.triples.canopy import build_canopies, Canopy
-from repro.triples.setcover import covers, find_mother_child_pairs, greedy_cover
+from repro.triples.setcover import find_mother_child_pairs, greedy_cover
 from repro.triples.sibling import sibling_similarity, find_sibling_pairs, fuse_siblings
 from repro.triples.construct import TripleSetConstructor, ConstructionConfig
 from repro.triples.hac import hac_construct, hac_cluster
@@ -25,7 +25,6 @@ __all__ = [
     "prune_noise",
     "build_canopies",
     "Canopy",
-    "covers",
     "find_mother_child_pairs",
     "greedy_cover",
     "sibling_similarity",

@@ -28,27 +28,15 @@ def _info_tokens(triple: Triple) -> frozenset:
     )
 
 
-def covers(mother: Triple, child: Triple) -> bool:
-    """True if ``mother`` covers ``child``: s(child) ⊆ s(mother), strictly.
-
-    Both triples must share a subject (coverage is about the same fact,
-    not accidental token containment across entities).
-    """
-    if mother is child:
-        return False
-    if mother.subject.lower() != child.subject.lower():
-        return False
-    child_info = _info_tokens(child)
-    mother_info = _info_tokens(mother)
-    return child_info < mother_info or (
-        child_info == mother_info and len(child.flatten()) < len(mother.flatten())
-    )
-
-
 def find_mother_child_pairs(
     triples: Sequence[Triple],
 ) -> List[Tuple[int, int]]:
-    """All (child_index, mother_index) pairs within ``triples``. O(n^2)."""
+    """All (child_index, mother_index) pairs within ``triples``. O(n^2).
+
+    A mother covers a child when s(child) ⊂ s(mother) strictly (the
+    longer flattening wins a tie) and both share a subject: coverage is
+    about the same fact, not accidental token containment across entities.
+    """
     info = [_info_tokens(t) for t in triples]
     subjects = [t.subject.lower() for t in triples]
     lengths = [len(t.flatten()) for t in triples]

@@ -13,7 +13,6 @@ token-span space.
 
 from repro.updater.golden import (
     ground_clue_index,
-    ground_updated_question,
     golden_expansion_terms,
 )
 from repro.updater.question import compose_updated_question
@@ -21,7 +20,6 @@ from repro.updater.updater import QuestionUpdater, UpdaterConfig, UpdaterTrainer
 
 __all__ = [
     "ground_clue_index",
-    "ground_updated_question",
     "golden_expansion_terms",
     "compose_updated_question",
     "QuestionUpdater",

@@ -32,7 +32,6 @@ from repro.retriever.store import TripleStore
 from repro.retriever.strategies import l2_normalize_rows, l2_normalize_vec
 from repro.text.tokenize import tokenize
 from repro.updater.golden import ground_clue_index
-from repro.updater.question import compose_updated_question
 
 
 @dataclass
@@ -196,13 +195,6 @@ class QuestionUpdater:
             return None
         index = int(scores.argmax())
         return index, triples[index]
-
-    def update_question(self, question: str, triples: Sequence[Triple]) -> str:
-        """One updater step: pick the clue and compose ``q'``."""
-        selected = self.select_clue(question, triples)
-        if selected is None:
-            return question
-        return compose_updated_question(question, selected[1])
 
 
 class UpdaterTrainer:

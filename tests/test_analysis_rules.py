@@ -118,8 +118,12 @@ VIOLATIONS = {
     "dead-symbol": (
         "pkg/leftover.py",
         """
-        def orphan_helper():  ##HERE##
-            return 1
+        class Kept:
+            def orphan_method(self):  ##HERE##
+                return 1
+
+
+        KEPT = Kept()
         """,
     ),
     "hardcoded-dtype": (
@@ -418,20 +422,39 @@ class TestExceptPassVariants:
 class TestProjectRuleSemantics:
     """Cross-file behaviour the single-file fixtures cannot express."""
 
-    def test_dead_symbol_sees_references_from_other_files(self, tmp_path):
-        (tmp_path / "pkg").mkdir()
-        (tmp_path / "pkg" / "lib.py").write_text(
-            "def helper():\n    return 1\n", encoding="utf-8"
-        )
-        (tmp_path / "pkg" / "app.py").write_text(
-            "from pkg.lib import helper\n\nVALUE = helper()\n",
-            encoding="utf-8",
-        )
+    def _dead_symbols(self, root, files):
+        """Names ``dead-symbol`` flags in a project of {rel path: source}."""
+        for rel, source in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                textwrap.dedent(source).strip("\n") + "\n", encoding="utf-8"
+            )
         report = run_lint(
-            [tmp_path / "pkg"], select=["dead-symbol"],
-            config=LintConfig(root=tmp_path),
+            [root], select=["dead-symbol"], config=LintConfig(root=root)
         )
-        assert report.findings == []
+        return [f.message.split("'")[1] for f in report.findings]
+
+    def test_dead_symbol_sees_references_from_other_files(self, tmp_path):
+        lib = "def helper():\n    return 1\n"
+        use = "from pkg.lib import helper\n\nVALUE = helper()\n"
+        reexport = 'from pkg.lib import helper\n\n__all__ = ["helper"]\n'
+        cases = (
+            ("pkg/app.py", use, []),
+            # named like a test, but the paper's tables are real callers
+            ("benchmarks/test_table1.py", use, []),
+            ("examples/demo.py", use, []),
+            # a unit test keeps nothing alive, whatever its file is called
+            ("tests/test_lib.py", use, ["helper"]),
+            ("tests/reference.py", use, ["helper"]),
+            # a package import + __all__ entry re-exports, it does not use
+            ("pkg/__init__.py", reexport, ["helper"]),
+            ("pkg/app.py", reexport, []),  # an ordinary module's import does
+        )
+        for index, (caller, source, flagged) in enumerate(cases):
+            files = {"pkg/lib.py": lib, caller: source}
+            found = self._dead_symbols(tmp_path / str(index), files)
+            assert found == flagged, caller
 
     def test_dead_symbol_silent_on_partial_runs(self, tmp_path):
         # config declares a second path that exists but is not scanned:
@@ -454,29 +477,44 @@ class TestProjectRuleSemantics:
         assert [f.rule_id for f in full.findings] == ["dead-symbol"]
 
     def test_dead_symbol_keeps_decorated_and_dunder_defs(self, tmp_path):
-        (tmp_path / "pkg").mkdir()
-        (tmp_path / "pkg" / "lib.py").write_text(
-            textwrap.dedent(
-                """
-                import atexit
+        source = """
+            import ast
+            import atexit
 
+
+            @atexit.register
+            def cleanup():
+                return None
+
+
+            def __getattr__(name):
+                raise AttributeError(name)
+
+
+            class Walker(ast.NodeVisitor):
+                def visit_Name(self, node):  # dispatched by name
+                    return node
+
+                def __len__(self):
+                    return 0
 
                 @atexit.register
-                def cleanup():
+                def flush(self):
                     return None
 
+                @property
+                def unread(self):  # a property is read by name: no reader
+                    return 1
 
-                def __getattr__(name):
-                    raise AttributeError(name)
-                """
-            ).strip("\n") + "\n",
-            encoding="utf-8",
-        )
-        report = run_lint(
-            [tmp_path / "pkg"], select=["dead-symbol"],
-            config=LintConfig(root=tmp_path),
-        )
-        assert report.findings == []
+                def uncalled(self):
+                    return 2
+
+
+            WALKER = Walker()
+        """
+        assert self._dead_symbols(tmp_path, {"pkg/lib.py": source}) == [
+            "Walker.unread", "Walker.uncalled",
+        ]
 
     def test_import_cycle_across_files(self, tmp_path):
         (tmp_path / "pkg").mkdir()

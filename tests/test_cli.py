@@ -41,8 +41,30 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_build_defaults(self):
-        args = build_parser().parse_args(["build", "--out", "x"])
-        assert args.persons == 70 and args.dim == 96
+        # one helper declares the world flags of both commands
+        for command in ("build", "ingest"):
+            args = build_parser().parse_args([command, "--out", "x"])
+            assert (args.persons, args.clubs, args.bands, args.cities) == (
+                70, 20, 20, 25
+            )
+            assert args.seed == 13 and args.dim == 96
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--model", "m", "--n", "-5"],
+            ["eval", "--model", "m", "--n", "0"],
+            ["query", "--model", "m", "--k", "-1", "q ?"],
+            ["query", "--model", "m", "--k", "0", "q ?"],
+        ],
+    )
+    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
+        # --n -5 used to evaluate "all but the last five" questions and
+        # --k -1 / 0 a truncated or empty path list
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from reference import encode_numpy_graph
 
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
-from repro.nn import SGD, InferenceSession, Module, TransformerEncoder
+from repro.nn import Adam, InferenceSession, Module, TransformerEncoder
 from repro.nn.infer import fused_gelu, fused_layer_norm, fused_softmax
 from repro.nn.serialize import load_weights, save_weights
 from repro.precision import F32, F64
@@ -212,7 +212,7 @@ class TestSessionParity:
         session = InferenceSession(model, dtype=F64)
         assert not session.stale()
         save_weights(model, tmp_path / "weights.npz")
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         ids = _ragged_ids(np.random.RandomState(5))
         model.train()
         loss = (model(ids) * model(ids)).sum()

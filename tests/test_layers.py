@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module, Sequential
+from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
 from repro.nn.tensor import Tensor
 
 
@@ -14,17 +15,17 @@ class TestModule:
         assert set(names) == {"weight", "bias"}
 
     def test_nested_modules(self):
-        seq = Sequential(Linear(3, 4), Linear(4, 2))
-        assert len(seq.parameters()) == 4
-        names = [n for n, _ in seq.named_parameters()]
-        assert "0.weight" in names and "1.bias" in names
+        attention = MultiHeadSelfAttention(4, 2)
+        assert len(attention.parameters()) == 8
+        names = [n for n, _ in attention.named_parameters()]
+        assert "query.weight" in names and "output.bias" in names
 
     def test_train_eval_propagates(self):
-        seq = Sequential(Dropout(0.5), Linear(2, 2))
-        seq.eval()
-        assert not seq.steps[0].training
-        seq.train()
-        assert seq.steps[0].training
+        attention = MultiHeadSelfAttention(4, 2, dropout=0.5)
+        attention.eval()
+        assert not attention.dropout.training
+        attention.train()
+        assert attention.dropout.training
 
     def test_zero_grad(self):
         layer = Linear(2, 2)

@@ -1,10 +1,11 @@
 """Tier-1 gate: the repository's own tree lints clean.
 
 Runs the full rule catalog (as configured by ``[tool.repro.lint]`` in
-``pyproject.toml``) over ``src``, ``tests`` and ``benchmarks``. A failure
-here means a rule caught a real regression of one of our recorded bug
-classes — fix the code (or, with a written justification, add a
-``# lint: ignore[rule-id]`` on the offending line); never weaken the rule.
+``pyproject.toml``) over ``src``, ``tests``, ``benchmarks`` and
+``examples``. A failure here means a rule caught a real regression of one
+of our recorded bug classes — fix the code (or, with a written
+justification, add a ``# lint: ignore[rule-id]`` on the offending line);
+never weaken the rule.
 """
 
 from pathlib import Path
@@ -45,6 +46,11 @@ def test_layer_dag_is_configured():
     config = load_config(REPO_ROOT)
     assert config.layers_order, "layering rule disabled: no layer order"
     assert set(config.layers) == set(config.layers_order)
+    # a layer entry that outlives its package polices nothing
+    for prefixes in config.layers.values():
+        for prefix in prefixes:
+            path = REPO_ROOT / "src" / prefix.replace(".", "/")
+            assert path.is_dir() or path.with_suffix(".py").is_file(), prefix
 
 
 def test_repository_lints_clean():

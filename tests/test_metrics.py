@@ -61,12 +61,6 @@ class TestScorecard:
         assert card.rate("bridge") == 0.0
         assert card.total == 0.0
 
-    def test_as_row(self):
-        card = RetrievalScorecard()
-        card.add("bridge", True)
-        row = card.as_row()
-        assert row["bridge"] == 1.0 and row["total"] == 1.0
-
     def test_count(self):
         card = RetrievalScorecard()
         card.add("bridge", True)

@@ -287,7 +287,7 @@ def test_fleet_matches_in_process_service_byte_for_byte(tmp_path):
     expected = _expected_wire(bundle, store_dir, questions)
     with Fleet(_spec(store_dir), workers=2) as fleet:
         with fleet.client() as client:
-            assert client.ping()["ok"]
+            assert client.request({"op": "ping"})["ok"]
             for question in questions:
                 for mode in ("single", "paths"):
                     response = client.query_raw(question, mode=mode, k=3)
@@ -837,7 +837,7 @@ def test_stop_with_a_client_still_connected_logs_no_error(caplog):
     caplog.set_level(logging.ERROR, logger="asyncio")
     frontdoor = FrontDoor(_StaticSupervisor()).start()
     with NetClient(frontdoor.address, timeout_s=30.0) as client:
-        assert client.ping()["ok"]
+        assert client.request({"op": "ping"})["ok"]
         frontdoor.stop()
     assert [r.getMessage() for r in caplog.records] == []
 
@@ -873,7 +873,7 @@ def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(tmp_path):
             (worker,) = client.stats()["workers"]
             assert (worker["pid"], worker["blas_threads"]) == (first.pid, 1)
             with NetClient(first.address) as direct:
-                assert direct.ping()["blas_threads"] == 1
+                assert direct.request({"op": "ping"})["blas_threads"] == 1
             first.process.kill()
             assert client.retrieve(question, k=3)  # waits out the respawn
             (worker,) = client.stats()["workers"]

@@ -22,10 +22,6 @@ class TestTriple:
         b = Triple("a", "is", "b")
         assert a.content_key() == b.content_key()
 
-    def test_with_extra(self):
-        t = Triple("A", "is", "B").with_extra(("C",))
-        assert t.is_fusion and t.extra_objects == ("C",)
-
     def test_tokens_lowercased(self):
         assert Triple("The Club", "Won", "It").tokens() == [
             "the", "club", "won", "it",

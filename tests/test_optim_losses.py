@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, Sequential
+from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.layers import Linear
 from repro.nn.losses import (
     binary_cross_entropy_with_logits,
     cosine_similarity,
     cross_entropy,
 )
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.serialize import load_weights, save_weights
 from repro.nn.tensor import Tensor
 
@@ -27,26 +28,18 @@ def _quadratic_step(optimizer_cls, **kw):
 
 
 class TestOptimizers:
-    def test_sgd_converges(self):
-        value, target = _quadratic_step(SGD, lr=0.05)
-        np.testing.assert_allclose(value, target, atol=1e-3)
-
-    def test_sgd_momentum_converges(self):
-        value, target = _quadratic_step(SGD, lr=0.02, momentum=0.9)
-        np.testing.assert_allclose(value, target, atol=1e-3)
-
     def test_adam_converges(self):
         value, target = _quadratic_step(Adam, lr=0.1)
         np.testing.assert_allclose(value, target, atol=1e-2)
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            SGD([Tensor(np.zeros(1), requires_grad=True)], lr=0.0)
+            Adam([Tensor(np.zeros(1), requires_grad=True)], lr=0.0)
 
     def test_clip_grad_norm(self):
         parameter = Tensor(np.zeros(4), requires_grad=True)
         parameter.grad = np.full(4, 10.0)
-        optimizer = SGD([parameter], lr=0.1)
+        optimizer = Adam([parameter], lr=0.1)
         norm = optimizer.clip_grad_norm(1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(parameter.grad) == pytest.approx(1.0)
@@ -118,10 +111,10 @@ class TestLosses:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        model = Sequential(Linear(4, 3), Linear(3, 2))
+        model = MultiHeadSelfAttention(4, 2, rng=np.random.RandomState(1))
         path = tmp_path / "weights.npz"
         save_weights(model, path)
-        other = Sequential(Linear(4, 3), Linear(3, 2))
+        other = MultiHeadSelfAttention(4, 2, rng=np.random.RandomState(2))
         load_weights(other, path)
         for (_, a), (_, b) in zip(
             model.named_parameters(), other.named_parameters()
@@ -129,17 +122,17 @@ class TestSerialization:
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        model = Sequential(Linear(4, 3))
+        model = Linear(4, 3)
         path = tmp_path / "weights.npz"
         save_weights(model, path)
-        wrong = Sequential(Linear(4, 5))
+        wrong = Linear(4, 5)
         with pytest.raises(ValueError):
             load_weights(wrong, path)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        model = Sequential(Linear(4, 3))
+        model = Linear(4, 3, bias=False)
         path = tmp_path / "weights.npz"
         save_weights(model, path)
-        bigger = Sequential(Linear(4, 3), Linear(3, 2))
+        bigger = Linear(4, 3)
         with pytest.raises(KeyError):
             load_weights(bigger, path)

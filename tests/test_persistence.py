@@ -31,13 +31,13 @@ class TestStorePersistence:
             t
             for doc_id in loaded.doc_ids()
             for t in loaded.triples(doc_id)
-            if t.is_fusion
+            if t.extra_objects
         ]
         original_fusions = [
             t
             for doc_id in store.doc_ids()
             for t in store.triples(doc_id)
-            if t.is_fusion
+            if t.extra_objects
         ]
         assert len(fusions) == len(original_fusions)
 

@@ -8,12 +8,7 @@ from reference import tokenize_reference
 
 from repro.text.sentences import split_sentences
 from repro.text.stem import stem
-from repro.text.tokenize import (
-    jaccard,
-    longest_common_subsequence,
-    tokenize,
-    word_shingles,
-)
+from repro.text.tokenize import longest_common_subsequence, tokenize
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
 token_lists = st.lists(words, max_size=15)
@@ -103,18 +98,6 @@ class TestSentenceProperties:
 
 class TestSimilarityProperties:
     @given(token_lists, token_lists)
-    def test_jaccard_symmetric(self, a, b):
-        assert jaccard(a, b) == jaccard(b, a)
-
-    @given(token_lists)
-    def test_jaccard_self_is_one(self, a):
-        assert jaccard(a, a) == 1.0
-
-    @given(token_lists, token_lists)
-    def test_jaccard_bounded(self, a, b):
-        assert 0.0 <= jaccard(a, b) <= 1.0
-
-    @given(token_lists, token_lists)
     def test_lcs_length_bounded(self, a, b):
         lcs = longest_common_subsequence(a, b)
         assert len(lcs) <= min(len(a), len(b))
@@ -132,9 +115,3 @@ class TestSimilarityProperties:
             return all(x in it for x in sub)
 
         assert is_subsequence(lcs, a) and is_subsequence(lcs, b)
-
-    @given(token_lists, st.integers(min_value=1, max_value=4))
-    def test_shingles_size(self, tokens, n):
-        shingles = word_shingles(tokens, n=n)
-        if len(tokens) >= n:
-            assert len(shingles) <= len(tokens) - n + 1

@@ -218,7 +218,7 @@ class TestServiceBasics:
         service = RetrievalService(serve_retriever)
         try:
             assert service.start() is service.start()
-            assert service.running
+            service.retrieve("q ?")  # ServiceStopped unless still running
         finally:
             service.stop()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.stem import stem, stem_tokens
+from repro.text.stem import stem
 
 
 class TestStem:
@@ -41,6 +41,3 @@ class TestStem:
         # stemming a stem should not oscillate wildly
         first = stem("nationalization")
         assert stem(first) in (first, stem(first))
-
-    def test_stem_tokens(self):
-        assert stem_tokens(["played", "games"]) == ["play", "game"]

@@ -96,9 +96,6 @@ class TestUnaryGradients:
     def test_gelu(self):
         check(lambda a: a.gelu(), [(6,)])
 
-    def test_sigmoid(self):
-        check(lambda a: a.sigmoid(), [(5,)])
-
 
 class TestReductionGradients:
     def test_sum_all(self):

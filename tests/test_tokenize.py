@@ -1,12 +1,9 @@
 """Unit tests for repro.text.tokenize."""
 
 from repro.text.tokenize import (
-    content_tokens,
-    jaccard,
     longest_common_subsequence,
     normalize,
     tokenize,
-    word_shingles,
 )
 
 
@@ -45,36 +42,6 @@ class TestTokenize:
 
     def test_empty_string(self):
         assert tokenize("") == []
-
-
-class TestContentTokens:
-    def test_drops_punctuation(self):
-        assert content_tokens("a, b. c!") == ["a", "b", "c"]
-
-
-class TestWordShingles:
-    def test_bigrams(self):
-        assert word_shingles(["a", "b", "c"], n=2) == {("a", "b"), ("b", "c")}
-
-    def test_short_input(self):
-        assert word_shingles(["a"], n=2) == {("a",)}
-
-    def test_empty_input(self):
-        assert word_shingles([], n=2) == set()
-
-
-class TestJaccard:
-    def test_identical(self):
-        assert jaccard(["a", "b"], ["b", "a"]) == 1.0
-
-    def test_disjoint(self):
-        assert jaccard(["a"], ["b"]) == 0.0
-
-    def test_both_empty(self):
-        assert jaccard([], []) == 1.0
-
-    def test_partial(self):
-        assert jaccard(["a", "b"], ["b", "c"]) == 1 / 3
 
 
 class TestLCS:

@@ -9,7 +9,7 @@ from repro.triples.canopy import build_canopies
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 from repro.triples.hac import hac_cluster, hac_construct
 from repro.triples.relatedness import prune_noise, relatedness
-from repro.triples.setcover import covers, find_mother_child_pairs, greedy_cover
+from repro.triples.setcover import find_mother_child_pairs, greedy_cover
 from repro.triples.sibling import (
     find_sibling_pairs,
     fuse_pair,
@@ -78,13 +78,13 @@ class TestCanopy:
 
 class TestSetCover:
     def test_covers_detects_subset(self):
-        assert covers(LYND[1], LYND[0])
-        assert not covers(LYND[0], LYND[1])
+        # the child never covers its mother
+        assert (1, 0) not in find_mother_child_pairs(LYND[:2])
 
     def test_covers_requires_same_subject(self):
         a = Triple("X", "is", "great thing")
         b = Triple("Y", "is", "great")
-        assert not covers(a, b)
+        assert find_mother_child_pairs([a, b]) == []
 
     def test_find_pairs(self):
         pairs = find_mother_child_pairs(LYND[:2])

@@ -51,11 +51,6 @@ class TestWorldGeneration:
         assert facts
         assert all(f.subject.uid == person.uid for f in facts)
 
-    def test_entity_by_name(self, world):
-        entity = world.entities[0]
-        assert world.entity_by_name(entity.name) is entity
-        assert world.entity_by_name("No Such Entity") is None
-
     def test_facts_with_relation(self, world):
         plays = world.facts_with_relation("plays_for")
         assert all(f.relation == "plays_for" for f in plays)
