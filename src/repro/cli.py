@@ -443,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--store", default=None, metavar="DIR",
-        help="published artifact dir (store.json + embeddings/) to "
-        "memmap-attach; workers warm-start with zero encoder calls",
+        help="published artifact dir (the triple segment file store.json + "
+        "embeddings/) to memmap-attach; workers warm-start with zero "
+        "encoder calls and parse no triples until a query matches them",
     )
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes")

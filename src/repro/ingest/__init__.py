@@ -16,8 +16,6 @@ from repro.ingest.fingerprint import (
     triples_fingerprint,
 )
 from repro.ingest.pipeline import (
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
     IngestPipeline,
     IngestResult,
     IngestStats,
@@ -31,8 +29,6 @@ __all__ = [
     "IngestPipeline",
     "IngestResult",
     "IngestStats",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
     "STORE_NAME",
     "STORE_VERSION",
     "config_fingerprint",

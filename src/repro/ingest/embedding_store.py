@@ -61,7 +61,10 @@ MANIFEST_NAME = "manifest.json"
 #: Published-artifact layout (``repro ingest``, ``publish_store``, a saved
 #: model): the triple sets in ``STORE_NAME`` next to the embedding store
 #: in ``EMBEDDINGS_DIR``. :func:`locate_store` is the one place that
-#: resolves it.
+#: resolves it. The name predates the file's format (per-document
+#: segments, :mod:`repro.retriever.store`, not one JSON value) and is
+#: kept so that a directory an older version wrote is refused with a
+#: typed version error instead of being taken for empty.
 STORE_NAME = "store.json"
 EMBEDDINGS_DIR = "embeddings"
 STORE_VERSION = 2

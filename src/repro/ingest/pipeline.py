@@ -16,22 +16,26 @@ both properties without changing a single output byte:
   ``linker.link(text)``): the linker handed around is the alias
   dictionary over the corpus titles, the only corpus-wide linking state,
   so a text is read where, and only when, it is extracted.
-* :class:`IngestPipeline` adds the incremental layer: a JSON manifest of
-  per-document content hashes plus the construction fingerprint
-  (:mod:`repro.ingest.fingerprint`). On rebuild, only documents whose
-  hash changed re-extract (a clean document is not even linked: its
-  triples depend on other documents only through their titles, which
-  the construction fingerprint covers); only documents whose flattened
-  triples or encoder changed re-encode (dirty-row tracking inside
+* :class:`IngestPipeline` adds the incremental layer. Every segment of
+  the triple file (:mod:`repro.retriever.store`) carries the content
+  hash of the document it was extracted from, and the file's header the
+  construction fingerprint (:mod:`repro.ingest.fingerprint`). On rebuild,
+  a document is clean exactly when the prior file holds its segment with
+  a matching hash; clean segments travel to the new file as bytes,
+  unparsed, and only the others re-extract (a clean document is not even
+  linked: its triples depend on other documents only through their
+  titles, which the construction fingerprint covers). Only documents
+  whose flattened triples or encoder changed re-encode (dirty-row
+  tracking inside
   :meth:`~repro.retriever.single.SingleRetriever.refresh_embeddings`).
-  Artifacts (triple store, manifest, embedding store) are written
+  The two artifacts (triple file, embedding store) are written
   atomically, so an interrupted ingest never corrupts the previous one.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -42,7 +46,6 @@ from repro.ingest.embedding_store import (
     STORE_NAME,
     EmbeddingStore,
     EmbeddingStoreError,
-    read_manifest,
 )
 from repro.ingest.fingerprint import (
     construction_fingerprint,
@@ -50,11 +53,7 @@ from repro.ingest.fingerprint import (
 )
 from repro.oie.triple import Triple
 from repro.perf import COUNTERS, time_block
-from repro.storage.atomic import atomic_write_json
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
-
-MANIFEST_VERSION = 1
-MANIFEST_NAME = "ingest_manifest.json"
 
 # -- worker-pool plumbing ---------------------------------------------------
 # One constructor per worker process, built once by the initializer; the
@@ -180,18 +179,18 @@ class IngestResult:
     stats: IngestStats
     embeddings: Optional[EmbeddingStore] = None
     retriever: Optional["SingleRetriever"] = None
-    manifest: Dict[str, object] = field(default_factory=dict)
 
 
 class IngestPipeline:
     """Build (or refresh) the offline artifacts for one corpus.
 
     ``run(cache_dir)`` extracts triples (parallel over ``workers``),
-    persists ``store.json`` + ``ingest_manifest.json`` under
-    ``cache_dir``, and — when an ``encoder`` is supplied — encodes the
-    flattened triples into a persistent :class:`EmbeddingStore` under
-    ``cache_dir/embeddings``. With ``incremental=True`` a second run
-    against unchanged inputs extracts and encodes nothing.
+    persists them as ``cache_dir/STORE_NAME`` (one atomic rename; the
+    per-document fingerprints live in that file's segments), and — when
+    an ``encoder`` is supplied — encodes the flattened triples into a
+    persistent :class:`EmbeddingStore` under ``cache_dir/embeddings``.
+    With ``incremental=True`` a second run against unchanged inputs
+    extracts and encodes nothing.
     """
 
     def __init__(
@@ -222,36 +221,14 @@ class IngestPipeline:
         return self.linker
 
     # -- stage 1: extraction --------------------------------------------
-    def _load_prior(
-        self, cache_dir: Path, expected_fp: str
-    ) -> Tuple[Dict[str, str], Optional["TripleStore"]]:
-        """(prior doc hashes, prior store) when reusable, else empty."""
-        from repro.retriever.store import TripleStore
-
-        manifest_path = cache_dir / MANIFEST_NAME
-        store_path = cache_dir / STORE_NAME
-        if not (manifest_path.exists() and store_path.exists()):
-            return {}, None
-        try:
-            manifest = read_manifest(manifest_path)
-        except (OSError, ValueError):
-            return {}, None
-        if manifest.get("version") != MANIFEST_VERSION:
-            return {}, None
-        if manifest.get("construction_fingerprint") != expected_fp:
-            return {}, None
-        try:
-            prior_store = TripleStore.load(store_path, self.corpus)
-        except (OSError, KeyError, ValueError):
-            return {}, None
-        docs = manifest.get("docs")
-        if not isinstance(docs, dict):
-            return {}, None
-        return {str(k): str(v) for k, v in docs.items()}, prior_store
-
     def extract(self, cache_dir: Union[str, Path]) -> IngestResult:
-        """Run (incremental, parallel) extraction and persist the store."""
-        from repro.retriever.store import TripleStore
+        """Run (incremental, parallel) extraction and persist the store.
+
+        A document is clean only if the prior store holds its record with
+        the fingerprint its text has now; a clean document is handed to
+        the new store as the bytes it was read as.
+        """
+        from repro.retriever.store import TripleStore, TripleStoreError
 
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -266,16 +243,20 @@ class IngestPipeline:
             )
             for document in self.corpus
         }
-        prior_hashes: Dict[str, str] = {}
-        prior_store = None
+        # an empty prior has no clean document: a cold rebuild
+        prior = TripleStore(self.corpus)
         if self.incremental:
-            prior_hashes, prior_store = self._load_prior(
-                cache_dir, construction_fp
-            )
+            try:
+                loaded = TripleStore.load(cache_dir / STORE_NAME, self.corpus)
+            except (OSError, TripleStoreError):
+                # no prior file, or not one this version wrote
+                loaded = prior
+            if loaded.construction_fingerprint == construction_fp:
+                prior = loaded
         dirty = [
             doc_id
             for doc_id, digest in doc_hashes.items()
-            if prior_store is None or prior_hashes.get(str(doc_id)) != digest
+            if prior.fingerprint(doc_id) != digest
         ]
         with time_block() as elapsed:
             fresh = extract_corpus_triples(
@@ -287,11 +268,12 @@ class IngestPipeline:
             )
         stats.extract_seconds = elapsed()
         store = TripleStore(self.corpus)
+        store.construction_fingerprint = construction_fp
         for doc_id in sorted(doc_hashes):
             if doc_id in fresh:
-                store.put(doc_id, fresh[doc_id])
+                store.put(doc_id, fresh[doc_id], doc_hashes[doc_id])
             else:
-                store.put(doc_id, prior_store.triples(doc_id))
+                store.adopt(prior, doc_id)
         stats.docs_total = len(doc_hashes)
         stats.docs_extracted = len(fresh)
         stats.docs_reused = stats.docs_total - stats.docs_extracted
@@ -302,16 +284,10 @@ class IngestPipeline:
             n_triples=sum(len(t) for t in fresh.values()),
             seconds=stats.extract_seconds,
         )
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "construction_fingerprint": construction_fp,
-            "docs": {str(d): h for d, h in doc_hashes.items()},
-        }
         with time_block() as elapsed:
             store.save(cache_dir / STORE_NAME)
-            atomic_write_json(cache_dir / MANIFEST_NAME, manifest)
         stats.save_seconds = elapsed()
-        return IngestResult(store=store, stats=stats, manifest=manifest)
+        return IngestResult(store=store, stats=stats)
 
     # -- stage 2: encoding ----------------------------------------------
     def encode(
@@ -348,9 +324,7 @@ class IngestPipeline:
         stats.rows_total = result.store.total_triples()
         stats.rows_reused = stats.rows_total - stats.rows_encoded
         embeddings = retriever.export_embeddings(
-            construction_fingerprint=result.manifest.get(
-                "construction_fingerprint", ""
-            )
+            construction_fingerprint=result.store.construction_fingerprint
         )
         with time_block() as elapsed:
             embeddings.save(emb_dir)

@@ -262,8 +262,9 @@ def publish_store(
 ) -> int:
     """Publish a store generation the way ``repro ingest`` lays it out.
 
-    Writes ``store.json`` (the triple sets) and then ``embeddings/`` (the
-    versioned matrix manifest) under ``out_dir`` — the order of
+    Writes ``STORE_NAME`` (the per-document triple segments, each with
+    its row hash) and then ``embeddings/`` (the versioned matrix
+    manifest) under ``out_dir`` — the order of
     ``IngestPipeline.run``, so the manifest's atomic rename, the write a
     ``--watch-store`` poll reads the generation from, is the last one:
     whoever sees the new generation finds the triples that go with it.

@@ -82,8 +82,8 @@ class WorkerSpec:
 
     target: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: published artifact dir (``store.json`` + ``embeddings/``) to
-    #: warm-attach; None serves the bundle's own in-memory store cold
+    #: published artifact dir (``STORE_NAME`` segments + ``embeddings/``)
+    #: to warm-attach; None serves the bundle's own in-memory store cold
     store_dir: Optional[str] = None
     multihop: bool = True
     #: build an in-worker shard plan over the attached matrix
@@ -136,6 +136,9 @@ class WorkerRuntime:
 
         Never mutates the live service's retriever: hot reload calls
         this for the new generation while the old pair keeps serving.
+        A triple file this version cannot read raises
+        :class:`~repro.retriever.store.TripleStoreError`: start-up fails,
+        a reload is refused and the old generation serves on.
         """
         triples = self.bundle.store
         generation = 0

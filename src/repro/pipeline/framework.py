@@ -218,8 +218,10 @@ class TripleFactRetrieval:
         Warm start: when the saved ``embeddings/`` store is present and
         its row hashes + encoder fingerprint still match, no triple is
         re-encoded — the scoring matrix mmaps straight off disk. A
-        missing, corrupt, or stale store degrades to re-encoding exactly
-        the rows that changed (all of them, in the worst case).
+        missing, corrupt, or stale ``embeddings/`` degrades to re-encoding
+        exactly the rows that changed (all of them, in the worst case); a
+        triple file this version cannot read has nothing to degrade to
+        and raises :class:`~repro.retriever.store.TripleStoreError`.
         """
         directory = Path(directory)
         system = cls(config)

@@ -28,13 +28,13 @@ instead of a built one, so a warm start re-encodes nothing at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.encoder.minibert import MiniBertEncoder
 from repro.ingest.embedding_store import EmbeddingStore
-from repro.ingest.fingerprint import encoder_fingerprint, triples_fingerprint
+from repro.ingest.fingerprint import encoder_fingerprint
 from repro.oie.triple import Triple
 from repro.perf import COUNTERS, time_block
 from repro.precision import PrecisionLike, cast_matrix, resolve
@@ -114,13 +114,16 @@ class SingleRetriever:
         builds the flat normalized matrix and the scoring plan over it.
 
         Incremental: a document's held rows are reused verbatim when its
-        triples hash (:func:`~repro.ingest.fingerprint.triples_fingerprint`)
-        and the encoder fingerprint both match what the rows were computed
-        under — whether held from a previous refresh or from a persisted
-        store via :meth:`attach_embeddings`. When nothing is dirty the
-        held store is kept as is (memmap and generation included);
-        otherwise all dirty documents are re-encoded in one encoder pass
-        into a new, never-published store, so a full refresh stays
+        triples hash (:func:`~repro.ingest.fingerprint.triples_fingerprint`,
+        read off ``store.row_hash``: a loaded segment carries it, so a
+        clean document is neither parsed nor flattened here), its row
+        count and the encoder fingerprint all match what the rows were
+        computed under — whether held from a previous refresh or from a
+        persisted store via :meth:`attach_embeddings`. When nothing is
+        dirty the held store is kept as is (memmap and generation
+        included); otherwise all dirty documents are re-encoded in one
+        encoder pass into a new, never-published store (reused rows copied
+        a run of adjacent documents at a time), so a full refresh stays
         bitwise-identical to the original always-recompute implementation.
         Returns the number of rows that were (re-)encoded; to recompute
         everything, :meth:`detach_embeddings` first.
@@ -131,30 +134,44 @@ class SingleRetriever:
             if held is not None and held.encoder_fingerprint != current_fp:
                 held = None
             dtype = self.precision.dtype
-            doc_ids: List[int] = []
+            store = self.store
+            doc_ids = store.doc_ids()
             offsets: List[int] = []
             row_hashes: Dict[int, str] = {}
-            reused: List[Optional[int]] = []  # held segment index per doc
+            # where the new matrix's rows come from: runs of held rows
+            # ([to, from, n]; a reused document extends the open run when
+            # both sides follow on, so the copies number about twice the
+            # dirty documents) and, per dirty document, (to, n) rows of
+            # the one encode call
+            copies: List[List[int]] = []
+            fresh: List[Tuple[int, int]] = []
             dirty_texts: List[str] = []
             total = 0
-            for doc_id in self.store.doc_ids():
-                flattened = self.store.flattened(doc_id)
-                row_hash = triples_fingerprint(flattened)
+            for doc_id in doc_ids:
+                n_rows = store.n_triples(doc_id)
+                row_hash = store.row_hash(doc_id)
                 index = self._doc_pos.get(doc_id) if held is not None else None
+                start = None
                 if index is not None:
                     start, stop = held.bounds(index)
                     if (
                         held.row_hashes.get(doc_id) != row_hash
-                        or stop - start != len(flattened)
+                        or stop - start != n_rows
                     ):
-                        index = None
-                if index is None:
-                    dirty_texts.extend(flattened)
-                doc_ids.append(doc_id)
+                        start = None
+                if start is None:
+                    dirty_texts.extend(store.flattened(doc_id))
+                    fresh.append((total, n_rows))
+                elif copies and (
+                    copies[-1][0] + copies[-1][2] == total
+                    and copies[-1][1] + copies[-1][2] == start
+                ):
+                    copies[-1][2] += n_rows
+                else:
+                    copies.append([total, start, n_rows])
                 offsets.append(total)
                 row_hashes[doc_id] = row_hash
-                reused.append(index)
-                total += len(flattened)
+                total += n_rows
             if (
                 held is None
                 or dirty_texts
@@ -162,7 +179,9 @@ class SingleRetriever:
                 or held.matrix.shape[0] != total
             ):
                 dim = self.encoder.config.dim
-                encoded = np.zeros((0, dim), dtype=dtype)
+                matrix = np.empty((total, dim), dtype=dtype)
+                for to, at, n_rows in copies:
+                    matrix[to : to + n_rows] = held.matrix[at : at + n_rows]
                 if dirty_texts:
                     encoded = cast_matrix(
                         self.encoder.encode_numpy(
@@ -171,18 +190,14 @@ class SingleRetriever:
                         dtype,
                     )
                     COUNTERS.record_encode(len(dirty_texts))
-                pieces: List[np.ndarray] = []
-                cursor = 0
-                for start, stop, index in zip(
-                    offsets, offsets[1:] + [total], reused
-                ):
-                    if index is None:
-                        pieces.append(encoded[cursor : cursor + stop - start])
-                        cursor += stop - start
-                    else:
-                        pieces.append(held.segment(index))
+                    cursor = 0
+                    for to, n_rows in fresh:
+                        matrix[to : to + n_rows] = encoded[
+                            cursor : cursor + n_rows
+                        ]
+                        cursor += n_rows
                 held = EmbeddingStore(
-                    matrix=np.concatenate(pieces) if pieces else encoded,
+                    matrix=matrix,
                     doc_ids=doc_ids,
                     offsets=offsets,
                     row_hashes=row_hashes,

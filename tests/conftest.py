@@ -7,6 +7,7 @@ quality-sensitive behaviour is exercised by the benchmarks, not here.
 import numpy as np
 import pytest
 
+import repro.retriever.store as store_mod
 from repro.data import World, WorldConfig, build_corpus, build_hotpot_dataset
 from repro.encoder import EncoderConfig, MiniBertEncoder
 from repro.retriever import SingleRetriever, build_triple_store
@@ -66,6 +67,20 @@ def retriever(encoder, store):
     retr = SingleRetriever(encoder, store)
     retr.refresh_embeddings()
     return retr
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """Doc ids handed to the triple file's segment parser, in call order."""
+    seen = []
+    real = store_mod._parse_segment
+
+    def spy(doc_id, record):
+        seen.append(doc_id)
+        return real(doc_id, record)
+
+    monkeypatch.setattr(store_mod, "_parse_segment", spy)
+    return seen
 
 
 @pytest.fixture()

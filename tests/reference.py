@@ -7,6 +7,8 @@ the scalar per-document loop the vectorized scorer replaced, a
 brute-force numpy ranking that never touches a ``ShardPlan``, and the
 autograd-graph encoder path the fused inference kernels replaced — plus
 the match-by-match tokeniser the one-regex-pass ``tokenize`` replaced.
+Also the bodies every reader of the triple file has to refuse
+(:func:`unreadable_triple_files`), shared by the three readers' suites.
 """
 
 import numpy as np
@@ -20,6 +22,45 @@ from repro.retriever.strategies import (
     l2_normalize_rows,
 )
 from repro.text.tokenize import _APOSTROPHE_SUFFIXES, _TOKEN_RE
+
+
+def unreadable_triple_files(good):
+    """name -> body no reader may take for a triple store.
+
+    ``good`` is a saved store of at least two documents. Every body must
+    raise ``TripleStoreError`` from ``TripleStore.load`` itself; a file
+    whose fault shows only once a segment is parsed is not in here.
+    """
+    lines = good.split(b"\n")  # header, segments..., b""
+    header = lines[0].split(b"\t")
+
+    def rebuilt(fields, segments):
+        return b"\n".join([b"\t".join(fields), *segments, b""])
+
+    one_more = [*header[:3], b"%d" % (len(lines) - 1)]
+    return {
+        "empty": b"",
+        "list": b"[]",
+        "null": b"null",
+        "string-for-rows": b'{"0": "x"}',
+        "list-for-triple": b'{"0": [[1]]}',
+        "version-1": (
+            b'{"0": [{"s": "a", "p": "b", "o": "c", "x": [], '
+            b'"src": "", "i": 0, "c": 1.0}]}'
+        ),
+        "other-version": rebuilt([header[0], b"3", *header[2:]], lines[1:-1]),
+        "truncated-last-line": good[:-20],
+        "truncated-at-a-line": rebuilt(header, lines[1:-2]),
+        "duplicated-doc-id": rebuilt(one_more, [*lines[1:-1], lines[-2]]),
+        "short-segment": rebuilt(one_more, [*lines[1:-1], b"7\tabc\tdef"]),
+        "count-not-a-number": rebuilt(
+            header, [*lines[1:-2], lines[-2].replace(b"\t", b"\tx", 3)]
+        ),
+    }
+
+
+#: the names alone, to parametrise over
+UNREADABLE_TRIPLE_FILES = tuple(unreadable_triple_files(b"\n\n"))
 
 
 def tokenize_reference(text, lower=True):

@@ -15,6 +15,7 @@ import pytest
 import repro.storage.atomic as atomic_mod
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity
+from repro.ingest import STORE_NAME
 from repro.retriever.store import TripleStore, build_triple_store
 from repro.storage.atomic import (
     _atomic_write,
@@ -113,7 +114,7 @@ class TestCrashSimulation:
         )
         corpus = Corpus([document])
         store = build_triple_store(corpus)
-        path = tmp_path / "store.json"
+        path = tmp_path / STORE_NAME
         store.save(path)
         reference = path.read_bytes()
 

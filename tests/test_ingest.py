@@ -9,12 +9,14 @@ Pins the two guarantees the ingestion subsystem makes:
   everything reused is reused *bitwise*.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import UNREADABLE_TRIPLE_FILES, unreadable_triple_files
 
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity
@@ -22,6 +24,7 @@ from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.index.entity_index import EntityIndex
 from repro.ingest import (
     EMBEDDINGS_DIR,
+    STORE_NAME,
     EmbeddingStore,
     EmbeddingStoreError,
     IngestPipeline,
@@ -29,7 +32,7 @@ from repro.ingest import (
     store_generation,
 )
 from repro.retriever.single import SingleRetriever
-from repro.retriever.store import build_triple_store
+from repro.retriever.store import TripleStore, build_triple_store
 from repro.text import Vocab, tokenize
 from repro.triples.construct import ConstructionConfig
 
@@ -130,8 +133,8 @@ class TestParallelParity:
         par_dir = tmp_path / "par"
         IngestPipeline(corpus, workers=1).run(seq_dir, encoder=encoder)
         IngestPipeline(corpus, workers=workers).run(par_dir, encoder=encoder)
-        assert (seq_dir / "store.json").read_bytes() == (
-            par_dir / "store.json"
+        assert (seq_dir / STORE_NAME).read_bytes() == (
+            par_dir / STORE_NAME
         ).read_bytes()
         assert _segments(seq_dir) == _segments(par_dir)
 
@@ -211,12 +214,12 @@ class TestIncrementalInvalidation:
         result = self._ingest(corpus, encoder, cache, incremental=False)
         assert result.stats.docs_extracted == len(corpus)
 
-    def test_corrupt_manifest_degrades_to_full_rebuild(self, tmp_path):
+    def test_corrupt_triple_file_degrades_to_full_rebuild(self, tmp_path):
         corpus = _mini_corpus()
         encoder = _mini_encoder(corpus)
         cache = tmp_path / "cache"
         self._ingest(corpus, encoder, cache)
-        (cache / "ingest_manifest.json").write_text("{not json")
+        (cache / STORE_NAME).write_text("{not json")
         result = self._ingest(corpus, encoder, cache)
         assert result.stats.docs_extracted == len(corpus)
 
@@ -254,9 +257,109 @@ class TestIncrementalInvalidation:
         # reuse is invisible: the refreshed store is the cold one
         cold = tmp_path / f"{cache.name}-cold"
         self._ingest(edited, encoder, cold)
-        assert (cache / "store.json").read_bytes() == (
-            cold / "store.json"
+        assert (cache / STORE_NAME).read_bytes() == (
+            cold / STORE_NAME
         ).read_bytes()
+
+
+def _edited(corpus, doc_ids):
+    """``corpus`` with the bodies of ``doc_ids`` rewritten."""
+    return Corpus(
+        [
+            dataclasses.replace(d, text=d.text + " It is widely known.")
+            if d.doc_id in doc_ids
+            else d
+            for d in corpus
+        ]
+    )
+
+
+class TestUnchangedDocumentsAreNeverParsed:
+    """The gain of the segmented file, pinned where it could hollow out."""
+
+    DIRTY = {2, 3, 17, 40}  # two adjacent, two apart
+
+    def test_a_refresh_parses_no_clean_document(
+        self, corpus, encoder, tmp_path, parsed
+    ):
+        IngestPipeline(corpus).run(tmp_path, encoder=encoder)
+        again = IngestPipeline(corpus).run(tmp_path, encoder=encoder)
+        assert again.stats.docs_extracted == again.stats.rows_encoded == 0
+        assert parsed == []  # a clean re-run: not one segment
+        before = _segments(tmp_path)
+        edited = _edited(corpus, self.DIRTY)
+        result = IngestPipeline(edited).run(tmp_path, encoder=encoder)
+        assert result.stats.docs_extracted == len(self.DIRTY)
+        assert result.stats.docs_reused == len(corpus) - len(self.DIRTY)
+        # the dirty documents were re-extracted, never read back; the
+        # clean ones went load -> adopt -> refresh -> save as bytes
+        assert parsed == []
+        cold = IngestPipeline(edited).run(tmp_path / "cold", encoder=encoder)
+        assert (tmp_path / STORE_NAME).read_bytes() == (
+            tmp_path / "cold" / STORE_NAME
+        ).read_bytes()
+        rows = _segments(tmp_path)
+        for doc_id in set(rows) - self.DIRTY:  # reused rows are bitwise
+            assert rows[doc_id] == before[doc_id]
+        for doc_id in self.DIRTY:
+            assert result.store.triples(doc_id) == cold.store.triples(doc_id)
+
+    def test_a_loaded_store_flattens_exactly_the_dirty_documents(
+        self, corpus, encoder, tmp_path, parsed
+    ):
+        IngestPipeline(corpus).run(tmp_path / "old", encoder=encoder)
+        IngestPipeline(_edited(corpus, self.DIRTY)).extract(tmp_path / "new")
+        loaded = TripleStore.load(tmp_path / "new" / STORE_NAME, corpus)
+        changed = {
+            doc_id
+            for doc_id in self.DIRTY
+            if loaded.row_hash(doc_id)
+            != EmbeddingStore.open(tmp_path / "old" / EMBEDDINGS_DIR)
+            .row_hashes[doc_id]
+        }
+        assert changed and parsed == []
+        retriever = SingleRetriever(encoder, loaded)
+        retriever.attach_embeddings(
+            EmbeddingStore.open(tmp_path / "old" / EMBEDDINGS_DIR)
+        )
+        encoded = retriever.refresh_embeddings()
+        assert sorted(parsed) == sorted(changed)
+        assert encoded == sum(loaded.n_triples(d) for d in changed)
+        del parsed[:]
+        warm = SingleRetriever(encoder, loaded)
+        warm.attach_embeddings(retriever.export_embeddings())
+        assert warm.refresh_embeddings() == 0 and parsed == []
+
+    def test_a_document_missing_from_the_prior_store_is_not_clean(
+        self, corpus, tmp_path
+    ):
+        # the parent called a document clean from its manifest alone and
+        # read "not in the prior store" as "has no triples"
+        twelve = Corpus(list(corpus)[:12])
+        cold = IngestPipeline(twelve).extract(tmp_path)
+        lost = next(d for d in cold.store.doc_ids() if cold.store.triples(d))
+        holed = TripleStore(twelve)
+        holed.construction_fingerprint = cold.store.construction_fingerprint
+        for doc_id in cold.store.doc_ids():
+            if doc_id != lost:
+                holed.adopt(cold.store, doc_id)
+        holed.save(tmp_path / STORE_NAME)
+        again = IngestPipeline(twelve).extract(tmp_path)
+        assert again.stats.docs_extracted == 1
+        assert again.store.triples(lost) == cold.store.triples(lost)
+
+    @pytest.mark.parametrize("name", UNREADABLE_TRIPLE_FILES)
+    def test_unreadable_prior_store_is_a_cold_rebuild(
+        self, corpus, tmp_path, name
+    ):
+        twelve = Corpus(list(corpus)[:12])
+        cold = IngestPipeline(twelve).extract(tmp_path)
+        good = (tmp_path / STORE_NAME).read_bytes()
+        (tmp_path / STORE_NAME).write_bytes(unreadable_triple_files(good)[name])
+        again = IngestPipeline(twelve).extract(tmp_path)
+        assert again.stats.docs_extracted == len(twelve)
+        assert (tmp_path / STORE_NAME).read_bytes() == good
+        assert again.store.total_triples() == cold.store.total_triples()
 
 
 class TestEmbeddingStore:
@@ -424,7 +527,7 @@ class TestEmbeddingStore:
 
 
 @pytest.mark.parametrize(
-    "reader", ["store_generation", "open", "save", "load_prior"]
+    "reader", ["store_generation", "open", "save", "extract"]
 )
 def test_non_object_manifest_is_a_corrupt_manifest(tmp_path, reader):
     """Valid JSON that is not an object (a truncated or foreign write)
@@ -432,9 +535,9 @@ def test_non_object_manifest_is_a_corrupt_manifest(tmp_path, reader):
     corpus = _mini_corpus()
     first = IngestPipeline(corpus).run(tmp_path, encoder=_mini_encoder(corpus))
     emb_dir = tmp_path / EMBEDDINGS_DIR
-    (tmp_path / "ingest_manifest.json").write_text("[]")
+    (tmp_path / STORE_NAME).write_text("[]")
     (emb_dir / "manifest.json").write_text("null")
-    if reader == "load_prior":
+    if reader == "extract":
         again = IngestPipeline(corpus).extract(tmp_path)
         assert again.stats.docs_extracted == len(corpus)  # cold rebuild
     elif reader == "store_generation":
@@ -499,6 +602,47 @@ class TestRetrieverIncrementalRefresh:
             assert retriever.doc_embeddings(doc_id).tobytes() == (
                 previous.tobytes()
             )
+
+    def test_run_copies_equal_a_per_document_assembly(
+        self, store, corpus, encoder, monkeypatch
+    ):
+        edited = TripleStore(corpus)
+        for doc_id in store.doc_ids():
+            edited.put(doc_id, store.triples(doc_id))
+        retriever = SingleRetriever(encoder, edited)
+        retriever.refresh_embeddings()
+        old = {d: retriever.doc_embeddings(d).copy() for d in store.doc_ids()}
+        last = store.doc_ids()[-1]
+        dirty = [0, 7, 8, 20, last]  # both ends, an adjacent pair, an emptied
+        for doc_id in dirty:
+            edited.put(doc_id, store.triples(doc_id)[::-1][:-1])
+        edited.put(20, [])
+        calls = []
+        real = type(encoder).encode_numpy
+
+        def spy(self, texts, **kwargs):
+            calls.append(real(self, texts, **kwargs))
+            return calls[-1]
+
+        # on the class: undoing an instance patch leaves a bound method
+        # in the session encoder's ``__dict__``
+        monkeypatch.setattr(type(encoder), "encode_numpy", spy)
+        encoded = retriever.refresh_embeddings()
+        assert len(calls) == 1 and encoded == len(calls[0])
+        pieces, cursor = [], 0
+        for doc_id in store.doc_ids():
+            if doc_id in dirty:
+                n_rows = edited.n_triples(doc_id)
+                pieces.append(calls[0][cursor : cursor + n_rows])
+                cursor += n_rows
+            else:
+                pieces.append(old[doc_id])
+        held = retriever.export_embeddings()
+        expected = np.concatenate(pieces).astype(held.matrix.dtype)
+        assert held.matrix.tobytes() == expected.tobytes()
+        assert held.offsets == list(
+            np.cumsum([0] + [len(piece) for piece in pieces[:-1]])
+        )
 
     def test_attach_rejects_wrong_dim(self, tmp_path):
         corpus = _mini_corpus()

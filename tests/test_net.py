@@ -30,6 +30,7 @@ import time
 from collections import Counter
 
 import pytest
+from reference import unreadable_triple_files
 
 from repro.ingest import EMBEDDINGS_DIR, STORE_NAME
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
@@ -59,7 +60,7 @@ from repro.net.protocol import (
 )
 from repro.net.worker import WorkerRuntime
 from repro.oie.triple import Triple
-from repro.retriever.store import TripleStore
+from repro.retriever.store import TripleStore, TripleStoreError
 from repro.serve import RetrievalService, ServiceConfig, merge_snapshots
 
 pytestmark = pytest.mark.net
@@ -220,6 +221,35 @@ def test_publish_store_writes_the_embeddings_manifest_last(
     monkeypatch.setattr(EmbeddingStore, "save", checked_save)
     assert publish_store(bundle, out, store=alt) == 2
     assert triples_already_new == [True]
+
+
+def test_unreadable_triple_file_stops_a_start_and_refuses_a_reload(tmp_path):
+    """No body ``TripleStore.load`` refuses ever reaches a service: a worker
+    does not start on it, and a running one keeps its generation."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    publish_store(bundle, good)
+    publish_store(bundle, bad)
+    publish_store(bundle, bad)  # generation 2: a reload would show
+    bodies = unreadable_triple_files((bad / STORE_NAME).read_bytes())
+    question = bundle.questions[0]
+    runtime = WorkerRuntime(bundle, _spec(good))
+    try:
+        for name, body in bodies.items():
+            (bad / STORE_NAME).write_bytes(body)
+            with pytest.raises(TripleStoreError):
+                WorkerRuntime(bundle, _spec(bad))
+            reply = runtime._handle(
+                {"op": "reload", "id": name, "store_dir": str(bad)}
+            )()
+            assert not reply["ok"] and "TripleStoreError" in str(reply), name
+            assert runtime.generation == 1
+            answer = runtime._handle(
+                {"op": "query", "id": name, "question": question, "k": 3}
+            )()
+            assert answer["ok"] and answer["generation"] == 1, name
+    finally:
+        runtime.close()
 
 
 def test_poll_and_worker_agree_when_both_manifests_exist(tmp_path):

@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from reference import unreadable_triple_files
 
 from repro.encoder.minibert import EncoderConfig
+from repro.ingest import STORE_NAME
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.pipeline.multihop import MultiHopConfig
 from repro.pipeline.path_ranker import PathRankerConfig
-from repro.retriever.store import TripleStore
+from repro.retriever.store import TripleStore, TripleStoreError
 from repro.retriever.trainer import TrainerConfig
 from repro.updater.updater import UpdaterConfig
 
 
 class TestStorePersistence:
     def test_roundtrip(self, store, corpus, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / STORE_NAME
         store.save(path)
         loaded = TripleStore.load(path, corpus)
         assert len(loaded) == len(store)
@@ -24,7 +26,7 @@ class TestStorePersistence:
             assert original == restored
 
     def test_fusion_triples_survive(self, store, corpus, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / STORE_NAME
         store.save(path)
         loaded = TripleStore.load(path, corpus)
         fusions = [
@@ -77,6 +79,18 @@ class TestSystemPersistence:
         original = [p.doc_ids for p in system.retrieve_paths(question, k=4)]
         loaded = [p.doc_ids for p in restored.retrieve_paths(question, k=4)]
         assert original == loaded
+
+    def test_unreadable_triple_file_is_raised_not_rebuilt(
+        self, trained, corpus, tmp_path
+    ):
+        system, config = trained
+        system.save(tmp_path / "model3")
+        path = tmp_path / "model3" / STORE_NAME
+        for name, body in unreadable_triple_files(path.read_bytes()).items():
+            path.write_bytes(body)
+            with pytest.raises(TripleStoreError):
+                TripleFactRetrieval.load(tmp_path / "model3", corpus, config)
+            assert path.read_bytes() == body, name  # and left as found
 
     def test_unfit_save_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):
