@@ -433,10 +433,10 @@ class SingleRetriever:
         """Top-k documents for every row of ``query_matrix`` at once.
 
         Validates the request, normalizes the queries and hands them to
-        the scoring plan: one matmul per probed shard (one in all for
-        the default plan), per-document aggregation as segment
-        reductions, one ``(score desc, doc id asc)`` merge. Returns one
-        result list per query row.
+        the scoring plan: one matmul and one segment reduction per probed
+        shard (one in all when every shard is probed), one ``(score desc,
+        doc id asc)`` merge, and the explaining triple looked up for the
+        k winners only. Returns one result list per query row.
 
         ``nprobe`` prunes to that many centroid-closest shards and needs
         a plan from :meth:`build_shards` (None or ``>= n_shards`` probes
@@ -502,10 +502,10 @@ class SingleRetriever:
                 query_scores.scores, query_scores.doc_ids, k
             )
             results: List[RetrievedDocument] = []
-            for position in order:
-                position = int(position)
+            for position, (local, cosines) in zip(
+                order.tolist(), query_scores.explain(order)
+            ):
                 doc_id = int(query_scores.doc_ids[position])
-                local = int(query_scores.matched[position])
                 triples = self.store.triples(doc_id)
                 matched_triple = (
                     triples[local] if 0 <= local < len(triples) else None
@@ -517,9 +517,7 @@ class SingleRetriever:
                         score=float(query_scores.scores[position]),
                         matched_triple=matched_triple,
                         triple_scores=(
-                            query_scores.triple_scores(position)
-                            if keep_triple_scores
-                            else None
+                            cosines.copy() if keep_triple_scores else None
                         ),
                     )
                 )

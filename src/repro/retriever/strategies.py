@@ -10,6 +10,7 @@ Given the cosine scores of a question against one document's triple facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -31,74 +32,88 @@ class ScoreStrategy:
 EMPTY_SCORE = -1.0  # cosine lower bound assigned to triple-less documents
 
 
-def segment_lengths(offsets: np.ndarray, total: int) -> np.ndarray:
-    """Per-segment lengths for segment starts ``offsets`` over ``total``
-    flat elements (the last segment runs to ``total``)."""
+class Segments(NamedTuple):
+    """Segment layout of a flat score axis, derived once per shard."""
+
+    lengths: np.ndarray  # (n_segments,) rows per segment
+    nonempty: Union[slice, np.ndarray]  # index of segments with rows
+    starts: np.ndarray  # (n_nonempty,) their first flat position
+
+
+def segment_layout(offsets: np.ndarray, total: int) -> Segments:
+    """Layout for segment starts ``offsets`` (non-decreasing; equal
+    consecutive starts denote an empty segment) over ``total`` flat
+    elements — the last segment runs to ``total``."""
     offsets = np.asarray(offsets, dtype=np.int64)
-    return np.diff(np.concatenate([offsets, [total]]))
+    lengths = np.diff(np.concatenate([offsets, [total]]))
+    has_rows = lengths > 0
+    # the usual layout has no empty segment: scatter through a slice
+    nonempty = slice(None) if has_rows.all() else np.flatnonzero(has_rows)
+    return Segments(lengths, nonempty, offsets[nonempty])
 
 
 def aggregate_segments(
-    scores: np.ndarray, offsets: np.ndarray, strategy: "ScoreStrategy"
-) -> tuple:
-    """Apply ``strategy`` to every contiguous segment of ``scores`` at once.
+    scores: np.ndarray, segments: Segments, strategy: "ScoreStrategy"
+) -> np.ndarray:
+    """Apply ``strategy`` to every segment of every row of ``scores``.
 
-    ``scores`` is the flat per-triple score vector of *all* documents and
-    ``offsets`` the start index of each document's segment (non-decreasing;
-    equal consecutive starts denote an empty document). Returns
-    ``(aggregated, matched)`` where ``aggregated[d]`` is the strategy's
-    score of ``scores[start_d:stop_d]`` and ``matched[d]`` the
-    segment-local argmax (the explaining triple), with ``EMPTY_SCORE`` / -1
-    for empty segments — bitwise the contract of the scalar reference in
-    ``tests/reference.py``.
+    ``scores`` is a ``(queries, flat triples)`` block (a 1-D vector is a
+    block of one row, and comes back 1-D) laid out as ``segments``
+    describes. Returns the ``(queries, segments)`` document scores in
+    ``ACCUM_DTYPE``: ``aggregated[q, d]`` is the strategy's score of
+    ``scores[q, start_d:stop_d]``, ``EMPTY_SCORE`` for an empty segment —
+    bitwise the contract of the scalar reference in ``tests/reference.py``.
 
-    Built on ``np.maximum.reduceat`` / ``np.add.reduceat``: one ufunc pass
-    per corpus instead of one Python iteration per document.
+    One ``reduceat`` along the flat axis per block, over the non-empty
+    starts only: consecutive non-empty starts bracket exactly one
+    document's triples (empty segments contribute no elements), which
+    sidesteps reduceat's surprising repeated-index rule.
     """
-    # scores accumulate in float64 regardless of the store dtype: every
-    # float32 is exactly representable, so reductions stay bitwise stable
-    scores = np.asarray(scores, dtype=ACCUM_DTYPE)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n_segments = offsets.shape[0]
-    aggregated = np.full(n_segments, EMPTY_SCORE, dtype=ACCUM_DTYPE)
-    matched = np.full(n_segments, -1, dtype=np.int64)
-    if n_segments == 0:
-        return aggregated, matched
-    lengths = segment_lengths(offsets, scores.shape[0])
-    nonempty = lengths > 0
-    if not nonempty.any():
-        return aggregated, matched
-    # reduceat over the non-empty starts only: consecutive non-empty starts
-    # bracket exactly one document's triples (empty segments contribute no
-    # elements), which sidesteps reduceat's surprising repeated-index rule.
-    ne_starts = offsets[nonempty]
-    maxes = np.maximum.reduceat(scores, ne_starts)
-    # segment-local argmax = first flat position attaining the segment max
-    seg_max_flat = np.repeat(maxes, lengths[nonempty])
-    flat_pos = np.arange(scores.shape[0], dtype=np.int64)
-    hit_pos = np.where(scores == seg_max_flat, flat_pos, scores.shape[0])
-    first_hit = np.minimum.reduceat(hit_pos, ne_starts)
-    matched[nonempty] = first_hit - ne_starts
-    if strategy.name == ONE_FACT:
-        aggregated[nonempty] = maxes
-    elif strategy.name == MEAN:
-        sums = np.add.reduceat(scores, ne_starts)
-        aggregated[nonempty] = sums / lengths[nonempty]
-    elif strategy.name == TOP_K:
-        # sort each segment descending in one lexsort (segments stay
-        # contiguous), mask everything past rank k, then segment-sum
-        seg_ids = np.repeat(np.arange(n_segments), lengths)
-        order = np.lexsort((-scores, seg_ids))
-        ranked = scores[order]
-        rank_in_segment = flat_pos - np.repeat(offsets, lengths)
-        kept = np.where(rank_in_segment < strategy.k, ranked, 0.0)
-        sums = np.add.reduceat(kept, ne_starts)
-        aggregated[nonempty] = sums / np.minimum(
-            lengths[nonempty], strategy.k
-        )
-    else:
+    scores = np.asarray(scores)
+    block = np.atleast_2d(scores)
+    lengths, nonempty, starts = segments
+    if strategy.name not in (ONE_FACT, MEAN, TOP_K):
         raise ValueError(f"unknown strategy {strategy.name!r}")
-    return aggregated, matched
+    shape = scores.shape[:-1] + lengths.shape
+    aggregated = np.full(
+        (block.shape[0], lengths.shape[0]), EMPTY_SCORE, dtype=ACCUM_DTYPE
+    )
+    if not block.size:  # no query row, or no triple row to reduce
+        return aggregated.reshape(shape)
+    if strategy.name == ONE_FACT:
+        # a maximum is the same element in any float width: reduce in the
+        # store dtype, widen only the (queries, documents) result
+        aggregated[:, nonempty] = np.maximum.reduceat(block, starts, axis=1)
+    else:
+        # sums accumulate in float64 regardless of the store dtype: every
+        # float32 is exactly representable, so they stay bitwise stable
+        block = block.astype(ACCUM_DTYPE, copy=False)
+        counts = lengths[nonempty]
+        if strategy.name == TOP_K:
+            block = _top_k_only(block, lengths, strategy.k)
+            counts = np.minimum(counts, strategy.k)
+        aggregated[:, nonempty] = (
+            np.add.reduceat(block, starts, axis=1) / counts
+        )
+    return aggregated.reshape(shape)
+
+
+def _top_k_only(block: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
+    """``block`` with each segment sorted descending and every element
+    past rank ``k`` zeroed: one lexsort per row (segments stay
+    contiguous), so a segment sum is the sum of its k best."""
+    seg_ids = np.repeat(np.arange(lengths.shape[0]), lengths)
+    rank_in_segment = np.arange(block.shape[1]) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    return np.stack(
+        [
+            np.where(
+                rank_in_segment < k, row[np.lexsort((-row, seg_ids))], 0.0
+            )
+            for row in block
+        ]
+    )
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:

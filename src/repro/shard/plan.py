@@ -10,6 +10,15 @@ retrieval is the degenerate plan: one ``range`` shard that is a
 zero-copy view of the whole matrix, probed in full, so no centroid is
 ever scored.
 
+The scan is block-wise. The plan keeps ONE shard-major matrix (the
+stacked matrix itself under ``range``, one gather of it under
+``centroid``) and every ``Shard.matrix`` is a view of it; a group of
+queries that probe the same shard costs one product and one segment
+reduction over the ``(queries, shard rows)`` score block, and a group
+that probes every shard is one group over the whole matrix whatever the
+shard count. The explaining triple is not part of the scan: it is read
+off the flat scores of the k documents a ranking returns.
+
 Exactness contract: per-document scores are plain dot products against
 the same normalized rows whichever shard holds them, and the global
 merge orders by ``(score desc, doc id asc)`` — a total order. With
@@ -34,7 +43,7 @@ exact recall once every true top-k document survives the coarse cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +56,9 @@ from repro.precision import (
 )
 from repro.retriever.strategies import (
     ScoreStrategy,
+    Segments,
     aggregate_segments,
+    segment_layout,
 )
 from repro.shard.assignment import (
     MODES,
@@ -68,6 +79,10 @@ class Shard:
     centroid: np.ndarray  # (dim,) unit centroid (zero when empty)
     q_matrix: Optional[np.ndarray] = None  # (n_rows, dim) int8 rows
     q_scales: Optional[np.ndarray] = None  # (n_rows,) float32 row scales
+    segments: Segments = field(init=False, repr=False)  # layout of a scan
+
+    def __post_init__(self) -> None:
+        self.segments = segment_layout(self.offsets, self.n_rows)
 
     @property
     def n_rows(self) -> int:
@@ -81,37 +96,34 @@ class Shard:
         return int(self.doc_ids.shape[0])
 
 
+#: One scored shard of one query: the shard, the query's flat per-triple
+#: scores over its rows, and its per-document scores.
+Part = Tuple[Shard, np.ndarray, np.ndarray]
+
+
 class QueryShardScores:
     """One query's scored shards, mergeable into a global ranking.
 
-    Built from ``(shard, flat per-triple scores)`` parts in probe order:
-    aggregates each part per document and lays the parts end to end.
-    :meth:`triple_scores` recovers the flat per-triple scores of one
-    ranked document (the explanation path) without re-scoring. A
-    quantized search returns the one-part case: the rescored survivors.
+    Built from the query's :data:`Part` rows in probe order, laid end to
+    end. The explaining triple is found for the winners, not the corpus:
+    :meth:`explain` reads it (and the flat per-triple scores) off the
+    ranked documents' own slices without re-scoring. A quantized search
+    returns the one-part case: the rescored survivors.
     """
 
-    __slots__ = ("doc_ids", "scores", "matched", "_bounds", "_parts")
+    __slots__ = ("doc_ids", "scores", "_bounds", "_parts")
 
-    def __init__(
-        self,
-        parts: Sequence[Tuple[Shard, np.ndarray]],
-        strategy: ScoreStrategy,
-    ) -> None:
-        aggregates = [
-            aggregate_segments(flat, shard.offsets, strategy)
-            for shard, flat in parts
-        ]
-        self.doc_ids = _join([shard.doc_ids for shard, _ in parts], np.int64)
-        self.scores = _join([agg for agg, _ in aggregates], ACCUM_DTYPE)
-        self.matched = _join([hit for _, hit in aggregates], np.int64)
-        self._bounds = np.cumsum([0] + [len(shard) for shard, _ in parts])
+    def __init__(self, parts: Sequence[Part]) -> None:
+        shards = [shard for shard, _, _ in parts]
+        self.doc_ids = _join([shard.doc_ids for shard in shards], np.int64)
+        self.scores = _join([scores for _, _, scores in parts], ACCUM_DTYPE)
+        self._bounds = np.cumsum([0] + [len(shard) for shard in shards])
         self._parts = parts
 
     @property
     def n_triples(self) -> int:
         """Triple rows this query was scored against."""
-        return sum(int(flat.shape[0]) for _, flat in self._parts)
+        return sum(int(flat.shape[0]) for _, flat, _ in self._parts)
 
     def _segments(
         self, positions: Sequence[int]
@@ -121,19 +133,26 @@ class QueryShardScores:
         parts = np.searchsorted(self._bounds, positions, side="right") - 1
         local_positions = positions - self._bounds[parts]
         for part, local in zip(parts.tolist(), local_positions.tolist()):
-            shard, flat = self._parts[part]
-            offsets = shard.offsets
-            stop = (
-                offsets[local + 1]
-                if local + 1 < offsets.shape[0]
-                else flat.shape[0]
-            )
-            yield shard, flat, offsets[local], stop
+            shard, flat, _ = self._parts[part]
+            start = shard.offsets[local]
+            yield shard, flat, start, start + shard.segments.lengths[local]
 
-    def triple_scores(self, position: int) -> np.ndarray:
-        """Flat triple scores of the document at merged ``position``."""
-        ((_, flat, start, stop),) = self._segments([position])
-        return flat[start:stop].copy()
+    def explain(
+        self, positions: Sequence[int]
+    ) -> List[Tuple[int, np.ndarray]]:
+        """(explaining triple, flat triple scores) per merged position.
+
+        The triple is the first argmax of the document's own slice
+        (-1 for a document without triples); the scores are a view into
+        the scan's block — copy what outlives the request.
+        """
+        explained = []
+        for _, flat, start, stop in self._segments(positions):
+            cosines = flat[start:stop]
+            explained.append(
+                (int(cosines.argmax()) if cosines.size else -1, cosines)
+            )
+        return explained
 
     def rows(self, positions: Sequence[int]) -> List[np.ndarray]:
         """Float matrix rows of the documents at merged ``positions``."""
@@ -153,36 +172,46 @@ def _join(arrays: List[np.ndarray], dtype) -> np.ndarray:
 
 
 class ShardPlan:
-    """N shards over one stacked matrix + the centroid pruning layer."""
+    """N shards over one shard-major matrix + the centroid pruning layer.
+
+    ``whole`` is the plan as one shard: every document, shard by shard,
+    over the one matrix the plan holds. ``shards`` are views of it —
+    documents ``doc_bounds[i]:doc_bounds[i + 1]`` — so a query group that
+    probes every shard scores ``whole`` with one product and one segment
+    reduction, whatever the shard count.
+    """
 
     def __init__(
         self,
-        shards: List[Shard],
+        whole: Shard,
+        doc_bounds: Sequence[int],
         mode: str,
         assignment: Dict[int, int],
-        quantized: bool = False,
     ):
-        self.shards = shards
+        self.whole = whole
         self.mode = mode
         self.assignment = assignment  # doc_id -> shard_id
-        self.quantized = quantized
-        self.centroids = (
-            np.stack([s.centroid for s in shards])
-            if shards
-            else np.zeros((0, 0), dtype=ACCUM_DTYPE)
-        )
+        self.quantized = False
+        self.total_docs = len(whole)
+        self.total_rows = whole.n_rows
+        row_bounds = np.append(whole.offsets, whole.n_rows)[doc_bounds]
+        self.shards = [
+            Shard(
+                shard_id=shard_id,
+                doc_ids=whole.doc_ids[docs],
+                offsets=whole.offsets[docs] - rows.start,
+                matrix=whole.matrix[rows],
+                centroid=_unit_mean(whole.matrix[rows]),
+            )
+            for shard_id, (docs, rows) in enumerate(
+                zip(_slices(doc_bounds), _slices(row_bounds))
+            )
+        ]
+        self.centroids = np.stack([s.centroid for s in self.shards])
 
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(shard.n_rows for shard in self.shards)
-
-    @property
-    def total_docs(self) -> int:
-        return sum(len(shard) for shard in self.shards)
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -218,11 +247,6 @@ class ShardPlan:
         offset_arr = np.asarray(list(offsets), dtype=np.int64)
         n_docs = doc_id_arr.shape[0]
         total = normed_matrix.shape[0]
-        stops = (
-            np.concatenate([offset_arr[1:], [total]])
-            if n_docs
-            else np.zeros(0, dtype=np.int64)
-        )
         if mode == "centroid":
             labels = assign_documents(
                 mode,
@@ -232,66 +256,35 @@ class ShardPlan:
             )
         else:
             labels = assign_documents(mode, n_docs, n_shards)
-        shards: List[Shard] = []
-        contiguous = _labels_are_contiguous(labels)
-        for shard_id in range(n_shards):
-            positions = np.nonzero(labels == shard_id)[0]
-            if positions.size == 0:
-                dim = normed_matrix.shape[1] if normed_matrix.ndim == 2 else 0
-                shards.append(
-                    Shard(
-                        shard_id=shard_id,
-                        doc_ids=np.zeros(0, dtype=np.int64),
-                        offsets=np.zeros(0, dtype=np.int64),
-                        matrix=np.zeros((0, dim), dtype=normed_matrix.dtype),
-                        centroid=np.zeros(dim, dtype=normed_matrix.dtype),
-                    )
-                )
-                continue
-            lengths = stops[positions] - offset_arr[positions]
-            local_offsets = np.concatenate(
-                [[0], np.cumsum(lengths)[:-1]]
-            ).astype(np.int64)
-            if contiguous:
-                # contiguous doc chunk -> the shard matrix is a zero-copy
-                # view into the stacked matrix
-                row_start = int(offset_arr[positions[0]])
-                row_stop = int(stops[positions[-1]])
-                matrix = normed_matrix[row_start:row_stop]
-            else:
-                pieces = [
-                    normed_matrix[offset_arr[p] : stops[p]]
-                    for p in positions
-                ]
-                matrix = (
-                    np.concatenate(pieces)
-                    if pieces
-                    else np.zeros(
-                        (0, normed_matrix.shape[1]),
-                        dtype=normed_matrix.dtype,
-                    )
-                )
-            if matrix.shape[0]:
-                mean = np.asarray(matrix).mean(axis=0)
-                norm = np.linalg.norm(mean)
-                centroid = mean / norm if norm > 0.0 else mean
-            else:
-                centroid = np.zeros(
-                    normed_matrix.shape[1], dtype=normed_matrix.dtype
-                )
-            shards.append(
-                Shard(
-                    shard_id=shard_id,
-                    doc_ids=doc_id_arr[positions],
-                    offsets=local_offsets,
-                    matrix=matrix,
-                    centroid=centroid,
-                )
-            )
-        mapping = {
-            int(doc_id_arr[i]): int(labels[i]) for i in range(n_docs)
-        }
-        plan = cls(shards=shards, mode=mode, assignment=mapping)
+        # shard-major document order (stable: ascending doc position
+        # inside a shard) and the rows of the matrix in that order
+        order = np.argsort(labels, kind="stable")
+        lengths = np.diff(np.append(offset_arr, total))[order]
+        starts = np.cumsum(lengths) - lengths
+        n_rows = int(lengths.sum())
+        if _labels_are_contiguous(labels):
+            # range layout: the documents' rows already run shard by
+            # shard to the end of the stacked matrix — a zero-copy view
+            matrix = normed_matrix[total - n_rows :]
+        else:
+            matrix = normed_matrix[
+                np.repeat(offset_arr[order] - starts, lengths)
+                + np.arange(n_rows)
+            ]
+        plan = cls(
+            whole=Shard(
+                shard_id=-1,
+                doc_ids=doc_id_arr[order],
+                offsets=starts,
+                matrix=matrix,
+                centroid=np.zeros(0, dtype=matrix.dtype),
+            ),
+            doc_bounds=np.searchsorted(
+                labels[order], np.arange(n_shards + 1)
+            ),
+            mode=mode,
+            assignment=dict(zip(doc_id_arr.tolist(), labels.tolist())),
+        )
         if quantize:
             plan.quantize()
         return plan
@@ -312,28 +305,26 @@ class ShardPlan:
     # -- query path ------------------------------------------------------
     def probe(
         self, queries_normed: np.ndarray, nprobe: Optional[int] = None
-    ) -> List[np.ndarray]:
-        """Per-query shard ids to score, closest centroid first.
+    ) -> np.ndarray:
+        """``(queries, nprobe)`` shard ids to score, closest centroid first.
 
         ``nprobe`` of None (or >= ``n_shards``) probes everything — the
         no-pruning, provably exact configuration, which scores no
-        centroid. Centroid ties break toward the lower shard id so
-        probing is deterministic.
+        centroid. Centroid ties break toward the lower shard id (one
+        stable sort of the block) so probing is deterministic.
         """
         n_shards = self.n_shards
         if nprobe is not None and nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         queries_normed = np.atleast_2d(queries_normed)
         if nprobe is None or nprobe >= n_shards:
-            every = np.arange(n_shards, dtype=np.int64)
-            return [every for _ in range(queries_normed.shape[0])]
+            return np.tile(
+                np.arange(n_shards, dtype=np.int64),
+                (queries_normed.shape[0], 1),
+            )
         centroid_scores = queries_normed @ self.centroids.T
-        shard_ids = np.arange(n_shards, dtype=np.int64)
-        out: List[np.ndarray] = []
-        for row in centroid_scores:
-            order = np.lexsort((shard_ids, -row))
-            out.append(order[: int(nprobe)].astype(np.int64))
-        return out
+        order = np.argsort(-centroid_scores, axis=1, kind="stable")
+        return order[:, : int(nprobe)].astype(np.int64, copy=False)
 
     def _scan(
         self,
@@ -344,31 +335,40 @@ class ShardPlan:
     ) -> List[QueryShardScores]:
         """Probe, group queries by shard, score each group (shard-major).
 
-        One product per (shard, queries-probing-it) group, so a batch
-        pays each shard's matrix at most once: the float rows, or with
-        ``coarse`` the int8 copy chunk-wise (~1 byte of DRAM traffic per
-        matrix element).
+        One product and one segment reduction per (shard,
+        queries-probing-it) group, so a batch pays each shard's matrix
+        at most once: the float rows, or with ``coarse`` the int8 copy
+        chunk-wise (~1 byte of DRAM traffic per matrix element). A float
+        group that probes every shard is one group over ``whole`` (the
+        int8 copies are per shard, so a coarse scan always goes by shard).
         """
+        n_queries = queries_normed.shape[0]
         probed = self.probe(queries_normed, nprobe)
-        parts: List[List[Tuple[Shard, np.ndarray]]] = [[] for _ in probed]
-        by_shard: Dict[int, List[int]] = {}
-        for query_index, shard_ids in enumerate(probed):
-            for shard_id in shard_ids:
-                by_shard.setdefault(int(shard_id), []).append(query_index)
-        for shard_id in sorted(by_shard):
-            shard = self.shards[shard_id]
+        if not coarse and probed.shape[1] == self.n_shards:
+            groups = [(self.whole, np.arange(n_queries))]
+        else:
+            groups = [
+                (self.shards[shard_id], np.nonzero(probed == shard_id)[0])
+                for shard_id in np.unique(probed).tolist()
+            ]
+        parts: List[List[Part]] = [[] for _ in range(n_queries)]
+        for shard, members in groups:
             if len(shard) == 0:
                 continue
-            query_indices = by_shard[shard_id]
-            block = queries_normed[query_indices]
+            block = queries_normed[members]
             flat_block = (
                 coarse_scores(shard.q_matrix, shard.q_scales, block).T
                 if coarse
                 else block @ shard.matrix.T
             )
-            for row, query_index in enumerate(query_indices):
-                parts[query_index].append((shard, flat_block[row]))
-        return [QueryShardScores(scored, strategy) for scored in parts]
+            doc_block = aggregate_segments(
+                flat_block, shard.segments, strategy
+            )
+            for row, query_index in enumerate(members.tolist()):
+                parts[query_index].append(
+                    (shard, flat_block[row], doc_block[row])
+                )
+        return [QueryShardScores(scored) for scored in parts]
 
     def search(
         self,
@@ -410,7 +410,9 @@ class ShardPlan:
             queries_normed,
             self._scan(queries_normed, strategy, nprobe, coarse=True),
         ):
-            keep = topk_doc_order(coarse.scores, coarse.doc_ids, rescore_width)
+            keep = topk_doc_order(
+                coarse.scores, coarse.doc_ids, rescore_width
+            )
             pieces = coarse.rows(keep)
             lengths = [piece.shape[0] for piece in pieces]
             survivors = Shard(
@@ -424,12 +426,24 @@ class ShardPlan:
                 ),
                 centroid=np.zeros(0, dtype=queries_normed.dtype),
             )
-            results.append(
-                QueryShardScores(
-                    [(survivors, survivors.matrix @ query)], strategy
-                )
-            )
+            flat = survivors.matrix @ query
+            scores = aggregate_segments(flat, survivors.segments, strategy)
+            results.append(QueryShardScores([(survivors, flat, scores)]))
         return results
+
+
+def _slices(bounds: Sequence[int]) -> List[slice]:
+    """``bounds[i]:bounds[i + 1]`` for every consecutive pair."""
+    return [slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _unit_mean(matrix: np.ndarray) -> np.ndarray:
+    """Unit-length mean row: a shard's coarse centroid (zero when empty)."""
+    if not matrix.shape[0]:
+        return np.zeros(matrix.shape[1], dtype=matrix.dtype)
+    mean = np.asarray(matrix).mean(axis=0)
+    norm = np.linalg.norm(mean)
+    return mean / norm if norm > 0.0 else mean
 
 
 def _labels_are_contiguous(labels: np.ndarray) -> bool:

@@ -18,7 +18,6 @@ from repro.retriever.strategies import (
     MEAN,
     ONE_FACT,
     TOP_K,
-    aggregate_segments,
     l2_normalize_rows,
 )
 from repro.text.tokenize import _APOSTROPHE_SUFFIXES, _TOKEN_RE
@@ -144,8 +143,9 @@ def retrieve_by_vector_legacy(
 
 def brute_force_rank(retriever, query_matrix, k, strategy):
     """Per query ``[(doc_id, score, matched_local, triple_scores)]``:
-    ``Q @ T.T`` over the whole exported matrix, segment aggregation, then
-    a full ``(-score, doc_id)`` sort — no shards, no partial selection."""
+    ``Q @ T.T`` over the whole exported matrix, the scalar :func:`aggregate`
+    / :func:`matched_index` per document, then a full ``(-score, doc_id)``
+    sort — no shards, no partial selection, no ``src`` aggregation."""
     exported = retriever.export_embeddings()
     doc_ids = exported.doc_ids
     offsets = np.asarray(exported.offsets, dtype=np.int64)
@@ -155,7 +155,14 @@ def brute_force_rank(retriever, query_matrix, k, strategy):
     ).T
     ranked = []
     for row in flat:
-        scores, matched = aggregate_segments(row, offsets, strategy)
+        # the scalar reference, document by document, on float64 copies
+        # (what the system accumulates in): no aggregation code shared
+        segments = [
+            np.asarray(row[start:stop], dtype=np.float64)
+            for start, stop in zip(offsets, stops)
+        ]
+        scores = [aggregate(strategy, segment) for segment in segments]
+        matched = [matched_index(segment) for segment in segments]
         order = sorted(
             range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i])
         )[: max(k, 0)]

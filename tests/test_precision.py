@@ -369,9 +369,12 @@ class TestStoreDtypes:
 
 class TestAccumulatorDtype:
     def test_float32_scores_aggregate_in_float64(self):
-        from repro.retriever.strategies import aggregate_segments
+        from repro.retriever.strategies import (
+            aggregate_segments,
+            segment_layout,
+        )
 
         flat = np.array([0.5, 0.25, 0.75, 1.0], dtype=F32)
-        offsets = np.array([0, 2], dtype=np.int64)
-        aggregated, _ = aggregate_segments(flat, offsets, ScoreStrategy())
+        segments = segment_layout(np.array([0, 2], dtype=np.int64), 4)
+        aggregated = aggregate_segments(flat, segments, ScoreStrategy())
         assert aggregated.dtype == ACCUM_DTYPE
