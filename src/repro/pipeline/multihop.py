@@ -12,13 +12,14 @@ over the questions, once over the clue texts. Clue selection needs
 cos(question, triple) for every triple of every beam document, and hop 1's
 matmul already computed exactly those against the stored rows (the paper
 encodes each triple fact once, offline), so hop 1 keeps its flat triple
-scores and the updater reads them instead of encoding anything.
+scores and the updater reads them instead of encoding anything — one
+``select_clues`` call per question scores its whole beam.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -30,9 +31,13 @@ from repro.updater.question import compose_updated_question
 from repro.updater.updater import QuestionUpdater
 
 
-@dataclass
+@dataclass(slots=True)
 class DocumentPath:
-    """One candidate reasoning path (hop-1 doc, hop-2 doc)."""
+    """One candidate reasoning path (hop-1 doc, hop-2 doc).
+
+    Slotted: a served reply is a list of these, and a result cache or a
+    client keeps many replies alive.
+    """
 
     doc_ids: Tuple[int, ...]
     titles: Tuple[str, ...]
@@ -96,7 +101,7 @@ class MultiHopRetriever:
         self.config = config or MultiHopConfig()
 
     @staticmethod
-    def _clue_text(question: str, clue: Triple) -> str:
+    def _clue_text(question_words: Set[str], clue: Triple) -> str:
         """The encoded bridge signal of one updater clue.
 
         Encode only the clue's *novel* tokens: the full flattened triple
@@ -104,15 +109,13 @@ class MultiHopRetriever:
         hop 2 straight back to hop-1-like documents; the novel part is the
         bridge signal. The sharpest such signal is the novel *entity*:
         prefer capitalized novel tokens, then any novel token, then the
-        whole clue.
+        whole clue. ``question_words``: the question's lower-cased
+        whitespace words, ``?`` removed.
         """
-        question_tokens = set(
-            t.lower() for t in question.replace("?", " ").split()
-        )
         novel = [
             token
             for token in clue.flatten().split()
-            if token.lower() not in question_tokens
+            if token.lower() not in question_words
         ]
         capitalized = [t for t in novel if t[:1].isupper()]
         return " ".join(capitalized or novel) or clue.flatten()
@@ -147,11 +150,13 @@ class MultiHopRetriever:
 
         The serving layer's substrate: all questions encode in one pass,
         hop 1 runs as one :meth:`SingleRetriever.retrieve_batch` matmul
-        whose flat triple scores are the ``cosines`` of every beam
-        document's ``select_clue`` call, every clue text across every
-        question encodes as one batch, and the hop-2 queries of *all*
-        questions run as one further ``retrieve_batch`` call — two
-        encoder calls and two scoring calls in all. Per-question results
+        whose flat triple scores are the ``cosines`` of each question's
+        one ``select_clues`` call over its whole beam, every clue text
+        across every question encodes as one batch, and the hop-2
+        queries of *all* questions run as one further ``retrieve_batch``
+        call — two encoder calls and two scoring calls in all. Only the
+        returned paths' clues compose an ``updated_question``, once per
+        distinct clue. Per-question results
         are identical to :meth:`retrieve_paths` up to encoder
         batch-padding float jitter (~1e-16); with a batch-invariant
         encoder they are exact.
@@ -178,8 +183,8 @@ class MultiHopRetriever:
         )
         # select every (question, hop-1 candidate) clue first so all clue
         # texts across the whole batch encode as one encoder pass
+        store = self.retriever.store
         clues_per_q: List[List[Optional[Triple]]] = []
-        updated_per_q: List[List[str]] = []
         clue_texts: List[str] = []
         clue_rows: List[int] = []  # global hop-2 row indices
         clue_sources: List[int] = []  # question index per clue row
@@ -187,26 +192,21 @@ class MultiHopRetriever:
         for qi, (question, hop1_results) in enumerate(
             zip(questions, hop1_lists)
         ):
-            clues: List[Optional[Triple]] = []
-            updated_questions: List[str] = []
-            for row, hop1 in enumerate(hop1_results):
-                triples = self.retriever.store.triples(hop1.doc_id)
-                selected = self.updater.select_clue(
-                    question, triples, cosines=hop1.triple_scores
-                )
-                clue = selected[1] if selected else None
-                clues.append(clue)
-                if clue is None:
-                    updated_questions.append(question)
-                else:
-                    updated_questions.append(
-                        compose_updated_question(question, clue)
-                    )
-                    clue_texts.append(self._clue_text(question, clue))
+            picks = self.updater.select_clues(
+                question,
+                [(hop1.doc_id, store.triples(hop1.doc_id)) for hop1 in hop1_results],
+                [hop1.triple_scores for hop1 in hop1_results],
+            )
+            clues = [pick[1] if pick else None for pick in picks]
+            question_words = {
+                t.lower() for t in question.replace("?", " ").split()
+            }
+            for row, clue in enumerate(clues):
+                if clue is not None:
+                    clue_texts.append(self._clue_text(question_words, clue))
                     clue_rows.append(cursor + row)
                     clue_sources.append(qi)
             clues_per_q.append(clues)
-            updated_per_q.append(updated_questions)
             cursor += len(hop1_results)
         # one hop-2 row per beam document, starting as its question
         hop2_matrix = np.repeat(
@@ -232,15 +232,15 @@ class MultiHopRetriever:
         )
         out: List[List[DocumentPath]] = []
         start = 0
-        for hop1_results, clues, updated_questions in zip(
-            hop1_lists, clues_per_q, updated_per_q
+        for question, hop1_results, clues in zip(
+            questions, hop1_lists, clues_per_q
         ):
             stop = start + len(hop1_results)
             out.append(
                 self._assemble_paths(
+                    question,
                     hop1_results,
                     clues,
-                    updated_questions,
                     hop2_lists[start:stop],
                     k_paths,
                 )
@@ -250,19 +250,21 @@ class MultiHopRetriever:
 
     def _assemble_paths(
         self,
+        question: str,
         hop1_results: Sequence[RetrievedDocument],
         clues: Sequence[Optional[Triple]],
-        updated_questions: Sequence[str],
         hop2_lists: Sequence[List[RetrievedDocument]],
         k_paths: int,
     ) -> List[DocumentPath]:
-        """Combine one question's hop results into ranked paths (Eq. 8)."""
+        """Combine one question's hop results into ranked paths (Eq. 8).
+
+        ``updated_question`` is composed for the returned paths only, once
+        per distinct clue.
+        """
         cfg = self.config
         paths: List[DocumentPath] = []
         seen = set()
-        for hop1, clue, updated, hop2_results in zip(
-            hop1_results, clues, updated_questions, hop2_lists
-        ):
+        for hop1, clue, hop2_results in zip(hop1_results, clues, hop2_lists):
             survivors = 0
             for hop2 in hop2_results:
                 # the +1 overfetch exists only to absorb the hop-1 doc
@@ -288,8 +290,12 @@ class MultiHopRetriever:
                             hop1.matched_triple,
                             hop2.matched_triple,
                         ),
-                        updated_question=updated,
                     )
                 )
         paths.sort(key=lambda p: (-p.score, p.doc_ids))
+        updated = {None: question}
+        for path in paths[:k_paths]:
+            if path.clue not in updated:
+                updated[path.clue] = compose_updated_question(question, path.clue)
+            path.updated_question = updated[path.clue]
         return paths[:k_paths]

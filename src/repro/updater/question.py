@@ -26,10 +26,9 @@ def compose_updated_question(question: str, clue: Triple) -> str:
     extra = []
     for token in clue.flatten().split():
         lowered_parts = tokenize(token)
-        if all(part in seen for part in lowered_parts):
-            continue
-        extra.append(token)
-        seen.update(lowered_parts)
+        if not seen.issuperset(lowered_parts):
+            extra.append(token)
+            seen.update(lowered_parts)
     if not extra:
         return question
     return f"{question} {' '.join(extra)}"

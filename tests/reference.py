@@ -6,7 +6,8 @@ facts, Eqs. 2-4) kept so the one search core has independent oracles —
 the scalar per-document loop the vectorized scorer replaced, a
 brute-force numpy ranking that never touches a ``ShardPlan``, and the
 autograd-graph encoder path the fused inference kernels replaced — plus
-the match-by-match tokeniser the one-regex-pass ``tokenize`` replaced.
+the match-by-match tokeniser the one-regex-pass ``tokenize`` replaced
+and the triple-by-triple clue features the beam-wide updater replaced.
 Also the bodies every reader of the triple file has to refuse
 (:func:`unreadable_triple_files`), shared by the three readers' suites.
 """
@@ -178,6 +179,63 @@ def brute_force_rank(retriever, query_matrix, k, strategy):
             ]
         )
     return ranked
+
+
+def clue_features_reference(encoder, question, triples, cosines=None):
+    """(n, 4) clue features, triple by triple: the loop the question
+    updater scored candidates with before it scored a whole beam at once.
+
+    [idf-weighted novelty fraction, novel capitalized words,
+    cos(enc(t), enc(q)), normalized triple length]. Without ``cosines``
+    the question and the triples are encoded and compared here.
+    """
+    vocab = encoder.vocab
+    weights = encoder._token_weights
+    question_tokens = set(tokenize_reference(question))
+    if cosines is None:
+        cosines = cosine_matrix(
+            encoder.encode_numpy([question])[0],
+            encoder.encode_numpy([t.flatten() for t in triples]),
+        )
+    rows = []
+    for i, triple in enumerate(triples):
+        tokens = tokenize_reference(triple.flatten())
+        total_idf = sum(weights[vocab.id_of(t)] for t in tokens) or 1.0
+        novel_idf = sum(
+            weights[vocab.id_of(t)]
+            for t in tokens
+            if t not in question_tokens
+        )
+        novel_caps = sum(
+            1
+            for word in triple.flatten().split()
+            if word[:1].isupper() and word.lower() not in question_tokens
+        )
+        rows.append(
+            [
+                novel_idf / total_idf,
+                min(novel_caps, 5) / 5.0,
+                float(cosines[i]),
+                min(len(tokens), 30) / 30.0,
+            ]
+        )
+    return np.asarray(rows)
+
+
+def clue_scores_reference(updater, question, triples, cosines=None):
+    """The head over :func:`clue_features_reference`, row by row: the
+    weighted features summed left to right, then the bias."""
+    weights = updater.head.weight.data[:, 0]
+    bias = float(updater.head.bias.data[0])
+    scores = []
+    for row in clue_features_reference(
+        updater.encoder, question, triples, cosines
+    ):
+        total = row[0] * weights[0]
+        for feature, weight in zip(row[1:], weights[1:]):
+            total += feature * weight
+        scores.append(total + bias)
+    return np.asarray(scores, dtype=np.float64)
 
 
 def encode_numpy_graph(encoder, texts, batch_size=64):

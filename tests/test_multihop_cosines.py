@@ -5,7 +5,7 @@ Two guards, both deterministic:
 * a path request calls the encoder exactly twice — the questions, then
   the clue texts — whatever the batch size and beam width, and the perf
   counters see every row it encodes;
-* handing ``select_clue`` hop 1's flat triple scores picks the same clue
+* handing ``select_clues`` hop 1's flat triple scores picks the same clue
   for every beam document, and so returns the same paths, as the
   reference form that encodes the question and the document's triples
   itself (a test-side ``QuestionUpdater`` that drops ``cosines``).
@@ -13,6 +13,7 @@ Two guards, both deterministic:
 
 import numpy as np
 import pytest
+from reference import clue_features_reference
 
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity
@@ -29,7 +30,8 @@ class RecordingUpdater(QuestionUpdater):
     """Records the clue (index, flattened text) chosen per beam document.
 
     ``drop_cosines=True`` is the behaviour before hop-1 scores were
-    handed down: ignore them and encode question and triples here.
+    handed down: ignore them and encode question and triples here, one
+    beam document at a time.
     """
 
     def __init__(self, encoder, drop_cosines):
@@ -38,13 +40,17 @@ class RecordingUpdater(QuestionUpdater):
         self.picks = []
         self.texts = []
 
-    def select_clue(self, question, triples, *, cosines=None):
+    def select_clues(self, question, beam, cosines=None):
         assert cosines is not None  # the pipeline always hands them down
-        picked = super().select_clue(
-            question, triples, cosines=None if self.drop_cosines else cosines
-        )
-        self.picks.append(None if picked is None else picked[0])
-        self.texts.append(None if picked is None else picked[1].flatten())
+        if self.drop_cosines:
+            picked = []
+            for document in beam:
+                picked += super().select_clues(question, [document])
+        else:
+            picked = super().select_clues(question, beam, cosines)
+        for pick in picked:
+            self.picks.append(None if pick is None else pick[0])
+            self.texts.append(None if pick is None else pick[1].flatten())
         return picked
 
 
@@ -229,13 +235,14 @@ class TestParityWithEncodingReference:
 
     def test_cosines_are_the_updaters_own(self, retriever, encoder, store):
         """Hop 1's flat scores equal the cosines the updater would compute."""
-        updater = QuestionUpdater(encoder)
         question = "Who founded the club?"
         (hit,) = retriever.retrieve(question, k=1, keep_triple_scores=True)
         triples = store.triples(hit.doc_id)
         np.testing.assert_allclose(
-            updater._scalar_features(question, triples, hit.triple_scores),
-            updater._scalar_features(question, triples),
+            clue_features_reference(
+                encoder, question, triples, hit.triple_scores
+            ),
+            clue_features_reference(encoder, question, triples),
             atol=1e-6,
         )
 

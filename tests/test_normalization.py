@@ -9,6 +9,7 @@ sites rely on.
 
 import numpy as np
 import pytest
+from reference import clue_features_reference
 
 from repro.baselines.dense_base import DenseRetriever
 from repro.nn.transformer import TransformerEncoder
@@ -104,12 +105,16 @@ class TestPerfCounterCoverage:
 class TestUpdaterCosineFeature:
     def test_cosine_column_is_bounded(self, encoder, store):
         updater = QuestionUpdater(encoder)
+        question = "Who founded the club?"
         triples = store.triples(0)
         assert triples, "fixture doc 0 should have triples"
-        features = updater._scalar_features("Who founded the club?", triples)
-        cosines = features[:, 2]
+        cosines = updater._question_cosines(
+            question, encoder.encode_numpy([t.flatten() for t in triples])
+        )
         assert np.all(cosines <= 1.0 + 1e-9)
         assert np.all(cosines >= -1.0 - 1e-9)
+        features = clue_features_reference(encoder, question, triples)
+        np.testing.assert_allclose(cosines, features[:, 2], atol=1e-6)
 
 
 class TestTransformerFfnDefault:
