@@ -15,6 +15,7 @@ import socket
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.protocol import recv_frame, send_frame, wire_to_results
+from repro.serve.query import Query
 
 
 class NetRequestError(RuntimeError):
@@ -85,21 +86,11 @@ class NetClient:
 
         Byte-identity tests compare this — re-canonicalizing
         ``response["results"]`` yields the exact bytes the worker sent.
+        A malformed field raises here, before anything is sent.
         """
-        payload: Dict[str, Any] = {
-            "op": "query",
-            "question": question,
-            "mode": mode,
-        }
-        for key, value in (
-            ("k", k),
-            ("nprobe", nprobe),
-            ("precision", precision),
-            ("deadline_s", deadline_s),
-        ):
-            if value is not None:
-                payload[key] = value
-        response = self.request(payload)
+        response = self.request(
+            Query(question, mode, k, nprobe, precision, deadline_s).to_wire()
+        )
         if not response.get("ok"):
             error = response.get("error") or {}
             raise NetRequestError(

@@ -58,6 +58,7 @@ from repro.net.protocol import (
 from repro.net.supervisor import Supervisor, WorkerHandle
 from repro.perf import LatencyReservoir
 from repro.serve import merge_snapshots
+from repro.serve.query import check_deadline
 
 #: Links a request may be dispatched onto before it fails as
 #: ``worker-unavailable``: a poison request cannot ping-pong forever.
@@ -480,15 +481,11 @@ class FrontDoor:
         payload.setdefault("op", "query")
         payload["id"] = frame.get("id")
         started = self._loop.time()
-        deadline = None
-        if frame.get("deadline_s") is not None:
-            try:
-                deadline = started + float(frame["deadline_s"])
-            except (TypeError, ValueError):
-                return _error_body(
-                    payload["id"], "ValueError",
-                    f"deadline_s must be a number, got {frame['deadline_s']!r}",
-                )
+        try:
+            budget = check_deadline(frame.get("deadline_s"))
+        except ValueError as error:
+            return _error_body(payload["id"], "ValueError", str(error))
+        deadline = None if budget is None else started + budget
         with self._counter_lock:
             self._submitted += 1
         inflight = _Inflight(payload, self._loop.create_future(), deadline)

@@ -62,7 +62,7 @@ from repro.net.protocol import (
 )
 from repro.perf import COUNTERS
 from repro.retriever.store import TripleStore
-from repro.serve import RetrievalService, ServiceConfig
+from repro.serve import Query, RetrievalService, ServiceConfig
 from repro.shard import MODES as SHARD_MODES
 
 #: Workers listen on loopback only: nothing but their own supervisor and
@@ -200,19 +200,10 @@ class WorkerRuntime:
         captures is exactly the one that will score it.
         """
         request_id = message.get("id")
-        question = message.get("question", "")
-        mode = message.get("mode", "single")
         try:
-            # coercion inside the try: a malformed field is this request's
+            # decoding inside the try: a malformed field is this request's
             # typed error, not the end of the connection's reader thread
-            kwargs: Dict[str, Any] = {}
-            for key in ("k", "nprobe"):
-                if message.get(key) is not None:
-                    kwargs[key] = int(message[key])
-            if message.get("precision") is not None:
-                kwargs["precision"] = str(message["precision"])
-            if message.get("deadline_s") is not None:
-                kwargs["deadline_s"] = float(message["deadline_s"])
+            query = Query.from_wire(message)
             timeout = (
                 300.0
                 if message.get("timeout_s") is None
@@ -220,10 +211,10 @@ class WorkerRuntime:
             )
             with self._swap_lock:
                 generation = self._generation
-                pending = self._service.submit(question, mode=mode, **kwargs)
+                pending = self._service.submit(query)
         except Exception as error:
-            # Overloaded / ServiceStopped / bad-argument ValueError —
-            # all surface to the client as typed error responses.
+            # a malformed field's TypeError / ValueError, Overloaded,
+            # ServiceStopped — all surface as typed error responses.
             # (rebound: `except` unbinds its name when the block exits,
             # which would NameError inside the deferred lambda)
             failure = error
@@ -237,9 +228,9 @@ class WorkerRuntime:
             return {
                 "id": request_id,
                 "ok": True,
-                "mode": mode,
+                "mode": query.mode,
                 "generation": generation,
-                "results": results_to_wire(mode, results),
+                "results": results_to_wire(query.mode, results),
             }
 
         return wait

@@ -156,9 +156,9 @@ PrecisionLike = Union[None, str, Precision]
 def resolve(precision: PrecisionLike) -> Precision:
     """Coerce ``None`` / a string / a :class:`Precision` to policy.
 
-    Strings may be a bare mode (``"float32"``) or a full cache key
-    (``"int8-rescore:64"``) — the round-trip form the serving layer
-    keeps in its batch and cache keys.
+    Strings may be a bare mode (``"float32"``) or a full
+    :meth:`Precision.key` (``"int8-rescore:64"``) — the form a query
+    frame carries on the wire.
     """
     if precision is None:
         return Precision()

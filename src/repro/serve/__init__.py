@@ -2,12 +2,15 @@
 
 The production-facing layer over the vectorized retrievers::
 
-    from repro.serve import RetrievalService, ServiceConfig
+    from repro.serve import Query, RetrievalService
 
     with RetrievalService(retriever, multihop=multihop) as service:
-        docs = service.retrieve("who founded Millwall ?", k=5)
-        paths = service.retrieve_paths("where was the founder born ?")
+        docs = service.submit("who founded Millwall ?", k=5).result()
+        paths = service.submit(Query("who was born ?", "paths")).result()
         print(service.stats_snapshot())
+
+A :class:`Query` is validated where it is built; its ``shape`` is the
+batch key and its ``key()`` the cache key.
 
 ``repro serve`` puts this service behind a TCP front door
 (:mod:`repro.net`); ``benchmarks/e2e/run.py`` is the one load generator
@@ -16,14 +19,15 @@ that measures it (``serve.*`` metrics on ``search_large`` and
 """
 
 from repro.serve.batching import BatchQueue, PendingRequest
-from repro.serve.cache import MISS, CacheStats, ResultCache, query_cache_key
+from repro.serve.cache import MISS, CacheStats, ResultCache
 from repro.serve.errors import (
     DeadlineExceeded,
     Overloaded,
     ServeError,
     ServiceStopped,
 )
-from repro.serve.service import MODES, RetrievalService, ServiceConfig
+from repro.serve.query import Query
+from repro.serve.service import RetrievalService, ServiceConfig
 from repro.serve.stats import ServiceStats, merge_snapshots
 
 __all__ = [
@@ -31,9 +35,9 @@ __all__ = [
     "CacheStats",
     "DeadlineExceeded",
     "MISS",
-    "MODES",
     "Overloaded",
     "PendingRequest",
+    "Query",
     "ResultCache",
     "RetrievalService",
     "ServeError",
@@ -41,5 +45,4 @@ __all__ = [
     "ServiceStats",
     "ServiceStopped",
     "merge_snapshots",
-    "query_cache_key",
 ]

@@ -12,11 +12,10 @@ the window never matters.
 Admission control lives at the queue mouth: ``put`` rejects with
 :class:`~repro.serve.errors.Overloaded` once ``max_pending`` requests
 wait, which bounds queue latency instead of letting it grow without
-limit. Batches are homogeneous: only requests with the same
-:attr:`PendingRequest.batch_key` (mode, k, nprobe) coalesce, so one
-underlying
-bulk call serves every member. The key includes the request's precision
-mode, so quantized and exact requests never share a batch.
+limit. Batches are homogeneous: only requests of the same
+:attr:`Query.shape <repro.serve.query.Query.shape>` — (mode, k, nprobe,
+precision key) — coalesce, so one underlying bulk call serves every
+member, and quantized, pruned and exact requests never share a batch.
 """
 
 from __future__ import annotations
@@ -24,13 +23,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.serve.errors import Overloaded, ServiceStopped
+from repro.serve.query import Query, Shape
 
 
 class PendingRequest:
-    """One in-flight request: inputs, deadline, and a waitable slot.
+    """One in-flight request: its query, deadline, and a waitable slot.
 
     Acts as the future returned to the submitting thread: ``result()``
     blocks until a worker (or the shutdown path) settles the request.
@@ -40,12 +40,7 @@ class PendingRequest:
     """
 
     __slots__ = (
-        "question",
-        "mode",
-        "k",
-        "nprobe",
-        "precision",
-        "cache_key",
+        "query",
         "deadline",
         "submitted_at",
         "_done",
@@ -53,33 +48,13 @@ class PendingRequest:
         "_error",
     )
 
-    def __init__(
-        self,
-        question: str,
-        mode: str,
-        k: int,
-        cache_key: Any,
-        deadline: Optional[float],
-        nprobe: Optional[int] = None,
-        precision: Optional[str] = None,
-    ):
-        self.question = question
-        self.mode = mode
-        self.k = k
-        self.nprobe = nprobe
-        self.precision = precision
-        self.cache_key = cache_key
+    def __init__(self, query: Query, deadline: Optional[float]):
+        self.query = query
         self.deadline = deadline
         self.submitted_at = time.perf_counter()
         self._done = threading.Event()
         self._result: Any = None
         self._error: Optional[BaseException] = None
-
-    @property
-    def batch_key(self) -> Tuple[str, int, Optional[int], Optional[str]]:
-        """Requests coalesce only with the same
-        (mode, k, nprobe, precision) shape."""
-        return (self.mode, self.k, self.nprobe, self.precision)
 
     def complete(self, result: Any) -> None:
         self._result = result
@@ -139,7 +114,7 @@ class BatchQueue:
         """The next coalesced batch, or None when stopped and drained.
 
         Blocks until at least one request waits. The first request fixes
-        the batch key; compatible requests already queued join
+        the query shape; compatible requests already queued join
         immediately, then the worker holds the window open up to
         ``max_wait`` (service clock) for more, leaving incompatible
         requests queued for the next cycle. During shutdown the window
@@ -152,10 +127,10 @@ class BatchQueue:
                 self._cond.wait()
             first = self._items.popleft()
             batch = [first]
-            key = first.batch_key
+            shape = first.query.shape
             window_ends = self._clock() + max_wait
             while len(batch) < max_size:
-                taken = self._take_compatible(key)
+                taken = self._take_compatible(shape)
                 if taken is not None:
                     batch.append(taken)
                     continue
@@ -170,12 +145,10 @@ class BatchQueue:
                 self._cond.wait(timeout=min(remaining, 0.05))
             return batch
 
-    def _take_compatible(
-        self, key: Tuple[str, int, Optional[int], Optional[str]]
-    ) -> Optional[PendingRequest]:
-        """Pop the oldest queued request with ``batch_key == key``."""
+    def _take_compatible(self, shape: Shape) -> Optional[PendingRequest]:
+        """Pop the oldest queued request of this query shape."""
         for index, item in enumerate(self._items):
-            if item.batch_key == key:
+            if item.query.shape == shape:
                 del self._items[index]
                 return item
         return None

@@ -1,13 +1,11 @@
-"""LRU result cache keyed on normalized query text.
+"""LRU result cache keyed on :meth:`Query.key <repro.serve.query.Query.key>`.
 
-Retrieval is a pure function of (query text, mode, k) once the embedding
-matrix is frozen, so the service memoizes results. Keys are *normalized*
-query text (:func:`repro.text.tokenize.normalize` — lower-cased,
-whitespace-collapsed): the tokenizer applies exactly that normalization
-before encoding, so two raw strings with the same normal form are
-guaranteed to produce identical retrieval results and may safely share a
-cache entry ("Who founded Millwall?" and "who  founded millwall?" are
-one computation, not two).
+Retrieval is a pure function of the query once the embedding matrix is
+frozen, so the service memoizes results. The key is the query's shape —
+pruned or quantized scoring is a different function, and the precision
+key carries the rescore width — plus its *normalized* text: the
+tokenizer applies exactly that normalization before encoding, so "Who
+founded Millwall?" and "who  founded millwall?" are one computation.
 
 Eviction is LRU over a bounded capacity and nothing else: there is no
 TTL. What changes an answer is the store *generation*, never the passage
@@ -23,34 +21,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional, Tuple
-
-from repro.text.tokenize import normalize
+from typing import Any, Hashable
 
 #: Sentinel distinguishing "miss" from a cached None value
 #: (``cache.get(k) is MISS``).
 MISS = object()
-
-
-def query_cache_key(
-    question: str,
-    mode: str,
-    k: int,
-    nprobe: Optional[int] = None,
-    precision: Optional[str] = None,
-) -> Tuple[str, int, Optional[int], Optional[str], str]:
-    """The cache key of one request:
-    (mode, k, nprobe, precision, normalized question).
-
-    ``nprobe`` participates because pruned sharded retrieval is a
-    *different* pure function of the query than exact retrieval — results
-    under ``nprobe=2`` must never be served to an ``nprobe=None`` caller.
-    ``precision`` participates for the same reason: an int8-rescore
-    answer must never be served to an exact-mode request (and vice
-    versa). Pass :meth:`repro.precision.Precision.key` — it includes the
-    rescore width, which changes quantized top-k.
-    """
-    return (mode, int(k), nprobe, precision, normalize(question))
 
 
 @dataclass

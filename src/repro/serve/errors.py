@@ -17,7 +17,7 @@ class ServeError(RuntimeError):
 class Overloaded(ServeError):
     """Admission control rejected the request: the pending queue is full.
 
-    Raised synchronously by ``submit``/``retrieve`` — the caller should
+    Raised synchronously by ``submit`` — the caller should
     back off and retry, shed the request, or raise its own 503.
     """
 

@@ -1,13 +1,13 @@
 """The in-process retrieval service: front door, worker, lifecycle.
 
 :class:`RetrievalService` turns the vectorized retriever into a
-traffic-handling layer: many client threads call :meth:`retrieve` /
-:meth:`retrieve_paths` concurrently; one worker thread drains the
-bounded request queue in dynamically coalesced micro-batches (more
-CPUs are more worker *processes*, :mod:`repro.net`) and answers each
-batch with one :meth:`~repro.retriever.single.SingleRetriever.
-retrieve_many` (single-hop) or :meth:`~repro.pipeline.multihop.
-MultiHopRetriever.retrieve_paths_batch` (multi-hop) call.
+traffic-handling layer: many client threads submit queries concurrently;
+one worker thread drains the bounded request queue in dynamically
+coalesced micro-batches (more CPUs are more worker *processes*,
+:mod:`repro.net`) and answers each batch with one
+:meth:`~repro.retriever.single.SingleRetriever.retrieve_many` (single-hop)
+or :meth:`~repro.pipeline.multihop.MultiHopRetriever.retrieve_paths_batch`
+(multi-hop) call.
 
 Guarantees:
 
@@ -31,24 +31,24 @@ generation, which is the only thing that changes an answer.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.pipeline.multihop import MultiHopRetriever
-from repro.precision import PrecisionLike, parse_key, resolve
+from repro.precision import PrecisionLike
 from repro.retriever.single import SingleRetriever
 from repro.serve.batching import BatchQueue, PendingRequest
-from repro.serve.cache import MISS, ResultCache, query_cache_key
+from repro.serve.cache import MISS, ResultCache
 from repro.serve.errors import (
     DeadlineExceeded,
     Overloaded,
     ServiceStopped,
 )
+from repro.serve.query import Query
 from repro.serve.stats import ServiceStats
-
-MODES = ("single", "paths")
 
 
 @dataclass
@@ -143,7 +143,7 @@ class RetrievalService:
     # -- submission ------------------------------------------------------
     def submit(
         self,
-        question: str,
+        query: Union[str, Query],
         k: Optional[int] = None,
         mode: str = "single",
         deadline_s: Optional[float] = None,
@@ -152,18 +152,15 @@ class RetrievalService:
     ) -> PendingRequest:
         """Enqueue one request and return its future immediately.
 
+        ``query`` is a :class:`Query`, or its text with the other fields
+        as keywords (read only then); a malformed field raises here.
         Raises :class:`Overloaded` when admission control rejects it and
         :class:`ServiceStopped` when the service is not running. A cache
-        hit completes the returned request synchronously. ``nprobe``
-        prunes sharded scoring to that many shards (None: no pruning,
-        provably exact); it is part of both the cache key and the batch
-        key, so pruned and exact requests never mix — and so is
-        ``precision`` (None: the retriever's own policy), so quantized
-        answers never serve exact-mode callers.
+        hit completes the returned request synchronously.
         """
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r} (expected {MODES})")
-        if mode == "paths" and self.multihop is None:
+        if not isinstance(query, Query):
+            query = Query(query, mode, k, nprobe, precision, deadline_s)
+        if query.mode == "paths" and self.multihop is None:
             raise ValueError(
                 "service was built without a MultiHopRetriever; "
                 "mode='paths' is unavailable"
@@ -171,29 +168,13 @@ class RetrievalService:
         with self._state_lock:
             if not self._running:
                 raise ServiceStopped("service is not running; call start()")
-        k = k if k is not None else self.config.default_k
-        # the canonical key string (mode[:rescore_width]) — validated here
-        # at the front door so malformed precisions fail at submit time
-        precision_key = (
-            None if precision is None else resolve(precision).key()
-        )
-        cache_key = query_cache_key(
-            question, mode, k, nprobe, precision_key
-        )
-        deadline = (
-            None if deadline_s is None else self._clock() + deadline_s
-        )
-        request = PendingRequest(
-            question,
-            mode,
-            k,
-            cache_key,
-            deadline,
-            nprobe=nprobe,
-            precision=precision_key,
-        )
+        if query.k is None:
+            query = dataclasses.replace(query, k=self.config.default_k)
+        budget = query.deadline_s
+        deadline = None if budget is None else self._clock() + budget
+        request = PendingRequest(query, deadline)
         self.stats.record_submitted()
-        cached = self._cache.get(cache_key)
+        cached = self._cache.get(query.key())
         if cached is not MISS:
             request.complete(cached)
             self.stats.record_cache_hit()
@@ -204,36 +185,6 @@ class RetrievalService:
             self.stats.record_overloaded()
             raise
         return request
-
-    def retrieve(
-        self,
-        question: str,
-        k: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-        timeout: Optional[float] = None,
-        nprobe: Optional[int] = None,
-        precision: PrecisionLike = None,
-    ) -> Any:
-        """Blocking single-hop retrieval (submit + wait)."""
-        return self.submit(
-            question, k=k, mode="single", deadline_s=deadline_s,
-            nprobe=nprobe, precision=precision,
-        ).result(timeout)
-
-    def retrieve_paths(
-        self,
-        question: str,
-        k: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-        timeout: Optional[float] = None,
-        nprobe: Optional[int] = None,
-        precision: PrecisionLike = None,
-    ) -> Any:
-        """Blocking multi-hop path retrieval (submit + wait)."""
-        return self.submit(
-            question, k=k, mode="paths", deadline_s=deadline_s,
-            nprobe=nprobe, precision=precision,
-        ).result(timeout)
 
     # -- observability ---------------------------------------------------
     def stats_snapshot(self) -> dict:
@@ -260,7 +211,7 @@ class RetrievalService:
                 request.fail(
                     DeadlineExceeded(
                         f"deadline passed before batch execution "
-                        f"({request.question[:60]!r})"
+                        f"({request.query.text[:60]!r})"
                     )
                 )
                 self.stats.record_deadline_exceeded()
@@ -274,21 +225,25 @@ class RetrievalService:
         row_of: Dict[Any, int] = {}
         questions: List[str] = []
         for request in live:
-            if request.cache_key not in row_of:
-                row_of[request.cache_key] = len(questions)
-                questions.append(request.question)
-        mode, k, nprobe, precision_key = live[0].batch_key
-        precision = (
-            None if precision_key is None else parse_key(precision_key)
-        )
+            key = request.query.key()
+            if key not in row_of:
+                row_of[key] = len(questions)
+                questions.append(request.query.text)
+        query = live[0].query  # the batch shares its shape
         try:
-            if mode == "single":
+            if query.mode == "single":
                 results = self.retriever.retrieve_many(
-                    questions, k=k, nprobe=nprobe, precision=precision
+                    questions,
+                    k=query.k,
+                    nprobe=query.nprobe,
+                    precision=query.precision,
                 )
             else:
                 results = self.multihop.retrieve_paths_batch(
-                    questions, k_paths=k, nprobe=nprobe, precision=precision
+                    questions,
+                    k_paths=query.k,
+                    nprobe=query.nprobe,
+                    precision=query.precision,
                 )
         except Exception as error:  # surface to every waiting client
             for request in live:
@@ -297,7 +252,8 @@ class RetrievalService:
             return
         finished_at = time.perf_counter()
         for request in live:
-            value = results[row_of[request.cache_key]]
-            self._cache.put(request.cache_key, value)
+            key = request.query.key()
+            value = results[row_of[key]]
+            self._cache.put(key, value)
             request.complete(value)
             self.stats.record_completed(finished_at - request.submitted_at)

@@ -106,14 +106,11 @@ def _expected_wire(bundle, store_dir, questions, k=3):
     try:
         expected = {}
         for question in questions:
-            expected[("single", question)] = canonical_json(
-                results_to_wire("single", service.retrieve(question, k=k))
-            )
-            expected[("paths", question)] = canonical_json(
-                results_to_wire(
-                    "paths", service.retrieve_paths(question, k=k)
+            for mode in ("single", "paths"):
+                results = service.submit(question, k=k, mode=mode).result()
+                expected[(mode, question)] = canonical_json(
+                    results_to_wire(mode, results)
                 )
-            )
         return expected
     finally:
         service.stop(drain=True)

@@ -13,9 +13,10 @@ import pytest
 from repro.ingest import EmbeddingStore, IngestPipeline, extract_corpus_triples
 from repro.net import Fleet, FrontDoor, Supervisor, WorkerSpec
 from repro.retriever.single import SingleRetriever
-from repro.serve import ResultCache, ServiceConfig, ServiceStats
+from repro.serve import Query, ResultCache, ServiceConfig, ServiceStats
 
 SURFACE = {
+    Query: "text mode k nprobe precision deadline_s",
     ServiceConfig: "max_batch_size max_wait_ms max_pending cache_size default_k",
     ResultCache: "capacity",
     ServiceStats: "",
@@ -34,7 +35,7 @@ SURFACE = {
 
 def _names(target):
     if dataclasses.is_dataclass(target):
-        return [f.name for f in dataclasses.fields(target)]
+        return [f.name for f in dataclasses.fields(target) if f.init]
     parameters = list(inspect.signature(target).parameters)
     return parameters[1:] if parameters[:1] == ["self"] else parameters
 

@@ -28,8 +28,8 @@ from repro.serve import (
     RetrievalService,
     ServiceConfig,
     ServiceStopped,
-    query_cache_key,
 )
+from repro.serve.query import Query
 
 N_DOCS = 60
 TRIPLES_PER_DOC = 4
@@ -93,42 +93,41 @@ class BlockingStubRetriever:
 
 class TestQueryCacheKey:
     def test_normalization_merges_equivalent_spellings(self):
-        a = query_cache_key("Who founded  Millwall?", "single", 5)
-        b = query_cache_key("who founded millwall?", "single", 5)
+        a = Query("Who founded  Millwall?", "single", 5).key()
+        b = Query("who founded millwall?", "single", 5).key()
         assert a == b
 
     def test_mode_and_k_separate_entries(self):
-        base = query_cache_key("q ?", "single", 5)
-        assert query_cache_key("q ?", "paths", 5) != base
-        assert query_cache_key("q ?", "single", 6) != base
+        base = Query("q ?", "single", 5).key()
+        assert Query("q ?", "paths", 5).key() != base
+        assert Query("q ?", "single", 6).key() != base
 
     def test_nprobe_separates_entries(self):
         """Pruned results must never answer exact requests (or vice versa)."""
-        exact = query_cache_key("q ?", "single", 5)
-        pruned = query_cache_key("q ?", "single", 5, nprobe=2)
+        exact = Query("q ?", "single", 5).key()
+        pruned = Query("q ?", "single", 5, nprobe=2).key()
         assert exact != pruned
-        assert query_cache_key("q ?", "single", 5, nprobe=3) != pruned
-        assert query_cache_key("q ?", "single", 5, nprobe=2) == pruned
+        assert Query("q ?", "single", 5, nprobe=3).key() != pruned
+        assert Query("q ?", "single", 5, nprobe=2).key() == pruned
 
     def test_precision_separates_entries(self):
         """A quantized answer must never serve an exact-mode request."""
-        exact = query_cache_key("q ?", "single", 5)
-        quantized = query_cache_key(
-            "q ?", "single", 5, precision="int8-rescore:64"
-        )
+        exact = Query("q ?", "single", 5).key()
+        quantized = Query("q ?", "single", 5, precision="int8-rescore").key()
         assert exact != quantized
         assert (
-            query_cache_key("q ?", "single", 5, precision="int8-rescore:128")
+            Query("q ?", "single", 5, precision="int8-rescore:128").key()
             != quantized
         )
         assert (
-            query_cache_key("q ?", "single", 5, precision="int8-rescore:64")
+            Query("q ?", "single", 5, precision="int8-rescore:64").key()
             == quantized
         )
-        assert (
-            query_cache_key("q ?", "single", 5, precision="float32")
-            != exact
-        )
+        assert Query("q ?", "single", 5, precision="float32").key() != exact
+
+    def test_key_is_the_shape_plus_the_normal_form(self):
+        query = Query("Q  ?", "paths", 4, nprobe=2, precision="float64")
+        assert query.key() == query.shape + ("q ?",)
 
 
 class TestResultCache:
@@ -179,15 +178,15 @@ class TestServiceBasics:
         question = "what links doc 3 and doc 7 ?"
         expected = serve_retriever.retrieve_many([question], k=5)[0]
         with RetrievalService(serve_retriever) as service:
-            got = service.retrieve(question, k=5, timeout=10)
+            got = service.submit(question, k=5).result(10)
         assert [r.doc_id for r in got] == [r.doc_id for r in expected]
         assert [r.score for r in got] == [r.score for r in expected]
 
     def test_cache_hit_returns_shared_result(self, serve_retriever):
         config = ServiceConfig(cache_size=16)
         with RetrievalService(serve_retriever, config=config) as service:
-            first = service.retrieve("warm me up ?", k=5, timeout=10)
-            again = service.retrieve("Warm  me UP ?", k=5, timeout=10)
+            first = service.submit("warm me up ?", k=5).result(10)
+            again = service.submit("Warm  me UP ?", k=5).result(10)
             assert again is first  # normalized-key hit, shared object
             snap = service.stats_snapshot()
         assert snap["cache_hits"] == 1
@@ -196,7 +195,7 @@ class TestServiceBasics:
     def test_paths_mode_without_multihop_rejected(self, serve_retriever):
         with RetrievalService(serve_retriever) as service:
             with pytest.raises(ValueError, match="paths"):
-                service.retrieve_paths("q ?", k=2)
+                service.submit("q ?", k=2, mode="paths")
 
     def test_unknown_mode_rejected(self, serve_retriever):
         with RetrievalService(serve_retriever) as service:
@@ -208,17 +207,17 @@ class TestServiceBasics:
     ):
         service = RetrievalService(serve_retriever)
         with pytest.raises(ServiceStopped):
-            service.retrieve("q ?")
+            service.submit("q ?").result()
         service.start()
         service.stop()
         with pytest.raises(ServiceStopped):
-            service.retrieve("q ?")
+            service.submit("q ?").result()
 
     def test_start_is_idempotent(self, serve_retriever):
         service = RetrievalService(serve_retriever)
         try:
             assert service.start() is service.start()
-            service.retrieve("q ?")  # ServiceStopped unless still running
+            service.submit("q ?").result()  # ServiceStopped unless still running
         finally:
             service.stop()
 
@@ -254,63 +253,55 @@ class TestServeNprobe:
     def test_nprobe_forwarded_to_retriever(self):
         stub = self.RecordingStub()
         with RetrievalService(stub) as service:
-            got = service.retrieve("q ?", k=3, nprobe=2, timeout=10)
+            got = service.submit("q ?", k=3, nprobe=2).result(10)
         assert got == [("q ?", 3, 2)]
         assert stub.calls[-1][2] == {"nprobe": 2, "precision": None}
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_nprobe_below_one_is_a_typed_error(self, serve_retriever, bad):
-        """A bad wire value is rejected, not answered as if it were 1."""
+        """A bad wire value is rejected at submit, not answered as if it
+        were 1 and not after it has waited for a batch slot."""
         serve_retriever.build_shards(2)
         try:
             with RetrievalService(serve_retriever) as service:
-                request = service.submit("obj1 tail2 ?", k=3, nprobe=bad)
                 with pytest.raises(ValueError, match="nprobe must be >= 1"):
-                    request.result(timeout=10)
+                    service.submit("obj1 tail2 ?", k=3, nprobe=bad)
+                snap = service.stats_snapshot()
         finally:
             serve_retriever.detach_shards()
+        assert snap["submitted"] == snap["failed"] == 0
 
     def test_pruned_and_exact_requests_never_share_cache(self):
         stub = self.RecordingStub()
         config = ServiceConfig(cache_size=16)
         with RetrievalService(stub, config=config) as service:
-            exact = service.retrieve("q ?", k=3, timeout=10)
-            pruned = service.retrieve("q ?", k=3, nprobe=1, timeout=10)
+            exact = service.submit("q ?", k=3).result(10)
+            pruned = service.submit("q ?", k=3, nprobe=1).result(10)
             assert exact != pruned
             assert service.stats_snapshot()["cache_hits"] == 0
             # but an identical pruned request does hit
-            again = service.retrieve("q ?", k=3, nprobe=1, timeout=10)
+            again = service.submit("q ?", k=3, nprobe=1).result(10)
             assert again is pruned
             assert service.stats_snapshot()["cache_hits"] == 1
 
     def test_differing_nprobe_does_not_coalesce(self):
         """Batches stay homogeneous in (mode, k, nprobe, precision)."""
-        from repro.serve.batching import PendingRequest
-
-        a = PendingRequest("q ?", "single", 3, ("key1",), None, nprobe=1)
-        b = PendingRequest("q ?", "single", 3, ("key2",), None, nprobe=2)
-        c = PendingRequest("q ?", "single", 3, ("key3",), None)
-        assert a.batch_key != b.batch_key
-        assert a.batch_key != c.batch_key
-        assert c.batch_key == ("single", 3, None, None)
+        a = Query("q ?", "single", 3, nprobe=1)
+        b = Query("q ?", "single", 3, nprobe=2)
+        c = Query("q ?", "single", 3)
+        assert a.shape != b.shape
+        assert a.shape != c.shape
+        assert c.shape == ("single", 3, None, None)
+        assert Query("q ?", "paths", 3).shape != c.shape
+        assert Query("q ?", "single", 4).shape != c.shape
 
     def test_differing_precision_does_not_coalesce(self):
-        from repro.serve.batching import PendingRequest
-
-        exact = PendingRequest("q ?", "single", 3, ("k1",), None)
-        quant = PendingRequest(
-            "q ?", "single", 3, ("k2",), None,
-            precision="int8-rescore:64",
-        )
-        wider = PendingRequest(
-            "q ?", "single", 3, ("k3",), None,
-            precision="int8-rescore:128",
-        )
-        assert exact.batch_key != quant.batch_key
-        assert quant.batch_key != wider.batch_key
-        assert quant.batch_key == (
-            "single", 3, None, "int8-rescore:64"
-        )
+        exact = Query("q ?", "single", 3)
+        quant = Query("q ?", "single", 3, precision="int8-rescore:64")
+        wider = Query("q ?", "single", 3, precision="int8-rescore:128")
+        assert exact.shape != quant.shape
+        assert quant.shape != wider.shape
+        assert quant.shape == ("single", 3, None, "int8-rescore:64")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +380,7 @@ class TestServiceStats:
     def test_snapshot_shape_and_consistency(self, serve_retriever):
         with RetrievalService(serve_retriever) as service:
             for i in range(6):
-                service.retrieve(f"stats question {i} ?", k=3, timeout=10)
+                service.submit(f"stats question {i} ?", k=3).result(10)
             snap = service.stats_snapshot()
         assert snap["submitted"] == 6
         assert snap["completed"] == 6
@@ -447,7 +438,7 @@ class TestConcurrentDeterminism:
             np.random.RandomState(seed).shuffle(order)
             for question in order:
                 try:
-                    got = service.retrieve(question, k=self.K, timeout=30)
+                    got = service.submit(question, k=self.K).result(30)
                 except Exception as error:  # noqa: BLE001 - recorded
                     errors.append(repr(error))
                     continue
@@ -514,7 +505,7 @@ class TestPathsMode:
         }
         with RetrievalService(retriever, multihop=multihop) as service:
             for question in questions:
-                got = service.retrieve_paths(question, k=4, timeout=30)
+                got = service.submit(question, k=4, mode="paths").result(30)
                 want = expected[question]
                 assert [p.doc_ids for p in got] == [p.doc_ids for p in want]
                 assert [p.score for p in got] == [p.score for p in want]
