@@ -23,7 +23,9 @@ def test_table5_path_retrieval(ctx, table5, benchmark):
     question = ctx.eval_questions[0].text
     system = ctx.system
     benchmark.pedantic(
-        lambda: system.retrieve_paths(question, k=8), rounds=3, iterations=1
+        lambda: system.retrieve_paths_many([question], k=8)[0],
+        rounds=3,
+        iterations=1,
     )
     rows = [row_from_scorecard(name, card) for name, card in table5.items()]
     print()

@@ -46,7 +46,7 @@ def main() -> None:
     for question in dataset.test[:3]:
         print(f"\nQ: {question.text}")
         print(f"   gold path: {question.gold_titles} | answer: {question.answer}")
-        paths = system.retrieve_paths(question.text, k=2)
+        paths = system.retrieve_paths_many([question.text], k=2)[0]
         for rank, path in enumerate(paths, 1):
             print(f" #{rank} {path.titles}")
             print("    " + path.explain().replace("\n", "\n    "))
@@ -56,7 +56,7 @@ def main() -> None:
         for question in dataset.test[:50]
         if any(
             frozenset(question.gold_titles) == path.title_set
-            for path in system.retrieve_paths(question.text, k=8)
+            for path in system.retrieve_paths_many([question.text], k=8)[0]
         )
     )
     print(f"\npath PEM@8 on 50 test questions: {hits}/50")

@@ -63,7 +63,7 @@ def main() -> None:
         "BM25 TFS": lambda q: lexical.retrieve_titles(q, k=8, field="triples"),
         "TPRR dense": lambda q: tprr.retrieve_documents(q, k=8),
         "Triple-Retriever": lambda q: [
-            r.title for r in triple_retriever.retrieve(q, k=8)
+            r.title for r in triple_retriever.retrieve_many([q], k=8)[0]
         ],
     }
 
@@ -84,7 +84,7 @@ def main() -> None:
     print("\n=== explanations (only the triple retriever locates evidence) ===")
     question = dataset.test[0]
     print(f"Q: {question.text}")
-    for result in triple_retriever.retrieve(question.text, k=3):
+    for result in triple_retriever.retrieve_many([question.text], k=3)[0]:
         print(f"  {result.explain()}")
 
 

@@ -43,7 +43,7 @@ def main() -> None:
     sample = wikihop.validation[:40]
     for query in sample:
         # hop 1: retrieve the subject's document
-        hop1 = retriever.retrieve(query.text, k=4)
+        hop1 = retriever.retrieve_many([query.text], k=4)[0]
         hop1_titles = [r.title for r in hop1]
         hop1_hit = query.gold_titles[0] in hop1_titles
         hop1_hits += hop1_hit
@@ -63,7 +63,7 @@ def main() -> None:
         import numpy as np
 
         clues = sorted(candidates, key=novelty, reverse=True)[:3]
-        query_vec = retriever.encode_question(query.text)
+        query_vec = retriever.encode_questions([query.text])[0]
         pooled = {}
         for clue in clues:
             # the bridge signal is the novel entity itself: keep only the
@@ -82,7 +82,7 @@ def main() -> None:
         # rank pooled hop-2 candidates by their match to the relation words
         hop2 = sorted(pooled.values(), key=lambda r: -r.score)[:4]
         if not hop2:
-            hop2 = retriever.retrieve(query.text, k=4)
+            hop2 = retriever.retrieve_many([query.text], k=4)[0]
         retrieved = set(hop1_titles[:1]) | {r.title for r in hop2}
         path_hit = set(query.gold_titles) <= retrieved
         path_hits += path_hit

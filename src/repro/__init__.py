@@ -17,7 +17,8 @@ Quickstart::
     corpus = build_corpus(world)
     dataset = build_hotpot_dataset(world, corpus)
     system = TripleFactRetrieval().fit(corpus, dataset)
-    for path in system.retrieve_paths(dataset.test[0].text, k=3):
+    (paths,) = system.retrieve_paths_many([dataset.test[0].text], k=3)
+    for path in paths:
         print(path.explain())
 """
 

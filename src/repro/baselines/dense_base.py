@@ -18,7 +18,7 @@ import numpy as np
 from repro.data.corpus import Corpus
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.nn.losses import cosine_similarity
-from repro.nn.optim import CLIP_NORM, Adam
+from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 from repro.perf import COUNTERS, time_block
 from repro.retriever.negatives import TrainingExample
@@ -206,32 +206,27 @@ class DenseRetriever:
         """Listwise fine-tuning on mined 1-pos + 9-neg examples."""
         cfg = self.config
         model = self.encoder.model
-        model.train()
-        optimizer = Adam(self.encoder.trainable_parameters(), lr=cfg.lr)
-        losses: List[float] = []
         examples = list(examples)
-        for epoch in range(cfg.epochs):
-            order = self._rng.permutation(len(examples))
-            epoch_losses = []
-            for i in order:
-                example = examples[i]
-                doc_ids = [example.positive_doc_id] + list(example.negative_doc_ids)
-                texts = [example.question] + [
-                    self.document_text(d) for d in doc_ids
-                ]
-                embeddings = self.encoder.encode(texts)
-                scores = cosine_similarity(embeddings[0], embeddings[1:])
-                logits = scores * cfg.logit_scale
-                loss = -logits.softmax(axis=-1).log()[0]
-                model.zero_grad()
-                loss.backward()
-                optimizer.clip_grad_norm(CLIP_NORM)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-            losses.append(mean_loss)
-            if verbose:  # pragma: no cover
-                print(f"[dense] epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.4f}")
+
+        def example_loss(batch: np.ndarray) -> Tensor:
+            example = examples[batch[0]]
+            doc_ids = [example.positive_doc_id] + list(example.negative_doc_ids)
+            texts = [example.question] + [self.document_text(d) for d in doc_ids]
+            embeddings = self.encoder.encode(texts)
+            scores = cosine_similarity(embeddings[0], embeddings[1:])
+            logits = scores * cfg.logit_scale
+            return -logits.softmax(axis=-1).log()[0]
+
+        model.train()
+        losses = train_epochs(
+            Adam(self.encoder.trainable_parameters(), lr=cfg.lr),
+            len(examples),
+            example_loss,
+            epochs=cfg.epochs,
+            rng=self._rng,
+            name="dense",
+            verbose=verbose,
+        )
         model.eval()
         self.refresh_embeddings()
         return losses

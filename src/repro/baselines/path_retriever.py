@@ -21,7 +21,7 @@ from repro.baselines.lexical import LexicalRetriever
 from repro.data.corpus import Corpus
 from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.layers import Linear
-from repro.nn.optim import CLIP_NORM, Adam
+from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 
 
@@ -134,11 +134,6 @@ class PathRetrieverBaseline:
         """
         cfg = self.config
         self.dense._ensure_fresh()
-        optimizer = Adam(
-            self.recurrent.parameters() + self.score_head.parameters(), lr=cfg.lr
-        )
-        rng = np.random.RandomState(cfg.seed)
-        losses: List[float] = []
         examples = []
         for question in questions:
             golds = [
@@ -148,28 +143,20 @@ class PathRetrieverBaseline:
             if len(golds) < 2 or any(g is None for g in golds):
                 continue
             examples.append((question.text, golds[0].doc_id, golds[1].doc_id))
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(examples))
-            epoch_losses = []
-            for i in order:
-                text, g1, g2 = examples[i]
-                loss = self._example_loss(text, g1, g2, rng)
-                if loss is None:
-                    continue
-                for parameter in optimizer.parameters:
-                    parameter.zero_grad()
-                loss.backward()
-                optimizer.clip_grad_norm(CLIP_NORM)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-            losses.append(mean_loss)
-            if verbose:  # pragma: no cover
-                print(f"[pathretriever] epoch {epoch + 1}/{cfg.epochs} "
-                      f"loss={mean_loss:.4f}")
-        return losses
+        return train_epochs(
+            Adam(
+                self.recurrent.parameters() + self.score_head.parameters(),
+                lr=cfg.lr,
+            ),
+            len(examples),
+            lambda batch: self._example_loss(*examples[batch[0]]),
+            epochs=cfg.epochs,
+            rng=np.random.RandomState(cfg.seed),
+            name="pathretriever",
+            verbose=verbose,
+        )
 
-    def _example_loss(self, question, g1, g2, rng):
+    def _example_loss(self, question, g1, g2):
         state0 = self.dense.encode_query(question)
         seeds = [h.doc_id for h in self.lexical.retrieve(question, k=6, field="text")]
         step1 = [g1] + [d for d in seeds if d != g1][:5]

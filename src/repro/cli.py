@@ -137,21 +137,19 @@ def cmd_query(args) -> int:
         return 2
     system, _world, _corpus, _dataset = load_model_dir(args.model)
     COUNTERS.reset()
-    if args.batch is not None:
+    if args.batch is None:
+        questions = [args.question]
+    else:
         questions = _read_query_file(Path(args.batch))
         if not questions:
             print(f"error: no queries in {args.batch}", file=sys.stderr)
             return 2
-        # one bulk retrieve_paths_batch call: encoding and both hops
-        # amortize over the whole file instead of running per question
-        path_lists = system.retrieve_paths_many(questions, k=args.k)
-        for question, paths in zip(questions, path_lists):
+    # one bulk call: encoding and both hops amortize over the whole file
+    path_lists = system.retrieve_paths_many(questions, k=args.k)
+    for question, paths in zip(questions, path_lists):
+        if args.batch is not None:
             print(f"=== {question}")
-            for path in paths:
-                print(path.explain())
-                print()
-    else:
-        for path in system.retrieve_paths(args.question, k=args.k):
+        for path in paths:
             print(path.explain())
             print()
     if args.stats:
@@ -165,7 +163,7 @@ def cmd_eval(args) -> int:
     questions = dataset.test[: args.n]
     COUNTERS.reset()
     for question in questions:
-        paths = system.retrieve_paths(question.text, k=8)
+        paths = system.retrieve_paths_many([question.text], k=8)[0]
         card.add(
             question.qtype,
             path_exact_match([p.titles for p in paths], question.gold_titles),

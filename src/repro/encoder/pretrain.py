@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.losses import cross_entropy
-from repro.nn.optim import CLIP_NORM, Adam
+from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 
 
@@ -75,35 +75,29 @@ class MLMPretrainer:
         if not sentences:
             return []
         model = self.encoder.model
+        pad_id = self.encoder.vocab.pad_id
+
+        def batch_loss(batch: np.ndarray) -> Optional[Tensor]:
+            ids, mask = self.encoder.batch_ids([sentences[i] for i in batch])
+            corrupted, targets = self._mask_batch(ids, mask)
+            if (targets != pad_id).sum() == 0:
+                return None
+            hidden = model(corrupted, mask=mask)  # (B, S, D)
+            flat = hidden.reshape(-1, model.dim)
+            # tied output projection: logits = hidden @ E^T
+            logits = flat @ model.token_embedding.weight.transpose(1, 0)
+            return cross_entropy(logits, targets.reshape(-1), ignore_index=pad_id)
+
         model.train()
-        optimizer = Adam(model.parameters(), lr=cfg.lr)
-        losses: List[float] = []
-        for epoch in range(cfg.epochs):
-            order = self._rng.permutation(len(sentences))
-            epoch_losses: List[float] = []
-            for start in range(0, len(sentences), cfg.batch_size):
-                batch = [sentences[i] for i in order[start : start + cfg.batch_size]]
-                ids, mask = self.encoder.batch_ids(batch)
-                corrupted, targets = self._mask_batch(ids, mask)
-                if (targets != self.encoder.vocab.pad_id).sum() == 0:
-                    continue
-                optimizer.zero_grad()
-                hidden = model(corrupted, mask=mask)  # (B, S, D)
-                flat = hidden.reshape(-1, model.dim)
-                # tied output projection: logits = hidden @ E^T
-                logits = flat @ model.token_embedding.weight.transpose(1, 0)
-                loss = cross_entropy(
-                    logits,
-                    targets.reshape(-1),
-                    ignore_index=self.encoder.vocab.pad_id,
-                )
-                loss.backward()
-                optimizer.clip_grad_norm(CLIP_NORM)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-            losses.append(mean_loss)
-            if verbose:  # pragma: no cover - console output
-                print(f"[mlm] epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.4f}")
+        losses = train_epochs(
+            Adam(model.parameters(), lr=cfg.lr),
+            len(sentences),
+            batch_loss,
+            epochs=cfg.epochs,
+            rng=self._rng,
+            batch_size=cfg.batch_size,
+            name="mlm",
+            verbose=verbose,
+        )
         model.eval()
         return losses

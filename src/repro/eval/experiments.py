@@ -206,7 +206,9 @@ def run_table4_union_ablation(
     retriever = SingleRetriever(ctx.system.encoder, union_store)
     retriever.refresh_embeddings()
     return _one_hop_scorecard(
-        lambda q, kk: [r.title for r in retriever.retrieve(q, k=kk)],
+        lambda q, kk: [
+            r.title for r in retriever.retrieve_many([q], k=kk)[0]
+        ],
         ctx.eval_questions,
         k,
     )
@@ -241,11 +243,15 @@ def run_table5(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScoreca
     system = ctx.system
     rows["Triple-fact Retrieval-base"] = score_paths(
         lambda q: [
-            p.titles for p in system.retrieve_paths(q, k=k, rerank=False)
+            p.titles
+            for p in system.retrieve_paths_many([q], k=k, rerank=False)[0]
         ]
     )
     rows["Triple-fact Retrieval"] = score_paths(
-        lambda q: [p.titles for p in system.retrieve_paths(q, k=k, rerank=True)]
+        lambda q: [
+            p.titles
+            for p in system.retrieve_paths_many([q], k=k, rerank=True)[0]
+        ]
     )
     return rows
 
@@ -271,10 +277,10 @@ def run_wikihop(
     hop1_hits = 0
     pem_hits = 0
     for query in queries:
-        hop1 = system.retrieve_documents(query.text, k=k)
+        hop1 = system.retriever.retrieve_many([query.text], k=k)[0]
         if any(r.title in query.gold_titles for r in hop1):
             hop1_hits += 1
-        paths = system.retrieve_paths(query.text, k=k)
+        paths = system.retrieve_paths_many([query.text], k=k)[0]
         if path_exact_match([p.titles for p in paths], query.gold_titles):
             pem_hits += 1
     n = max(len(queries), 1)

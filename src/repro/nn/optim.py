@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
 
-#: Global gradient-norm clip of every training loop in the repo (MLM
-#: pre-training, retriever, updater, path ranker, joint, baselines).
+#: Global gradient-norm clip of the one training loop, :func:`train_epochs`.
 CLIP_NORM = 5.0
 
 
@@ -82,3 +81,43 @@ class Adam(Optimizer):
             parameter.data = parameter.data - self.lr * m_hat / (
                 np.sqrt(v_hat) + self.eps
             )
+
+
+def train_epochs(
+    optimizer: Optimizer,
+    n_examples: int,
+    example_loss: Callable[[np.ndarray], Optional[Tensor]],
+    *,
+    epochs: int,
+    rng: np.random.RandomState,
+    batch_size: int = 1,
+    name: str,
+    verbose: bool = False,
+) -> List[float]:
+    """The training loop every trainer in the repo runs; per-epoch mean losses.
+
+    Each epoch draws one ``rng.permutation(n_examples)`` and hands its
+    consecutive ``batch_size``-long slices to ``example_loss``, which
+    returns the loss of those examples, or None to skip them without
+    touching the optimizer. Each loss steps once: zero the optimizer's
+    gradients, backward, clip to :data:`CLIP_NORM`, step. An epoch's mean
+    is 0.0 when every batch was skipped.
+    """
+    losses: List[float] = []
+    for epoch in range(epochs):
+        order = rng.permutation(n_examples)
+        epoch_losses: List[float] = []
+        for start in range(0, n_examples, batch_size):
+            loss = example_loss(order[start : start + batch_size])
+            if loss is None:
+                continue
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.clip_grad_norm(CLIP_NORM)
+            optimizer.step()
+            epoch_losses.append(loss.item())
+        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
+        losses.append(mean_loss)
+        if verbose:  # pragma: no cover - console output
+            print(f"[{name}] epoch {epoch + 1}/{epochs} loss={mean_loss:.4f}")
+    return losses

@@ -134,25 +134,15 @@ class TripleFactRetrieval:
         if self.multihop is None:
             raise RuntimeError("call fit() before retrieving")
 
-    def retrieve_documents(self, question: str, k: int = 8):
-        """One-hop retrieval with triple-level explanations."""
-        self._require_fit()
-        return self.retriever.retrieve(question, k=k)
-
-    def retrieve_paths(
-        self, question: str, k: int = 8, rerank: bool = True
-    ) -> List[DocumentPath]:
-        """Multi-hop path retrieval; reranked when a ranker was trained."""
-        return self.retrieve_paths_many([question], k=k, rerank=rerank)[0]
-
     def retrieve_paths_many(
         self, questions: Sequence[str], k: int = 8, rerank: bool = True
     ) -> List[List[DocumentPath]]:
-        """Multi-hop path retrieval for a batch of questions.
+        """Multi-hop path retrieval; reranked when a ranker was trained.
 
-        Routes through :meth:`MultiHopRetriever.retrieve_paths_batch` so
-        encoding and both hops amortize over the whole batch — the same
-        bulk path ``repro query --batch`` and ``repro.serve`` exercise.
+        The one entry point; a single question is a batch of one. Routes
+        through :meth:`MultiHopRetriever.retrieve_paths_batch` so encoding
+        and both hops amortize over the whole batch. One-hop retrieval
+        with triple-level explanations is ``retriever.retrieve_many``.
         """
         self._require_fit()
         questions = list(questions)

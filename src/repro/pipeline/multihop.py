@@ -120,25 +120,6 @@ class MultiHopRetriever:
         capitalized = [t for t in novel if t[:1].isupper()]
         return " ".join(capitalized or novel) or clue.flatten()
 
-    def retrieve_paths(
-        self,
-        question: str,
-        k_paths: Optional[int] = None,
-        nprobe: Optional[int] = None,
-        precision: PrecisionLike = None,
-    ) -> List[DocumentPath]:
-        """Top-k document paths for ``question`` (Eq. 8 scoring).
-
-        Hop 2 is batched: clue texts for the whole hop-1 beam are encoded
-        in one encoder pass and all hop-2 queries run as a single
-        :meth:`SingleRetriever.retrieve_batch` matmul instead of
-        ``k_hop1`` sequential retrievals. A single question is just a
-        batch of one — see :meth:`retrieve_paths_batch`.
-        """
-        return self.retrieve_paths_batch(
-            [question], k_paths=k_paths, nprobe=nprobe, precision=precision
-        )[0]
-
     def retrieve_paths_batch(
         self,
         questions: Sequence[str],
@@ -146,20 +127,20 @@ class MultiHopRetriever:
         nprobe: Optional[int] = None,
         precision: PrecisionLike = None,
     ) -> List[List[DocumentPath]]:
-        """Path retrieval for many questions with batch-amortized stages.
+        """Top-k document paths (Eq. 8 scoring) for every question.
 
-        The serving layer's substrate: all questions encode in one pass,
-        hop 1 runs as one :meth:`SingleRetriever.retrieve_batch` matmul
-        whose flat triple scores are the ``cosines`` of each question's
-        one ``select_clues`` call over its whole beam, every clue text
-        across every question encodes as one batch, and the hop-2
-        queries of *all* questions run as one further ``retrieve_batch``
-        call — two encoder calls and two scoring calls in all. Only the
+        The one entry point; a single question is a batch of one. All
+        questions encode in one pass, hop 1 runs as one
+        :meth:`SingleRetriever.retrieve_batch` matmul whose flat triple
+        scores are the ``cosines`` of each question's one
+        ``select_clues`` call over its whole beam, every clue text across
+        every question encodes as one batch, and the hop-2 queries of
+        *all* questions run as one further ``retrieve_batch`` call — two
+        encoder calls and two scoring calls in all. Only the
         returned paths' clues compose an ``updated_question``, once per
-        distinct clue. Per-question results
-        are identical to :meth:`retrieve_paths` up to encoder
-        batch-padding float jitter (~1e-16); with a batch-invariant
-        encoder they are exact.
+        distinct clue. A question's paths are the same in any batch up to
+        encoder batch-padding float jitter (~1e-16); with a
+        batch-invariant encoder they are exact.
 
         ``nprobe`` and ``precision`` are forwarded to both hops'
         ``retrieve_batch`` calls, so a quantized policy prunes *both*

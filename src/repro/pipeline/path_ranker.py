@@ -24,11 +24,12 @@ import numpy as np
 from repro.data.corpus import Corpus
 from repro.data.hotpot import HotpotQuestion
 from repro.nn.layers import Linear
-from repro.nn.optim import CLIP_NORM, Adam
+from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 from repro.perf import COUNTERS
 from repro.pipeline.multihop import DocumentPath, MultiHopRetriever
 from repro.retriever.single import SingleRetriever
+from repro.retriever.strategies import l2_normalize_rows
 from repro.text.tokenize import tokenize
 
 
@@ -63,16 +64,21 @@ class PathRanker:
     def _best_triple(self, query_vec: np.ndarray, doc_id: int):
         """(triple, score, embedding) of the doc's best match for the query."""
         triples = self.retriever.store.triples(doc_id)
-        scores = self.retriever.triple_scores(query_vec, doc_id)
-        if not len(triples) or scores.shape[0] == 0:
-            return None, 0.0, None
-        index = int(scores.argmax())
         matrix = self.retriever.doc_embeddings(doc_id)
+        if not len(triples) or matrix.shape[0] == 0:
+            return None, 0.0, None
+        norm = np.linalg.norm(query_vec)
+        if norm:
+            query_vec = query_vec / norm
+        scores = l2_normalize_rows(matrix) @ query_vec
+        index = int(scores.argmax())
         return triples[index], float(scores[index]), matrix[index]
 
     @staticmethod
     def _idf_overlap(weights, vocab, source_tokens, target_tokens) -> float:
-        target = set(target_tokens)
+        # distinct tokens in first-occurrence order: a set's order is the
+        # string-hash order, and float sums depend on the order
+        target = dict.fromkeys(target_tokens)
         total = sum(weights[vocab.id_of(t)] for t in target) or 1.0
         hit = sum(
             weights[vocab.id_of(t)] for t in target if t in source_tokens
@@ -137,7 +143,7 @@ class PathRanker:
         The question is encoded once and all path texts go through the
         encoder as a single batch, instead of one encoder call per path.
         """
-        query_vec = self.retriever.encode_question(question)
+        query_vec = self.retriever.encode_questions([question])[0]
         scalar_rows: List[np.ndarray] = []
         path_texts: List[str] = []
         for path in paths:
@@ -228,9 +234,9 @@ class PathRankerTrainer:
             )
             if len(gold_ids) < 2:
                 continue
-            candidates = multihop.retrieve_paths(
-                question.text, k_paths=max_candidates
-            )
+            candidates = multihop.retrieve_paths_batch(
+                [question.text], k_paths=max_candidates
+            )[0]
             gold_set = frozenset(question.gold_titles)
             gold_index = None
             for index, path in enumerate(candidates):
@@ -258,29 +264,23 @@ class PathRankerTrainer:
         """Train the head listwise; returns per-epoch mean losses."""
         cfg = self.config
         ranker = self.ranker
-        optimizer = Adam(ranker.head.parameters(), lr=cfg.lr)
         # feature extraction is the expensive part: cache per example
         cached = [
             (ranker._feature_matrix(question, paths), gold)
             for question, paths, gold in examples
         ]
-        losses: List[float] = []
-        for epoch in range(cfg.epochs):
-            order = self._rng.permutation(len(cached))
-            epoch_losses = []
-            for i in order:
-                features, gold = cached[i]
-                logits = ranker.head(Tensor(features)).reshape(-1)
-                loss = -logits.softmax(axis=-1).log()[gold]
-                for parameter in ranker.head.parameters():
-                    parameter.zero_grad()
-                loss.backward()
-                optimizer.clip_grad_norm(CLIP_NORM)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-            losses.append(mean_loss)
-            if verbose:  # pragma: no cover - console output
-                print(f"[ranker] epoch {epoch + 1}/{cfg.epochs} "
-                      f"loss={mean_loss:.4f}")
-        return losses
+
+        def example_loss(batch: np.ndarray) -> Tensor:
+            features, gold = cached[batch[0]]
+            logits = ranker.head(Tensor(features)).reshape(-1)
+            return -logits.softmax(axis=-1).log()[gold]
+
+        return train_epochs(
+            Adam(ranker.head.parameters(), lr=cfg.lr),
+            len(cached),
+            example_loss,
+            epochs=cfg.epochs,
+            rng=self._rng,
+            name="ranker",
+            verbose=verbose,
+        )

@@ -9,8 +9,8 @@ and this module is the only place it may be spelled (enforced by the
 ``hardcoded-dtype`` lint rule):
 
 * :class:`Precision` — the end-to-end config threaded through
-  ``retrieve/retrieve_many/retrieve_batch/retrieve_paths(_batch)``, the
-  serve batch keys and the cache keys. Three modes:
+  ``retrieve_many/retrieve_batch/retrieve_paths_batch``, the serve
+  batch keys and the cache keys. Three modes:
 
   - ``float64`` — the original exact mode, kept for parity testing;
   - ``float32`` — the default: top-k identical to float64 on the test

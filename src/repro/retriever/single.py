@@ -14,7 +14,8 @@ that matrix — by default one shard that is a zero-copy view of it,
 probed in full (exact retrieval); :meth:`SingleRetriever.build_shards`
 swaps in an N-shard plan with centroid pruning and an int8 coarse stage.
 :meth:`SingleRetriever.retrieve_batch` is the one entry point that
-scores; ``retrieve`` and ``retrieve_many`` encode and call it.
+scores; :meth:`SingleRetriever.retrieve_many` encodes a batch of question
+texts and calls it (one question is a batch of one).
 
 Embedding maintenance is **incremental**, and its whole state is one
 :class:`repro.ingest.embedding_store.EmbeddingStore` (matrix, segment
@@ -39,11 +40,7 @@ from repro.oie.triple import Triple
 from repro.perf import COUNTERS, time_block
 from repro.precision import PrecisionLike, cast_matrix, resolve
 from repro.retriever.store import TripleStore
-from repro.retriever.strategies import (
-    ONE_FACT,
-    ScoreStrategy,
-    l2_normalize_rows,
-)
+from repro.retriever.strategies import ScoreStrategy, l2_normalize_rows
 from repro.shard.merge import topk_doc_order
 from repro.shard.plan import ShardPlan
 
@@ -79,12 +76,10 @@ class SingleRetriever:
         self,
         encoder: MiniBertEncoder,
         store: TripleStore,
-        strategy: Optional[ScoreStrategy] = None,
         precision: PrecisionLike = None,
     ):
         self.encoder = encoder
         self.store = store
-        self.strategy = strategy or ScoreStrategy(ONE_FACT)
         # dtype policy of every matrix this retriever holds; inherited
         # from the encoder when not given so an exact-parity (float64)
         # encoder yields an exact-parity retriever without repetition
@@ -342,13 +337,6 @@ class SingleRetriever:
         return self._held.segment(position)
 
     # -- retrieval ----------------------------------------------------------
-    def encode_question(self, question: str) -> np.ndarray:
-        """The question's [CLS] embedding as a numpy vector."""
-        COUNTERS.record_encode(1)
-        return cast_matrix(
-            self.encoder.encode_numpy([question])[0], self.precision.dtype
-        )
-
     def encode_questions(self, questions: Sequence[str]) -> np.ndarray:
         """Batch of question embeddings, one encoder pass."""
         if not questions:
@@ -360,63 +348,22 @@ class SingleRetriever:
             self.encoder.encode_numpy(list(questions)), self.precision.dtype
         )
 
-    def triple_scores(self, query_vec: np.ndarray, doc_id: int) -> np.ndarray:
-        """Cosine of one query against one document's triples (fast path)."""
-        self._ensure_fresh()
-        position = self._doc_pos.get(doc_id)
-        if position is None:
-            return np.zeros(0, dtype=self.precision.dtype)
-        start, stop = self._held.bounds(position)
-        query_vec = cast_matrix(query_vec, self.precision.dtype)
-        norm = np.linalg.norm(query_vec)
-        if norm:
-            query_vec = query_vec / norm
-        return self._normed[start:stop] @ query_vec
-
-    def retrieve(
-        self,
-        question: str,
-        k: int = 10,
-        strategy: Optional[ScoreStrategy] = None,
-        keep_triple_scores: bool = False,
-        nprobe: Optional[int] = None,
-        precision: PrecisionLike = None,
-    ) -> List[RetrievedDocument]:
-        """Top-k documents for ``question`` with matched-triple explanations.
-
-        :meth:`retrieve_many` for one question; see :meth:`retrieve_batch`
-        for ``nprobe`` and ``precision``.
-        """
-        return self.retrieve_many(
-            [question],
-            k=k,
-            strategy=strategy,
-            keep_triple_scores=keep_triple_scores,
-            nprobe=nprobe,
-            precision=precision,
-        )[0]
-
     def retrieve_many(
         self,
         questions: Sequence[str],
         k: int = 10,
-        strategy: Optional[ScoreStrategy] = None,
-        keep_triple_scores: bool = False,
         nprobe: Optional[int] = None,
         precision: PrecisionLike = None,
     ) -> List[List[RetrievedDocument]]:
         """Top-k documents for a batch of question *texts*.
 
-        The bulk text entry point shared by ``repro query --batch`` and
-        the serving layer's micro-batcher: one encoder pass over all
-        questions (:meth:`encode_questions`), then one
-        :meth:`retrieve_batch` call.
+        The text entry point; one question is a batch of one. One encoder
+        pass over all questions (:meth:`encode_questions`), then one
+        :meth:`retrieve_batch` call with the one-fact strategy.
         """
         return self.retrieve_batch(
             self.encode_questions(questions),
             k=k,
-            strategy=strategy,
-            keep_triple_scores=keep_triple_scores,
             nprobe=nprobe,
             precision=precision,
         )
@@ -438,6 +385,11 @@ class SingleRetriever:
         doc id asc)`` merge, and the explaining triple looked up for the
         k winners only. Returns one result list per query row.
 
+        ``strategy`` aggregates a document's triple cosines (default
+        one-fact, Eq. 2; Table IV compares the others).
+        ``keep_triple_scores`` keeps every winner's triple cosines on its
+        result (hop 1 hands them to clue selection).
+
         ``nprobe`` prunes to that many centroid-closest shards and needs
         a plan from :meth:`build_shards` (None or ``>= n_shards`` probes
         everything, which is exact at any shard count).
@@ -449,7 +401,7 @@ class SingleRetriever:
         int8 copy is derived on first use).
         """
         self._ensure_fresh()
-        strategy = strategy or self.strategy
+        strategy = strategy or ScoreStrategy()
         requested = (
             self.precision if precision is None else resolve(precision)
         )

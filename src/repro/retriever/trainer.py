@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.nn.losses import binary_cross_entropy_with_logits, cosine_similarity
-from repro.nn.optim import CLIP_NORM, Adam
+from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 from repro.retriever.negatives import TrainingExample
 from repro.retriever.single import SingleRetriever
@@ -123,28 +123,16 @@ class RetrieverTrainer:
         cfg = self.config
         model = self.retriever.encoder.model
         model.train()
-        optimizer = Adam(
-            self.retriever.encoder.trainable_parameters(), lr=cfg.lr
-        )
-        losses: List[float] = []
         examples = list(examples)
-        for epoch in range(cfg.epochs):
-            order = self._rng.permutation(len(examples))
-            epoch_losses: List[float] = []
-            for i in order:
-                loss = self._example_loss(examples[i])
-                if loss is None:
-                    continue
-                model.zero_grad()
-                loss.backward()
-                optimizer.clip_grad_norm(CLIP_NORM)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-            losses.append(mean_loss)
-            if verbose:  # pragma: no cover - console output
-                print(f"[retriever] epoch {epoch + 1}/{cfg.epochs} "
-                      f"loss={mean_loss:.4f}")
+        losses = train_epochs(
+            Adam(self.retriever.encoder.trainable_parameters(), lr=cfg.lr),
+            len(examples),
+            lambda batch: self._example_loss(examples[batch[0]]),
+            epochs=cfg.epochs,
+            rng=self._rng,
+            name="retriever",
+            verbose=verbose,
+        )
         model.eval()
         if cfg.refresh_after:
             self.retriever.refresh_embeddings()

@@ -29,7 +29,7 @@ from repro.data.corpus import Corpus, Document
 from repro.data.hotpot import HotpotQuestion
 from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.layers import Linear
-from repro.nn.optim import CLIP_NORM, Adam
+from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 from repro.oie.triple import Triple
 from repro.retriever.store import TripleStore
@@ -50,7 +50,6 @@ class UpdaterConfig:
     logit_scale: float = 1.0
     max_candidates: int = 12
     seed: int = 23
-    train_encoder: bool = False  # head-only by default (encoder is shared)
     # Use only the scalar novelty statistics as head input. Empirically
     # the high-dimensional embedding blocks *hurt* clue selection (a
     # linear head overfits ~200 noisy dimensions on a few hundred
@@ -292,7 +291,7 @@ def _best(
 
 
 class UpdaterTrainer:
-    """Trains the updater head (and optionally the encoder) listwise."""
+    """Trains the updater head listwise; the shared encoder stays as is."""
 
     def __init__(self, updater: QuestionUpdater, config: Optional[UpdaterConfig] = None):
         self.updater = updater
@@ -330,47 +329,22 @@ class UpdaterTrainer:
         examples: Sequence[Tuple[str, List[Triple], int]],
         verbose: bool = False,
     ) -> List[float]:
-        """Listwise training; returns per-epoch mean losses."""
+        """Listwise training of the head; returns per-epoch mean losses."""
         cfg = self.config
         updater = self.updater
-        encoder_model = updater.encoder.model
-        parameters = updater.head.parameters()
-        if cfg.train_encoder:
-            parameters = parameters + encoder_model.parameters()
-        optimizer = Adam(parameters, lr=cfg.lr)
-        losses: List[float] = []
-        for epoch in range(cfg.epochs):
-            order = self._rng.permutation(len(examples))
-            epoch_losses = []
-            for i in order:
-                question, triples, gold = examples[i]
-                beam = [(None, triples)]
-                if cfg.train_encoder and not cfg.scalars_only:
-                    encoder_model.train()
-                    texts = updater._concat_texts(question, triples)
-                    concat = updater.encoder.encode(texts)
-                    triple_vecs = updater.encoder.encode(
-                        [t.flatten() for t in triples]
-                    )
-                    scalars = Tensor(updater._scalar_features(question, beam))
-                    features = Tensor.concat(
-                        [concat, triple_vecs, scalars], axis=1
-                    )
-                else:
-                    features = Tensor(updater._features(question, beam))
-                logits = updater.head(features).reshape(-1)
-                logits = logits * cfg.logit_scale
-                loss = -logits.softmax(axis=-1).log()[gold]
-                for parameter in parameters:
-                    parameter.zero_grad()
-                loss.backward()
-                optimizer.clip_grad_norm(CLIP_NORM)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-            losses.append(mean_loss)
-            if verbose:  # pragma: no cover - console output
-                print(f"[updater] epoch {epoch + 1}/{cfg.epochs} "
-                      f"loss={mean_loss:.4f}")
-        encoder_model.eval()
-        return losses
+
+        def example_loss(batch: np.ndarray) -> Tensor:
+            question, triples, gold = examples[batch[0]]
+            features = Tensor(updater._features(question, [(None, triples)]))
+            logits = updater.head(features).reshape(-1) * cfg.logit_scale
+            return -logits.softmax(axis=-1).log()[gold]
+
+        return train_epochs(
+            Adam(updater.head.parameters(), lr=cfg.lr),
+            len(examples),
+            example_loss,
+            epochs=cfg.epochs,
+            rng=self._rng,
+            name="updater",
+            verbose=verbose,
+        )

@@ -19,6 +19,7 @@ from repro.retriever.strategies import (
     MEAN,
     ONE_FACT,
     TOP_K,
+    ScoreStrategy,
     l2_normalize_rows,
 )
 from repro.text.tokenize import _APOSTROPHE_SUFFIXES, _TOKEN_RE
@@ -123,7 +124,7 @@ def retrieve_by_vector_legacy(
     retriever, query_vec, k=10, strategy=None, keep_triple_scores=False
 ):
     """Document-by-document reference scorer (the pre-vectorization loop)."""
-    strategy = strategy or retriever.strategy
+    strategy = strategy or ScoreStrategy()
     store = retriever.store
     results = []
     for doc_id in store.doc_ids():

@@ -203,9 +203,6 @@ class _StubSystem:
     def __init__(self):
         self.batch_calls = []
 
-    def retrieve_paths(self, question, k=8, rerank=True):
-        return [_FakePath(question)]
-
     def retrieve_paths_many(self, questions, k=8, rerank=True):
         self.batch_calls.append((list(questions), k))
         return [[_FakePath(question)] for question in questions]
@@ -249,8 +246,10 @@ class TestQueryBatch:
 
     def test_single_question_still_works(self, capsys, stub_system):
         assert main(["query", "--model", "m", "why ?"]) == 0
-        assert stub_system.batch_calls == []
-        assert "path[why ?]" in capsys.readouterr().out
+        # the same one call, with a batch of one and no "===" header
+        assert stub_system.batch_calls == [(["why ?"], 3)]
+        out = capsys.readouterr().out
+        assert "path[why ?]" in out and "===" not in out
 
     def test_question_and_batch_together_rejected(
         self, tmp_path, capsys, stub_system

@@ -160,7 +160,11 @@ class TestBeamIndependence:
         updater = QuestionUpdater(retriever.encoder)
         updater.head.weight.data = np.random.RandomState(3).normal(size=(4, 1))
         for question in ["Who founded the club?", "Where was the band formed?"]:
-            hits = retriever.retrieve(question, k=8, keep_triple_scores=True)
+            hits = retriever.retrieve_batch(
+                retriever.encode_questions([question]),
+                k=8,
+                keep_triple_scores=True,
+            )[0]
             beam = [(h.doc_id, store.triples(h.doc_id)) for h in hits]
             cosines = [h.triple_scores for h in hits]
             together = _scores_bytes(updater._beam_scores(question, beam, cosines))
@@ -244,7 +248,11 @@ class TestMemo:
                      "Which city is the university in?"]
         calls = []
         for question in questions:
-            hits = retriever.retrieve(question, k=8, keep_triple_scores=True)
+            hits = retriever.retrieve_batch(
+                retriever.encode_questions([question]),
+                k=8,
+                keep_triple_scores=True,
+            )[0]
             calls.append((
                 question,
                 [(h.doc_id, store.triples(h.doc_id)) for h in hits],

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.encoder.minibert import EncoderConfig
+from repro.ingest.fingerprint import encoder_fingerprint
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.pipeline.multihop import MultiHopConfig
 from repro.pipeline.path_ranker import PathRankerConfig
@@ -31,18 +32,25 @@ class TestFramework:
         assert system.updater is not None
         assert system.multihop is not None
         assert system.ranker is not None
+        # no stage after the retriever's refresh steps the shared encoder:
+        # the held rows were encoded by the encoder questions go through
+        assert system.retriever.export_embeddings().encoder_fingerprint == (
+            encoder_fingerprint(system.encoder)
+        )
 
     def test_retrieve_documents(self, system, hotpot):
-        results = system.retrieve_documents(hotpot.test[0].text, k=5)
+        results = system.retriever.retrieve_many([hotpot.test[0].text], k=5)[0]
         assert len(results) == 5
         assert results[0].matched_triple is not None
 
     def test_retrieve_paths_reranked(self, system, hotpot):
-        paths = system.retrieve_paths(hotpot.test[0].text, k=4)
+        paths = system.retrieve_paths_many([hotpot.test[0].text], k=4)[0]
         assert 0 < len(paths) <= 4
 
     def test_retrieve_paths_base(self, system, hotpot):
-        paths = system.retrieve_paths(hotpot.test[0].text, k=4, rerank=False)
+        paths = system.retrieve_paths_many(
+            [hotpot.test[0].text], k=4, rerank=False
+        )[0]
         scores = [p.score for p in paths]
         assert scores == sorted(scores, reverse=True)
 
@@ -51,7 +59,8 @@ class TestFramework:
         questions = [q.text for q in hotpot.test[:2]]
         batch = system.retrieve_paths_many(questions, k=4, rerank=rerank)
         singles = [
-            system.retrieve_paths(q, k=4, rerank=rerank) for q in questions
+            system.retrieve_paths_many([q], k=4, rerank=rerank)[0]
+            for q in questions
         ]
         assert len(batch) == 2
         for batch_paths, single_paths in zip(batch, singles):
@@ -66,8 +75,8 @@ class TestFramework:
 
     def test_unfit_raises(self):
         with pytest.raises(RuntimeError):
-            TripleFactRetrieval().retrieve_documents("question")
+            TripleFactRetrieval().retrieve_paths_many(["question"])
 
     def test_explanations_available(self, system, hotpot):
-        paths = system.retrieve_paths(hotpot.test[0].text, k=2)
+        paths = system.retrieve_paths_many([hotpot.test[0].text], k=2)[0]
         assert "hop 1" in paths[0].explain()

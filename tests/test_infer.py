@@ -364,8 +364,8 @@ class TestDownstreamTopkParity:
             graph_retriever.build_shards(n_shards, mode="range")
             fused_retriever.build_shards(n_shards, mode="range")
         for question in QUESTIONS:
-            graph_docs = graph_retriever.retrieve(question, k=5)
-            fused_docs = fused_retriever.retrieve(question, k=5)
+            graph_docs = graph_retriever.retrieve_many([question], k=5)[0]
+            fused_docs = fused_retriever.retrieve_many([question], k=5)[0]
             assert [d.doc_id for d in graph_docs] == [
                 d.doc_id for d in fused_docs
             ]

@@ -57,7 +57,7 @@ class TestHop2BeamWidth:
 
         monkeypatch.setattr(retriever, "retrieve_batch", batch_without_hop1)
         for question in hotpot.test[:6]:
-            paths = multihop.retrieve_paths(question.text)
+            paths = multihop.retrieve_paths_batch([question.text])[0]
             per_hop1 = Counter(p.doc_ids[0] for p in paths)
             assert per_hop1, question.text
             assert max(per_hop1.values()) <= cfg.k_hop2
@@ -65,7 +65,7 @@ class TestHop2BeamWidth:
     def test_total_paths_bounded_by_beam_product(self, multihop, hotpot):
         cfg = multihop.config
         for question in hotpot.test[:6]:
-            paths = multihop.retrieve_paths(question.text)
+            paths = multihop.retrieve_paths_batch([question.text])[0]
             per_hop1 = Counter(p.doc_ids[0] for p in paths)
             assert max(per_hop1.values()) <= cfg.k_hop2
             assert len(paths) <= cfg.k_hop1 * cfg.k_hop2
@@ -73,30 +73,34 @@ class TestHop2BeamWidth:
 
 class TestKPathsZero:
     def test_zero_returns_no_paths(self, multihop, hotpot):
-        assert multihop.retrieve_paths(hotpot.test[0].text, k_paths=0) == []
+        assert multihop.retrieve_paths_batch(
+            [hotpot.test[0].text], k_paths=0
+        ) == [[]]
 
     def test_none_uses_config_default(self, retriever, encoder, hotpot):
         updater = QuestionUpdater(encoder)
         narrow = MultiHopRetriever(
             retriever, updater, MultiHopConfig(k_hop1=4, k_hop2=3, k_paths=2)
         )
-        paths = narrow.retrieve_paths(hotpot.test[0].text)
+        paths = narrow.retrieve_paths_batch([hotpot.test[0].text])[0]
         assert len(paths) == 2
 
     def test_explicit_k_overrides_config(self, multihop, hotpot):
-        paths = multihop.retrieve_paths(hotpot.test[0].text, k_paths=1)
+        paths = multihop.retrieve_paths_batch(
+            [hotpot.test[0].text], k_paths=1
+        )[0]
         assert len(paths) == 1
 
 
 class TestRerankKZero:
     def test_rerank_k_zero_returns_empty(self, retriever, multihop, hotpot):
         question = hotpot.test[0].text
-        paths = multihop.retrieve_paths(question, k_paths=4)
+        paths = multihop.retrieve_paths_batch([question], k_paths=4)[0]
         ranker = PathRanker(retriever)
         assert ranker.rerank(question, paths, k=0) == []
 
     def test_rerank_k_none_returns_all(self, retriever, multihop, hotpot):
         question = hotpot.test[0].text
-        paths = multihop.retrieve_paths(question, k_paths=4)
+        paths = multihop.retrieve_paths_batch([question], k_paths=4)[0]
         ranker = PathRanker(retriever)
         assert len(ranker.rerank(question, paths, k=None)) == len(paths)

@@ -22,7 +22,7 @@ class TestClueVector:
         them identical everywhere)."""
         differs = 0
         for question in hotpot.test[:8]:
-            paths = multihop.retrieve_paths(question.text)
+            paths = multihop.retrieve_paths_batch([question.text])[0]
             hop1_ids = {p.doc_ids[0] for p in paths}
             hop2_ids = {p.doc_ids[1] for p in paths}
             if hop2_ids - hop1_ids:
@@ -37,8 +37,8 @@ class TestClueVector:
             MultiHopConfig(k_hop1=3, k_hop2=3, clue_weight=0.0),
         )
         question = hotpot.test[0].text
-        paths = no_clue.retrieve_paths(question)
-        hop1 = [r.doc_id for r in retriever.retrieve(question, k=3)]
+        paths = no_clue.retrieve_paths_batch([question])[0]
+        hop1 = [r.doc_id for r in retriever.retrieve_many([question], k=3)[0]]
         # with no clue contribution, hop-2 ranking mirrors hop-1 (minus
         # the excluded hop-1 doc)
         for path in paths[:3]:
@@ -71,7 +71,7 @@ class TestClueVector:
             ]
             if not novel:
                 continue
-            question_vec = retriever.encode_question(question.text)
+            question_vec = retriever.encode_questions([question.text])[0]
             clue_vec = encoder.encode_numpy([" ".join(novel)])[0]
             mixed = question_vec / np.linalg.norm(question_vec) + clue_vec / (
                 np.linalg.norm(clue_vec) or 1.0

@@ -223,7 +223,7 @@ class TestParityWithEncodingReference:
         )
         assert mine.picks == reference.picks
         assert paths == ref_paths
-        beam = [r.doc_id for r in retriever.retrieve(question, k=3)]
+        beam = [r.doc_id for r in retriever.retrieve_many([question], k=3)[0]]
         by_doc = dict(zip(beam, mine.picks))
         assert by_doc[1] is None  # no triples, no clue
         scores = QuestionUpdater(encoder).score_triples(
@@ -236,7 +236,9 @@ class TestParityWithEncodingReference:
     def test_cosines_are_the_updaters_own(self, retriever, encoder, store):
         """Hop 1's flat scores equal the cosines the updater would compute."""
         question = "Who founded the club?"
-        (hit,) = retriever.retrieve(question, k=1, keep_triple_scores=True)
+        ((hit,),) = retriever.retrieve_batch(
+            retriever.encode_questions([question]), k=1, keep_triple_scores=True
+        )
         triples = store.triples(hit.doc_id)
         np.testing.assert_allclose(
             clue_features_reference(

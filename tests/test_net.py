@@ -173,12 +173,12 @@ def test_result_codec_round_trips_dataclasses():
     bundle = synthetic_bundle(**BUNDLE_KWARGS)
     retriever = bundle.make_retriever()
     retriever.refresh_embeddings()
-    docs = retriever.retrieve(bundle.questions[0], k=3)
+    docs = retriever.retrieve_many([bundle.questions[0]], k=3)[0]
     assert docs
     wire = results_to_wire("single", docs)
     assert wire_to_results("single", wire) == list(docs)
     multihop = bundle.make_multihop(retriever)
-    paths = multihop.retrieve_paths(bundle.questions[0], k_paths=2)
+    paths = multihop.retrieve_paths_batch([bundle.questions[0]], k_paths=2)[0]
     round_tripped = wire_to_results(
         "paths", results_to_wire("paths", paths)
     )

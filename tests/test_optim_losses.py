@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
+from repro.encoder.pretrain import MLMPretrainer, PretrainConfig
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Linear
 from repro.nn.losses import (
@@ -10,9 +12,10 @@ from repro.nn.losses import (
     cosine_similarity,
     cross_entropy,
 )
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, train_epochs
 from repro.nn.serialize import load_weights, save_weights
 from repro.nn.tensor import Tensor
+from repro.text.vocab import Vocab
 
 
 def _quadratic_step(optimizer_cls, **kw):
@@ -55,6 +58,89 @@ class TestOptimizers:
         parameter.grad = np.zeros(2)
         optimizer.step()
         assert np.all(parameter.data < 10.0)
+
+
+class TestTrainEpochs:
+    """The one training loop every trainer runs."""
+
+    @staticmethod
+    def _parameter():
+        return Tensor(np.zeros(2), requires_grad=True)
+
+    def test_visit_order_is_one_permutation_per_epoch(self):
+        seen = []
+
+        def example_loss(batch):
+            seen.append(batch.tolist())
+            return None
+
+        train_epochs(
+            Adam([self._parameter()]), 7, example_loss,
+            epochs=3, rng=np.random.RandomState(5), name="test",
+        )
+        reference = np.random.RandomState(5)
+        assert seen == [
+            [int(i)] for _ in range(3) for i in reference.permutation(7)
+        ]
+
+    def test_none_loss_takes_no_step(self):
+        parameter = self._parameter()
+        optimizer = Adam([parameter], lr=0.1)
+
+        def example_loss(batch):
+            if batch[0] % 2:
+                return None
+            return (parameter * parameter).sum()
+
+        train_epochs(
+            optimizer, 5, example_loss,
+            epochs=2, rng=np.random.RandomState(0), name="test",
+        )
+        assert optimizer._t == 2 * 3  # indices 0, 2 and 4, twice
+        idle = Adam([self._parameter()])
+        assert train_epochs(
+            idle, 4, lambda batch: None,
+            epochs=2, rng=np.random.RandomState(0), name="test",
+        ) == [0.0, 0.0]
+        assert idle._t == 0
+
+    def test_epoch_means_match_hand_computation(self):
+        parameter = self._parameter()
+
+        def example_loss(batch):
+            index = int(batch[0])
+            if index == 3:
+                return None
+            # the value is the index; the gradient path is real
+            return (parameter * 0.0).sum() + float(index)
+
+        losses = train_epochs(
+            Adam([parameter]), 5, example_loss,
+            epochs=2, rng=np.random.RandomState(1), name="test",
+        )
+        assert losses == [(0 + 1 + 2 + 4) / 4] * 2
+
+    def test_mlm_receives_batch_size_slices(self, monkeypatch):
+        sentences = [f"s{i} the club" for i in range(7)]
+        vocab = Vocab.from_tokens(" ".join(sentences).split())
+        encoder = MiniBertEncoder(
+            vocab, EncoderConfig(dim=8, n_layers=1, n_heads=2, max_len=8)
+        )
+        batches = []
+        batch_ids = encoder.batch_ids
+
+        def spy(texts):
+            batches.append(list(texts))
+            return batch_ids(texts)
+
+        monkeypatch.setattr(encoder, "batch_ids", spy)
+        config = PretrainConfig(epochs=1, batch_size=3, seed=11)
+        MLMPretrainer(encoder, config).train(sentences)
+        order = np.random.RandomState(11).permutation(7)
+        assert batches == [
+            [sentences[i] for i in order[start : start + 3]]
+            for start in (0, 3, 6)
+        ]
 
 
 class TestLosses:

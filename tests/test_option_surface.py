@@ -12,8 +12,11 @@ import pytest
 
 from repro.ingest import EmbeddingStore, IngestPipeline, extract_corpus_triples
 from repro.net import Fleet, FrontDoor, Supervisor, WorkerSpec
+from repro.nn.optim import train_epochs
+from repro.pipeline.multihop import MultiHopRetriever
 from repro.retriever.single import SingleRetriever
 from repro.serve import Query, ResultCache, ServiceConfig, ServiceStats
+from repro.updater.updater import UpdaterConfig
 
 SURFACE = {
     Query: "text mode k nprobe precision deadline_s",
@@ -27,7 +30,13 @@ SURFACE = {
     WorkerSpec: "target kwargs store_dir multihop shards shard_mode service",
     IngestPipeline: "corpus construction workers incremental",
     extract_corpus_triples: "corpus linker config workers doc_ids",
+    SingleRetriever: "encoder store precision",
+    SingleRetriever.retrieve_many: "questions k nprobe precision",
     SingleRetriever.refresh_embeddings: "",
+    MultiHopRetriever.retrieve_paths_batch: "questions k_paths nprobe precision",
+    UpdaterConfig: "epochs lr logit_scale max_candidates seed scalars_only",
+    train_epochs: "optimizer n_examples example_loss epochs rng batch_size "
+    "name verbose",
     EmbeddingStore: "matrix doc_ids offsets row_hashes encoder_fingerprint "
     "construction_fingerprint generation",
 }

@@ -65,8 +65,13 @@ class TestSystemPersistence:
             tmp_path / "model", corpus, config=config
         )
         question = hotpot.test[0].text
-        original = [r.doc_id for r in system.retrieve_documents(question, k=5)]
-        loaded = [r.doc_id for r in restored.retrieve_documents(question, k=5)]
+        original = [
+            r.doc_id for r in system.retriever.retrieve_many([question], k=5)[0]
+        ]
+        loaded = [
+            r.doc_id
+            for r in restored.retriever.retrieve_many([question], k=5)[0]
+        ]
         assert original == loaded
 
     def test_save_load_same_paths(self, trained, corpus, hotpot, tmp_path):
@@ -76,8 +81,12 @@ class TestSystemPersistence:
             tmp_path / "model2", corpus, config=config
         )
         question = hotpot.test[1].text
-        original = [p.doc_ids for p in system.retrieve_paths(question, k=4)]
-        loaded = [p.doc_ids for p in restored.retrieve_paths(question, k=4)]
+        original = [
+            p.doc_ids for p in system.retrieve_paths_many([question], k=4)[0]
+        ]
+        loaded = [
+            p.doc_ids for p in restored.retrieve_paths_many([question], k=4)[0]
+        ]
         assert original == loaded
 
     def test_unreadable_triple_file_is_raised_not_rebuilt(

@@ -275,13 +275,13 @@ class TestFloatParity:
         exact.build_shards(n_shards)
         fast.build_shards(n_shards)
         for question in self.QUESTIONS:
-            ids64 = [r.doc_id for r in exact.retrieve(question, k=5)]
-            ids32 = [r.doc_id for r in fast.retrieve(question, k=5)]
+            ids64 = [r.doc_id for r in exact.retrieve_many([question], k=5)[0]]
+            ids32 = [r.doc_id for r in fast.retrieve_many([question], k=5)[0]]
             assert ids64 == ids32
 
     def test_exact_mode_mismatch_rejected(self, pair):
         _, fast = pair
-        vec = fast.encode_question(self.QUESTIONS[0])
+        vec = fast.encode_questions(self.QUESTIONS[:1])
         with pytest.raises(ValueError, match="float32"):
             fast.retrieve_batch(vec, k=3, precision="float64")
 
@@ -292,13 +292,15 @@ class TestFloatParity:
         retriever.refresh_embeddings()
         retriever.build_shards(2)
         question = self.QUESTIONS[0]
-        exact_ids = [r.doc_id for r in retriever.retrieve(question, k=5)]
+        exact_ids = [
+            r.doc_id for r in retriever.retrieve_many([question], k=5)[0]
+        ]
         wide = Precision(
             mode="int8-rescore", rescore_width=len(retriever.store)
         )
         quant_ids = [
             r.doc_id
-            for r in retriever.retrieve(question, k=5, precision=wide)
+            for r in retriever.retrieve_many([question], k=5, precision=wide)[0]
         ]
         # at full rescore width the quantized cascade reproduces the
         # exact float ranking
@@ -307,7 +309,7 @@ class TestFloatParity:
     def test_quantized_request_needs_a_shard_plan(self, encoder, store):
         retriever = SingleRetriever(encoder, store, precision="float32")
         retriever.refresh_embeddings()
-        vec = retriever.encode_question(self.QUESTIONS[0])
+        vec = retriever.encode_questions(self.QUESTIONS[:1])
         with pytest.raises(ValueError, match="shard plan"):
             retriever.retrieve_batch(vec, k=3, precision="int8-rescore")
 

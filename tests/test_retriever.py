@@ -94,37 +94,39 @@ class TestStrategies:
 
 class TestSingleRetriever:
     def test_retrieve_returns_k(self, retriever):
-        results = retriever.retrieve("football club founded", k=5)
+        results = retriever.retrieve_many(["football club founded"], k=5)[0]
         assert len(results) == 5
 
     def test_scores_sorted(self, retriever):
-        results = retriever.retrieve("the band was formed", k=10)
+        results = retriever.retrieve_many(["the band was formed"], k=10)[0]
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
 
     def test_matched_triple_is_explanation(self, retriever, corpus):
         document = next(d for d in corpus if d.entity.kind == "club")
-        results = retriever.retrieve(
-            f"when was {document.title} founded", k=3
-        )
+        results = retriever.retrieve_many(
+            [f"when was {document.title} founded"], k=3
+        )[0]
         top = results[0]
         assert top.matched_triple is not None
         assert "matched triple" in top.explain()
 
     def test_title_match_ranks_high(self, retriever, corpus):
         document = corpus[0]
-        results = retriever.retrieve(document.title, k=5)
+        results = retriever.retrieve_many([document.title], k=5)[0]
         assert document.title in [r.title for r in results]
 
     def test_keep_triple_scores(self, retriever):
-        results = retriever.retrieve("club", k=2, keep_triple_scores=True)
+        results = retriever.retrieve_batch(
+            retriever.encode_questions(["club"]), k=2, keep_triple_scores=True
+        )[0]
         assert results[0].triple_scores is not None
 
     def test_retrieve_by_vector_matches_retrieve(self, retriever):
         question = "when was the club founded"
-        by_text = retriever.retrieve(question, k=5)
+        by_text = retriever.retrieve_many([question], k=5)[0]
         by_vector = retriever.retrieve_batch(
-            retriever.encode_question(question)[None], k=5
+            retriever.encode_questions([question])[0][None], k=5
         )[0]
         assert [r.doc_id for r in by_text] == [r.doc_id for r in by_vector]
 

@@ -10,6 +10,7 @@ import pytest
 from reference import cosine_matrix, retrieve_by_vector_legacy
 
 from repro.perf import COUNTERS
+from repro.pipeline.path_ranker import PathRanker
 from repro.retriever.strategies import MEAN, ONE_FACT, TOP_K, ScoreStrategy
 
 STRATEGIES = [
@@ -42,7 +43,7 @@ class TestVectorizedParity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("question", QUESTIONS)
     def test_full_corpus_parity(self, retriever, strategy, question):
-        vec = retriever.encode_question(question)
+        vec = retriever.encode_questions([question])[0]
         fast = retriever.retrieve_batch(vec[None], k=10, strategy=strategy)[0]
         slow = retrieve_by_vector_legacy(
             retriever, vec, k=10, strategy=strategy
@@ -51,7 +52,7 @@ class TestVectorizedParity:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_triple_scores_parity(self, retriever, strategy):
-        vec = retriever.encode_question(QUESTIONS[0])
+        vec = retriever.encode_questions([QUESTIONS[0]])[0]
         fast = retriever.retrieve_batch(
             vec[None], k=5, strategy=strategy, keep_triple_scores=True
         )[0]
@@ -64,10 +65,10 @@ class TestVectorizedParity:
             )
 
     def test_retrieve_uses_vectorized_path(self, retriever):
-        """`retrieve` and the legacy loop agree end to end."""
-        results = retriever.retrieve(QUESTIONS[0], k=6)
+        """`retrieve_many` and the legacy loop agree end to end."""
+        results = retriever.retrieve_many([QUESTIONS[0]], k=6)[0]
         legacy = retrieve_by_vector_legacy(
-            retriever, retriever.encode_question(QUESTIONS[0]), k=6
+            retriever, retriever.encode_questions([QUESTIONS[0]])[0], k=6
         )
         _assert_same_results(results, legacy)
 
@@ -75,7 +76,7 @@ class TestVectorizedParity:
 class TestRetrieveBatch:
     def test_batch_matches_single_queries(self, retriever):
         vecs = np.stack(
-            [retriever.encode_question(q) for q in QUESTIONS]
+            [retriever.encode_questions([q])[0] for q in QUESTIONS]
         )
         batched = retriever.retrieve_batch(vecs, k=5)
         assert len(batched) == len(QUESTIONS)
@@ -86,7 +87,7 @@ class TestRetrieveBatch:
 
     def test_batch_is_one_matmul(self, retriever):
         vecs = np.stack(
-            [retriever.encode_question(q) for q in QUESTIONS]
+            [retriever.encode_questions([q])[0] for q in QUESTIONS]
         )
         before = COUNTERS.matmul_calls
         retriever.retrieve_batch(vecs, k=5)
@@ -99,23 +100,31 @@ class TestRetrieveBatch:
         assert out == []
 
     def test_k_zero_returns_empty(self, retriever):
-        vec = retriever.encode_question(QUESTIONS[0])
+        vec = retriever.encode_questions([QUESTIONS[0]])[0]
         assert retriever.retrieve_batch(vec[None], k=0) == [[]]
         assert retrieve_by_vector_legacy(retriever, vec, k=0) == []
 
 
 class TestTripleScores:
     def test_triple_scores_match_doc_embeddings(self, retriever):
-        """`triple_scores` (fast path) equals cosine against the cached
-        per-document matrix."""
-        vec = retriever.encode_question(QUESTIONS[2])
+        """The path ranker's best triple is the cosine argmax against the
+        document's held rows, scored as the reference scores them."""
+        ranker = PathRanker(retriever)
+        vec = retriever.encode_questions([QUESTIONS[2]])[0]
         for doc_id in retriever.store.doc_ids()[:5]:
-            fast = retriever.triple_scores(vec, doc_id)
-            slow = cosine_matrix(vec, retriever.doc_embeddings(doc_id))
-            np.testing.assert_allclose(fast, slow, atol=1e-6)
+            rows = retriever.doc_embeddings(doc_id)
+            slow = cosine_matrix(vec, rows)
+            best = int(slow.argmax())
+            triple, score, row = ranker._best_triple(vec, doc_id)
+            assert triple == retriever.store.triples(doc_id)[best]
+            np.testing.assert_allclose(score, slow[best], atol=1e-6)
+            assert np.array_equal(row, rows[best])
 
     def test_unknown_doc_gives_empty(self, retriever):
-        vec = retriever.encode_question(QUESTIONS[0])
-        scores = retriever.triple_scores(vec, 10_000)
-        assert scores.shape == (0,)
-        assert scores.dtype == retriever.doc_embeddings(10_000).dtype
+        vec = retriever.encode_questions([QUESTIONS[0]])[0]
+        rows = retriever.doc_embeddings(10_000)
+        assert rows.shape == (0, retriever.encoder.config.dim)
+        assert rows.dtype == retriever.precision.dtype
+        assert PathRanker(retriever)._best_triple(vec, 10_000) == (
+            None, 0.0, None
+        )

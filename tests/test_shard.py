@@ -237,12 +237,11 @@ class TestShardParity:
     def test_parity_holds_for_topk_strategy(self, sharder):
         strategy = ScoreStrategy(TOP_K, k=2)
         sharder.detach_shards()
-        exact = sharder.retrieve_many(QUESTIONS, k=5, strategy=strategy)
+        queries = sharder.encode_questions(QUESTIONS)
+        exact = sharder.retrieve_batch(queries, k=5, strategy=strategy)
         sharder.build_shards(3, mode="range")
         try:
-            sharded = sharder.retrieve_many(
-                QUESTIONS, k=5, strategy=strategy
-            )
+            sharded = sharder.retrieve_batch(queries, k=5, strategy=strategy)
         finally:
             sharder.detach_shards()
         for exact_docs, sharded_docs in zip(exact, sharded):

@@ -54,10 +54,11 @@ class TestRetrieverWarmStart:
         warm.refresh_embeddings()
         question = "Which club was founded in the same city?"
         original = [
-            (r.doc_id, r.score) for r in retriever.retrieve(question, k=5)
+            (r.doc_id, r.score)
+            for r in retriever.retrieve_many([question], k=5)[0]
         ]
         restored = [
-            (r.doc_id, r.score) for r in warm.retrieve(question, k=5)
+            (r.doc_id, r.score) for r in warm.retrieve_many([question], k=5)[0]
         ]
         assert [d for d, _ in original] == [d for d, _ in restored]
         assert np.allclose(
@@ -130,8 +131,13 @@ class TestFrameworkWarmStart:
             tmp_path / "model", corpus, config=config
         )
         question = hotpot.test[0].text
-        original = [r.doc_id for r in system.retrieve_documents(question, k=5)]
-        loaded = [r.doc_id for r in restored.retrieve_documents(question, k=5)]
+        original = [
+            r.doc_id for r in system.retriever.retrieve_many([question], k=5)[0]
+        ]
+        loaded = [
+            r.doc_id
+            for r in restored.retriever.retrieve_many([question], k=5)[0]
+        ]
         assert original == loaded
 
     def test_missing_embeddings_falls_back_to_reencode(
@@ -147,8 +153,13 @@ class TestFrameworkWarmStart:
         )
         assert sum(encode_calls) > 0  # cold path: full re-encode
         question = hotpot.test[0].text
-        original = [r.doc_id for r in system.retrieve_documents(question, k=5)]
-        loaded = [r.doc_id for r in restored.retrieve_documents(question, k=5)]
+        original = [
+            r.doc_id for r in system.retriever.retrieve_many([question], k=5)[0]
+        ]
+        loaded = [
+            r.doc_id
+            for r in restored.retriever.retrieve_many([question], k=5)[0]
+        ]
         assert original == loaded
 
     def test_tampered_manifest_falls_back_to_reencode(
