@@ -208,8 +208,8 @@ class DenseRetriever:
         model = self.encoder.model
         examples = list(examples)
 
-        def example_loss(batch: np.ndarray) -> Tensor:
-            example = examples[batch[0]]
+        def example_loss(index: int) -> Tensor:
+            example = examples[index]
             doc_ids = [example.positive_doc_id] + list(example.negative_doc_ids)
             texts = [example.question] + [self.document_text(d) for d in doc_ids]
             embeddings = self.encoder.encode(texts)

@@ -149,7 +149,7 @@ class PathRetrieverBaseline:
                 lr=cfg.lr,
             ),
             len(examples),
-            lambda batch: self._example_loss(*examples[batch[0]]),
+            lambda index: self._example_loss(*examples[index]),
             epochs=cfg.epochs,
             rng=np.random.RandomState(cfg.seed),
             name="pathretriever",

@@ -1,17 +1,15 @@
 """The PLM text encoder ("MiniBERT") used by retriever and updater.
 
 A scaled-down BERT built on :mod:`repro.nn`: WordPiece is replaced by the
-shared word tokenizer, [CLS] pooling provides sentence embeddings, and an
-MLM pre-training pass over the corpus plays the role of the public BERT
-checkpoint before task fine-tuning.
+shared word tokenizer, IDF-weighted mean pooling provides sentence
+embeddings, and a lexical initialization (IDF pooling over frozen token
+embeddings) plays the role of the public BERT checkpoint before task
+fine-tuning.
 """
 
 from repro.encoder.minibert import MiniBertEncoder, EncoderConfig
-from repro.encoder.pretrain import MLMPretrainer, PretrainConfig
 
 __all__ = [
     "MiniBertEncoder",
     "EncoderConfig",
-    "MLMPretrainer",
-    "PretrainConfig",
 ]

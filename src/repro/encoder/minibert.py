@@ -2,7 +2,8 @@
 
 Encodes questions and flattened triple facts into the same vector space
 with one parameter-shared transformer: tokenize, add [CLS]/[SEP], pad to a
-batch, run the encoder, take the [CLS] hidden state.
+batch, run the encoder, pool the token states (IDF-weighted mean by
+default; the [CLS] state with ``pooling="cls"``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ class MiniBertEncoder:
 
     The paper: "We use a pre-trained language model, i.e., Bert, ... we
     take the final hidden state for the special [CLS] label as the
-    representation for the input sentence."
+    representation for the input sentence." Here the representation is
+    the IDF-weighted mean of the token states (see :class:`EncoderConfig`
+    and :meth:`fit_idf`).
     """
 
     def __init__(

@@ -21,7 +21,9 @@ lost count, and the link is closed like any broken one. Only the control
 ops (``stats``, ``reload``, ``ping``) are decoded and built here.
 
 **Crash recovery.** A lost worker link re-dispatches that link's
-in-flight requests onto surviving workers (bounded attempts). Queries
+in-flight queries onto surviving workers (bounded attempts); a ``stats``
+request in flight there fails instead, since it asked about that worker
+alone. Queries
 are idempotent reads — the dead worker never answered them, so a retry
 can change nothing but latency; a retried request therefore returns the
 byte-identical response the dead worker would have produced (the reply
@@ -347,10 +349,16 @@ class FrontDoor:
         await self._redispatch_orphans(link)
 
     async def _redispatch_orphans(self, link: _WorkerLink) -> None:
+        """Retry the lost link's queries on other workers. Any other
+        request asked that one worker about itself (``stats``): another
+        worker's answer would be filed under the lost one, so it fails."""
         orphans = list(link.pending)
         link.pending.clear()
         for inflight in orphans:
             if inflight.future.done():
+                continue
+            if inflight.payload.get("op") != "query":
+                inflight.fail("worker-unavailable", "the worker's link was lost")
                 continue
             with self._counter_lock:
                 self._retried += 1

@@ -9,7 +9,7 @@ HuggingFace nor a GPU, so the PLM is rebuilt from first principles:
 * :mod:`repro.nn.transformer` — the BERT-style encoder stack,
 * :mod:`repro.nn.infer` — graph-free fused inference over baked weights,
 * :mod:`repro.nn.optim` — Adam,
-* :mod:`repro.nn.losses` — BCE, cross-entropy, cosine similarity,
+* :mod:`repro.nn.losses` — cosine similarity,
 * :mod:`repro.nn.serialize` — weight (de)serialization.
 """
 
@@ -24,11 +24,7 @@ from repro.nn.infer import (
     fused_softmax,
 )
 from repro.nn.optim import Adam
-from repro.nn.losses import (
-    binary_cross_entropy_with_logits,
-    cross_entropy,
-    cosine_similarity,
-)
+from repro.nn.losses import cosine_similarity
 from repro.nn.serialize import save_weights, load_weights
 
 __all__ = [
@@ -46,8 +42,6 @@ __all__ = [
     "fused_layer_norm",
     "fused_softmax",
     "Adam",
-    "binary_cross_entropy_with_logits",
-    "cross_entropy",
     "cosine_similarity",
     "save_weights",
     "load_weights",

@@ -1,66 +1,12 @@
-"""Loss functions and similarity measures."""
+"""The similarity measure under every training loss.
+
+Each trainer's loss is the same listwise softmax over scaled scores,
+written inline as ``-logits.softmax(axis=-1).log()[gold]``.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
-import numpy as np
-
-from repro.precision import TRAINING_DTYPE
-
 from repro.nn.tensor import Tensor
-
-
-def binary_cross_entropy_with_logits(
-    logits: Tensor,
-    targets: Union[np.ndarray, Sequence[float]],
-    pos_weight: float = 1.0,
-) -> Tensor:
-    """Numerically stable BCE over raw logits.
-
-    Implements ``max(x, 0) - x*t + log(1 + exp(-|x|))`` per element, then
-    takes a weighted average. This is the Eq. 5 objective: positives toward
-    score 1, negatives toward 0. ``pos_weight`` up-weights positive
-    targets — with 1 positive against 9 negatives an unweighted BCE admits
-    a degenerate optimum (score *everything* as negative), which in a
-    shared-encoder bi-encoder shows up as representation collapse.
-    """
-    t = np.asarray(targets, dtype=TRAINING_DTYPE)
-    x = logits
-    relu_x = x.relu()
-    abs_x = (x * x).pow(0.5)
-    softplus = (Tensor(1.0) + (-abs_x).exp()).log()
-    per_element = relu_x - x * Tensor(t) + softplus
-    weights = np.where(t > 0.5, pos_weight, 1.0)
-    weighted = per_element * Tensor(weights)
-    return weighted.sum() * (1.0 / max(weights.sum(), 1e-12))
-
-
-def cross_entropy(
-    logits: Tensor, target_ids: np.ndarray, ignore_index: Optional[int] = None
-) -> Tensor:
-    """Token-level cross entropy for MLM pre-training.
-
-    ``logits``: (N, V); ``target_ids``: (N,). Positions equal to
-    ``ignore_index`` contribute zero loss.
-    """
-    target_ids = np.asarray(target_ids, dtype=np.int64)
-    log_probs = _log_softmax(logits)
-    n = target_ids.shape[0]
-    weights = np.ones(n)
-    if ignore_index is not None:
-        weights = (target_ids != ignore_index).astype(TRAINING_DTYPE)
-        target_ids = np.where(target_ids == ignore_index, 0, target_ids)
-    picked = log_probs[np.arange(n), target_ids]
-    total = (picked * Tensor(-weights)).sum()
-    denom = max(weights.sum(), 1.0)
-    return total * (1.0 / denom)
-
-
-def _log_softmax(logits: Tensor) -> Tensor:
-    shifted_max = logits.data.max(axis=-1, keepdims=True)
-    shifted = logits - Tensor(shifted_max)
-    return shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:

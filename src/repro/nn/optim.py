@@ -86,29 +86,27 @@ class Adam(Optimizer):
 def train_epochs(
     optimizer: Optimizer,
     n_examples: int,
-    example_loss: Callable[[np.ndarray], Optional[Tensor]],
+    example_loss: Callable[[int], Optional[Tensor]],
     *,
     epochs: int,
     rng: np.random.RandomState,
-    batch_size: int = 1,
     name: str,
     verbose: bool = False,
 ) -> List[float]:
     """The training loop every trainer in the repo runs; per-epoch mean losses.
 
     Each epoch draws one ``rng.permutation(n_examples)`` and hands its
-    consecutive ``batch_size``-long slices to ``example_loss``, which
-    returns the loss of those examples, or None to skip them without
-    touching the optimizer. Each loss steps once: zero the optimizer's
-    gradients, backward, clip to :data:`CLIP_NORM`, step. An epoch's mean
-    is 0.0 when every batch was skipped.
+    indices, one at a time, to ``example_loss``, which returns that
+    example's loss, or None to skip it without touching the optimizer.
+    Each loss steps once: zero the optimizer's gradients, backward, clip
+    to :data:`CLIP_NORM`, step. An epoch's mean is 0.0 when every example
+    was skipped.
     """
     losses: List[float] = []
     for epoch in range(epochs):
-        order = rng.permutation(n_examples)
         epoch_losses: List[float] = []
-        for start in range(0, n_examples, batch_size):
-            loss = example_loss(order[start : start + batch_size])
+        for index in rng.permutation(n_examples):
+            loss = example_loss(index)
             if loss is None:
                 continue
             optimizer.zero_grad()

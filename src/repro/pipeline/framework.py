@@ -2,9 +2,9 @@
 
 ``TripleFactRetrieval.fit(corpus, dataset)`` runs the complete paper
 pipeline: triple extraction + Algorithm 1 over the corpus, vocabulary and
-IDF fitting, MLM pre-training, retriever fine-tuning (Eq. 5 supervision),
-updater training (GoldEn supervision) and path-ranker training — then
-answers multi-hop retrieval queries with explanations.
+IDF fitting, retriever fine-tuning (Eq. 5 supervision), updater training
+(GoldEn supervision) and path-ranker training — then answers multi-hop
+retrieval queries with explanations.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.data.corpus import Corpus
-from repro.data.hotpot import HotpotDataset, HotpotQuestion
+from repro.data.hotpot import HotpotDataset
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
-from repro.encoder.pretrain import MLMPretrainer, PretrainConfig
 from repro.ingest.embedding_store import (
     EMBEDDINGS_DIR,
     STORE_NAME,
@@ -33,7 +32,6 @@ from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore, build_triple_store
 from repro.retriever.trainer import RetrieverTrainer, TrainerConfig
 from repro.storage.atomic import atomic_write_npz
-from repro.text.sentences import split_sentences
 from repro.text.tokenize import tokenize
 from repro.text.vocab import Vocab
 from repro.triples.construct import ConstructionConfig
@@ -46,21 +44,11 @@ class FrameworkConfig:
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     construction: ConstructionConfig = field(default_factory=ConstructionConfig)
-    # MLM pre-training is opt-in: at CPU scale the MLM optimum (frequency-
-    # predictive embeddings) conflicts with the matching geometry that the
-    # strong lexical initialization provides, and measurably hurts
-    # retrieval. Pass a PretrainConfig to enable it for ablations.
-    pretrain: Optional[PretrainConfig] = None
     retriever: TrainerConfig = field(default_factory=TrainerConfig)
     updater: UpdaterConfig = field(default_factory=UpdaterConfig)
-    ranker: Optional[PathRankerConfig] = field(default_factory=PathRankerConfig)
+    ranker: PathRankerConfig = field(default_factory=PathRankerConfig)
     multihop: MultiHopConfig = field(default_factory=MultiHopConfig)
-    max_train_questions: Optional[int] = None
     max_ranker_questions: int = 200
-    # worker processes for corpus triple extraction during fit(); the
-    # parallel build is byte-identical to the sequential one (see
-    # repro.ingest.pipeline), so this is purely a wall-clock knob
-    ingest_workers: int = 1
     verbose: bool = False
 
 
@@ -80,13 +68,8 @@ class TripleFactRetrieval:
     def fit(self, corpus: Corpus, dataset: HotpotDataset) -> "TripleFactRetrieval":
         """Train every stage on ``dataset.train`` over ``corpus``."""
         cfg = self.config
-        train_questions: Sequence[HotpotQuestion] = dataset.train
-        if cfg.max_train_questions is not None:
-            train_questions = train_questions[: cfg.max_train_questions]
-
-        self.store = build_triple_store(
-            corpus, config=cfg.construction, workers=cfg.ingest_workers
-        )
+        train_questions = dataset.train
+        self.store = build_triple_store(corpus, config=cfg.construction)
 
         texts = [d.text for d in corpus] + [q.text for q in train_questions]
         vocab = Vocab.from_texts(texts, tokenize)
@@ -95,12 +78,6 @@ class TripleFactRetrieval:
             [self.store.field_text(d.doc_id) for d in corpus]
         )
 
-        if cfg.pretrain is not None:
-            sentences = [s for d in corpus for s in split_sentences(d.text)]
-            MLMPretrainer(self.encoder, cfg.pretrain).train(
-                sentences, verbose=cfg.verbose
-            )
-
         self.retriever = SingleRetriever(self.encoder, self.store)
         examples = mine_training_examples(train_questions, corpus, self.store)
         RetrieverTrainer(self.retriever, cfg.retriever).train(
@@ -108,7 +85,7 @@ class TripleFactRetrieval:
         )
 
         self.updater = QuestionUpdater(self.encoder, cfg.updater)
-        updater_trainer = UpdaterTrainer(self.updater, cfg.updater)
+        updater_trainer = UpdaterTrainer(self.updater)
         updater_examples = updater_trainer.build_examples(
             train_questions, corpus, self.store
         )
@@ -118,15 +95,14 @@ class TripleFactRetrieval:
             self.retriever, self.updater, cfg.multihop
         )
 
-        if cfg.ranker is not None:
-            self.ranker = PathRanker(self.retriever, cfg.ranker)
-            ranker_trainer = PathRankerTrainer(self.ranker, cfg.ranker)
-            ranker_examples = ranker_trainer.build_examples(
-                list(train_questions)[: cfg.max_ranker_questions],
-                corpus,
-                self.multihop,
-            )
-            ranker_trainer.train(ranker_examples, verbose=cfg.verbose)
+        self.ranker = PathRanker(self.retriever, cfg.ranker)
+        ranker_trainer = PathRankerTrainer(self.ranker)
+        ranker_examples = ranker_trainer.build_examples(
+            train_questions[: cfg.max_ranker_questions],
+            corpus,
+            self.multihop,
+        )
+        ranker_trainer.train(ranker_examples, verbose=cfg.verbose)
         return self
 
     # -- inference -----------------------------------------------------------
@@ -137,7 +113,8 @@ class TripleFactRetrieval:
     def retrieve_paths_many(
         self, questions: Sequence[str], k: int = 8, rerank: bool = True
     ) -> List[List[DocumentPath]]:
-        """Multi-hop path retrieval; reranked when a ranker was trained.
+        """Multi-hop path retrieval, reranked by the path ranker unless
+        ``rerank=False``.
 
         The one entry point; a single question is a batch of one. Routes
         through :meth:`MultiHopRetriever.retrieve_paths_batch` so encoding
@@ -149,11 +126,11 @@ class TripleFactRetrieval:
         if not questions:
             return []
         # over-generate candidates when a reranking stage follows
-        n_candidates = k * 4 if (rerank and self.ranker is not None) else k
+        n_candidates = k * 4 if rerank else k
         path_lists = self.multihop.retrieve_paths_batch(
             questions, k_paths=n_candidates
         )
-        if rerank and self.ranker is not None:
+        if rerank:
             return [
                 self.ranker.rerank(question, paths, k=k)
                 for question, paths in zip(questions, path_lists)
@@ -185,14 +162,8 @@ class TripleFactRetrieval:
             {
                 "updater_weight": self.updater.head.weight.data,
                 "updater_bias": self.updater.head.bias.data,
-                **(
-                    {
-                        "ranker_weight": self.ranker.head.weight.data,
-                        "ranker_bias": self.ranker.head.bias.data,
-                    }
-                    if self.ranker is not None
-                    else {}
-                ),
+                "ranker_weight": self.ranker.head.weight.data,
+                "ranker_bias": self.ranker.head.bias.data,
             },
         )
 
@@ -235,8 +206,7 @@ class TripleFactRetrieval:
         system.multihop = MultiHopRetriever(
             system.retriever, system.updater, cfg.multihop
         )
-        if "ranker_weight" in heads:
-            system.ranker = PathRanker(system.retriever, cfg.ranker)
-            system.ranker.head.weight.data = heads["ranker_weight"]
-            system.ranker.head.bias.data = heads["ranker_bias"]
+        system.ranker = PathRanker(system.retriever, cfg.ranker)
+        system.ranker.head.weight.data = heads["ranker_weight"]
+        system.ranker.head.bias.data = heads["ranker_bias"]
         return system

@@ -211,10 +211,9 @@ class PathRanker:
 class PathRankerTrainer:
     """Listwise training of the path ranker head."""
 
-    def __init__(self, ranker: PathRanker, config: Optional[PathRankerConfig] = None):
+    def __init__(self, ranker: PathRanker):
         self.ranker = ranker
-        self.config = config or ranker.config
-        self._rng = np.random.RandomState(self.config.seed)
+        self._rng = np.random.RandomState(ranker.config.seed)
 
     def build_examples(
         self,
@@ -262,7 +261,6 @@ class PathRankerTrainer:
         verbose: bool = False,
     ) -> List[float]:
         """Train the head listwise; returns per-epoch mean losses."""
-        cfg = self.config
         ranker = self.ranker
         # feature extraction is the expensive part: cache per example
         cached = [
@@ -270,16 +268,16 @@ class PathRankerTrainer:
             for question, paths, gold in examples
         ]
 
-        def example_loss(batch: np.ndarray) -> Tensor:
-            features, gold = cached[batch[0]]
+        def example_loss(index: int) -> Tensor:
+            features, gold = cached[index]
             logits = ranker.head(Tensor(features)).reshape(-1)
             return -logits.softmax(axis=-1).log()[gold]
 
         return train_epochs(
-            Adam(ranker.head.parameters(), lr=cfg.lr),
+            Adam(ranker.head.parameters(), lr=ranker.config.lr),
             len(cached),
             example_loss,
-            epochs=cfg.epochs,
+            epochs=ranker.config.epochs,
             rng=self._rng,
             name="ranker",
             verbose=verbose,

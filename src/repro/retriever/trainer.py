@@ -1,20 +1,23 @@
 """Fine-tuning the single retriever (paper Eq. 5).
 
-Binary cross-entropy over the max-matching score: the positive document's
-best triple is pushed toward the question, the 9 negatives' best triples
-pushed away. Cosine scores are scaled into logits before the sigmoid —
-``log F`` with a raw cosine is undefined for negative scores, so, as in
-practice, the probability is ``sigmoid(scale * F)``.
+Eq. 5 supervises the max-matching score: the positive document's best
+triple toward the question, the 9 negatives' best triples away. Cosine
+scores are scaled into logits, and the loss is a listwise softmax that
+ranks the positive above its negatives. The paper's literal BCE pushes
+the negatives toward an *absolute* score of 0, which at CPU scale
+collapses the shared embedding space (DESIGN §5 item 1 has the
+measurement); the ranking conveys the identical supervision without
+constraining absolute score values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.losses import binary_cross_entropy_with_logits, cosine_similarity
+from repro.nn.losses import cosine_similarity
 from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 from repro.retriever.negatives import TrainingExample
@@ -31,12 +34,9 @@ class TrainerConfig:
     epochs: int = 2
     lr: float = 3e-4
     logit_scale: float = 4.0
-    loss: str = "nce"  # "nce" (listwise softmax) or "bce" (Eq. 5 literal)
-    balance_positives: bool = True  # BCE only: pos_weight = #negatives
     max_triples_per_doc: int = 6
     max_negatives: int = 9
     seed: int = 17
-    refresh_after: bool = True  # re-embed the store when done
 
 
 def _content_tokens(text: str) -> set:
@@ -88,38 +88,21 @@ class RetrieverTrainer:
             return None  # positive has no triples; nothing to learn from
         embeddings = encoder.encode(texts)
         query_vec = embeddings[0]
-        doc_scores: List[Tensor] = []
-        targets: List[float] = []
-        for position, span in enumerate(spans):
-            if span is None:
-                continue
-            start, stop = span
-            scores = cosine_similarity(query_vec, embeddings[start:stop])
-            doc_scores.append(scores.max(axis=-1))
-            targets.append(1.0 if position == 0 else 0.0)
+        doc_scores = [
+            cosine_similarity(query_vec, embeddings[slice(*span)]).max(axis=-1)
+            for span in spans
+            if span is not None
+        ]
         if len(doc_scores) < 2:
             return None
         logits = Tensor.stack(doc_scores) * self.config.logit_scale
-        if self.config.loss == "nce":
-            # Listwise softmax over the same max-matching scores Eq. 5
-            # uses. The paper's literal BCE pushes negatives toward an
-            # *absolute* score of 0, which at CPU scale collapses the
-            # shared embedding space; ranking the ground document above
-            # its 9 negatives conveys the identical supervision without
-            # constraining absolute score values.
-            log_probs = logits.softmax(axis=-1).log()
-            return -log_probs[0]
-        pos_weight = (
-            float(len(targets) - 1) if self.config.balance_positives else 1.0
-        )
-        return binary_cross_entropy_with_logits(
-            logits, np.asarray(targets), pos_weight=max(pos_weight, 1.0)
-        )
+        return -logits.softmax(axis=-1).log()[0]
 
     def train(
         self, examples: Sequence[TrainingExample], verbose: bool = False
     ) -> List[float]:
-        """Run fine-tuning; returns per-epoch mean losses."""
+        """Run fine-tuning, then re-embed the store; returns per-epoch
+        mean losses."""
         cfg = self.config
         model = self.retriever.encoder.model
         model.train()
@@ -127,13 +110,12 @@ class RetrieverTrainer:
         losses = train_epochs(
             Adam(self.retriever.encoder.trainable_parameters(), lr=cfg.lr),
             len(examples),
-            lambda batch: self._example_loss(examples[batch[0]]),
+            lambda index: self._example_loss(examples[index]),
             epochs=cfg.epochs,
             rng=self._rng,
             name="retriever",
             verbose=verbose,
         )
         model.eval()
-        if cfg.refresh_after:
-            self.retriever.refresh_embeddings()
+        self.retriever.refresh_embeddings()
         return losses

@@ -3,14 +3,16 @@
 The paper scores each candidate triple by encoding the concatenation
 ``L = q ⊕ t_i`` and, during training, comparing it to the encoding of the
 ground next-hop question ``q'``; the highest-scoring triple becomes the
-updater-clue. We realize this as a selector: a linear head over the
-encoder's representation of ``q ⊕ t_i`` produces the clue score, trained
-listwise so the gold clue (the triple whose concatenation is most similar
-to the ground ``q'`` — exactly the paper's training-time criterion)
-outranks its siblings. At inference no ``q'`` is needed: the head alone
-scores the candidates in O(|T_d|) — and, inside the multi-hop pipeline,
-without an encoder call: the one feature that needs embeddings,
-cos(enc(t_i), enc(q)), is what hop 1 already scored, so
+updater-clue. We realize this as a selector: a linear head over four
+novelty statistics of each candidate triple produces the clue score,
+trained listwise so the gold clue (the triple whose concatenation is most
+similar to the ground ``q'`` — exactly the paper's training-time
+criterion) outranks its siblings. (A head over the ``[enc(q ⊕ t_i);
+enc(t_i)]`` blocks as well selected worse clues; DESIGN §5 item 5.) At
+inference no ``q'`` is needed: the head alone scores the candidates in
+O(|T_d|) — and, inside the multi-hop pipeline, without an encoder call:
+the one feature that needs embeddings, cos(enc(t_i), enc(q)), is what
+hop 1 already scored, so
 :meth:`QuestionUpdater.select_clues` takes it as ``cosines`` and scores
 every triple of the whole hop-1 beam in one pass over token statistics
 tokenised once per document version.
@@ -50,33 +52,22 @@ class UpdaterConfig:
     logit_scale: float = 1.0
     max_candidates: int = 12
     seed: int = 23
-    # Use only the scalar novelty statistics as head input. Empirically
-    # the high-dimensional embedding blocks *hurt* clue selection (a
-    # linear head overfits ~200 noisy dimensions on a few hundred
-    # examples); the 4 scalars carry the signal. Set False to include the
-    # [enc(q ⊕ t); enc(t)] blocks.
-    scalars_only: bool = True
 
 
 class QuestionUpdater:
     """Selects the updater-clue triple and composes the new question."""
 
+    #: head inputs per candidate triple (see :meth:`_scalar_features`)
+    N_SCALARS = 4
+
     def __init__(self, encoder: MiniBertEncoder, config: Optional[UpdaterConfig] = None):
         self.encoder = encoder
         self.config = config or UpdaterConfig()
         rng = np.random.RandomState(self.config.seed)
-        # features per candidate: [enc(q ⊕ t); enc(t); scalars]. The scalar
-        # block matters most: "this triple introduces a novel rare entity"
-        # is a *statistic* of the token sets, not a fixed direction in
-        # embedding space, so a linear head cannot recover it from bag-like
-        # embeddings alone.
-        self.n_scalar_features = 4
-        feature_dim = (
-            self.n_scalar_features
-            if self.config.scalars_only
-            else 2 * encoder.config.dim + self.n_scalar_features
-        )
-        self.head = Linear(feature_dim, 1, rng=rng)
+        # "this triple introduces a novel rare entity" is a *statistic* of
+        # the token sets, not a fixed direction in embedding space, so the
+        # head reads statistics, not embeddings
+        self.head = Linear(self.N_SCALARS, 1, rng=rng)
         # doc id -> (its triple list, packed token statistics, n tokens)
         self._lexicon: Dict[int, Tuple[Sequence[Triple], np.ndarray, int]] = {}
         # string -> id: its vocab id if the vocabulary holds it verbatim,
@@ -129,9 +120,6 @@ class QuestionUpdater:
         return packed[:n], packed[n : 2 * n], packed[2 * n : cut], packed[cut:]
 
     # -- scoring ---------------------------------------------------------
-    def _concat_texts(self, question: str, triples: Sequence[Triple]) -> List[str]:
-        return [f"{question} {t.flatten()}" for t in triples]
-
     def _question_cosines(
         self, question: str, triple_vecs: np.ndarray
     ) -> np.ndarray:
@@ -184,7 +172,7 @@ class QuestionUpdater:
             np.repeat(np.arange(n), capitals)[~in_question[capital_ids]],
             minlength=n,
         )
-        features = np.empty((n, self.n_scalar_features))
+        features = np.empty((n, self.N_SCALARS))
         features[:, 0] = (
             np.bincount(rows[novel], weights[novel], minlength=n) / total_idf
         )
@@ -192,21 +180,6 @@ class QuestionUpdater:
         features[:, 2] = cosines
         features[:, 3] = np.minimum(counts, 30) / 30.0
         return features
-
-    def _features(
-        self, question: str, beam: Beam, cosines: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Feature matrix for the beam's triples (see ``scalars_only``)."""
-        if self.config.scalars_only:
-            return self._scalar_features(question, beam, cosines)
-        triples = [t for _, doc_triples in beam for t in doc_triples]
-        # the enc(t) block and the cosine scalar share one encoding
-        triple_vecs = self.encoder.encode_numpy([t.flatten() for t in triples])
-        if cosines is None:
-            cosines = self._question_cosines(question, triple_vecs)
-        scalars = self._scalar_features(question, beam, cosines)
-        concat = self.encoder.encode_numpy(self._concat_texts(question, triples))
-        return np.concatenate([concat, triple_vecs, scalars], axis=1)
 
     def _beam_scores(
         self, question: str, beam: Beam, cosines: Optional[Sequence]
@@ -223,7 +196,7 @@ class QuestionUpdater:
             cosines = np.concatenate(cosines)
         if not any(sizes):
             return [np.zeros(0) for _ in beam]
-        terms = self._features(
+        terms = self._scalar_features(
             question, [doc for doc in beam if doc[1]], cosines
         ) * self.head.weight.data[:, 0]
         scores = terms[:, 0].copy()
@@ -293,10 +266,9 @@ def _best(
 class UpdaterTrainer:
     """Trains the updater head listwise; the shared encoder stays as is."""
 
-    def __init__(self, updater: QuestionUpdater, config: Optional[UpdaterConfig] = None):
+    def __init__(self, updater: QuestionUpdater):
         self.updater = updater
-        self.config = config or updater.config
-        self._rng = np.random.RandomState(self.config.seed)
+        self._rng = np.random.RandomState(updater.config.seed)
 
     def build_examples(
         self,
@@ -309,6 +281,7 @@ class UpdaterTrainer:
         Only bridge questions supervise the updater — for comparison
         questions both documents match the original question directly.
         """
+        max_candidates = self.updater.config.max_candidates
         examples = []
         for question in questions:
             if not question.is_bridge or len(question.gold_titles) < 2:
@@ -317,7 +290,7 @@ class UpdaterTrainer:
             hop2 = corpus.by_title(question.gold_titles[1])
             if hop1 is None or hop2 is None:
                 continue
-            triples = store.triples(hop1.doc_id)[: self.config.max_candidates]
+            triples = store.triples(hop1.doc_id)[:max_candidates]
             gold = ground_clue_index(triples, hop2)
             if gold is None or len(triples) < 2:
                 continue
@@ -330,13 +303,13 @@ class UpdaterTrainer:
         verbose: bool = False,
     ) -> List[float]:
         """Listwise training of the head; returns per-epoch mean losses."""
-        cfg = self.config
         updater = self.updater
+        cfg = updater.config
 
-        def example_loss(batch: np.ndarray) -> Tensor:
-            question, triples, gold = examples[batch[0]]
-            features = Tensor(updater._features(question, [(None, triples)]))
-            logits = updater.head(features).reshape(-1) * cfg.logit_scale
+        def example_loss(index: int) -> Tensor:
+            question, triples, gold = examples[index]
+            features = updater._scalar_features(question, [(None, triples)])
+            logits = updater.head(Tensor(features)).reshape(-1) * cfg.logit_scale
             return -logits.softmax(axis=-1).log()[gold]
 
         return train_epochs(

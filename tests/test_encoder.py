@@ -1,10 +1,9 @@
-"""Unit tests for MiniBERT and MLM pre-training."""
+"""Unit tests for MiniBERT."""
 
 import numpy as np
 import pytest
 
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
-from repro.encoder.pretrain import MLMPretrainer, PretrainConfig
 from repro.text.vocab import Vocab
 
 SENTENCES = [
@@ -124,26 +123,3 @@ class TestPersistence:
         np.testing.assert_allclose(
             tiny_encoder.encode_numpy(texts), loaded.encode_numpy(texts)
         )
-
-
-class TestMLMPretraining:
-    def test_loss_decreases(self, tiny_encoder):
-        pretrainer = MLMPretrainer(
-            tiny_encoder, PretrainConfig(epochs=4, batch_size=2, lr=3e-3)
-        )
-        losses = pretrainer.train(SENTENCES * 4)
-        assert losses[-1] < losses[0]
-
-    def test_empty_corpus(self, tiny_encoder):
-        assert MLMPretrainer(tiny_encoder).train([]) == []
-
-    def test_masking_respects_specials(self, tiny_encoder):
-        pretrainer = MLMPretrainer(tiny_encoder)
-        ids, mask = tiny_encoder.batch_ids(SENTENCES)
-        corrupted, targets = pretrainer._mask_batch(ids, mask)
-        vocab = tiny_encoder.vocab
-        # CLS/SEP/PAD positions are never masked
-        for special in (vocab.cls_id, vocab.sep_id):
-            positions = ids == special
-            np.testing.assert_array_equal(corrupted[positions], ids[positions])
-        assert (targets[ids == vocab.pad_id] == vocab.pad_id).all()

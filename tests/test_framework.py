@@ -1,5 +1,7 @@
 """Integration test: the one-call TripleFactRetrieval framework."""
 
+import dataclasses
+
 import pytest
 
 from repro.encoder.minibert import EncoderConfig
@@ -19,10 +21,10 @@ def system(corpus, hotpot):
         updater=UpdaterConfig(epochs=1),
         ranker=PathRankerConfig(epochs=1),
         multihop=MultiHopConfig(k_hop1=4, k_hop2=3, k_paths=6),
-        max_train_questions=30,
         max_ranker_questions=10,
     )
-    return TripleFactRetrieval(config).fit(corpus, hotpot)
+    dataset = dataclasses.replace(hotpot, train=hotpot.train[:30])
+    return TripleFactRetrieval(config).fit(corpus, dataset)
 
 
 class TestFramework:

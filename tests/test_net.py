@@ -826,6 +826,61 @@ def test_unsolicited_reply_closes_the_link(tmp_path):
         listener.close()
 
 
+def test_stats_request_on_a_lost_link_is_not_asked_elsewhere():
+    """A ``stats`` request outstanding on a link that dies asked about
+    that one worker: it is not re-dispatched, so the survivor is listed
+    and counted once, and nothing counts as retried."""
+    snapshot = {"submitted": 5, "completed": 5, "batches": 2,
+                "batched_requests": 5}
+    hangs_up, survivor = [
+        socket.create_server(("127.0.0.1", 0)) for _ in range(2)
+    ]
+
+    def read_one_frame_and_hang_up():
+        conn, _ = hangs_up.accept()
+        with conn:
+            recv_frame(conn)
+
+    def answer_every_frame():
+        conn, _ = survivor.accept()
+        with conn:
+            while (request := recv_frame(conn)) is not None:
+                send_frame(conn, {"id": request.get("id"), "ok": True,
+                                  "pid": 4242, "stats": snapshot})
+
+    workers = [
+        threading.Thread(target=target, daemon=True)
+        for target in (read_one_frame_and_hang_up, answer_every_frame)
+    ]
+    for worker in workers:
+        worker.start()
+    handles = [
+        WorkerHandle(slot=slot, incarnation=1, process=None,
+                     port=listener.getsockname()[1], generation=1, pid=slot)
+        for slot, listener in enumerate((hangs_up, survivor))
+    ]
+    try:
+        with FrontDoor(_StaticSupervisor(handles)) as frontdoor:
+            deadline = time.monotonic() + 30.0
+            while (
+                frontdoor.stats_snapshot()["workers_linked"] < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            with NetClient(frontdoor.address, timeout_s=30.0) as client:
+                reply = client.stats()
+            retried = frontdoor.stats_snapshot()["retried"]
+        for worker in workers:
+            worker.join(timeout=30.0)
+            assert not worker.is_alive()
+    finally:
+        hangs_up.close()
+        survivor.close()
+    assert [(w["slot"], w["pid"]) for w in reply["workers"]] == [(1, 4242)]
+    assert reply["aggregate"] == merge_snapshots([snapshot])
+    assert retried == 0
+
+
 # -- lifecycle ---------------------------------------------------------------
 
 

@@ -3,19 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
-from repro.encoder.pretrain import MLMPretrainer, PretrainConfig
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Linear
-from repro.nn.losses import (
-    binary_cross_entropy_with_logits,
-    cosine_similarity,
-    cross_entropy,
-)
+from repro.nn.losses import cosine_similarity
 from repro.nn.optim import Adam, train_epochs
 from repro.nn.serialize import load_weights, save_weights
 from repro.nn.tensor import Tensor
-from repro.text.vocab import Vocab
 
 
 def _quadratic_step(optimizer_cls, **kw):
@@ -70,8 +63,8 @@ class TestTrainEpochs:
     def test_visit_order_is_one_permutation_per_epoch(self):
         seen = []
 
-        def example_loss(batch):
-            seen.append(batch.tolist())
+        def example_loss(index):
+            seen.append(index)
             return None
 
         train_epochs(
@@ -80,15 +73,15 @@ class TestTrainEpochs:
         )
         reference = np.random.RandomState(5)
         assert seen == [
-            [int(i)] for _ in range(3) for i in reference.permutation(7)
+            i for _ in range(3) for i in reference.permutation(7)
         ]
 
     def test_none_loss_takes_no_step(self):
         parameter = self._parameter()
         optimizer = Adam([parameter], lr=0.1)
 
-        def example_loss(batch):
-            if batch[0] % 2:
+        def example_loss(index):
+            if index % 2:
                 return None
             return (parameter * parameter).sum()
 
@@ -99,7 +92,7 @@ class TestTrainEpochs:
         assert optimizer._t == 2 * 3  # indices 0, 2 and 4, twice
         idle = Adam([self._parameter()])
         assert train_epochs(
-            idle, 4, lambda batch: None,
+            idle, 4, lambda index: None,
             epochs=2, rng=np.random.RandomState(0), name="test",
         ) == [0.0, 0.0]
         assert idle._t == 0
@@ -107,8 +100,7 @@ class TestTrainEpochs:
     def test_epoch_means_match_hand_computation(self):
         parameter = self._parameter()
 
-        def example_loss(batch):
-            index = int(batch[0])
+        def example_loss(index):
             if index == 3:
                 return None
             # the value is the index; the gradient path is real
@@ -120,66 +112,8 @@ class TestTrainEpochs:
         )
         assert losses == [(0 + 1 + 2 + 4) / 4] * 2
 
-    def test_mlm_receives_batch_size_slices(self, monkeypatch):
-        sentences = [f"s{i} the club" for i in range(7)]
-        vocab = Vocab.from_tokens(" ".join(sentences).split())
-        encoder = MiniBertEncoder(
-            vocab, EncoderConfig(dim=8, n_layers=1, n_heads=2, max_len=8)
-        )
-        batches = []
-        batch_ids = encoder.batch_ids
-
-        def spy(texts):
-            batches.append(list(texts))
-            return batch_ids(texts)
-
-        monkeypatch.setattr(encoder, "batch_ids", spy)
-        config = PretrainConfig(epochs=1, batch_size=3, seed=11)
-        MLMPretrainer(encoder, config).train(sentences)
-        order = np.random.RandomState(11).permutation(7)
-        assert batches == [
-            [sentences[i] for i in order[start : start + 3]]
-            for start in (0, 3, 6)
-        ]
-
 
 class TestLosses:
-    def test_bce_matches_reference(self):
-        logits = Tensor(np.array([0.0, 2.0, -2.0]))
-        targets = np.array([1.0, 1.0, 0.0])
-        loss = binary_cross_entropy_with_logits(logits, targets).item()
-        p = 1 / (1 + np.exp(-logits.data))
-        reference = -(
-            targets * np.log(p) + (1 - targets) * np.log(1 - p)
-        ).mean()
-        assert loss == pytest.approx(reference, abs=1e-9)
-
-    def test_bce_pos_weight(self):
-        logits = Tensor(np.array([-2.0, 1.0]))
-        targets = np.array([1.0, 0.0])
-        unweighted = binary_cross_entropy_with_logits(logits, targets).item()
-        weighted = binary_cross_entropy_with_logits(
-            logits, targets, pos_weight=9.0
-        ).item()
-        assert weighted > unweighted  # positive example dominates
-
-    def test_bce_extreme_logits_stable(self):
-        logits = Tensor(np.array([1000.0, -1000.0]))
-        loss = binary_cross_entropy_with_logits(logits, np.array([1.0, 0.0]))
-        assert np.isfinite(loss.item()) and loss.item() < 1e-6
-
-    def test_cross_entropy_uniform(self):
-        logits = Tensor(np.zeros((2, 4)))
-        loss = cross_entropy(logits, np.array([0, 3]))
-        assert loss.item() == pytest.approx(np.log(4))
-
-    def test_cross_entropy_ignore_index(self):
-        logits = Tensor(np.random.RandomState(0).randn(3, 4), requires_grad=True)
-        loss = cross_entropy(logits, np.array([1, 0, 0]), ignore_index=0)
-        loss.backward()
-        np.testing.assert_allclose(logits.grad[1], np.zeros(4), atol=1e-12)
-        np.testing.assert_allclose(logits.grad[2], np.zeros(4), atol=1e-12)
-
     def test_cosine_identical(self):
         a = Tensor(np.array([[1.0, 2.0, 3.0]]))
         assert cosine_similarity(a, a).item() == pytest.approx(1.0, abs=1e-6)

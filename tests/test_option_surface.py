@@ -1,8 +1,10 @@
-"""The audited option surface of the serving/offline stack, pinned exactly.
+"""The audited option surface of the serving, offline and training
+stacks, pinned exactly.
 
 Every name below is set by a caller outside ``tests/``, is a deployment
-setting, or is the seam a test stages time or a fault through (DESIGN
-§5c names the caller). Adding one is a reviewed edit of this table.
+setting, is the seam a test stages time or a fault through, or is a
+training hyper-parameter number that selects no code path (DESIGN §5c
+names the caller). Adding one is a reviewed edit of this table.
 """
 
 import dataclasses
@@ -13,10 +15,13 @@ import pytest
 from repro.ingest import EmbeddingStore, IngestPipeline, extract_corpus_triples
 from repro.net import Fleet, FrontDoor, Supervisor, WorkerSpec
 from repro.nn.optim import train_epochs
+from repro.pipeline.framework import FrameworkConfig
 from repro.pipeline.multihop import MultiHopRetriever
+from repro.pipeline.path_ranker import PathRankerConfig, PathRankerTrainer
 from repro.retriever.single import SingleRetriever
+from repro.retriever.trainer import TrainerConfig
 from repro.serve import Query, ResultCache, ServiceConfig, ServiceStats
-from repro.updater.updater import UpdaterConfig
+from repro.updater.updater import UpdaterConfig, UpdaterTrainer
 
 SURFACE = {
     Query: "text mode k nprobe precision deadline_s",
@@ -34,9 +39,14 @@ SURFACE = {
     SingleRetriever.retrieve_many: "questions k nprobe precision",
     SingleRetriever.refresh_embeddings: "",
     MultiHopRetriever.retrieve_paths_batch: "questions k_paths nprobe precision",
-    UpdaterConfig: "epochs lr logit_scale max_candidates seed scalars_only",
-    train_epochs: "optimizer n_examples example_loss epochs rng batch_size "
-    "name verbose",
+    FrameworkConfig: "encoder construction retriever updater ranker multihop "
+    "max_ranker_questions verbose",
+    TrainerConfig: "epochs lr logit_scale max_triples_per_doc max_negatives seed",
+    UpdaterConfig: "epochs lr logit_scale max_candidates seed",
+    UpdaterTrainer: "updater",
+    PathRankerConfig: "epochs lr seed blend",
+    PathRankerTrainer: "ranker",
+    train_epochs: "optimizer n_examples example_loss epochs rng name verbose",
     EmbeddingStore: "matrix doc_ids offsets row_hashes encoder_fingerprint "
     "construction_fingerprint generation",
 }

@@ -1,5 +1,7 @@
 """Round-trip tests for triple-store and full-system persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from reference import unreadable_triple_files
@@ -53,10 +55,10 @@ class TestSystemPersistence:
             updater=UpdaterConfig(epochs=1),
             ranker=PathRankerConfig(epochs=1),
             multihop=MultiHopConfig(k_hop1=3, k_hop2=2, k_paths=4),
-            max_train_questions=15,
             max_ranker_questions=6,
         )
-        return TripleFactRetrieval(config).fit(corpus, hotpot), config
+        dataset = dataclasses.replace(hotpot, train=hotpot.train[:15])
+        return TripleFactRetrieval(config).fit(corpus, dataset), config
 
     def test_save_load_same_retrieval(self, trained, corpus, hotpot, tmp_path):
         system, config = trained

@@ -177,14 +177,6 @@ class TestRetrieverTraining:
         assert len(losses) == 2
         assert losses[1] <= losses[0] * 1.2  # allow noise, forbid blow-up
 
-    def test_bce_mode_runs(self, retriever, hotpot, corpus, store):
-        examples = mine_training_examples(hotpot.train[:4], corpus, store)
-        trainer = RetrieverTrainer(
-            retriever, TrainerConfig(epochs=1, lr=1e-4, loss="bce")
-        )
-        losses = trainer.train(examples)
-        assert len(losses) == 1 and np.isfinite(losses[0])
-
     def test_triple_selection_cap(self, retriever, hotpot):
         trainer = RetrieverTrainer(
             retriever, TrainerConfig(max_triples_per_doc=2)

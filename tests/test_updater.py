@@ -3,7 +3,6 @@ composition and the learned clue selector."""
 
 import numpy as np
 
-from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.oie.triple import Triple
 from repro.updater.golden import golden_expansion_terms, ground_clue_index
 from repro.updater.question import compose_updated_question
@@ -80,39 +79,20 @@ class TestUpdaterTraining:
             assert 0 <= gold < len(triples)
 
     def test_training_reduces_loss(self, encoder, hotpot, corpus, store):
+        """Training moves the head and never the shared encoder."""
         updater = QuestionUpdater(
             encoder, UpdaterConfig(epochs=3, lr=5e-3)
         )
+        assert updater.head.weight.data.shape == (4, 1)
         trainer = UpdaterTrainer(updater)
         examples = trainer.build_examples(hotpot.train[:15], corpus, store)
+        before = [p.data.copy() for p in encoder.model.parameters()]
         losses = trainer.train(examples)
         assert losses[-1] < losses[0]
-
-    def test_embedding_block_formulation_trains(self, vocab, hotpot, corpus, store):
-        """``scalars_only=False`` is the paper's own ``enc(q ⊕ t_i)`` input
-        (Sec. III-C); training moves the head and never the shared encoder."""
-        encoder = MiniBertEncoder(
-            vocab, EncoderConfig(dim=16, n_layers=1, n_heads=2, max_len=32)
-        )
-        updater = QuestionUpdater(
-            encoder, UpdaterConfig(epochs=1, scalars_only=False)
-        )
-        assert updater.head.weight.data.shape[0] == 2 * 16 + 4
-        trainer = UpdaterTrainer(updater)
-        examples = trainer.build_examples(hotpot.train[:30], corpus, store)[:3]
-        assert len(examples) == 3
-        before = [p.data.copy() for p in encoder.model.parameters()]
-        head_before = updater.head.weight.data.copy()
-        losses = trainer.train(examples)
-        assert len(losses) == 1 and np.isfinite(losses[0])
         assert all(
             np.array_equal(old, p.data)
             for old, p in zip(before, encoder.model.parameters())
         )
-        assert not np.array_equal(head_before, updater.head.weight.data)
-        question, triples, _gold = examples[0]
-        index, clue = updater.select_clue(question, triples)
-        assert 0 <= index < len(triples) and triples[index] is clue
 
     def test_trained_selector_beats_chance(self, encoder, hotpot, corpus, store):
         updater = QuestionUpdater(encoder, UpdaterConfig(epochs=4, lr=5e-3))

@@ -4,6 +4,8 @@ them. Guards against the old behaviour where ``TripleFactRetrieval.load``
 unconditionally re-encoded the whole corpus.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,10 +110,10 @@ class TestFrameworkWarmStart:
             updater=UpdaterConfig(epochs=1),
             ranker=PathRankerConfig(epochs=1),
             multihop=MultiHopConfig(k_hop1=3, k_hop2=2, k_paths=4),
-            max_train_questions=15,
             max_ranker_questions=6,
         )
-        return TripleFactRetrieval(config).fit(corpus, hotpot), config
+        dataset = dataclasses.replace(hotpot, train=hotpot.train[:15])
+        return TripleFactRetrieval(config).fit(corpus, dataset), config
 
     def test_load_makes_zero_encoder_calls(
         self, trained, corpus, tmp_path, encode_calls
