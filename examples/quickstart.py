@@ -31,8 +31,7 @@ def main() -> None:
 
     print("training the Triple-Fact Retrieval system ...")
     config = FrameworkConfig(
-        encoder=EncoderConfig(dim=64, n_layers=1, n_heads=4, max_len=40,
-                              residual_scale=0.05),
+        encoder=EncoderConfig(dim=64, n_layers=1, n_heads=4, max_len=40),
         retriever=TrainerConfig(epochs=2, lr=3e-4),
         updater=UpdaterConfig(epochs=1),
         ranker=PathRankerConfig(epochs=1),

@@ -41,7 +41,7 @@ def main() -> None:
         encoder = MiniBertEncoder(
             vocab,
             EncoderConfig(dim=64, n_layers=1, n_heads=4, max_len=40,
-                          residual_scale=0.05, seed=seed),
+                          seed=seed),
         )
         encoder.fit_idf([store.field_text(d.doc_id) for d in corpus])
         return encoder

@@ -29,8 +29,7 @@ def main() -> None:
         [d.text for d in corpus] + [q.text for q in wikihop.train], tokenize
     )
     encoder = MiniBertEncoder(
-        vocab, EncoderConfig(dim=64, n_layers=1, n_heads=4, max_len=40,
-                             residual_scale=0.05)
+        vocab, EncoderConfig(dim=64, n_layers=1, n_heads=4, max_len=40)
     )
     encoder.fit_idf([store.field_text(d.doc_id) for d in corpus])
     retriever = SingleRetriever(encoder, store)

@@ -25,15 +25,17 @@ from repro.retriever.negatives import TrainingExample
 from repro.retriever.strategies import l2_normalize_rows, l2_normalize_vec
 
 
+LOGIT_SCALE = 4.0  # cosine -> logit multiplier of the listwise loss
+MAX_DOC_TOKENS = 46  # document text truncation before encoding
+SEED = 31  # of the example order
+
+
 @dataclass
 class DenseConfig:
     """Dense-baseline training knobs."""
 
     epochs: int = 2
     lr: float = 3e-4
-    logit_scale: float = 4.0
-    max_doc_tokens: int = 46  # document text truncation before encoding
-    seed: int = 31
 
 
 class DenseRetriever:
@@ -53,14 +55,14 @@ class DenseRetriever:
         self.corpus = corpus
         self.config = config or DenseConfig()
         self._doc_normed: Optional[np.ndarray] = None
-        self._rng = np.random.RandomState(self.config.seed)
+        self._rng = np.random.RandomState(SEED)
 
     # -- representation ----------------------------------------------------
     def document_text(self, doc_id: int) -> str:
         """The text encoded for one document (truncate to max length)."""
         text = self.corpus[doc_id].text
         tokens = text.split()
-        return " ".join(tokens[: self.config.max_doc_tokens])
+        return " ".join(tokens[:MAX_DOC_TOKENS])
 
     def refresh_embeddings(self, batch_size: int = 128) -> None:
         """(Re-)encode every document into the MIPS matrix."""
@@ -214,7 +216,7 @@ class DenseRetriever:
             texts = [example.question] + [self.document_text(d) for d in doc_ids]
             embeddings = self.encoder.encode(texts)
             scores = cosine_similarity(embeddings[0], embeddings[1:])
-            logits = scores * cfg.logit_scale
+            logits = scores * LOGIT_SCALE
             return -logits.softmax(axis=-1).log()[0]
 
         model.train()

@@ -25,15 +25,17 @@ from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 
 
+N_SEEDS = 8  # lexical seed documents the beam search starts from
+BEAM = 4  # hyperlink neighbours expanded per seed
+LR = 1e-3
+SEED = 37  # of the scorer's init and of the example order
+
+
 @dataclass
 class PathRetrieverConfig:
-    """Beam-search and training knobs."""
+    """Training knobs."""
 
-    n_seeds: int = 8
-    beam: int = 4
     epochs: int = 2
-    lr: float = 1e-3
-    seed: int = 37
 
 
 class PathRetrieverBaseline:
@@ -56,7 +58,7 @@ class PathRetrieverBaseline:
         self.config = config or PathRetrieverConfig()
         self.dense = dense or DenseRetriever(encoder, corpus)
         self.lexical = LexicalRetriever(corpus)
-        rng = np.random.RandomState(self.config.seed)
+        rng = np.random.RandomState(SEED)
         dim = encoder.config.dim
         self.recurrent = Linear(2 * dim, dim, rng=rng)
         self.score_head = Linear(2 * dim, 1, rng=rng)
@@ -87,9 +89,8 @@ class PathRetrieverBaseline:
         self, question: str, k_paths: int = 8
     ) -> List[Tuple[str, ...]]:
         """Beam search: lexical seeds, hyperlink expansion, learned scores."""
-        cfg = self.config
         state0 = self.dense.encode_query(question)
-        seeds = self.lexical.retrieve(question, k=cfg.n_seeds, field="text")
+        seeds = self.lexical.retrieve(question, k=N_SEEDS, field="text")
         scored_paths: List[Tuple[float, Tuple[int, int]]] = []
         seen = set()
         for seed in seeds:
@@ -103,7 +104,7 @@ class PathRetrieverBaseline:
                 candidates,
                 key=lambda d: -self._score(state1, self._doc_vec(d)),
             )
-            for hop2 in ranked[: cfg.beam]:
+            for hop2 in ranked[:BEAM]:
                 if hop2 == seed.doc_id or (seed.doc_id, hop2) in seen:
                     continue
                 seen.add((seed.doc_id, hop2))
@@ -132,7 +133,6 @@ class PathRetrieverBaseline:
         role in Table V while keeping its defining constraint (the
         hyperlink graph) intact.
         """
-        cfg = self.config
         self.dense._ensure_fresh()
         examples = []
         for question in questions:
@@ -146,12 +146,12 @@ class PathRetrieverBaseline:
         return train_epochs(
             Adam(
                 self.recurrent.parameters() + self.score_head.parameters(),
-                lr=cfg.lr,
+                lr=LR,
             ),
             len(examples),
             lambda index: self._example_loss(*examples[index]),
-            epochs=cfg.epochs,
-            rng=np.random.RandomState(cfg.seed),
+            epochs=self.config.epochs,
+            rng=np.random.RandomState(SEED),
             name="pathretriever",
             verbose=verbose,
         )

@@ -2,7 +2,8 @@
 
 "TPRR encodes the complete document plain text and question to dense
 representations in a vector space and projects the vector to a scalar
-score" — a CLS-style bi-encoder over the whole document, with a path
+score" — a bi-encoder over the whole document (the shared IDF-mean
+MiniBERT every learned retriever here uses, not a [CLS] state), with a path
 stage that scores hop-2 candidates against the question concatenated with
 the hop-1 document (its global path supervision, approximated forward).
 """

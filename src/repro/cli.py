@@ -65,11 +65,8 @@ def cmd_build(args) -> int:
     corpus = build_corpus(world)
     dataset_kwargs = {"comparison_per_kind": args.comparisons}
     dataset = build_hotpot_dataset(world, corpus, **dataset_kwargs)
-    encoder_config = EncoderConfig(
-        dim=args.dim, n_layers=1, n_heads=4, max_len=40, residual_scale=0.05
-    )
     config = FrameworkConfig(
-        encoder=encoder_config,
+        encoder=EncoderConfig(dim=args.dim, n_layers=1, n_heads=4, max_len=40),
         retriever=TrainerConfig(epochs=args.epochs, lr=3e-4),
         verbose=True,
     )
@@ -77,11 +74,7 @@ def cmd_build(args) -> int:
     system = TripleFactRetrieval(config).fit(corpus, dataset)
     out = Path(args.out)
     system.save(out)
-    meta = {
-        "world": world_config.__dict__,
-        "dataset": dataset_kwargs,
-        "encoder": encoder_config.__dict__,
-    }
+    meta = {"world": world_config.__dict__, "dataset": dataset_kwargs}
     atomic_write_json(out / "meta.json", meta)
     print(f"saved to {out}")
     return 0
@@ -106,10 +99,7 @@ def cmd_ingest(args) -> int:
         vocab = Vocab.from_texts([d.text for d in corpus], tokenize)
         encoder = MiniBertEncoder(
             vocab,
-            EncoderConfig(
-                dim=args.dim, n_layers=1, n_heads=4, max_len=40,
-                residual_scale=0.05,
-            ),
+            EncoderConfig(dim=args.dim, n_layers=1, n_heads=4, max_len=40),
             precision=args.precision,
         )
     result = pipeline.run(Path(args.out), encoder=encoder)

@@ -2,8 +2,7 @@
 
 Encodes questions and flattened triple facts into the same vector space
 with one parameter-shared transformer: tokenize, add [CLS]/[SEP], pad to a
-batch, run the encoder, pool the token states (IDF-weighted mean by
-default; the [CLS] state with ``pooling="cls"``).
+batch, run the encoder, pool the token states (IDF-weighted mean).
 """
 
 from __future__ import annotations
@@ -30,22 +29,17 @@ from repro.text.vocab import Vocab
 class EncoderConfig:
     """MiniBERT hyper-parameters (a faithful but CPU-sized BERT).
 
-    ``pooling`` selects the sentence representation: ``"cls"`` is the
-    paper's choice on full-size BERT; ``"mean"`` (masked mean over token
-    states, Sentence-BERT style) is the default here because a 2-layer
-    CPU-sized encoder cannot bind token identity into [CLS] the way a
-    12-layer pre-trained BERT can — mean pooling preserves the behaviour
-    the paper gets from CLS at full scale.
+    The sentence representation is the IDF-weighted mean of the token
+    states (Sentence-BERT style), not the paper's [CLS] state: a 1-2
+    layer CPU-sized encoder cannot bind token identity into [CLS] the
+    way a 12-layer pre-trained BERT can — mean pooling preserves the
+    behaviour the paper gets from CLS at full scale.
     """
 
     dim: int = 96
     n_layers: int = 1
     n_heads: int = 4
-    ffn_dim: Optional[int] = None
     max_len: int = 48
-    dropout: float = 0.0
-    pooling: str = "mean"  # "mean" or "cls"
-    residual_scale: float = 0.05  # GPT-2-style near-identity block init
     seed: int = 7
 
 
@@ -77,12 +71,9 @@ class MiniBertEncoder:
             dim=self.config.dim,
             n_layers=self.config.n_layers,
             n_heads=self.config.n_heads,
-            ffn_dim=self.config.ffn_dim,
             max_len=self.config.max_len,
-            dropout=self.config.dropout,
             pad_id=vocab.pad_id,
             seed=self.config.seed,
-            residual_scale=self.config.residual_scale,
         )
         # per-token pooling weights; uniform until fit_idf() is called
         self._token_weights = np.ones(len(vocab))
@@ -149,16 +140,11 @@ class MiniBertEncoder:
 
     # -- encoding ----------------------------------------------------------
     def encode(self, texts: Sequence[str]) -> Tensor:
-        """Encode texts to sentence embeddings (N, dim), with gradients.
-
-        Pooling follows ``config.pooling``: the [CLS] state or the masked
-        mean of token states.
-        """
+        """Encode texts to sentence embeddings (N, dim), with gradients:
+        the IDF-weighted mean of the token states."""
         if not texts:
             raise ValueError("encode() requires at least one text")
         ids, mask = self.batch_ids(texts)
-        if self.config.pooling == "cls":
-            return self.model.encode_cls(ids, mask=mask)
         hidden = self.model(ids, mask=mask)  # (N, S, D)
         weights = self._token_weights[ids] * mask  # idf-weighted pooling
         totals = weights.sum(axis=1, keepdims=True)
@@ -236,9 +222,7 @@ class MiniBertEncoder:
     def _pool(
         self, hidden: np.ndarray, ids: np.ndarray, mask: np.ndarray
     ) -> np.ndarray:
-        """Sentence vectors from fused hidden states, per ``config.pooling``."""
-        if self.config.pooling == "cls":
-            return hidden[:, 0, :]
+        """Sentence vectors from fused hidden states: the IDF-weighted mean."""
         weights = self._token_weights[ids].astype(hidden.dtype) * mask
         totals = weights.sum(axis=1, keepdims=True)
         totals[totals == 0.0] = 1.0
@@ -259,14 +243,11 @@ class MiniBertEncoder:
 
     @classmethod
     def load(
-        cls, directory: Union[str, Path], config: Optional[EncoderConfig] = None
+        cls, directory: Union[str, Path], config: EncoderConfig
     ) -> "MiniBertEncoder":
-        """Restore an encoder saved by :meth:`save`."""
+        """Restore an encoder :meth:`save` wrote under ``config``."""
         directory = Path(directory)
-        vocab = Vocab.load(directory / "vocab.json")
-        encoder = cls(vocab, config=config)
+        encoder = cls(Vocab.load(directory / "vocab.json"), config=config)
         load_weights(encoder.model, directory / "weights.npz")
-        weights_path = directory / "token_weights.npy"
-        if weights_path.exists():
-            encoder._token_weights = np.load(weights_path)
+        encoder._token_weights = np.load(directory / "token_weights.npy")
         return encoder

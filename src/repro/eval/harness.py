@@ -60,7 +60,7 @@ class ExperimentScale:
     n_eval: int = 150
     encoder: EncoderConfig = field(
         default_factory=lambda: EncoderConfig(
-            dim=96, n_layers=1, n_heads=4, max_len=40, residual_scale=0.05
+            dim=96, n_layers=1, n_heads=4, max_len=40
         )
     )
 

@@ -224,20 +224,19 @@ def load_model_dir(model_dir: str):
     """Load a ``repro build`` model directory: the one ``meta.json`` reader.
 
     The world/corpus/dataset regenerate from the persisted seed, then
-    the trained system loads on top — so the CLI and every worker
-    process converge on the same encoder weights and triple store as the
-    process that saved the model. Returns ``(system, world, corpus,
-    dataset)``.
+    the trained system loads on top, under the configs it was saved
+    with — so the CLI and every worker process converge on the same
+    encoder weights and triple store as the process that saved the
+    model. Returns ``(system, world, corpus, dataset)``.
     """
-    from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
+    from repro.pipeline.framework import TripleFactRetrieval
 
     directory = Path(model_dir)
     meta = json.loads((directory / "meta.json").read_text())
     world = World(WorldConfig(**meta["world"]))
     corpus = build_corpus(world)
     dataset = build_hotpot_dataset(world, corpus, **meta["dataset"])
-    config = FrameworkConfig(encoder=EncoderConfig(**meta["encoder"]))
-    system = TripleFactRetrieval.load(directory, corpus, config=config)
+    system = TripleFactRetrieval.load(directory, corpus)
     return system, world, corpus, dataset
 
 

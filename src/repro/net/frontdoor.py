@@ -31,7 +31,9 @@ is a function of the request, id included, and the store generation —
 nothing the front door adds). Requests
 that exhaust their attempts (or find no live worker within the dispatch
 window) fail with an explicit ``worker-unavailable`` error rather than
-hanging.
+hanging. A link that breaks by itself is followed by a reconcile
+against the supervisor's handles, so a worker whose process lives is
+linked again at once instead of at the next respawn or rollout.
 
 Everything network-facing here is a coroutine, and the
 ``blocking-in-async`` lint rule holds this file to it: no ``time.sleep``,
@@ -168,18 +170,24 @@ class _WorkerLink:
         await self._writer.drain()
 
     async def _read_loop(self) -> None:
+        relink = True
         try:
             while True:
                 body = await read_body_async(self._reader)
-                if body is None or not self.pending:
-                    break  # EOF, or a reply nobody is waiting for
+                if body is None:
+                    break
+                if not self.pending:
+                    # a reply nobody is waiting for: the worker lost count,
+                    # and a fresh connection to it would be no better
+                    relink = False
+                    break
                 inflight = self.pending.popleft()
                 if not inflight.future.done():
                     inflight.future.set_result(body)
         except (ProtocolError, ConnectionError, OSError):
             pass  # lint: ignore[except-pass] -- link loss IS the signal; finally redispatches
         finally:
-            await self.frontdoor._link_lost(self)
+            await self.frontdoor._link_lost(self, relink)
 
     async def close(self) -> None:
         """Tear down the transport (idempotent); pending stays with the
@@ -338,15 +346,25 @@ class FrontDoor:
                 # the worker died between notification and connect; the
                 # health loop will respawn it and notify again
                 continue
+            if key in self._links:  # a concurrent reconcile linked it first
+                await link.close()
+                continue
             self._links[key] = link
         self._links_changed.set()
 
-    async def _link_lost(self, link: _WorkerLink) -> None:
-        """Reader-loop exit path: drop the link, retry its in-flight."""
+    async def _link_lost(self, link: _WorkerLink, relink: bool = True) -> None:
+        """Link-loss path: drop the link, retry its in-flight, then — when
+        the connection broke by itself rather than by :meth:`_WorkerLink.
+        close` — re-link every worker the supervisor still lists: a worker
+        whose process lives would otherwise get no traffic until the next
+        respawn or rollout notified us."""
+        broke = not link.closed
         if self._links.get(link.key) is link:
             del self._links[link.key]
         await link.close()
         await self._redispatch_orphans(link)
+        if broke and relink:
+            await self._reconcile(self.supervisor.handles())
 
     async def _redispatch_orphans(self, link: _WorkerLink) -> None:
         """Retry the lost link's queries on other workers. Any other

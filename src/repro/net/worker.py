@@ -63,6 +63,7 @@ from repro.net.protocol import (
 from repro.perf import COUNTERS
 from repro.retriever.store import TripleStore
 from repro.serve import Query, RetrievalService, ServiceConfig
+from repro.serve.query import check_timeout
 from repro.shard import MODES as SHARD_MODES
 
 #: Workers listen on loopback only: nothing but their own supervisor and
@@ -204,11 +205,9 @@ class WorkerRuntime:
             # decoding inside the try: a malformed field is this request's
             # typed error, not the end of the connection's reader thread
             query = Query.from_wire(message)
-            timeout = (
-                300.0
-                if message.get("timeout_s") is None
-                else float(message["timeout_s"])
-            )
+            timeout = check_timeout(message.get("timeout_s"))
+            if timeout is None:
+                timeout = 300.0
             with self._swap_lock:
                 generation = self._generation
                 pending = self._service.submit(query)

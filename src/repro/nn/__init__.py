@@ -4,7 +4,7 @@ The paper fine-tunes BERT on 8 V100s; this environment has neither
 HuggingFace nor a GPU, so the PLM is rebuilt from first principles:
 
 * :mod:`repro.nn.tensor` — a reverse-mode automatic-differentiation engine,
-* :mod:`repro.nn.layers` — Linear / Embedding / LayerNorm / Dropout modules,
+* :mod:`repro.nn.layers` — Linear / Embedding / LayerNorm modules,
 * :mod:`repro.nn.attention` — multi-head self-attention,
 * :mod:`repro.nn.transformer` — the BERT-style encoder stack,
 * :mod:`repro.nn.infer` — graph-free fused inference over baked weights,
@@ -14,7 +14,7 @@ HuggingFace nor a GPU, so the PLM is rebuilt from first principles:
 """
 
 from repro.nn.tensor import Tensor
-from repro.nn.layers import Module, Linear, Embedding, LayerNorm, Dropout
+from repro.nn.layers import Module, Linear, Embedding, LayerNorm
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.transformer import TransformerEncoderLayer, TransformerEncoder
 from repro.nn.infer import (
@@ -33,7 +33,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "LayerNorm",
-    "Dropout",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
     "TransformerEncoder",

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.precision import TRAINING_DTYPE, mask_bias_value
 
-from repro.nn.layers import Dropout, Linear, Module
+from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Tensor
 
 
@@ -36,7 +36,6 @@ class MultiHeadSelfAttention(Module):
         dim: int,
         n_heads: int,
         rng: Optional[np.random.RandomState] = None,
-        dropout: float = 0.0,
     ):
         super().__init__()
         if dim % n_heads != 0:
@@ -49,7 +48,6 @@ class MultiHeadSelfAttention(Module):
         self.key = Linear(dim, dim, rng=rng)
         self.value = Linear(dim, dim, rng=rng)
         self.output = Linear(dim, dim, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         # (B, S, D) -> (B, H, S, Dh)
@@ -75,7 +73,6 @@ class MultiHeadSelfAttention(Module):
         if bias is not None:
             scores = scores + Tensor(bias)
         attn = scores.softmax(axis=-1)
-        attn = self.dropout(attn)
         context = attn @ v  # (B, H, S, Dh)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.output(merged)

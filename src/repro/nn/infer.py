@@ -38,7 +38,7 @@ untouched — this module must not touch the autograd engine at all: a
 ``Tensor`` on this path promotes to float64, which the float32 parity
 test in ``tests/test_infer.py`` catches.
 
-Parity: in float64 mode fused [CLS] states match the graph path to
+Parity: in float64 mode fused hidden states match the graph path to
 <= 1e-6 (in practice ~1e-12; the only reordered math is the layer-norm
 variance and pooling reductions). Float32 mode differs from the float64
 graph by ordinary float32 rounding, ~1e-6 relative.
@@ -54,7 +54,7 @@ from scipy.special import erf as _erf
 from repro.precision import TRAINING_DTYPE, mask_bias_value
 
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
+from repro.nn.layers import LAYER_NORM_EPS, Embedding, LayerNorm, Linear
 from repro.nn.transformer import TransformerEncoder, TransformerEncoderLayer
 
 #: module types the baker knows how to flatten; anything else in the
@@ -66,7 +66,6 @@ _BAKEABLE = (
     LayerNorm,
     Linear,
     Embedding,
-    Dropout,
 )
 
 
@@ -142,10 +141,10 @@ class _LayerPlan:
     """One encoder layer's weights, flattened for the fused forward."""
 
     __slots__ = (
-        "norm1_gamma", "norm1_beta", "norm1_eps",
+        "norm1_gamma", "norm1_beta",
         "qkv_weight", "qkv_bias",
         "out_weight", "out_bias",
-        "norm2_gamma", "norm2_beta", "norm2_eps",
+        "norm2_gamma", "norm2_beta",
         "ffn_in_weight", "ffn_in_bias",
         "ffn_out_weight", "ffn_out_bias",
     )
@@ -157,8 +156,8 @@ class InferenceSession:
     Baking walks the module tree once, validates that every module is of
     a type the flat plan can represent, and casts all weights to the
     session ``dtype`` (the precision policy's compute dtype). The
-    session then answers :meth:`forward` / :meth:`encode_cls` with pure
-    numpy — no autograd objects anywhere (lint-enforced).
+    session then answers :meth:`forward` with pure numpy — no autograd
+    objects anywhere (lint-enforced).
 
     Weight staleness: optimizers and ``load_weights`` replace parameter
     arrays rather than mutating them, so :meth:`stale` is a set of cheap
@@ -192,7 +191,6 @@ class InferenceSession:
         self.position_table = cast(model.position_embedding.weight.data)
         self.final_gamma = cast(model.final_norm.gamma.data)
         self.final_beta = cast(model.final_norm.beta.data)
-        self.final_eps = model.final_norm.eps
         self.layers: Tuple[_LayerPlan, ...] = tuple(
             self._bake_layer(layer) for layer in model.layers
         )
@@ -204,10 +202,7 @@ class InferenceSession:
         return np.asarray(array, dtype=self.dtype)
 
     def _linear(self, linear: Linear) -> Tuple[np.ndarray, np.ndarray]:
-        weight = self._cast(linear.weight.data)
-        if linear.bias is not None:
-            return weight, self._cast(linear.bias.data)
-        return weight, np.zeros(weight.shape[1], dtype=self.dtype)
+        return self._cast(linear.weight.data), self._cast(linear.bias.data)
 
     def _bake_layer(self, layer: TransformerEncoderLayer) -> _LayerPlan:
         attention = layer.attention
@@ -216,7 +211,6 @@ class InferenceSession:
         plan = _LayerPlan()
         plan.norm1_gamma = self._cast(layer.norm1.gamma.data)
         plan.norm1_beta = self._cast(layer.norm1.beta.data)
-        plan.norm1_eps = layer.norm1.eps
         query_w, query_b = self._linear(attention.query)
         key_w, key_b = self._linear(attention.key)
         value_w, value_b = self._linear(attention.value)
@@ -225,7 +219,6 @@ class InferenceSession:
         plan.out_weight, plan.out_bias = self._linear(attention.output)
         plan.norm2_gamma = self._cast(layer.norm2.gamma.data)
         plan.norm2_beta = self._cast(layer.norm2.beta.data)
-        plan.norm2_eps = layer.norm2.eps
         plan.ffn_in_weight, plan.ffn_in_bias = self._linear(layer.ffn_in)
         plan.ffn_out_weight, plan.ffn_out_bias = self._linear(layer.ffn_out)
         return plan
@@ -274,7 +267,7 @@ class InferenceSession:
         for plan in self.layers:
             # attention block: x += W_o(softmax(qk^T/sqrt(d) + bias) v)
             fused_layer_norm(
-                x, plan.norm1_gamma, plan.norm1_beta, plan.norm1_eps,
+                x, plan.norm1_gamma, plan.norm1_beta, LAYER_NORM_EPS,
                 out=normed,
             )
             np.matmul(normed, plan.qkv_weight, out=qkv)
@@ -298,7 +291,7 @@ class InferenceSession:
 
             # feed-forward block: x += W_2 gelu(W_1 norm2(x))
             fused_layer_norm(
-                x, plan.norm2_gamma, plan.norm2_beta, plan.norm2_eps,
+                x, plan.norm2_gamma, plan.norm2_beta, LAYER_NORM_EPS,
                 out=normed,
             )
             np.matmul(normed, plan.ffn_in_weight, out=ffn)
@@ -309,11 +302,5 @@ class InferenceSession:
             x += proj
 
         return fused_layer_norm(
-            x, self.final_gamma, self.final_beta, self.final_eps, out=normed
+            x, self.final_gamma, self.final_beta, LAYER_NORM_EPS, out=normed
         )
-
-    def encode_cls(
-        self, ids: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Sentence embeddings: the hidden state at position 0 ([CLS])."""
-        return np.ascontiguousarray(self.forward(ids, mask=mask)[:, 0, :])

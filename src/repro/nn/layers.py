@@ -6,9 +6,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.precision import TRAINING_DTYPE
-
 from repro.nn.tensor import Tensor
+
+#: the variance floor of every layer norm, graph and fused alike
+LAYER_NORM_EPS = 1e-5
 
 
 class Module:
@@ -81,7 +82,7 @@ class Linear(Module):
     """Affine map y = x W + b with Xavier-uniform initialization."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: Optional[np.random.RandomState] = None, bias: bool = True):
+                 rng: Optional[np.random.RandomState] = None):
         super().__init__()
         rng = rng or np.random.RandomState(0)
         bound = np.sqrt(6.0 / (in_features + out_features))
@@ -89,17 +90,10 @@ class Linear(Module):
             "weight",
             Tensor(rng.uniform(-bound, bound, size=(in_features, out_features))),
         )
-        self.bias = (
-            self.register_parameter("bias", Tensor(np.zeros(out_features)))
-            if bias
-            else None
-        )
+        self.bias = self.register_parameter("bias", Tensor(np.zeros(out_features)))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
 
 class Embedding(Module):
@@ -135,34 +129,14 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Layer normalization over the last axis."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.gamma = self.register_parameter("gamma", Tensor(np.ones(dim)))
         self.beta = self.register_parameter("beta", Tensor(np.zeros(dim)))
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (variance + self.eps).pow(-0.5)
+        normed = centered * (variance + LAYER_NORM_EPS).pow(-0.5)
         return normed * self.gamma + self.beta
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.1, rng: Optional[np.random.RandomState] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout p must be in [0, 1)")
-        self.p = p
-        self.rng = rng or np.random.RandomState(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self.rng.rand(*x.shape) < keep).astype(TRAINING_DTYPE) / keep
-        return x * Tensor(mask)
-

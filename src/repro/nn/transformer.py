@@ -3,7 +3,8 @@
 Token embeddings + learned position embeddings, N pre-norm encoder layers
 (self-attention + GELU feed-forward, residual connections), final layer
 norm. Forward takes integer id matrices and padding masks and returns
-per-token hidden states; the [CLS] position provides sentence embeddings.
+per-token hidden states; :class:`~repro.encoder.minibert.MiniBertEncoder`
+pools them into sentence embeddings.
 """
 
 from __future__ import annotations
@@ -15,8 +16,15 @@ import numpy as np
 from repro.precision import TRAINING_DTYPE
 
 from repro.nn.attention import MultiHeadSelfAttention, padding_bias
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
+from repro.nn.layers import Embedding, LayerNorm, Linear, Module
 from repro.nn.tensor import Tensor
+
+FFN_MULTIPLIER = 4  # feed-forward width per model dimension, as in BERT
+#: GPT-2-style scaled residual-branch init: the block starts near the
+#: identity, so token-level information survives an untrained stack and
+#: training grows contextualization gradually
+RESIDUAL_SCALE = 0.05
+POSITION_EMBED_SCALE = 0.02  # std of the position embeddings at init
 
 
 class TransformerEncoderLayer(Module):
@@ -26,25 +34,18 @@ class TransformerEncoderLayer(Module):
         self,
         dim: int,
         n_heads: int,
-        ffn_dim: int,
         rng: Optional[np.random.RandomState] = None,
-        dropout: float = 0.0,
-        residual_scale: float = 1.0,
     ):
         super().__init__()
         rng = rng or np.random.RandomState(0)
-        self.attention = MultiHeadSelfAttention(dim, n_heads, rng=rng, dropout=dropout)
+        ffn_dim = dim * FFN_MULTIPLIER
+        self.attention = MultiHeadSelfAttention(dim, n_heads, rng=rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.ffn_in = Linear(dim, ffn_dim, rng=rng)
         self.ffn_out = Linear(ffn_dim, dim, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
-        if residual_scale != 1.0:
-            # GPT-2-style scaled residual-branch init: the block starts near
-            # the identity, so token-level information survives an untrained
-            # stack and training grows contextualization gradually.
-            self.attention.output.weight.data *= residual_scale
-            self.ffn_out.weight.data *= residual_scale
+        self.attention.output.weight.data *= RESIDUAL_SCALE
+        self.ffn_out.weight.data *= RESIDUAL_SCALE
 
     def forward(
         self,
@@ -52,10 +53,8 @@ class TransformerEncoderLayer(Module):
         mask: Optional[np.ndarray] = None,
         bias: Optional[np.ndarray] = None,
     ) -> Tensor:
-        attended = self.attention(self.norm1(x), mask=mask, bias=bias)
-        x = x + self.dropout(attended)
-        transformed = self.ffn_out(self.ffn_in(self.norm2(x)).gelu())
-        return x + self.dropout(transformed)
+        x = x + self.attention(self.norm1(x), mask=mask, bias=bias)
+        return x + self.ffn_out(self.ffn_in(self.norm2(x)).gelu())
 
 
 class TransformerEncoder(Module):
@@ -72,47 +71,31 @@ class TransformerEncoder(Module):
         dim: int = 64,
         n_layers: int = 2,
         n_heads: int = 2,
-        ffn_dim: Optional[int] = None,
         max_len: int = 64,
-        dropout: float = 0.0,
         pad_id: int = 0,
         seed: int = 0,
-        residual_scale: float = 1.0,
-        token_embed_scale: Optional[float] = None,
-        position_embed_scale: float = 0.02,
     ):
         super().__init__()
         rng = np.random.RandomState(seed)
-        ffn_dim = ffn_dim if ffn_dim is not None else dim * 4
         self.dim = dim
         self.max_len = max_len
         self.pad_id = pad_id
         self.token_embedding = Embedding(vocab_size, dim, rng=rng, padding_idx=pad_id)
-        if token_embed_scale is None:
-            token_embed_scale = 1.0 / np.sqrt(dim)
         self.token_embedding.weight.data = rng.normal(
-            0.0, token_embed_scale, size=(vocab_size, dim)
+            0.0, 1.0 / np.sqrt(dim), size=(vocab_size, dim)
         )
         self.token_embedding.weight.data[pad_id] = 0.0
         self.position_embedding = Embedding(max_len, dim, rng=rng)
         self.position_embedding.weight.data = rng.normal(
-            0.0, position_embed_scale, size=(max_len, dim)
+            0.0, POSITION_EMBED_SCALE, size=(max_len, dim)
         )
         self.layers = [
-            TransformerEncoderLayer(
-                dim,
-                n_heads,
-                ffn_dim,
-                rng=rng,
-                dropout=dropout,
-                residual_scale=residual_scale,
-            )
+            TransformerEncoderLayer(dim, n_heads, rng=rng)
             for _ in range(n_layers)
         ]
         for i, layer in enumerate(self.layers):
             self.register_module(f"layer{i}", layer)
         self.final_norm = LayerNorm(dim)
-        self.embed_dropout = Dropout(dropout, rng=rng)
 
     def forward(
         self, ids: np.ndarray, mask: Optional[np.ndarray] = None
@@ -133,12 +116,6 @@ class TransformerEncoder(Module):
         bias = padding_bias(mask)
         positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
         x = self.token_embedding(ids) + self.position_embedding(positions)
-        x = self.embed_dropout(x)
         for layer in self.layers:
             x = layer(x, mask=mask, bias=bias)
         return self.final_norm(x)
-
-    def encode_cls(self, ids: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
-        """Sentence embeddings: the hidden state at position 0 ([CLS])."""
-        hidden = self.forward(ids, mask=mask)
-        return hidden[:, 0, :]

@@ -9,7 +9,8 @@ retrieval queries with explanations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -31,11 +32,20 @@ from repro.retriever.negatives import mine_training_examples
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore, build_triple_store
 from repro.retriever.trainer import RetrieverTrainer, TrainerConfig
-from repro.storage.atomic import atomic_write_npz
+from repro.storage.atomic import atomic_write_json, atomic_write_npz
 from repro.text.tokenize import tokenize
 from repro.text.vocab import Vocab
 from repro.triples.construct import ConstructionConfig
 from repro.updater.updater import QuestionUpdater, UpdaterConfig, UpdaterTrainer
+
+#: what :meth:`TripleFactRetrieval.save` writes last: the configs the
+#: directory's artefacts were built under
+MODEL_NAME = "model.json"
+MODEL_FORMAT = 1
+
+
+class ModelDirError(ValueError):
+    """The directory holds no model of the format this version reads."""
 
 
 @dataclass
@@ -43,7 +53,6 @@ class FrameworkConfig:
     """All stage configurations in one place."""
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    construction: ConstructionConfig = field(default_factory=ConstructionConfig)
     retriever: TrainerConfig = field(default_factory=TrainerConfig)
     updater: UpdaterConfig = field(default_factory=UpdaterConfig)
     ranker: PathRankerConfig = field(default_factory=PathRankerConfig)
@@ -69,7 +78,7 @@ class TripleFactRetrieval:
         """Train every stage on ``dataset.train`` over ``corpus``."""
         cfg = self.config
         train_questions = dataset.train
-        self.store = build_triple_store(corpus, config=cfg.construction)
+        self.store = build_triple_store(corpus)
 
         texts = [d.text for d in corpus] + [q.text for q in train_questions]
         vocab = Vocab.from_texts(texts, tokenize)
@@ -145,7 +154,9 @@ class TripleFactRetrieval:
         :meth:`load` (corpora are deterministic functions of a world seed).
         The triple embedding matrix is exported to a versioned
         ``embeddings/`` store so :meth:`load` warm-starts without a single
-        encoder call. Every artifact write is atomic.
+        encoder call. Every artifact write is atomic; ``model.json``, the
+        encoder and multi-hop configs the directory was built under, is
+        the last one.
         """
         self._require_fit()
         directory = Path(directory)
@@ -154,7 +165,7 @@ class TripleFactRetrieval:
         self.store.save(directory / STORE_NAME)
         self.retriever.export_embeddings(
             construction_fingerprint=construction_fingerprint(
-                self.config.construction, self.store.corpus.titles()
+                ConstructionConfig(), self.store.corpus.titles()
             )
         ).save(directory / EMBEDDINGS_DIR)
         atomic_write_npz(
@@ -166,15 +177,21 @@ class TripleFactRetrieval:
                 "ranker_bias": self.ranker.head.bias.data,
             },
         )
+        atomic_write_json(
+            directory / MODEL_NAME,
+            {
+                "format": MODEL_FORMAT,
+                "encoder": asdict(self.config.encoder),
+                "multihop": asdict(self.config.multihop),
+            },
+        )
 
     @classmethod
     def load(
-        cls,
-        directory: Union[str, Path],
-        corpus: Corpus,
-        config: Optional[FrameworkConfig] = None,
+        cls, directory: Union[str, Path], corpus: Corpus
     ) -> "TripleFactRetrieval":
-        """Restore a system saved by :meth:`save` over the same corpus.
+        """Restore a system saved by :meth:`save` over the same corpus,
+        under the configs its ``model.json`` records.
 
         Warm start: when the saved ``embeddings/`` store is present and
         its row hashes + encoder fingerprint still match, no triple is
@@ -182,14 +199,14 @@ class TripleFactRetrieval:
         missing, corrupt, or stale ``embeddings/`` degrades to re-encoding
         exactly the rows that changed (all of them, in the worst case); a
         triple file this version cannot read has nothing to degrade to
-        and raises :class:`~repro.retriever.store.TripleStoreError`.
+        and raises :class:`~repro.retriever.store.TripleStoreError`, and
+        a directory without a ``model.json`` of this format raises
+        :class:`ModelDirError`.
         """
         directory = Path(directory)
-        system = cls(config)
+        system = cls(_saved_config(directory / MODEL_NAME))
         cfg = system.config
-        system.encoder = MiniBertEncoder.load(
-            directory / "encoder", config=cfg.encoder
-        )
+        system.encoder = MiniBertEncoder.load(directory / "encoder", cfg.encoder)
         system.store = TripleStore.load(directory / STORE_NAME, corpus)
         system.retriever = SingleRetriever(system.encoder, system.store)
         try:
@@ -199,14 +216,32 @@ class TripleFactRetrieval:
         except EmbeddingStoreError:
             system.retriever.detach_embeddings()
         system.retriever.refresh_embeddings()
-        system.updater = QuestionUpdater(system.encoder, cfg.updater)
+        system.updater = QuestionUpdater(system.encoder)
         heads = np.load(directory / "heads.npz")
         system.updater.head.weight.data = heads["updater_weight"]
         system.updater.head.bias.data = heads["updater_bias"]
         system.multihop = MultiHopRetriever(
             system.retriever, system.updater, cfg.multihop
         )
-        system.ranker = PathRanker(system.retriever, cfg.ranker)
+        system.ranker = PathRanker(system.retriever)
         system.ranker.head.weight.data = heads["ranker_weight"]
         system.ranker.head.bias.data = heads["ranker_bias"]
         return system
+
+
+def _saved_config(path: Path) -> FrameworkConfig:
+    """The configs ``model.json`` records; :class:`ModelDirError` when
+    it is missing, unreadable or of another format version."""
+    try:
+        model = json.loads(path.read_text())
+        if model["format"] != MODEL_FORMAT:
+            raise ValueError(f"format version {model['format']!r}")
+        return FrameworkConfig(
+            encoder=EncoderConfig(**model["encoder"]),
+            multihop=MultiHopConfig(**model["multihop"]),
+        )
+    except (OSError, ValueError, TypeError, KeyError) as error:
+        raise ModelDirError(
+            f"{path}: not a model of format version {MODEL_FORMAT} "
+            f"({error!r}); rebuild the model directory"
+        ) from error

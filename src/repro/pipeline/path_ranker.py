@@ -33,14 +33,16 @@ from repro.retriever.strategies import l2_normalize_rows
 from repro.text.tokenize import tokenize
 
 
+LR = 3e-3
+SEED = 29  # of the head's init and of the example order
+BLEND = 0.8  # rerank score = BLEND * ranker + (1 - BLEND) * base score
+
+
 @dataclass
 class PathRankerConfig:
-    """Path-ranker model/training knobs."""
+    """Path-ranker training knobs."""
 
     epochs: int = 2
-    lr: float = 3e-3
-    seed: int = 29
-    blend: float = 0.8  # rerank score = blend*ranker + (1-blend)*base score
 
 
 class PathRanker:
@@ -55,7 +57,7 @@ class PathRanker:
     ):
         self.retriever = retriever
         self.config = config or PathRankerConfig()
-        rng = np.random.RandomState(self.config.seed)
+        rng = np.random.RandomState(SEED)
         self.head = Linear(
             retriever.encoder.config.dim + self.N_SCALARS, 1, rng=rng
         )
@@ -181,10 +183,7 @@ class PathRanker:
             spread = x.std() or 1.0
             return (x - x.mean()) / spread
 
-        blended = (
-            self.config.blend * _norm(ranker_scores)
-            + (1 - self.config.blend) * _norm(base)
-        )
+        blended = BLEND * _norm(ranker_scores) + (1 - BLEND) * _norm(base)
         # stable sort: tied blended scores keep the (already
         # deterministic) upstream path order, so reranking is a total
         # order like topk_doc_order's (score desc, id asc)
@@ -213,7 +212,7 @@ class PathRankerTrainer:
 
     def __init__(self, ranker: PathRanker):
         self.ranker = ranker
-        self._rng = np.random.RandomState(ranker.config.seed)
+        self._rng = np.random.RandomState(SEED)
 
     def build_examples(
         self,
@@ -274,7 +273,7 @@ class PathRankerTrainer:
             return -logits.softmax(axis=-1).log()[gold]
 
         return train_epochs(
-            Adam(ranker.head.parameters(), lr=ranker.config.lr),
+            Adam(ranker.head.parameters(), lr=LR),
             len(cached),
             example_loss,
             epochs=ranker.config.epochs,

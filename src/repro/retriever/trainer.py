@@ -27,16 +27,18 @@ from repro.text.stopwords import STOPWORDS
 from repro.text.tokenize import tokenize
 
 
+LOGIT_SCALE = 4.0  # cosine -> logit multiplier of the listwise loss
+MAX_TRIPLES_PER_DOC = 6  # encoded per document: the most question-entangled
+MAX_NEGATIVES = 9  # Eq. 5: one positive, nine negatives
+SEED = 17  # of the example order
+
+
 @dataclass
 class TrainerConfig:
     """Fine-tuning knobs."""
 
     epochs: int = 2
     lr: float = 3e-4
-    logit_scale: float = 4.0
-    max_triples_per_doc: int = 6
-    max_negatives: int = 9
-    seed: int = 17
 
 
 def _content_tokens(text: str) -> set:
@@ -53,13 +55,13 @@ class RetrieverTrainer:
     ):
         self.retriever = retriever
         self.config = config or TrainerConfig()
-        self._rng = np.random.RandomState(self.config.seed)
+        self._rng = np.random.RandomState(SEED)
 
     def _select_triples(self, question: str, doc_id: int) -> List[str]:
         """Cap a document's triples: keep those most lexically entangled
         with the question (a cheap stand-in for in-batch BM25 pruning)."""
         flattened = self.retriever.store.flattened(doc_id)
-        cap = self.config.max_triples_per_doc
+        cap = MAX_TRIPLES_PER_DOC
         if len(flattened) <= cap:
             return flattened
         question_tokens = _content_tokens(question)
@@ -73,7 +75,7 @@ class RetrieverTrainer:
     def _example_loss(self, example: TrainingExample) -> Optional[Tensor]:
         encoder = self.retriever.encoder
         doc_ids = [example.positive_doc_id] + list(
-            example.negative_doc_ids[: self.config.max_negatives]
+            example.negative_doc_ids[:MAX_NEGATIVES]
         )
         texts: List[str] = [example.question]
         spans: List[tuple] = []
@@ -95,7 +97,7 @@ class RetrieverTrainer:
         ]
         if len(doc_scores) < 2:
             return None
-        logits = Tensor.stack(doc_scores) * self.config.logit_scale
+        logits = Tensor.stack(doc_scores) * LOGIT_SCALE
         return -logits.softmax(axis=-1).log()[0]
 
     def train(

@@ -24,17 +24,31 @@ Shape = Tuple[str, Optional[int], Optional[int], Optional[str]]
 _OPTIONAL = ("k", "nprobe", "precision", "deadline_s")  # wire order
 
 
+def _check_seconds(name: str, seconds: Any) -> Optional[float]:
+    """None, or a finite number of seconds (a bool is not one)."""
+    if seconds is None:
+        return None
+    if not isinstance(seconds, (int, float)) or isinstance(seconds, bool):
+        raise ValueError(f"{name} must be a number, got {seconds!r}")
+    if not math.isfinite(seconds):
+        raise ValueError(f"{name} must be finite, got {seconds!r}")
+    return float(seconds)
+
+
 def check_deadline(deadline_s: Any) -> Optional[float]:
     """A deadline budget in seconds, or None; anything else is a
     ``ValueError`` — NaN too: ``now > nan`` is never true."""
-    if deadline_s is None:
-        return None
-    number = isinstance(deadline_s, (int, float))
-    if not number or isinstance(deadline_s, bool):
-        raise ValueError(f"deadline_s must be a number, got {deadline_s!r}")
-    if not math.isfinite(deadline_s):
-        raise ValueError(f"deadline_s must be finite, got {deadline_s!r}")
-    return float(deadline_s)
+    return _check_seconds("deadline_s", deadline_s)
+
+
+def check_timeout(timeout_s: Any) -> Optional[float]:
+    """A worker's wait for one reply in seconds (0: do not wait), or
+    None; anything else — a string, a bool, NaN, infinity, a negative
+    number — is a ``ValueError``."""
+    timeout = _check_seconds("timeout_s", timeout_s)
+    if timeout is not None and timeout < 0:
+        raise ValueError(f"timeout_s must be >= 0, got {timeout_s!r}")
+    return timeout
 
 
 def _check_count(name: str, value: Any) -> None:

@@ -22,13 +22,19 @@ from repro.triples.sibling import fuse_siblings
 
 @dataclass
 class ConstructionConfig:
-    """Knobs of Algorithm 1 (paper defaults: l=40, max length 256)."""
+    """Knobs of Algorithm 1 (paper defaults: l=40, max length 256).
+
+    Only ``threshold_size`` is set by a caller (the ablations sweep it).
+    The other numbers are fixed, but stay fields: they shape every
+    triple, so the construction fingerprint hashes them with the rest.
+    """
 
     threshold_size: int = 40  # l: maximum |T_d|
-    max_triple_chars: int = 256  # maximum flattened length of one triple
-    sibling_alpha: float = 0.75  # sibling similarity threshold
-    min_relatedness: float = 1e-9  # Eq. 1 pruning threshold
-    min_alpha: float = 0.45  # floor when tightening the budget
+    # maximum flattened length of one triple
+    max_triple_chars: int = field(default=256, init=False)
+    sibling_alpha: float = field(default=0.75, init=False)  # similarity
+    min_relatedness: float = field(default=1e-9, init=False)  # Eq. 1 pruning
+    min_alpha: float = field(default=0.45, init=False)  # tightening floor
 
 
 @dataclass

@@ -43,15 +43,16 @@ from repro.updater.golden import ground_clue_index
 Beam = Sequence[Tuple[Optional[int], Sequence[Triple]]]
 
 
+LR = 1e-2
+MAX_CANDIDATES = 12  # hop-1 triples per training example, gold clue among them
+SEED = 23  # of the head's init and of the example order
+
+
 @dataclass
 class UpdaterConfig:
-    """Updater model/training knobs."""
+    """Updater training knobs."""
 
     epochs: int = 2
-    lr: float = 1e-2
-    logit_scale: float = 1.0
-    max_candidates: int = 12
-    seed: int = 23
 
 
 class QuestionUpdater:
@@ -63,7 +64,7 @@ class QuestionUpdater:
     def __init__(self, encoder: MiniBertEncoder, config: Optional[UpdaterConfig] = None):
         self.encoder = encoder
         self.config = config or UpdaterConfig()
-        rng = np.random.RandomState(self.config.seed)
+        rng = np.random.RandomState(SEED)
         # "this triple introduces a novel rare entity" is a *statistic* of
         # the token sets, not a fixed direction in embedding space, so the
         # head reads statistics, not embeddings
@@ -268,7 +269,7 @@ class UpdaterTrainer:
 
     def __init__(self, updater: QuestionUpdater):
         self.updater = updater
-        self._rng = np.random.RandomState(updater.config.seed)
+        self._rng = np.random.RandomState(SEED)
 
     def build_examples(
         self,
@@ -281,7 +282,6 @@ class UpdaterTrainer:
         Only bridge questions supervise the updater — for comparison
         questions both documents match the original question directly.
         """
-        max_candidates = self.updater.config.max_candidates
         examples = []
         for question in questions:
             if not question.is_bridge or len(question.gold_titles) < 2:
@@ -290,7 +290,7 @@ class UpdaterTrainer:
             hop2 = corpus.by_title(question.gold_titles[1])
             if hop1 is None or hop2 is None:
                 continue
-            triples = store.triples(hop1.doc_id)[:max_candidates]
+            triples = store.triples(hop1.doc_id)[:MAX_CANDIDATES]
             gold = ground_clue_index(triples, hop2)
             if gold is None or len(triples) < 2:
                 continue
@@ -304,19 +304,18 @@ class UpdaterTrainer:
     ) -> List[float]:
         """Listwise training of the head; returns per-epoch mean losses."""
         updater = self.updater
-        cfg = updater.config
 
         def example_loss(index: int) -> Tensor:
             question, triples, gold = examples[index]
             features = updater._scalar_features(question, [(None, triples)])
-            logits = updater.head(Tensor(features)).reshape(-1) * cfg.logit_scale
+            logits = updater.head(Tensor(features)).reshape(-1)
             return -logits.softmax(axis=-1).log()[gold]
 
         return train_epochs(
-            Adam(updater.head.parameters(), lr=cfg.lr),
+            Adam(updater.head.parameters(), lr=LR),
             len(examples),
             example_loss,
-            epochs=cfg.epochs,
+            epochs=updater.config.epochs,
             rng=self._rng,
             name="updater",
             verbose=verbose,

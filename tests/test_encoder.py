@@ -88,13 +88,20 @@ class TestEncoding:
 
         assert cos(out[0], out[1]) > cos(out[0], out[2])
 
-    def test_cls_pooling_mode(self):
-        vocab = Vocab.from_tokens("a b c".split())
-        enc = MiniBertEncoder(
-            vocab,
-            EncoderConfig(dim=16, n_layers=1, n_heads=2, max_len=8, pooling="cls"),
+    def test_pooling_is_the_idf_weighted_mean(self, tiny_encoder):
+        # not the [CLS] state: the token states weighted by IDF, so
+        # [CLS], [SEP] and padding (weight 0) do not enter the vector
+        tiny_encoder.fit_idf(SENTENCES)
+        texts = ["the club was founded", "the band"]
+        ids, mask = tiny_encoder.batch_ids(texts)
+        hidden = tiny_encoder.model(ids, mask=mask).numpy()
+        weights = tiny_encoder._token_weights[ids] * mask
+        expected = (hidden * weights[:, :, None]).sum(axis=1)
+        expected /= weights.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            tiny_encoder.encode(texts).numpy(), expected, atol=1e-12
         )
-        assert enc.encode(["a b"]).shape == (1, 16)
+        assert not np.allclose(expected, hidden[:, 0, :])
 
 
 class TestIdfPooling:

@@ -183,14 +183,6 @@ class TestSessionParity:
         explicit = session.forward(ids, mask=(ids != 0).astype(F64))
         np.testing.assert_array_equal(session.forward(ids), explicit)
 
-    def test_encode_cls_matches_graph(self):
-        model = _model()
-        ids = _ragged_ids(np.random.RandomState(4))
-        mask = (ids != 0).astype(F64)
-        graph = model.encode_cls(ids, mask=mask).numpy()
-        fused = InferenceSession(model, dtype=F64).encode_cls(ids, mask=mask)
-        np.testing.assert_allclose(fused, graph, atol=1e-9)
-
     def test_max_len_enforced(self):
         model = _model()
         session = InferenceSession(model, dtype=F64)
@@ -280,19 +272,6 @@ class TestLengthBucketing:
             np.testing.assert_allclose(fused, graph, atol=1e-6)
         else:
             np.testing.assert_allclose(fused, graph, rtol=1e-4, atol=1e-5)
-
-    def test_cls_pooling_through_fused_path(self):
-        vocab = Vocab.from_tokens(" ".join(SENTENCES).split())
-        encoder = MiniBertEncoder(
-            vocab,
-            EncoderConfig(
-                dim=16, n_layers=1, n_heads=2, max_len=16, pooling="cls"
-            ),
-            precision="float64",
-        )
-        fused = encoder.encode_numpy(SENTENCES, batch_size=2)
-        graph = encode_numpy_graph(encoder, SENTENCES, batch_size=2)
-        np.testing.assert_allclose(fused, graph, atol=1e-6)
 
     def test_session_rebakes_after_fit_idf_weight_change(
         self, bucketing_encoder

@@ -1,10 +1,9 @@
-"""Unit tests for nn layers: Linear, Embedding, LayerNorm, Dropout."""
+"""Unit tests for nn layers: Linear, Embedding, LayerNorm."""
 
 import numpy as np
-import pytest
 
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
+from repro.nn.layers import Embedding, LayerNorm, Linear
 from repro.nn.tensor import Tensor
 
 
@@ -21,11 +20,11 @@ class TestModule:
         assert "query.weight" in names and "output.bias" in names
 
     def test_train_eval_propagates(self):
-        attention = MultiHeadSelfAttention(4, 2, dropout=0.5)
+        attention = MultiHeadSelfAttention(4, 2)
         attention.eval()
-        assert not attention.dropout.training
+        assert not attention.query.training
         attention.train()
-        assert attention.dropout.training
+        assert attention.query.training
 
     def test_zero_grad(self):
         layer = Linear(2, 2)
@@ -41,11 +40,6 @@ class TestLinear:
         layer = Linear(5, 3)
         out = layer(Tensor(np.zeros((2, 5))))
         assert out.shape == (2, 3)
-
-    def test_no_bias(self):
-        layer = Linear(5, 3, bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
 
     def test_gradient_flows(self):
         layer = Linear(3, 1)
@@ -99,26 +93,3 @@ class TestLayerNorm:
         out.backward()
         assert norm.gamma.grad is not None and norm.beta.grad is not None
 
-
-class TestDropout:
-    def test_eval_mode_identity(self):
-        drop = Dropout(0.5)
-        drop.eval()
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_array_equal(drop(x).numpy(), x.numpy())
-
-    def test_train_mode_zeroes_and_scales(self):
-        drop = Dropout(0.5, rng=np.random.RandomState(0))
-        out = drop(Tensor(np.ones((100, 100)))).numpy()
-        assert (out == 0).any()
-        # surviving entries are scaled by 1/keep
-        assert np.isclose(out[out > 0].mean(), 2.0)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_p_zero_identity(self):
-        drop = Dropout(0.0)
-        x = Tensor(np.ones(5))
-        np.testing.assert_array_equal(drop(x).numpy(), x.numpy())

@@ -776,6 +776,64 @@ def test_front_door_relays_the_workers_bytes(tmp_path):
     )
 
 
+def test_a_link_lost_to_a_live_worker_is_opened_again(tmp_path):
+    """A worker whose connection dropped while its process lives is
+    linked again at once — not at the next respawn or rollout, which a
+    long health interval puts out of reach here — and serves."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    questions = bundle.questions
+    with Fleet(
+        _spec(store_dir), workers=2, health_interval_s=3600.0
+    ) as fleet:
+        frontdoor = fleet.frontdoor
+        pids = sorted(handle.pid for handle in fleet.supervisor.handles())
+        deadline = time.monotonic() + 30.0
+        while (
+            frontdoor.stats_snapshot()["workers_linked"] < 2
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        with fleet.client() as client:
+            before = {
+                w["pid"]: w["stats"]["submitted"]
+                for w in client.stats()["workers"]
+            }
+        lost = next(iter(frontdoor._links.values()))
+        frontdoor._loop.call_soon_threadsafe(lost._writer.transport.close)
+        deadline = time.monotonic() + 30.0
+        while (
+            frontdoor._links.get(lost.key) in (None, lost)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert frontdoor.stats_snapshot()["workers_linked"] == 2
+        assert frontdoor._links[lost.key] is not lost
+        # pipelined, so least-pending routing spreads them over both links
+        with socket.create_connection(fleet.address, timeout=30.0) as sock:
+            sock.sendall(
+                b"".join(
+                    encode_frame({
+                        "op": "query", "id": i, "k": 3,
+                        "question": questions[i % len(questions)],
+                    })
+                    for i in range(32)
+                )
+            )
+            replies = [decode_body(_read_body(sock)) for _ in range(32)]
+        with fleet.client() as client:
+            after = {
+                w["pid"]: w["stats"]["submitted"]
+                for w in client.stats()["workers"]
+            }
+        assert fleet.supervisor.restarts == 0
+        assert sorted(h.pid for h in fleet.supervisor.handles()) == pids
+    assert all(reply["ok"] for reply in replies)
+    assert sorted(before) == sorted(after) == pids
+    assert all(after[pid] > before[pid] for pid in pids)
+
+
 class _StaticSupervisor:
     """What a front door needs of a supervisor, over fixed handles."""
 

@@ -118,13 +118,6 @@ class TestUpdaterCosineFeature:
 
 
 class TestTransformerFfnDefault:
-    def test_explicit_zero_is_respected(self):
-        # `ffn_dim or dim * 4` used to coerce an explicit 0 to the default
-        model = TransformerEncoder(
-            vocab_size=11, dim=8, n_layers=1, n_heads=2, max_len=8, ffn_dim=0
-        )
-        assert model.layers[0].ffn_in.weight.data.shape[1] == 0
-
     def test_none_still_gets_default(self):
         model = TransformerEncoder(
             vocab_size=11, dim=8, n_layers=1, n_heads=2, max_len=8

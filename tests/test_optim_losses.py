@@ -150,9 +150,7 @@ class TestSerialization:
             load_weights(wrong, path)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        model = Linear(4, 3, bias=False)
         path = tmp_path / "weights.npz"
-        save_weights(model, path)
-        bigger = Linear(4, 3)
+        np.savez(path, weight=Linear(4, 3).weight.data)  # no "bias"
         with pytest.raises(KeyError):
-            load_weights(bigger, path)
+            load_weights(Linear(4, 3), path)

@@ -7,21 +7,30 @@ training hyper-parameter number that selects no code path (DESIGN §5c
 names the caller). Adding one is a reviewed edit of this table.
 """
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
+from repro.baselines.dense_base import DenseConfig
+from repro.baselines.path_retriever import PathRetrieverConfig
+from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.ingest import EmbeddingStore, IngestPipeline, extract_corpus_triples
 from repro.net import Fleet, FrontDoor, Supervisor, WorkerSpec
 from repro.nn.optim import train_epochs
-from repro.pipeline.framework import FrameworkConfig
-from repro.pipeline.multihop import MultiHopRetriever
+from repro.nn.transformer import TransformerEncoder
+from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
+from repro.pipeline.multihop import MultiHopConfig, MultiHopRetriever
 from repro.pipeline.path_ranker import PathRankerConfig, PathRankerTrainer
 from repro.retriever.single import SingleRetriever
 from repro.retriever.trainer import TrainerConfig
 from repro.serve import Query, ResultCache, ServiceConfig, ServiceStats
+from repro.triples.construct import ConstructionConfig
 from repro.updater.updater import UpdaterConfig, UpdaterTrainer
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SURFACE = {
     Query: "text mode k nprobe precision deadline_s",
@@ -39,13 +48,20 @@ SURFACE = {
     SingleRetriever.retrieve_many: "questions k nprobe precision",
     SingleRetriever.refresh_embeddings: "",
     MultiHopRetriever.retrieve_paths_batch: "questions k_paths nprobe precision",
-    FrameworkConfig: "encoder construction retriever updater ranker multihop "
+    FrameworkConfig: "encoder retriever updater ranker multihop "
     "max_ranker_questions verbose",
-    TrainerConfig: "epochs lr logit_scale max_triples_per_doc max_negatives seed",
-    UpdaterConfig: "epochs lr logit_scale max_candidates seed",
+    TripleFactRetrieval.load: "directory corpus",
+    EncoderConfig: "dim n_layers n_heads max_len seed",
+    MiniBertEncoder.load: "directory config",
+    TransformerEncoder: "vocab_size dim n_layers n_heads max_len pad_id seed",
+    ConstructionConfig: "threshold_size",
+    TrainerConfig: "epochs lr",
+    UpdaterConfig: "epochs",
     UpdaterTrainer: "updater",
-    PathRankerConfig: "epochs lr seed blend",
+    PathRankerConfig: "epochs",
     PathRankerTrainer: "ranker",
+    DenseConfig: "epochs lr",
+    PathRetrieverConfig: "epochs",
     train_epochs: "optimizer n_examples example_loss epochs rng name verbose",
     EmbeddingStore: "matrix doc_ids offsets row_hashes encoder_fingerprint "
     "construction_fingerprint generation",
@@ -62,3 +78,51 @@ def _names(target):
 @pytest.mark.parametrize("target", SURFACE, ids=lambda t: t.__qualname__)
 def test_option_surface_is_exactly_the_audited_one(target):
     assert _names(target) == SURFACE[target].split()
+
+
+#: the model configs whose every field must have a caller
+MODEL_CONFIGS = (
+    TrainerConfig,
+    UpdaterConfig,
+    PathRankerConfig,
+    DenseConfig,
+    PathRetrieverConfig,
+    FrameworkConfig,
+    ConstructionConfig,
+    EncoderConfig,
+    MultiHopConfig,
+)
+#: fields kept without a keyword caller, each with its reason
+NO_CALLER = {
+    "MultiHopConfig.clue_weight": "benchmarks/e2e/oracle.py reads it to "
+    "rebuild the hop-2 query, and a saved model records it in model.json",
+}
+
+
+def _keywords_passed(roots):
+    """{class name: keyword names} over every call in ``roots``' files."""
+    passed = {}
+    for root in roots:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                passed.setdefault(name, set()).update(
+                    keyword.arg for keyword in node.keywords if keyword.arg
+                )
+    return passed
+
+
+def test_every_model_config_field_has_a_caller():
+    """DESIGN §5c's "every option has a caller", automated: a field only
+    tests set is a configuration nobody runs — it becomes a constant."""
+    passed = _keywords_passed(("src", "benchmarks", "examples"))
+    orphans = [
+        f"{config.__name__}.{name}"
+        for config in MODEL_CONFIGS
+        for name in _names(config)
+        if name not in passed.get(config.__name__, ())
+    ]
+    assert sorted(orphans) == sorted(NO_CALLER)

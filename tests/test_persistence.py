@@ -1,14 +1,19 @@
 """Round-trip tests for triple-store and full-system persistence."""
 
 import dataclasses
+import json
 
-import numpy as np
 import pytest
 from reference import unreadable_triple_files
 
 from repro.encoder.minibert import EncoderConfig
 from repro.ingest import STORE_NAME
-from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
+from repro.pipeline.framework import (
+    MODEL_NAME,
+    FrameworkConfig,
+    ModelDirError,
+    TripleFactRetrieval,
+)
 from repro.pipeline.multihop import MultiHopConfig
 from repro.pipeline.path_ranker import PathRankerConfig
 from repro.retriever.store import TripleStore, TripleStoreError
@@ -58,14 +63,12 @@ class TestSystemPersistence:
             max_ranker_questions=6,
         )
         dataset = dataclasses.replace(hotpot, train=hotpot.train[:15])
-        return TripleFactRetrieval(config).fit(corpus, dataset), config
+        return TripleFactRetrieval(config).fit(corpus, dataset)
 
     def test_save_load_same_retrieval(self, trained, corpus, hotpot, tmp_path):
-        system, config = trained
+        system = trained
         system.save(tmp_path / "model")
-        restored = TripleFactRetrieval.load(
-            tmp_path / "model", corpus, config=config
-        )
+        restored = TripleFactRetrieval.load(tmp_path / "model", corpus)
         question = hotpot.test[0].text
         original = [
             r.doc_id for r in system.retriever.retrieve_many([question], k=5)[0]
@@ -77,11 +80,9 @@ class TestSystemPersistence:
         assert original == loaded
 
     def test_save_load_same_paths(self, trained, corpus, hotpot, tmp_path):
-        system, config = trained
+        system = trained
         system.save(tmp_path / "model2")
-        restored = TripleFactRetrieval.load(
-            tmp_path / "model2", corpus, config=config
-        )
+        restored = TripleFactRetrieval.load(tmp_path / "model2", corpus)
         question = hotpot.test[1].text
         original = [
             p.doc_ids for p in system.retrieve_paths_many([question], k=4)[0]
@@ -94,14 +95,56 @@ class TestSystemPersistence:
     def test_unreadable_triple_file_is_raised_not_rebuilt(
         self, trained, corpus, tmp_path
     ):
-        system, config = trained
+        system = trained
         system.save(tmp_path / "model3")
         path = tmp_path / "model3" / STORE_NAME
         for name, body in unreadable_triple_files(path.read_bytes()).items():
             path.write_bytes(body)
             with pytest.raises(TripleStoreError):
-                TripleFactRetrieval.load(tmp_path / "model3", corpus, config)
+                TripleFactRetrieval.load(tmp_path / "model3", corpus)
             assert path.read_bytes() == body, name  # and left as found
+
+    def test_load_restores_the_saved_configs(
+        self, trained, corpus, hotpot, tmp_path
+    ):
+        """Without any config from the caller: the fixture's max_len 28
+        and k_hop1 3 are not the defaults, and a default-config load
+        could not restore the weights (position table 28 rows, not 48)."""
+        system = trained
+        assert system.config.encoder != EncoderConfig()
+        assert system.config.multihop != MultiHopConfig()
+        system.save(tmp_path / "model4")
+        restored = TripleFactRetrieval.load(tmp_path / "model4", corpus)
+        assert restored.config.encoder == system.config.encoder
+        assert restored.config.multihop == system.config.multihop
+        questions = [q.text for q in hotpot.test[:4]]
+        assert [
+            [(p.doc_ids, p.score) for p in paths]
+            for paths in restored.retrieve_paths_many(questions, k=4)
+        ] == [
+            [(p.doc_ids, p.score) for p in paths]
+            for paths in system.retrieve_paths_many(questions, k=4)
+        ]
+
+    def test_a_directory_without_its_model_file_is_a_typed_error(
+        self, trained, corpus, tmp_path
+    ):
+        system = trained
+        system.save(tmp_path / "model5")
+        model_file = tmp_path / "model5" / MODEL_NAME
+        saved = json.loads(model_file.read_text())
+        for body in (
+            None,  # the layout before model.json
+            json.dumps({**saved, "format": saved["format"] + 1}),
+            json.dumps([saved]),
+            "{truncated",
+        ):
+            if body is None:
+                model_file.unlink()
+            else:
+                model_file.write_text(body)
+            with pytest.raises(ModelDirError, match="rebuild"):
+                TripleFactRetrieval.load(tmp_path / "model5", corpus)
 
     def test_unfit_save_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):

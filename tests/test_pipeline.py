@@ -159,7 +159,7 @@ class TestPathRanker:
             assert gold_path.title_set == frozenset(question.gold_titles)
 
     def test_training_reduces_loss(self, retriever, multihop, hotpot, corpus):
-        ranker = PathRanker(retriever, PathRankerConfig(epochs=3, lr=5e-3))
+        ranker = PathRanker(retriever, PathRankerConfig(epochs=3))
         trainer = PathRankerTrainer(ranker)
         examples = trainer.build_examples(
             hotpot.train[:10], corpus, multihop, max_candidates=4

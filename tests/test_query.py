@@ -15,6 +15,7 @@ from repro.net import WorkerSpec, synthetic_bundle
 from repro.net.protocol import recv_frame, send_frame
 from repro.net.worker import WorkerRuntime
 from repro.serve import Query, RetrievalService, ServiceConfig
+from repro.serve.query import check_timeout
 
 BUNDLE_KWARGS = dict(
     seed=11, n_docs=24, triples_per_doc=3, dim=24, encoder="dyadic",
@@ -103,6 +104,30 @@ def test_a_malformed_field_is_the_same_typed_error_on_both_paths(
     reply = ask_worker(frame)
     assert reply["ok"] is False
     assert reply["error"]["type"] == error
+
+
+#: ``timeout_s`` values a worker must refuse: a string, a bool, NaN and
+#: the infinities (``json.loads`` reads the last three), a negative wait
+BAD_TIMEOUTS = ["5", True, math.nan, math.inf, -math.inf, -1]
+
+
+@pytest.mark.parametrize("timeout_s", BAD_TIMEOUTS, ids=repr)
+def test_a_malformed_timeout_is_a_value_error_in_process_and_on_the_wire(
+    bundle, ask_worker, timeout_s
+):
+    with pytest.raises(ValueError, match="timeout_s"):
+        check_timeout(timeout_s)
+    reply = ask_worker({"question": bundle.questions[0], "timeout_s": timeout_s})
+    assert reply["ok"] is False
+    assert reply["error"]["type"] == "ValueError"
+
+
+def test_a_timeout_is_a_non_negative_finite_number_or_none(bundle, ask_worker):
+    assert [check_timeout(t) for t in (None, 0, 5, 2.5)] == [
+        None, 0.0, 5.0, 2.5,
+    ]
+    reply = ask_worker({"question": bundle.questions[0], "timeout_s": 30})
+    assert reply["ok"] is True
 
 
 def test_a_frame_without_a_question_is_a_typed_error(ask_worker):

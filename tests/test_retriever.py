@@ -17,7 +17,11 @@ from repro.retriever.strategies import (
     TOP_K,
     ScoreStrategy,
 )
-from repro.retriever.trainer import RetrieverTrainer, TrainerConfig
+from repro.retriever.trainer import (
+    MAX_TRIPLES_PER_DOC,
+    RetrieverTrainer,
+    TrainerConfig,
+)
 
 
 class TestTripleStore:
@@ -178,9 +182,11 @@ class TestRetrieverTraining:
         assert losses[1] <= losses[0] * 1.2  # allow noise, forbid blow-up
 
     def test_triple_selection_cap(self, retriever, hotpot):
-        trainer = RetrieverTrainer(
-            retriever, TrainerConfig(max_triples_per_doc=2)
+        trainer = RetrieverTrainer(retriever)
+        doc_id = max(
+            retriever.store.doc_ids(),
+            key=lambda d: len(retriever.store.triples(d)),
         )
-        doc_id = retriever.store.doc_ids()[0]
+        assert len(retriever.store.triples(doc_id)) > MAX_TRIPLES_PER_DOC
         selected = trainer._select_triples("any question", doc_id)
-        assert len(selected) <= 2
+        assert len(selected) == MAX_TRIPLES_PER_DOC

@@ -5,7 +5,11 @@ import pytest
 
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.tensor import Tensor
-from repro.nn.transformer import TransformerEncoder, TransformerEncoderLayer
+from repro.nn.transformer import (
+    RESIDUAL_SCALE,
+    TransformerEncoder,
+    TransformerEncoderLayer,
+)
 
 
 class TestAttention:
@@ -40,14 +44,16 @@ class TestAttention:
 
 class TestEncoderLayer:
     def test_residual_scale_near_identity(self):
+        # both residual branches start at RESIDUAL_SCALE of their
+        # Xavier size: an untrained block moves its input only a little
         rng = np.random.RandomState(0)
-        layer = TransformerEncoderLayer(8, 2, 16, rng=rng, residual_scale=0.0)
-        x = np.random.randn(1, 4, 8)
+        layer = TransformerEncoderLayer(8, 2, rng=rng)
+        x = rng.randn(1, 4, 8)
         out = layer(Tensor(x)).numpy()
-        np.testing.assert_allclose(out, x, atol=1e-8)
+        assert np.abs(out - x).max() < 4 * RESIDUAL_SCALE * np.abs(x).max()
 
     def test_full_scale_changes_input(self):
-        layer = TransformerEncoderLayer(8, 2, 16, residual_scale=1.0)
+        layer = TransformerEncoderLayer(8, 2)
         x = np.random.randn(1, 4, 8)
         out = layer(Tensor(x)).numpy()
         assert not np.allclose(out, x)
@@ -63,11 +69,6 @@ class TestTransformerEncoder:
         enc = self._encoder()
         out = enc(np.array([[2, 5, 6, 0], [2, 7, 0, 0]]))
         assert out.shape == (2, 4, 16)
-
-    def test_encode_cls_shape(self):
-        enc = self._encoder()
-        out = enc.encode_cls(np.array([[2, 5, 6, 0]]))
-        assert out.shape == (1, 16)
 
     def test_1d_input_promoted(self):
         enc = self._encoder()

@@ -164,15 +164,16 @@ class TestConstruct:
         assert result.triples == [] and result.union_size == 0
 
     def test_max_chars_clipping(self):
-        config = ConstructionConfig(max_triple_chars=30)
-        constructor = TripleSetConstructor(config)
+        limit = ConstructionConfig().max_triple_chars
         long_triples = [
-            Triple("S", "is", "x" * 10),
-            Triple("S", "is", "y" * 10),
-            Triple("S", "is", "z" * 10),
+            Triple("S", "is", "x" * 100),
+            Triple("S", "is", "y" * 100),
+            Triple("S", "is", "z" * 100),
         ]
-        result = constructor.construct(long_triples)
-        assert all(len(t.flatten()) <= 30 for t in result.triples)
+        # fused, the three would flatten to 307 characters
+        result = TripleSetConstructor().construct(long_triples)
+        assert any(t.extra_objects for t in result.triples)
+        assert all(len(t.flatten()) <= limit for t in result.triples)
 
     def test_counters_consistent(self):
         result = TripleSetConstructor().construct(LYND)

@@ -81,7 +81,7 @@ class TestUpdaterTraining:
     def test_training_reduces_loss(self, encoder, hotpot, corpus, store):
         """Training moves the head and never the shared encoder."""
         updater = QuestionUpdater(
-            encoder, UpdaterConfig(epochs=3, lr=5e-3)
+            encoder, UpdaterConfig(epochs=3)
         )
         assert updater.head.weight.data.shape == (4, 1)
         trainer = UpdaterTrainer(updater)
@@ -95,7 +95,7 @@ class TestUpdaterTraining:
         )
 
     def test_trained_selector_beats_chance(self, encoder, hotpot, corpus, store):
-        updater = QuestionUpdater(encoder, UpdaterConfig(epochs=4, lr=5e-3))
+        updater = QuestionUpdater(encoder, UpdaterConfig(epochs=4))
         trainer = UpdaterTrainer(updater)
         examples = trainer.build_examples(hotpot.train[:40], corpus, store)
         trainer.train(examples)

@@ -113,25 +113,23 @@ class TestFrameworkWarmStart:
             max_ranker_questions=6,
         )
         dataset = dataclasses.replace(hotpot, train=hotpot.train[:15])
-        return TripleFactRetrieval(config).fit(corpus, dataset), config
+        return TripleFactRetrieval(config).fit(corpus, dataset)
 
     def test_load_makes_zero_encoder_calls(
         self, trained, corpus, tmp_path, encode_calls
     ):
-        system, config = trained
+        system = trained
         system.save(tmp_path / "model")
         encode_calls.clear()
-        TripleFactRetrieval.load(tmp_path / "model", corpus, config=config)
+        TripleFactRetrieval.load(tmp_path / "model", corpus)
         assert encode_calls == []
 
     def test_warm_load_retrieves_identically(
         self, trained, corpus, hotpot, tmp_path
     ):
-        system, config = trained
+        system = trained
         system.save(tmp_path / "model")
-        restored = TripleFactRetrieval.load(
-            tmp_path / "model", corpus, config=config
-        )
+        restored = TripleFactRetrieval.load(tmp_path / "model", corpus)
         question = hotpot.test[0].text
         original = [
             r.doc_id for r in system.retriever.retrieve_many([question], k=5)[0]
@@ -145,14 +143,12 @@ class TestFrameworkWarmStart:
     def test_missing_embeddings_falls_back_to_reencode(
         self, trained, corpus, hotpot, tmp_path, encode_calls
     ):
-        system, config = trained
+        system = trained
         system.save(tmp_path / "model")
         for artifact in (tmp_path / "model" / "embeddings").iterdir():
             artifact.unlink()
         encode_calls.clear()
-        restored = TripleFactRetrieval.load(
-            tmp_path / "model", corpus, config=config
-        )
+        restored = TripleFactRetrieval.load(tmp_path / "model", corpus)
         assert sum(encode_calls) > 0  # cold path: full re-encode
         question = hotpot.test[0].text
         original = [
@@ -167,12 +163,12 @@ class TestFrameworkWarmStart:
     def test_tampered_manifest_falls_back_to_reencode(
         self, trained, corpus, tmp_path, encode_calls
     ):
-        system, config = trained
+        system = trained
         system.save(tmp_path / "model")
         manifest = tmp_path / "model" / "embeddings" / "manifest.json"
         manifest.write_text("{corrupt")
         encode_calls.clear()
-        TripleFactRetrieval.load(tmp_path / "model", corpus, config=config)
+        TripleFactRetrieval.load(tmp_path / "model", corpus)
         assert sum(encode_calls) > 0
 
 
