@@ -1,8 +1,7 @@
 """Baseline retrieval systems the paper compares against (Tables II-V).
 
-* :mod:`repro.baselines.lexical` — TF-IDF / BM25 text retrievers [1, 10, 11],
-* :mod:`repro.baselines.golden_retriever` — GoldEn [13]: IR retrieval with
-  a per-hop query generator,
+* :mod:`repro.baselines.lexical` — BM25 text retrieval [1, 10, 11]; its
+  text-field hop 1 is Table IV's GoldEn [13] row,
 * :mod:`repro.baselines.dense_base` — shared dense bi-encoder machinery,
 * :mod:`repro.baselines.tprr` — TPRR [7]: full-text dense encoding with
   path reranking,
@@ -15,7 +14,6 @@
 """
 
 from repro.baselines.lexical import LexicalRetriever
-from repro.baselines.golden_retriever import GoldEnRetriever
 from repro.baselines.dense_base import DenseRetriever, DenseConfig
 from repro.baselines.tprr import TPRRRetriever
 from repro.baselines.mdr import MDRRetriever
@@ -24,7 +22,6 @@ from repro.baselines.hop_retriever import HopRetrieverBaseline
 
 __all__ = [
     "LexicalRetriever",
-    "GoldEnRetriever",
     "DenseRetriever",
     "DenseConfig",
     "TPRRRetriever",

@@ -11,23 +11,27 @@ isolates the representation, not the training recipe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.corpus import Corpus
-from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
+from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.losses import cosine_similarity
 from repro.nn.optim import Adam, train_epochs
 from repro.nn.tensor import Tensor
 from repro.perf import COUNTERS, time_block
 from repro.retriever.negatives import TrainingExample
-from repro.retriever.strategies import l2_normalize_rows, l2_normalize_vec
+from repro.retriever.single import ENCODE_BATCH_SIZE
+from repro.retriever.strategies import l2_normalize_rows
+from repro.shard.merge import topk_doc_order
 
 
 LOGIT_SCALE = 4.0  # cosine -> logit multiplier of the listwise loss
 MAX_DOC_TOKENS = 46  # document text truncation before encoding
 SEED = 31  # of the example order
+K_HOP1 = 8  # hop-1 beam of the path search
+K_HOP2 = 4  # hop-2 documents per beam document
 
 
 @dataclass
@@ -64,10 +68,10 @@ class DenseRetriever:
         tokens = text.split()
         return " ".join(tokens[:MAX_DOC_TOKENS])
 
-    def refresh_embeddings(self, batch_size: int = 128) -> None:
+    def refresh_embeddings(self) -> None:
         """(Re-)encode every document into the MIPS matrix."""
         texts = [self.document_text(d.doc_id) for d in self.corpus]
-        matrix = self.encoder.encode_numpy(texts, batch_size=batch_size)
+        matrix = self.encoder.encode_numpy(texts, batch_size=ENCODE_BATCH_SIZE)
         COUNTERS.record_encode(len(texts))
         self._doc_normed = l2_normalize_rows(matrix)
 
@@ -76,11 +80,6 @@ class DenseRetriever:
             self.refresh_embeddings()
 
     # -- retrieval ----------------------------------------------------------
-    def encode_query(self, query: str) -> np.ndarray:
-        """Normalized query embedding."""
-        COUNTERS.record_encode(1)
-        return l2_normalize_vec(self.encoder.encode_numpy([query])[0])
-
     def encode_queries(self, queries: Sequence[str]) -> np.ndarray:
         """Row-normalized query embeddings, one encoder pass."""
         if not queries:
@@ -89,37 +88,16 @@ class DenseRetriever:
         COUNTERS.record_encode(len(queries))
         return l2_normalize_rows(self.encoder.encode_numpy(list(queries)))
 
-    def retrieve(
-        self, query: str, k: int = 10, exclude: Optional[Sequence[int]] = None
-    ) -> List[Tuple[int, float]]:
-        """Top-k (doc_id, cosine) via maximum inner-product search."""
-        return self.retrieve_by_vector(self.encode_query(query), k, exclude)
-
-    def retrieve_by_vector(
-        self,
-        query_vec: np.ndarray,
-        k: int = 10,
-        exclude: Optional[Sequence[int]] = None,
-    ) -> List[Tuple[int, float]]:
-        """MIPS with a precomputed (normalized) query vector."""
-        self._ensure_fresh()
-        with time_block() as elapsed:
-            scores = self._doc_normed @ query_vec
-        COUNTERS.record_scoring(
-            1, self._doc_normed.shape[0], self._doc_normed.shape[0],
-            elapsed(),
-        )
-        return self._top_k(scores, k, exclude)
-
     def retrieve_batch(
         self,
         query_matrix: np.ndarray,
-        k: int = 10,
-        exclude: Optional[Sequence[Optional[Sequence[int]]]] = None,
+        k: int,
+        exclude: Optional[Sequence[Sequence[int]]] = None,
     ) -> List[List[Tuple[int, float]]]:
-        """MIPS for many queries with one ``Q×D`` matmul.
+        """Top-k (doc_id, cosine) per query row, one ``Q×D`` matmul.
 
-        ``exclude``, when given, holds one exclusion list per query row.
+        Ranked in the (score desc, doc id asc) order of every retrieval
+        site; ``exclude``, when given, holds one exclusion list per row.
         """
         self._ensure_fresh()
         queries = np.atleast_2d(np.asarray(query_matrix))
@@ -130,57 +108,43 @@ class DenseRetriever:
         COUNTERS.record_scoring(
             queries.shape[0], score_matrix.size, score_matrix.size, elapsed()
         )
-        return [
-            self._top_k(
-                row, k, exclude[i] if exclude is not None else None
-            )
-            for i, row in enumerate(score_matrix)
-        ]
-
-    def _top_k(self, scores, k, exclude):
-        excluded = set(exclude or ())
-        # stable sort on -scores: ties keep input order = ascending doc
-        # id, the same (score desc, id asc) total order as topk_doc_order
-        order = np.argsort(-scores, kind="stable")
-        out: List[Tuple[int, float]] = []
-        for index in order:
-            doc_id = int(index)
-            if doc_id in excluded:
-                continue
-            out.append((doc_id, float(scores[index])))
-            if len(out) == k:
-                break
+        doc_ids = np.arange(score_matrix.shape[1])
+        out: List[List[Tuple[int, float]]] = []
+        for i, row in enumerate(score_matrix):
+            excluded = set(exclude[i]) if exclude is not None else set()
+            order = topk_doc_order(row, doc_ids, k + len(excluded))
+            hits = [
+                (int(d), float(row[d])) for d in order if int(d) not in excluded
+            ]
+            out.append(hits[:k])
         return out
 
-    def retrieve_titles(self, query: str, k: int = 10) -> List[str]:
-        return [self.corpus[d].title for d, _ in self.retrieve(query, k=k)]
+    def retrieve_documents(self, question: str, k: int) -> List[str]:
+        """One-hop retrieval: the top-k titles (Table IV's "TPR" row)."""
+        hits = self.retrieve_batch(self.encode_queries([question]), k)[0]
+        return [self.corpus[doc_id].title for doc_id, _ in hits]
 
     # -- two-hop paths -------------------------------------------------------
     def hop2_query(self, question: str, doc_id: int) -> str:
         """The hop-2 query given a hop-1 document (subclass-specific)."""
         raise NotImplementedError
 
-    def two_hop_paths(
-        self,
-        question: str,
-        k_hop1: int,
-        k_hop2: int,
-        k_paths: int = 8,
-    ) -> List[Tuple[str, ...]]:
-        """Beam two-hop retrieval with additive path scores.
+    def retrieve_paths(self, question: str, k_paths: int) -> List[Tuple[str, ...]]:
+        """Beam two-hop retrieval with additive path scores (Table V).
 
         The shared skeleton of the TPRR / MDR / HopRetriever baselines:
         hop-2 queries for the whole hop-1 beam are encoded in one batch
         and scored with a single matmul via :meth:`retrieve_batch`.
         """
-        hop1_results = self.retrieve(question, k=k_hop1)
+        hop1_results = self.retrieve_batch(
+            self.encode_queries([question]), K_HOP1
+        )[0]
         queries = [
             self.hop2_query(question, doc_id) for doc_id, _ in hop1_results
         ]
-        query_matrix = self.encode_queries(queries)
         hop2_lists = self.retrieve_batch(
-            query_matrix,
-            k=k_hop2,
+            self.encode_queries(queries),
+            K_HOP2,
             exclude=[[doc_id] for doc_id, _ in hop1_results],
         )
         paths: List[Tuple[str, ...]] = []
@@ -207,7 +171,6 @@ class DenseRetriever:
     ) -> List[float]:
         """Listwise fine-tuning on mined 1-pos + 9-neg examples."""
         cfg = self.config
-        model = self.encoder.model
         examples = list(examples)
 
         def example_loss(index: int) -> Tensor:
@@ -219,7 +182,6 @@ class DenseRetriever:
             logits = scores * LOGIT_SCALE
             return -logits.softmax(axis=-1).log()[0]
 
-        model.train()
         losses = train_epochs(
             Adam(self.encoder.trainable_parameters(), lr=cfg.lr),
             len(examples),
@@ -229,6 +191,5 @@ class DenseRetriever:
             name="dense",
             verbose=verbose,
         )
-        model.eval()
         self.refresh_embeddings()
         return losses

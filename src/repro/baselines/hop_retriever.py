@@ -11,60 +11,45 @@ non-entity token span.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.baselines.dense_base import DenseConfig, DenseRetriever
 from repro.data.corpus import Corpus
 from repro.encoder.minibert import MiniBertEncoder
 from repro.index.entity_index import EntityIndex
 
+ENTITY_REPEAT = 2  # copies of the mention block appended to a document
+
 
 class HopRetrieverBaseline(DenseRetriever):
-    """Dense retrieval whose document text is enriched with entity mentions."""
+    """Dense retrieval whose document text is enriched with entity mentions.
+
+    ``linker`` must have every corpus document registered
+    (:meth:`EntityIndex.add_document`): it is where the mentions come from.
+    """
 
     def __init__(
         self,
         encoder: MiniBertEncoder,
         corpus: Corpus,
-        linker: Optional[EntityIndex] = None,
+        linker: EntityIndex,
         config: Optional[DenseConfig] = None,
-        entity_repeat: int = 2,
-        k_hop1: int = 8,
-        k_hop2: int = 4,
     ):
         super().__init__(encoder, corpus, config)
-        if linker is None:
-            linker = EntityIndex(corpus.titles())
-            for document in corpus:
-                linker.add_document(document.doc_id, document.text)
         self.linker = linker
-        self.entity_repeat = entity_repeat
-        self.k_hop1 = k_hop1
-        self.k_hop2 = k_hop2
 
     def document_text(self, doc_id: int) -> str:
         """Text truncated as usual, then entity mentions appended
-        ``entity_repeat`` times — the lexical analogue of up-weighting
+        ``ENTITY_REPEAT`` times — the lexical analogue of up-weighting
         mention embeddings in the fused representation."""
         base = super().document_text(doc_id)
         entities = self.linker.entities_of(doc_id)
-        if not entities or self.entity_repeat <= 0:
+        if not entities:
             return base
-        mention_block = " ".join(entities) * 1
-        return base + (" " + mention_block) * self.entity_repeat
-
-    def retrieve_documents(self, question: str, k: int = 8) -> List[str]:
-        return self.retrieve_titles(question, k=k)
+        return base + (" " + " ".join(entities)) * ENTITY_REPEAT
 
     def hop2_query(self, question: str, doc_id: int) -> str:
         """Hop-2 query: question plus the hop-1 document's entity mentions
         (its structured knowledge), not its full text."""
         entities = self.linker.entities_of(doc_id)
         return f"{question} {' '.join(entities)}" if entities else question
-
-    def retrieve_paths(
-        self, question: str, k_paths: int = 8
-    ) -> List[Tuple[str, ...]]:
-        return self.two_hop_paths(
-            question, self.k_hop1, self.k_hop2, k_paths=k_paths
-        )

@@ -1,23 +1,22 @@
-"""Token-based retrieval baselines: TF-IDF and BM25 over any field.
+"""Token-based retrieval baseline: BM25 over any field.
 
 These are the "conventional word-based techniques" of Table II — both the
 full-text field ("Text matching") and the triple-fact field ("TFS
-matching") run through this class; only the indexed field differs.
+matching") run through this class; only the indexed field differs. Table
+IV's GoldEn row is its hop 1: BM25 over the text field.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.data.corpus import Corpus
-from repro.index.bm25 import BM25Scorer
 from repro.index.inverted import InvertedIndex, SearchHit
-from repro.index.tfidf import TfidfScorer
 from repro.retriever.store import TripleStore
 
 
 class LexicalRetriever:
-    """BM25 / TF-IDF retrieval over a corpus with named fields.
+    """BM25 retrieval over a corpus with named fields.
 
     Fields available after construction:
 
@@ -31,15 +30,10 @@ class LexicalRetriever:
         self,
         corpus: Corpus,
         store: Optional[TripleStore] = None,
-        scorer: str = "bm25",
         extra_fields: Optional[dict] = None,
     ):
         self.corpus = corpus
-        self.store = store
-        self.scorer_name = scorer
-        self.index = InvertedIndex(
-            scorer=BM25Scorer() if scorer == "bm25" else TfidfScorer()
-        )
+        self.index = InvertedIndex()
         for document in corpus:
             fields = {"text": document.text}
             if store is not None:

@@ -11,31 +11,11 @@ original question tokens anyway).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-from repro.baselines.dense_base import DenseConfig, DenseRetriever
-from repro.data.corpus import Corpus
-from repro.encoder.minibert import MiniBertEncoder
+from repro.baselines.dense_base import DenseRetriever
 
 
 class MDRRetriever(DenseRetriever):
     """Recursive dense retrieval with concatenation question update."""
-
-    def __init__(
-        self,
-        encoder: MiniBertEncoder,
-        corpus: Corpus,
-        config: Optional[DenseConfig] = None,
-        k_hop1: int = 8,
-        k_hop2: int = 4,
-    ):
-        super().__init__(encoder, corpus, config)
-        self.k_hop1 = k_hop1
-        self.k_hop2 = k_hop2
-
-    def retrieve_documents(self, question: str, k: int = 8) -> List[str]:
-        """One-hop dense retrieval."""
-        return self.retrieve_titles(question, k=k)
 
     def hop2_query(self, question: str, doc_id: int) -> str:
         """MDR's update: full hop-1 text appended to the question.
@@ -44,11 +24,3 @@ class MDRRetriever(DenseRetriever):
         baseline is that the concatenated document dominates the encoding.
         """
         return f"{question} {self.corpus[doc_id].text}"
-
-    def retrieve_paths(
-        self, question: str, k_paths: int = 8
-    ) -> List[Tuple[str, ...]]:
-        """Recursive two-hop retrieval (batched beam over hop-1 candidates)."""
-        return self.two_hop_paths(
-            question, self.k_hop1, self.k_hop2, k_paths=k_paths
-        )

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.dense_base import DenseConfig, DenseRetriever
+from repro.baselines.dense_base import DenseRetriever
 from repro.baselines.lexical import LexicalRetriever
 from repro.data.corpus import Corpus
 from repro.encoder.minibert import MiniBertEncoder
@@ -50,13 +50,12 @@ class PathRetrieverBaseline:
         self,
         encoder: MiniBertEncoder,
         corpus: Corpus,
-        dense: Optional[DenseRetriever] = None,
         config: Optional[PathRetrieverConfig] = None,
     ):
         self.encoder = encoder
         self.corpus = corpus
         self.config = config or PathRetrieverConfig()
-        self.dense = dense or DenseRetriever(encoder, corpus)
+        self.dense = DenseRetriever(encoder, corpus)
         self.lexical = LexicalRetriever(corpus)
         rng = np.random.RandomState(SEED)
         dim = encoder.config.dim
@@ -77,19 +76,14 @@ class PathRetrieverBaseline:
         return float(joint @ self.score_head.weight.data.reshape(-1)
                      + self.score_head.bias.data[0])
 
-    def _candidates(self, doc_id: int, question: str) -> List[int]:
+    def _candidates(self, doc_id: int) -> List[int]:
         """Hyperlink neighbours of ``doc_id`` (the graph constraint)."""
-        neighbours = [
-            d.doc_id for d in self.corpus.neighbours(self.corpus[doc_id])
-        ]
-        return neighbours
+        return [d.doc_id for d in self.corpus.neighbours(self.corpus[doc_id])]
 
     # -- retrieval ------------------------------------------------------------
-    def retrieve_paths(
-        self, question: str, k_paths: int = 8
-    ) -> List[Tuple[str, ...]]:
+    def retrieve_paths(self, question: str, k_paths: int) -> List[Tuple[str, ...]]:
         """Beam search: lexical seeds, hyperlink expansion, learned scores."""
-        state0 = self.dense.encode_query(question)
+        state0 = self.dense.encode_queries([question])[0]
         seeds = self.lexical.retrieve(question, k=N_SEEDS, field="text")
         scored_paths: List[Tuple[float, Tuple[int, int]]] = []
         seen = set()
@@ -97,7 +91,7 @@ class PathRetrieverBaseline:
             seed_vec = self._doc_vec(seed.doc_id)
             seed_score = self._score(state0, seed_vec)
             state1 = self._state_update(state0, seed_vec)
-            candidates = self._candidates(seed.doc_id, question)
+            candidates = self._candidates(seed.doc_id)
             if not candidates:
                 continue
             ranked = sorted(
@@ -157,7 +151,7 @@ class PathRetrieverBaseline:
         )
 
     def _example_loss(self, question, g1, g2):
-        state0 = self.dense.encode_query(question)
+        state0 = self.dense.encode_queries([question])[0]
         seeds = [h.doc_id for h in self.lexical.retrieve(question, k=6, field="text")]
         step1 = [g1] + [d for d in seeds if d != g1][:5]
         if len(step1) < 2:

@@ -10,40 +10,12 @@ the hop-1 document (its global path supervision, approximated forward).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-from repro.baselines.dense_base import DenseConfig, DenseRetriever
-from repro.data.corpus import Corpus
-from repro.encoder.minibert import MiniBertEncoder
+from repro.baselines.dense_base import DenseRetriever
 
 
 class TPRRRetriever(DenseRetriever):
     """Full-text dense retriever with two-hop path construction."""
 
-    def __init__(
-        self,
-        encoder: MiniBertEncoder,
-        corpus: Corpus,
-        config: Optional[DenseConfig] = None,
-        k_hop1: int = 8,
-        k_hop2: int = 4,
-    ):
-        super().__init__(encoder, corpus, config)
-        self.k_hop1 = k_hop1
-        self.k_hop2 = k_hop2
-
-    def retrieve_documents(self, question: str, k: int = 8) -> List[str]:
-        """One-hop retrieval (the Table IV "TPR" row)."""
-        return self.retrieve_titles(question, k=k)
-
     def hop2_query(self, question: str, doc_id: int) -> str:
         """Path query: question ⊕ hop-1 document text (truncated)."""
         return f"{question} {self.document_text(doc_id)}"
-
-    def retrieve_paths(
-        self, question: str, k_paths: int = 8
-    ) -> List[Tuple[str, ...]]:
-        """Two-hop dense path retrieval with additive path scores."""
-        return self.two_hop_paths(
-            question, self.k_hop1, self.k_hop2, k_paths=k_paths
-        )

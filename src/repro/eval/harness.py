@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.baselines.golden_retriever import GoldEnRetriever
 from repro.baselines.hop_retriever import HopRetrieverBaseline
 from repro.baselines.lexical import LexicalRetriever
 from repro.baselines.mdr import MDRRetriever
@@ -251,7 +250,7 @@ class ExperimentContext:
     def baseline(self, name: str):
         """Trained baseline retrievers, built on demand.
 
-        Names: "tprr", "mdr", "hop", "path", "golden".
+        Names: "tprr", "mdr", "hop", "path".
         """
         if name in self._baselines:
             return self._baselines[name]
@@ -260,9 +259,7 @@ class ExperimentContext:
         # bi-encoders below their untrained quality; 1e-4 is their stable
         # regime on this corpus
         dense_config = DenseConfig(epochs=scale.baseline_epochs, lr=1e-4)
-        if name == "golden":
-            instance = GoldEnRetriever(self.corpus, linker=self.linker)
-        elif name == "tprr":
+        if name == "tprr":
             instance = TPRRRetriever(
                 self._new_encoder(seed=41), self.corpus, dense_config
             )

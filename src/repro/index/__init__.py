@@ -1,25 +1,20 @@
 """In-process inverted-index search engine (Elasticsearch stand-in).
 
 The paper indexes 5M Wikipedia documents and their triple-fact sets with
-Elasticsearch 7.13 and uses BM25 scoring. This subpackage provides the same
-capability in-process: multi-field inverted indexes, BM25 and TF-IDF
-scorers, and an entity index used for entity linking.
+Elasticsearch 7.13 and uses it only as a BM25 store. This subpackage
+provides the same capability in-process: one analyzer chain, multi-field
+inverted indexes scored by BM25, and an entity index used for entity
+linking.
 """
 
-from repro.index.analyzer import Analyzer
 from repro.index.postings import Field, Posting
 from repro.index.inverted import InvertedIndex, SearchHit
-from repro.index.bm25 import BM25Scorer
-from repro.index.tfidf import TfidfScorer
 from repro.index.entity_index import EntityIndex
 
 __all__ = [
-    "Analyzer",
     "Field",
     "Posting",
     "InvertedIndex",
     "SearchHit",
-    "BM25Scorer",
-    "TfidfScorer",
     "EntityIndex",
 ]

@@ -6,36 +6,13 @@ lower-case, drop stopwords and punctuation, stem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.text.stem import stem
-from repro.text.stopwords import STOPWORDS
+from repro.text.stopwords import remove_stopwords
 from repro.text.tokenize import tokenize
 
 
-@dataclass(frozen=True)
-class Analyzer:
-    """Configurable text -> terms pipeline.
-
-    Parameters
-    ----------
-    use_stemming:
-        Apply the Porter-style stemmer to each term.
-    remove_stopwords:
-        Drop stopwords and bare punctuation tokens.
-    """
-
-    use_stemming: bool = True
-    remove_stopwords: bool = True
-
-    def analyze(self, text: str) -> List[str]:
-        """Convert raw ``text`` into a list of index terms."""
-        terms = tokenize(text)
-        if self.remove_stopwords:
-            terms = [t for t in terms if t not in STOPWORDS and t[:1].isalnum()]
-        else:
-            terms = [t for t in terms if t[:1].isalnum()]
-        if self.use_stemming:
-            terms = [stem(t) for t in terms]
-        return terms
+def analyze(text: str) -> List[str]:
+    """Convert raw ``text`` into a list of index terms."""
+    return [stem(t) for t in remove_stopwords(tokenize(text))]

@@ -1,21 +1,21 @@
-"""Multi-field inverted index with pluggable scorers.
+"""Multi-field inverted index, BM25-scored.
 
 The central search abstraction: documents are indexed into named fields
 ("text" for the full body, "triples" for the flattened triple-fact set,
 "stanford_triples" / "minie_triples" for the Table III comparisons), and
-queries run BM25 or TF-IDF against any field — exactly how the paper drives
-its Elasticsearch deployment.
+queries run BM25 against any field — exactly how the paper drives its
+Elasticsearch deployment. Each field keeps its own collection statistics,
+so a field ranks the same whatever other fields the index holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List
 
-from repro.index.analyzer import Analyzer
-from repro.index.bm25 import BM25Scorer
+from repro.index import bm25
+from repro.index.analyzer import analyze
 from repro.index.postings import Field
-from repro.index.tfidf import TfidfScorer
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,7 @@ class InvertedIndex:
         hits = index.search("when was the club founded", field="triples", k=10)
     """
 
-    def __init__(
-        self,
-        analyzer: Optional[Analyzer] = None,
-        scorer: Union[BM25Scorer, TfidfScorer, None] = None,
-    ):
-        self.analyzer = analyzer or Analyzer()
-        self.scorer = scorer or BM25Scorer()
+    def __init__(self):
         self._fields: Dict[str, Field] = {}
         self._doc_ids: List[int] = []
 
@@ -56,7 +50,7 @@ class InvertedIndex:
     def add_document(self, doc_id: int, fields: Dict[str, str]) -> None:
         """Index ``doc_id`` with raw text per field name."""
         for name, text in fields.items():
-            self.field(name).add(doc_id, self.analyzer.analyze(text))
+            self.field(name).add(doc_id, analyze(text))
         self._doc_ids.append(doc_id)
 
     @property
@@ -64,39 +58,14 @@ class InvertedIndex:
         return len(self._doc_ids)
 
     # -- searching ------------------------------------------------------------
-    def search(
-        self,
-        query: str,
-        field: str = "text",
-        k: int = 10,
-        scorer: Union[BM25Scorer, TfidfScorer, None] = None,
-        exclude: Optional[Sequence[int]] = None,
-    ) -> List[SearchHit]:
-        """Rank documents in ``field`` against ``query``.
+    def search(self, query: str, field: str, k: int) -> List[SearchHit]:
+        """The top ``k`` documents of ``field`` for raw ``query`` text.
 
-        Parameters
-        ----------
-        query:
-            Raw query text (analyzed with the index analyzer).
-        field:
-            Field to search; raises KeyError if never indexed.
-        k:
-            Number of hits to return.
-        scorer:
-            Optional scorer override for this call.
-        exclude:
-            Document ids to omit from the ranking (used when mining
-            negatives: "top 9 documents except the ground documents").
+        Raises KeyError for a field that was never indexed.
         """
         if field not in self._fields:
             raise KeyError(f"unknown field {field!r}")
-        terms = self.analyzer.analyze(query)
-        active = scorer or self.scorer
-        excluded = set(exclude or ())
-        budget = k + len(excluded)
-        hits = [
+        return [
             SearchHit(doc_id, score)
-            for doc_id, score in active.top_k(self._fields[field], terms, budget)
-            if doc_id not in excluded
+            for doc_id, score in bm25.top_k(self._fields[field], analyze(query), k)
         ]
-        return hits[:k]

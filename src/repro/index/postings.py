@@ -18,8 +18,8 @@ class Field:
     """The inverted structure for one named field.
 
     Stores per-term postings lists, per-document lengths, and collection
-    statistics needed by BM25 / TF-IDF (document count, average length,
-    document frequencies).
+    statistics needed by BM25 (document count, average length, document
+    frequencies).
     """
 
     def __init__(self, name: str):
@@ -65,7 +65,3 @@ class Field:
     def postings(self, term: str) -> List[Posting]:
         """The postings list for ``term`` (empty list if unseen)."""
         return self._postings.get(term, [])
-
-    def vocabulary(self) -> List[str]:
-        """All indexed terms."""
-        return list(self._postings)

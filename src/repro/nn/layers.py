@@ -13,12 +13,11 @@ LAYER_NORM_EPS = 1e-5
 
 
 class Module:
-    """Base class: parameter registry, train/eval mode, named traversal."""
+    """Base class: parameter registry and named traversal."""
 
     def __init__(self):
         self._parameters: Dict[str, Tensor] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
         tensor.requires_grad = True
@@ -58,18 +57,6 @@ class Module:
     def zero_grad(self) -> None:
         for parameter in self.parameters():
             parameter.zero_grad()
-
-    def train(self) -> "Module":
-        self.training = True
-        for child in self._modules.values():
-            child.train()
-        return self
-
-    def eval(self) -> "Module":
-        self.training = False
-        for child in self._modules.values():
-            child.eval()
-        return self
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

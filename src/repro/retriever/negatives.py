@@ -10,7 +10,7 @@ construction, we index from the whole Wikipedia corpus and choose the top
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.data.corpus import Corpus
 from repro.data.hotpot import HotpotQuestion
@@ -18,6 +18,7 @@ from repro.index.inverted import InvertedIndex
 from repro.retriever.store import TripleStore
 
 TRIPLE_FIELD = "triples"
+N_NEGATIVES = 9  # negatives per question, beside its one positive
 
 
 @dataclass
@@ -30,29 +31,20 @@ class TrainingExample:
     qid: int = -1
 
 
-def build_triple_field_index(store: TripleStore) -> InvertedIndex:
-    """A BM25 index over the flattened triple-fact field of every doc."""
-    index = InvertedIndex()
-    for doc_id in store.doc_ids():
-        index.add_document(doc_id, {TRIPLE_FIELD: store.field_text(doc_id)})
-    return index
-
-
 def mine_training_examples(
     questions: Sequence[HotpotQuestion],
     corpus: Corpus,
     store: TripleStore,
-    n_negatives: int = 9,
-    index: Optional[InvertedIndex] = None,
 ) -> List[TrainingExample]:
-    """Mine 1-positive + n-negative examples for every question.
+    """Mine 1-positive + 9-negative examples for every question.
 
     The positive is the gold-path document with the higher BM25 score on
     the triple field (ties -> first hop). Negatives are the BM25 top
     documents excluding all gold documents.
     """
-    if index is None:
-        index = build_triple_field_index(store)
+    index = InvertedIndex()
+    for doc_id in store.doc_ids():
+        index.add_document(doc_id, {TRIPLE_FIELD: store.field_text(doc_id)})
     examples: List[TrainingExample] = []
     for question in questions:
         gold_ids = [
@@ -63,13 +55,13 @@ def mine_training_examples(
         if not gold_ids:
             continue
         hits = index.search(
-            question.text, field=TRIPLE_FIELD, k=n_negatives + len(gold_ids) + 4
+            question.text, field=TRIPLE_FIELD, k=N_NEGATIVES + len(gold_ids) + 4
         )
         scores = {hit.doc_id: hit.score for hit in hits}
         positive = max(gold_ids, key=lambda d: scores.get(d, float("-inf")))
         negatives = [
             hit.doc_id for hit in hits if hit.doc_id not in gold_ids
-        ][:n_negatives]
+        ][:N_NEGATIVES]
         if not negatives:
             continue
         examples.append(

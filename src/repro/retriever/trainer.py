@@ -106,8 +106,6 @@ class RetrieverTrainer:
         """Run fine-tuning, then re-embed the store; returns per-epoch
         mean losses."""
         cfg = self.config
-        model = self.retriever.encoder.model
-        model.train()
         examples = list(examples)
         losses = train_epochs(
             Adam(self.retriever.encoder.trainable_parameters(), lr=cfg.lr),
@@ -118,6 +116,5 @@ class RetrieverTrainer:
             name="retriever",
             verbose=verbose,
         )
-        model.eval()
         self.retriever.refresh_embeddings()
         return losses

@@ -11,16 +11,12 @@ token-span space.
 * :mod:`repro.updater.updater` — the learned clue selector.
 """
 
-from repro.updater.golden import (
-    ground_clue_index,
-    golden_expansion_terms,
-)
+from repro.updater.golden import ground_clue_index
 from repro.updater.question import compose_updated_question
 from repro.updater.updater import QuestionUpdater, UpdaterConfig, UpdaterTrainer
 
 __all__ = [
     "ground_clue_index",
-    "golden_expansion_terms",
     "compose_updated_question",
     "QuestionUpdater",
     "UpdaterConfig",

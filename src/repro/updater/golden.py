@@ -4,12 +4,9 @@ HotpotQA provides no ground updated questions; GoldEn (Qi et al. 2019)
 builds them heuristically from longest-common-subsequence overlap between
 the retrieved hop-i document and the hop-(i+1) document. The paper trains
 its triple-fact updater "on the dataset generated by GoldEn['s]
-query-generator module" — these functions are that module:
-
-* :func:`ground_clue_index` — which triple of the hop-1 document is the
-  gold updater-clue (the one that best bridges to the hop-2 document),
-* :func:`golden_expansion_terms` — the inference-time expansion heuristic
-  used by the GoldEn *baseline* retriever.
+query-generator module" — :func:`ground_clue_index` is that module: which
+triple of the hop-1 document is the gold updater-clue (the one that best
+bridges to the hop-2 document).
 """
 
 from __future__ import annotations
@@ -53,29 +50,3 @@ def ground_clue_index(
             best_score = score
             best_index = index
     return best_index
-
-
-def golden_expansion_terms(
-    question: str,
-    doc_entities: Sequence[str],
-    max_terms: int = 1,
-) -> List[str]:
-    """GoldEn's inference-time heuristic: expand the query with entities
-    found in the retrieved document that the question does not mention.
-
-    Entity mentions are ranked by how *novel* they are w.r.t. the question
-    (fraction of unseen content tokens) and the top ``max_terms`` are
-    returned.
-    """
-    question_tokens = set(_content(question))
-    scored = []
-    for position, entity in enumerate(doc_entities):
-        entity_tokens = _content(entity)
-        if not entity_tokens:
-            continue
-        novel = sum(1 for t in entity_tokens if t not in question_tokens)
-        if novel == 0:
-            continue
-        scored.append((novel / len(entity_tokens), -position, entity))
-    scored.sort(reverse=True)
-    return [entity for _, _, entity in scored[:max_terms]]

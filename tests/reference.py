@@ -243,24 +243,18 @@ def encode_numpy_graph(encoder, texts, batch_size=64):
     """The autograd-graph reference for ``MiniBertEncoder.encode_numpy``.
 
     Computes in the training dtype through the public ``encoder.encode``
-    (eval mode, fixed-order chunks, no length bucketing) and casts to the
-    precision dtype at the boundary — what ``encode_numpy`` did before
-    the fused engine.
+    (fixed-order chunks, no length bucketing) and casts to the precision
+    dtype at the boundary — what ``encode_numpy`` did before the fused
+    engine.
     """
     dtype = encoder.precision.dtype
-    was_training = encoder.model.training
-    encoder.model.eval()
-    try:
-        chunks = [
-            np.asarray(
-                encoder.encode(texts[start : start + batch_size]).numpy(),
-                dtype=dtype,
-            )
-            for start in range(0, len(texts), batch_size)
-        ]
-    finally:
-        if was_training:
-            encoder.model.train()
+    chunks = [
+        np.asarray(
+            encoder.encode(texts[start : start + batch_size]).numpy(),
+            dtype=dtype,
+        )
+        for start in range(0, len(texts), batch_size)
+    ]
     if not chunks:
         return np.zeros((0, encoder.config.dim), dtype=dtype)
     return np.concatenate(chunks, axis=0)

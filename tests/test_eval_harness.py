@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.lexical import LexicalRetriever
 from repro.data.world import WorldConfig
 from repro.encoder.minibert import EncoderConfig
 from repro.eval.experiments import (
@@ -58,6 +59,15 @@ class TestContext:
         index = tiny_ctx.lexical.index
         for name in ("text", "triples", "minie_triples", "stanford_triples"):
             index.search("club", field=name, k=1)  # KeyError if never indexed
+
+    def test_text_field_ranks_like_a_text_only_index(self, tiny_ctx):
+        """Table IV's GoldEn row reads the shared index's text field; each
+        field keeps its own statistics, so the other fields change nothing."""
+        text_only = LexicalRetriever(tiny_ctx.corpus)
+        k = len(tiny_ctx.corpus)
+        for question in tiny_ctx.eval_questions:
+            shared = tiny_ctx.lexical.retrieve(question.text, k=k, field="text")
+            assert shared == text_only.retrieve(question.text, k=k, field="text")
 
     def test_unknown_baseline_rejected(self, tiny_ctx):
         with pytest.raises(ValueError):

@@ -1,12 +1,11 @@
-"""Unit tests for the inverted index, analyzer, BM25 and TF-IDF."""
+"""Unit tests for the inverted index, analyzer and BM25."""
 
 import pytest
 
-from repro.index.analyzer import Analyzer
-from repro.index.bm25 import BM25Scorer
+from repro.index import bm25
+from repro.index.analyzer import analyze
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import Field
-from repro.index.tfidf import TfidfScorer
 
 DOCS = {
     0: "the football club was founded in 1885",
@@ -16,8 +15,8 @@ DOCS = {
 }
 
 
-def _index(scorer=None):
-    index = InvertedIndex(scorer=scorer)
+def _index():
+    index = InvertedIndex()
     for doc_id, text in DOCS.items():
         index.add_document(doc_id, {"text": text})
     return index
@@ -25,18 +24,9 @@ def _index(scorer=None):
 
 class TestAnalyzer:
     def test_stems_and_drops_stopwords(self):
-        analyzer = Analyzer()
-        terms = analyzer.analyze("The clubs were founded.")
+        terms = analyze("The clubs were founded.")
         assert "club" in terms
         assert "the" not in terms and "." not in terms
-
-    def test_no_stemming_option(self):
-        analyzer = Analyzer(use_stemming=False)
-        assert "clubs" in analyzer.analyze("the clubs")
-
-    def test_keep_stopwords_option(self):
-        analyzer = Analyzer(remove_stopwords=False)
-        assert "the" in analyzer.analyze("the clubs")
 
 
 class TestField:
@@ -66,63 +56,44 @@ class TestField:
 class TestBM25:
     def test_exact_match_ranks_first(self):
         index = _index()
-        hits = index.search("when was the football club founded", k=4)
+        hits = index.search("when was the football club founded", "text", k=4)
         assert hits[0].doc_id == 0
 
     def test_scores_positive_and_sorted(self):
         index = _index()
-        hits = index.search("football club", k=4)
+        hits = index.search("football club", "text", k=4)
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
         assert all(s > 0 for s in scores)
 
     def test_idf_zero_for_unseen(self):
-        scorer = BM25Scorer()
         field = Field("text")
         field.add(0, ["a"])
-        assert scorer.idf(field, "zzz") == 0.0
+        assert bm25.idf(field, "zzz") == 0.0
 
     def test_rare_terms_weighted_higher(self):
-        scorer = BM25Scorer()
         field = Field("text")
         field.add(0, ["rare", "common"])
         field.add(1, ["common"])
         field.add(2, ["common"])
-        assert scorer.idf(field, "rare") > scorer.idf(field, "common")
-
-    def test_exclude(self):
-        index = _index()
-        hits = index.search("football club", k=4, exclude=[0])
-        assert all(h.doc_id != 0 for h in hits)
-
-
-class TestTfidf:
-    def test_cosine_in_unit_range(self):
-        index = _index(scorer=TfidfScorer())
-        hits = index.search("football club founded", k=4)
-        assert all(0.0 <= h.score <= 1.0 + 1e-9 for h in hits)
-
-    def test_relevant_doc_first(self):
-        index = _index(scorer=TfidfScorer())
-        hits = index.search("band formed 1991", k=4)
-        assert hits[0].doc_id == 1
+        assert bm25.idf(field, "rare") > bm25.idf(field, "common")
 
 
 class TestInvertedIndex:
     def test_multi_field(self):
         index = InvertedIndex()
         index.add_document(0, {"text": "alpha beta", "triples": "alpha gamma"})
-        assert index.search("gamma", field="triples")[0].doc_id == 0
-        assert index.search("gamma", field="text") == []
+        assert index.search("gamma", field="triples", k=10)[0].doc_id == 0
+        assert index.search("gamma", field="text", k=10) == []
 
     def test_unknown_field_raises(self):
         index = _index()
         with pytest.raises(KeyError):
-            index.search("x", field="nope")
+            index.search("x", field="nope", k=10)
 
     def test_doc_count(self):
         assert _index().doc_count == len(DOCS)
 
     def test_k_limits_results(self):
         index = _index()
-        assert len(index.search("the club city football", k=2)) == 2
+        assert len(index.search("the club city football", "text", k=2)) == 2

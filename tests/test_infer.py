@@ -47,7 +47,7 @@ def _model(n_layers=2, n_heads=2, dim=16, seed=3):
     return TransformerEncoder(
         vocab_size=40, dim=dim, n_layers=n_layers, n_heads=n_heads,
         max_len=12, seed=seed,
-    ).eval()
+    )
 
 
 def _ragged_ids(rng, rows=5, width=9, vocab_size=40):
@@ -206,12 +206,11 @@ class TestSessionParity:
         save_weights(model, tmp_path / "weights.npz")
         optimizer = Adam(model.parameters(), lr=0.1)
         ids = _ragged_ids(np.random.RandomState(5))
-        model.train()
         loss = (model(ids) * model(ids)).sum()
         loss.backward()
         optimizer.step()
         assert session.stale()
-        fresh = InferenceSession(model.eval(), dtype=F64)
+        fresh = InferenceSession(model, dtype=F64)
         assert not fresh.stale()
         load_weights(model, tmp_path / "weights.npz")
         assert fresh.stale()

@@ -19,13 +19,6 @@ class TestModule:
         names = [n for n, _ in attention.named_parameters()]
         assert "query.weight" in names and "output.bias" in names
 
-    def test_train_eval_propagates(self):
-        attention = MultiHeadSelfAttention(4, 2)
-        attention.eval()
-        assert not attention.query.training
-        attention.train()
-        assert attention.query.training
-
     def test_zero_grad(self):
         layer = Linear(2, 2)
         out = layer(Tensor(np.ones((1, 2)))).sum()

@@ -76,7 +76,7 @@ class TestPerfCounterCoverage:
     def test_dense_query_encoding_records_encode(self, encoder, corpus):
         dense = DenseRetriever(encoder, corpus)
         before = COUNTERS.snapshot()
-        dense.encode_query("Who founded the club?")
+        dense.encode_queries(["Who founded the club?"])
         dense.encode_queries(["Who founded the club?", "Where is it?"])
         assert COUNTERS.encode_calls == before["encode_calls"] + 2
         assert COUNTERS.texts_encoded == before["texts_encoded"] + 3

@@ -1,5 +1,5 @@
-"""The audited option surface of the serving, offline and training
-stacks, pinned exactly.
+"""The audited option surface of the serving, offline, training and
+comparison stacks, pinned exactly.
 
 Every name below is set by a caller outside ``tests/``, is a deployment
 setting, is the seam a test stages time or a fault through, or is a
@@ -14,9 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.dense_base import DenseConfig
-from repro.baselines.path_retriever import PathRetrieverConfig
+from repro.baselines.dense_base import DenseConfig, DenseRetriever
+from repro.baselines.hop_retriever import HopRetrieverBaseline
+from repro.baselines.lexical import LexicalRetriever
+from repro.baselines.mdr import MDRRetriever
+from repro.baselines.path_retriever import PathRetrieverBaseline, PathRetrieverConfig
+from repro.baselines.tprr import TPRRRetriever
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
+from repro.index.inverted import InvertedIndex
 from repro.ingest import EmbeddingStore, IngestPipeline, extract_corpus_triples
 from repro.net import Fleet, FrontDoor, Supervisor, WorkerSpec
 from repro.nn.optim import train_epochs
@@ -24,6 +29,7 @@ from repro.nn.transformer import TransformerEncoder
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.pipeline.multihop import MultiHopConfig, MultiHopRetriever
 from repro.pipeline.path_ranker import PathRankerConfig, PathRankerTrainer
+from repro.retriever.negatives import mine_training_examples
 from repro.retriever.single import SingleRetriever
 from repro.retriever.trainer import TrainerConfig
 from repro.serve import Query, ResultCache, ServiceConfig, ServiceStats
@@ -65,6 +71,15 @@ SURFACE = {
     train_epochs: "optimizer n_examples example_loss epochs rng name verbose",
     EmbeddingStore: "matrix doc_ids offsets row_hashes encoder_fingerprint "
     "construction_fingerprint generation",
+    LexicalRetriever: "corpus store extra_fields",
+    InvertedIndex: "",
+    InvertedIndex.search: "query field k",
+    mine_training_examples: "questions corpus store",
+    DenseRetriever: "encoder corpus config",
+    TPRRRetriever: "encoder corpus config",
+    MDRRetriever: "encoder corpus config",
+    HopRetrieverBaseline: "encoder corpus linker config",
+    PathRetrieverBaseline: "encoder corpus config",
 }
 
 
@@ -99,8 +114,13 @@ NO_CALLER = {
 }
 
 
-def _keywords_passed(roots):
-    """{class name: keyword names} over every call in ``roots``' files."""
+def _keywords_passed(roots, parameters=None):
+    """{callee name: argument names} over every call in ``roots``' files.
+
+    A call to a name in ``parameters`` also binds its positional arguments
+    to that parameter list, in order.
+    """
+    parameters = parameters or {}
     passed = {}
     for root in roots:
         for path in sorted((ROOT / root).rglob("*.py")):
@@ -109,9 +129,14 @@ def _keywords_passed(roots):
                     continue
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                passed.setdefault(name, set()).update(
+                names = passed.setdefault(name, set())
+                names.update(
                     keyword.arg for keyword in node.keywords if keyword.arg
                 )
+                for param, arg in zip(parameters.get(name, ()), node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    names.add(param)
     return passed
 
 
@@ -126,3 +151,43 @@ def test_every_model_config_field_has_a_caller():
         if name not in passed.get(config.__name__, ())
     ]
     assert sorted(orphans) == sorted(NO_CALLER)
+
+
+#: the comparison stack of Tables II–V: every parameter must have a caller
+COMPARISON_STACK = (
+    LexicalRetriever,
+    InvertedIndex,
+    InvertedIndex.search,
+    mine_training_examples,
+    DenseRetriever,
+    TPRRRetriever,
+    MDRRetriever,
+    HopRetrieverBaseline,
+    PathRetrieverBaseline,
+)
+
+
+def test_every_comparison_stack_parameter_has_a_caller():
+    """The same rule for the baselines and the BM25 index, with an empty
+    allow-list. A class's constructor counts the calls of every audited
+    class that shares it (``eval.harness`` builds TPRR and MDR through
+    ``DenseRetriever.__init__``), positional arguments included."""
+    parameters = {target.__name__: _names(target) for target in COMPARISON_STACK}
+    passed = _keywords_passed(("src", "benchmarks", "examples"), parameters)
+
+    def callers(target):
+        if not inspect.isclass(target):
+            return [target.__name__]
+        return [
+            other.__name__
+            for other in COMPARISON_STACK
+            if inspect.isclass(other) and other.__init__ is target.__init__
+        ]
+
+    orphans = [
+        f"{target.__qualname__}.{name}"
+        for target in COMPARISON_STACK
+        for name in _names(target)
+        if not any(name in passed.get(caller, ()) for caller in callers(target))
+    ]
+    assert orphans == []

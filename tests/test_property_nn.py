@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.index.analyzer import Analyzer
-from repro.index.bm25 import BM25Scorer
+from repro.index import bm25
+from repro.index.analyzer import analyze
 from repro.index.postings import Field
 from repro.nn.tensor import Tensor
 
@@ -72,7 +72,7 @@ class TestBM25Properties:
         field = Field("text")
         for doc_id, tokens in enumerate(docs):
             field.add(doc_id, tokens)
-        scores = BM25Scorer().scores(field, [term])
+        scores = bm25.scores(field, [term])
         assert all(score >= 0 for score in scores.values())
 
     @given(documents)
@@ -81,7 +81,7 @@ class TestBM25Properties:
         field = Field("text")
         for doc_id, tokens in enumerate(docs):
             field.add(doc_id, tokens)
-        scores = BM25Scorer().scores(field, ["alpha"])
+        scores = bm25.scores(field, ["alpha"])
         for doc_id in scores:
             assert "alpha" in docs[doc_id]
 
@@ -91,7 +91,7 @@ class TestBM25Properties:
         field = Field("text")
         for doc_id, tokens in enumerate(docs):
             field.add(doc_id, tokens)
-        ranked = BM25Scorer().top_k(field, ["alpha", "club"], k)
+        ranked = bm25.top_k(field, ["alpha", "club"], k)
         assert len(ranked) <= k
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
@@ -101,5 +101,5 @@ class TestAnalyzerProperties:
     @given(st.text(max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_analyze_never_crashes(self, text):
-        terms = Analyzer().analyze(text)
+        terms = analyze(text)
         assert all(isinstance(t, str) and t for t in terms)

@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 from reference import aggregate, cosine_matrix, matched_index, score_documents
 
-from repro.retriever.negatives import (
-    build_triple_field_index,
-    mine_training_examples,
-)
+from repro.retriever.negatives import mine_training_examples
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore, build_triple_store
 from repro.retriever.strategies import (
@@ -162,13 +159,6 @@ class TestNegativeMining:
                 corpus.by_title(t).doc_id for t in question.gold_titles
             }
             assert not gold_ids & set(example.negative_doc_ids)
-
-    def test_index_reuse(self, hotpot, corpus, store):
-        index = build_triple_field_index(store)
-        examples = mine_training_examples(
-            hotpot.train[:5], corpus, store, index=index
-        )
-        assert examples
 
 
 class TestRetrieverTraining:

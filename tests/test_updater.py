@@ -4,7 +4,7 @@ composition and the learned clue selector."""
 import numpy as np
 
 from repro.oie.triple import Triple
-from repro.updater.golden import golden_expansion_terms, ground_clue_index
+from repro.updater.golden import ground_clue_index
 from repro.updater.question import compose_updated_question
 from repro.updater.updater import QuestionUpdater, UpdaterConfig, UpdaterTrainer
 
@@ -40,15 +40,6 @@ class TestGoldenSupervision:
 
     def test_ground_clue_empty_triples(self, corpus):
         assert ground_clue_index([], corpus[0]) is None
-
-    def test_expansion_terms_novel_only(self):
-        terms = golden_expansion_terms(
-            "who is Walter Davis", ["Walter Davis", "Millwall Athletic"]
-        )
-        assert terms == ["Millwall Athletic"]
-
-    def test_expansion_terms_empty(self):
-        assert golden_expansion_terms("question", []) == []
 
 
 class TestQuestionUpdater:
