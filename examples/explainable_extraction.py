@@ -1,7 +1,8 @@
 """Explainable triple extraction — the paper's Fig. 3 walkthrough.
 
 Shows each stage of the offline pipeline on one document: coreference
-resolution, the two OIE extractors, the noisy/redundant union set ``T_o``,
+resolution, the two OIE tools reading the resolved sentences, the
+noisy/redundant union set ``T_o``,
 and the complete-minimized set ``T_d`` produced by Algorithm 1 (with
 mother-child removal and sibling fusion visible), compared against the
 HAC baseline's lossy output.
@@ -11,7 +12,7 @@ HAC baseline's lossy output.
 
 from repro.core import ConstructionConfig, TripleSetConstructor
 from repro.index import EntityIndex
-from repro.oie import MinIEExtractor, PatternExtractor, UnionExtractor
+from repro.oie import extract_document
 from repro.text import resolve_coreferences
 from repro.triples import hac_construct
 
@@ -31,25 +32,20 @@ def main() -> None:
 
     print("\n=== coreference resolution ===")
     resolved = resolve_coreferences(DOCUMENT, title=TITLE, entity_kind="person")
-    for sentence in resolved.sentences:
+    for sentence in resolved:
         print(" ", sentence)
 
+    extraction = extract_document(DOCUMENT, title=TITLE, entity_kind="person")
     print("\n=== StanfordIE-style pattern extraction (over-generates) ===")
-    for triple in PatternExtractor().extract_document(
-        DOCUMENT, title=TITLE, entity_kind="person"
-    ):
+    for triple in extraction.pattern:
         tag = "NOISE" if triple.confidence <= 0.4 else "     "
         print(f"  [{tag}] {triple}")
 
     print("\n=== MinIE-style extraction (minimized constituents) ===")
-    for triple in MinIEExtractor().extract_document(
-        DOCUMENT, title=TITLE, entity_kind="person"
-    ):
+    for triple in extraction.minie:
         print(f"  {triple}")
 
-    union = UnionExtractor().extract_document(
-        DOCUMENT, title=TITLE, entity_kind="person"
-    )
+    union = extraction.union
     print(f"\n=== union set T_o: {len(union)} triples ===")
 
     linker = EntityIndex([TITLE, "Philadelphia"])

@@ -168,10 +168,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    from repro.oie.union import extract_union
+    from repro.oie.union import extract_document
     from repro.triples.construct import TripleSetConstructor
 
-    union = extract_union(args.text)
+    union = extract_document(args.text).union
     print(f"union extraction T_o ({len(union)} triples):")
     for triple in union:
         print(f"  {triple}")

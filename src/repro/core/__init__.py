@@ -9,7 +9,7 @@ Everything a downstream user needs to run Triple-Fact Retrieval:
 """
 
 from repro.oie.triple import Triple
-from repro.oie.union import UnionExtractor, extract_union
+from repro.oie.union import Extraction, extract_document
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 from repro.retriever.store import TripleStore, build_triple_store
 from repro.retriever.strategies import MEAN, ONE_FACT, TOP_K, ScoreStrategy
@@ -22,8 +22,8 @@ from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 
 __all__ = [
     "Triple",
-    "UnionExtractor",
-    "extract_union",
+    "Extraction",
+    "extract_document",
     "ConstructionConfig",
     "TripleSetConstructor",
     "TripleStore",

@@ -22,7 +22,7 @@ from repro.eval.metrics import (
 )
 from repro.oie.triple import Triple
 from repro.retriever.single import SingleRetriever
-from repro.retriever.store import TripleStore
+from repro.retriever.store import build_triple_store
 from repro.retriever.strategies import MEAN, ONE_FACT, TOP_K, ScoreStrategy
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 from repro.triples.hac import hac_construct
@@ -195,20 +195,7 @@ def run_table4_union_ablation(
     ctx: ExperimentContext, k: int = 8
 ) -> RetrievalScorecard:
     """Sec. IV-D note: one-fact retrieval over the raw union set T_o."""
-    union_store = TripleStore(ctx.corpus)
-    from repro.oie.union import UnionExtractor
-
-    extractor = UnionExtractor()
-    for document in ctx.corpus:
-        union_store.put(
-            document.doc_id,
-            extractor.extract_document(
-                document.text,
-                title=document.title,
-                entity_kind=document.entity.kind,
-            ),
-        )
-    retriever = SingleRetriever(ctx.system.encoder, union_store)
+    retriever = SingleRetriever(ctx.system.encoder, ctx.extractor_store("union"))
     retriever.refresh_embeddings()
     return _one_hop_scorecard(
         lambda q, kk: [
@@ -308,18 +295,9 @@ def run_ablation_threshold(
 
     out = []
     for l_value in l_values:
-        store = TripleStore(ctx.corpus)
-        constructor = TripleSetConstructor(
-            ConstructionConfig(threshold_size=l_value), linker=ctx.linker
+        store = build_triple_store(
+            ctx.corpus, ctx.linker, ConstructionConfig(threshold_size=l_value)
         )
-        for document in ctx.corpus:
-            result = constructor.construct_from_text(
-                document.text,
-                title=document.title,
-                entity_kind=document.entity.kind,
-                doc_entities=ctx.linker.entities_of(document.doc_id),
-            )
-            store.put(document.doc_id, result.triples)
         lexical = LexicalRetriever(ctx.corpus, store=store)
         card = RetrievalScorecard()
         for question in ctx.eval_questions:

@@ -30,9 +30,7 @@ from repro.data.hotpot import HotpotDataset, build_hotpot_dataset
 from repro.data.world import World, WorldConfig
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.index.entity_index import EntityIndex
-from repro.oie.minie import MinIEExtractor
-from repro.oie.pattern import PatternExtractor
-from repro.oie.union import UnionExtractor
+from repro.oie.union import extract_document
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.pipeline.multihop import MultiHopConfig
 from repro.pipeline.path_ranker import PathRankerConfig
@@ -111,6 +109,10 @@ def current_scale() -> ExperimentScale:
     return FULL if name == "full" else SMALL
 
 
+#: the raw extraction stores of :meth:`ExperimentContext.extractor_store`
+EXTRACTOR_STORES = ("minie", "stanford", "union")
+
+
 class ExperimentContext:
     """Lazily built, shared experiment state."""
 
@@ -175,23 +177,29 @@ class ExperimentContext:
         return self._store
 
     def extractor_store(self, which: str) -> TripleStore:
-        """Raw single-extractor stores for Table III.
+        """Raw extraction stores (no Algorithm 1), all from one pass.
 
-        ``which``: "minie" or "stanford" — the un-minimized extraction of
-        one tool (no Algorithm 1), as the paper's MinIE-TFS / StanfordIE-TFS
-        columns use the tools' own outputs.
+        ``which``: "minie" or "stanford" — one tool's own output, as the
+        paper's MinIE-TFS / StanfordIE-TFS columns of Table III use it —
+        or "union", the set ``T_o`` of the Sec. IV-D ablation.
         """
-        if which not in self._extractor_stores:
-            extractor = MinIEExtractor() if which == "minie" else PatternExtractor()
-            store = TripleStore(self.corpus)
+        if which not in EXTRACTOR_STORES:
+            raise ValueError(
+                f"unknown extractor store {which!r}; "
+                f"expected one of {', '.join(EXTRACTOR_STORES)}"
+            )
+        if not self._extractor_stores:
+            stores = {name: TripleStore(self.corpus) for name in EXTRACTOR_STORES}
             for document in self.corpus:
-                triples = extractor.extract_document(
+                extraction = extract_document(
                     document.text,
                     title=document.title,
                     entity_kind=document.entity.kind,
                 )
-                store.put(document.doc_id, triples)
-            self._extractor_stores[which] = store
+                stores["minie"].put(document.doc_id, extraction.minie)
+                stores["stanford"].put(document.doc_id, extraction.pattern)
+                stores["union"].put(document.doc_id, extraction.union)
+            self._extractor_stores = stores
         return self._extractor_stores[which]
 
     @property

@@ -8,8 +8,8 @@ relatedness score), and ingestion links each document where it extracts
 it (:mod:`repro.ingest.pipeline`). Registering documents
 (:meth:`~EntityIndex.add_document` / :meth:`~EntityIndex.entities_of`)
 only remembers ``link(text)`` per doc id, for the callers that look
-entities up by document: the HopRetriever baseline and the threshold-``l``
-ablation.
+entities up by document: the HopRetriever baseline and
+``examples/explainable_extraction.py``.
 """
 
 from __future__ import annotations

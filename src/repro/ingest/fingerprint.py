@@ -67,9 +67,11 @@ def construction_fingerprint(config: object, entity_universe: Sequence[str]) -> 
     The entity universe enters because relatedness pruning (Eq. 1) links
     against the title dictionary: adding or renaming a document can
     change another document's construction even if its text is unchanged.
+    The version tag moves when the construction code changes what it
+    emits (v2: Algorithm 1's tightening stops at ``min_alpha``).
     """
     return _digest(
-        b"construct:v1",
+        b"construct:v2",
         _encode(config_fingerprint(config)),
         _encode(hash_texts(sorted(entity_universe))),
     )

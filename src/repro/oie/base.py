@@ -1,7 +1,7 @@
-"""Shared clause parsing for the OIE extractors.
+"""Shared clause parsing for the two OIE tools.
 
 A lexicon-driven shallow parse: find the verb group, split the subject off,
-and segment the remainder at prepositions. Both extractors consume the same
+and segment the remainder at prepositions. Both tools consume the same
 :class:`ParsedClause`; they differ in how they turn it into triples.
 """
 
@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-from repro.text.coref import resolve_coreferences
-from repro.text.sentences import split_sentences
+from typing import List, Optional
 
 # Verbs occurring in encyclopedic prose (base + inflected forms). A lexicon
 # stands in for a POS tagger; it is the closed world our documents live in,
@@ -185,31 +182,3 @@ def strip_determiners(tokens: List[str]) -> List[str]:
         out = out[1:]
     return out or tokens
 
-
-class OpenIEExtractor:
-    """Base class: document-level extraction with coreference resolution."""
-
-    #: provenance tag, set by subclasses
-    name = "base"
-
-    def extract_sentence(self, sentence: str, sentence_index: int = 0):
-        """Extract triples from one sentence. Implemented by subclasses."""
-        raise NotImplementedError
-
-    def extract_document(
-        self,
-        text: str,
-        title: Optional[str] = None,
-        entity_kind: Optional[str] = None,
-    ):
-        """Run coref then per-sentence extraction over a document.
-
-        Mirrors the paper's pipeline: "we first conduct coreference
-        resolution over the document and then ... extract triple facts for
-        each sentence".
-        """
-        resolved = resolve_coreferences(text, title=title, entity_kind=entity_kind)
-        triples = []
-        for idx, sentence in enumerate(resolved.sentences or split_sentences(text)):
-            triples.extend(self.extract_sentence(sentence, sentence_index=idx))
-        return triples

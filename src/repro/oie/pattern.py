@@ -1,4 +1,4 @@
-"""StanfordIE-style pattern extractor.
+"""StanfordIE-style pattern extraction.
 
 Reproduces the qualitative profile of Angeli et al.'s extractor as the
 paper characterizes it (Sec. IV-C and Fig. 3): it over-generates —
@@ -16,62 +16,42 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.oie.base import OpenIEExtractor, parse_clause, split_conjuncts
+from repro.oie.base import parse_clause, split_conjuncts
 from repro.oie.triple import Triple
 
+#: provenance tag of every pattern triple (a byte of the triple file)
+SOURCE = "pattern"
 
-class PatternExtractor(OpenIEExtractor):
-    """Over-generating pattern OIE (StanfordIE stand-in)."""
 
-    name = "pattern"
+def pattern_triples(sentence: str, index: int) -> List[Triple]:
+    """Over-generating pattern OIE (StanfordIE stand-in) of one sentence,
+    the ``index``-th of its document."""
+    clause = parse_clause(sentence)
+    if clause is None or not clause.segments:
+        return []
+    subject = clause.subject_text
+    verb = clause.verb_text
 
-    def __init__(self, emit_noise_cascade: bool = True):
-        self.emit_noise_cascade = emit_noise_cascade
+    def triple(subject: str, obj: str, confidence: float) -> Triple:
+        return Triple(
+            subject=subject,
+            predicate=verb,
+            object=obj,
+            source=SOURCE,
+            sentence_index=index,
+            confidence=confidence,
+        )
 
-    def extract_sentence(self, sentence: str, sentence_index: int = 0) -> List[Triple]:
-        clause = parse_clause(sentence)
-        if clause is None or not clause.segments:
-            return []
-        subject = clause.subject_text
-        verb = clause.verb_text
-        triples: List[Triple] = [
-            Triple(
-                subject=subject,
-                predicate=verb,
-                object=clause.remainder_text,
-                source=self.name,
-                sentence_index=sentence_index,
-                confidence=1.0,
-            )
-        ]
-        # conjunct splitting on the first (direct-object) segment of copulas
-        first = clause.segments[0]
-        if clause.is_copula and first.preposition is None:
-            conjuncts = split_conjuncts(first.tokens)
-            if len(conjuncts) > 1:
-                for conjunct in conjuncts:
-                    triples.append(
-                        Triple(
-                            subject=subject,
-                            predicate=verb,
-                            object=" ".join(conjunct),
-                            source=self.name,
-                            sentence_index=sentence_index,
-                            confidence=0.8,
-                        )
-                    )
-                if self.emit_noise_cascade:
-                    # Fig. 3 items 6-9: adjacent conjuncts chained as if one
-                    # were the subject of the next.
-                    for left, right in zip(conjuncts, conjuncts[1:]):
-                        triples.append(
-                            Triple(
-                                subject=" ".join(left),
-                                predicate=verb,
-                                object=" ".join(right),
-                                source=self.name,
-                                sentence_index=sentence_index,
-                                confidence=0.3,
-                            )
-                        )
-        return triples
+    triples = [triple(subject, clause.remainder_text, 1.0)]
+    # conjunct splitting on the first (direct-object) segment of copulas
+    first = clause.segments[0]
+    if clause.is_copula and first.preposition is None:
+        conjuncts = split_conjuncts(first.tokens)
+        if len(conjuncts) > 1:
+            for conjunct in conjuncts:
+                triples.append(triple(subject, " ".join(conjunct), 0.8))
+            # Fig. 3 items 6-9: adjacent conjuncts chained as if one were
+            # the subject of the next.
+            for left, right in zip(conjuncts, conjuncts[1:]):
+                triples.append(triple(" ".join(left), " ".join(right), 0.3))
+    return triples

@@ -1,17 +1,20 @@
-"""Union extraction: ``T_o = T_d^s ∪ T_d^m`` (paper Sec. IV-B).
+"""Document extraction: ``T_o = T_d^s ∪ T_d^m`` (paper Sec. IV-B).
 
-Runs both extractors over a document and merges the results, de-duplicating
-exact content matches while preserving provenance of the survivor.
+One pass per document, as the paper describes it: "we first conduct
+coreference resolution over the document and then ... extract triple
+facts for each sentence". Coreference runs once; both tools read the
+same resolved sentences, and their union de-duplicates exact content
+matches while keeping the provenance of the first occurrence.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
-from repro.oie.base import OpenIEExtractor
-from repro.oie.minie import MinIEExtractor
-from repro.oie.pattern import PatternExtractor
+from repro.oie.minie import minie_triples
+from repro.oie.pattern import pattern_triples
 from repro.oie.triple import Triple
+from repro.text.coref import resolve_coreferences
 
 
 def dedupe_triples(triples: Sequence[Triple]) -> List[Triple]:
@@ -26,39 +29,26 @@ def dedupe_triples(triples: Sequence[Triple]) -> List[Triple]:
     return out
 
 
-class UnionExtractor(OpenIEExtractor):
-    """The union of several extractors (default: pattern + MinIE)."""
+class Extraction(NamedTuple):
+    """Both tools' triples of one document, in sentence order."""
 
-    name = "union"
+    pattern: List[Triple]  # StanfordIE stand-in, T_d^s
+    minie: List[Triple]  # MinIE stand-in, T_d^m
 
-    def __init__(self, extractors: Optional[Sequence[OpenIEExtractor]] = None):
-        self.extractors = list(extractors) if extractors else [
-            PatternExtractor(),
-            MinIEExtractor(),
-        ]
-
-    def extract_sentence(self, sentence: str, sentence_index: int = 0) -> List[Triple]:
-        triples: List[Triple] = []
-        for extractor in self.extractors:
-            triples.extend(extractor.extract_sentence(sentence, sentence_index))
-        return dedupe_triples(triples)
-
-    def extract_document(
-        self,
-        text: str,
-        title: Optional[str] = None,
-        entity_kind: Optional[str] = None,
-    ) -> List[Triple]:
-        triples: List[Triple] = []
-        for extractor in self.extractors:
-            triples.extend(
-                extractor.extract_document(text, title=title, entity_kind=entity_kind)
-            )
-        return dedupe_triples(triples)
+    @property
+    def union(self) -> List[Triple]:
+        """``T_o``: pattern triples first, then MinIE's new ones."""
+        return dedupe_triples(self.pattern + self.minie)
 
 
-def extract_union(
+def extract_document(
     text: str, title: Optional[str] = None, entity_kind: Optional[str] = None
-) -> List[Triple]:
-    """Convenience: union extraction with the default extractor pair."""
-    return UnionExtractor().extract_document(text, title=title, entity_kind=entity_kind)
+) -> Extraction:
+    """Resolve coreferences once, then run both tools over every sentence."""
+    pattern: List[Triple] = []
+    minie: List[Triple] = []
+    sentences = resolve_coreferences(text, title=title, entity_kind=entity_kind)
+    for index, sentence in enumerate(sentences):
+        pattern.extend(pattern_triples(sentence, index))
+        minie.extend(minie_triples(sentence, index))
+    return Extraction(pattern, minie)

@@ -254,7 +254,6 @@ def build_triple_store(
     corpus: Corpus,
     linker: Optional[EntityIndex] = None,
     config: Optional[ConstructionConfig] = None,
-    workers: int = 1,
 ) -> TripleStore:
     """Run extraction + Algorithm 1 over the whole corpus.
 
@@ -262,20 +261,12 @@ def build_triple_store(
     corpus titles (the title dictionary is exactly the entity universe of
     a Wikipedia dump); each document is linked as it is extracted, so a
     ``linker`` passed in need not have the documents registered.
-    ``workers > 1`` fans extraction out over a process pool; the result
-    is byte-identical to the sequential build (deterministic merge in
-    ascending doc-id order — see :mod:`repro.ingest.pipeline`).
     """
     from repro.ingest.pipeline import extract_corpus_triples
 
     if linker is None:
         linker = EntityIndex(corpus.titles())
-    triples_by_doc = extract_corpus_triples(
-        corpus,
-        linker=linker,
-        config=config,
-        workers=workers,
-    )
+    triples_by_doc = extract_corpus_triples(corpus, linker=linker, config=config)
     store = TripleStore(corpus)
     for doc_id, triples in triples_by_doc.items():
         store.put(doc_id, triples)

@@ -19,8 +19,7 @@ pronouns ("he", "she", "it", "the band", "the club") or a possessive
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.text.sentences import split_sentences
 
@@ -49,24 +48,6 @@ _NOMINAL_HEADS = {
 }
 
 
-@dataclass
-class Mention:
-    """A resolved mention: surface span replaced by an entity name."""
-
-    surface: str
-    entity: str
-    sentence_index: int
-
-
-@dataclass
-class CorefResult:
-    """Output of :func:`resolve_coreferences`."""
-
-    text: str
-    sentences: List[str]
-    mentions: List[Mention] = field(default_factory=list)
-
-
 def _pronoun_pattern() -> re.Pattern:
     words = sorted(
         _SUBJECT_PRONOUNS | _POSSESSIVE_PRONOUNS | _OBJECT_PRONOUNS,
@@ -87,7 +68,7 @@ def resolve_coreferences(
     text: str,
     title: Optional[str] = None,
     entity_kind: Optional[str] = None,
-) -> CorefResult:
+) -> List[str]:
     """Resolve pronouns / definite nominals in ``text`` to ``title``.
 
     Parameters
@@ -101,24 +82,18 @@ def resolve_coreferences(
         Optional kind tag (``"person"``, ``"band"``, ...) enabling definite
         nominal resolution ("the band" -> title for kind ``"band"``).
 
-    Returns a :class:`CorefResult` whose ``text`` has mentions replaced.
+    Returns the sentences of :func:`split_sentences` with mentions
+    replaced (``[]`` exactly when it finds none).
     """
     sentences = split_sentences(text)
     if not sentences:
-        return CorefResult(text=text, sentences=[])
+        return []
     antecedent = title or _guess_title(sentences[0])
-    mentions: List[Mention] = []
-    resolved: List[str] = []
-    for idx, sentence in enumerate(sentences):
-        if idx == 0:
-            # never rewrite the introducing sentence
-            resolved.append(sentence)
-            continue
-        new_sentence = _resolve_sentence(
-            sentence, antecedent, entity_kind, idx, mentions
-        )
-        resolved.append(new_sentence)
-    return CorefResult(text=" ".join(resolved), sentences=resolved, mentions=mentions)
+    # never rewrite the introducing sentence
+    return sentences[:1] + [
+        _resolve_sentence(sentence, antecedent, entity_kind)
+        for sentence in sentences[1:]
+    ]
 
 
 def _guess_title(first_sentence: str) -> str:
@@ -130,11 +105,7 @@ def _guess_title(first_sentence: str) -> str:
 
 
 def _resolve_sentence(
-    sentence: str,
-    antecedent: str,
-    entity_kind: Optional[str],
-    idx: int,
-    mentions: List[Mention],
+    sentence: str, antecedent: str, entity_kind: Optional[str]
 ) -> str:
     if not antecedent:
         return sentence
@@ -146,10 +117,8 @@ def _resolve_sentence(
         # mid-sentence "it"/"they" are too ambiguous for a rule system.
         at_start = match.start() == 0
         if lowered in _SUBJECT_PRONOUNS and at_start:
-            mentions.append(Mention(word, antecedent, idx))
             return antecedent
         if lowered in _POSSESSIVE_PRONOUNS:
-            mentions.append(Mention(word, antecedent, idx))
             return antecedent + " 's"
         return word
 
@@ -159,7 +128,6 @@ def _resolve_sentence(
         def replace_nominal(match: re.Match) -> str:
             head = match.group(1).lower()
             if _NOMINAL_HEADS.get(head) == entity_kind:
-                mentions.append(Mention(match.group(0), antecedent, idx))
                 return antecedent
             return match.group(0)
 

@@ -1,10 +1,10 @@
 """Word tokenization and normalization.
 
 The tokenizer is deliberately simple and deterministic: it lower-cases,
-separates punctuation, keeps numbers and hyphenated years intact, and is the
-single tokenization used by every component (BM25 index, OIE extractors and
-the neural encoder), so that lexical and semantic retrieval operate over the
-same token universe.
+separates punctuation (a hyphen too: ``"1990-91"`` is ``1990 - 91``),
+keeps decimal numbers intact, and is the single tokenization used by
+every component (BM25 index, Algorithm 1 and the neural encoder), so that
+lexical and semantic retrieval operate over the same token universe.
 
 Because everything sits on it — vocabulary building, row encoding,
 Algorithm 1's token keys, the question updater — :func:`tokenize` is one
@@ -39,8 +39,8 @@ def normalize(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def tokenize(text: str, lower: bool = True) -> List[str]:
-    """Split ``text`` into word / number / punctuation tokens.
+def tokenize(text: str) -> List[str]:
+    """Split lower-cased ``text`` into word / number / punctuation tokens.
 
     One regex pass; only a token that holds an apostrophe can carry a
     clitic, so a text without one is returned as matched.
@@ -48,8 +48,7 @@ def tokenize(text: str, lower: bool = True) -> List[str]:
     >>> tokenize("Millwall F.C. was founded in 1885.")
     ['millwall', 'f', '.', 'c', '.', 'was', 'founded', 'in', '1885', '.']
     """
-    if lower:
-        text = text.lower()
+    text = text.lower()
     matched = _TOKEN_RE.findall(text)
     if "'" not in text:
         return matched

@@ -43,31 +43,16 @@ class Vocab:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def from_tokens(
-        cls, tokens: Iterable[str], min_count: int = 1, max_size: Optional[int] = None
-    ) -> "Vocab":
+    def from_tokens(cls, tokens: Iterable[str]) -> "Vocab":
         """Build from a flat token stream, most frequent tokens first."""
-        counts = Counter(tokens)
-        ranked = [t for t, c in counts.most_common() if c >= min_count]
-        if max_size is not None:
-            ranked = ranked[: max(0, max_size - len(SPECIAL_TOKENS))]
-        return cls(ranked)
+        return cls([token for token, _ in Counter(tokens).most_common()])
 
     @classmethod
-    def from_texts(
-        cls,
-        texts: Iterable[str],
-        tokenizer,
-        min_count: int = 1,
-        max_size: Optional[int] = None,
-    ) -> "Vocab":
+    def from_texts(cls, texts: Iterable[str], tokenizer) -> "Vocab":
         """Build from raw texts using ``tokenizer`` (a ``str -> List[str]``)."""
-
-        def stream():
-            for text in texts:
-                yield from tokenizer(text)
-
-        return cls.from_tokens(stream(), min_count=min_count, max_size=max_size)
+        return cls.from_tokens(
+            token for text in texts for token in tokenizer(text)
+        )
 
     # -- lookups ---------------------------------------------------------
     @property

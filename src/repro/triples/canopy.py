@@ -16,6 +16,9 @@ from repro.oie.triple import Triple
 from repro.text.stem import stem
 from repro.text.tokenize import tokenize
 
+#: smallest (subject, predicate) group that forms its own canopy
+MIN_SP_SIZE = 2
+
 
 @dataclass
 class Canopy:
@@ -37,13 +40,11 @@ def _predicate_key(triple: Triple) -> Tuple[str, ...]:
     return tuple(stem(t) for t in tokenize(triple.predicate) if t[:1].isalnum())
 
 
-def build_canopies(
-    triples: Sequence[Triple], min_sp_size: int = 2
-) -> List[Canopy]:
+def build_canopies(triples: Sequence[Triple]) -> List[Canopy]:
     """Partition triples into canopies.
 
     Triples are first grouped by (subject, predicate); groups of at least
-    ``min_sp_size`` become "subject-predicate" canopies (these hold the
+    :data:`MIN_SP_SIZE` become "subject-predicate" canopies (these hold the
     sibling candidates). Leftover triples are grouped by subject alone.
     Singleton subjects still form (singleton) canopies so the union of all
     canopies is exactly the input set.
@@ -56,7 +57,7 @@ def build_canopies(
     canopies: List[Canopy] = []
     leftovers: List[Triple] = []
     for (subject_key, predicate_key), members in sp_groups.items():
-        if len(members) >= min_sp_size:
+        if len(members) >= MIN_SP_SIZE:
             canopies.append(
                 Canopy(
                     key=subject_key + ("|",) + predicate_key,

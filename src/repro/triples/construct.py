@@ -13,11 +13,14 @@ from typing import List, Optional, Sequence
 
 from repro.index.entity_index import EntityIndex
 from repro.oie.triple import Triple
-from repro.oie.union import UnionExtractor, dedupe_triples
+from repro.oie.union import dedupe_triples, extract_document
 from repro.triples.canopy import build_canopies
 from repro.triples.relatedness import prune_noise, relatedness
 from repro.triples.setcover import greedy_cover
 from repro.triples.sibling import fuse_siblings
+
+#: how far the sibling threshold drops per tightening round
+ALPHA_STEP = 0.1
 
 
 @dataclass
@@ -39,14 +42,12 @@ class ConstructionConfig:
 
 @dataclass
 class ConstructionResult:
-    """The constructed set plus provenance counters (for tests/ablations)."""
+    """The constructed set plus the counters ``repro demo`` prints."""
 
     triples: List[Triple]
-    union_size: int = 0
     pruned_noise: int = 0
     removed_children: int = 0
     fused: int = 0
-    truncated: int = 0
 
 
 class TripleSetConstructor:
@@ -71,7 +72,6 @@ class TripleSetConstructor:
     ):
         self.config = config or ConstructionConfig()
         self.linker = linker
-        self.extractor = UnionExtractor()
 
     # -- public API ---------------------------------------------------------
     def construct_from_text(
@@ -82,9 +82,7 @@ class TripleSetConstructor:
         doc_entities: Optional[Sequence[str]] = None,
     ) -> ConstructionResult:
         """Extract the union set from raw text, then construct ``T_d``."""
-        union = self.extractor.extract_document(
-            text, title=title, entity_kind=entity_kind
-        )
+        union = extract_document(text, title=title, entity_kind=entity_kind).union
         return self.construct(union, doc_entities=doc_entities)
 
     def construct(
@@ -95,7 +93,7 @@ class TripleSetConstructor:
         """Run Algorithm 1 over an already-extracted union set ``T_o``."""
         cfg = self.config
         union = dedupe_triples(union_triples)
-        result = ConstructionResult(triples=[], union_size=len(union))
+        result = ConstructionResult(triples=[])
 
         # line 2-3: relatedness pruning
         if self.linker is not None and doc_entities:
@@ -106,20 +104,21 @@ class TripleSetConstructor:
             survivors = list(union)
         result.pruned_noise = len(union) - len(survivors)
 
-        # line 4: canopy partition
-        canopies = build_canopies(survivors)
-
-        # lines 6-12: inner clustering per canopy, tightening until <= l
-        alpha = cfg.sibling_alpha
-        constructed = self._one_round(canopies, alpha, result)
-        while len(constructed) > cfg.threshold_size and alpha > cfg.min_alpha:
-            alpha -= 0.1
-            canopies = build_canopies(constructed)
-            constructed = self._one_round(canopies, alpha, result)
+        # line 4: canopy partition; lines 6-12: inner clustering per
+        # canopy, one ALPHA_STEP tighter per round until <= l, the last
+        # round at min_alpha. Each round's alpha comes from its step count:
+        # summing float steps drifts past the floor.
+        n_steps = round((cfg.sibling_alpha - cfg.min_alpha) / ALPHA_STEP)
+        constructed = survivors
+        for step in range(n_steps + 1):
+            alpha = max(cfg.min_alpha, cfg.sibling_alpha - step * ALPHA_STEP)
+            constructed = self._one_round(build_canopies(constructed), alpha, result)
+            if len(constructed) <= cfg.threshold_size:
+                break
 
         # final budget: keep the top-l by (relatedness, confidence, order)
         if len(constructed) > cfg.threshold_size:
-            constructed = self._truncate(constructed, doc_entities, result)
+            constructed = self._truncate(constructed, doc_entities)
 
         result.triples = [self._clip(t) for t in constructed]
         return result
@@ -136,10 +135,7 @@ class TripleSetConstructor:
         return constructed
 
     def _truncate(
-        self,
-        triples: List[Triple],
-        doc_entities: Optional[Sequence[str]],
-        result: ConstructionResult,
+        self, triples: List[Triple], doc_entities: Optional[Sequence[str]]
     ) -> List[Triple]:
         cfg = self.config
 
@@ -152,7 +148,6 @@ class TripleSetConstructor:
 
         ranked = sorted(enumerate(triples), key=score)
         kept = ranked[: cfg.threshold_size]
-        result.truncated += len(triples) - len(kept)
         kept.sort(key=lambda item: item[0])  # restore document order
         return [triple for _, triple in kept]
 

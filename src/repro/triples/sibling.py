@@ -15,6 +15,9 @@ from repro.oie.triple import Triple
 from repro.text.stem import stem
 from repro.text.tokenize import tokenize
 
+#: most fusion rounds of one :func:`fuse_siblings` call
+MAX_ROUNDS = 10
+
 
 def _key_tokens(text: str) -> frozenset:
     return frozenset(stem(t) for t in tokenize(text) if t[:1].isalnum())
@@ -92,9 +95,7 @@ def fuse_pair(a: Triple, b: Triple) -> Triple:
     )
 
 
-def fuse_siblings(
-    triples: Sequence[Triple], alpha: float = 0.75, max_rounds: int = 10
-) -> List[Triple]:
+def fuse_siblings(triples: Sequence[Triple], alpha: float = 0.75) -> List[Triple]:
     """Repeatedly fuse sibling pairs until none remain above ``alpha``.
 
     Each round fuses disjoint pairs (a triple participates in at most one
@@ -102,7 +103,7 @@ def fuse_siblings(
     O(n^2) work per round.
     """
     current = list(triples)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         pairs = find_sibling_pairs(current, alpha=alpha)
         if not pairs:
             break

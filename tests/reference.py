@@ -64,10 +64,9 @@ def unreadable_triple_files(good):
 UNREADABLE_TRIPLE_FILES = tuple(unreadable_triple_files(b"\n\n"))
 
 
-def tokenize_reference(text, lower=True):
+def tokenize_reference(text):
     """``tokenize`` match by match, trying every clitic on every token."""
-    if lower:
-        text = text.lower()
+    text = text.lower()
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         token = match.group(0)

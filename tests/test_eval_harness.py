@@ -17,6 +17,7 @@ from repro.eval.experiments import (
 from repro.eval.harness import ExperimentContext, ExperimentScale, current_scale
 from repro.eval.tables import format_cell, format_table, row_from_scorecard
 from repro.eval.metrics import RetrievalScorecard
+from repro.oie.union import dedupe_triples
 
 TINY_SCALE = ExperimentScale(
     name="tiny",
@@ -54,6 +55,17 @@ class TestContext:
         stanford = tiny_ctx.extractor_store("stanford")
         assert len(minie) == len(tiny_ctx.corpus)
         assert minie is not stanford
+
+    def test_union_store_is_the_union_of_the_two_tools(self, tiny_ctx):
+        union = tiny_ctx.extractor_store("union")
+        for document in tiny_ctx.corpus:
+            pattern = tiny_ctx.extractor_store("stanford").triples(document.doc_id)
+            minie = tiny_ctx.extractor_store("minie").triples(document.doc_id)
+            assert union.triples(document.doc_id) == dedupe_triples(pattern + minie)
+
+    def test_unknown_extractor_store_rejected(self, tiny_ctx):
+        with pytest.raises(ValueError, match="unknown extractor store"):
+            tiny_ctx.extractor_store("openie")
 
     def test_lexical_has_all_fields(self, tiny_ctx):
         index = tiny_ctx.lexical.index

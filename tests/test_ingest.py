@@ -89,12 +89,23 @@ def _segments(cache_dir):
     }
 
 
+def _extracted_store(corpus, linker, workers):
+    """The triple store of one ``extract_corpus_triples`` run."""
+    store = TripleStore(corpus)
+    triples_by_doc = extract_corpus_triples(corpus, linker=linker, workers=workers)
+    for doc_id, triples in triples_by_doc.items():
+        store.put(doc_id, triples)
+    return store
+
+
 class TestParallelParity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_store_bytes_identical_to_sequential(
         self, corpus, store, tmp_path, workers
     ):
-        parallel = build_triple_store(corpus, workers=workers)
+        # ``store`` is ``build_triple_store(corpus)``: one process, the
+        # title dictionary as the linker
+        parallel = _extracted_store(corpus, EntityIndex(corpus.titles()), workers)
         assert _store_bytes(parallel, tmp_path, f"par{workers}.json") == (
             _store_bytes(store, tmp_path, "seq.json")
         )
@@ -111,7 +122,7 @@ class TestParallelParity:
             registered.add_document(document.doc_id, document.text)
         dictionary = EntityIndex(corpus.titles())
         built = {
-            name: build_triple_store(corpus, linker=linker, workers=workers)
+            name: _extracted_store(corpus, linker, workers)
             for name, linker in [("reg", registered), ("dict", dictionary)]
         }
         assert _store_bytes(built["dict"], tmp_path, "dict.json") == (

@@ -1,11 +1,18 @@
-"""Unit tests for the OIE extractors (triple, base parsing, pattern, MinIE,
-union)."""
+"""Unit tests for the OIE tools (triple, base parsing, pattern, MinIE,
+the one-pass document extraction and its union)."""
 
+import pytest
+
+import repro.oie.union
+from repro.data.corpus import Corpus
+from repro.ingest import extract_corpus_triples
 from repro.oie.base import parse_clause, split_conjuncts, strip_determiners
-from repro.oie.minie import MinIEExtractor
-from repro.oie.pattern import PatternExtractor
+from repro.oie.minie import minie_triples
+from repro.oie.pattern import pattern_triples
 from repro.oie.triple import Triple
-from repro.oie.union import UnionExtractor, dedupe_triples, extract_union
+from repro.oie.union import dedupe_triples, extract_document
+from repro.text.coref import resolve_coreferences
+from repro.triples.construct import TripleSetConstructor
 
 
 class TestTriple:
@@ -62,33 +69,24 @@ class TestParseClause:
 
 class TestPatternExtractor:
     def test_maximal_triple(self):
-        triples = PatternExtractor().extract_sentence(
-            "Millwall Athletic was founded in 1885."
-        )
+        triples = pattern_triples("Millwall Athletic was founded in 1885.", 0)
         assert any(
             t.predicate == "was founded" and "1885" in t.object for t in triples
         )
 
     def test_conjunct_noise_cascade(self):
-        triples = PatternExtractor().extract_sentence(
-            "Lynd is a Quaker, peace activist and historian."
+        triples = pattern_triples(
+            "Lynd is a Quaker, peace activist and historian.", 0
         )
         noisy = [t for t in triples if t.confidence <= 0.4]
         assert noisy, "expected Fig.3-style noise triples"
         assert any(t.subject != "Lynd" for t in noisy)
 
-    def test_cascade_disabled(self):
-        extractor = PatternExtractor(emit_noise_cascade=False)
-        triples = extractor.extract_sentence(
-            "Lynd is a Quaker, peace activist and historian."
-        )
-        assert all(t.subject == "Lynd" for t in triples)
-
     def test_coref_applied_in_document(self):
-        triples = PatternExtractor().extract_document(
+        triples = extract_document(
             "Davis was a footballer. He played for Millwall.",
             title="Davis",
-        )
+        ).pattern
         assert any(
             t.subject == "Davis" and "Millwall" in t.object for t in triples
         )
@@ -96,21 +94,20 @@ class TestPatternExtractor:
 
 class TestMinIEExtractor:
     def test_minimizes_determiners(self):
-        triples = MinIEExtractor().extract_sentence(
-            "Millwall Athletic is a professional football club."
+        triples = minie_triples(
+            "Millwall Athletic is a professional football club.", 0
         )
         assert any(t.object == "professional football club" for t in triples)
 
     def test_splits_prepositional_attachment(self):
-        triples = MinIEExtractor().extract_sentence(
-            "Davis played at centre forward for Millwall."
-        )
+        triples = minie_triples("Davis played at centre forward for Millwall.", 0)
         predicates = {t.predicate for t in triples}
         assert "played at" in predicates and "played for" in predicates
 
     def test_long_sentence_compact_objects(self):
-        triples = MinIEExtractor().extract_sentence(
-            "Gibson played 17 seasons in Major League Baseball for the Cardinals."
+        triples = minie_triples(
+            "Gibson played 17 seasons in Major League Baseball for the Cardinals.",
+            0,
         )
         assert all(len(t.object.split()) <= 4 for t in triples)
 
@@ -122,17 +119,72 @@ class TestUnion:
         assert len(dedupe_triples([a, b])) == 1
 
     def test_union_has_both_extractors(self):
-        triples = extract_union(
+        triples = extract_document(
             "Millwall Athletic is a football club. It was founded in 1885.",
             title="Millwall Athletic",
             entity_kind="club",
-        )
+        ).union
         sources = {t.source for t in triples}
         assert "pattern" in sources and "minie" in sources
 
     def test_union_covers_facts(self, corpus):
         doc = next(d for d in corpus if d.entity.kind == "band")
-        triples = extract_union(doc.text, title=doc.title, entity_kind="band")
+        triples = extract_document(
+            doc.text, title=doc.title, entity_kind="band"
+        ).union
         text = " ".join(t.flatten() for t in triples)
         for fact in doc.facts:
             assert fact.value_text in text
+
+    def test_union_is_pattern_then_new_minie_triples(self, corpus):
+        for doc in corpus:
+            extraction = extract_document(
+                doc.text, title=doc.title, entity_kind=doc.entity.kind
+            )
+            assert extraction.union == dedupe_triples(
+                extraction.pattern + extraction.minie
+            )
+
+    def test_both_tools_read_the_resolved_sentences(self, corpus):
+        for doc in corpus:
+            sentences = resolve_coreferences(
+                doc.text, title=doc.title, entity_kind=doc.entity.kind
+            )
+            extraction = extract_document(
+                doc.text, title=doc.title, entity_kind=doc.entity.kind
+            )
+            assert extraction.pattern == [
+                t for i, s in enumerate(sentences) for t in pattern_triples(s, i)
+            ]
+            assert extraction.minie == [
+                t for i, s in enumerate(sentences) for t in minie_triples(s, i)
+            ]
+
+
+@pytest.fixture
+def coref_calls(monkeypatch):
+    """Count the coreference passes of the document extraction."""
+    calls = []
+
+    def counting(text, title=None, entity_kind=None):
+        calls.append(title)
+        return resolve_coreferences(text, title=title, entity_kind=entity_kind)
+
+    monkeypatch.setattr(repro.oie.union, "resolve_coreferences", counting)
+    return calls
+
+
+class TestOneCoreferencePass:
+    def test_construct_from_text_resolves_once(self, corpus, coref_calls):
+        doc = corpus[0]
+        TripleSetConstructor().construct_from_text(
+            doc.text, title=doc.title, entity_kind=doc.entity.kind
+        )
+        assert coref_calls == [doc.title]
+
+    def test_corpus_extraction_resolves_once_per_document(
+        self, corpus, coref_calls
+    ):
+        docs = Corpus(list(corpus)[:3])
+        extract_corpus_triples(docs, workers=1)
+        assert coref_calls == [d.title for d in docs]

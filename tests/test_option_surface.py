@@ -1,5 +1,5 @@
-"""The audited option surface of the serving, offline, training and
-comparison stacks, pinned exactly.
+"""The audited option surface of the serving, offline, training,
+comparison and construction stacks, pinned exactly.
 
 Every name below is set by a caller outside ``tests/``, is a deployment
 setting, is the seam a test stages time or a fault through, or is a
@@ -26,14 +26,23 @@ from repro.ingest import EmbeddingStore, IngestPipeline, extract_corpus_triples
 from repro.net import Fleet, FrontDoor, Supervisor, WorkerSpec
 from repro.nn.optim import train_epochs
 from repro.nn.transformer import TransformerEncoder
+from repro.oie.union import extract_document
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.pipeline.multihop import MultiHopConfig, MultiHopRetriever
 from repro.pipeline.path_ranker import PathRankerConfig, PathRankerTrainer
 from repro.retriever.negatives import mine_training_examples
 from repro.retriever.single import SingleRetriever
+from repro.retriever.store import build_triple_store
 from repro.retriever.trainer import TrainerConfig
 from repro.serve import Query, ResultCache, ServiceConfig, ServiceStats
-from repro.triples.construct import ConstructionConfig
+from repro.text.coref import resolve_coreferences
+from repro.text.tokenize import tokenize
+from repro.text.vocab import Vocab
+from repro.triples.canopy import build_canopies
+from repro.triples.construct import ConstructionConfig, TripleSetConstructor
+from repro.triples.hac import hac_construct
+from repro.triples.relatedness import prune_noise
+from repro.triples.sibling import fuse_siblings
 from repro.updater.updater import UpdaterConfig, UpdaterTrainer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +89,19 @@ SURFACE = {
     MDRRetriever: "encoder corpus config",
     HopRetrieverBaseline: "encoder corpus linker config",
     PathRetrieverBaseline: "encoder corpus config",
+    TripleSetConstructor: "config linker",
+    TripleSetConstructor.construct: "union_triples doc_entities",
+    TripleSetConstructor.construct_from_text: "text title entity_kind doc_entities",
+    build_canopies: "triples",
+    fuse_siblings: "triples alpha",
+    prune_noise: "triples doc_entities linker min_relatedness",
+    hac_construct: "triples threshold_size",
+    extract_document: "text title entity_kind",
+    resolve_coreferences: "text title entity_kind",
+    tokenize: "text",
+    Vocab.from_texts: "texts tokenizer",
+    Vocab.from_tokens: "tokens",
+    build_triple_store: "corpus linker config",
 }
 
 
@@ -167,12 +189,12 @@ COMPARISON_STACK = (
 )
 
 
-def test_every_comparison_stack_parameter_has_a_caller():
-    """The same rule for the baselines and the BM25 index, with an empty
-    allow-list. A class's constructor counts the calls of every audited
-    class that shares it (``eval.harness`` builds TPRR and MDR through
-    ``DenseRetriever.__init__``), positional arguments included."""
-    parameters = {target.__name__: _names(target) for target in COMPARISON_STACK}
+def _orphans(stack):
+    """``Owner.parameter`` of every parameter in ``stack`` that no call in
+    ``src/``, ``benchmarks/`` or ``examples/`` passes, by keyword or by
+    position. A class's constructor counts the calls of every audited
+    class that shares it."""
+    parameters = {target.__name__: _names(target) for target in stack}
     passed = _keywords_passed(("src", "benchmarks", "examples"), parameters)
 
     def callers(target):
@@ -180,14 +202,45 @@ def test_every_comparison_stack_parameter_has_a_caller():
             return [target.__name__]
         return [
             other.__name__
-            for other in COMPARISON_STACK
+            for other in stack
             if inspect.isclass(other) and other.__init__ is target.__init__
         ]
 
-    orphans = [
+    return [
         f"{target.__qualname__}.{name}"
-        for target in COMPARISON_STACK
+        for target in stack
         for name in _names(target)
         if not any(name in passed.get(caller, ()) for caller in callers(target))
     ]
-    assert orphans == []
+
+
+def test_every_comparison_stack_parameter_has_a_caller():
+    """The same rule for the baselines and the BM25 index, with an empty
+    allow-list (``eval.harness`` builds TPRR and MDR through
+    ``DenseRetriever.__init__``, and passes ``DenseConfig`` positionally)."""
+    assert _orphans(COMPARISON_STACK) == []
+
+
+#: the construction stack (text -> OIE -> Algorithm 1 -> triple store)
+CONSTRUCTION_STACK = (
+    TripleSetConstructor,
+    TripleSetConstructor.construct,
+    TripleSetConstructor.construct_from_text,
+    build_canopies,
+    fuse_siblings,
+    prune_noise,
+    hac_construct,
+    extract_document,
+    resolve_coreferences,
+    tokenize,
+    Vocab.from_texts,
+    Vocab.from_tokens,
+    build_triple_store,
+)
+
+
+def test_every_construction_stack_parameter_has_a_caller():
+    """The same rule, with an empty allow-list, for the path from raw text
+    to the triple store: coreference, the two OIE tools' one document
+    pass, Algorithm 1 and its HAC baseline, and the vocabulary."""
+    assert _orphans(CONSTRUCTION_STACK) == []

@@ -48,11 +48,9 @@ class TestTokenizeProperties:
         text = " ".join(tokens)
         assert tokenize(text) == tokens
 
-    @given(clitic_texts, st.booleans())
-    def test_one_regex_pass_equals_the_match_by_match_reference(
-        self, text, lower
-    ):
-        assert tokenize(text, lower=lower) == tokenize_reference(text, lower)
+    @given(clitic_texts)
+    def test_one_regex_pass_equals_the_match_by_match_reference(self, text):
+        assert tokenize(text) == tokenize_reference(text)
 
 
 class TestStemProperties:

@@ -33,8 +33,8 @@ class TestTokenize:
     def test_clitic_split(self):
         assert tokenize("the club's ground") == ["the", "club", "'s", "ground"]
 
-    def test_case_preserved_when_requested(self):
-        assert "Millwall" in tokenize("Millwall won", lower=False)
+    def test_hyphen_is_a_token(self):
+        assert tokenize("the 1990-91 season") == ["the", "1990", "-", "91", "season"]
 
     def test_punctuation_isolated(self):
         tokens = tokenize("wait, what?")

@@ -3,6 +3,7 @@ set cover, sibling fusion, Algorithm 1 and the HAC baseline."""
 
 import pytest
 
+import repro.triples.construct
 from repro.index.entity_index import EntityIndex
 from repro.oie.triple import Triple
 from repro.triples.canopy import build_canopies
@@ -161,7 +162,10 @@ class TestConstruct:
 
     def test_empty_input(self):
         result = TripleSetConstructor().construct([])
-        assert result.triples == [] and result.union_size == 0
+        assert result.triples == []
+        assert (result.pruned_noise, result.removed_children, result.fused) == (
+            0, 0, 0,
+        )
 
     def test_max_chars_clipping(self):
         limit = ConstructionConfig().max_triple_chars
@@ -177,7 +181,6 @@ class TestConstruct:
 
     def test_counters_consistent(self):
         result = TripleSetConstructor().construct(LYND)
-        assert result.union_size == len(LYND)
         assert result.removed_children >= 1
         assert result.fused >= 1
 
@@ -189,6 +192,40 @@ class TestConstruct:
         )
         assert result.triples
         assert any(doc.title in t.subject for t in result.triples)
+
+
+class TestTighteningFloor:
+    """Algorithm 1 tightens the sibling threshold one step per round while
+    ``|T_d| > l``, down to ``min_alpha`` and never below it."""
+
+    @pytest.fixture
+    def round_alphas(self, monkeypatch):
+        alphas = []
+        real = repro.triples.construct.fuse_siblings
+
+        def spy(triples, alpha=0.75):
+            alphas.append(alpha)
+            return real(triples, alpha=alpha)
+
+        monkeypatch.setattr(repro.triples.construct, "fuse_siblings", spy)
+        return alphas
+
+    def test_no_round_runs_below_the_floor(self, round_alphas):
+        # six subjects cannot fuse into one triple: every round runs
+        config = ConstructionConfig(threshold_size=1)
+        TripleSetConstructor(config).construct(LYND)
+        assert min(round_alphas) >= config.min_alpha
+
+    def test_last_round_runs_at_the_floor(self, round_alphas):
+        config = ConstructionConfig(threshold_size=1)
+        TripleSetConstructor(config).construct(LYND)
+        assert sorted(set(round_alphas), reverse=True) == pytest.approx(
+            [0.75, 0.65, 0.55, config.min_alpha]
+        )
+
+    def test_no_tightening_within_the_budget(self, round_alphas):
+        TripleSetConstructor().construct(LYND)
+        assert set(round_alphas) == {ConstructionConfig().sibling_alpha}
 
 
 class TestHAC:

@@ -16,14 +16,6 @@ class TestVocabConstruction:
         vocab = Vocab.from_tokens(["b", "a", "b", "b", "a", "c"])
         assert vocab.id_of("b") < vocab.id_of("a") < vocab.id_of("c")
 
-    def test_min_count(self):
-        vocab = Vocab.from_tokens(["a", "a", "b"], min_count=2)
-        assert "a" in vocab and "b" not in vocab
-
-    def test_max_size(self):
-        vocab = Vocab.from_tokens("a b c d e".split(), max_size=7)
-        assert len(vocab) == 7  # 5 specials + 2 tokens
-
     def test_from_texts(self):
         vocab = Vocab.from_texts(["the club", "the band"], tokenize)
         assert "club" in vocab and "band" in vocab
