@@ -7,9 +7,11 @@ touches a handful of documents, not all of them. This module provides
 both properties without changing a single output byte:
 
 * :func:`extract_corpus_triples` fans coref + OIE union + Algorithm 1
-  out over a ``multiprocessing`` pool. Documents are dealt to workers in
-  ascending-doc-id order and results are merged back in that same order
-  (``Pool.map`` preserves input order), and per-document construction is
+  out over the process's one extraction pool: forked workers, kept
+  across calls while the worker count, construction config and linker
+  stay the same, so a refresh after the first forks nothing. Chunks of
+  documents go to whichever worker is idle, and the results are merged
+  keyed by doc id in ascending order; per-document construction is
   deterministic and independent, so the parallel triple store is
   **byte-identical** to the sequential one. The process that constructs
   a document's triples also links it (``E_d`` of Eq. 1 is
@@ -34,8 +36,14 @@ both properties without changing a single output byte:
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+import os
+import pickle
+import threading
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -55,22 +63,12 @@ from repro.oie.triple import Triple
 from repro.perf import COUNTERS, time_block
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 
-# -- worker-pool plumbing ---------------------------------------------------
-# One constructor per worker process, built once by the initializer; the
-# payloads then carry only per-document data. Module-level so both fork
-# and spawn start methods can pickle the entry points.
-_WORKER: Dict[str, TripleSetConstructor] = {}
-
-
-def _init_worker(
-    config: Optional[ConstructionConfig], linker: Optional[EntityIndex]
-) -> None:
-    _WORKER["constructor"] = TripleSetConstructor(config=config, linker=linker)
+#: one document as extraction needs it: (doc id, text, title, entity kind)
+_Payload = Tuple[int, str, str, Optional[str]]
 
 
 def _construct(
-    constructor: TripleSetConstructor,
-    payload: Tuple[int, str, str, Optional[str]],
+    constructor: TripleSetConstructor, payload: _Payload
 ) -> Tuple[int, List[Triple]]:
     """Link one document (``E_d``, Eq. 1) and construct its triples."""
     doc_id, text, title, entity_kind = payload
@@ -82,8 +80,165 @@ def _construct(
     return doc_id, result.triples
 
 
-def _extract_one(payload) -> Tuple[int, List[Triple]]:
-    return _construct(_WORKER["constructor"], payload)
+# -- the extraction pool ------------------------------------------------------
+# One per process, reused by every call with the same key. Fork-started,
+# one Pipe per worker and nothing shared between workers: no task queue,
+# lock or handler thread that a worker killed from outside could leave
+# held. (The standard library's pool, reused, re-forks workers killed
+# that way, then blocks at interpreter exit on its task queue's lock;
+# spawn and forkserver leave a resource tracker or server process
+# running. DESIGN §5d has the measurements.)
+_POOL: Optional["_Pool"] = None
+_POOL_LOCK = threading.Lock()
+#: how long a closing pool waits for a worker to exit before killing it
+_JOIN_TIMEOUT_S = 1.0
+
+
+def _serve(
+    link: Connection,
+    config: Optional[ConstructionConfig],
+    linker: Optional[EntityIndex],
+    inherited: Sequence[Connection],
+) -> None:
+    """A worker: construct each chunk of payloads it receives, until EOF.
+
+    ``inherited`` are the parent's pipe ends this fork copied; closing
+    them leaves the parent the only holder, so each side sees EOF when
+    the other closes or dies.
+    """
+    for conn in inherited:
+        conn.close()
+    constructor = TripleSetConstructor(config=config, linker=linker)
+    try:
+        while True:
+            chunk = link.recv()
+            try:
+                reply = [_construct(constructor, payload) for payload in chunk]
+            except Exception as error:
+                reply = error
+            link.send(reply)
+    except (EOFError, OSError):
+        return  # the parent closed its end, or is gone
+
+
+class _Pool:
+    """``workers`` forked processes, each behind its own ``Pipe``."""
+
+    def __init__(
+        self,
+        key: Tuple[int, bytes],
+        config: Optional[ConstructionConfig],
+        linker: Optional[EntityIndex],
+    ):
+        self.key = key
+        self.pid = os.getpid()
+        # explicit: Python 3.14 changes the default start method
+        context = multiprocessing.get_context("fork")
+        self.links: List[Connection] = []
+        self.procs: List[multiprocessing.process.BaseProcess] = []
+        workers = key[0]
+        for _ in range(workers):
+            link, child = context.Pipe()
+            self.links.append(link)
+            proc = context.Process(
+                target=_serve,
+                args=(child, config, linker, list(self.links)),
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            self.procs.append(proc)
+
+    def usable(self, key: Tuple[int, bytes]) -> bool:
+        """Same key, this process's own workers, and all of them alive."""
+        return (
+            self.key == key
+            and self.pid == os.getpid()
+            and all(proc.is_alive() for proc in self.procs)
+        )
+
+    def map(
+        self, payloads: List[_Payload], chunksize: int
+    ) -> Dict[int, List[Triple]]:
+        """Each chunk goes to whichever worker is idle; merged by doc id."""
+        chunks = deque(
+            payloads[start : start + chunksize]
+            for start in range(0, len(payloads), chunksize)
+        )
+        idle, busy = list(self.links), []
+        results: Dict[int, List[Triple]] = {}
+        while chunks or busy:
+            while chunks and idle:
+                link = idle.pop()
+                link.send(chunks.popleft())
+                busy.append(link)
+            for link in wait(busy):
+                try:
+                    reply = link.recv()
+                except EOFError:
+                    raise RuntimeError(
+                        "an extraction worker exited during the call"
+                    ) from None
+                if isinstance(reply, Exception):
+                    raise reply
+                results.update(reply)
+                busy.remove(link)
+                idle.append(link)
+        return dict(sorted(results.items()))
+
+    def close(self) -> None:
+        """Close the links; join the workers, killing any that linger."""
+        for link in self.links:
+            link.close()
+        if self.pid != os.getpid():
+            return  # a forked copy: the workers belong to another process
+        for proc in self.procs:
+            proc.join(_JOIN_TIMEOUT_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+
+
+def _close_pool() -> None:
+    """Shut the process's extraction pool down, if it has one."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None:
+            _POOL.close()
+            _POOL = None
+
+
+atexit.register(_close_pool)
+
+
+def _extract_pooled(
+    payloads: List[_Payload],
+    config: Optional[ConstructionConfig],
+    linker: Optional[EntityIndex],
+    workers: int,
+) -> Dict[int, List[Triple]]:
+    """Extract over the pool for this key, forking it only when needed.
+
+    Any difference in the key (worker count, config, the linker's
+    titles or registered documents) re-forks, so a worker never holds
+    state other than what the call passed. A failed call discards the
+    pool, so no reply of it can reach the next call.
+    """
+    global _POOL
+    key = (workers, pickle.dumps((config, linker)))
+    chunksize = max(1, len(payloads) // (workers * 4))
+    with _POOL_LOCK:
+        if _POOL is not None and not _POOL.usable(key):
+            _POOL.close()
+            _POOL = None
+        if _POOL is None:
+            _POOL = _Pool(key, config, linker)
+        try:
+            return _POOL.map(payloads, chunksize)
+        except BaseException:
+            _POOL.close()
+            _POOL = None
+            raise
 
 
 def extract_corpus_triples(
@@ -98,7 +253,9 @@ def extract_corpus_triples(
     Returns ``{doc_id: triples}`` in ascending doc-id order regardless of
     worker count — the deterministic-merge guarantee the parity suite
     pins. ``workers <= 1`` runs sequentially in-process (the reference
-    path); more workers fan documents out over a process pool.
+    path); more workers fan documents out over the process's extraction
+    pool, forked on first use and reused by every later call with the
+    same worker count, config and linker.
 
     The ``linker`` is the alias dictionary; documents need not be
     registered with it. Whichever process constructs a document's triples
@@ -111,14 +268,7 @@ def extract_corpus_triples(
     if workers <= 1 or len(payloads) <= 1:
         constructor = TripleSetConstructor(config=config, linker=linker)
         return dict(_construct(constructor, payload) for payload in payloads)
-    chunksize = max(1, len(payloads) // (workers * 4))
-    with multiprocessing.get_context().Pool(
-        processes=workers,
-        initializer=_init_worker,
-        initargs=(config, linker),
-    ) as pool:
-        results = pool.map(_extract_one, payloads, chunksize=chunksize)
-    return dict(results)
+    return _extract_pooled(payloads, config, linker, workers)
 
 
 # -- the incremental pipeline ----------------------------------------------

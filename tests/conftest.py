@@ -7,6 +7,7 @@ quality-sensitive behaviour is exercised by the benchmarks, not here.
 import numpy as np
 import pytest
 
+import repro.ingest.pipeline as ingest_pipeline
 import repro.retriever.store as store_mod
 from repro.data import World, WorldConfig, build_corpus, build_hotpot_dataset
 from repro.encoder import EncoderConfig, MiniBertEncoder
@@ -67,6 +68,19 @@ def retriever(encoder, store):
     retr = SingleRetriever(encoder, store)
     retr.refresh_embeddings()
     return retr
+
+
+@pytest.fixture(autouse=True)
+def no_extraction_pool_outlives_a_test():
+    """Close the process's extraction pool after every test.
+
+    The pool outlives the call that forked it. Left open, its workers
+    would show in a later test's ``multiprocessing.active_children()``,
+    and a later test's monkeypatch would not reach workers forked before
+    it.
+    """
+    yield
+    ingest_pipeline._close_pool()
 
 
 @pytest.fixture()

@@ -11,6 +11,12 @@ Pins the two guarantees the ingestion subsystem makes:
 
 import dataclasses
 import itertools
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference import UNREADABLE_TRIPLE_FILES, unreadable_triple_files
 
+import repro.ingest.pipeline as ingest_pipeline
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
@@ -33,6 +40,7 @@ from repro.ingest import (
 )
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore, build_triple_store
+from repro.serve import RetrievalService
 from repro.text import Vocab, tokenize
 from repro.triples.construct import ConstructionConfig
 
@@ -152,6 +160,196 @@ class TestParallelParity:
     def test_mini_corpus_actually_extracts(self):
         store = build_triple_store(_mini_corpus())
         assert store.total_triples() > 0
+
+
+def _worker_pids():
+    """Pids of this process's live ``multiprocessing`` children."""
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
+def _reap(pid):
+    """Wait until the killed child ``pid`` is gone."""
+    for child in multiprocessing.active_children():
+        if child.pid == pid:
+            child.join(10)
+
+
+class TestExtractionPool:
+    """The process's one extraction pool: reused, re-forked, never stale."""
+
+    def test_two_pipelines_over_the_same_titles_fork_once(self, tmp_path):
+        corpus = _mini_corpus()
+        IngestPipeline(corpus, workers=1).run(tmp_path / "seq")
+        pids = []
+        for name in ("first", "second"):
+            IngestPipeline(corpus, workers=2).run(tmp_path / name)
+            pids.append(_worker_pids())
+            assert (tmp_path / name / STORE_NAME).read_bytes() == (
+                tmp_path / "seq" / STORE_NAME
+            ).read_bytes()
+        assert len(pids[0]) == 2 and pids[1] == pids[0]
+
+    @pytest.mark.parametrize(
+        "change", ["title", "config", "registered linker", "workers"]
+    )
+    def test_a_different_key_reforks(self, change):
+        corpus = _mini_corpus()
+        linker = EntityIndex(corpus.titles())
+        extract_corpus_triples(corpus, linker, workers=2)
+        before = _worker_pids()
+        config, workers = None, 2
+        if change == "title":
+            documents = list(corpus)
+            documents[4] = dataclasses.replace(documents[4], title="Zeta Hall")
+            corpus = Corpus(documents)
+        linker = EntityIndex(corpus.titles())
+        if change == "config":
+            config = ConstructionConfig(threshold_size=3)
+        elif change == "registered linker":
+            linker.add_document(0, corpus[0].text)
+        elif change == "workers":
+            workers = 3
+        got = extract_corpus_triples(corpus, linker, config, workers=workers)
+        after = _worker_pids()
+        assert len(after) == workers and not set(after) & set(before)
+        assert got == extract_corpus_triples(corpus, linker, config, workers=1)
+
+    def test_a_raising_document_raises_its_type_and_poisons_nothing(
+        self, corpus, monkeypatch
+    ):
+        real = ingest_pipeline._construct
+
+        def explode(constructor, payload):
+            if payload[0] == 3:
+                raise ValueError("document 3 does not construct")
+            return real(constructor, payload)
+
+        monkeypatch.setattr(ingest_pipeline, "_construct", explode)
+        linker = EntityIndex(corpus.titles())
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="document 3"):
+                extract_corpus_triples(corpus, linker, workers=workers)
+        # the other worker's reply to the failed call was in flight: the
+        # next call must not read it
+        others = [doc_id for doc_id in range(len(corpus)) if doc_id != 3]
+        assert extract_corpus_triples(
+            corpus, linker, workers=2, doc_ids=others
+        ) == extract_corpus_triples(corpus, linker, workers=1, doc_ids=others)
+
+    def test_a_worker_killed_between_calls_is_reforked(self, corpus):
+        linker = EntityIndex(corpus.titles())
+        expected = extract_corpus_triples(corpus, linker, workers=1)
+        assert extract_corpus_triples(corpus, linker, workers=2) == expected
+        before = _worker_pids()
+        os.kill(before[0], signal.SIGKILL)
+        _reap(before[0])
+        assert extract_corpus_triples(corpus, linker, workers=2) == expected
+        after = _worker_pids()
+        assert len(after) == 2 and not set(after) & set(before)
+
+    def test_a_worker_killed_during_a_call_raises_instead_of_hanging(
+        self, corpus, monkeypatch, tmp_path
+    ):
+        real = ingest_pipeline._construct
+        killed = tmp_path / "killed"
+
+        def die_once(constructor, payload):
+            if payload[0] == 3 and not killed.exists():
+                killed.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(constructor, payload)
+
+        monkeypatch.setattr(ingest_pipeline, "_construct", die_once)
+        linker = EntityIndex(corpus.titles())
+        with pytest.raises(RuntimeError, match="worker exited"):
+            extract_corpus_triples(corpus, linker, workers=2)
+        assert killed.exists()
+        assert extract_corpus_triples(
+            corpus, linker, workers=2
+        ) == extract_corpus_triples(corpus, linker, workers=1)
+
+
+#: ingest with two workers, print the worker pids, then end either the
+#: way ``benchmarks/e2e/run.py`` ends a run (kill and join every child)
+#: or by plain interpreter exit
+_INGEST_THEN_EXIT = """
+import multiprocessing, sys, tempfile
+from repro.data import World, WorldConfig, build_corpus
+from repro.ingest import IngestPipeline
+
+corpus = build_corpus(World(WorldConfig(n_persons=6, seed=3)))
+with tempfile.TemporaryDirectory() as out:
+    IngestPipeline(corpus, workers=2).run(out)
+print(*[child.pid for child in multiprocessing.active_children()], flush=True)
+if sys.argv[1] == "kill and join":
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+"""
+
+
+@pytest.mark.parametrize("ending", ["kill and join", "exit"])
+def test_an_ingesting_process_exits_and_leaves_no_worker(ending):
+    child = subprocess.run(
+        [sys.executable, "-c", _INGEST_THEN_EXIT, ending],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert child.returncode == 0, child.stderr
+    pids = [int(pid) for pid in child.stdout.split()]
+    assert len(pids) == 2
+    assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
+
+
+def _oracle_ranking(embeddings, encoder, questions, k):
+    """Brute-force (doc ids, scores) per question: max cosine per doc."""
+    rows = np.asarray(embeddings.matrix, dtype=np.float64)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    vectors = np.asarray(encoder.encode_numpy(questions), dtype=np.float64)
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    bounds = [embeddings.bounds(i) for i in range(len(embeddings.doc_ids))]
+    ranking = []
+    for vector in vectors:
+        scores = rows @ vector
+        best = sorted(
+            (-float(scores[start:stop].max()), int(doc_id))
+            for doc_id, (start, stop) in zip(embeddings.doc_ids, bounds)
+            if stop > start
+        )[:k]
+        ranking.append(([doc_id for _, doc_id in best], [-s for s, _ in best]))
+    return ranking
+
+
+def test_refreshes_beside_a_serving_thread_fork_nothing(tmp_path):
+    corpus = _mini_corpus()
+    encoder = _mini_encoder(corpus)
+    warm = IngestPipeline(corpus, workers=2).run(tmp_path, encoder=encoder)
+    pids = _worker_pids()
+    questions = [
+        "Which city hosts Alpha Club?",
+        "Who recorded Gamma Album?",
+        "When did Epsilon Hall open?",
+    ]
+    oracle = _oracle_ranking(
+        EmbeddingStore.open(tmp_path / EMBEDDINGS_DIR), encoder, questions, 3
+    )
+    with RetrievalService(warm.retriever) as service:
+        for cycle in range(3):
+            pending = [service.submit(q, k=3) for q in questions]
+            note = f" It was rebuilt in {1990 + cycle}."
+            edited = {i: _MINI_DOCS[i][2] + note for i in (1, 4)}
+            refreshed = IngestPipeline(_mini_corpus(edited), workers=2).run(
+                tmp_path, encoder=encoder
+            )
+            assert refreshed.stats.docs_extracted == 2
+            for request, (doc_ids, scores) in zip(pending, oracle):
+                answer = request.result(10)
+                assert [r.doc_id for r in answer] == doc_ids
+                got = [r.score for r in answer]
+                assert np.allclose(got, scores, atol=1e-5)
+    assert _worker_pids() == pids
 
 
 class TestIncrementalInvalidation:
