@@ -8,13 +8,16 @@ interleaved with distractor sentences. Entity mentions become hyperlinks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.data import templates as T
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity, Fact, World
+
+#: distractor sentences interleaved into every document
+N_DISTRACTORS = 4
 
 
 def _intro_sentence(entity: Entity, world: World, rng: np.random.RandomState) -> str:
@@ -46,7 +49,6 @@ def build_document(
     world: World,
     doc_id: int,
     rng: np.random.RandomState,
-    n_distractors: int = 4,
 ) -> Document:
     """Render ``entity`` into a :class:`Document`."""
     pronouns = T.KIND_PRONOUNS[entity.kind]
@@ -67,7 +69,7 @@ def build_document(
             mentioned.append(value_entity.name)
             links.append(value_entity.name)
     cities = world.entities_of_kind("city")
-    for _ in range(n_distractors):
+    for _ in range(N_DISTRACTORS):
         template = T.DISTRACTOR_TEMPLATES[
             int(rng.randint(len(T.DISTRACTOR_TEMPLATES)))
         ]
@@ -91,19 +93,15 @@ def build_document(
     )
 
 
-def build_corpus(
-    world: World,
-    seed: Optional[int] = None,
-    n_distractors: int = 4,
-) -> Corpus:
+def build_corpus(world: World) -> Corpus:
     """Build the full corpus: one document per world entity.
 
-    ``seed`` defaults to the world's own seed so a world maps to exactly one
-    corpus unless the caller asks otherwise.
+    The world's own seed drives the rendering, so a world maps to exactly
+    one corpus.
     """
-    rng = np.random.RandomState(world.config.seed if seed is None else seed)
+    rng = np.random.RandomState(world.config.seed)
     documents = [
-        build_document(entity, world, doc_id, rng, n_distractors=n_distractors)
+        build_document(entity, world, doc_id, rng)
         for doc_id, entity in enumerate(world.entities)
     ]
     return Corpus(documents)

@@ -280,13 +280,14 @@ def _comparison_questions(
     return questions
 
 
+#: the share of questions held out as the test split
+TEST_FRACTION = 0.2
+
+
 def build_hotpot_dataset(
     world: World,
     corpus: Corpus,
-    test_fraction: float = 0.2,
     comparison_per_kind: int = 20,
-    seed: Optional[int] = None,
-    max_questions: Optional[int] = None,
     descriptive_prob: float = 0.3,
     partial_name_prob: float = 0.2,
 ) -> HotpotDataset:
@@ -295,9 +296,9 @@ def build_hotpot_dataset(
     Bridge questions are generated exhaustively over all valid 2-hop chains;
     comparison questions are sampled (``comparison_per_kind`` per entity
     kind), giving the bridge-heavy mix of the real dataset (Table I:
-    ~80% bridge). Split into train/test with ``test_fraction``.
+    ~80% bridge). Split into train/test with ``TEST_FRACTION``.
     """
-    rng = np.random.RandomState(world.config.seed + 101 if seed is None else seed)
+    rng = np.random.RandomState(world.config.seed + 101)
     questions = _bridge_questions(
         world,
         rng,
@@ -310,9 +311,7 @@ def build_hotpot_dataset(
     )
     order = rng.permutation(len(questions))
     questions = [questions[i] for i in order]
-    if max_questions is not None:
-        questions = questions[:max_questions]
-    n_test = int(round(len(questions) * test_fraction))
+    n_test = int(round(len(questions) * TEST_FRACTION))
     dataset = HotpotDataset(
         corpus=corpus, train=questions[n_test:], test=questions[:n_test]
     )

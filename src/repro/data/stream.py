@@ -26,7 +26,7 @@ materialized world produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -50,6 +50,13 @@ _CLUB_UID_BASE = 2_000_000_000
 _SEED_MIX_A = 1_000_003
 _SEED_MIX_B = 7919
 
+#: the shared city and club pools every stream links into
+N_CITIES = 64
+N_CLUBS = 48
+#: the birth years a person is drawn from, inclusive
+YEAR_LOW = 1900
+YEAR_HIGH = 1999
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -57,10 +64,6 @@ class StreamConfig:
 
     n_docs: int = 100_000
     seed: int = 13
-    n_cities: int = 64  # shared city pool size
-    n_clubs: int = 48  # shared club pool size
-    year_low: int = 1900
-    year_high: int = 1999
 
 
 def _doc_rng(config: StreamConfig, doc_id: int) -> np.random.RandomState:
@@ -71,7 +74,7 @@ def _doc_rng(config: StreamConfig, doc_id: int) -> np.random.RandomState:
 
 def city_at(config: StreamConfig, index: int) -> Entity:
     """The ``index``-th shared-pool city (pure function of the config)."""
-    index = int(index) % max(1, config.n_cities)
+    index = int(index) % N_CITIES
     rng = _doc_rng(config, _CITY_UID_BASE + index)
     root = _PLACE_ROOTS[rng.randint(len(_PLACE_ROOTS))]
     suffix = _PLACE_SUFFIXES[rng.randint(len(_PLACE_SUFFIXES))]
@@ -81,7 +84,7 @@ def city_at(config: StreamConfig, index: int) -> Entity:
 
 def club_at(config: StreamConfig, index: int) -> Entity:
     """The ``index``-th shared-pool club (pure function of the config)."""
-    index = int(index) % max(1, config.n_clubs)
+    index = int(index) % N_CLUBS
     rng = _doc_rng(config, _CLUB_UID_BASE + index)
     root = _PLACE_ROOTS[rng.randint(len(_PLACE_ROOTS))]
     suffix = _CLUB_SUFFIXES[rng.randint(len(_CLUB_SUFFIXES))]
@@ -103,9 +106,9 @@ def document_at(config: StreamConfig, doc_id: int) -> Document:
     name = f"{first} {surname} ({doc_id})"
     person = Entity(uid=doc_id, name=name, kind="person")
     occupation = _OCCUPATIONS[rng.randint(len(_OCCUPATIONS))]
-    year = int(rng.randint(config.year_low, config.year_high + 1))
-    city = city_at(config, rng.randint(max(1, config.n_cities)))
-    club = club_at(config, rng.randint(max(1, config.n_clubs)))
+    year = int(rng.randint(YEAR_LOW, YEAR_HIGH + 1))
+    city = city_at(config, rng.randint(N_CITIES))
+    club = club_at(config, rng.randint(N_CLUBS))
     facts = [
         Fact(subject=person, relation="occupation", value=occupation),
         Fact(subject=person, relation="born_in", value=city),
@@ -129,18 +132,13 @@ def document_at(config: StreamConfig, doc_id: int) -> Document:
     )
 
 
-def stream_documents(
-    config: StreamConfig,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> Iterator[Document]:
-    """Lazily yield documents ``start..stop`` (default: the whole stream).
+def stream_documents(config: StreamConfig) -> Iterator[Document]:
+    """Lazily yield every document of the stream, in doc-id order.
 
     A generator: at any moment exactly one document is alive, so memory
     is O(1) in the stream length — the property that lets ingestion and
     the sharded benchmarks walk 100k+ documents without materializing a
     corpus.
     """
-    stop = config.n_docs if stop is None else min(stop, config.n_docs)
-    for doc_id in range(start, stop):
+    for doc_id in range(config.n_docs):
         yield document_at(config, doc_id)

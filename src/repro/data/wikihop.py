@@ -12,13 +12,20 @@ the supervision directly (``gold_titles``), which is the same end state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.data.corpus import Corpus
 from repro.data.hotpot import CHAIN_PAIRS
 from repro.data.world import World
+
+#: answer candidates per query (the gold answer and its distractors)
+N_CANDIDATES = 6
+#: random support documents added beside the gold path's two
+N_EXTRA_SUPPORTS = 4
+#: the share of queries held out as the validation split
+VALIDATION_FRACTION = 0.2
 
 
 @dataclass
@@ -47,10 +54,6 @@ class WikihopDataset:
 def build_wikihop_dataset(
     world: World,
     corpus: Corpus,
-    n_candidates: int = 6,
-    n_extra_supports: int = 4,
-    validation_fraction: float = 0.2,
-    seed: Optional[int] = None,
     max_queries: Optional[int] = None,
 ) -> WikihopDataset:
     """Generate Wikihop-style queries from the world's 2-hop chains.
@@ -60,7 +63,7 @@ def build_wikihop_dataset(
     candidates drawn from other values of ``r2`` and support documents that
     include the gold path plus random distractor documents.
     """
-    rng = np.random.RandomState(world.config.seed + 202 if seed is None else seed)
+    rng = np.random.RandomState(world.config.seed + 202)
     value_pool: Dict[str, List[str]] = {}
     for _, r2 in CHAIN_PAIRS:
         if r2 not in value_pool:
@@ -80,9 +83,9 @@ def build_wikihop_dataset(
                 continue
             answer = hop2_fact.value_text
             distractors = [v for v in value_pool[r2] if v != answer]
-            if len(distractors) > n_candidates - 1:
+            if len(distractors) > N_CANDIDATES - 1:
                 picked = rng.choice(
-                    len(distractors), size=n_candidates - 1, replace=False
+                    len(distractors), size=N_CANDIDATES - 1, replace=False
                 )
                 distractors = [distractors[int(i)] for i in picked]
             candidates = distractors + [answer]
@@ -92,7 +95,7 @@ def build_wikihop_dataset(
                 all_titles[int(i)]
                 for i in rng.choice(
                     len(all_titles),
-                    size=min(n_extra_supports, len(all_titles)),
+                    size=min(N_EXTRA_SUPPORTS, len(all_titles)),
                     replace=False,
                 )
                 if all_titles[int(i)] not in gold_titles
@@ -115,7 +118,7 @@ def build_wikihop_dataset(
     queries = [queries[i] for i in order]
     if max_queries is not None:
         queries = queries[:max_queries]
-    n_val = int(round(len(queries) * validation_fraction))
+    n_val = int(round(len(queries) * VALIDATION_FRACTION))
     return WikihopDataset(
         corpus=corpus, train=queries[n_val:], validation=queries[:n_val]
     )

@@ -8,11 +8,11 @@ assert the paper's qualitative *shape*.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.hotpot import BRIDGE, COMPARISON, HotpotQuestion
+from repro.data.hotpot import HotpotQuestion
 from repro.eval.harness import ExperimentContext
 from repro.eval.metrics import (
     RetrievalScorecard,
@@ -26,6 +26,13 @@ from repro.retriever.store import build_triple_store
 from repro.retriever.strategies import MEAN, ONE_FACT, TOP_K, ScoreStrategy
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 from repro.triples.hac import hac_construct
+
+#: the rank cut-offs of the paper's tables: BM25 PR@10 / PEM@10 (Tables
+#: II–III, Ablation A) and PR@8 / PEM@8 (Tables IV–V, Wikihop)
+BM25_K = 10
+K = 8
+#: Algorithm 1's threshold l in the HAC vs partition timing (Ablation B)
+HAC_THRESHOLD = 8
 
 
 # -- Table I ---------------------------------------------------------------
@@ -67,7 +74,6 @@ def _lexical_scorecards(
     ctx: ExperimentContext,
     questions: Sequence[HotpotQuestion],
     fields: Sequence[str],
-    k: int = 10,
 ) -> Dict[str, Dict[str, RetrievalScorecard]]:
     """For each field: hop-1 PR and two-hop PEM scorecards.
 
@@ -79,12 +85,14 @@ def _lexical_scorecards(
     the comparison Table II makes.
     """
     out: Dict[str, Dict[str, RetrievalScorecard]] = {}
-    half = max(k // 2, 1)
+    half = max(BM25_K // 2, 1)
     for field in fields:
         pr_card = RetrievalScorecard()
         pem_card = RetrievalScorecard()
         for question in questions:
-            hop1 = ctx.lexical.retrieve_titles(question.text, k=k, field=field)
+            hop1 = ctx.lexical.retrieve_titles(
+                question.text, k=BM25_K, field=field
+            )
             pr_card.add(
                 question.qtype, paragraph_recall(hop1, question.gold_titles)
             )
@@ -105,35 +113,32 @@ def _lexical_scorecards(
     return out
 
 
-def run_table2(ctx: ExperimentContext, k: int = 10):
+def run_table2(ctx: ExperimentContext):
     """Text matching vs TFS matching with non-learning BM25 (Table II)."""
+    fields = ["text", "triples"]
     return {
-        "train": _lexical_scorecards(
-            ctx, ctx.train_sample, ["text", "triples"], k=k
-        ),
-        "test": _lexical_scorecards(
-            ctx, ctx.eval_questions, ["text", "triples"], k=k
-        ),
+        "train": _lexical_scorecards(ctx, ctx.train_sample, fields),
+        "test": _lexical_scorecards(ctx, ctx.eval_questions, fields),
     }
 
 
-def run_table3(ctx: ExperimentContext, k: int = 10):
+def run_table3(ctx: ExperimentContext):
     """Constructed TFS vs raw MinIE vs raw StanfordIE fields (Table III)."""
     fields = ["triples", "minie_triples", "stanford_triples"]
     return {
-        "train": _lexical_scorecards(ctx, ctx.train_sample, fields, k=k),
-        "test": _lexical_scorecards(ctx, ctx.eval_questions, fields, k=k),
+        "train": _lexical_scorecards(ctx, ctx.train_sample, fields),
+        "test": _lexical_scorecards(ctx, ctx.eval_questions, fields),
     }
 
 
 # -- Table IV (one-hop retrieval, learned models) ----------------------------
 
 def _one_hop_scorecard(
-    titles_fn, questions: Sequence[HotpotQuestion], k: int = 8
+    titles_fn, questions: Sequence[HotpotQuestion]
 ) -> RetrievalScorecard:
     card = RetrievalScorecard()
     for question in questions:
-        titles = titles_fn(question.text, k)
+        titles = titles_fn(question.text)
         card.add(question.qtype, paragraph_recall(titles, question.gold_titles))
     return card
 
@@ -148,7 +153,7 @@ def _batched_scorecard(
     return card
 
 
-def run_table4(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScorecard]:
+def run_table4(ctx: ExperimentContext) -> Dict[str, RetrievalScorecard]:
     """One-hop PR@8: TPR, GoldEn and Triple-Retriever strategies.
 
     GoldEn's one-hop retrieval is its BM25 hop 1 over the text field, read
@@ -165,12 +170,10 @@ def run_table4(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScoreca
 
     tprr = ctx.baseline("tprr")
     rows["TPR"] = _one_hop_scorecard(
-        lambda q, kk: tprr.retrieve_documents(q, k=kk), questions, k
+        lambda q: tprr.retrieve_documents(q, k=K), questions
     )
     rows["GoldEn"] = _one_hop_scorecard(
-        lambda q, kk: ctx.lexical.retrieve_titles(q, k=kk, field="text"),
-        questions,
-        k,
+        lambda q: ctx.lexical.retrieve_titles(q, k=K, field="text"), questions
     )
 
     strategies = {
@@ -182,7 +185,7 @@ def run_table4(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScoreca
     query_matrix = retriever.encode_questions([q.text for q in questions])
     for name, strategy in strategies.items():
         result_lists = retriever.retrieve_batch(
-            query_matrix, k=k, strategy=strategy
+            query_matrix, k=K, strategy=strategy
         )
         rows[name] = _batched_scorecard(
             questions,
@@ -191,24 +194,19 @@ def run_table4(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScoreca
     return rows
 
 
-def run_table4_union_ablation(
-    ctx: ExperimentContext, k: int = 8
-) -> RetrievalScorecard:
+def run_table4_union_ablation(ctx: ExperimentContext) -> RetrievalScorecard:
     """Sec. IV-D note: one-fact retrieval over the raw union set T_o."""
     retriever = SingleRetriever(ctx.system.encoder, ctx.extractor_store("union"))
     retriever.refresh_embeddings()
     return _one_hop_scorecard(
-        lambda q, kk: [
-            r.title for r in retriever.retrieve_many([q], k=kk)[0]
-        ],
+        lambda q: [r.title for r in retriever.retrieve_many([q], k=K)[0]],
         ctx.eval_questions,
-        k,
     )
 
 
 # -- Table V (document-path retrieval) ---------------------------------------
 
-def run_table5(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScorecard]:
+def run_table5(ctx: ExperimentContext) -> Dict[str, RetrievalScorecard]:
     """Path PEM@8 for every system (Table V)."""
     questions = ctx.eval_questions
     rows: Dict[str, RetrievalScorecard] = {}
@@ -223,26 +221,26 @@ def run_table5(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScoreca
         return card
 
     tprr = ctx.baseline("tprr")
-    rows["TPRR"] = score_paths(lambda q: tprr.retrieve_paths(q, k_paths=k))
+    rows["TPRR"] = score_paths(lambda q: tprr.retrieve_paths(q, k_paths=K))
     hop = ctx.baseline("hop")
-    rows["HopRetriever"] = score_paths(lambda q: hop.retrieve_paths(q, k_paths=k))
+    rows["HopRetriever"] = score_paths(lambda q: hop.retrieve_paths(q, k_paths=K))
     mdr = ctx.baseline("mdr")
-    rows["MDR"] = score_paths(lambda q: mdr.retrieve_paths(q, k_paths=k))
+    rows["MDR"] = score_paths(lambda q: mdr.retrieve_paths(q, k_paths=K))
     path_baseline = ctx.baseline("path")
     rows["PathRetriever"] = score_paths(
-        lambda q: path_baseline.retrieve_paths(q, k_paths=k)
+        lambda q: path_baseline.retrieve_paths(q, k_paths=K)
     )
     system = ctx.system
     rows["Triple-fact Retrieval-base"] = score_paths(
         lambda q: [
             p.titles
-            for p in system.retrieve_paths_many([q], k=k, rerank=False)[0]
+            for p in system.retrieve_paths_many([q], k=K, rerank=False)[0]
         ]
     )
     rows["Triple-fact Retrieval"] = score_paths(
         lambda q: [
             p.titles
-            for p in system.retrieve_paths_many([q], k=k, rerank=True)[0]
+            for p in system.retrieve_paths_many([q], k=K, rerank=True)[0]
         ]
     )
     return rows
@@ -250,9 +248,7 @@ def run_table5(ctx: ExperimentContext, k: int = 8) -> Dict[str, RetrievalScoreca
 
 # -- Wikihop (the paper's second dataset, Sec. IV-A) --------------------------
 
-def run_wikihop(
-    ctx: ExperimentContext, n_queries: int = 80, k: int = 8
-) -> Dict[str, float]:
+def run_wikihop(ctx: ExperimentContext, n_queries: int = 80) -> Dict[str, float]:
     """Wikihop-style evaluation of the trained system.
 
     The paper reports Wikihop alongside HotpotQA without a dedicated
@@ -269,10 +265,10 @@ def run_wikihop(
     hop1_hits = 0
     pem_hits = 0
     for query in queries:
-        hop1 = system.retriever.retrieve_many([query.text], k=k)[0]
+        hop1 = system.retriever.retrieve_many([query.text], k=K)[0]
         if any(r.title in query.gold_titles for r in hop1):
             hop1_hits += 1
-        paths = system.retrieve_paths_many([query.text], k=k)[0]
+        paths = system.retrieve_paths_many([query.text], k=K)[0]
         if path_exact_match([p.titles for p in paths], query.gold_titles):
             pem_hits += 1
     n = max(len(queries), 1)
@@ -288,7 +284,6 @@ def run_wikihop(
 def run_ablation_threshold(
     ctx: ExperimentContext,
     l_values: Sequence[int] = (5, 10, 20, 40),
-    k: int = 10,
 ) -> List[Tuple[int, float, float]]:
     """Sweep Algorithm 1's threshold l: (l, mean |T_d|, BM25-TFS PR@k)."""
     from repro.baselines.lexical import LexicalRetriever
@@ -301,7 +296,9 @@ def run_ablation_threshold(
         lexical = LexicalRetriever(ctx.corpus, store=store)
         card = RetrievalScorecard()
         for question in ctx.eval_questions:
-            titles = lexical.retrieve_titles(question.text, k=k, field="triples")
+            titles = lexical.retrieve_titles(
+                question.text, k=BM25_K, field="triples"
+            )
             card.add(question.qtype, paragraph_recall(titles, question.gold_titles))
         mean_size = store.total_triples() / max(len(store), 1)
         out.append((l_value, mean_size, card.total))
@@ -328,7 +325,7 @@ def _synthetic_triples(m: int, seed: int = 0) -> List[Triple]:
 
 
 def run_ablation_hac(
-    sizes: Sequence[int] = (16, 32, 64, 128), threshold: int = 8
+    sizes: Sequence[int] = (16, 32, 64, 128),
 ) -> Dict[str, List[Tuple[int, float]]]:
     """Wall-clock of HAC vs Algorithm 1 over growing union sets.
 
@@ -338,12 +335,12 @@ def run_ablation_hac(
     """
     timings: Dict[str, List[Tuple[int, float]]] = {"hac": [], "partition": []}
     constructor = TripleSetConstructor(
-        ConstructionConfig(threshold_size=threshold)
+        ConstructionConfig(threshold_size=HAC_THRESHOLD)
     )
     for m in sizes:
         triples = _synthetic_triples(m)
         start = time.perf_counter()
-        hac_construct(triples, threshold)
+        hac_construct(triples, HAC_THRESHOLD)
         timings["hac"].append((m, time.perf_counter() - start))
         start = time.perf_counter()
         constructor.construct(triples)

@@ -15,8 +15,8 @@ fidelity).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.baselines.hop_retriever import HopRetrieverBaseline
 from repro.baselines.lexical import LexicalRetriever
@@ -49,17 +49,18 @@ class ExperimentScale:
     name: str
     world: WorldConfig
     comparison_per_kind: int
-    descriptive_prob: float = 0.45
-    partial_name_prob: float = 0.2
     retriever_epochs: int = 3
-    retriever_lr: float = 3e-4
     baseline_epochs: int = 2
     n_eval: int = 150
-    encoder: EncoderConfig = field(
-        default_factory=lambda: EncoderConfig(
-            dim=96, n_layers=1, n_heads=4, max_len=40
-        )
-    )
+
+
+#: every scale's question mix: the share of bridge questions that describe
+#: their first-hop entity instead of naming it, and that name it in part
+DESCRIPTIVE_PROB = 0.45
+PARTIAL_NAME_PROB = 0.2
+#: every scale's encoder and retriever learning rate
+ENCODER = EncoderConfig(dim=96, n_layers=1, n_heads=4, max_len=40)
+RETRIEVER_LR = 3e-4
 
 
 SMALL = ExperimentScale(
@@ -116,8 +117,8 @@ EXTRACTOR_STORES = ("minie", "stanford", "union")
 class ExperimentContext:
     """Lazily built, shared experiment state."""
 
-    def __init__(self, scale: Optional[ExperimentScale] = None):
-        self.scale = scale or current_scale()
+    def __init__(self):
+        self.scale = current_scale()
         self._world: Optional[World] = None
         self._corpus: Optional[Corpus] = None
         self._hotpot: Optional[HotpotDataset] = None
@@ -148,8 +149,8 @@ class ExperimentContext:
                 self.world,
                 self.corpus,
                 comparison_per_kind=self.scale.comparison_per_kind,
-                descriptive_prob=self.scale.descriptive_prob,
-                partial_name_prob=self.scale.partial_name_prob,
+                descriptive_prob=DESCRIPTIVE_PROB,
+                partial_name_prob=PARTIAL_NAME_PROB,
             )
         return self._hotpot
 
@@ -228,9 +229,9 @@ class ExperimentContext:
         if self._system is None:
             scale = self.scale
             config = FrameworkConfig(
-                encoder=scale.encoder,
+                encoder=ENCODER,
                 retriever=TrainerConfig(
-                    epochs=scale.retriever_epochs, lr=scale.retriever_lr
+                    epochs=scale.retriever_epochs, lr=RETRIEVER_LR
                 ),
                 updater=UpdaterConfig(epochs=3),
                 ranker=PathRankerConfig(epochs=3),
@@ -250,7 +251,7 @@ class ExperimentContext:
         return Vocab.from_texts(texts, tokenize)
 
     def _new_encoder(self, seed: int) -> MiniBertEncoder:
-        config = EncoderConfig(**{**self.scale.encoder.__dict__, "seed": seed})
+        config = EncoderConfig(**{**ENCODER.__dict__, "seed": seed})
         encoder = MiniBertEncoder(self._shared_vocab(), config)
         encoder.fit_idf([self.store.field_text(d.doc_id) for d in self.corpus])
         return encoder

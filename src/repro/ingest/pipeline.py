@@ -346,12 +346,11 @@ class IngestPipeline:
     def __init__(
         self,
         corpus: Corpus,
-        construction: Optional[ConstructionConfig] = None,
         workers: int = 1,
         incremental: bool = True,
     ):
         self.corpus = corpus
-        self.construction = construction or ConstructionConfig()
+        self.construction = ConstructionConfig()
         #: the corpus's alias dictionary, built by the first run and kept
         self.linker: Optional[EntityIndex] = None
         self.workers = max(1, int(workers))

@@ -37,7 +37,6 @@ from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.ingest.embedding_store import EMBEDDINGS_DIR, STORE_NAME
 from repro.oie.triple import Triple
 from repro.pipeline.multihop import MultiHopConfig, MultiHopRetriever
-from repro.precision import PrecisionLike
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore
 from repro.text.tokenize import tokenize
@@ -78,10 +77,14 @@ class _UnitVocab:
         return "<any>"
 
 
+#: nonzero slots of a :class:`DyadicEncoder` embedding
+NONZEROS = 16
+
+
 class DyadicEncoder:
     """Deterministic encoder whose cosines are exact dyadic rationals.
 
-    Embedding entries are 0/±1 with exactly ``nonzeros`` nonzero slots,
+    Embedding entries are 0/±1 with exactly ``NONZEROS`` nonzero slots,
     seeded per-text by crc32 — so normalized entries and cosines are
     dyadic rationals, float addition over them is exact hence
     associative, and the scoring matmul is bitwise identical for any
@@ -89,9 +92,8 @@ class DyadicEncoder:
     on exactly this.
     """
 
-    def __init__(self, dim: int = 32, nonzeros: int = 16):
-        self.config = SimpleNamespace(dim=dim, nonzeros=nonzeros)
-        self.nonzeros = nonzeros
+    def __init__(self, dim: int = 32):
+        self.config = SimpleNamespace(dim=dim, nonzeros=NONZEROS)
         self.vocab = _UnitVocab()
         self._token_weights = np.ones(1)
 
@@ -105,9 +107,9 @@ class DyadicEncoder:
             )
             vec = np.zeros(self.config.dim)
             index = rng.choice(
-                self.config.dim, size=self.nonzeros, replace=False
+                self.config.dim, size=NONZEROS, replace=False
             )
-            vec[index] = rng.choice([-1.0, 1.0], size=self.nonzeros)
+            vec[index] = rng.choice([-1.0, 1.0], size=NONZEROS)
             rows.append(vec)
         return np.stack(rows)
 
@@ -126,7 +128,6 @@ class ServingBundle:
     store: TripleStore
     updater: Optional[QuestionUpdater] = None
     multihop_config: Optional[MultiHopConfig] = None
-    precision: PrecisionLike = None
     #: deterministic replay questions (benches / tests), may be empty
     questions: List[str] = field(default_factory=list)
 
@@ -137,8 +138,10 @@ class ServingBundle:
     def make_retriever(
         self, store: Optional[TripleStore] = None
     ) -> SingleRetriever:
+        """A retriever over ``store`` (the bundle's own when None; an
+        empty store is a store, not a missing one)."""
         return SingleRetriever(
-            self.encoder, store or self.store, precision=self.precision
+            self.encoder, self.store if store is None else store
         )
 
     def make_multihop(
@@ -151,14 +154,18 @@ class ServingBundle:
         )
 
 
+#: the shape of every synthetic bundle: triples per document, encoder
+#: width and replay questions
+TRIPLES_PER_DOC = 4
+DIM = 32
+N_QUESTIONS = 32
+
+
 def synthetic_bundle(
     seed: int = 29,
     n_docs: int = 48,
-    triples_per_doc: int = 4,
-    dim: int = 32,
     encoder: str = "dyadic",
     multihop: bool = True,
-    n_questions: int = 32,
 ) -> ServingBundle:
     """A fully deterministic synthetic corpus + encoder bundle.
 
@@ -177,7 +184,7 @@ def synthetic_bundle(
                 predicate=f"pred{rng.randint(50)}",
                 object=f"obj{rng.randint(50)} tail{rng.randint(50)}",
             )
-            for _ in range(triples_per_doc)
+            for _ in range(TRIPLES_PER_DOC)
         ]
         documents.append(
             Document(
@@ -194,16 +201,16 @@ def synthetic_bundle(
     questions = [
         f"which document mentions obj{rng.randint(50)} "
         f"tail{rng.randint(50)} ?"
-        for _ in range(n_questions)
+        for _ in range(N_QUESTIONS)
     ]
     if encoder == "dyadic":
-        enc: Any = DyadicEncoder(dim=dim)
+        enc: Any = DyadicEncoder(dim=DIM)
     elif encoder == "minibert":
         vocab = Vocab.from_texts(
             [d.text for d in documents] + questions, tokenize
         )
         enc = MiniBertEncoder(
-            vocab, EncoderConfig(dim=dim, n_layers=1, n_heads=2, max_len=32)
+            vocab, EncoderConfig(dim=DIM, n_layers=1, n_heads=2, max_len=32)
         )
         enc.fit_idf([store.field_text(d.doc_id) for d in documents])
     else:
@@ -254,16 +261,12 @@ def model_dir_bundle(model_dir: str) -> ServingBundle:
     )
 
 
-def publish_store(
-    bundle: ServingBundle,
-    out_dir: str,
-    store: Optional[TripleStore] = None,
-) -> int:
+def publish_store(bundle: ServingBundle, out_dir: str) -> int:
     """Publish a store generation the way ``repro ingest`` lays it out.
 
-    Writes ``STORE_NAME`` (the per-document triple segments, each with
-    its row hash) and then ``embeddings/`` (the versioned matrix
-    manifest) under ``out_dir`` — the order of
+    Writes the bundle's ``STORE_NAME`` (the per-document triple
+    segments, each with its row hash) and then ``embeddings/`` (the
+    versioned matrix manifest) under ``out_dir`` — the order of
     ``IngestPipeline.run``, so the manifest's atomic rename, the write a
     ``--watch-store`` poll reads the generation from, is the last one:
     whoever sees the new generation finds the triples that go with it.
@@ -273,10 +276,9 @@ def publish_store(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    active = store or bundle.store
-    retriever = bundle.make_retriever(active)
+    retriever = bundle.make_retriever()
     retriever.refresh_embeddings()
     embeddings = retriever.export_embeddings()
-    active.save(out / STORE_NAME)
+    bundle.store.save(out / STORE_NAME)
     embeddings.save(out / EMBEDDINGS_DIR)
     return embeddings.generation

@@ -17,6 +17,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.net.protocol import recv_frame, send_frame, wire_to_results
 from repro.serve.query import Query
 
+#: how long a client's socket waits to connect or for a reply
+TIMEOUT_S = 300.0
+
 
 class NetRequestError(RuntimeError):
     """The fleet answered with an error response."""
@@ -29,20 +32,15 @@ class NetRequestError(RuntimeError):
 class NetClient:
     """Context-managed blocking connection to a front door (or worker)."""
 
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        timeout_s: float = 300.0,
-    ):
+    def __init__(self, address: Tuple[str, int]):
         self.address = tuple(address)
-        self.timeout_s = timeout_s
         self._ids = itertools.count(1)
         self._sock: Optional[socket.socket] = None
 
     def connect(self) -> "NetClient":
         if self._sock is None:
             self._sock = socket.create_connection(
-                self.address, timeout=self.timeout_s
+                self.address, timeout=TIMEOUT_S
             )
         return self
 
@@ -73,24 +71,15 @@ class NetClient:
             if response.get("id") == request_id:
                 return response
 
-    def query_raw(
-        self,
-        question: str,
-        mode: str = "single",
-        k: Optional[int] = None,
-        nprobe: Optional[int] = None,
-        precision: Optional[str] = None,
-        deadline_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    def query_raw(self, query: Query) -> Dict[str, Any]:
         """The full wire response of one query (results still encoded).
 
         Byte-identity tests compare this — re-canonicalizing
         ``response["results"]`` yields the exact bytes the worker sent.
-        A malformed field raises here, before anything is sent.
+        A malformed field raised where the :class:`Query` was built,
+        before anything is sent.
         """
-        response = self.request(
-            Query(question, mode, k, nprobe, precision, deadline_s).to_wire()
-        )
+        response = self.request(query.to_wire())
         if not response.get("ok"):
             error = response.get("error") or {}
             raise NetRequestError(
@@ -99,14 +88,15 @@ class NetClient:
         return response
 
     # -- decoded conveniences ---------------------------------------------
-    def retrieve(self, question: str, **kwargs) -> List[Any]:
-        """Single-hop retrieval, decoded to ``RetrievedDocument`` lists."""
-        response = self.query_raw(question, mode="single", **kwargs)
+    def retrieve(self, question: str, **fields) -> List[Any]:
+        """Single-hop retrieval, decoded to ``RetrievedDocument`` lists;
+        ``fields`` are the other :class:`Query` fields."""
+        response = self.query_raw(Query(question, "single", **fields))
         return wire_to_results("single", response["results"])
 
-    def retrieve_paths(self, question: str, **kwargs) -> List[Any]:
+    def retrieve_paths(self, question: str, **fields) -> List[Any]:
         """Multi-hop retrieval, decoded to ``DocumentPath`` lists."""
-        response = self.query_raw(question, mode="paths", **kwargs)
+        response = self.query_raw(Query(question, "paths", **fields))
         return wire_to_results("paths", response["results"])
 
     def stats(self) -> Dict[str, Any]:

@@ -106,7 +106,6 @@ class Supervisor:
         workers: int = 2,
         health_interval_s: float = 0.25,
         watch_store: bool = False,
-        on_change: Optional[Callable[[List[WorkerHandle]], None]] = None,
     ):
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -114,7 +113,8 @@ class Supervisor:
         self.n_workers = workers
         self.health_interval_s = health_interval_s
         self.watch_store = watch_store
-        self.on_change = on_change
+        #: told the live handles after every change; a FrontDoor sets it
+        self.on_change: Optional[Callable[[List[WorkerHandle]], None]] = None
         self._lock = threading.Lock()
         self._slots: Dict[int, WorkerHandle] = {}
         self._store_dir = spec.store_dir

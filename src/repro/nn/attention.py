@@ -1,7 +1,8 @@
 """Multi-head self-attention (Vaswani et al.), batched.
 
-Input: (batch, seq, dim) plus an attention mask (batch, seq) of 1/0.
-Padding positions receive a large negative additive bias before softmax.
+Input: (batch, seq, dim) plus the additive padding bias of the batch's
+attention mask (:func:`padding_bias`): padding positions receive a large
+negative bias before softmax.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Tensor
 
 
-def padding_bias(mask: np.ndarray, dtype=TRAINING_DTYPE) -> np.ndarray:
+def padding_bias(mask: np.ndarray) -> np.ndarray:
     """Additive attention bias (B, 1, 1, S) from a 1/0 mask (B, S).
 
     Attended positions get 0, padded positions a dtype-scaled large
@@ -24,8 +25,8 @@ def padding_bias(mask: np.ndarray, dtype=TRAINING_DTYPE) -> np.ndarray:
     underflows to exactly zero after the softmax shift. Computed once
     per batch — the stack reuses one bias across every layer and head.
     """
-    inverted = 1.0 - np.asarray(mask, dtype=dtype)
-    return (inverted * mask_bias_value(dtype))[:, None, None, :]
+    inverted = 1.0 - np.asarray(mask, dtype=TRAINING_DTYPE)
+    return (inverted * mask_bias_value(TRAINING_DTYPE))[:, None, None, :]
 
 
 class MultiHeadSelfAttention(Module):
@@ -53,23 +54,15 @@ class MultiHeadSelfAttention(Module):
         # (B, S, D) -> (B, H, S, Dh)
         return x.reshape(batch, seq, self.n_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: Optional[np.ndarray] = None,
-        bias: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """``bias`` is the precomputed (B, 1, 1, S) additive padding bias;
-        when omitted it is derived from ``mask`` (B, S, 1 = attend) here,
-        so standalone use keeps working while the encoder stack passes
-        one shared bias down to every layer."""
+    def forward(self, x: Tensor, bias: Optional[np.ndarray]) -> Tensor:
+        """``bias`` is the (B, 1, 1, S) additive padding bias the encoder
+        stack computes once per batch and passes down to every layer, or
+        ``None`` when nothing is padded."""
         batch, seq, _ = x.shape
         q = self._split_heads(self.query(x), batch, seq)
         k = self._split_heads(self.key(x), batch, seq)
         v = self._split_heads(self.value(x), batch, seq)
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        if bias is None and mask is not None:
-            bias = padding_bias(mask)
         if bias is not None:
             scores = scores + Tensor(bias)
         attn = scores.softmax(axis=-1)

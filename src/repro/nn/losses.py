@@ -8,8 +8,11 @@ from __future__ import annotations
 
 from repro.nn.tensor import Tensor
 
+#: added to each norm, so an all-zero row scores 0 instead of NaN
+EPS = 1e-8
 
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
+
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise cosine similarity.
 
     ``a``: (N, D) or (D,), ``b``: (M, D) or (D,). With 2-D inputs of equal
@@ -19,10 +22,10 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     """
     if a.ndim == 1 and b.ndim == 2:
         dots = b @ a  # (M,)
-        a_norm = (a * a).sum().pow(0.5) + eps
-        b_norm = (b * b).sum(axis=-1).pow(0.5) + eps
+        a_norm = (a * a).sum().pow(0.5) + EPS
+        b_norm = (b * b).sum(axis=-1).pow(0.5) + EPS
         return dots / (b_norm * a_norm)
     dots = (a * b).sum(axis=-1)
-    a_norm = (a * a).sum(axis=-1).pow(0.5) + eps
-    b_norm = (b * b).sum(axis=-1).pow(0.5) + eps
+    a_norm = (a * a).sum(axis=-1).pow(0.5) + EPS
+    b_norm = (b * b).sum(axis=-1).pow(0.5) + EPS
     return dots / (a_norm * b_norm)

@@ -10,6 +10,9 @@ from repro.nn.tensor import Tensor
 
 #: Global gradient-norm clip of the one training loop, :func:`train_epochs`.
 CLIP_NORM = 5.0
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
 
 
 class Optimizer:
@@ -44,33 +47,21 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction and optional weight decay."""
+    """Adam (Kingma & Ba) with bias correction."""
 
-    def __init__(
-        self,
-        parameters: Sequence[Tensor],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, parameters: Sequence[Tensor], lr: float = 1e-3):
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._v: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for i, parameter in enumerate(self.parameters):
             if parameter.grad is None:
                 continue
             grad = parameter.grad
-            if self.weight_decay > 0:
-                grad = grad + self.weight_decay * parameter.data
             if self._m[i] is None:
                 self._m[i] = np.zeros_like(parameter.data)
                 self._v[i] = np.zeros_like(parameter.data)
@@ -79,7 +70,7 @@ class Adam(Optimizer):
             m_hat = self._m[i] / (1 - b1**self._t)
             v_hat = self._v[i] / (1 - b2**self._t)
             parameter.data = parameter.data - self.lr * m_hat / (
-                np.sqrt(v_hat) + self.eps
+                np.sqrt(v_hat) + EPS
             )
 
 

@@ -45,8 +45,8 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array with an autograd tape.
 
-    Only tensors created with ``requires_grad=True`` (parameters) and
-    values computed from them accumulate gradients.
+    Only parameters (``Module.register_parameter`` sets their
+    ``requires_grad``) and values computed from them accumulate gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
@@ -54,13 +54,12 @@ class Tensor:
     def __init__(
         self,
         data: ArrayLike,
-        requires_grad: bool = False,
         parents: Sequence["Tensor"] = (),
         grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
     ):
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
         self._grad_fns = tuple(grad_fns)
 
@@ -89,13 +88,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor.
-
-        ``grad`` defaults to ones (so scalars need no argument).
-        """
-        if grad is None:
-            grad = np.ones_like(self.data)
+    def backward(self) -> None:
+        """Backpropagate from this tensor, seeded with ones."""
         topo: List[Tensor] = []
         visited = set()
 
@@ -116,7 +110,7 @@ class Tensor:
                     stack.pop()
 
         visit(self)
-        grads = {id(self): grad}
+        grads = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:

@@ -47,13 +47,8 @@ class TransformerEncoderLayer(Module):
         self.attention.output.weight.data *= RESIDUAL_SCALE
         self.ffn_out.weight.data *= RESIDUAL_SCALE
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: Optional[np.ndarray] = None,
-        bias: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        x = x + self.attention(self.norm1(x), mask=mask, bias=bias)
+    def forward(self, x: Tensor, bias: Optional[np.ndarray]) -> Tensor:
+        x = x + self.attention(self.norm1(x), bias)
         return x + self.ffn_out(self.ffn_in(self.norm2(x)).gelu())
 
 
@@ -117,5 +112,5 @@ class TransformerEncoder(Module):
         positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
         x = self.token_embedding(ids) + self.position_embedding(positions)
         for layer in self.layers:
-            x = layer(x, mask=mask, bias=bias)
+            x = layer(x, bias)
         return self.final_norm(x)

@@ -23,7 +23,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -171,29 +171,30 @@ def percentile(sorted_samples: Sequence[float], q: float) -> float:
     return float(sorted_samples[min(int(rank) - 1, len(sorted_samples) - 1)])
 
 
+#: samples a :class:`LatencyReservoir` keeps
+CAPACITY = 65536
+
+
 class LatencyReservoir:
     """Bounded, thread-safe window of duration samples (seconds).
 
-    Keeps the most recent ``capacity`` samples in a ring; percentiles are
+    Keeps the most recent ``CAPACITY`` samples in a ring; percentiles are
     computed over that window. Bounded so a long-lived service cannot
     grow without limit, recent-biased so the numbers track current load.
     """
 
-    def __init__(self, capacity: int = 65536):
-        if capacity <= 0:
-            raise ValueError("reservoir capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._samples: List[float] = []
         self._cursor = 0  # ring write position once full
         self._lock = threading.Lock()
 
     def record(self, seconds: float) -> None:
         with self._lock:
-            if len(self._samples) < self.capacity:
+            if len(self._samples) < CAPACITY:
                 self._samples.append(seconds)
             else:
                 self._samples[self._cursor] = seconds
-                self._cursor = (self._cursor + 1) % self.capacity
+                self._cursor = (self._cursor + 1) % CAPACITY
 
     def __len__(self) -> int:
         with self._lock:

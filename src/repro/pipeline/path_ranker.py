@@ -36,6 +36,7 @@ from repro.text.tokenize import tokenize
 LR = 3e-3
 SEED = 29  # of the head's init and of the example order
 BLEND = 0.8  # rerank score = BLEND * ranker + (1 - BLEND) * base score
+MAX_CANDIDATES = 8  # candidate paths per training example, gold among them
 
 
 @dataclass
@@ -219,7 +220,6 @@ class PathRankerTrainer:
         questions: Sequence[HotpotQuestion],
         corpus: Corpus,
         multihop: MultiHopRetriever,
-        max_candidates: int = 8,
     ) -> List[Tuple[str, List[DocumentPath], int]]:
         """(question, candidate paths, gold index) — gold injected if the
         pipeline missed it, so supervision always exists."""
@@ -233,7 +233,7 @@ class PathRankerTrainer:
             if len(gold_ids) < 2:
                 continue
             candidates = multihop.retrieve_paths_batch(
-                [question.text], k_paths=max_candidates
+                [question.text], k_paths=MAX_CANDIDATES
             )[0]
             gold_set = frozenset(question.gold_titles)
             gold_index = None
@@ -247,7 +247,7 @@ class PathRankerTrainer:
                     titles=tuple(question.gold_titles),
                     score=0.0,
                 )
-                candidates = [gold_path] + candidates[: max_candidates - 1]
+                candidates = [gold_path] + candidates[: MAX_CANDIDATES - 1]
                 gold_index = 0
             if len(candidates) < 2:
                 continue

@@ -38,7 +38,7 @@ and this module is the only place it may be spelled (enforced by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -260,20 +260,19 @@ def coarse_scores(
     q_matrix: np.ndarray,
     scales: np.ndarray,
     queries: np.ndarray,
-    chunk_rows: int = COARSE_CHUNK_ROWS,
 ) -> np.ndarray:
     """Dot products of dequantized rows against ``queries`` (float32).
 
     Equivalent to ``dequantize_rows(q, scales) @ queries.T`` but chunked
-    so only ``chunk_rows x dim`` of float32 temporaries exist at a time:
-    the int8 matrix is what travels from DRAM. Returns ``(rows,
+    so only ``COARSE_CHUNK_ROWS x dim`` of float32 temporaries exist at a
+    time: the int8 matrix is what travels from DRAM. Returns ``(rows,
     n_queries)`` float32 coarse scores.
     """
     queries = np.atleast_2d(cast_matrix(queries, F32))
     rows = q_matrix.shape[0]
     out = np.empty((rows, queries.shape[0]), dtype=F32)
-    for start in range(0, rows, chunk_rows):
-        stop = min(start + chunk_rows, rows)
+    for start in range(0, rows, COARSE_CHUNK_ROWS):
+        stop = min(start + COARSE_CHUNK_ROWS, rows)
         chunk = q_matrix[start:stop].astype(F32)
         out[start:stop] = chunk @ queries.T
     factors = (np.asarray(scales, dtype=F32) / _Q_LEVELS).astype(F32)

@@ -76,19 +76,14 @@ class SingleRetriever:
         self,
         encoder: MiniBertEncoder,
         store: TripleStore,
-        precision: PrecisionLike = None,
     ):
         self.encoder = encoder
         self.store = store
-        # dtype policy of every matrix this retriever holds; inherited
-        # from the encoder when not given so an exact-parity (float64)
-        # encoder yields an exact-parity retriever without repetition
-        # (duck-typed: stub encoders without a policy get the default)
-        self.precision = (
-            resolve(getattr(encoder, "precision", None))
-            if precision is None
-            else resolve(precision)
-        )
+        # dtype policy of every matrix this retriever holds, the
+        # encoder's: an exact-parity (float64) encoder yields an
+        # exact-parity retriever (duck-typed: stub encoders without a
+        # policy get the default)
+        self.precision = resolve(getattr(encoder, "precision", None))
         # the embedding state: ONE store (attached or built by refresh);
         # _normed/_doc_pos are derived from it, _normed is None until the
         # store has been checked against the triple store by a refresh

@@ -106,7 +106,10 @@ class Query:
         return cls(
             frame.get("question"),
             frame.get("mode", "single"),
-            *(frame.get(name) for name in _OPTIONAL),
+            k=frame.get("k"),
+            nprobe=frame.get("nprobe"),
+            precision=frame.get("precision"),
+            deadline_s=frame.get("deadline_s"),
         )
 
     def to_wire(self) -> Dict[str, Any]:

@@ -109,7 +109,7 @@ class RetrievalService:
             self._thread.start()
         return self
 
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+    def stop(self, drain: bool = True) -> None:
         """Refuse new work, settle everything pending, join the worker.
 
         ``drain=True`` (default) flushes every queued request through the
@@ -128,7 +128,7 @@ class RetrievalService:
                     )
                     self.stats.record_failed()
             thread, self._thread = self._thread, None
-        thread.join(timeout)
+        thread.join()
 
     def __enter__(self) -> "RetrievalService":
         return self.start()
@@ -146,20 +146,20 @@ class RetrievalService:
         query: Union[str, Query],
         k: Optional[int] = None,
         mode: str = "single",
-        deadline_s: Optional[float] = None,
         nprobe: Optional[int] = None,
         precision: PrecisionLike = None,
     ) -> PendingRequest:
         """Enqueue one request and return its future immediately.
 
         ``query`` is a :class:`Query`, or its text with the other fields
-        as keywords (read only then); a malformed field raises here.
+        as keywords (read only then; a deadline travels in a
+        :class:`Query`); a malformed field raises here.
         Raises :class:`Overloaded` when admission control rejects it and
         :class:`ServiceStopped` when the service is not running. A cache
         hit completes the returned request synchronously.
         """
         if not isinstance(query, Query):
-            query = Query(query, mode, k, nprobe, precision, deadline_s)
+            query = Query(query, mode, k, nprobe, precision)
         if query.mode == "paths" and self.multihop is None:
             raise ValueError(
                 "service was built without a MultiHopRetriever; "

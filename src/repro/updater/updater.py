@@ -208,25 +208,13 @@ class QuestionUpdater:
         return [scores[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def score_triples(
-        self,
-        question: str,
-        triples: Sequence[Triple],
-        *,
-        cosines: Optional[np.ndarray] = None,
+        self, question: str, triples: Sequence[Triple]
     ) -> np.ndarray:
-        """Clue scores for every candidate triple (no gradients).
-
-        ``cosines`` — shape ``(len(triples),)``, cos(enc(t_i), enc(q)) in
-        ``triples`` order — is the one feature that needs the encoder. A
-        caller that already scored the question against these triples
-        (hop 1 did: ``RetrievedDocument.triple_scores``) hands it in and
-        no text is encoded; without it the question and the triples are
-        encoded here, which is the reference the handed-in form is
-        tested against.
-        """
-        return self._beam_scores(
-            question, [(None, triples)], None if cosines is None else [cosines]
-        )[0]
+        """Clue scores for every candidate triple (no gradients). The
+        question and the triples are encoded here for the cosine feature:
+        the reference :meth:`select_clues`' handed-in cosines are tested
+        against."""
+        return self._beam_scores(question, [(None, triples)], None)[0]
 
     def select_clues(
         self, question: str, beam: Beam, cosines: Optional[Sequence] = None
@@ -234,24 +222,23 @@ class QuestionUpdater:
         """:meth:`select_clue` for every beam document, in one pass over
         all the beam's triples. ``beam`` holds ``(doc id, triples)``; the
         doc id keys the memo of its token statistics (None: no memo).
-        ``cosines``: one array per document, as in :meth:`score_triples`.
+        ``cosines``: one array per document, each of shape
+        ``(len(triples),)`` holding cos(enc(t_i), enc(q)) in ``triples``
+        order — the one feature that needs the encoder. Hop 1 already
+        scored the question against these triples
+        (``RetrievedDocument.triple_scores``), so a path request hands
+        them in and no text is encoded; without them the question and the
+        triples are encoded here.
         """
         scores = self._beam_scores(question, beam, cosines)
         return [_best(doc[1], doc_scores) for doc, doc_scores in zip(beam, scores)]
 
     def select_clue(
-        self,
-        question: str,
-        triples: Sequence[Triple],
-        *,
-        cosines: Optional[np.ndarray] = None,
+        self, question: str, triples: Sequence[Triple]
     ) -> Optional[Tuple[int, Triple]]:
         """The best clue triple (index, triple) — the first of equal best
-        scores — or None without candidates.
-
-        ``cosines`` as in :meth:`score_triples`.
-        """
-        return _best(triples, self.score_triples(question, triples, cosines=cosines))
+        scores — or None without candidates."""
+        return _best(triples, self.score_triples(question, triples))
 
 
 def _best(

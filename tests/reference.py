@@ -9,11 +9,14 @@ autograd-graph encoder path the fused inference kernels replaced — plus
 the match-by-match tokeniser the one-regex-pass ``tokenize`` replaced
 and the triple-by-triple clue features the beam-wide updater replaced.
 Also the bodies every reader of the triple file has to refuse
-(:func:`unreadable_triple_files`), shared by the three readers' suites.
+(:func:`unreadable_triple_files`), shared by the three readers' suites,
+and the gradient-tracking leaf tensor the autograd suites build
+(:func:`leaf`).
 """
 
 import numpy as np
 
+from repro.nn.tensor import Tensor
 from repro.retriever.single import RetrievedDocument
 from repro.retriever.strategies import (
     MEAN,
@@ -23,6 +26,13 @@ from repro.retriever.strategies import (
     l2_normalize_rows,
 )
 from repro.text.tokenize import _APOSTROPHE_SUFFIXES, _TOKEN_RE
+
+
+def leaf(data):
+    """A tensor that accumulates gradients, as a registered parameter does."""
+    tensor = Tensor(data)
+    tensor.requires_grad = True
+    return tensor
 
 
 def unreadable_triple_files(good):

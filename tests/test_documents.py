@@ -1,6 +1,6 @@
 """Unit tests for document building."""
 
-from repro.data.documents import build_corpus, build_document
+from repro.data.documents import N_DISTRACTORS, build_corpus, build_document
 
 
 class TestBuildCorpus:
@@ -32,9 +32,9 @@ class TestBuildCorpus:
         assert [d.text for d in a] == [d.text for d in b]
 
     def test_distractors_present(self, world, rng):
-        document = build_document(world.entities[0], world, 0, rng, n_distractors=3)
-        # intro + facts + 3 distractors => text has more sentences than facts
-        assert document.text.count(".") >= 3
+        document = build_document(world.entities[0], world, 0, rng)
+        # intro + facts + the distractors => more sentences than distractors
+        assert document.text.count(".") >= N_DISTRACTORS
 
     def test_fact_values_verbalized(self, world, corpus):
         # each entity-valued fact's object must appear in the text

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.lexical import LexicalRetriever
 from repro.data.world import WorldConfig
-from repro.encoder.minibert import EncoderConfig
 from repro.eval.experiments import (
     loglog_slope,
     run_ablation_hac,
@@ -35,13 +34,14 @@ TINY_SCALE = ExperimentScale(
     ),
     comparison_per_kind=3,
     n_eval=25,
-    encoder=EncoderConfig(dim=16, n_layers=1, n_heads=2, max_len=24),
 )
 
 
 @pytest.fixture(scope="module")
 def tiny_ctx():
-    return ExperimentContext(TINY_SCALE)
+    ctx = ExperimentContext()
+    ctx.scale = TINY_SCALE  # before any lazy component is built
+    return ctx
 
 
 class TestContext:
@@ -114,12 +114,12 @@ class TestTableRunners:
         }
 
     def test_ablation_threshold_monotone_sizes(self, tiny_ctx):
-        sweep = run_ablation_threshold(tiny_ctx, l_values=(2, 6, 12), k=8)
+        sweep = run_ablation_threshold(tiny_ctx, l_values=(2, 6, 12))
         sizes = [size for _, size, _ in sweep]
         assert sizes == sorted(sizes)
 
     def test_ablation_hac_timings(self):
-        timings = run_ablation_hac(sizes=(8, 16), threshold=4)
+        timings = run_ablation_hac(sizes=(8, 16))
         assert len(timings["hac"]) == 2
         assert all(t >= 0 for _, t in timings["hac"])
 

@@ -53,10 +53,6 @@ class TestHotpotGeneration:
         b = build_hotpot_dataset(world, corpus, comparison_per_kind=4)
         assert [q.text for q in a.train] == [q.text for q in b.train]
 
-    def test_max_questions_cap(self, world, corpus):
-        capped = build_hotpot_dataset(world, corpus, max_questions=10)
-        assert len(capped.all_questions) == 10
-
     def test_descriptive_prob_zero_keeps_names(self, world, corpus):
         dataset = build_hotpot_dataset(
             world, corpus, descriptive_prob=0.0, partial_name_prob=0.0

@@ -398,10 +398,9 @@ class TestIncrementalInvalidation:
         encoder = _mini_encoder(corpus)
         cache = tmp_path / "cache"
         self._ingest(corpus, encoder, cache)
-        result = self._ingest(
-            corpus, encoder, cache,
-            construction=ConstructionConfig(threshold_size=8),
-        )
+        pipeline = IngestPipeline(corpus)
+        pipeline.construction = ConstructionConfig(threshold_size=8)
+        result = pipeline.run(cache, encoder=encoder)
         assert result.stats.docs_extracted == len(corpus)
         assert result.stats.docs_reused == 0
 

@@ -192,7 +192,7 @@ class TestParityWithEncodingReference:
         ids=["exact", "nprobe", "int8-rescore"],
     )
     def test_dyadic_bit_identical(self, request_kwargs):
-        bundle = synthetic_bundle(seed=7, n_docs=40, dim=32, n_questions=8)
+        bundle = synthetic_bundle(seed=7, n_docs=40)
         retriever = bundle.make_retriever()
         retriever.build_shards(4, mode="centroid", quantize=True)
         (mine, paths), (reference, ref_paths) = _both_ways(
@@ -252,10 +252,12 @@ class TestParityWithEncodingReference:
         updater = QuestionUpdater(encoder)
         triples = store.triples(store.doc_ids()[0])
         with pytest.raises(ValueError, match="one per candidate triple"):
-            updater.select_clue("q", triples, cosines=np.zeros(len(triples) + 1))
+            updater.select_clues(
+                "q", [(None, triples)], [np.zeros(len(triples) + 1)]
+            )
         with pytest.raises(ValueError, match="one per candidate triple"):
-            updater.score_triples("q", [], cosines=np.zeros(2))
-        assert updater.select_clue("q", [], cosines=np.zeros(0)) is None
+            updater.select_clues("q", [(None, [])], [np.zeros(2)])
+        assert updater.select_clues("q", [(None, [])], [np.zeros(0)]) == [None]
 
 
 def test_updater_and_retriever_must_share_the_encoder(retriever, vocab):

@@ -16,10 +16,11 @@ The acceptance properties under test:
   a worker answering a connection in submission order and on error
   replies being recognisable by their first key — both pinned here.
 
-Worlds are deliberately tiny (24 docs, dim 24) — this file runs in
+Worlds are deliberately tiny (24 docs, dim 32) — this file runs in
 tier-1.
 """
 
+import dataclasses
 import json
 import logging
 import multiprocessing
@@ -35,6 +36,7 @@ from reference import unreadable_triple_files
 from repro.ingest import EMBEDDINGS_DIR, STORE_NAME
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
 from repro.net import (
+    DyadicEncoder,
     Fleet,
     FrontDoor,
     NetClient,
@@ -61,20 +63,13 @@ from repro.net.protocol import (
 from repro.net.worker import WorkerRuntime
 from repro.oie.triple import Triple
 from repro.retriever.store import TripleStore, TripleStoreError
-from repro.serve import RetrievalService, ServiceConfig, merge_snapshots
+from repro.serve import Query, RetrievalService, ServiceConfig, merge_snapshots
 
 pytestmark = pytest.mark.net
 
 # one deterministic bundle recipe shared by the test process and every
 # worker process — identical kwargs produce bit-identical bundles
-BUNDLE_KWARGS = dict(
-    seed=11,
-    n_docs=24,
-    triples_per_doc=3,
-    dim=24,
-    encoder="dyadic",
-    n_questions=12,
-)
+BUNDLE_KWARGS = dict(seed=11, n_docs=24, encoder="dyadic")
 
 
 def _spec(store_dir, **overrides) -> WorkerSpec:
@@ -116,8 +111,8 @@ def _expected_wire(bundle, store_dir, questions, k=3):
         service.stop(drain=True)
 
 
-def _alternate_store(bundle) -> TripleStore:
-    """A second triple-store generation over the same corpus."""
+def _alternate(bundle):
+    """``bundle`` over a second triple-store generation of its corpus."""
     store = TripleStore(bundle.corpus)
     for doc in bundle.corpus:
         store.put(
@@ -130,7 +125,7 @@ def _alternate_store(bundle) -> TripleStore:
                 )
             ],
         )
-    return store
+    return dataclasses.replace(bundle, store=store)
 
 
 # -- protocol unit tests ---------------------------------------------------
@@ -206,18 +201,30 @@ def test_publish_store_writes_the_embeddings_manifest_last(
     bundle = synthetic_bundle(**BUNDLE_KWARGS)
     out = tmp_path / "store"
     publish_store(bundle, out)
-    alt = _alternate_store(bundle)
+    alt = _alternate(bundle)
     triples_already_new = []
     save_embeddings = EmbeddingStore.save
 
     def checked_save(self, directory):
         on_disk = TripleStore.load(out / STORE_NAME, bundle.corpus)
-        triples_already_new.append(on_disk.triples(0) == alt.triples(0))
+        triples_already_new.append(on_disk.triples(0) == alt.store.triples(0))
         return save_embeddings(self, directory)
 
     monkeypatch.setattr(EmbeddingStore, "save", checked_save)
-    assert publish_store(bundle, out, store=alt) == 2
+    assert publish_store(alt, out) == 2
     assert triples_already_new == [True]
+
+
+def test_an_empty_store_is_a_store_not_a_missing_one(tmp_path):
+    """A store that holds no document is falsy (``len`` 0), yet it is the
+    store asked for: the retriever holds it, and its publish is a
+    generation of 0 documents, not of the bundle's own triples."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    empty = TripleStore(bundle.corpus)
+    assert bundle.make_retriever(empty).store is empty
+    out = tmp_path / "store"
+    assert publish_store(dataclasses.replace(bundle, store=empty), out) == 1
+    assert len(TripleStore.load(out / STORE_NAME, bundle.corpus)) == 0
 
 
 def test_unreadable_triple_file_stops_a_start_and_refuses_a_reload(tmp_path):
@@ -317,7 +324,7 @@ def test_fleet_matches_in_process_service_byte_for_byte(tmp_path):
             assert client.request({"op": "ping"})["ok"]
             for question in questions:
                 for mode in ("single", "paths"):
-                    response = client.query_raw(question, mode=mode, k=3)
+                    response = client.query_raw(Query(question, mode, k=3))
                     assert response["generation"] == 1
                     assert (
                         canonical_json(response["results"])
@@ -378,7 +385,7 @@ class _Stream:
                 mode = "paths" if i % 4 == 3 else "single"
                 try:
                     response = client.query_raw(
-                        question, mode=mode, k=self.k
+                        Query(question, mode, k=self.k)
                     )
                     record = (
                         mode,
@@ -414,17 +421,17 @@ def test_hot_swap_mid_traffic_drops_nothing_and_never_mixes(tmp_path):
     # generation 2: different triples over the same corpus. Published
     # while generation-1 workers are memmap-attached — the grace window
     # keeps the old data file alive under them.
-    alt = _alternate_store(bundle)
+    alt = _alternate(bundle)
     with Fleet(_spec(store_dir), workers=2) as fleet:
         with _Stream(fleet, questions) as stream:
             time.sleep(0.1)  # stream is flowing on generation 1
-            assert publish_store(bundle, store_dir, store=alt) == 2
+            assert publish_store(alt, store_dir) == 2
             with fleet.client() as client:
                 reload_response = client.reload()
             assert reload_response["generations"] == [2, 2]
             time.sleep(0.1)  # stream keeps flowing on generation 2
         with fleet.client() as client:
-            final = client.query_raw(questions[0], mode="single", k=3)
+            final = client.query_raw(Query(questions[0], k=3))
     expected_gen2 = _expected_wire(bundle, store_dir, questions)
     assert not stream.errors  # zero dropped or errored requests
     assert len(stream.responses) > 20
@@ -525,8 +532,7 @@ def test_watch_store_rolls_the_fleet_without_a_reload_op(tmp_path):
         # changed content: the embeddings manifest is publish_store's last
         # write, so a poll that reads generation 2 from it finds
         # generation 2's triples already in store.json
-        alt = _alternate_store(bundle)
-        assert publish_store(bundle, store_dir, store=alt) == 2
+        assert publish_store(_alternate(bundle), store_dir) == 2
         generations = []
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline and generations != [2, 2]:
@@ -541,7 +547,7 @@ def test_watch_store_rolls_the_fleet_without_a_reload_op(tmp_path):
         answers = []
         for handle in fleet.supervisor.handles():  # each worker, directly
             with NetClient(handle.address) as client:
-                answers.append(client.query_raw(question, mode="single", k=3))
+                answers.append(client.query_raw(Query(question, k=3)))
     assert len(answers) == 2
     expected = _expected_wire(bundle, store_dir, [question])
     for answer in answers:
@@ -561,14 +567,14 @@ def test_rejected_publish_costs_no_worker_and_no_health_thread(tmp_path):
     publish_store(bundle, store_dir)
     question = bundle.questions[0]
     expected = _expected_wire(bundle, store_dir, [question])["single", question]
-    foreign = synthetic_bundle(**{**BUNDLE_KWARGS, "dim": 16})
+    foreign = dataclasses.replace(bundle, encoder=DyadicEncoder(dim=16))
     with Fleet(
         _spec(store_dir), workers=2, watch_store=True,
         health_interval_s=0.05,
     ) as fleet:
         supervisor = fleet.supervisor
         pids = [handle.pid for handle in supervisor.handles()]
-        assert publish_store(foreign, store_dir) == 2  # dim 16 != 24
+        assert publish_store(foreign, store_dir) == 2  # dim 16 != 32
         with pytest.raises(SupervisorError) as refusal:
             fleet.rollout()
         assert [handle.pid for handle in supervisor.handles()] == pids
@@ -578,7 +584,7 @@ def test_rejected_publish_costs_no_worker_and_no_health_thread(tmp_path):
         assert (supervisor.restarts, supervisor.rollouts) == (0, 0)
         for handle in supervisor.handles():
             with NetClient(handle.address) as client:
-                answer = client.query_raw(question, mode="single", k=3)
+                answer = client.query_raw(Query(question, k=3))
             assert answer["generation"] == 1
             assert canonical_json(answer["results"]) == expected
         assert publish_store(bundle, store_dir) == 3
@@ -866,7 +872,7 @@ def test_unsolicited_reply_closes_the_link(tmp_path):
     )
     try:
         with FrontDoor(_StaticSupervisor([handle])) as frontdoor:
-            with NetClient(frontdoor.address, timeout_s=30.0) as client:
+            with NetClient(frontdoor.address) as client:
                 assert client.request({"op": "query", "question": "q"})["ok"]
                 deadline = time.monotonic() + 30.0
                 while (
@@ -925,7 +931,7 @@ def test_stats_request_on_a_lost_link_is_not_asked_elsewhere():
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
-            with NetClient(frontdoor.address, timeout_s=30.0) as client:
+            with NetClient(frontdoor.address) as client:
                 reply = client.stats()
             retried = frontdoor.stats_snapshot()["retried"]
         for worker in workers:
@@ -976,7 +982,7 @@ def test_failed_start_leaves_no_worker_behind(tmp_path, how):
 def test_stop_with_a_client_still_connected_logs_no_error(caplog):
     caplog.set_level(logging.ERROR, logger="asyncio")
     frontdoor = FrontDoor(_StaticSupervisor()).start()
-    with NetClient(frontdoor.address, timeout_s=30.0) as client:
+    with NetClient(frontdoor.address) as client:
         assert client.request({"op": "ping"})["ok"]
         frontdoor.stop()
     assert [r.getMessage() for r in caplog.records] == []

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+import repro.perf.counters as counters_mod
 from repro.perf import LatencyReservoir, PerfCounters, percentile
 
 
@@ -73,7 +74,7 @@ class TestPercentile:
 
 class TestLatencyReservoir:
     def test_percentiles_over_window(self):
-        reservoir = LatencyReservoir(capacity=256)
+        reservoir = LatencyReservoir()
         for value in range(1, 101):
             reservoir.record(value / 1000.0)
         stats = reservoir.percentiles()
@@ -83,8 +84,9 @@ class TestLatencyReservoir:
         assert stats["max"] == pytest.approx(0.100)
         assert stats["mean"] == pytest.approx(0.0505)
 
-    def test_ring_keeps_most_recent_when_full(self):
-        reservoir = LatencyReservoir(capacity=10)
+    def test_ring_keeps_most_recent_when_full(self, monkeypatch):
+        monkeypatch.setattr(counters_mod, "CAPACITY", 10)
+        reservoir = LatencyReservoir()
         for value in range(25):
             reservoir.record(float(value))
         assert len(reservoir) == 10
@@ -93,12 +95,8 @@ class TestLatencyReservoir:
         assert stats["max"] == 24.0
         assert stats["p50"] >= 10.0
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-
     def test_threaded_recording_keeps_exact_count(self):
-        reservoir = LatencyReservoir(capacity=4000)
+        reservoir = LatencyReservoir()
         threads = [
             threading.Thread(
                 target=lambda: [reservoir.record(0.001) for _ in range(500)]

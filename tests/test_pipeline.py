@@ -148,7 +148,7 @@ class TestPathRanker:
         ranker = PathRanker(retriever)
         trainer = PathRankerTrainer(ranker)
         examples = trainer.build_examples(
-            hotpot.train[:8], corpus, multihop, max_candidates=4
+            hotpot.train[:8], corpus, multihop
         )
         assert examples
         for question_text, paths, gold in examples:
@@ -162,7 +162,7 @@ class TestPathRanker:
         ranker = PathRanker(retriever, PathRankerConfig(epochs=3))
         trainer = PathRankerTrainer(ranker)
         examples = trainer.build_examples(
-            hotpot.train[:10], corpus, multihop, max_candidates=4
+            hotpot.train[:10], corpus, multihop
         )
         losses = trainer.train(examples)
         assert losses[-1] < losses[0]

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.precision as precision_mod
 from repro.ingest.embedding_store import EmbeddingStore
 from repro.precision import (
     ACCUM_DTYPE,
@@ -153,12 +154,13 @@ class TestQuantizationBound:
         assert not scales.any()
         assert not dequantize_rows(q, scales).any()
 
-    def test_coarse_scores_match_dequantized_matmul(self):
+    def test_coarse_scores_match_dequantized_matmul(self, monkeypatch):
+        monkeypatch.setattr(precision_mod, "COARSE_CHUNK_ROWS", 7)
         rng = np.random.RandomState(3)
-        matrix = rng.randn(100, 8)
+        matrix = rng.randn(100, 8)  # 14 whole chunks of 7 rows, and 2 rows
         queries = rng.randn(5, 8)
         q, scales = quantize_rows(matrix)
-        chunked = coarse_scores(q, scales, queries, chunk_rows=7)
+        chunked = coarse_scores(q, scales, queries)
         reference = dequantize_rows(q, scales) @ queries.astype(F32).T
         assert chunked.dtype == F32
         np.testing.assert_allclose(chunked, reference, rtol=1e-5)
@@ -249,6 +251,14 @@ class TestRescoreWidth:
 # ---------------------------------------------------------------------------
 
 
+def _retriever(encoder, store, precision):
+    """A retriever whose matrices hold ``precision``, not the encoder's
+    policy: the encoder's rows are cast to it."""
+    retriever = SingleRetriever(encoder, store)
+    retriever.precision = resolve(precision)
+    return retriever
+
+
 class TestFloatParity:
     QUESTIONS = [
         "Where was the first person born ?",
@@ -258,9 +268,9 @@ class TestFloatParity:
 
     @pytest.fixture(scope="class")
     def pair(self, encoder, store):
-        exact = SingleRetriever(encoder, store, precision="float64")
+        exact = _retriever(encoder, store, "float64")
         exact.refresh_embeddings()
-        fast = SingleRetriever(encoder, store, precision="float32")
+        fast = _retriever(encoder, store, "float32")
         fast.refresh_embeddings()
         return exact, fast
 
@@ -288,7 +298,7 @@ class TestFloatParity:
     def test_quantized_request_served_by_float32_retriever(
         self, encoder, store
     ):
-        retriever = SingleRetriever(encoder, store, precision="float32")
+        retriever = _retriever(encoder, store, "float32")
         retriever.refresh_embeddings()
         retriever.build_shards(2)
         question = self.QUESTIONS[0]
@@ -307,7 +317,7 @@ class TestFloatParity:
         assert quant_ids == exact_ids
 
     def test_quantized_request_needs_a_shard_plan(self, encoder, store):
-        retriever = SingleRetriever(encoder, store, precision="float32")
+        retriever = _retriever(encoder, store, "float32")
         retriever.refresh_embeddings()
         vec = retriever.encode_questions(self.QUESTIONS[:1])
         with pytest.raises(ValueError, match="shard plan"):
@@ -355,10 +365,10 @@ class TestStoreDtypes:
     def test_attach_rejects_dtype_mismatched_store(
         self, tmp_path, encoder, store
     ):
-        exact = SingleRetriever(encoder, store, precision="float64")
+        exact = _retriever(encoder, store, "float64")
         exact.refresh_embeddings()
         exact.export_embeddings().save(tmp_path)
-        fast = SingleRetriever(encoder, store, precision="float32")
+        fast = _retriever(encoder, store, "float32")
         # a float64 generation cannot warm-start a float32 retriever;
         # attach reports zero reusable rows so the caller re-encodes
         assert fast.attach_embeddings(EmbeddingStore.open(tmp_path)) == 0

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference import leaf
 
 from repro.index import bm25
 from repro.index.analyzer import analyze
@@ -27,7 +28,7 @@ class TestTensorProperties:
     @given(small_arrays)
     @settings(max_examples=40, deadline=None)
     def test_sum_grad_is_ones(self, data):
-        x = Tensor(data, requires_grad=True)
+        x = leaf(data)
         x.sum().backward()
         np.testing.assert_array_equal(x.grad, np.ones_like(data))
 
@@ -47,7 +48,7 @@ class TestTensorProperties:
     @given(small_arrays)
     @settings(max_examples=30, deadline=None)
     def test_reshape_roundtrip(self, data):
-        x = Tensor(data, requires_grad=True)
+        x = leaf(data)
         out = x.reshape(-1).reshape(data.shape)
         np.testing.assert_array_equal(out.numpy(), data)
         out.sum().backward()

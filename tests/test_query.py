@@ -17,10 +17,7 @@ from repro.net.worker import WorkerRuntime
 from repro.serve import Query, RetrievalService, ServiceConfig
 from repro.serve.query import check_timeout
 
-BUNDLE_KWARGS = dict(
-    seed=11, n_docs=24, triples_per_doc=3, dim=24, encoder="dyadic",
-    n_questions=4,
-)
+BUNDLE_KWARGS = dict(seed=11, n_docs=24, encoder="dyadic")
 
 #: (field overrides of a valid query, the error type both paths raise)
 MALFORMED = [
@@ -95,7 +92,12 @@ def test_a_malformed_field_is_the_same_typed_error_on_both_paths(
     frame = {"question": bundle.questions[0], **fields}
     keywords = dict(frame)
     with pytest.raises(Exception) as raised:
-        service.submit(keywords.pop("question"), **keywords)
+        # submit's keyword form takes every field but the deadline, which
+        # travels in a Query
+        if "deadline_s" in keywords:
+            service.submit(Query(keywords.pop("question"), **keywords))
+        else:
+            service.submit(keywords.pop("question"), **keywords)
     assert type(raised.value).__name__ == error
     # rejected at the door: no queue slot used, nothing counted as failed
     snap = service.stats_snapshot()

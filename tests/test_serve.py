@@ -10,6 +10,7 @@ micro-batch coalescing instead of hiding behind a tolerance.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ class TestAdmissionControl:
         with service:
             blocked = service.submit("q0 ?")
             assert stub.started.wait(5.0)
-            doomed = service.submit("q1 ?", deadline_s=0.01)
+            doomed = service.submit(Query("q1 ?", deadline_s=0.01))
             now[0] += 0.05  # the deadline lapses while queued
             stub.release.set()
             assert blocked.result(timeout=10)
@@ -363,11 +364,19 @@ class TestAdmissionControl:
         blocked = service.submit("q0 ?")
         assert stub.started.wait(5.0)
         queued = [service.submit(f"q{i} ?") for i in (1, 2)]
-        service.stop(drain=False, timeout=0.2)
+
+        def release_once_failed():
+            # unpin the worker only after stop() has failed the queue, so
+            # the in-flight batch completes and the worker can be joined
+            while service.pending():
+                time.sleep(0.001)
+            stub.release.set()
+
+        threading.Thread(target=release_once_failed, daemon=True).start()
+        service.stop(drain=False)
         for request in queued:
             with pytest.raises(ServiceStopped):
                 request.result(timeout=10)
-        stub.release.set()  # unpin the worker; in-flight batch completes
         assert blocked.result(timeout=10)
 
 

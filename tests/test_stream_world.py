@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.data import Corpus, StreamConfig, document_at, stream_documents
+from repro.data.stream import N_CITIES
 
 CFG_100K = StreamConfig(n_docs=100_000, seed=13)
+
+
+def head(n_docs):
+    """The first ``n_docs`` documents of ``CFG_100K``'s stream."""
+    return list(stream_documents(StreamConfig(n_docs=n_docs, seed=13)))
 
 
 class TestStreamDeterminism:
@@ -33,11 +39,11 @@ class TestStreamDeterminism:
         assert same < 5
 
     def test_stream_equals_random_access(self):
-        window = list(stream_documents(CFG_100K, start=99_990))
+        window = head(10)
         assert len(window) == 10
         for offset, doc in enumerate(window):
-            direct = document_at(CFG_100K, 99_990 + offset)
-            assert doc.doc_id == direct.doc_id == 99_990 + offset
+            direct = document_at(CFG_100K, offset)
+            assert doc.doc_id == direct.doc_id == offset
             assert doc.text == direct.text
 
     def test_out_of_range_raises(self):
@@ -57,11 +63,11 @@ class TestStreamShape:
         stream.close()
 
     def test_titles_unique_in_window(self):
-        titles = [d.title for d in stream_documents(CFG_100K, stop=2_000)]
+        titles = [d.title for d in head(2_000)]
         assert len(set(titles)) == 2_000
 
     def test_window_builds_a_valid_corpus(self):
-        docs = list(stream_documents(CFG_100K, start=500, stop=560))
+        docs = [document_at(CFG_100K, i) for i in range(500, 560)]
         corpus = Corpus(docs)  # unique titles, stable doc ids
         assert len(corpus) == 60
         doc = corpus.by_title(docs[0].title)
@@ -86,8 +92,6 @@ class TestStreamShape:
 
     def test_pool_entities_are_shared(self):
         """Cities/clubs come from small pools, so links collide across docs."""
-        cities = {
-            d.links[0] for d in stream_documents(CFG_100K, stop=1_000)
-        }
-        assert len(cities) <= CFG_100K.n_cities
+        cities = {d.links[0] for d in head(1_000)}
+        assert len(cities) <= N_CITIES
         assert len(cities) > 1

@@ -5,6 +5,7 @@ Every op is validated against central finite differences.
 
 import numpy as np
 import pytest
+from reference import leaf
 
 from repro.nn.tensor import Tensor
 
@@ -36,7 +37,7 @@ def numeric_gradient(fn, tensors, eps=1e-6):
 
 def check(fn, shapes, seed=0, tol=1e-4):
     rng = np.random.RandomState(seed)
-    tensors = [Tensor(rng.randn(*s), requires_grad=True) for s in shapes]
+    tensors = [leaf(rng.randn(*s)) for s in shapes]
     out = fn(*tensors)
     loss = out.sum() if out.data.ndim else out
     loss.backward()
@@ -133,7 +134,7 @@ class TestShapeGradients:
 
 class TestBackwardMechanics:
     def test_grad_accumulates_on_reuse(self):
-        a = Tensor(np.ones(3), requires_grad=True)
+        a = leaf(np.ones(3))
         out = (a * 2.0 + a * 3.0).sum()
         out.backward()
         np.testing.assert_allclose(a.grad, np.full(3, 5.0))
@@ -145,13 +146,13 @@ class TestBackwardMechanics:
         assert a.grad is None
 
     def test_zero_grad(self):
-        a = Tensor(np.ones(3), requires_grad=True)
+        a = leaf(np.ones(3))
         (a * 2.0).sum().backward()
         a.zero_grad()
         assert a.grad is None
 
     def test_deep_chain_no_recursion_error(self):
-        a = Tensor(np.ones(2), requires_grad=True)
+        a = leaf(np.ones(2))
         out = a
         for _ in range(500):
             out = out * 1.001
@@ -162,6 +163,6 @@ class TestBackwardMechanics:
         assert Tensor(3.5).item() == 3.5
 
     def test_max_ties_split_gradient(self):
-        a = Tensor(np.array([1.0, 1.0, 0.0]), requires_grad=True)
+        a = leaf(np.array([1.0, 1.0, 0.0]))
         a.max(axis=-1).backward()
         np.testing.assert_allclose(a.grad, [0.5, 0.5, 0.0])

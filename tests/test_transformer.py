@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention, padding_bias
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import (
     RESIDUAL_SCALE,
@@ -15,7 +15,7 @@ from repro.nn.transformer import (
 class TestAttention:
     def test_output_shape(self):
         attn = MultiHeadSelfAttention(dim=8, n_heads=2)
-        out = attn(Tensor(np.random.randn(2, 5, 8)))
+        out = attn(Tensor(np.random.randn(2, 5, 8)), None)
         assert out.shape == (2, 5, 8)
 
     def test_dim_head_mismatch_rejected(self):
@@ -27,16 +27,16 @@ class TestAttention:
         rng = np.random.RandomState(0)
         attn = MultiHeadSelfAttention(dim=8, n_heads=2, rng=rng)
         x = rng.randn(1, 4, 8)
-        mask = np.array([[1.0, 1.0, 1.0, 0.0]])
-        out1 = attn(Tensor(x), mask=mask).numpy()
+        bias = padding_bias(np.array([[1.0, 1.0, 1.0, 0.0]]))
+        out1 = attn(Tensor(x), bias).numpy()
         x2 = x.copy()
         x2[0, 3] += 100.0  # perturb the padded position
-        out2 = attn(Tensor(x2), mask=mask).numpy()
+        out2 = attn(Tensor(x2), bias).numpy()
         np.testing.assert_allclose(out1[0, :3], out2[0, :3], atol=1e-8)
 
     def test_gradients_flow_to_all_projections(self):
         attn = MultiHeadSelfAttention(dim=8, n_heads=2)
-        out = attn(Tensor(np.random.randn(1, 3, 8))).sum()
+        out = attn(Tensor(np.random.randn(1, 3, 8)), None).sum()
         out.backward()
         for parameter in attn.parameters():
             assert parameter.grad is not None
@@ -49,13 +49,13 @@ class TestEncoderLayer:
         rng = np.random.RandomState(0)
         layer = TransformerEncoderLayer(8, 2, rng=rng)
         x = rng.randn(1, 4, 8)
-        out = layer(Tensor(x)).numpy()
+        out = layer(Tensor(x), None).numpy()
         assert np.abs(out - x).max() < 4 * RESIDUAL_SCALE * np.abs(x).max()
 
     def test_full_scale_changes_input(self):
         layer = TransformerEncoderLayer(8, 2)
         x = np.random.randn(1, 4, 8)
-        out = layer(Tensor(x)).numpy()
+        out = layer(Tensor(x), None).numpy()
         assert not np.allclose(out, x)
 
 

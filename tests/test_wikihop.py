@@ -1,6 +1,6 @@
 """Unit tests for Wikihop-style query generation."""
 
-from repro.data.wikihop import build_wikihop_dataset
+from repro.data.wikihop import N_CANDIDATES, build_wikihop_dataset
 
 
 class TestWikihop:
@@ -22,9 +22,9 @@ class TestWikihop:
             assert query.relation.replace("_", " ") in query.text
 
     def test_candidate_count_bounded(self, world, corpus):
-        dataset = build_wikihop_dataset(world, corpus, n_candidates=4, max_queries=30)
+        dataset = build_wikihop_dataset(world, corpus, max_queries=30)
         for query in dataset.train + dataset.validation:
-            assert 1 <= len(query.candidates) <= 4
+            assert 1 <= len(query.candidates) <= N_CANDIDATES
 
     def test_splits_partition(self, world, corpus):
         dataset = build_wikihop_dataset(world, corpus)
