@@ -14,7 +14,7 @@ from typing import List, Tuple
 from repro.text.tokenize import tokenize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """An immutable triple fact.
 

@@ -49,7 +49,7 @@ from repro.shard.plan import ShardPlan
 ENCODE_BATCH_SIZE = 128
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievedDocument:
     """One retrieval result with its explanation."""
 

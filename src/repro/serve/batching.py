@@ -3,11 +3,15 @@
 The core serving lever (the one Baleen/MDR-style systems pull): many
 client threads each submit one question, and a worker drains them as one
 ``retrieve_batch``/``retrieve_paths_batch`` call. The batch window is
-dynamic — a worker flushes as soon as ``max_batch_size`` requests of the
-same shape are waiting, or when the oldest has waited ``max_wait``
-seconds, whichever comes first. Under light load requests pay at most
-``max_wait`` extra latency; under heavy load batches fill instantly and
-the window never matters.
+dynamic, and it is held only for a request that has company: ``put``
+marks a request *crowded* when it arrives while other requests are
+queued or while the worker is out serving a batch. A batch led by a
+crowded request flushes as soon as ``max_batch_size`` requests of its
+shape are waiting, or when it has waited ``max_wait`` seconds, whichever
+comes first. A batch led by a request that found the worker idle flushes
+at once with whatever compatible requests are already queued: a lone
+request pays no window, and under load, where requests keep arriving
+while a batch is out, batches still coalesce.
 
 Admission control lives at the queue mouth: ``put`` rejects with
 :class:`~repro.serve.errors.Overloaded` once ``max_pending`` requests
@@ -36,13 +40,16 @@ class PendingRequest:
     blocks until a worker (or the shutdown path) settles the request.
     ``submitted_at`` is a ``perf_counter`` timestamp for latency stats;
     ``deadline`` is an absolute reading of the *service* clock (monotonic,
-    injectable) or None for no deadline.
+    injectable) or None for no deadline. ``crowded`` is set by
+    :meth:`BatchQueue.put`: the request arrived while the worker had
+    other work, so a batch it leads holds the window.
     """
 
     __slots__ = (
         "query",
         "deadline",
         "submitted_at",
+        "crowded",
         "_done",
         "_result",
         "_error",
@@ -52,6 +59,7 @@ class PendingRequest:
         self.query = query
         self.deadline = deadline
         self.submitted_at = time.perf_counter()
+        self.crowded = False
         self._done = threading.Event()
         self._result: Any = None
         self._error: Optional[BaseException] = None
@@ -76,7 +84,7 @@ class PendingRequest:
 
 
 class BatchQueue:
-    """Bounded request queue workers drain in coalesced batches."""
+    """Bounded request queue one worker drains in coalesced batches."""
 
     def __init__(
         self,
@@ -90,6 +98,9 @@ class BatchQueue:
         self._items: Deque[PendingRequest] = deque()
         self._cond = threading.Condition()
         self._stopping = False
+        # a batch is out: take_batch returned it and the worker has not
+        # called take_batch again
+        self._batch_out = False
 
     def __len__(self) -> int:
         with self._cond:
@@ -105,6 +116,7 @@ class BatchQueue:
                     f"pending queue full ({self.max_pending} requests); "
                     "back off and retry"
                 )
+            request.crowded = self._batch_out or bool(self._items)
             self._items.append(request)
             self._cond.notify()
 
@@ -114,13 +126,16 @@ class BatchQueue:
         """The next coalesced batch, or None when stopped and drained.
 
         Blocks until at least one request waits. The first request fixes
-        the query shape; compatible requests already queued join
-        immediately, then the worker holds the window open up to
-        ``max_wait`` (service clock) for more, leaving incompatible
-        requests queued for the next cycle. During shutdown the window
-        collapses so draining finishes promptly.
+        the query shape and compatible requests already queued join
+        immediately. Only when the first request is crowded does the
+        worker then hold the window open up to ``max_wait`` (service
+        clock) for more; a batch led by a request that found the worker
+        idle flushes at once. Incompatible requests stay queued for the
+        next cycle. During shutdown the window collapses so draining
+        finishes promptly.
         """
         with self._cond:
+            self._batch_out = False
             while not self._items:
                 if self._stopping:
                     return None
@@ -128,7 +143,7 @@ class BatchQueue:
             first = self._items.popleft()
             batch = [first]
             shape = first.query.shape
-            window_ends = self._clock() + max_wait
+            window_ends = self._clock() + (max_wait if first.crowded else 0.0)
             while len(batch) < max_size:
                 taken = self._take_compatible(shape)
                 if taken is not None:
@@ -143,6 +158,7 @@ class BatchQueue:
                 # controls the window accounting, not the OS-level sleep,
                 # so cap the real wait and re-check the window each wake
                 self._cond.wait(timeout=min(remaining, 0.05))
+            self._batch_out = True
             return batch
 
     def _take_compatible(self, shape: Shape) -> Optional[PendingRequest]:

@@ -56,7 +56,7 @@ class ServiceConfig:
     """Sizing and behaviour knobs of one service instance."""
 
     max_batch_size: int = 16  # flush when this many compatible requests wait
-    max_wait_ms: float = 2.0  # ... or when the oldest has waited this long
+    max_wait_ms: float = 2.0  # ... or a batch with company waited this long
     max_pending: int = 256  # admission limit (Overloaded beyond this)
     cache_size: int = 1024  # LRU capacity; <= 0 disables caching
     default_k: int = 8  # results per request unless overridden
@@ -219,7 +219,7 @@ class RetrievalService:
                 live.append(request)
         if not live:
             return
-        self.stats.record_batch(len(live))
+        self.stats.record_batch(len(live), window_held=batch[0].crowded)
         # coalesce duplicate (normalized) questions: one scored row can
         # answer several waiting clients
         row_of: Dict[Any, int] = {}

@@ -2,8 +2,9 @@
 
 Everything the serving layer can cheaply observe in-process: request
 outcomes (completed / cache hit / rejected / failed), the micro-batcher's
-batch-size histogram (the direct evidence coalescing happens), and
-request latency percentiles over a bounded recent window
+batch-size histogram (the direct evidence coalescing happens), how many
+batches held the window for company (what that coalescing cost in
+waiting), and request latency percentiles over a bounded recent window
 (:class:`repro.perf.LatencyReservoir`). Durations come from
 ``time.perf_counter`` — the ``wall-clock-timing`` lint rule bans
 ``time.time`` for measurement in this package.
@@ -34,6 +35,7 @@ class ServiceStats:
         self.failed = 0
         self.batches = 0
         self.batched_requests = 0  # requests served through batches
+        self.windows_held = 0  # batches that held the window for company
         self.batch_sizes: Dict[int, int] = {}
         self.latencies = LatencyReservoir()
         self._started_at = time.perf_counter()
@@ -60,10 +62,11 @@ class ServiceStats:
         with self._lock:
             self.failed += 1
 
-    def record_batch(self, size: int) -> None:
+    def record_batch(self, size: int, window_held: bool) -> None:
         with self._lock:
             self.batches += 1
             self.batched_requests += size
+            self.windows_held += window_held
             self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
 
     def record_completed(self, latency_s: float) -> None:
@@ -92,6 +95,7 @@ class ServiceStats:
                 "failed": self.failed,
                 "batches": self.batches,
                 "batched_requests": self.batched_requests,
+                "windows_held": self.windows_held,
                 "mean_batch_size": (
                     self.batched_requests / self.batches
                     if self.batches
@@ -118,6 +122,7 @@ _SUMMED_KEYS = (
     "failed",
     "batches",
     "batched_requests",
+    "windows_held",
 )
 
 

@@ -285,6 +285,7 @@ def test_merge_snapshots_sums_counters():
                 "completed": 2,
                 "batches": 2,
                 "batched_requests": 2,
+                "windows_held": 0,
                 "batch_size_histogram": {"1": 2},
                 "latency_ms": {"p50": 1.0, "p99": 4.0},
                 "qps": 10.0,
@@ -294,6 +295,7 @@ def test_merge_snapshots_sums_counters():
                 "completed": 5,
                 "batches": 2,
                 "batched_requests": 4,
+                "windows_held": 2,
                 "batch_size_histogram": {"1": 0, "2": 2},
                 "latency_ms": {"p50": 2.0, "p99": 3.0},
                 "qps": 4.0,
@@ -303,6 +305,7 @@ def test_merge_snapshots_sums_counters():
     assert merged["submitted"] == 8
     assert merged["completed"] == 7
     assert merged["workers"] == 2
+    assert merged["windows_held"] == 2
     assert merged["batch_size_histogram"] == {1: 2, 2: 2}
     # percentiles cannot be merged exactly: element-wise max is the
     # conservative fleet-wide bound
@@ -664,13 +667,30 @@ def test_error_replies_are_the_ones_that_start_with_the_error_key(tmp_path):
         assert is_error_body(canonical_json(reply)) == (not reply["ok"])
 
 
+def _pin_worker(runtime):
+    """Hold ``runtime``'s batch worker inside its next single-hop batch
+    until the returned ``release`` is set. A request submitted while it
+    is held arrives crowded, so its own batch waits out the window."""
+    retriever = runtime._service.retriever
+    entered, release = threading.Event(), threading.Event()
+    serve = retriever.retrieve_many
+
+    def held(*args, **kwargs):
+        entered.set()
+        assert release.wait(30.0), "worker never released"
+        return serve(*args, **kwargs)
+
+    retriever.retrieve_many = held
+    return entered, release
+
+
 def test_worker_answers_a_connection_in_submission_order(tmp_path):
     """A cache hit waits behind an earlier request still in the batch
     window — the front door matches replies to requests by position."""
     bundle = synthetic_bundle(**BUNDLE_KWARGS)
     store_dir = tmp_path / "store"
     publish_store(bundle, store_dir)
-    cached, fresh = bundle.questions[:2]
+    cached, fresh, lead = bundle.questions[:3]
     runtime = WorkerRuntime(
         bundle, _spec(store_dir, service={"max_wait_ms": 150.0})
     )
@@ -683,10 +703,16 @@ def test_worker_answers_a_connection_in_submission_order(tmp_path):
         ours.settimeout(30.0)
         send_frame(ours, {"op": "query", "id": "warm", "question": cached})
         assert recv_frame(ours)["id"] == "warm"
-        # `fresh` sits out the 150 ms window; `cached` is settled at submit
+        entered, release = _pin_worker(runtime)
+        send_frame(ours, {"op": "query", "id": "lead", "question": lead})
+        assert entered.wait(30.0)
+        # `lead`'s batch is out, so `fresh` arrives crowded and sits out
+        # the 150 ms window; `cached` is settled at submit
         send_frame(ours, {"op": "query", "id": "slow", "question": fresh})
         send_frame(ours, {"op": "query", "id": "hit", "question": cached})
         send_frame(ours, {"op": "stats", "id": "stats"})
+        release.set()
+        assert recv_frame(ours)["id"] == "lead"
         order = [recv_frame(ours) for _ in range(3)]
     finally:
         ours.close()
@@ -702,21 +728,27 @@ def test_timeout_zero_means_do_not_wait(tmp_path):
     bundle = synthetic_bundle(**BUNDLE_KWARGS)
     store_dir = tmp_path / "store"
     publish_store(bundle, store_dir)
-    impatient, patient = bundle.questions[:2]
+    impatient, patient, lead = bundle.questions[:3]
     expected = _expected_wire(bundle, store_dir, [patient])
     runtime = WorkerRuntime(
         bundle, _spec(store_dir, service={"max_wait_ms": 150.0})
     )
+    entered, release = _pin_worker(runtime)
     try:
-        # a first-time question sits out the 150 ms window: not done yet
+        runtime._handle({"op": "query", "id": 0, "question": lead, "k": 3})
+        assert entered.wait(30.0)
+        # `lead`'s batch is out, so a first-time question arrives crowded
+        # and sits out the 150 ms window: not done yet
         refused = runtime._handle(
             {"op": "query", "id": 1, "question": impatient, "k": 3,
              "timeout_s": 0}
         )()
+        release.set()
         default = runtime._handle(
             {"op": "query", "id": 2, "question": patient, "k": 3}
         )()
     finally:
+        release.set()
         runtime.close()
     assert refused["ok"] is False
     assert refused["error"]["type"] == "TimeoutError"

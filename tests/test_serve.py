@@ -17,7 +17,8 @@ import pytest
 
 from repro.data.corpus import Corpus, Document
 from repro.data.world import Entity
-from repro.net.bootstrap import DyadicEncoder
+from repro.net.bootstrap import DyadicEncoder, synthetic_bundle
+from repro.net.worker import WorkerRuntime, WorkerSpec
 from repro.oie.triple import Triple
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore
@@ -381,6 +382,74 @@ class TestAdmissionControl:
 
 
 # ---------------------------------------------------------------------------
+# the batch window: held only for a request that found the worker busy
+# ---------------------------------------------------------------------------
+
+
+class TestBatchWindow:
+    """With the service clock frozen, a held window never times out, so
+    only the rule decides whether a batch waits for company."""
+
+    def test_lone_request_to_an_idle_service_is_served_at_once(self):
+        stub = BlockingStubRetriever()
+        stub.release.set()
+        with RetrievalService(stub, clock=lambda: 0.0) as service:
+            assert service.submit("q0 ?").result(timeout=5) == [("q0 ?", 8)]
+            snap = service.stats_snapshot()
+        assert (snap["batches"], snap["windows_held"]) == (1, 0)
+
+    def test_request_that_found_a_batch_out_holds_the_window(self):
+        stub = BlockingStubRetriever()
+        now = [0.0]  # the service's clock, moved by hand
+        with RetrievalService(stub, clock=lambda: now[0]) as service:
+            alone = service.submit("q0 ?")
+            assert stub.started.wait(5.0)  # q0's batch is out
+            crowded = service.submit("q1 ?")
+            stub.release.set()
+            assert alone.result(timeout=5)
+            company = service.submit("q2 ?")
+            with pytest.raises(TimeoutError):  # q1 waits out its window
+                crowded.result(timeout=0.2)
+            now[0] += 1.0
+            assert crowded.result(timeout=5) and company.result(timeout=5)
+            snap = service.stats_snapshot()
+        assert stub.calls == [["q0 ?"], ["q1 ?", "q2 ?"]]
+        assert (snap["batches"], snap["windows_held"]) == (2, 1)
+
+    LONG_WAIT_MS = 150.0
+
+    def test_lone_request_skips_a_long_window_in_process(
+        self, serve_retriever
+    ):
+        config = ServiceConfig(max_wait_ms=self.LONG_WAIT_MS)
+        with RetrievalService(serve_retriever, config=config) as service:
+            started = time.perf_counter()
+            assert service.submit("obj1 tail2 ?", k=3).result(timeout=5)
+            elapsed = time.perf_counter() - started
+        assert elapsed < 0.075
+
+    def test_lone_request_skips_a_long_window_in_a_worker(self):
+        kwargs = dict(seed=11, n_docs=24, encoder="dyadic")
+        spec = WorkerSpec(
+            target="repro.net.bootstrap:synthetic_bundle",
+            kwargs=kwargs,
+            service={"max_wait_ms": self.LONG_WAIT_MS},
+        )
+        bundle = synthetic_bundle(**kwargs)
+        runtime = WorkerRuntime(bundle, spec)
+        try:
+            started = time.perf_counter()
+            reply = runtime._handle(
+                {"op": "query", "id": 1, "question": bundle.questions[0]}
+            )()
+            elapsed = time.perf_counter() - started
+        finally:
+            runtime.close()
+        assert reply["ok"] is True
+        assert elapsed < 0.075
+
+
+# ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
 
@@ -398,6 +467,7 @@ class TestServiceStats:
         assert sum(size * n for size, n in histogram.items()) == (
             snap["batched_requests"]
         )
+        assert 0 <= snap["windows_held"] <= snap["batches"]
         assert snap["qps"] > 0
         for name in ("p50", "p95", "p99", "mean", "max"):
             assert snap["latency_ms"][name] >= 0
@@ -485,6 +555,8 @@ class TestConcurrentDeterminism:
         assert sum(
             size * n for size, n in snap["batch_size_histogram"].items()
         ) + snap["cache_hits"] == total
+        # under load requests arrive while a batch is out: they coalesce
+        assert max(snap["batch_size_histogram"]) > 1
 
 
 # ---------------------------------------------------------------------------
