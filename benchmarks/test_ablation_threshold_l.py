@@ -16,16 +16,20 @@ def test_ablation_threshold_l(ctx, benchmark):
         rounds=1,
         iterations=1,
     )
+    rows = [
+        (l, store.total_triples() / len(store), card.total)
+        for l, store, card in sweep
+    ]
     print()
     print(
         format_table(
             ["l", "mean |T_d|", "PR@10"],
-            [[l, f"{size:.1f}", pr] for l, size, pr in sweep],
+            [[l, f"{size:.1f}", pr] for l, size, pr in rows],
             title="Ablation — Algorithm 1 threshold size l",
         )
     )
-    sizes = [size for _, size, _ in sweep]
-    prs = [pr for _, _, pr in sweep]
+    sizes = [size for _, size, _ in rows]
+    prs = [pr for _, _, pr in rows]
     # set size grows (weakly) with l
     assert all(a <= b + 1e-9 for a, b in zip(sizes, sizes[1:]))
     # quality at the largest budget >= tightest budget

@@ -159,7 +159,7 @@ def cmd_eval(args) -> int:
             path_exact_match([p.titles for p in paths], question.gold_titles),
         )
     print(f"questions: {len(questions)}")
-    for qtype in sorted(card.hits):
+    for qtype in sorted({o.qtype for o in card.outcomes}):
         print(f"  {qtype}: PEM@8 = {card.rate(qtype):.3f}")
     print(f"  total: PEM@8 = {card.total:.3f}")
     if args.stats:

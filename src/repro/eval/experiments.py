@@ -8,10 +8,11 @@ assert the paper's qualitative *shape*.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines import dense_base, path_retriever
 from repro.data.hotpot import HotpotQuestion
 from repro.eval.harness import ExperimentContext
 from repro.eval.metrics import (
@@ -22,10 +23,11 @@ from repro.eval.metrics import (
 )
 from repro.oie.triple import Triple
 from repro.retriever.single import SingleRetriever
-from repro.retriever.store import build_triple_store
+from repro.retriever.store import TripleStore, build_triple_store
 from repro.retriever.strategies import MEAN, ONE_FACT, TOP_K, ScoreStrategy
 from repro.triples.construct import ConstructionConfig, TripleSetConstructor
 from repro.triples.hac import hac_construct
+from repro.updater.golden import ground_clue_index
 
 #: the rank cut-offs of the paper's tables: BM25 PR@10 / PEM@10 (Tables
 #: II–III, Ablation A) and PR@8 / PEM@8 (Tables IV–V, Wikihop)
@@ -133,23 +135,14 @@ def run_table3(ctx: ExperimentContext):
 
 # -- Table IV (one-hop retrieval, learned models) ----------------------------
 
-def _one_hop_scorecard(
-    titles_fn, questions: Sequence[HotpotQuestion]
+def _recall_card(
+    questions: Sequence[HotpotQuestion], title_lists: Iterable[Sequence[str]]
 ) -> RetrievalScorecard:
+    """PR per question over its ranked titles (read as the lists arrive)."""
     card = RetrievalScorecard()
-    for question in questions:
-        titles = titles_fn(question.text)
-        card.add(question.qtype, paragraph_recall(titles, question.gold_titles))
-    return card
-
-
-def _batched_scorecard(
-    questions: Sequence[HotpotQuestion],
-    per_question_titles: Sequence[Sequence[str]],
-) -> RetrievalScorecard:
-    card = RetrievalScorecard()
-    for question, titles in zip(questions, per_question_titles):
-        card.add(question.qtype, paragraph_recall(titles, question.gold_titles))
+    for question, titles in zip(questions, title_lists):
+        hit = paragraph_recall(titles, question.gold_titles)
+        card.add(question.qtype, hit, titles)
     return card
 
 
@@ -169,11 +162,12 @@ def run_table4(ctx: ExperimentContext) -> Dict[str, RetrievalScorecard]:
     rows: Dict[str, RetrievalScorecard] = {}
 
     tprr = ctx.baseline("tprr")
-    rows["TPR"] = _one_hop_scorecard(
-        lambda q: tprr.retrieve_documents(q, k=K), questions
+    rows["TPR"] = _recall_card(
+        questions, (tprr.retrieve_documents(q.text, k=K) for q in questions)
     )
-    rows["GoldEn"] = _one_hop_scorecard(
-        lambda q: ctx.lexical.retrieve_titles(q, k=K, field="text"), questions
+    bm25 = ctx.lexical.retrieve_titles
+    rows["GoldEn"] = _recall_card(
+        questions, (bm25(q.text, k=K, field="text") for q in questions)
     )
 
     strategies = {
@@ -187,9 +181,8 @@ def run_table4(ctx: ExperimentContext) -> Dict[str, RetrievalScorecard]:
         result_lists = retriever.retrieve_batch(
             query_matrix, k=K, strategy=strategy
         )
-        rows[name] = _batched_scorecard(
-            questions,
-            [[r.title for r in results] for results in result_lists],
+        rows[name] = _recall_card(
+            questions, ([r.title for r in results] for results in result_lists)
         )
     return rows
 
@@ -198,94 +191,123 @@ def run_table4_union_ablation(ctx: ExperimentContext) -> RetrievalScorecard:
     """Sec. IV-D note: one-fact retrieval over the raw union set T_o."""
     retriever = SingleRetriever(ctx.system.encoder, ctx.extractor_store("union"))
     retriever.refresh_embeddings()
-    return _one_hop_scorecard(
-        lambda q: [r.title for r in retriever.retrieve_many([q], k=K)[0]],
-        ctx.eval_questions,
-    )
+    questions = ctx.eval_questions
+    return _recall_card(questions, (
+        [r.title for r in retriever.retrieve_many([q.text], k=K)[0]]
+        for q in questions
+    ))
 
 
 # -- Table V (document-path retrieval) ---------------------------------------
 
+#: Table V's baselines: row name, ``ctx.baseline`` name and the length of
+#: the whole candidate list (hop-1 beam × hop-2 width)
+DENSE_WIDTH = dense_base.K_HOP1 * dense_base.K_HOP2
+TABLE5_BASELINES = (
+    ("TPRR", "tprr", DENSE_WIDTH),
+    ("HopRetriever", "hop", DENSE_WIDTH),
+    ("MDR", "mdr", DENSE_WIDTH),
+    ("PathRetriever", "path", path_retriever.N_SEEDS * path_retriever.BEAM),
+)
+
+
+def _clue_failure(ctx: ExperimentContext, question, candidates) -> str:
+    """``clue:<r>`` when the clue picked for a bridge question's gold doc 1
+    is not ``ground_clue_index``'s, which ranks ``r``th under
+    ``score_triples``; "" when it is, or when doc 1 heads no candidate."""
+    if not question.is_bridge or len(question.gold_titles) < 2:
+        return ""
+    doc1, doc2 = (ctx.corpus.by_title(t) for t in question.gold_titles[:2])
+    picked = [p.clue for p in candidates if p.doc_ids[0] == doc1.doc_id]
+    triples = ctx.system.store.triples(doc1.doc_id)
+    gold = ground_clue_index(triples, doc2)
+    if not picked or gold is None or picked[0] == triples[gold]:
+        return ""
+    scores = ctx.system.updater.score_triples(question.text, triples)
+    order = np.argsort(-scores, kind="stable")
+    return f"clue:{int(np.flatnonzero(order == gold)[0]) + 1}"
+
+
+def _add_paths(card, question, top, candidates, clue: str = "") -> None:
+    """PEM over the row's ``top`` paths; a miss records the first stage
+    that lost it within the whole candidate list: ``hop1`` (no gold
+    document heads a candidate), the ``clue`` (:func:`_clue_failure`),
+    ``hop2`` (no candidate covers the gold set) or ``rank`` (one does,
+    below the row's top)."""
+    gold = set(question.gold_titles)
+    hit = path_exact_match(top, gold)
+    if hit or not any(path[0] in gold for path in candidates):
+        stage = "" if hit else "hop1"
+    else:
+        stage = clue or ("rank" if path_exact_match(candidates, gold) else "hop2")
+    card.add(question.qtype, hit, top, stage)
+
+
 def run_table5(ctx: ExperimentContext) -> Dict[str, RetrievalScorecard]:
-    """Path PEM@8 for every system (Table V)."""
+    """Path PEM@8 for every system (Table V), and where each miss was lost.
+
+    Each system answers each question once with its whole candidate list;
+    its row reads the top 8. Both Triple-fact rows read one multi-hop call:
+    the base row its first 8 candidates (Eq. 8), the full row the ranker's
+    top 8 of all of them, as ``retrieve_paths_many`` reranks. One question
+    per call: batch composition moves scores by ~1e-16 and can reorder ties.
+    """
     questions = ctx.eval_questions
     rows: Dict[str, RetrievalScorecard] = {}
-
-    def score_paths(paths_fn) -> RetrievalScorecard:
-        card = RetrievalScorecard()
+    for row, name, width in TABLE5_BASELINES:
+        baseline = ctx.baseline(name)
+        card = rows[row] = RetrievalScorecard()
         for question in questions:
-            paths = paths_fn(question.text)
-            card.add(
-                question.qtype, path_exact_match(paths, question.gold_titles)
-            )
-        return card
-
-    tprr = ctx.baseline("tprr")
-    rows["TPRR"] = score_paths(lambda q: tprr.retrieve_paths(q, k_paths=K))
-    hop = ctx.baseline("hop")
-    rows["HopRetriever"] = score_paths(lambda q: hop.retrieve_paths(q, k_paths=K))
-    mdr = ctx.baseline("mdr")
-    rows["MDR"] = score_paths(lambda q: mdr.retrieve_paths(q, k_paths=K))
-    path_baseline = ctx.baseline("path")
-    rows["PathRetriever"] = score_paths(
-        lambda q: path_baseline.retrieve_paths(q, k_paths=K)
-    )
+            candidates = baseline.retrieve_paths(question.text, k_paths=width)
+            _add_paths(card, question, candidates[:K], candidates)
     system = ctx.system
-    rows["Triple-fact Retrieval-base"] = score_paths(
-        lambda q: [
-            p.titles
-            for p in system.retrieve_paths_many([q], k=K, rerank=False)[0]
-        ]
-    )
-    rows["Triple-fact Retrieval"] = score_paths(
-        lambda q: [
-            p.titles
-            for p in system.retrieve_paths_many([q], k=K, rerank=True)[0]
-        ]
-    )
+    config = system.multihop.config
+    base = rows["Triple-fact Retrieval-base"] = RetrievalScorecard()
+    full = rows["Triple-fact Retrieval"] = RetrievalScorecard()
+    for question in questions:
+        candidates = system.multihop.retrieve_paths_batch(
+            [question.text], k_paths=config.k_hop1 * config.k_hop2
+        )[0]
+        reranked = system.ranker.rerank(question.text, candidates, k=K)
+        titles = [p.titles for p in candidates]
+        clue = _clue_failure(ctx, question, candidates)
+        _add_paths(base, question, titles[:K], titles, clue)
+        _add_paths(full, question, [p.titles for p in reranked], titles, clue)
     return rows
 
 
 # -- Wikihop (the paper's second dataset, Sec. IV-A) --------------------------
 
-def run_wikihop(ctx: ExperimentContext, n_queries: int = 80) -> Dict[str, float]:
+def run_wikihop(ctx: ExperimentContext) -> Dict[str, RetrievalScorecard]:
     """Wikihop-style evaluation of the trained system.
 
     The paper reports Wikihop alongside HotpotQA without a dedicated
     table; we measure hop-1 PR@k and document-path PEM@k over the
     generated (subject, relation, ?) queries.
     """
-    from repro.data.wikihop import build_wikihop_dataset
-
-    wikihop = build_wikihop_dataset(
-        ctx.world, ctx.corpus, max_queries=n_queries * 5
-    )
-    queries = wikihop.validation[:n_queries]
     system = ctx.system
-    hop1_hits = 0
-    pem_hits = 0
-    for query in queries:
+    cards = {"hop1_pr": RetrievalScorecard(), "path_pem": RetrievalScorecard()}
+    for query in ctx.wikihop_queries:
         hop1 = system.retriever.retrieve_many([query.text], k=K)[0]
-        if any(r.title in query.gold_titles for r in hop1):
-            hop1_hits += 1
-        paths = system.retrieve_paths_many([query.text], k=K)[0]
-        if path_exact_match([p.titles for p in paths], query.gold_titles):
-            pem_hits += 1
-    n = max(len(queries), 1)
-    return {
-        "n": float(len(queries)),
-        "hop1_pr": hop1_hits / n,
-        "path_pem": pem_hits / n,
-    }
+        titles = [r.title for r in hop1]
+        found = system.retrieve_paths_many([query.text], k=K)[0]
+        paths = [p.titles for p in found]
+        cards["hop1_pr"].add(
+            "wikihop", paragraph_recall(titles, query.gold_titles), titles
+        )
+        cards["path_pem"].add(
+            "wikihop", path_exact_match(paths, query.gold_titles), paths
+        )
+    return cards
 
 
 # -- Ablation A: threshold size l --------------------------------------------
 
 def run_ablation_threshold(
     ctx: ExperimentContext,
-    l_values: Sequence[int] = (5, 10, 20, 40),
-) -> List[Tuple[int, float, float]]:
-    """Sweep Algorithm 1's threshold l: (l, mean |T_d|, BM25-TFS PR@k)."""
+    l_values: Sequence[int] = (3, 5, 10, 20, 40),
+) -> List[Tuple[int, TripleStore, RetrievalScorecard]]:
+    """Sweep Algorithm 1's threshold l: (l, its store, BM25-TFS PR@k)."""
     from repro.baselines.lexical import LexicalRetriever
 
     out = []
@@ -294,14 +316,14 @@ def run_ablation_threshold(
             ctx.corpus, ctx.linker, ConstructionConfig(threshold_size=l_value)
         )
         lexical = LexicalRetriever(ctx.corpus, store=store)
-        card = RetrievalScorecard()
-        for question in ctx.eval_questions:
-            titles = lexical.retrieve_titles(
-                question.text, k=BM25_K, field="triples"
-            )
-            card.add(question.qtype, paragraph_recall(titles, question.gold_titles))
-        mean_size = store.total_triples() / max(len(store), 1)
-        out.append((l_value, mean_size, card.total))
+        card = _recall_card(
+            ctx.eval_questions,
+            (
+                lexical.retrieve_titles(q.text, k=BM25_K, field="triples")
+                for q in ctx.eval_questions
+            ),
+        )
+        out.append((l_value, store, card))
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.baselines.hop_retriever import HopRetrieverBaseline
 from repro.baselines.lexical import LexicalRetriever
@@ -27,6 +27,7 @@ from repro.baselines.tprr import TPRRRetriever
 from repro.data.corpus import Corpus
 from repro.data.documents import build_corpus
 from repro.data.hotpot import HotpotDataset, build_hotpot_dataset
+from repro.data.wikihop import WikihopQuery, build_wikihop_dataset
 from repro.data.world import World, WorldConfig
 from repro.encoder.minibert import EncoderConfig, MiniBertEncoder
 from repro.index.entity_index import EntityIndex
@@ -112,6 +113,8 @@ def current_scale() -> ExperimentScale:
 
 #: the raw extraction stores of :meth:`ExperimentContext.extractor_store`
 EXTRACTOR_STORES = ("minie", "stanford", "union")
+#: Wikihop validation queries scored (the paper gives no count)
+WIKIHOP_QUERIES = 60
 
 
 class ExperimentContext:
@@ -125,6 +128,7 @@ class ExperimentContext:
         self._linker: Optional[EntityIndex] = None
         self._store: Optional[TripleStore] = None
         self._extractor_stores: Dict[str, TripleStore] = {}
+        self._wikihop: Optional[List[WikihopQuery]] = None
         self._lexical: Optional[LexicalRetriever] = None
         self._system: Optional[TripleFactRetrieval] = None
         self._baselines: Dict[str, object] = {}
@@ -161,6 +165,15 @@ class ExperimentContext:
     @property
     def train_sample(self):
         return self.hotpot.train[: self.scale.n_eval]
+
+    @property
+    def wikihop_queries(self) -> List[WikihopQuery]:
+        """The Wikihop-style (subject, relation, ?) validation queries."""
+        if self._wikihop is None:
+            self._wikihop = build_wikihop_dataset(
+                self.world, self.corpus, max_queries=WIKIHOP_QUERIES * 5
+            ).validation[:WIKIHOP_QUERIES]
+        return self._wikihop
 
     @property
     def linker(self) -> EntityIndex:

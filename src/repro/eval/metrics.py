@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 def paragraph_recall(retrieved: Iterable[str], gold: Iterable[str]) -> bool:
@@ -34,29 +34,45 @@ def path_exact_match(
     return any(gold_set <= set(path) for path in paths)
 
 
+class Outcome(NamedTuple):
+    """One question's result, as its row scored it."""
+
+    qtype: str
+    hit: bool
+    #: the ranked titles (one-hop rows) or paths (path rows) that decided it
+    ranked: Tuple = ()
+    #: Table V: the first stage that lost a miss; "" for a hit
+    stage: str = ""
+
+
 @dataclass
 class RetrievalScorecard:
-    """Accumulates per-question booleans, split by question type.
+    """Accumulates per-question outcomes in question order.
 
     Produces the bridge / comparison / total breakdown every table in the
     paper reports.
     """
 
-    hits: Dict[str, List[bool]] = field(default_factory=dict)
+    outcomes: List[Outcome] = field(default_factory=list)
 
-    def add(self, qtype: str, hit: bool) -> None:
-        self.hits.setdefault(qtype, []).append(bool(hit))
+    def add(
+        self, qtype: str, hit: bool, ranked: Sequence = (), stage: str = ""
+    ) -> None:
+        self.outcomes.append(Outcome(qtype, bool(hit), tuple(ranked), stage))
+
+    def _hits(self, qtype: Optional[str] = None) -> List[bool]:
+        return [o.hit for o in self.outcomes if qtype in (None, o.qtype)]
 
     def rate(self, qtype: str) -> float:
         """Hit rate for one question type (0.0 when empty)."""
-        values = self.hits.get(qtype, [])
+        values = self._hits(qtype)
         return sum(values) / len(values) if values else 0.0
 
     @property
     def total(self) -> float:
         """Hit rate over all question types pooled."""
-        values = [v for series in self.hits.values() for v in series]
+        values = self._hits()
         return sum(values) / len(values) if values else 0.0
 
     def count(self, qtype: str) -> int:
-        return len(self.hits.get(qtype, []))
+        return len(self._hits(qtype))

@@ -120,31 +120,28 @@ class TripleFactRetrieval:
             raise RuntimeError("call fit() before retrieving")
 
     def retrieve_paths_many(
-        self, questions: Sequence[str], k: int = 8, rerank: bool = True
+        self, questions: Sequence[str], k: int = 8
     ) -> List[List[DocumentPath]]:
-        """Multi-hop path retrieval, reranked by the path ranker unless
-        ``rerank=False``.
+        """Multi-hop path retrieval, reranked by the path ranker.
 
         The one entry point; a single question is a batch of one. Routes
         through :meth:`MultiHopRetriever.retrieve_paths_batch` so encoding
-        and both hops amortize over the whole batch. One-hop retrieval
-        with triple-level explanations is ``retriever.retrieve_many``.
+        and both hops amortize over the whole batch; its Eq. 8 order,
+        without the ranker, is that call's own. One-hop retrieval with
+        triple-level explanations is ``retriever.retrieve_many``.
         """
         self._require_fit()
         questions = list(questions)
         if not questions:
             return []
-        # over-generate candidates when a reranking stage follows
-        n_candidates = k * 4 if rerank else k
+        # over-generate candidates for the reranking stage
         path_lists = self.multihop.retrieve_paths_batch(
-            questions, k_paths=n_candidates
+            questions, k_paths=k * 4
         )
-        if rerank:
-            return [
-                self.ranker.rerank(question, paths, k=k)
-                for question, paths in zip(questions, path_lists)
-            ]
-        return [paths[:k] for paths in path_lists]
+        return [
+            self.ranker.rerank(question, paths, k=k)
+            for question, paths in zip(questions, path_lists)
+        ]
 
     # -- persistence ----------------------------------------------------------
     def save(self, directory: Union[str, Path]) -> None:

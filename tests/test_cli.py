@@ -203,7 +203,7 @@ class _StubSystem:
     def __init__(self):
         self.batch_calls = []
 
-    def retrieve_paths_many(self, questions, k=8, rerank=True):
+    def retrieve_paths_many(self, questions, k=8):
         self.batch_calls.append((list(questions), k))
         return [[_FakePath(question)] for question in questions]
 

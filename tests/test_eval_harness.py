@@ -115,7 +115,7 @@ class TestTableRunners:
 
     def test_ablation_threshold_monotone_sizes(self, tiny_ctx):
         sweep = run_ablation_threshold(tiny_ctx, l_values=(2, 6, 12))
-        sizes = [size for _, size, _ in sweep]
+        sizes = [store.total_triples() for _, store, _ in sweep]
         assert sizes == sorted(sizes)
 
     def test_ablation_hac_timings(self):

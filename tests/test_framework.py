@@ -50,20 +50,23 @@ class TestFramework:
         assert 0 < len(paths) <= 4
 
     def test_retrieve_paths_base(self, system, hotpot):
-        paths = system.retrieve_paths_many(
-            [hotpot.test[0].text], k=4, rerank=False
+        paths = system.multihop.retrieve_paths_batch(
+            [hotpot.test[0].text], k_paths=4
         )[0]
         scores = [p.score for p in paths]
         assert scores == sorted(scores, reverse=True)
 
     @pytest.mark.parametrize("rerank", [True, False])
     def test_batch_matches_single_calls(self, system, hotpot, rerank):
+        """Reranked, and the Eq. 8 order underneath (Table V's base row)."""
         questions = [q.text for q in hotpot.test[:2]]
-        batch = system.retrieve_paths_many(questions, k=4, rerank=rerank)
-        singles = [
-            system.retrieve_paths_many([q], k=4, rerank=rerank)[0]
-            for q in questions
-        ]
+        if rerank:
+            retrieve = system.retrieve_paths_many
+        else:
+            def retrieve(batch, k):
+                return system.multihop.retrieve_paths_batch(batch, k_paths=k)
+        batch = retrieve(questions, k=4)
+        singles = [retrieve([q], k=4)[0] for q in questions]
         assert len(batch) == 2
         for batch_paths, single_paths in zip(batch, singles):
             assert [p.doc_ids for p in batch_paths] == [

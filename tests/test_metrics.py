@@ -67,3 +67,13 @@ class TestScorecard:
         card.add("bridge", True)
         assert card.count("bridge") == 2
         assert card.count("comparison") == 0
+
+    def test_outcomes_keep_question_order(self):
+        card = RetrievalScorecard()
+        card.add("bridge", True, ["a", "b"])
+        card.add("comparison", False)
+        card.add("bridge", False, stage="hop2")
+        assert [o.hit for o in card.outcomes] == [True, False, False]
+        assert card.outcomes[0].ranked == ("a", "b")
+        assert card.outcomes[2].stage == "hop2"
+        assert card.rate("bridge") == 0.5 and card.count("comparison") == 1
