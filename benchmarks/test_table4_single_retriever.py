@@ -49,4 +49,10 @@ def test_table4_union_set_ablation(ctx, trained_system, table4):
         f"\nT_o (raw union) PR@8 total: {union_card.total:.3f} vs "
         f"T_d (constructed): {constructed.total:.3f}"
     )
-    assert constructed.total >= union_card.total - 0.05
+    # the 5 % bound in whole questions: as rates, 0.69 - 0.05 is
+    # 0.6399..., and a 64-vs-69 row passed on that rounding alone
+    n = len(constructed.outcomes)
+    assert len(union_card.outcomes) == n
+    union_hits = sum(o.hit for o in union_card.outcomes)
+    constructed_hits = sum(o.hit for o in constructed.outcomes)
+    assert 20 * (union_hits - constructed_hits) <= n

@@ -24,8 +24,15 @@ What gets extracted:
   attribute accessors, keyword names, names it imports), feeding
   ``dead-symbol``. A package ``__init__``'s import aliases and any
   ``__all__`` strings are re-exports, not uses, and are left out.
-* **definitions** — module-level ``def``/``class`` and the methods of
-  module-level classes, with their decoration status.
+* **reads** — the narrower set a stored field needs: attribute loads
+  ``obj.x`` and identifier-shaped string constants (``getattr`` names,
+  snapshot keys). An assignment or a keyword ``x=`` writes, it does
+  not read.
+* **definitions** — module-level ``def``/``class``, the methods of
+  module-level classes with their decoration status, and the fields of
+  those classes: annotated class-body names and every ``self.x`` a
+  method assigns (NamedTuple fields are read by unpacking, not by
+  name, and are left out).
 * **class concurrency facts** — lock-attribute inventory
   (``self._x = threading.Lock()/RLock()/Condition()``), the attributes
   ``__init__`` establishes, which of them are mutated outside init
@@ -120,9 +127,9 @@ class SymbolDef:
     name: str
     line: int
     col: int
-    kind: str  # "def" | "class" | "method"
+    kind: str  # "def" | "class" | "method" | "field"
     decorated: bool  # by something that may register or dispatch it
-    owner: str = ""  # the class a method belongs to
+    owner: str = ""  # the class a method or field belongs to
 
 
 @dataclass
@@ -135,6 +142,7 @@ class ModuleSummary:
     imports: List[ImportEdge] = field(default_factory=list)
     defs: List[SymbolDef] = field(default_factory=list)
     references: List[str] = field(default_factory=list)  # sorted, unique
+    reads: List[str] = field(default_factory=list)  # sorted, unique
     classes: List[ClassSummary] = field(default_factory=list)
 
     @property
@@ -146,6 +154,11 @@ class ModuleSummary:
         """Under ``tests/`` — by directory, not by file name: the
         ``benchmarks/test_table*.py`` modules are real callers."""
         return "tests" in self.dir_parts
+
+    @property
+    def in_src(self) -> bool:
+        """Under ``src/``: the one tree whose class fields need a reader."""
+        return Path(self.rel_path).parts[:1] == ("src",)
 
 
 def module_name_of(rel_path: str) -> str:
@@ -192,6 +205,7 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.imports: Dict[Tuple[str, bool], ImportEdge] = {}
         self.defs: List[SymbolDef] = []
         self.references: Set[str] = set()
+        self.reads: Set[str] = set()
         self.classes: List[ClassSummary] = []
         self._depth = 0  # function nesting depth (imports inside = deferred)
 
@@ -239,7 +253,13 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self.references.add(node.attr)
+        if isinstance(node.ctx, ast.Load):
+            self.reads.add(node.attr)
         self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.reads.add(node.value)
 
     def visit_keyword(self, node: ast.keyword) -> None:
         if node.arg:
@@ -260,6 +280,24 @@ class _ModuleVisitor(ast.NodeVisitor):
                 ),
                 owner=owner,
             )
+        )
+
+    def _define_fields(self, node: ast.ClassDef) -> None:
+        if any(_dotted_leaf(base) == "NamedTuple" for base in node.bases):
+            return  # read by unpacking, not by name
+        fields: Dict[str, ast.expr] = {}
+        for child in node.body:
+            if isinstance(child, ast.AnnAssign) and isinstance(
+                child.target, ast.Name
+            ):
+                fields.setdefault(child.target.id, child.target)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(child):
+                    if _self_attr(sub) and isinstance(sub.ctx, ast.Store):
+                        fields.setdefault(sub.attr, sub)
+        self.defs.extend(
+            SymbolDef(name, at.lineno, at.col_offset, "field", False, node.name)
+            for name, at in fields.items()
         )
 
     def _visit_def(self, node) -> None:
@@ -283,6 +321,7 @@ class _ModuleVisitor(ast.NodeVisitor):
                     child, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ) and not (is_visitor and child.name.startswith("visit_")):
                     self._define(child, "method", owner=node.name)
+            self._define_fields(node)
             self.classes.append(_summarize_class(node))
         self._depth += 1
         self.generic_visit(node)
@@ -524,6 +563,7 @@ def summarize_module(ctx: FileContext) -> ModuleSummary:
         ),
         defs=visitor.defs,
         references=sorted(visitor.references),
+        reads=sorted(visitor.reads),
         classes=visitor.classes,
     )
 

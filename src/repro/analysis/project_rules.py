@@ -11,7 +11,8 @@ encodes a cross-file bug class this repo has actually hit:
 * ``layering-violation`` — an import contradicts the layer DAG declared
   in ``[tool.repro.lint.layers]``, or a module-level import cycle exists.
 * ``dead-symbol`` — a def, class or method that nothing outside
-  ``tests/`` uses; a package ``__init__`` re-export is not a use.
+  ``tests/`` uses (a package ``__init__`` re-export is not a use), or a
+  field of a ``src/`` class that nothing outside ``tests/`` reads.
 
 Project rules subclass :class:`ProjectRule`: they opt out of the
 per-file phase (``applies_to`` is ``False``) and implement
@@ -268,7 +269,8 @@ class DeadSymbol(ProjectRule):
     id = "dead-symbol"
     description = (
         "def/class/method is used by no file outside tests/ (a package "
-        "__init__ import or __all__ entry is a re-export, not a use)"
+        "__init__ import or __all__ entry is a re-export, not a use), or "
+        "a src/ class field is read by none (a write or x= is not a read)"
     )
 
     def check_project(
@@ -281,9 +283,11 @@ class DeadSymbol(ProjectRule):
         # a unit test keeps nothing alive: only src/, benchmarks/ and
         # examples/ are callers
         referenced: Set[str] = set()
+        read: Set[str] = set()
         for summary in model.modules.values():
             if not summary.in_tests_dir:
                 referenced.update(summary.references)
+                read.update(summary.reads)
         for module in sorted(model.modules):
             summary = model.modules[module]
             if summary.is_test or summary.in_tests_dir:
@@ -294,8 +298,15 @@ class DeadSymbol(ProjectRule):
                     continue  # registered/dispatched via the decorator
                 if name.startswith("__") and name.endswith("__"):
                     continue
-                if name in referenced:
+                if symbol.kind == "field":
+                    # a field is stored state: only a read keeps it
+                    if name in read or not summary.in_src:
+                        continue
+                    verb = "read"
+                elif name in referenced:
                     continue
+                else:
+                    verb = "used"
                 shown = f"{symbol.owner}.{name}" if symbol.owner else name
                 yield Finding(
                     rule_id=self.id,
@@ -303,7 +314,7 @@ class DeadSymbol(ProjectRule):
                     line=symbol.line,
                     col=symbol.col,
                     message=(
-                        f"{symbol.kind} '{shown}' is used by no file "
+                        f"{symbol.kind} '{shown}' is {verb} by no file "
                         f"outside tests/; delete it"
                     ),
                 )

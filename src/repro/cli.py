@@ -73,9 +73,10 @@ def cmd_build(args) -> int:
     print(f"building: {len(corpus)} docs, {len(dataset.train)} train questions")
     system = TripleFactRetrieval(config).fit(corpus, dataset)
     out = Path(args.out)
-    system.save(out)
+    out.mkdir(parents=True, exist_ok=True)
     meta = {"world": world_config.__dict__, "dataset": dataset_kwargs}
     atomic_write_json(out / "meta.json", meta)
+    system.save(out)  # model.json, its last write, marks the directory whole
     print(f"saved to {out}")
     return 0
 
@@ -248,10 +249,12 @@ def cmd_serve(args) -> int:
             "encoder": args.synthetic_encoder,
             "multihop": not args.no_multihop,
         }
+    # a model directory is a published store of its own generation
+    store_dir = args.store or args.model
     spec = WorkerSpec(
         target=f"{factory.__module__}:{factory.__name__}",
         kwargs=kwargs,
-        store_dir=str(args.store) if args.store else None,
+        store_dir=str(store_dir) if store_dir else None,
         multihop=not args.no_multihop,
         shards=args.shards,
         shard_mode=args.shard_mode,
@@ -275,7 +278,7 @@ def cmd_serve(args) -> int:
         print(
             f"serving on {bound_host}:{bound_port} with {args.workers} "
             f"worker process(es)"
-            + (f", watching {args.store} for new generations"
+            + (f", watching {store_dir} for new generations"
                if args.watch_store else "")
         )
         try:
@@ -433,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="DIR",
         help="published artifact dir (the triple segment file store.json + "
         "embeddings/) to memmap-attach; workers warm-start with zero "
-        "encoder calls and parse no triples until a query matches them",
+        "encoder calls and parse no triples until a query matches them "
+        "(default: the --model directory)",
     )
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes")

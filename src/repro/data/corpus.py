@@ -32,8 +32,6 @@ class Document:
         Titles of documents hyperlinked from this one (entity mentions).
     facts:
         World facts verbalized by this document, in sentence order.
-    mentioned_entities:
-        Names of all entities whose surface form occurs in the text.
     """
 
     doc_id: int
@@ -42,7 +40,6 @@ class Document:
     entity: Entity
     links: List[str] = field(default_factory=list)
     facts: List[Fact] = field(default_factory=list)
-    mentioned_entities: List[str] = field(default_factory=list)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.doc_id}] {self.title}"

@@ -55,7 +55,6 @@ def build_document(
     pronoun = pronouns[int(rng.randint(len(pronouns)))]
     sentences: List[str] = [_intro_sentence(entity, world, rng)]
     facts: List[Fact] = []
-    mentioned: List[str] = [entity.name]
     links: List[str] = []
     for fact in world.facts_of(entity):
         # the intro already covers occupation/birth_year for persons
@@ -66,7 +65,6 @@ def build_document(
         facts.append(fact)
         value_entity = fact.value_entity
         if value_entity is not None:
-            mentioned.append(value_entity.name)
             links.append(value_entity.name)
     cities = world.entities_of_kind("city")
     for _ in range(N_DISTRACTORS):
@@ -80,8 +78,6 @@ def build_document(
                 city=city.name if city is not None else "the region",
             )
         )
-        if city is not None:
-            mentioned.append(city.name)
     return Document(
         doc_id=doc_id,
         title=entity.name,
@@ -89,7 +85,6 @@ def build_document(
         entity=entity,
         links=links,
         facts=facts,
-        mentioned_entities=mentioned,
     )
 
 

@@ -74,8 +74,6 @@ class HotpotQuestion:
     qtype: str  # BRIDGE or COMPARISON
     gold_titles: List[str]  # ordered document path (hop 1 first)
     answer: str
-    bridge_entity: Optional[str] = None
-    relations: Tuple[str, ...] = ()
 
     @property
     def is_bridge(self) -> bool:
@@ -202,8 +200,6 @@ def _bridge_questions(
                     qtype=BRIDGE,
                     gold_titles=[hop1_fact.subject.name, bridge.name],
                     answer=hop2_fact.value_text,
-                    bridge_entity=bridge.name,
-                    relations=(r1, r2),
                 )
             )
             qid += 1
@@ -272,7 +268,6 @@ def _comparison_questions(
                     qtype=COMPARISON,
                     gold_titles=[a.name, b.name],
                     answer=_comparison_answer(relation, fa, fb, template),
-                    relations=(relation,),
                 )
             )
             qid += 1

@@ -128,7 +128,6 @@ def document_at(config: StreamConfig, doc_id: int) -> Document:
         entity=person,
         links=[city.name, club.name],
         facts=facts,
-        mentioned_entities=[name, city.name, club.name],
     )
 
 

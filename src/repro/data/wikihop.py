@@ -39,7 +39,7 @@ class WikihopQuery:
     candidates: List[str]
     answer: str
     gold_titles: List[str]
-    support_titles: List[str] = field(default_factory=list)
+    support_titles: List[str] = field(default_factory=list)  # lint: ignore[dead-symbol] -- its rng.choice draw seeds every later query
 
 
 @dataclass

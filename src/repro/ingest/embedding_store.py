@@ -11,8 +11,9 @@ expensive step of a cold start. This module persists it:
 * ``manifest.json`` — format version, matrix geometry, the segment
   layout, per-document row hashes (:func:`~repro.ingest.fingerprint.
   triples_fingerprint` of the flattened triples each segment encodes)
-  and the encoder / construction fingerprints the rows were computed
-  under.
+  and the encoder fingerprint the rows were computed under. A key it
+  does not read (``construction_fingerprint``, which older writers
+  recorded and nothing compared) is ignored.
 * ``embeddings-<digest>.f32`` / ``.f64`` — the raw row-major matrix in
   the store's dtype (float32 under the default precision policy,
   float64 in exact parity mode), content-addressed by digest so a new
@@ -119,7 +120,6 @@ class EmbeddingStore:
     offsets: List[int]  # segment start row per document
     row_hashes: Dict[int, str]  # doc_id -> triples_fingerprint
     encoder_fingerprint: str
-    construction_fingerprint: str = ""
     #: Monotonic publish counter: ``save`` writes previous + 1 into the
     #: manifest; a freshly built (never-persisted) store is generation 0.
     #: Two saves of identical content share a data file but still get
@@ -199,7 +199,6 @@ class EmbeddingStore:
             "offsets": [int(o) for o in self.offsets],
             "row_hashes": {str(d): h for d, h in self.row_hashes.items()},
             "encoder_fingerprint": self.encoder_fingerprint,
-            "construction_fingerprint": self.construction_fingerprint,
         }
         atomic_write_json(directory / MANIFEST_NAME, manifest)
         self.generation = generation
@@ -266,7 +265,6 @@ class EmbeddingStore:
                 int(d): str(h) for d, h in manifest["row_hashes"].items()
             }
             encoder_fp = str(manifest["encoder_fingerprint"])
-            construction_fp = str(manifest.get("construction_fingerprint", ""))
         except (KeyError, TypeError, ValueError) as error:
             raise EmbeddingStoreError(f"malformed manifest: {error}") from error
         if len(doc_ids) != len(offsets):
@@ -301,7 +299,6 @@ class EmbeddingStore:
             offsets=offsets,
             row_hashes=row_hashes,
             encoder_fingerprint=encoder_fp,
-            construction_fingerprint=construction_fp,
             generation=int(manifest.get("generation", 0) or 0),
         )
 

@@ -427,12 +427,6 @@ class IngestPipeline:
         stats.docs_extracted = len(fresh)
         stats.docs_reused = stats.docs_total - stats.docs_extracted
         stats.triples_total = store.total_triples()
-        COUNTERS.record_extract(
-            n_docs=stats.docs_extracted,
-            n_reused=stats.docs_reused,
-            n_triples=sum(len(t) for t in fresh.values()),
-            seconds=stats.extract_seconds,
-        )
         with time_block() as elapsed:
             store.save(cache_dir / STORE_NAME)
         stats.save_seconds = elapsed()
@@ -472,9 +466,7 @@ class IngestPipeline:
         )
         stats.rows_total = result.store.total_triples()
         stats.rows_reused = stats.rows_total - stats.rows_encoded
-        embeddings = retriever.export_embeddings(
-            construction_fingerprint=result.store.construction_fingerprint
-        )
+        embeddings = retriever.export_embeddings()
         with time_block() as elapsed:
             embeddings.save(emb_dir)
         stats.save_seconds += elapsed()

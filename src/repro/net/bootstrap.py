@@ -234,15 +234,25 @@ def load_model_dir(model_dir: str):
     the trained system loads on top, under the configs it was saved
     with — so the CLI and every worker process converge on the same
     encoder weights and triple store as the process that saved the
-    model. Returns ``(system, world, corpus, dataset)``.
+    model. Returns ``(system, world, corpus, dataset)``. A missing or
+    unreadable ``meta.json`` is a
+    :class:`~repro.pipeline.framework.ModelDirError`.
     """
-    from repro.pipeline.framework import TripleFactRetrieval
+    from repro.pipeline.framework import ModelDirError, TripleFactRetrieval
 
     directory = Path(model_dir)
-    meta = json.loads((directory / "meta.json").read_text())
-    world = World(WorldConfig(**meta["world"]))
+    path = directory / "meta.json"
+    try:
+        meta = json.loads(path.read_text())
+        world_config = WorldConfig(**meta["world"])
+        dataset_kwargs = dict(meta["dataset"])
+    except (OSError, ValueError, TypeError, KeyError) as error:
+        raise ModelDirError(
+            f"{path}: {error!r}; rebuild the model directory"
+        ) from error
+    world = World(world_config)
     corpus = build_corpus(world)
-    dataset = build_hotpot_dataset(world, corpus, **meta["dataset"])
+    dataset = build_hotpot_dataset(world, corpus, **dataset_kwargs)
     system = TripleFactRetrieval.load(directory, corpus)
     return system, world, corpus, dataset
 

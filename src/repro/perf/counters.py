@@ -44,13 +44,6 @@ class PerfCounters:
     queries: int = 0  # query vectors scored
     docs_scored: int = 0  # (query, document) score pairs produced
     triples_scored: int = 0  # (query, triple) score pairs produced
-    docs_extracted: int = 0  # documents through triple extraction
-    docs_extract_reused: int = 0  # documents skipped by incremental ingest
-    triples_extracted: int = 0  # triples produced by extraction
-    extract_seconds: float = 0.0  # wall-clock inside extraction
-    rows_encoded: int = 0  # embedding rows (re-)encoded by refreshes
-    rows_reused: int = 0  # embedding rows reused verbatim by refreshes
-    refresh_seconds: float = 0.0  # wall-clock inside embedding refreshes
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -74,23 +67,6 @@ class PerfCounters:
             "seconds": seconds,
             "tokens_per_sec": tokens / seconds if seconds > 0 else 0.0,
         }
-
-    def record_extract(
-        self, n_docs: int, n_reused: int, n_triples: int, seconds: float
-    ) -> None:
-        with self._lock:
-            self.docs_extracted += n_docs
-            self.docs_extract_reused += n_reused
-            self.triples_extracted += n_triples
-            self.extract_seconds += seconds
-
-    def record_embed_refresh(
-        self, n_encoded: int, n_reused: int, seconds: float
-    ) -> None:
-        with self._lock:
-            self.rows_encoded += n_encoded
-            self.rows_reused += n_reused
-            self.refresh_seconds += seconds
 
     def record_scoring(
         self, n_queries: int, n_docs: int, n_triples: int, seconds: float
@@ -142,13 +118,6 @@ class PerfCounters:
                 f"  queries scored:  {snap['queries']}",
                 f"  docs scored:     {snap['docs_scored']}",
                 f"  triples scored:  {snap['triples_scored']}",
-                f"  extraction:      {snap['docs_extracted']} docs"
-                f" (+{snap['docs_extract_reused']} reused,"
-                f" {snap['triples_extracted']} triples,"
-                f" {snap['extract_seconds'] * 1e3:.1f} ms)",
-                f"  embed refresh:   {snap['rows_encoded']} rows encoded"
-                f" (+{snap['rows_reused']} reused,"
-                f" {snap['refresh_seconds'] * 1e3:.1f} ms)",
             ]
         )
 

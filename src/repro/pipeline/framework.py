@@ -25,7 +25,6 @@ from repro.ingest.embedding_store import (
     EmbeddingStore,
     EmbeddingStoreError,
 )
-from repro.ingest.fingerprint import construction_fingerprint
 from repro.pipeline.multihop import DocumentPath, MultiHopConfig, MultiHopRetriever
 from repro.pipeline.path_ranker import PathRanker, PathRankerConfig, PathRankerTrainer
 from repro.retriever.negatives import mine_training_examples
@@ -35,7 +34,6 @@ from repro.retriever.trainer import RetrieverTrainer, TrainerConfig
 from repro.storage.atomic import atomic_write_json, atomic_write_npz
 from repro.text.tokenize import tokenize
 from repro.text.vocab import Vocab
-from repro.triples.construct import ConstructionConfig
 from repro.updater.updater import QuestionUpdater, UpdaterConfig, UpdaterTrainer
 
 #: what :meth:`TripleFactRetrieval.save` writes last: the configs the
@@ -160,11 +158,7 @@ class TripleFactRetrieval:
         directory.mkdir(parents=True, exist_ok=True)
         self.encoder.save(directory / "encoder")
         self.store.save(directory / STORE_NAME)
-        self.retriever.export_embeddings(
-            construction_fingerprint=construction_fingerprint(
-                ConstructionConfig(), self.store.corpus.titles()
-            )
-        ).save(directory / EMBEDDINGS_DIR)
+        self.retriever.export_embeddings().save(directory / EMBEDDINGS_DIR)
         atomic_write_npz(
             directory / "heads.npz",
             {

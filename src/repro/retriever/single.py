@@ -118,92 +118,86 @@ class SingleRetriever:
         Returns the number of rows that were (re-)encoded; to recompute
         everything, :meth:`detach_embeddings` first.
         """
-        with time_block() as elapsed:
-            current_fp = encoder_fingerprint(self.encoder)
-            held = self._held
-            if held is not None and held.encoder_fingerprint != current_fp:
-                held = None
-            dtype = self.precision.dtype
-            store = self.store
-            doc_ids = store.doc_ids()
-            offsets: List[int] = []
-            row_hashes: Dict[int, str] = {}
-            # where the new matrix's rows come from: runs of held rows
-            # ([to, from, n]; a reused document extends the open run when
-            # both sides follow on, so the copies number about twice the
-            # dirty documents) and, per dirty document, (to, n) rows of
-            # the one encode call
-            copies: List[List[int]] = []
-            fresh: List[Tuple[int, int]] = []
-            dirty_texts: List[str] = []
-            total = 0
-            for doc_id in doc_ids:
-                n_rows = store.n_triples(doc_id)
-                row_hash = store.row_hash(doc_id)
-                index = self._doc_pos.get(doc_id) if held is not None else None
-                start = None
-                if index is not None:
-                    start, stop = held.bounds(index)
-                    if (
-                        held.row_hashes.get(doc_id) != row_hash
-                        or stop - start != n_rows
-                    ):
-                        start = None
-                if start is None:
-                    dirty_texts.extend(store.flattened(doc_id))
-                    fresh.append((total, n_rows))
-                elif copies and (
-                    copies[-1][0] + copies[-1][2] == total
-                    and copies[-1][1] + copies[-1][2] == start
+        current_fp = encoder_fingerprint(self.encoder)
+        held = self._held
+        if held is not None and held.encoder_fingerprint != current_fp:
+            held = None
+        dtype = self.precision.dtype
+        store = self.store
+        doc_ids = store.doc_ids()
+        offsets: List[int] = []
+        row_hashes: Dict[int, str] = {}
+        # where the new matrix's rows come from: runs of held rows
+        # ([to, from, n]; a reused document extends the open run when
+        # both sides follow on, so the copies number about twice the
+        # dirty documents) and, per dirty document, (to, n) rows of
+        # the one encode call
+        copies: List[List[int]] = []
+        fresh: List[Tuple[int, int]] = []
+        dirty_texts: List[str] = []
+        total = 0
+        for doc_id in doc_ids:
+            n_rows = store.n_triples(doc_id)
+            row_hash = store.row_hash(doc_id)
+            index = self._doc_pos.get(doc_id) if held is not None else None
+            start = None
+            if index is not None:
+                start, stop = held.bounds(index)
+                if (
+                    held.row_hashes.get(doc_id) != row_hash
+                    or stop - start != n_rows
                 ):
-                    copies[-1][2] += n_rows
-                else:
-                    copies.append([total, start, n_rows])
-                offsets.append(total)
-                row_hashes[doc_id] = row_hash
-                total += n_rows
-            if (
-                held is None
-                or dirty_texts
-                or held.doc_ids != doc_ids
-                or held.matrix.shape[0] != total
+                    start = None
+            if start is None:
+                dirty_texts.extend(store.flattened(doc_id))
+                fresh.append((total, n_rows))
+            elif copies and (
+                copies[-1][0] + copies[-1][2] == total
+                and copies[-1][1] + copies[-1][2] == start
             ):
-                dim = self.encoder.config.dim
-                matrix = np.empty((total, dim), dtype=dtype)
-                for to, at, n_rows in copies:
-                    matrix[to : to + n_rows] = held.matrix[at : at + n_rows]
-                if dirty_texts:
-                    encoded = cast_matrix(
-                        self.encoder.encode_numpy(
-                            dirty_texts, batch_size=ENCODE_BATCH_SIZE
-                        ),
-                        dtype,
-                    )
-                    COUNTERS.record_encode(len(dirty_texts))
-                    cursor = 0
-                    for to, n_rows in fresh:
-                        matrix[to : to + n_rows] = encoded[
-                            cursor : cursor + n_rows
-                        ]
-                        cursor += n_rows
-                held = EmbeddingStore(
-                    matrix=matrix,
-                    doc_ids=doc_ids,
-                    offsets=offsets,
-                    row_hashes=row_hashes,
-                    encoder_fingerprint=current_fp,
+                copies[-1][2] += n_rows
+            else:
+                copies.append([total, start, n_rows])
+            offsets.append(total)
+            row_hashes[doc_id] = row_hash
+            total += n_rows
+        if (
+            held is None
+            or dirty_texts
+            or held.doc_ids != doc_ids
+            or held.matrix.shape[0] != total
+        ):
+            dim = self.encoder.config.dim
+            matrix = np.empty((total, dim), dtype=dtype)
+            for to, at, n_rows in copies:
+                matrix[to : to + n_rows] = held.matrix[at : at + n_rows]
+            if dirty_texts:
+                encoded = cast_matrix(
+                    self.encoder.encode_numpy(
+                        dirty_texts, batch_size=ENCODE_BATCH_SIZE
+                    ),
+                    dtype,
                 )
-                self._held = held
-                self._doc_pos = {d: i for i, d in enumerate(doc_ids)}
-            # else: clean warm start — score straight off the held
-            # (possibly memmapped) matrix, no per-segment reassembly
-            self._normed = l2_normalize_rows(np.asarray(held.matrix))
-            self._rebuild_shard_plan()
-        COUNTERS.record_embed_refresh(
-            n_encoded=len(dirty_texts),
-            n_reused=total - len(dirty_texts),
-            seconds=elapsed(),
-        )
+                COUNTERS.record_encode(len(dirty_texts))
+                cursor = 0
+                for to, n_rows in fresh:
+                    matrix[to : to + n_rows] = encoded[
+                        cursor : cursor + n_rows
+                    ]
+                    cursor += n_rows
+            held = EmbeddingStore(
+                matrix=matrix,
+                doc_ids=doc_ids,
+                offsets=offsets,
+                row_hashes=row_hashes,
+                encoder_fingerprint=current_fp,
+            )
+            self._held = held
+            self._doc_pos = {d: i for i, d in enumerate(doc_ids)}
+        # else: clean warm start — score straight off the held
+        # (possibly memmapped) matrix, no per-segment reassembly
+        self._normed = l2_normalize_rows(np.asarray(held.matrix))
+        self._rebuild_shard_plan()
         return len(dirty_texts)
 
     def attach_embeddings(self, embeddings: EmbeddingStore) -> int:
@@ -256,13 +250,9 @@ class SingleRetriever:
         self._doc_pos = {}
         self._shard_plan = None
 
-    def export_embeddings(
-        self, construction_fingerprint: str = ""
-    ) -> EmbeddingStore:
+    def export_embeddings(self) -> EmbeddingStore:
         """The held (fresh) store itself, ready to ``save``."""
         self._ensure_fresh()
-        if construction_fingerprint:
-            self._held.construction_fingerprint = construction_fingerprint
         return self._held
 
     def ensure_ready(self) -> None:

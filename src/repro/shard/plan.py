@@ -44,7 +44,7 @@ exact recall once every true top-k document survives the coarse cut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from repro.shard.merge import topk_doc_order
 class Shard:
     """One shard: a doc subset, their triple rows, and a coarse centroid."""
 
-    shard_id: int
     doc_ids: np.ndarray  # (n_docs,) int64, ascending
     offsets: np.ndarray  # (n_docs,) int64 shard-local segment starts
     matrix: np.ndarray  # (n_rows, dim) L2-normalized triple rows
@@ -186,26 +185,21 @@ class ShardPlan:
         whole: Shard,
         doc_bounds: Sequence[int],
         mode: str,
-        assignment: Dict[int, int],
     ):
         self.whole = whole
         self.mode = mode
-        self.assignment = assignment  # doc_id -> shard_id
         self.quantized = False
         self.total_docs = len(whole)
         self.total_rows = whole.n_rows
         row_bounds = np.append(whole.offsets, whole.n_rows)[doc_bounds]
         self.shards = [
             Shard(
-                shard_id=shard_id,
                 doc_ids=whole.doc_ids[docs],
                 offsets=whole.offsets[docs] - rows.start,
                 matrix=whole.matrix[rows],
                 centroid=_unit_mean(whole.matrix[rows]),
             )
-            for shard_id, (docs, rows) in enumerate(
-                zip(_slices(doc_bounds), _slices(row_bounds))
-            )
+            for docs, rows in zip(_slices(doc_bounds), _slices(row_bounds))
         ]
         self.centroids = np.stack([s.centroid for s in self.shards])
 
@@ -273,7 +267,6 @@ class ShardPlan:
             ]
         plan = cls(
             whole=Shard(
-                shard_id=-1,
                 doc_ids=doc_id_arr[order],
                 offsets=starts,
                 matrix=matrix,
@@ -283,7 +276,6 @@ class ShardPlan:
                 labels[order], np.arange(n_shards + 1)
             ),
             mode=mode,
-            assignment=dict(zip(doc_id_arr.tolist(), labels.tolist())),
         )
         if quantize:
             plan.quantize()
@@ -416,7 +408,6 @@ class ShardPlan:
             pieces = coarse.rows(keep)
             lengths = [piece.shape[0] for piece in pieces]
             survivors = Shard(
-                shard_id=-1,
                 doc_ids=coarse.doc_ids[keep],
                 offsets=np.cumsum([0] + lengths, dtype=np.int64)[:-1],
                 matrix=(

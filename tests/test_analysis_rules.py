@@ -516,6 +516,57 @@ class TestProjectRuleSemantics:
             "Walker.unread", "Walker.uncalled",
         ]
 
+    def test_dead_symbol_field_needs_a_read_outside_tests(self, tmp_path):
+        record = """
+            from dataclasses import dataclass
+            from typing import NamedTuple
+
+
+            @dataclass
+            class Record:
+                kept: int
+                seeded: int = 0
+
+
+            class Pair(NamedTuple):  # read by unpacking
+                left: int
+                right: int
+
+
+            class Counter:
+                def __init__(self):
+                    self.total = 0
+
+                def bump(self):
+                    self.total += 1
+
+
+            RECORD = Record(kept=1, seeded=2)
+            PAIR = Pair(1, 2)
+            COUNTER = Counter()
+            COUNTER.bump()
+            print(RECORD.kept)
+        """
+        reader = "from pkg.record import RECORD\n\nprint(RECORD.seeded)\n"
+        cases = (
+            # written by src/ and read only by a unit test: no reader
+            ("tests/test_record.py", reader, ["Record.seeded", "Counter.total"]),
+            ("benchmarks/e2e/report.py", reader, ["Counter.total"]),
+            # a getattr name or a snapshot key is a read
+            ("examples/show.py", 'print(getattr(object(), "total"))\n',
+             ["Record.seeded"]),
+            # a keyword argument writes, it does not read
+            ("examples/make.py", "RECORD = dict(seeded=1, total=2)\n",
+             ["Record.seeded", "Counter.total"]),
+        )
+        for index, (caller, source, flagged) in enumerate(cases):
+            files = {"src/pkg/record.py": record, caller: source}
+            found = self._dead_symbols(tmp_path / str(index), files)
+            assert found == flagged, caller
+        # outside src/ a class's fields are not checked
+        files = {"examples/record.py": record}
+        assert self._dead_symbols(tmp_path / "examples", files) == []
+
     def test_import_cycle_across_files(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "alpha.py").write_text(

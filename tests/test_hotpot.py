@@ -32,11 +32,6 @@ class TestHotpotGeneration:
             hop2 = corpus.by_title(question.gold_titles[1])
             assert question.answer in hop2.text
 
-    def test_bridge_entity_is_hop2_title(self, hotpot):
-        for question in hotpot.all_questions:
-            if question.is_bridge:
-                assert question.bridge_entity == question.gold_titles[1]
-
     def test_comparison_golds_differ(self, hotpot):
         for question in hotpot.all_questions:
             if not question.is_bridge:

@@ -581,7 +581,6 @@ class TestEmbeddingStore:
             offsets=offsets,
             row_hashes={i: f"h{i}" for i in range(n_docs)},
             encoder_fingerprint="enc-fp",
-            construction_fingerprint="con-fp",
         )
 
     def test_roundtrip(self, tmp_path):
@@ -593,7 +592,6 @@ class TestEmbeddingStore:
         assert loaded.offsets == original.offsets
         assert loaded.row_hashes == original.row_hashes
         assert loaded.encoder_fingerprint == "enc-fp"
-        assert loaded.construction_fingerprint == "con-fp"
 
     def test_segments_cover_matrix(self, tmp_path):
         store = self._build()
@@ -618,6 +616,21 @@ class TestEmbeddingStore:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(EmbeddingStoreError, match="version"):
             EmbeddingStore.open(tmp_path)
+
+    def test_manifest_with_construction_fingerprint_still_opens(self, tmp_path):
+        import json
+
+        original = self._build()
+        original.save(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "construction_fingerprint" not in manifest
+        # an older writer recorded it; nothing compares it, so it is ignored
+        manifest["construction_fingerprint"] = "con-fp"
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = EmbeddingStore.open(tmp_path)
+        assert loaded.row_hashes == original.row_hashes
+        assert loaded.generation == 1
 
     def test_truncated_data_file_raises(self, tmp_path):
         self._build().save(tmp_path)

@@ -84,7 +84,7 @@ SURFACE = {
     PathRetrieverConfig: "epochs",
     train_epochs: "optimizer n_examples example_loss epochs rng name verbose",
     EmbeddingStore: "matrix doc_ids offsets row_hashes encoder_fingerprint "
-    "construction_fingerprint generation",
+    "generation",
     LexicalRetriever: "corpus store extra_fields",
     InvertedIndex: "",
     InvertedIndex.search: "query field k",

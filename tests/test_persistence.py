@@ -6,8 +6,12 @@ import json
 import pytest
 from reference import unreadable_triple_files
 
+from repro import cli
 from repro.encoder.minibert import EncoderConfig
 from repro.ingest import STORE_NAME
+from repro.net.bootstrap import load_model_dir, resolve_target
+from repro.net.worker import WorkerRuntime
+from repro.perf import COUNTERS
 from repro.pipeline.framework import (
     MODEL_NAME,
     FrameworkConfig,
@@ -145,6 +149,85 @@ class TestSystemPersistence:
                 model_file.write_text(body)
             with pytest.raises(ModelDirError, match="rebuild"):
                 TripleFactRetrieval.load(tmp_path / "model5", corpus)
+
+    def _model_dir(self, trained, world, directory):
+        """A ``repro build`` directory of ``trained`` over the test world."""
+        trained.save(directory)
+        meta = {
+            "world": world.config.__dict__,
+            "dataset": {"comparison_per_kind": 4},
+        }
+        (directory / "meta.json").write_text(json.dumps(meta))
+        return directory
+
+    def test_a_missing_or_unreadable_world_seed_is_a_typed_error(
+        self, trained, world, tmp_path
+    ):
+        directory = self._model_dir(trained, world, tmp_path / "model6")
+        meta_file = directory / "meta.json"
+        load_model_dir(str(directory))
+        for body in (None, "{truncated", "[]", json.dumps({"world": {}})):
+            if body is None:
+                meta_file.unlink()
+            else:
+                meta_file.write_text(body)
+            with pytest.raises(ModelDirError, match="rebuild"):
+                load_model_dir(str(directory))
+
+    def test_build_writes_the_world_seed_before_the_model(
+        self, tmp_path, monkeypatch
+    ):
+        """So ``model.json``, the last file ``save`` writes, is the last
+        write of a build: a crash before it leaves a ``ModelDirError``."""
+        seen = []
+
+        class Fitted:
+            def __init__(self, config):
+                pass
+
+            def fit(self, corpus, dataset):
+                return self
+
+            def save(self, directory):
+                seen.append(sorted(p.name for p in directory.iterdir()))
+
+        monkeypatch.setattr(cli, "TripleFactRetrieval", Fitted)
+        out = tmp_path / "built"
+        assert cli.main(["build", "--out", str(out), "--persons", "8"]) == 0
+        assert seen == [["meta.json"]]
+
+    def test_serve_model_warm_starts_on_the_saved_generation(
+        self, trained, world, tmp_path, monkeypatch
+    ):
+        """``serve --model DIR`` attaches DIR's store: the worker encodes
+        no triple and serves the generation the model saved."""
+        directory = self._model_dir(trained, world, tmp_path / "model7")
+        specs = []
+
+        class NoFleet:
+            address = ("127.0.0.1", 0)
+
+            def __init__(self, spec, **kwargs):
+                specs.append(spec)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(cli, "Fleet", NoFleet)
+        argv = ["serve", "--model", str(directory), "--run-seconds", "0"]
+        assert cli.main(argv) == 0
+        (spec,) = specs
+        bundle = resolve_target(spec.target)(**spec.kwargs)
+        before = COUNTERS.snapshot()["texts_encoded"]
+        runtime = WorkerRuntime(bundle, spec)
+        try:
+            assert COUNTERS.snapshot()["texts_encoded"] == before
+            assert runtime.generation >= 1
+        finally:
+            runtime.close()
 
     def test_unfit_save_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):

@@ -50,7 +50,6 @@ def _offsets(shapes):
 def _shard(shapes):
     """A shard with this segment layout (its rows are never scored)."""
     return Shard(
-        shard_id=0,
         doc_ids=np.arange(len(shapes), dtype=np.int64),
         offsets=_offsets(shapes),
         matrix=np.zeros((sum(shapes), 1)),

@@ -382,15 +382,17 @@ class TestWarmAttachThenShard:
             EmbeddingStore.open(tmp_path, mmap=True)
         )
         assert adopted == store.total_triples()
-        encoded_before = COUNTERS.snapshot()["rows_encoded"]
+        encoded_before = COUNTERS.snapshot()["texts_encoded"]
         warm_plan = warm.build_shards(4, "centroid")
-        assert COUNTERS.snapshot()["rows_encoded"] == encoded_before
+        assert COUNTERS.snapshot()["texts_encoded"] == encoded_before
         assert warm.refresh_embeddings() == 0  # zero re-encoding
         assert warm.shard_plan.n_shards == 4
         # seeded k-means over the same store: every process derives the
         # same document-to-shard assignment, nothing needs persisting
-        assert warm_plan.assignment == cold_plan.assignment
-        assert warm.shard_plan.assignment == cold_plan.assignment
+        for plan in (warm_plan, warm.shard_plan):
+            assert [s.doc_ids.tolist() for s in plan.shards] == [
+                s.doc_ids.tolist() for s in cold_plan.shards
+            ]
         got = warm.retrieve_many(QUESTIONS, k=5)
         for exact_docs, got_docs in zip(exact, got):
             assert [(d.doc_id, d.score) for d in exact_docs] == [
