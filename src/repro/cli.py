@@ -457,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--wait-ms", type=float, default=2.0,
                        help="per-worker micro-batch window (ms): how long a "
                        "batch whose first request found the worker busy "
-                       "waits for more; a request that arrives alone is "
-                       "served at once")
+                       "waits for more of its shape; it ends early once a "
+                       "request of another shape is queued, and a request "
+                       "that arrives alone is served at once")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="per-worker result cache capacity (0 disables)")
     serve.add_argument(

@@ -12,6 +12,7 @@ prints it; the small scale's output is ``benchmarks/TABLES.json``.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -37,6 +38,22 @@ def _digest(value) -> str:
     """Of bytes, or of any JSON value."""
     data = value if isinstance(value, bytes) else json.dumps(value).encode()
     return hashlib.sha256(data).hexdigest()[:DIGEST_HEX]
+
+
+def _blas_core() -> str:
+    """The kernel OpenBLAS picked at run time (``SkylakeX``, ``Haswell``
+    …), which the build string does not name: read from numpy's bundled
+    library, already loaded, so the handle is numpy's own. ``"unknown"``
+    when there is no such library or symbol."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        path = next(libs.glob("libscipy_openblas64_*.so"))
+        library = ctypes.CDLL(str(path))
+        corename = library.scipy_openblas_get_corename64_
+    except (StopIteration, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def _row(card, split: str) -> Dict[str, object]:
@@ -103,6 +120,7 @@ def golden(ctx: ExperimentContext) -> Dict[str, object]:
         "header": {
             "blas": blas.get("openblas configuration")
             or f"{blas['name']} {blas['version']}",
+            "blas_core": _blas_core(),
             "machine": platform.machine(),
             "numpy": np.__version__,
             "scale": ctx.scale.name,

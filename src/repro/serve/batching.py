@@ -7,11 +7,14 @@ dynamic, and it is held only for a request that has company: ``put``
 marks a request *crowded* when it arrives while other requests are
 queued or while the worker is out serving a batch. A batch led by a
 crowded request flushes as soon as ``max_batch_size`` requests of its
-shape are waiting, or when it has waited ``max_wait`` seconds, whichever
-comes first. A batch led by a request that found the worker idle flushes
-at once with whatever compatible requests are already queued: a lone
-request pays no window, and under load, where requests keep arriving
-while a batch is out, batches still coalesce.
+shape are waiting, when it has waited ``max_wait`` seconds, or when a
+request of another shape is queued, whichever comes first. A batch led
+by a request that found the worker idle flushes at once with whatever
+compatible requests are already queued: a lone request pays no window,
+and under load, where requests keep arriving while a batch is out,
+batches still coalesce. The worker never waits with work in hand: under
+mixed traffic the company a window waits for would queue behind work
+that is already there, so the window ends and that work is served next.
 
 Admission control lives at the queue mouth: ``put`` rejects with
 :class:`~repro.serve.errors.Overloaded` once ``max_pending`` requests
@@ -27,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.serve.errors import Overloaded, ServiceStopped
 from repro.serve.query import Query, Shape
@@ -122,17 +125,21 @@ class BatchQueue:
 
     def take_batch(
         self, max_size: int, max_wait: float
-    ) -> Optional[List[PendingRequest]]:
-        """The next coalesced batch, or None when stopped and drained.
+    ) -> Optional[Tuple[List[PendingRequest], bool]]:
+        """The next coalesced batch and whether it waited on the clock for
+        company, or None when stopped and drained.
 
         Blocks until at least one request waits. The first request fixes
         the query shape and compatible requests already queued join
         immediately. Only when the first request is crowded does the
         worker then hold the window open up to ``max_wait`` (service
         clock) for more; a batch led by a request that found the worker
-        idle flushes at once. Incompatible requests stay queued for the
-        next cycle. During shutdown the window collapses so draining
-        finishes promptly.
+        idle flushes at once. The window also ends the moment the queue
+        holds a request of another shape: the batch is served as it is,
+        and the oldest waiting request leads the next one, so the FIFO
+        order of first requests holds. Under single-shape traffic the
+        queue is then empty, and nothing changes. During shutdown the
+        window collapses so draining finishes promptly.
         """
         with self._cond:
             self._batch_out = False
@@ -144,22 +151,25 @@ class BatchQueue:
             batch = [first]
             shape = first.query.shape
             window_ends = self._clock() + (max_wait if first.crowded else 0.0)
+            held = False
             while len(batch) < max_size:
                 taken = self._take_compatible(shape)
                 if taken is not None:
                     batch.append(taken)
                     continue
-                if self._stopping:
+                # anything still queued is of another shape: serve now
+                if self._stopping or self._items:
                     break
                 remaining = window_ends - self._clock()
                 if remaining <= 0:
                     break
+                held = True
                 # timed wait capped at 50ms: an injected fake clock
                 # controls the window accounting, not the OS-level sleep,
                 # so cap the real wait and re-check the window each wake
                 self._cond.wait(timeout=min(remaining, 0.05))
             self._batch_out = True
-            return batch
+            return batch, held
 
     def _take_compatible(self, shape: Shape) -> Optional[PendingRequest]:
         """Pop the oldest queued request of this query shape."""

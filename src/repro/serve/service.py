@@ -195,14 +195,16 @@ class RetrievalService:
     def _worker_loop(self) -> None:
         max_wait = self.config.max_wait_ms / 1e3
         while True:
-            batch = self._queue.take_batch(
+            taken = self._queue.take_batch(
                 self.config.max_batch_size, max_wait
             )
-            if batch is None:
+            if taken is None:
                 return
-            self._execute(batch)
+            self._execute(*taken)
 
-    def _execute(self, batch: List[PendingRequest]) -> None:
+    def _execute(
+        self, batch: List[PendingRequest], window_held: bool
+    ) -> None:
         """Serve one homogeneous batch with a single bulk retrieval call."""
         now = self._clock()
         live: List[PendingRequest] = []
@@ -219,7 +221,7 @@ class RetrievalService:
                 live.append(request)
         if not live:
             return
-        self.stats.record_batch(len(live), window_held=batch[0].crowded)
+        self.stats.record_batch(len(live), window_held=window_held)
         # coalesce duplicate (normalized) questions: one scored row can
         # answer several waiting clients
         row_of: Dict[Any, int] = {}

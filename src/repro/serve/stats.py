@@ -35,7 +35,7 @@ class ServiceStats:
         self.failed = 0
         self.batches = 0
         self.batched_requests = 0  # requests served through batches
-        self.windows_held = 0  # batches that held the window for company
+        self.windows_held = 0  # batches that waited on the clock for company
         self.batch_sizes: Dict[int, int] = {}
         self.latencies = LatencyReservoir()
         self._started_at = time.perf_counter()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.data.hotpot import BRIDGE, COMPARISON, HotpotQuestion
+from repro.eval import golden
 from repro.eval.experiments import _add_paths
 from repro.eval.golden import _artefact_digests, first_difference, render
 from repro.eval.metrics import RetrievalScorecard
@@ -22,8 +23,8 @@ COMMITTED = Path(__file__).resolve().parents[1] / "benchmarks" / "TABLES.json"
 def _small_golden():
     return {
         "artefacts": {"heads.npz": {"bias": "aaaaaaaaaaaa"}, "model.json": "bb"},
-        "header": {"blas": "OpenBLAS x", "machine": "x86_64",
-                   "numpy": "2.0", "scale": "small"},
+        "header": {"blas": "OpenBLAS x", "blas_core": "SkylakeX",
+                   "machine": "x86_64", "numpy": "2.0", "scale": "small"},
         "questions": {"test": [7, 3, 9], "train": [1, 2]},
         "rows": {
             "Table IV TPR": {"bits": "101", "lists": ["a1", "b2", "c3"],
@@ -72,6 +73,15 @@ class TestFirstDifference:
         moved["header"]["blas"] = "OpenBLAS y"
         assert first_difference(_small_golden(), moved) == (
             "header/blas: expected 'OpenBLAS x', got 'OpenBLAS y'"
+        )
+
+    def test_a_different_kernel_is_named_before_what_it_moved(self):
+        moved = _small_golden()
+        moved["header"]["blas_core"] = "Haswell"
+        moved["rows"]["Table IV TPR"]["lists"][2] = "zz"
+        moved["artefacts"]["heads.npz"]["bias"] = "cccccccccccc"
+        assert first_difference(_small_golden(), moved) == (
+            "header/blas_core: expected 'SkylakeX', got 'Haswell'"
         )
 
     def test_an_artefact_array_is_named(self):
@@ -190,6 +200,19 @@ class _SavesTwoFiles:
         atomic_write_json(Path(directory) / "model.json", {"format": 1})
         atomic_write_npz(Path(directory) / "heads.npz",
                          {"w": np.arange(3.0), "b": np.zeros(1)})
+
+
+class TestBlasCore:
+    def test_names_the_kernel_in_use(self):
+        core = golden._blas_core()
+        assert core and core.isprintable()
+
+    def test_unknown_without_the_library(self, monkeypatch):
+        def no_library(path):
+            raise OSError(path)
+
+        monkeypatch.setattr(golden.ctypes, "CDLL", no_library)
+        assert golden._blas_core() == "unknown"
 
 
 def test_artefacts_are_digested_per_file_and_per_array():

@@ -416,6 +416,26 @@ class TestBatchWindow:
         assert stub.calls == [["q0 ?"], ["q1 ?", "q2 ?"]]
         assert (snap["batches"], snap["windows_held"]) == (2, 1)
 
+    def test_a_request_of_another_shape_ends_the_window(self):
+        stub = BlockingStubRetriever()
+        now = [0.0]  # the service's clock, moved by hand
+        with RetrievalService(stub, clock=lambda: now[0]) as service:
+            alone = service.submit("q0 ?")
+            assert stub.started.wait(5.0)  # q0's batch is out
+            crowded = service.submit("q1 ?")
+            other = service.submit("q2 ?", k=3)  # another shape
+            stub.release.set()
+            assert alone.result(timeout=5)
+            # q2 waits in the queue, so q1's window ends at once
+            assert crowded.result(timeout=5) == [("q1 ?", 8)]
+            cut = service.stats_snapshot()
+            now[0] += 1.0  # q2 found q1 queued, so it holds its window
+            assert other.result(timeout=5) == [("q2 ?", 3)]
+            snap = service.stats_snapshot()
+        assert stub.calls == [["q0 ?"], ["q1 ?"], ["q2 ?"]]
+        assert (cut["batches"], cut["windows_held"]) == (2, 0)
+        assert (snap["batches"], snap["windows_held"]) == (3, 1)
+
     LONG_WAIT_MS = 150.0
 
     def test_lone_request_skips_a_long_window_in_process(
